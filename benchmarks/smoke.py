@@ -3,14 +3,13 @@
 
 Times a representative batch (a handful of workloads x the full
 Figure 7 mechanism legend) through the unified :class:`repro.Runner`
-on *all three* replay engines — the authoritative reference engine,
-the vectorized per-spec fast path (:mod:`repro.sim.fastpath`), and
-the one-pass multi-mechanism batch engine (:mod:`repro.sim.batchpath`)
-— verifies their rows are bit-identical, and emits a machine-readable
-JSON record with the wall-clock speedups (``specs_per_second``,
-``batch_specs_per_second``, ``batch_identical``). CI tracks this
-record (``BENCH_smoke.json``) to watch the execution path's
-performance trajectory over time.
+on both replay engines — the authoritative reference engine and the
+compiled engine (:mod:`repro.sim.batchpath`, which replays every
+stream group in one pass) — verifies their rows are bit-identical,
+and emits a machine-readable JSON record with the wall-clock speedup
+(``specs_per_second``, ``speedup_vs_reference``,
+``engines_identical``). CI tracks this record (``BENCH_smoke.json``)
+to watch the execution path's performance trajectory over time.
 
 Run:  PYTHONPATH=src python benchmarks/smoke.py --out BENCH_smoke.json
 """
@@ -39,8 +38,25 @@ SMOKE_APPS = ("galgel", "swim", "ammp", "eon")
 #: Budget for the store's cold write-back overhead, as a fraction of
 #: the bare replay wall-clock. Both sides are fastest-of-N within the
 #: same window, so machine noise largely cancels; exceeding this fails
-#: the benchmark (the docs promise the cold sweep costs <5%).
-STORE_COLD_BUDGET = 0.05
+#: the benchmark. The replay it is measured against is the compiled
+#: one-pass engine (~0.09 s for the 84 specs at scale 0.1), about a
+#: third of the per-spec replay the first 5% budget was set against;
+#: the write-back itself did not change and measures 3-6% of it.
+STORE_COLD_BUDGET = 0.10
+
+#: Batches per timed window in the overhead comparisons (store
+#: write-back, telemetry). One compiled batch takes ~0.09 s, short
+#: enough that one scheduler hiccup swings a fraction by 10%; four
+#: back-to-back batches per window keep the ratios readable.
+WINDOW_BATCHES = 4
+
+
+def _timed_window(run) -> float:
+    """Mean seconds per batch over one window of WINDOW_BATCHES runs."""
+    started = time.perf_counter()
+    for index in range(WINDOW_BATCHES):
+        run(index)
+    return (time.perf_counter() - started) / WINDOW_BATCHES
 
 
 def distributed_phase(
@@ -208,14 +224,14 @@ def obs_phase(runner: Runner, specs: list[RunSpec], repeats: int) -> dict:
     """
     enabled_elapsed = disabled_elapsed = float("inf")
     for _ in range(max(2, repeats)):
-        started = time.perf_counter()
-        runner.run(specs)
-        enabled_elapsed = min(enabled_elapsed, time.perf_counter() - started)
+        enabled_elapsed = min(
+            enabled_elapsed, _timed_window(lambda _: runner.run(specs))
+        )
         set_enabled(False)
         try:
-            started = time.perf_counter()
-            runner.run(specs)
-            disabled_elapsed = min(disabled_elapsed, time.perf_counter() - started)
+            disabled_elapsed = min(
+                disabled_elapsed, _timed_window(lambda _: runner.run(specs))
+            )
         finally:
             set_enabled(True)
     overhead = (
@@ -409,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="fast",
+        default="auto",
         help="engine for the timed primary batch (compared against reference)",
     )
     parser.add_argument(
@@ -480,35 +496,24 @@ def main(argv: list[str] | None = None) -> int:
     filters = cache.misses
 
     # Interleave the repetitions so slow drifts in machine load hit
-    # every engine alike; keep each engine's fastest wall-clock.
+    # both engines alike; keep each engine's fastest wall-clock.
     reference_specs = [spec.derive(engine="reference") for spec in specs]
-    batch_specs = [spec.derive(engine="batch") for spec in specs]
-    reference_elapsed = elapsed = batch_elapsed = float("inf")
-    reference = results = batch_results = None
+    reference_elapsed = elapsed = float("inf")
+    reference = results = None
     with profiler.phase("engines"):
         for _ in range(max(1, args.repeats)):
             started = time.perf_counter()
             reference = runner.run(reference_specs)
             reference_elapsed = min(reference_elapsed, time.perf_counter() - started)
 
+            # The compiled engine replays every stream group in one
+            # fused pass.
             started = time.perf_counter()
             results = runner.run(specs)
             elapsed = min(elapsed, time.perf_counter() - started)
 
-            # The one-pass batch engine: same specs, every stream group
-            # replayed in a single fused loop (repro.sim.batchpath). Its
-            # window is several times shorter than the others, so a burst
-            # of scheduler noise distorts it proportionally more — take
-            # three samples per repetition to keep the min estimate tight.
-            for _ in range(3):
-                started = time.perf_counter()
-                batch_results = runner.run(batch_specs)
-                batch_elapsed = min(batch_elapsed, time.perf_counter() - started)
-
     engines_identical = results.to_json() == reference.to_json()
-    batch_identical = batch_results.to_json() == reference.to_json()
     speedup = reference_elapsed / elapsed if elapsed else 0.0
-    batch_speedup = elapsed / batch_elapsed if batch_elapsed else 0.0
 
     # The parallel run is a Runner check, not an engine comparison: it
     # filters inside the worker processes, so its wall-clock includes
@@ -523,23 +528,35 @@ def main(argv: list[str] | None = None) -> int:
 
     # Store-backed phase: the same batch against a fresh persistent
     # store, twice. The cold pass reuses the warm miss-stream cache so
-    # its wall-clock is replay + store write-back, directly comparable
-    # to `elapsed` (the write-back overhead budget is <5%); the warm
+    # its wall-clock is replay + store write-back, compared with bare
+    # batches timed in the same loop (see STORE_COLD_BUDGET); the warm
     # pass must be 100% store hits — zero replays — and bit-identical.
     with profiler.phase("store"), tempfile.TemporaryDirectory(
         prefix="repro-store-smoke-"
     ) as store_root:
-        # Fastest-of-repeats like the engine timings (a cold pass needs
-        # a fresh store each time); warm timing reuses the last store.
-        store_cold_elapsed = store_warm_elapsed = float("inf")
+        # Fastest-of-repeats like the engine timings (every cold batch
+        # needs a fresh store); warm timing reuses the last store.
+        store_cold_elapsed = store_warm_elapsed = bare_elapsed = float("inf")
         for repeat in range(max(1, args.repeats)):
-            store = ExperimentStore(Path(store_root) / f"run{repeat}")
-            store_runner = Runner(cache=cache, store=store)
-            started = time.perf_counter()
-            store_cold = store_runner.run(specs)
-            store_cold_elapsed = min(
-                store_cold_elapsed, time.perf_counter() - started
+            stores = [
+                ExperimentStore(Path(store_root) / f"run{repeat}-{index}")
+                for index in range(WINDOW_BATCHES)
+            ]
+            bare_elapsed = min(
+                bare_elapsed, _timed_window(lambda _: runner.run(specs))
             )
+            cold_passes: list = []
+            store_cold_elapsed = min(
+                store_cold_elapsed,
+                _timed_window(
+                    lambda index: cold_passes.append(
+                        Runner(cache=cache, store=stores[index]).run(specs)
+                    )
+                ),
+            )
+        store_cold = cold_passes[-1]
+        store = stores[-1]
+        store_runner = Runner(cache=cache, store=store)
         before_warm = store.stats()
         started = time.perf_counter()
         store_warm = store_runner.run(specs)
@@ -558,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         store_cold_elapsed / store_warm_elapsed if store_warm_elapsed else 0.0
     )
     store_cold_overhead = (
-        (store_cold_elapsed - elapsed) / elapsed if elapsed else 0.0
+        (store_cold_elapsed - bare_elapsed) / bare_elapsed if bare_elapsed else 0.0
     )
 
     # Streaming/checkpoint phase: one representative spec resumed from
@@ -635,12 +652,6 @@ def main(argv: list[str] | None = None) -> int:
         "engines_identical": engines_identical,
         "parallel_identical": parallel_identical,
         "specs_per_second": round(len(specs) / elapsed, 2) if elapsed else 0.0,
-        "batch_elapsed_seconds": round(batch_elapsed, 4),
-        "batch_speedup_vs_fast": round(batch_speedup, 2),
-        "batch_identical": batch_identical,
-        "batch_specs_per_second": round(len(specs) / batch_elapsed, 2)
-        if batch_elapsed
-        else 0.0,
         "stream_cache_hits": cache.hits,
         "store_cold_seconds": round(store_cold_elapsed, 4),
         "store_warm_seconds": round(store_warm_elapsed, 4),
@@ -691,12 +702,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({record['specs_per_second']} specs/s, {filters} TLB filters) -> {out}"
     )
     print(
-        f"[smoke] batch: {batch_elapsed:.2f}s "
-        f"({record['batch_specs_per_second']} specs/s, "
-        f"{batch_speedup:.2f}x vs per-spec {args.engine}) "
-        f"bit-identical={batch_identical}"
-    )
-    print(
         f"[smoke] store: cold {store_cold_elapsed:.2f}s "
         f"(+{store_cold_overhead * 100:.1f}% write-back overhead) -> warm "
         f"{store_warm_elapsed:.2f}s, {store_warm_speedup:.0f}x, "
@@ -742,10 +747,7 @@ def main(argv: list[str] | None = None) -> int:
             f"bit-identical={distributed['distributed_identical']}"
         )
     if not engines_identical:
-        print("[smoke] ERROR: engines diverged — fast path is not bit-identical")
-        return 1
-    if not batch_identical:
-        print("[smoke] ERROR: batch engine diverged — one-pass replay is not bit-identical")
+        print("[smoke] ERROR: engines diverged — compiled replay is not bit-identical")
         return 1
     if distributed["distributed_identical"] is False:
         print("[smoke] ERROR: distributed sweep diverged from serial execution")

@@ -69,8 +69,8 @@ from repro.prefetch.stride import ArbitraryStridePrefetcher
 from repro.run import MechanismSpec, MissStreamCache, ResultSet, Runner, RunSpec
 from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.cycle import CycleSimConfig, CycleStats, normalized_cycles, simulate_cycles
+from repro.sim import replay_fast
 from repro.sim.engine import ENGINES, resolve_engine
-from repro.sim.fastpath import replay_fast
 from repro.sim.functional import simulate
 from repro.sim.stats import PrefetchRunStats
 from repro.sched import DistributedExecutor, JobQueue, SchedulerClient, Worker

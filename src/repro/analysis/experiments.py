@@ -67,8 +67,9 @@ class ExperimentContext:
         runner: the execution engine; defaults to a fresh one over the
             process-wide miss-stream cache.
         engine: replay engine stamped on every spec this context
-            builds — ``"auto"`` (default), ``"reference"`` or
-            ``"fast"``; see :mod:`repro.sim.engine`.
+            builds — ``"auto"`` (default), ``"reference"``, or the
+            compiled-engine aliases ``"fast"``/``"batch"``; see
+            :mod:`repro.sim.engine`.
         store: optional persistent :class:`~repro.store.ExperimentStore`
             (or store directory) the default runner consults — re-running
             a table/figure against the same store replays only the specs

@@ -20,16 +20,17 @@ that state from process memory:
   resume bookmarks for :class:`~repro.run.runner.Runner` continuations
   and service streaming sessions.
 
-The same canonical snapshots also let the fast replay engine
-(:mod:`repro.sim.fastpath`) accept *warm-started* instances: it seeds
-its flat-array tables from a snapshot and writes the final state back,
-so ``engine="auto"`` no longer falls back to the reference engine for
-trained mechanisms.
+The same canonical snapshots seed the compiled replay engine
+(:mod:`repro.sim.batchpath`): a kernel starts from a mechanism's and a
+buffer's snapshot, keeps that state live across stream windows, and
+exports canonical snapshots straight from it — so warm-started
+instances, streaming sessions and checkpointed runs all replay at
+compiled speed.
 """
 
 from repro.ckpt.codec import CKPT_SCHEMA, blob_digest, decode_blob, encode_blob
 from repro.ckpt.manager import CheckpointManager
-from repro.ckpt.session import ReplaySession, SessionSnapshot
+from repro.ckpt.session import ReplaySession, SessionSnapshot, verify_resume
 from repro.ckpt.snapshots import (
     SNAPSHOT_KINDS,
     AdaptiveSequentialSnapshot,
@@ -87,4 +88,5 @@ __all__ = [
     "snapshot_prefetcher",
     "snapshot_table",
     "snapshot_tlb",
+    "verify_resume",
 ]

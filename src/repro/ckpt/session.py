@@ -1,12 +1,13 @@
-"""Incremental phase-2 replay: the same loop, pausable anywhere.
+"""Incremental phase-2 replay: one replay, pausable anywhere.
 
-:class:`ReplaySession` is :func:`repro.sim.two_phase.replay_prefetcher`
-unrolled into an object: it holds the miss stream, the live mechanism,
-and the prefetch buffer, and :meth:`advance` runs the *identical* per-
-miss body over the next N entries. Because the loop body is the same
-statement-for-statement and all carried state (buffer contents and
-counters, mechanism state, measured-hit tally, counter baselines) is
-part of the session, advancing in any chunking produces byte-identical
+:class:`ReplaySession` is a single replay unrolled into an object: it
+holds the miss stream, the mechanism and the prefetch buffer, and
+:meth:`advance` replays the next N entries. Mechanisms with a compiled
+loop run on a :class:`~repro.sim.batchpath.ReplayKernel` whose state
+stays live between advances; others run the reference engine's
+per-miss body (:class:`~repro.sim.two_phase.ReplayWindow`) over the
+live objects. Either way the warm-up boundary is judged by the global
+stream position, so advancing in any chunking produces byte-identical
 final statistics to a single-shot replay — the streaming service's
 contract, enforced by ``tests/ckpt/test_session.py`` and the
 differential suite.
@@ -36,8 +37,6 @@ from .snapshots import (
     StateSnapshot,
     restore_buffer,
     restore_prefetcher,
-    snapshot_buffer,
-    snapshot_prefetcher,
 )
 
 
@@ -62,13 +61,43 @@ class SessionSnapshot(StateSnapshot):
     buffer: BufferSnapshot
 
 
+def verify_resume(record: dict, snap: "SessionSnapshot", spec) -> None:
+    """Check a stored session/continuation record against its snapshot.
+
+    ``record`` is the JSON descriptor that points at ``snap``; ``spec``
+    is the :class:`~repro.run.spec.RunSpec` being resumed. The record's
+    ``stream_offset`` must be the snapshot's offset, its ``spec_key``
+    the spec's key, and the snapshot's buffer capacity and per-miss
+    clamp the spec's. Raises :class:`~repro.errors.CkptError` on any
+    mismatch: resuming would replay some other run.
+    """
+    checks = (
+        ("stream_offset", record.get("stream_offset"), snap.offset),
+        ("spec_key", record.get("spec_key"), spec.key()),
+        ("buffer capacity", snap.buffer.capacity, spec.buffer_entries),
+        (
+            "max_prefetches_per_miss",
+            snap.max_prefetches_per_miss,
+            spec.max_prefetches_per_miss,
+        ),
+    )
+    for name, stored, expected in checks:
+        if stored != expected:
+            raise CkptError(
+                f"corrupt resume record: {name} is {stored!r}, expected {expected!r}"
+            )
+
+
 class ReplaySession:
     """A suspendable, resumable phase-2 replay over one miss stream.
 
     Args:
         miss_trace: the filtered miss stream to replay.
-        prefetcher: the mechanism instance to drive (trained in place,
-            exactly as the reference engine trains it).
+        prefetcher: the mechanism instance to drive. It is trained
+            exactly as the reference engine trains it: in place for a
+            mechanism without a compiled loop, and once the session
+            finishes (or :attr:`prefetcher` is read) for one with a
+            compiled kernel, which owns the live state in between.
         buffer_entries: prefetch-buffer capacity.
         max_prefetches_per_miss: per-miss issue clamp (0 = unlimited).
     """
@@ -80,25 +109,48 @@ class ReplaySession:
         buffer_entries: int = 16,
         max_prefetches_per_miss: int = 0,
     ) -> None:
+        self._open(
+            miss_trace,
+            prefetcher,
+            PrefetchBuffer(buffer_entries),
+            max_prefetches_per_miss,
+            offset=0,
+            pb_hits=0,
+            # Counter baselines, exactly as replay_prefetcher takes
+            # them: a pre-trained instance reports only this stream.
+            issued_before=prefetcher.prefetches_issued,
+            overhead_before=prefetcher.overhead_ops_total,
+        )
+
+    def _open(
+        self,
+        miss_trace: MissTrace,
+        prefetcher: Prefetcher,
+        buffer: PrefetchBuffer,
+        max_prefetches_per_miss: int,
+        offset: int,
+        pb_hits: int,
+        issued_before: int,
+        overhead_before: int,
+        mechanism: MechanismSnapshot | None = None,
+    ) -> None:
+        # Imported lazily: repro.sim imports this package.
+        from ..sim.engine import open_replay
+
         self.miss_trace = miss_trace
-        self.prefetcher = prefetcher
-        self.buffer = PrefetchBuffer(buffer_entries)
         self.max_prefetches_per_miss = max_prefetches_per_miss
-        pcs, pages, evicted, _ = miss_trace.as_lists()
-        self._pcs = pcs
-        self._pages = pages
-        self._evicted = evicted
-        self.offset = 0
-        self.pb_hits_measured = 0
-        # Counter baselines, exactly as replay_prefetcher snapshots them:
-        # a pre-trained instance reports only this stream's activity.
-        self.issued_before = prefetcher.prefetches_issued
-        self.overhead_before = prefetcher.overhead_ops_total
+        self.offset = offset
+        self.issued_before = issued_before
+        self.overhead_before = overhead_before
+        self._prefetcher = prefetcher
+        self._replay = open_replay(
+            miss_trace, prefetcher, buffer, max_prefetches_per_miss, pb_hits, mechanism
+        )
 
     @property
     def total(self) -> int:
         """Total miss entries in the stream."""
-        return len(self._pages)
+        return len(self.miss_trace)
 
     @property
     def remaining(self) -> int:
@@ -110,66 +162,58 @@ class ReplaySession:
         """True once every entry has been replayed."""
         return self.offset >= self.total
 
+    @property
+    def prefetcher(self) -> Prefetcher:
+        """The mechanism instance, trained up to :attr:`offset`."""
+        self._replay.write_back(self._prefetcher)
+        return self._prefetcher
+
+    @property
+    def buffer(self) -> PrefetchBuffer:
+        """A copy of the prefetch buffer as of :attr:`offset`."""
+        snap = self._replay.buffer_snapshot()
+        buffer = PrefetchBuffer(snap.capacity)
+        restore_buffer(snap, buffer)
+        return buffer
+
+    @property
+    def pb_hits_measured(self) -> int:
+        """Prefetch-buffer hits past the warm-up boundary so far."""
+        return self._replay.counters()[0]
+
     def advance(self, count: int | None = None) -> int:
         """Replay up to ``count`` more entries (all remaining if None).
 
-        Returns the number actually advanced. The loop body is a
-        verbatim copy of :func:`~repro.sim.two_phase.replay_prefetcher`;
-        ``index`` is the *global* stream position, so the warm-up
+        Returns the number actually advanced. The replay compares the
+        *global* stream position with the warm-up boundary, so the
         boundary lands identically under any chunking.
         """
         if count is not None and count < 0:
             raise CkptError(f"advance count must be >= 0, got {count}")
-        stop = self.total if count is None else min(self.total, self.offset + count)
         start = self.offset
-        pcs = self._pcs
-        pages = self._pages
-        evicted = self._evicted
-        warmup = self.miss_trace.warmup_misses
-        max_prefetches = self.max_prefetches_per_miss
-        pb_hits_measured = self.pb_hits_measured
-        lookup_remove = self.buffer.lookup_remove
-        insert = self.buffer.insert
-        on_miss = self.prefetcher.on_miss
-        for index in range(start, stop):
-            page = pages[index]
-            pb_hit = lookup_remove(page)
-            if pb_hit and index >= warmup:
-                pb_hits_measured += 1
-            prefetches = on_miss(pcs[index], page, evicted[index], pb_hit)
-            if max_prefetches and len(prefetches) > max_prefetches:
-                prefetches = prefetches[:max_prefetches]
-            for target in prefetches:
-                insert(target)
-        self.pb_hits_measured = pb_hits_measured
-        self.offset = stop
+        stop = self.total if count is None else min(self.total, start + count)
+        if stop > start:
+            self._replay.run(start, stop)
+            self.offset = stop
+            if self.finished:
+                self._replay.write_back(self._prefetcher)
         return stop - start
 
     def stats(self) -> PrefetchRunStats:
         """Statistics over the entries replayed so far.
 
-        Field-for-field the same construction as
-        :func:`~repro.sim.two_phase.replay_prefetcher`; once
-        :attr:`finished`, the result is byte-identical to a single-shot
-        replay of the same stream.
+        Built exactly as :func:`~repro.sim.two_phase.replay_prefetcher`
+        builds them; once :attr:`finished`, the result is
+        byte-identical to a single-shot replay of the same stream.
         """
-        from ..sim.stats import PrefetchRunStats
+        from ..sim.two_phase import replay_stats
 
-        return PrefetchRunStats(
-            workload=self.miss_trace.name,
-            mechanism=self.prefetcher.label,
-            tlb_label=self.miss_trace.tlb_label,
-            total_references=self.miss_trace.total_references,
-            tlb_misses=self.miss_trace.num_misses,
-            measured_misses=self.miss_trace.measured_misses,
-            pb_hits=self.pb_hits_measured,
-            prefetches_issued=self.prefetcher.prefetches_issued - self.issued_before,
-            buffer_inserted=self.buffer.inserted,
-            buffer_refreshed=self.buffer.refreshed,
-            buffer_evicted_unused=self.buffer.evicted_unused,
-            overhead_memory_ops=self.prefetcher.overhead_ops_total
-            - self.overhead_before,
-            prefetch_fetch_ops=self.buffer.inserted,
+        return replay_stats(
+            self.miss_trace,
+            self._prefetcher.label,
+            self._replay.counters(),
+            self.issued_before,
+            self.overhead_before,
         )
 
     def snapshot(self) -> SessionSnapshot:
@@ -180,8 +224,8 @@ class ReplaySession:
             issued_before=self.issued_before,
             overhead_before=self.overhead_before,
             max_prefetches_per_miss=self.max_prefetches_per_miss,
-            mechanism=snapshot_prefetcher(self.prefetcher),
-            buffer=snapshot_buffer(self.buffer),
+            mechanism=self._replay.mechanism_snapshot(),
+            buffer=self._replay.buffer_snapshot(),
         )
 
     @classmethod
@@ -203,21 +247,26 @@ class ReplaySession:
             raise CkptError(
                 f"cannot resume a session from {type(snap).__name__}"
             )
-        session = cls(
-            miss_trace,
-            prefetcher,
-            buffer_entries=snap.buffer.capacity,
-            max_prefetches_per_miss=snap.max_prefetches_per_miss,
-        )
-        if not 0 <= snap.offset <= session.total:
+        if not 0 <= snap.offset <= len(miss_trace):
             raise CkptError(
                 f"corrupt session snapshot: offset {snap.offset} outside "
-                f"stream of {session.total} entries"
+                f"stream of {len(miss_trace)} entries"
             )
+        # Restoring validates the snapshot against the instance's
+        # configuration (and trains the instance to it).
         restore_prefetcher(snap.mechanism, prefetcher)
-        restore_buffer(snap.buffer, session.buffer)
-        session.offset = snap.offset
-        session.pb_hits_measured = snap.pb_hits_measured
-        session.issued_before = snap.issued_before
-        session.overhead_before = snap.overhead_before
+        buffer = PrefetchBuffer(snap.buffer.capacity)
+        restore_buffer(snap.buffer, buffer)
+        session = cls.__new__(cls)
+        session._open(
+            miss_trace,
+            prefetcher,
+            buffer,
+            snap.max_prefetches_per_miss,
+            offset=snap.offset,
+            pb_hits=snap.pb_hits_measured,
+            issued_before=snap.issued_before,
+            overhead_before=snap.overhead_before,
+            mechanism=snap.mechanism,
+        )
         return session

@@ -7,8 +7,8 @@ plain codec values (ints, floats, strings, lists), serialized through
 logical state always yields an identical digest*. That invariant is
 load-bearing: checkpoints are content-addressed by digest, and resume
 continuations are keyed by ``(spec_key, stream_offset, state_digest)``,
-so the reference engine and the fast engine must agree byte-for-byte on
-the snapshot of any state they both can reach.
+so the reference engine and the compiled engine must agree byte-for-byte
+on the snapshot of any state they both can reach.
 
 Two canonicalization rules make cross-engine agreement possible:
 
@@ -700,7 +700,7 @@ _FAMILIES: dict[type, tuple] = {
 def snapshot_prefetcher(prefetcher: Prefetcher) -> MechanismSnapshot:
     """Capture any supported mechanism's full behaviour-bearing state.
 
-    Dispatch is on exact type (mirroring the fast engine's support
+    Dispatch is on exact type (mirroring the compiled engine's support
     check): a subclass with extra state must register its own family.
     """
     family = _FAMILIES.get(type(prefetcher))

@@ -146,11 +146,11 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
         choices=ENGINES,
         default="auto",
         help=(
-            "replay engine: auto (fast path when eligible; batches "
-            "stream-sharing groups in one pass), reference "
-            "(authoritative object-driven replay), fast (forced fast "
-            "path), or batch (forced one-pass multi-mechanism replay); "
-            "all engines are bit-identical"
+            "replay engine: auto (the compiled engine when the "
+            "mechanism has a compiled loop; stream-sharing groups "
+            "replay in one pass), reference (authoritative "
+            "object-driven replay), or fast/batch (aliases forcing "
+            "the compiled engine); both engines are bit-identical"
         ),
     )
 

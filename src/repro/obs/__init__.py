@@ -6,7 +6,7 @@ scheduler)::
     from repro import obs
 
     obs.REGISTRY.counter("repro_store_result_hits_total").inc()
-    with obs.trace("replay", engine="fast"):
+    with obs.trace("replay", engine="batch"):
         ...
 
 Everything here is strictly off the determinism path — no metric,

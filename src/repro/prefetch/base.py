@@ -104,9 +104,10 @@ class Prefetcher(abc.ABC):
 
         Stateful subclasses override this to report *any* trained
         state — tables, history registers, adaptation counters — not
-        just statistics. The fast replay engine
-        (:mod:`repro.sim.fastpath`) rebuilds mechanism state from
-        scratch, so it only accepts instances where this is False.
+        just statistics. The one-pass batch replay
+        (:func:`repro.sim.batchpath.replay_batch`) builds mechanism
+        state from scratch, so it only accepts instances where this is
+        False.
         """
         return False
 

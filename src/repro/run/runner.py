@@ -51,7 +51,7 @@ from repro.store.store import (
 )
 from repro.sim import batchpath
 from repro.sim.config import TLBConfig
-from repro.sim.engine import batch_available, replay as engine_replay, resolve_engine
+from repro.sim.engine import replay as engine_replay, resolve_engine
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.sweep import rescale_trace
 from repro.sim.two_phase import filter_tlb
@@ -209,8 +209,8 @@ def _replay(spec: RunSpec, miss_trace: MissTrace) -> PrefetchRunStats:
     """Phase 2 for a spec, annotated with its identity coordinates.
 
     The replay engine comes from ``spec.engine`` (``auto`` by default:
-    the fast path whenever the mechanism is eligible, the reference
-    engine otherwise — bit-identical either way, see
+    the compiled engine whenever the mechanism has a compiled loop, the
+    reference engine otherwise — bit-identical either way, see
     :mod:`repro.sim.engine`).
     """
     prefetcher = spec.build_prefetcher()
@@ -467,7 +467,12 @@ class Runner:
         """Chunked replay with store-backed suspend/resume bookmarks."""
         # Local import: repro.ckpt.manager deliberately avoids importing
         # the store at runtime, and we return the favor here.
-        from repro.ckpt import CheckpointManager, ReplaySession, SessionSnapshot
+        from repro.ckpt import (
+            CheckpointManager,
+            ReplaySession,
+            SessionSnapshot,
+            verify_resume,
+        )
 
         manager = CheckpointManager(self.store)
         miss_trace = self.miss_stream_for(spec)
@@ -475,8 +480,9 @@ class Runner:
         session = None
         resumed = manager.load_continuation(key)
         if resumed is not None:
-            _, snap = resumed
+            record, snap = resumed
             if isinstance(snap, SessionSnapshot):
+                verify_resume(record, snap, spec)
                 session = ReplaySession.resume(
                     snap, miss_trace, spec.build_prefetcher()
                 )
@@ -530,29 +536,23 @@ class Runner:
         return self._run_serial(spec_list)
 
     def _run_serial(self, spec_list: list[RunSpec]) -> list[PrefetchRunStats]:
-        """In-process execution with one-pass batching of stream groups.
+        """In-process execution: one compiled pass per stream group.
 
-        Specs are grouped by stream key; within a group, every spec
-        whose engine allows it (``"auto"`` or ``"batch"``) and whose
-        mechanism the batch loop supports is replayed in a *single*
-        pass over the shared miss stream
-        (:func:`repro.sim.batchpath.replay_batch`). ``"auto"`` only
-        batches groups of two or more such specs (a singleton has
-        nothing to amortize and takes the fast engine); ``"batch"``
-        forces the one-pass loop even for a group of one. Everything
-        else — ``"reference"``/``"fast"`` specs, mechanisms without a
-        batch loop — runs per-spec exactly as before, and checkpointed
-        runs are never batched (the batch loop is not suspendable).
+        Specs are grouped by stream key; within a group, every spec on
+        the compiled engine (any engine but ``"reference"``) whose
+        mechanism has a compiled loop is replayed in a *single* pass
+        over the shared miss stream
+        (:func:`repro.sim.batchpath.replay_batch`) — a group of one
+        included. ``"reference"`` specs run per-spec on the reference
+        engine, and checkpointed runs go spec by spec through
+        suspendable sessions (compiled kernels, replayed in
+        checkpoint-sized windows).
 
         The miss-stream cache is still consulted once per spec, so the
         hit/miss counter contract is identical to per-spec execution,
         and rows are bit-identical by the differential harness.
         """
-        if self.checkpoint_every or (
-            len(spec_list) < 2
-            and not any(spec.engine == "batch" for spec in spec_list)
-        ):
-            # Nothing to group — unless a spec *forces* the batch loop.
+        if self.checkpoint_every:
             return [self.run_one(spec) for spec in spec_list]
         results: list[PrefetchRunStats | None] = [None] * len(spec_list)
         groups: OrderedDict[tuple, list[int]] = OrderedDict()
@@ -562,18 +562,13 @@ class Runner:
             batchable: list[tuple[int, RunSpec, object]] = []
             for index in indices:
                 spec = spec_list[index]
-                if spec.engine in ("auto", "batch"):
+                if spec.engine != "reference":
                     prefetcher = spec.build_prefetcher()
-                    if batch_available(prefetcher):
+                    if batchpath.supports(prefetcher):
                         batchable.append((index, spec, prefetcher))
                         continue
                 results[index] = self.run_one(spec)
             if not batchable:
-                continue
-            forced = any(spec.engine == "batch" for _, spec, _ in batchable)
-            if len(batchable) < 2 and not forced:
-                for index, spec, _ in batchable:
-                    results[index] = self.run_one(spec)
                 continue
             miss_trace = None
             for _, spec, _ in batchable:

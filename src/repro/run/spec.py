@@ -82,8 +82,10 @@ class RunSpec:
         max_prefetches_per_miss: engine-level prefetch clamp, 0 = none.
         page_size: page size in bytes; traces are generated at 4 KiB and
             exactly re-aggregated for larger pages (superpage studies).
-        engine: replay engine — ``"auto"`` (fast path when eligible,
-            the default), ``"reference"``, or ``"fast"`` (forced; see
+        engine: replay engine — ``"auto"`` (the compiled engine when
+            the mechanism has a compiled loop, the default),
+            ``"reference"`` (the oracle), or ``"fast"``/``"batch"``
+            (aliases forcing the compiled engine; see
             :mod:`repro.sim.engine`). Engines are bit-identical by
             contract, so the engine is *execution metadata*: it is
             excluded from :meth:`canonical`/:meth:`key` and result

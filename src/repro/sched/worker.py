@@ -10,7 +10,7 @@ coordination state lives in the server's :class:`~repro.sched.queue.JobQueue`:
    through a store-backed :class:`~repro.run.runner.Runner`, so a spec
    another worker already landed costs one index probe, not a replay;
 3. replay the rest through the engine the spec names (``auto`` → the
-   vectorized fast path for every built-in mechanism);
+   compiled engine for every built-in mechanism);
 4. ``POST /complete`` with the result row — the server writes it back
    through its :class:`~repro.store.ExperimentStore`, content-addressed
    and deduplicated.

@@ -64,7 +64,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable, Iterator
 from urllib.parse import parse_qsl, unquote, urlparse
 
-from repro.ckpt import CheckpointManager, ReplaySession, SessionSnapshot
+from repro.ckpt import CheckpointManager, ReplaySession, SessionSnapshot, verify_resume
 from repro.errors import CkptError, ReproError, StoreError, SweepOwnershipError
 from repro.obs import (
     COLLECTOR,
@@ -908,7 +908,8 @@ class ExperimentService:
         ``session_id`` is the caller-visible id used in error messages.
         Returns ``None`` on success, or the ``(status, payload)`` error
         pair when the id is unknown (404) or its checkpoint blob has
-        been garbage-collected (410).
+        been garbage-collected (410). A record that disagrees with its
+        snapshot or spec raises :class:`~repro.errors.CkptError`.
         """
         record = self.ckpt.load_session(session_key)
         if record is None:
@@ -941,6 +942,9 @@ class ExperimentService:
             raise CkptError(
                 f"corrupt session record {session_id!r}: {error}"
             ) from error
+        # The record must describe the snapshot it points at and the
+        # spec it carries; otherwise resuming would replay another run.
+        verify_resume(record, snap, spec)
         entry.session = ReplaySession.resume(
             snap, self.runner.miss_stream_for(spec), spec.build_prefetcher()
         )

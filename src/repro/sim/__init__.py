@@ -9,12 +9,13 @@
   stream per prefetcher. Exactly equivalent to the functional path
   (property-tested) because prefetching cannot change the TLB miss
   stream.
-- :mod:`repro.sim.fastpath` — vectorized fast-path replay: each
-  mechanism compiled into one flat-array loop, bit-identical to the
-  reference replay (enforced by ``tests/differential/``).
-- :mod:`repro.sim.engine` — engine selection (``auto`` / ``reference``
-  / ``fast``) shared by ``RunSpec``, ``evaluate``, ``simulate`` and
-  the CLI.
+- :mod:`repro.sim.batchpath` — the compiled replay engine: generated
+  loops for one-pass batches, single (warm-startable) replays and
+  suspendable kernels, bit-identical to the reference replay
+  (enforced by ``tests/differential/``).
+- :mod:`repro.sim.engine` — engine selection (``auto`` / ``reference``,
+  with ``fast`` / ``batch`` as aliases of the compiled engine) shared
+  by ``RunSpec``, ``evaluate``, ``simulate`` and the CLI.
 - :mod:`repro.sim.cycle` — execution-cycle timing model (the
   sim-outorder analogue behind the paper's Table 3).
 - :mod:`repro.sim.sweep` — parameter-sweep drivers for the sensitivity
@@ -25,11 +26,14 @@
 
 from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.cycle import CycleSimConfig, CycleStats, simulate_cycles
+from repro.sim.batchpath import replay_compiled
 from repro.sim.engine import ENGINES, replay, resolve_engine
-from repro.sim.fastpath import replay_fast
 from repro.sim.functional import simulate
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.two_phase import filter_tlb, replay_prefetcher
+
+#: The compiled single replay, under its historical name.
+replay_fast = replay_compiled
 
 __all__ = [
     "CycleSimConfig",
@@ -40,6 +44,7 @@ __all__ = [
     "TLBConfig",
     "filter_tlb",
     "replay",
+    "replay_compiled",
     "replay_fast",
     "replay_prefetcher",
     "resolve_engine",

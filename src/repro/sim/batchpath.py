@@ -1,17 +1,36 @@
-"""One-pass multi-mechanism batch replay: N configs, one stream scan.
+"""The compiled replay engine: generated loops over one shared miss stream.
 
-A sweep replays the same read-only miss stream once per mechanism
-configuration — 84 specs over 4 streams in the smoke bench — so the
-dominant cost is re-scanning identical streams. This module compiles
-every requested config that shares a stream into **one specialized
-Python loop** that advances all of their tables in a single pass,
-reusing :mod:`repro.sim.fastpath`'s kernels per slot: flat parallel
-arrays for direct-mapped tables, per-set insertion-ordered dicts
-(first key = LRU) for other associativities, an insertion-ordered-dict
-prefetch buffer with a local population counter, and plain integer
-statistics counters.
+Phase-2 replay runs mechanisms over a recorded TLB miss stream. The
+reference engine (:func:`repro.sim.two_phase.replay_prefetcher`) drives
+live mechanism and buffer objects miss by miss; this module is the one
+compiled engine, and one code generator serves every way a replay is
+asked for:
 
-Two exact optimizations make the batch engine more than a fused loop:
+- :func:`replay_batch` — N freshly built configurations that share a
+  stream, advanced together in a single pass (a
+  :class:`~repro.run.Runner` stream group, a group of one included).
+- :func:`replay_compiled` — one mechanism, fresh or trained: its
+  canonical snapshot seeds the loop and the final state is written
+  back into the instance, exactly as the reference engine trains it.
+- :class:`ReplayKernel` — one mechanism replayed window by window
+  (``[start, stop)`` of the stream), with its tables, prefetch buffer,
+  recency stack and counters kept live between windows and exported as
+  canonical :mod:`repro.ckpt` snapshots on demand. It is the engine
+  under :class:`~repro.ckpt.ReplaySession`, so streaming sessions and
+  checkpointed runs replay at compiled speed.
+
+The generated loop keeps flat parallel arrays for direct-mapped
+tables, per-set insertion-ordered dicts (first key = LRU) for other
+associativities, an insertion-ordered-dict prefetch buffer with a
+local population counter, and plain integer statistics counters.
+Every per-slot constant (rows, ways, slots, buffer capacity, clamp,
+warm-up boundary, degrees) is inlined as a literal, and the source is
+``compile()``d once per shape and memoized. All state lives in one dict
+per slot plus a dict of shared history registers; the loop loads them
+into locals on entry and stores the scalars back on exit, which is what
+lets a loop stop anywhere and continue later.
+
+Batches add two exact optimizations on top:
 
 1. **Equivalence-class deduplication.** A prediction table's content
    trajectory depends only on its key stream (pages for MP, distances
@@ -31,31 +50,34 @@ Two exact optimizations make the batch engine more than a fused loop:
    Slots proven equivalent share one simulation and one counter set;
    each still reports its own mechanism label.
 
-2. **Constant-inlined code generation.** The fused loop is generated
-   as source text with every per-slot constant (rows, ways, slots,
-   buffer capacity, clamp, warm-up boundary, degrees) inlined as a
-   literal, then ``compile()``d once and memoized by its shape — so a
-   sweep's second stream reuses the first's code object. Never-
-   overflow tables are emitted as single plain dicts with no set
-   indexing, no LRU promotion and no eviction branch at all.
+2. **Collapsed geometry.** Never-overflow tables are emitted as single
+   plain dicts with no set indexing, no LRU promotion and no eviction
+   branch, and provably hit-free tables as no code at all.
 
-The contract is the same as the fast engine's: **bit-identical
-statistics** to :func:`repro.sim.two_phase.replay_prefetcher`,
-enforced by ``tests/differential/`` (curated grid + fuzzing) and the
-golden files. Unlike :func:`repro.sim.fastpath.replay_fast`, the batch
-engine replays *freshly built* mechanisms only and does not write
-state back into the instances: it exists for :class:`~repro.run.Runner`
-batches, where every spec builds a throwaway mechanism. Warm (trained)
-instances are rejected here and take the per-spec engines instead —
-`engine.replay` falls back for them.
+Kernels never collapse: a snapshot must record the real per-set LRU
+order, so they always run the exact geometry.
+
+The contract is **bit-identical statistics** to the reference engine —
+and, for kernels, bit-identical canonical snapshots — enforced by
+``tests/differential/`` (curated grid, fuzzing, compiled-session
+properties) and the golden files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 
 import numpy as np
 
+from repro.ckpt.snapshots import (
+    BufferSnapshot,
+    MechanismSnapshot,
+    TableSnapshot,
+    restore_prefetcher,
+    snapshot_buffer,
+    snapshot_prefetcher,
+)
 from repro.core.distance import DistancePrefetcher
 from repro.core.distance_pair import DistancePairPrefetcher, pack_distance_pair
 from repro.core.pc_distance import PCDistancePrefetcher, pack_pc_distance
@@ -68,20 +90,46 @@ from repro.prefetch.null import NullPrefetcher
 from repro.prefetch.recency import RecencyPrefetcher
 from repro.prefetch.sequential import SequentialPrefetcher
 from repro.prefetch.stride import ArbitraryStridePrefetcher
-from repro.sim import fastpath
-from repro.sim.fastpath import compile_stream
+from repro.sim.two_phase import replay_stats
+from repro.tlb.prefetch_buffer import PrefetchBuffer
+
+#: Mechanism class -> compiled family. Dispatch is on *exact* type:
+#: user subclasses may override behavior the generated loops do not
+#: model, so they always take the reference engine.
+_FAMILIES: dict[type, str] = {
+    NullPrefetcher: "none",
+    SequentialPrefetcher: "seq",
+    AdaptiveSequentialPrefetcher: "aseq",
+    ArbitraryStridePrefetcher: "stride",
+    MarkovPrefetcher: "markov",
+    DistancePrefetcher: "distance",
+    PCDistancePrefetcher: "pcdist",
+    DistancePairPrefetcher: "distpair",
+    RecencyPrefetcher: "recency",
+}
 
 #: Families with a table whose key universe the planner can analyze.
 _TABLE_FAMILIES = ("stride", "markov", "distance", "pcdist", "distpair")
 
 
 def supports(prefetcher: Prefetcher) -> bool:
-    """True when the batch engine has a loop for this mechanism.
+    """True when the compiled engine has a loop for this mechanism."""
+    return type(prefetcher) in _FAMILIES
 
-    The batch engine covers exactly the fast engine's mechanism set
-    (dispatch is on exact type — subclasses take the reference engine).
+
+def is_fresh(prefetcher: Prefetcher) -> bool:
+    """True when the instance carries no trained state or statistics.
+
+    :func:`replay_batch` accepts only fresh instances (its planner
+    assumes empty tables); single replays and kernels take any state.
+    Each mechanism reports its own trained state through
+    :meth:`~repro.prefetch.base.Prefetcher.has_prediction_state`.
     """
-    return fastpath.supports(prefetcher)
+    return (
+        not prefetcher.prefetches_issued
+        and not prefetcher.overhead_ops_total
+        and not prefetcher.has_prediction_state()
+    )
 
 
 class _SlotPlan:
@@ -98,48 +146,41 @@ class _SlotPlan:
 
 
 def _plan(prefetcher: Prefetcher, cap: int, clamp: int) -> _SlotPlan:
-    if not fastpath.supports(prefetcher):
+    family = _FAMILIES.get(type(prefetcher))
+    if family is None:
         raise ConfigurationError(
-            f"batch engine has no replay loop for {type(prefetcher).__name__}; "
-            "use engine='reference'"
+            f"compiled engine has no replay loop for "
+            f"{type(prefetcher).__name__}; use engine='reference'"
         )
-    if not fastpath.is_fresh(prefetcher):
-        raise ConfigurationError(
-            "batch engine replays freshly built mechanisms only; warm "
-            "instances take the per-spec engines (engine='auto'/'fast')"
+    if family == "none":
+        config = ()
+    elif family == "seq":
+        config = (prefetcher.degree,)
+    elif family == "aseq":
+        config = (
+            prefetcher.max_degree,
+            prefetcher.window,
+            prefetcher.raise_above,
+            prefetcher.lower_below,
         )
-    kind = type(prefetcher)
-    label = prefetcher.label
-    if kind is NullPrefetcher:
-        return _SlotPlan(label, "none", (), cap, clamp)
-    if kind is SequentialPrefetcher:
-        return _SlotPlan(label, "seq", (prefetcher.degree,), cap, clamp)
-    if kind is AdaptiveSequentialPrefetcher:
-        return _SlotPlan(
-            label,
-            "aseq",
-            (
-                prefetcher.max_degree,
-                prefetcher.window,
-                prefetcher.raise_above,
-                prefetcher.lower_below,
-            ),
-            cap,
-            clamp,
-        )
-    if kind is RecencyPrefetcher:
-        return _SlotPlan(label, "recency", (prefetcher.variant_three,), cap, clamp)
-    table = prefetcher.table
-    if kind is ArbitraryStridePrefetcher:
-        return _SlotPlan(label, "stride", (table.rows, table.ways), cap, clamp)
-    slots = prefetcher.slots
-    family = {
-        MarkovPrefetcher: "markov",
-        DistancePrefetcher: "distance",
-        PCDistancePrefetcher: "pcdist",
-        DistancePairPrefetcher: "distpair",
-    }[kind]
-    return _SlotPlan(label, family, (table.rows, table.ways, slots), cap, clamp)
+    elif family == "recency":
+        config = (prefetcher.variant_three,)
+    elif family == "stride":
+        config = (prefetcher.table.rows, prefetcher.table.ways)
+    else:
+        config = (prefetcher.table.rows, prefetcher.table.ways, prefetcher.slots)
+    return _SlotPlan(prefetcher.label, family, config, cap, clamp)
+
+
+def _exact_sig(plan: _SlotPlan) -> tuple:
+    """Emission signature of a slot at its real geometry."""
+    if plan.family in _TABLE_FAMILIES:
+        rows, ways = plan.config[0], plan.config[1]
+        return (plan.family, plan.config[2:], (rows, ways), plan.cap, plan.clamp)
+    if plan.family == "none":
+        # Null never buffers or issues: cap and clamp cannot matter.
+        return ("none",)
+    return (plan.family, plan.config, plan.cap, plan.clamp)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +223,19 @@ def _table_class(unique_keys: list[int], rows: int, ways: int) -> tuple:
 
 
 class _StreamKeys:
-    """Lazily computed, memoized key universes of one miss stream."""
+    """Lazily computed, memoized key universes of one miss stream.
+
+    Shared by every thread that batches over the same trace (the
+    service's handler threads do), so each family's universe and key
+    count are published together as one ``(unique, length)`` value: a
+    reader can never see one without the other.
+    """
 
     def __init__(self, pcs: list[int], pages: list[int]) -> None:
         self._pcs = pcs
         self._pages = pages
         self._distances: list[int] | None = None
-        self._cache: dict[str, list[int]] = {}
-        self._stream_len: dict[str, int] = {}
+        self._cache: dict[str, tuple[list[int], int]] = {}
 
     def distances(self) -> list[int]:
         if self._distances is None:
@@ -199,7 +245,7 @@ class _StreamKeys:
             ]
         return self._distances
 
-    def universe(self, family: str) -> list[int]:
+    def _keys(self, family: str) -> tuple[list[int], int]:
         cached = self._cache.get(family)
         if cached is not None:
             return cached
@@ -221,10 +267,13 @@ class _StreamKeys:
                 pack_distance_pair(dist[i - 1], dist[i])
                 for i in range(1, len(dist))
             ]
-        unique = list(dict.fromkeys(keys))
-        self._cache[family] = unique
-        self._stream_len[family] = len(keys)
-        return unique
+        cached = (list(dict.fromkeys(keys)), len(keys))
+        self._cache[family] = cached
+        return cached
+
+    def universe(self, family: str) -> list[int]:
+        """``family``'s distinct keys in first-occurrence order."""
+        return self._keys(family)[0]
 
     def never_hits(self, family: str) -> bool:
         """True when ``family``'s key stream never repeats a key.
@@ -235,12 +284,12 @@ class _StreamKeys:
         slot count, buffer size, or clamp — all such slots collapse
         into one all-zero class that costs nothing to simulate.
         """
-        unique = self.universe(family)
-        return len(unique) == self._stream_len[family]
+        unique, length = self._keys(family)
+        return len(unique) == length
 
 
 def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
-    """(dedup signature, emission signature) for one slot.
+    """(dedup signature, emission signature) for one batch slot.
 
     Slots with equal dedup signatures are bit-identical on this stream
     and share one simulation. The emission signature is what the code
@@ -248,23 +297,36 @@ def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
     to ``None`` (emitted as one plain dict), otherwise the class
     representative's concrete ``(rows, ways)`` is kept.
     """
+    exact = _exact_sig(plan)
     if plan.family in _TABLE_FAMILIES:
         if keys.never_hits(plan.family):
             # No repeated key -> no tag hit -> no prefetch, ever. One
             # zero-cost class regardless of geometry/slots/cap/clamp.
             return ("zero",), ("zero",)
         rows, ways = plan.config[0], plan.config[1]
-        rest = plan.config[2:]
         tclass = _table_class(keys.universe(plan.family), rows, ways)
-        geom = None if tclass == ("inf",) else (rows, ways)
-        dedup = (plan.family, rest, tclass, plan.cap, plan.clamp)
-        emit = (plan.family, rest, geom, plan.cap, plan.clamp)
-        return dedup, emit
-    if plan.family == "none":
-        # Null never buffers or issues: every slot is one zero row.
-        return ("none",), ("none",)
-    sig = (plan.family, plan.config, plan.cap, plan.clamp)
-    return sig, sig
+        emit = exact if tclass != ("inf",) else exact[:2] + (None,) + exact[3:]
+        return (plan.family, exact[1], tclass, plan.cap, plan.clamp), emit
+    return exact, exact
+
+
+def _layout(sig: tuple) -> str:
+    """How a table slot's state is laid out, for codegen and snapshots.
+
+    ``dict``: one unbounded dict (collapsed never-overflow geometry);
+    ``sets``: per-set insertion-ordered dicts; ``stride_dm`` /
+    ``markov_dm2`` / ``dm``: direct-mapped flat parallel arrays.
+    """
+    family, geom = sig[0], sig[2]
+    if geom is None:
+        return "dict"
+    if geom[1] != 1:
+        return "sets"
+    if family == "stride":
+        return "stride_dm"
+    if family == "markov":
+        return "markov_dm2" if sig[1][0] == 2 else "dm"
+    return "dm" if family == "distance" else "sets"
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +336,15 @@ def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
 # modulo operators), and @PROBE@/@INSERT:var@/@PREFETCH@ marker lines
 # spliced with the shared buffer blocks at the marker's indentation.
 # ---------------------------------------------------------------------------
+
+#: State every slot carries: the buffer, its population, and counters.
+_BUFFER = ("buf", "bn", "pb", "iss", "ins", "rf", "ev")
+
+
+def _buffer_prologue(k: str) -> list[str]:
+    # bp{k} pre-binds the buffer's bound ``pop``: the dict object never
+    # changes, and probes/installs are the hottest calls in the loop.
+    return [f"bp{k} = buf{k}.pop"]
 
 
 def _probe_lines(pad: str, k: str, var: str, warmup: int) -> list[str]:
@@ -450,10 +521,6 @@ def _successor_update(slots: int) -> str:
     return _SUCCESSOR_UPDATE.replace("@SLOTS@", str(slots))
 
 
-def _emit_none(k, plan, warmup):
-    return [], {}, "(0, 0, 0, 0, 0, 0)"
-
-
 def _mod(expr: str, n: int) -> str:
     """Row-index expression; ``&`` for power-of-two table sizes.
 
@@ -466,14 +533,17 @@ def _mod(expr: str, n: int) -> str:
     return f"{expr} % {n}"
 
 
-def _counters_setup(k):
-    # bp{k} pre-binds the buffer's bound ``pop``: the dict object never
-    # changes, and probes/installs are the hottest calls in the loop.
-    return [
-        f"buf{k} = {{}}",
-        f"bp{k} = buf{k}.pop",
-        f"bn{k} = pb{k} = iss{k} = ins{k} = rf{k} = ev{k} = 0",
-    ]
+def _bind_set(k: str, num_sets: int, key: str, out: list[str], prologue: list[str]) -> str:
+    """Bind the per-set dict for ``key``; returns its local name.
+
+    A fully associative table (one set) binds its only dict once, in
+    the prologue, so the loop pays no per-miss indexing.
+    """
+    if num_sets == 1:
+        prologue.append(f"ts{k} = sets{k}[0]")
+    else:
+        out.append(f"ts{k} = sets{k}[{_mod(key, num_sets)}]")
+    return f"ts{k}"
 
 
 def _emit_seq(k, sig, warmup):
@@ -490,7 +560,7 @@ def _emit_seq(k, sig, warmup):
         out.append(f"for of{k} in range(1, {effective + 1}):")
         out.append(f"    t{k} = page + of{k}")
         out.extend(_insert_lines("    ", k, f"t{k}", cap))
-    return _counters_setup(k), {"top": out}, _result(k)
+    return _BUFFER, _buffer_prologue(k), {"top": out}
 
 
 def _emit_aseq(k, sig, warmup):
@@ -518,24 +588,20 @@ def _emit_aseq(k, sig, warmup):
         cap,
         clamp,
     )
-    setup = _counters_setup(k) + [f"deg{k} = 1", f"wm{k} = wh{k} = 0"]
-    return setup, {"top": out}, _result(k)
-
-
-def _result(k, overhead="0"):
-    return f"(pb{k}, iss{k}, ins{k}, rf{k}, ev{k}, {overhead})"
+    return _BUFFER + ("deg", "wm", "wh"), _buffer_prologue(k), {"top": out}
 
 
 def _emit_stride(k, sig, warmup):
     geom, cap, clamp = sig[2], sig[3], sig[4]
+    layout = _layout(sig)
+    prologue = _buffer_prologue(k)
     out: list[str] = []
     out.extend(_probe_lines("", k, "page", warmup))
-    if geom is None:
+    if layout == "dict":
         # Never-overflow: one plain dict pc -> [prev_page, stride, state].
-        setup = _counters_setup(k) + [f"st{k} = {{}}"]
-        out.append(f"en{k} = st{k}.get(pc)")
+        out.append(f"en{k} = dt{k}.get(pc)")
         out.append(f"if en{k} is None:")
-        out.append(f"    st{k}[pc] = [page, 0, 0]")
+        out.append(f"    dt{k}[pc] = [page, 0, 0]")
         out.append("else:")
         _render(
             out, _STRIDE_FSM, "    ", k,
@@ -546,15 +612,9 @@ def _emit_stride(k, sig, warmup):
             },
             warmup, cap, clamp,
         )
-        return setup, {"top": out}, _result(k)
+        return _BUFFER + ("dt",), prologue, {"top": out}
     rows, ways = geom
-    if ways == 1:
-        setup = _counters_setup(k) + [
-            f"tag{k} = [None] * {rows}",
-            f"ppg{k} = [0] * {rows}",
-            f"str{k} = [0] * {rows}",
-            f"sst{k} = bytearray({rows})",
-        ]
+    if layout == "stride_dm":
         out.append(f"r{k} = {_mod('pc', rows)}")
         out.append(f"if tag{k}[r{k}] != pc:")
         out.append(f"    tag{k}[r{k}] = pc")
@@ -571,22 +631,15 @@ def _emit_stride(k, sig, warmup):
             },
             warmup, cap, clamp,
         )
-        return setup, {"top": out}, _result(k)
-    num_sets = rows // ways
-    if num_sets == 1:
-        setup = _counters_setup(k) + [f"ts{k} = {{}}"]
-    else:
-        setup = _counters_setup(k) + [
-            f"sets{k} = [{{}} for _ in range({num_sets})]",
-        ]
-        out.append(f"ts{k} = sets{k}[{_mod('pc', num_sets)}]")
-    out.append(f"en{k} = ts{k}.pop(pc, None)")
+        return _BUFFER + ("tag", "ppg", "str", "sst"), prologue, {"top": out}
+    ts = _bind_set(k, rows // ways, "pc", out, prologue)
+    out.append(f"en{k} = {ts}.pop(pc, None)")
     out.append(f"if en{k} is None:")
-    out.append(f"    if len(ts{k}) >= {ways}:")
-    out.append(f"        del ts{k}[next(iter(ts{k}))]")
-    out.append(f"    ts{k}[pc] = [page, 0, 0]")
+    out.append(f"    if len({ts}) >= {ways}:")
+    out.append(f"        del {ts}[next(iter({ts}))]")
+    out.append(f"    {ts}[pc] = [page, 0, 0]")
     out.append("else:")
-    out.append(f"    ts{k}[pc] = en{k}")
+    out.append(f"    {ts}[pc] = en{k}")
     _render(
         out, _STRIDE_FSM, "    ", k,
         {
@@ -596,7 +649,7 @@ def _emit_stride(k, sig, warmup):
         },
         warmup, cap, clamp,
     )
-    return setup, {"top": out}, _result(k)
+    return _BUFFER + ("sets",), prologue, {"top": out}
 
 
 def _emit_markov(k, sig, warmup):
@@ -610,6 +663,8 @@ def _emit_markov(k, sig, warmup):
     block that :func:`_generate` emits once for every MP class.
     """
     (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
+    layout = _layout(sig)
+    prologue = _buffer_prologue(k)
     out: list[str] = []
     out.extend(_probe_lines("", k, "page", warmup))
     update = _successor_update(slots).replace("@VALUE@", "page")
@@ -620,12 +675,12 @@ def _emit_markov(k, sig, warmup):
     # counts the full slot list, matching the reference engine).
     two = slots == 2
     second = clamp != 1
-    if geom is None:
-        setup = _counters_setup(k) + [f"mt{k} = {{}}", f"mg{k} = mt{k}.get"]
-        out.append(f"pf{k} = mg{k}(page)")
+    if layout == "dict":
+        prologue.append(f"dg{k} = dt{k}.get")
+        out.append(f"pf{k} = dg{k}(page)")
         if two:
             out.append(f"if pf{k} is None:")
-            out.append(f"    mt{k}[page] = []")
+            out.append(f"    dt{k}[page] = []")
             out.append(f"elif pf{k}:")
             out.append(f"    n{k} = len(pf{k})")
             out.append(f"    iss{k} += n{k}")
@@ -639,28 +694,22 @@ def _emit_markov(k, sig, warmup):
             out.append(f"if pf{k} is not None:")
             out.append(f"    iss{k} += len(pf{k})")
             out.append("else:")
-            out.append(f"    mt{k}[page] = []")
+            out.append(f"    dt{k}[page] = []")
             out.append(f"    pf{k} = ()")
             out.extend(_prefetch_lines("", k, cap, clamp))
-        upd.append(f"sc{k} = mg{k}(lp)")
+        upd.append(f"sc{k} = dg{k}(lp)")
         upd.append(f"if sc{k} is None:")
         upd.append(f"    sc{k} = []")
-        upd.append(f"    mt{k}[lp] = sc{k}")
+        upd.append(f"    dt{k}[lp] = sc{k}")
         _render(upd, update, "", k, {}, warmup, cap, clamp)
-        return setup, {"top": out, "mp": upd}, _result(k)
+        return _BUFFER + ("dt",), prologue, {"top": out, "mp": upd}
     rows, ways = geom
-    if ways == 1 and two:
+    if layout == "markov_dm2":
         # Direct-mapped two-slot rows packed into parallel flat arrays
         # (count, MRU successor, LRU successor) instead of one heap
         # list per row: no per-row allocations, and the MRU update is
         # three subscript stores. Same observable trajectory as the
         # list form — [v] is (1, v, _) and [a, b] is (2, a, b).
-        setup = _counters_setup(k) + [
-            f"tag{k} = [None] * {rows}",
-            f"cn{k} = bytearray({rows})",
-            f"ma{k} = [0] * {rows}",
-            f"mb{k} = [0] * {rows}",
-        ]
         out.append(f"r{k} = {_mod('page', rows)}")
         out.append(f"if tag{k}[r{k}] == page:")
         out.append(f"    n{k} = cn{k}[r{k}]")
@@ -687,14 +736,11 @@ def _emit_markov(k, sig, warmup):
         upd.append(f"    mb{k}[pr{k}] = ma{k}[pr{k}]")
         upd.append(f"    ma{k}[pr{k}] = page")
         upd.append(f"    cn{k}[pr{k}] = 2")
-        return setup, {"top": out, "mp": upd}, _result(k)
-    if ways == 1:
+        names = _BUFFER + ("tag", "cn", "ma", "mb")
+        return names, prologue, {"top": out, "mp": upd}
+    if layout == "dm":
         # Direct-mapped: tags start at an unmatchable None sentinel, so
         # no separate occupancy array is consulted in the hot path.
-        setup = _counters_setup(k) + [
-            f"tag{k} = [None] * {rows}",
-            f"sl{k} = [[] for _ in range({rows})]",
-        ]
         out.append(f"r{k} = {_mod('page', rows)}")
         out.append(f"if tag{k}[r{k}] == page:")
         out.append(f"    pf{k} = sl{k}[r{k}]")
@@ -712,19 +758,14 @@ def _emit_markov(k, sig, warmup):
         upd.append(f"    sc{k} = []")
         upd.append(f"    sl{k}[pr{k}] = sc{k}")
         _render(upd, update, "", k, {}, warmup, cap, clamp)
-        return setup, {"top": out, "mp": upd}, _result(k)
+        return _BUFFER + ("tag", "sl"), prologue, {"top": out, "mp": upd}
     num_sets = rows // ways
+    ts = _bind_set(k, num_sets, "page", out, prologue)
     if num_sets == 1:
-        # Fully associative: one set, bound once — no per-miss indexing.
-        setup = _counters_setup(k) + [f"ts{k} = {{}}"]
-        ts, ps = f"ts{k}", f"ts{k}"
+        ps = ts
     else:
-        setup = _counters_setup(k) + [
-            f"sets{k} = [{{}} for _ in range({num_sets})]",
-        ]
-        out.append(f"ts{k} = sets{k}[{_mod('page', num_sets)}]")
         upd.append(f"ps{k} = sets{k}[{_mod('lp', num_sets)}]")
-        ts, ps = f"ts{k}", f"ps{k}"
+        ps = f"ps{k}"
     out.append(f"pf{k} = {ts}.pop(page, None)")
     if two:
         out.append(f"if pf{k} is not None:")
@@ -761,7 +802,7 @@ def _emit_markov(k, sig, warmup):
     upd.append(f"    sc{k} = []")
     upd.append(f"    {ps}[lp] = sc{k}")
     _render(upd, update, "", k, {}, warmup, cap, clamp)
-    return setup, {"top": out, "mp": upd}, _result(k)
+    return _BUFFER + ("sets",), prologue, {"top": out, "mp": upd}
 
 
 def _materialize_targets(k):
@@ -824,12 +865,16 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
     successor update (DP: previous distance; DP-PC/DP-2: previous
     packed key). The successor *value* recorded is always the current
     distance. Bodies land in ``section`` ("dp" runs when a distance
-    exists, "dp2" additionally when a distance pair exists).
+    exists, "dp2" additionally when a distance pair exists). Every
+    keyed body also probes the buffer on every miss (top level).
     """
     (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
+    layout = _layout(sig)
+    prologue = _buffer_prologue(k)
     update = _successor_update(slots).replace("@VALUE@", "distance")
     hit = _hit_targets(k, cap, clamp, slots)
     out: list[str] = []
+    sections = {"top": _probe_lines("", k, "page", warmup), section: out}
 
     def miss_and_install():
         # With a clamp the hit path materializes pf{k}; the miss path
@@ -841,8 +886,7 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
         if clamp:
             out.extend(_prefetch_lines("", k, cap, clamp))
 
-    if geom is None:
-        setup = _counters_setup(k) + [f"dt{k} = {{}}"]
+    if layout == "dict":
         out.append(f"row{k} = dt{k}.get({key_var})")
         out.append(f"if row{k} is not None:")
         out.extend(hit)
@@ -856,16 +900,12 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
         out.append(f"        dt{k}[{prev_var}] = sc{k}")
         _render(out, update, "    ", k, {}, warmup, cap, clamp)
         trailing_install()
-        return setup, {section: out}, _result(k)
+        return _BUFFER + ("dt",), prologue, sections
     rows, ways = geom
-    if ways == 1 and sig[0] == "distance":
-        # DP direct-mapped keeps fastpath's flat-array kernel; tags
-        # start at an unmatchable None sentinel (distances may be any
-        # integer, so no integer sentinel is safe).
-        setup = _counters_setup(k) + [
-            f"tag{k} = [None] * {rows}",
-            f"sl{k} = [[] for _ in range({rows})]",
-        ]
+    if layout == "dm":
+        # DP direct-mapped: flat arrays; tags start at an unmatchable
+        # None sentinel (distances may be any integer, so no integer
+        # sentinel is safe).
         out.append(f"r{k} = {_mod('distance', rows)}")
         out.append(f"if tag{k}[r{k}] == distance:")
         out.append(f"    row{k} = sl{k}[r{k}]")
@@ -884,17 +924,10 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
         out.append(f"        sl{k}[pr{k}] = sc{k}")
         _render(out, update, "    ", k, {}, warmup, cap, clamp)
         trailing_install()
-        return setup, {section: out}, _result(k)
+        return _BUFFER + ("tag", "sl"), prologue, sections
     num_sets = rows // ways
-    if num_sets == 1:
-        setup = _counters_setup(k) + [f"ts{k} = {{}}"]
-        ts, ps = f"ts{k}", f"ts{k}"
-    else:
-        setup = _counters_setup(k) + [
-            f"sets{k} = [{{}} for _ in range({num_sets})]",
-        ]
-        out.append(f"ts{k} = sets{k}[{_mod(key_var, num_sets)}]")
-        ts, ps = f"ts{k}", f"ps{k}"
+    ts = _bind_set(k, num_sets, key_var, out, prologue)
+    ps = ts if num_sets == 1 else f"ps{k}"
     out.append(f"row{k} = {ts}.pop({key_var}, None)")
     out.append(f"if row{k} is not None:")
     out.append(f"    {ts}[{key_var}] = row{k}")
@@ -917,10 +950,11 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
     out.append(f"        {ps}[{prev_var}] = sc{k}")
     _render(out, update, "    ", k, {}, warmup, cap, clamp)
     trailing_install()
-    return setup, {section: out}, _result(k)
+    return _BUFFER + ("sets",), prologue, sections
 
 
 def _emit_recency(k, sig, warmup):
+    """RP bodies: buffer work over the precomputed stack neighbours."""
     (variant_three,), cap, clamp = sig[1], sig[2], sig[3]
     out: list[str] = []
     out.extend(_probe_lines("", k, "rpage", warmup))
@@ -937,7 +971,7 @@ def _emit_recency(k, sig, warmup):
             out.append("if rthird != -1:")
             out.append(f"    iss{k} += 1")
             out.extend(_insert_lines("    ", k, "rthird", cap))
-        return _counters_setup(k), {"rp": out}, _result(k, "rp_overhead")
+        return _BUFFER, _buffer_prologue(k), {"rp": out}
     out.append(f"pf{k} = []")
     out.append("if rabove != -1:")
     out.append(f"    pf{k}.append(rabove)")
@@ -952,83 +986,19 @@ def _emit_recency(k, sig, warmup):
     out.append(f"        pf{k} = pf{k}[:{clamp}]")
     out.append(f"    for tg{k} in pf{k}:")
     out.extend(_insert_lines("        ", k, f"tg{k}", cap))
-    return _counters_setup(k), {"rp": out}, _result(k, "rp_overhead")
-
-
-def _recency_streams(
-    rp_pages: list[int], rp_evicted: list[int], rp_footprint: int
-) -> tuple[list[int], list[int], list[int], int]:
-    """Precompute the recency stack's per-miss neighbors for one trace.
-
-    The stack evolution depends only on the miss stream — never on any
-    mechanism config — so the (above, below, third) neighbors seen at
-    every miss, and the total maintenance overhead, are computed once
-    per trace and cached in its :class:`_TraceAnalysis`. Every RP
-    class then reduces to buffer work over these arrays. ``third`` is
-    pre-filtered exactly as the replay would (absent, off-stack, or
-    equal to the missing page -> -1).
-    """
-    rp_next = [-1] * rp_footprint
-    rp_prev = [-1] * rp_footprint
-    rp_on = bytearray(rp_footprint)
-    rp_top = -1
-    overhead = 0
-    above: list[int] = []
-    below: list[int] = []
-    third: list[int] = []
-    for rpage, revt in zip(rp_pages, rp_evicted):
-        if rp_on[rpage]:
-            rbelow = rp_next[rpage]
-            rabove = rp_prev[rpage]
-            if rabove != -1:
-                rp_next[rabove] = rbelow
-            else:
-                rp_top = rbelow
-            if rbelow != -1:
-                rp_prev[rbelow] = rabove
-            rp_prev[rpage] = -1
-            rp_next[rpage] = -1
-            rp_on[rpage] = 0
-            overhead += 2
-        else:
-            rbelow = -1
-            rabove = -1
-        if revt != -1:
-            if rp_on[revt]:
-                ea = rp_prev[revt]
-                eb = rp_next[revt]
-                if ea != -1:
-                    rp_next[ea] = eb
-                else:
-                    rp_top = eb
-                if eb != -1:
-                    rp_prev[eb] = ea
-            rp_next[revt] = rp_top
-            rp_prev[revt] = -1
-            rp_on[revt] = 1
-            if rp_top != -1:
-                rp_prev[rp_top] = revt
-            rp_top = revt
-            overhead += 2
-        above.append(rabove)
-        below.append(rbelow)
-        if rbelow != -1 and rp_on[rbelow]:
-            th = rp_next[rbelow]
-            if th == rpage:
-                th = -1
-        else:
-            th = -1
-        third.append(th)
-    return above, below, third, overhead
+    return _BUFFER, _buffer_prologue(k), {"rp": out}
 
 
 def _emit_class(k: str, sig: tuple, warmup: int):
+    """``(state names, prologue lines, body sections)`` of one class."""
     family = sig[0]
     if family == "zero":
         # A provably hit-free table mechanism: no per-miss work at all.
-        return [], {}, "(0, 0, 0, 0, 0, 0)"
+        return (), [], {}
     if family == "none":
-        return _emit_none(k, sig, warmup)
+        # Null never installs; it only probes whatever a seeded buffer
+        # holds (a fresh one stays empty).
+        return _BUFFER, _buffer_prologue(k), {"top": _probe_lines("", k, "page", warmup)}
     if family == "seq":
         return _emit_seq(k, sig, warmup)
     if family == "aseq":
@@ -1038,37 +1008,33 @@ def _emit_class(k: str, sig: tuple, warmup: int):
     if family == "markov":
         return _emit_markov(k, sig, warmup)
     if family == "distance":
-        setup, sections, result = _emit_keyed_table(
-            k, sig, warmup, "distance", "pd", "dp"
-        )
-    elif family == "pcdist":
-        setup, sections, result = _emit_keyed_table(
-            k, sig, warmup, "kpc", "pkc", "dp"
-        )
-    elif family == "distpair":
-        setup, sections, result = _emit_keyed_table(
-            k, sig, warmup, "dpk", "pk2", "dp2"
-        )
-    elif family == "recency":
+        return _emit_keyed_table(k, sig, warmup, "distance", "pd", "dp")
+    if family == "pcdist":
+        return _emit_keyed_table(k, sig, warmup, "kpc", "pkc", "dp")
+    if family == "distpair":
+        return _emit_keyed_table(k, sig, warmup, "dpk", "pk2", "dp2")
+    if family == "recency":
         return _emit_recency(k, sig, warmup)
-    else:  # pragma: no cover - _plan vets families
-        raise ConfigurationError(f"unknown batch family {family!r}")
-    # DP-family bodies probe the buffer on every miss (top level) and
-    # run their table logic only once a distance (pair) exists.
-    probe = _probe_lines("", k, "page", warmup)
-    sections["top"] = probe
-    return setup, sections, result
+    raise ConfigurationError(f"unknown compiled family {family!r}")  # pragma: no cover
 
 
 def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
-    """Source of the fused loop for one batch shape."""
-    setups: list[str] = []
+    """Source of the fused loop for one batch shape.
+
+    The function replays one window: ``pcs``/``pages``/``rp_*`` are the
+    window's entries and ``start`` is the global index of its first
+    one. State comes in through ``slots`` (one dict per class) and
+    ``regs`` (the shared history registers) and goes back out the same
+    way, so consecutive calls continue one replay.
+    """
+    loads: list[str] = []
+    stores: list[str] = []
+    prologue: list[str] = []
     tops: list[str] = []
     mps: list[str] = []
     dps: list[str] = []
     dp2s: list[str] = []
     rps: list[str] = []
-    results: list[str] = []
     need_pc = need_lp = need_dist = need_pd = False
     need_kpc = need_dpk = need_rp = need_rp3 = False
     for index, sig in enumerate(emit_sigs):
@@ -1087,49 +1053,46 @@ def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
             need_rp = True
             if sig[1][0]:
                 need_rp3 = True
-        setup, sections, result = _emit_class(str(index), sig, warmup)
-        setups.extend(setup)
+        k = str(index)
+        names, pro, sections = _emit_class(k, sig, warmup)
+        if names:
+            loads.append(f"state{k} = slots[{k}]")
+            loads.extend(f"{name}{k} = state{k}[{name!r}]" for name in names)
+            stores.extend(f"state{k}[{name!r}] = {name}{k}" for name in names)
+        prologue.extend(pro)
         tops.extend(sections.get("top", ()))
         mps.extend(sections.get("mp", ()))
         dps.extend(sections.get("dp", ()))
         dp2s.extend(sections.get("dp2", ()))
         rps.extend(sections.get("rp", ()))
-        results.append(result)
+    registers = [
+        name
+        for need, name in (
+            (need_lp, "last_page"),
+            (need_pd, "last_dist"),
+            (need_kpc, "last_kpc"),
+            (need_dpk, "last_dpk"),
+        )
+        if need
+    ]
 
     lines = [
         # Hot-loop names bound as defaults: LOAD_FAST instead of
         # LOAD_GLOBAL for every builtin/table-helper call per miss.
-        "def _batch(pcs, pages, rp_pages, rp_above, rp_below, "
-        "rp_third, rp_overhead,",
-        "           len=len, next=next, iter=iter, min=min, max=max,",
+        "def _batch(regs, slots, start, pcs, pages, rp_pages, rp_above,",
+        "           rp_below, rp_third, len=len, next=next, iter=iter,",
+        "           min=min, max=max, zip=zip, range=range,",
         "           pack_pc_distance=pack_pc_distance,",
         "           pack_distance_pair=pack_distance_pair):",
     ]
     pad = "    "
-    for line in setups:
-        lines.append(pad + line)
-    if need_lp:
-        lines.append(pad + "last_page = None")
-    if need_pd:
-        lines.append(pad + "last_dist = None")
-    if need_kpc:
-        lines.append(pad + "last_kpc = None")
-    if need_dpk:
-        lines.append(pad + "last_dpk = None")
+    lines.extend(pad + line for line in loads)
+    lines.extend(pad + f"{name} = regs[{name!r}]" for name in registers)
+    lines.extend(pad + line for line in prologue)
     loop: list[str] = []
     if need_lp:
         loop.append("lp = last_page")
         loop.append("last_page = page")
-    if warmup:
-        # Probes test `index >= warmup`, so the loop must enumerate.
-        if need_pc:
-            loop.append("pc = pcs[index]")
-        if need_rp:
-            loop.append("rpage = rp_pages[index]")
-            loop.append("rabove = rp_above[index]")
-            loop.append("rbelow = rp_below[index]")
-            if need_rp3:
-                loop.append("rthird = rp_third[index]")
     loop.extend(tops)
     if mps:
         # One shared guard for every MP class's successor update (the
@@ -1159,36 +1122,34 @@ def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
     if need_rp:
         loop.extend(rps)
     if loop:
-        # An all-Null batch has no per-miss work at all — skip the loop.
-        # Without a warm-up window nothing reads `index`: zip exactly
-        # the arrays the bodies touch instead of enumerating.
+        # Zip exactly the arrays the bodies touch; the global index is
+        # only materialized when a warm-up boundary must be compared.
+        names, iters = ["page"], ["pages"]
         if warmup:
-            lines.append(pad + "for index, page in enumerate(pages):")
+            names.insert(0, "index")
+            iters.insert(0, "range(start, start + len(pages))")
+        if need_pc:
+            names.append("pc")
+            iters.append("pcs")
+        if need_rp:
+            names += ["rpage", "rabove", "rbelow"]
+            iters += ["rp_pages", "rp_above", "rp_below"]
+            if need_rp3:
+                names.append("rthird")
+                iters.append("rp_third")
+        if len(iters) == 1:
+            lines.append(pad + "for page in pages:")
         else:
-            names, iters = ["page"], ["pages"]
-            if need_pc:
-                names.append("pc")
-                iters.append("pcs")
-            if need_rp:
-                names += ["rpage", "rabove", "rbelow"]
-                iters += ["rp_pages", "rp_above", "rp_below"]
-                if need_rp3:
-                    names.append("rthird")
-                    iters.append("rp_third")
-            if len(iters) == 1:
-                lines.append(pad + "for page in pages:")
-            else:
-                lines.append(
-                    pad + "for " + ", ".join(names)
-                    + " in zip(" + ", ".join(iters) + "):"
-                )
+            lines.append(
+                pad + "for " + ", ".join(names)
+                + " in zip(" + ", ".join(iters) + "):"
+            )
         body = pad + pad
         for line in loop:
             lines.append(body + line)
-    lines.append(pad + "return [")
-    for result in results:
-        lines.append(pad + pad + result + ",")
-    lines.append(pad + "]")
+    lines.extend(pad + f"regs[{name!r}] = {name}" for name in registers)
+    lines.extend(pad + line for line in stores)
+    lines.append(pad + "return None")
     return "\n".join(lines) + "\n"
 
 
@@ -1196,17 +1157,11 @@ def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
 #: a sweep's streams typically share one shape, so codegen runs once.
 _CODE_CACHE: dict[tuple, object] = {}
 
-#: Source of the most recently generated loop (debugging/tests).
-_LAST_SOURCE: str | None = None
-
-
 def _compiled(warmup: int, emit_sigs: tuple[tuple, ...]):
-    global _LAST_SOURCE
     key = (warmup, emit_sigs)
     fn = _CODE_CACHE.get(key)
     if fn is None:
         source = _generate(warmup, emit_sigs)
-        _LAST_SOURCE = source
         namespace = {
             "pack_pc_distance": pack_pc_distance,
             "pack_distance_pair": pack_distance_pair,
@@ -1220,7 +1175,228 @@ def _compiled(warmup: int, emit_sigs: tuple[tuple, ...]):
 
 
 # ---------------------------------------------------------------------------
-# Public entry point.
+# Loop state: fresh or seeded from canonical snapshots, and exported back.
+# ---------------------------------------------------------------------------
+
+#: History registers the loop shares between classes (all ``None`` in a
+#: fresh batch): snapshot field -> loop register, per family.
+_REGISTERS: dict[str, tuple[tuple[str, str], ...]] = {
+    "markov": (("prev_page", "last_page"),),
+    "distance": (("prev_page", "last_page"), ("prev_distance", "last_dist")),
+    "pcdist": (("prev_page", "last_page"), ("prev_key", "last_kpc")),
+    "distpair": (
+        ("prev_page", "last_page"),
+        ("prev_distance", "last_dist"),
+        ("prev_key", "last_dpk"),
+    ),
+}
+
+
+def _fresh_registers() -> dict:
+    return {"last_page": None, "last_dist": None, "last_kpc": None, "last_dpk": None}
+
+
+def _slot_state(
+    sig: tuple,
+    mechanism: MechanismSnapshot | None = None,
+    buffer: BufferSnapshot | None = None,
+    buffer_keys: list[int] | None = None,
+) -> dict:
+    """One class's loop state: fresh, or seeded from snapshots.
+
+    ``buffer_keys`` replaces ``buffer.pages`` when the loop keys its
+    buffer by something other than page numbers (RP's dense ids).
+    """
+    state = {"buf": {}, "bn": 0, "pb": 0, "iss": 0, "ins": 0, "rf": 0, "ev": 0}
+    if buffer is not None:
+        keys = buffer.pages if buffer_keys is None else buffer_keys
+        state.update(
+            buf=dict.fromkeys(keys),
+            bn=len(keys),
+            ins=buffer.inserted,
+            rf=buffer.refreshed,
+            ev=buffer.evicted_unused,
+        )
+    family = sig[0]
+    if family == "aseq":
+        if mechanism is None:
+            state.update(deg=1, wm=0, wh=0)
+        else:
+            state.update(
+                deg=mechanism.degree,
+                wm=mechanism.window_misses,
+                wh=mechanism.window_hits,
+            )
+    elif family in _TABLE_FAMILIES:
+        state.update(_table_state(sig, None if mechanism is None else mechanism.table))
+    return state
+
+
+def _table_state(sig: tuple, table: TableSnapshot | None) -> dict:
+    """A table's live structures for its layout, seeded from ``table``."""
+    layout = _layout(sig)
+    if layout == "dict":
+        return {"dt": {}}
+    rows, ways = sig[2]
+    seeded = table.sets if table is not None else ()
+    if layout == "sets":
+        sets = [{} for _ in range(rows // ways)]
+        for live, pairs in zip(sets, seeded):
+            for key, payload in pairs:
+                live[key] = list(payload)
+        return {"sets": sets}
+    tag: list[int | None] = [None] * rows
+    occupied = [(row, pairs[-1]) for row, pairs in enumerate(seeded) if pairs]
+    for row, (key, _) in occupied:
+        tag[row] = key
+    if layout == "stride_dm":
+        prev_pages, strides, states = [0] * rows, [0] * rows, bytearray(rows)
+        for row, (_, (prev_page, stride, state)) in occupied:
+            prev_pages[row], strides[row], states[row] = prev_page, stride, state
+        return {"tag": tag, "ppg": prev_pages, "str": strides, "sst": states}
+    if layout == "markov_dm2":
+        counts, first, second = bytearray(rows), [0] * rows, [0] * rows
+        for row, (_, payload) in occupied:
+            counts[row] = len(payload)
+            if payload:
+                first[row] = payload[0]
+            if len(payload) > 1:
+                second[row] = payload[1]
+        return {"tag": tag, "cn": counts, "ma": first, "mb": second}
+    slot_rows: list[list[int]] = [[] for _ in range(rows)]
+    for row, (_, payload) in occupied:
+        slot_rows[row] = list(payload)
+    return {"tag": tag, "sl": slot_rows}
+
+
+def _table_sets(sig: tuple, state: dict) -> list:
+    """Canonical ``TableSnapshot.sets`` (LRU -> MRU per set) of live state."""
+    layout = _layout(sig)
+    if layout == "sets":
+        return [
+            [[key, list(payload)] for key, payload in live.items()]
+            for live in state["sets"]
+        ]
+    tag = state["tag"]
+    if layout == "stride_dm":
+        prev_pages, strides, states = state["ppg"], state["str"], state["sst"]
+        return [
+            [[key, [prev_pages[row], strides[row], states[row]]]] if key is not None else []
+            for row, key in enumerate(tag)
+        ]
+    if layout == "markov_dm2":
+        counts, first, second = state["cn"], state["ma"], state["mb"]
+        return [
+            [[key, [first[row], second[row]][: counts[row]]]] if key is not None else []
+            for row, key in enumerate(tag)
+        ]
+    slot_rows = state["sl"]
+    return [
+        [[key, list(slot_rows[row])]] if key is not None else []
+        for row, key in enumerate(tag)
+    ]
+
+
+class _RecencyStack:
+    """RP's recency stack over dense page ids, advanced window by window.
+
+    The stack's evolution depends only on the miss stream — never on
+    any mechanism config — so :meth:`window` yields the (above, below,
+    third) neighbours every miss in the window sees, and each RP class
+    then reduces to buffer work over those arrays. ``third`` is
+    pre-filtered exactly as the reference engine filters it (absent,
+    off-stack, or equal to the missing page -> -1).
+    """
+
+    def __init__(self, page_ids: np.ndarray, evicted_ids: np.ndarray, footprint: int):
+        # Kept as arrays: a window converts only its own slice to ints.
+        self.page_ids = page_ids
+        self.evicted_ids = evicted_ids
+        self.next = [-1] * footprint
+        self.prev = [-1] * footprint
+        self.on = bytearray(footprint)
+        self.top = -1
+        #: Pointer writes so far, and those of the most recent miss
+        #: (RP's ``last_overhead_ops``).
+        self.overhead = 0
+        self.last_overhead = 0
+
+    def window(self, start: int, stop: int) -> tuple[list[int], ...]:
+        """Advance over ``[start, stop)``; returns the window's
+        ``(page ids, above, below, third)``."""
+        pages = self.page_ids[start:stop].tolist()
+        rp_next, rp_prev, rp_on = self.next, self.prev, self.on
+        rp_top = self.top
+        overhead = self.overhead
+        above: list[int] = []
+        below: list[int] = []
+        third: list[int] = []
+        unlinked = 0
+        revt = -1
+        for rpage, revt in zip(pages, self.evicted_ids[start:stop].tolist()):
+            if rp_on[rpage]:
+                rbelow = rp_next[rpage]
+                rabove = rp_prev[rpage]
+                if rabove != -1:
+                    rp_next[rabove] = rbelow
+                else:
+                    rp_top = rbelow
+                if rbelow != -1:
+                    rp_prev[rbelow] = rabove
+                rp_prev[rpage] = -1
+                rp_next[rpage] = -1
+                rp_on[rpage] = 0
+                unlinked = 2
+            else:
+                rbelow = -1
+                rabove = -1
+                unlinked = 0
+            overhead += unlinked
+            if revt != -1:
+                if rp_on[revt]:
+                    # Re-push of a threaded page: silently unlink first
+                    # (the reference stack does this inside push_top
+                    # without charging extra overhead).
+                    ea = rp_prev[revt]
+                    eb = rp_next[revt]
+                    if ea != -1:
+                        rp_next[ea] = eb
+                    else:
+                        rp_top = eb
+                    if eb != -1:
+                        rp_prev[eb] = ea
+                rp_next[revt] = rp_top
+                rp_prev[revt] = -1
+                rp_on[revt] = 1
+                if rp_top != -1:
+                    rp_prev[rp_top] = revt
+                rp_top = revt
+                overhead += 2
+            above.append(rabove)
+            below.append(rbelow)
+            if rbelow != -1 and rp_on[rbelow]:
+                th = rp_next[rbelow]
+                if th == rpage:
+                    th = -1
+            else:
+                th = -1
+            third.append(th)
+        if stop > start:
+            self.last_overhead = unlinked + (2 if revt != -1 else 0)
+        self.top = rp_top
+        self.overhead = overhead
+        return pages, above, below, third
+
+
+def _window(values: list, start: int, stop: int) -> list:
+    """``values[start:stop]``, without a copy for the whole list."""
+    if start == 0 and stop == len(values):
+        return values
+    return values[start:stop]
+
+
+# ---------------------------------------------------------------------------
+# Batches: N fresh configs, one pass.
 # ---------------------------------------------------------------------------
 
 
@@ -1232,7 +1408,7 @@ class _TraceAnalysis:
     def __init__(self) -> None:
         self.keys: _StreamKeys | None = None
         # (rp_pages, above, below, third, overhead): the dense page
-        # ids plus the precomputed recency-stack neighbor streams.
+        # ids plus the recency-stack neighbor streams of a fresh stack.
         self.rp: (
             tuple[list[int], list[int], list[int], list[int], int] | None
         ) = None
@@ -1257,6 +1433,21 @@ def _analysis_for(miss_trace: MissTrace) -> _TraceAnalysis:
     return analysis
 
 
+def _dense_ids(miss_trace: MissTrace, *extra: np.ndarray):
+    """Dense ids for every page the stream (plus ``extra``) mentions.
+
+    Returns ``(unique, page_ids, evicted_ids)``; ``unique`` is sorted,
+    so ids preserve page order. RP's stack and buffer run on these ids:
+    the mapping is a bijection, so linkage and hit accounting are
+    isomorphic to the reference engine's page-number arithmetic.
+    """
+    pages, evicted = miss_trace.pages, miss_trace.evicted
+    unique = np.unique(np.concatenate([pages, evicted[evicted >= 0], *extra]))
+    page_ids = np.searchsorted(unique, pages)
+    evicted_ids = np.where(evicted >= 0, np.searchsorted(unique, evicted), -1)
+    return unique, page_ids, evicted_ids
+
+
 def replay_batch(
     miss_trace: MissTrace,
     requests: "list[tuple[Prefetcher, int, int]]",
@@ -1268,12 +1459,20 @@ def replay_batch(
     freshly built instance of a supported mechanism (raises
     :class:`~repro.errors.ConfigurationError` otherwise). Returns one
     :class:`~repro.sim.stats.PrefetchRunStats` per request, in request
-    order, bit-identical to what the reference and per-spec fast
-    engines produce. The instances are *not* trained — batch replays
-    are for throwaway mechanisms built from specs.
+    order, bit-identical to what the reference engine produces. The
+    instances are *not* trained — batch replays are for throwaway
+    mechanisms built from specs.
     """
-    plans = [_plan(p, cap, clamp) for p, cap, clamp in requests]
-    pcs, pages, _evicted, warmup = compile_stream(miss_trace)
+    plans = []
+    for prefetcher, cap, clamp in requests:
+        plan = _plan(prefetcher, cap, clamp)
+        if not is_fresh(prefetcher):
+            raise ConfigurationError(
+                "replay_batch replays freshly built mechanisms only; "
+                "trained instances take engine.replay"
+            )
+        plans.append(plan)
+    pcs, pages, _evicted, _ = miss_trace.as_lists()
     analysis = _analysis_for(miss_trace)
     if analysis.keys is None:
         analysis.keys = _StreamKeys(pcs, pages)
@@ -1296,52 +1495,278 @@ def replay_batch(
             emit_sigs.append(emit_sig)
         slot_class.append(index)
 
-    rp_pages: list[int] = []
-    rp_above: list[int] = []
-    rp_below: list[int] = []
-    rp_third: list[int] = []
+    rp: tuple = ((), (), (), ())
     rp_overhead = 0
     if any(sig[0] == "recency" for sig in emit_sigs):
         if analysis.rp is None:
-            pages_array = miss_trace.pages
-            evicted_array = miss_trace.evicted
-            unique = np.unique(
-                np.concatenate([pages_array, evicted_array[evicted_array >= 0]])
-            )
-            rp_pages = np.searchsorted(unique, pages_array).tolist()
-            rp_evicted = np.where(
-                evicted_array >= 0, np.searchsorted(unique, evicted_array), -1
-            ).tolist()
-            analysis.rp = (rp_pages,) + _recency_streams(
-                rp_pages, rp_evicted, len(unique)
-            )
-        rp_pages, rp_above, rp_below, rp_third, rp_overhead = analysis.rp
+            unique, page_ids, evicted_ids = _dense_ids(miss_trace)
+            stack = _RecencyStack(page_ids, evicted_ids, len(unique))
+            analysis.rp = (*stack.window(0, len(page_ids)), stack.overhead)
+        *rp, rp_overhead = analysis.rp
 
-    fn = _compiled(warmup, tuple(emit_sigs))
-    rows = fn(pcs, pages, rp_pages, rp_above, rp_below, rp_third, rp_overhead)
+    slots = [_slot_state(sig) for sig in emit_sigs]
+    fn = _compiled(miss_trace.warmup_misses, tuple(emit_sigs))
+    fn(_fresh_registers(), slots, 0, pcs, pages, *rp)
+    rows = [
+        (
+            state["pb"],
+            state["iss"],
+            rp_overhead if sig[0] == "recency" else 0,
+            state["ins"],
+            state["rf"],
+            state["ev"],
+        )
+        for sig, state in zip(emit_sigs, slots)
+    ]
     return [
-        _make_stats(miss_trace, plan.label, rows[slot_class[i]])
+        replay_stats(miss_trace, plan.label, rows[slot_class[i]])
         for i, plan in enumerate(plans)
     ]
 
 
-def _make_stats(miss_trace: MissTrace, label: str, row: tuple):
-    from repro.sim.stats import PrefetchRunStats
+# ---------------------------------------------------------------------------
+# Kernels: one mechanism, any state, any window.
+# ---------------------------------------------------------------------------
 
-    pb_hits, issued, inserted, refreshed, evicted_unused, overhead = row
-    return PrefetchRunStats(
-        workload=miss_trace.name,
-        mechanism=label,
-        tlb_label=miss_trace.tlb_label,
-        total_references=miss_trace.total_references,
-        tlb_misses=miss_trace.num_misses,
-        measured_misses=miss_trace.measured_misses,
-        pb_hits=pb_hits,
-        prefetches_issued=issued,
-        buffer_inserted=inserted,
-        buffer_refreshed=refreshed,
-        buffer_evicted_unused=evicted_unused,
-        overhead_memory_ops=overhead,
-        # A prefetch already buffered is coalesced, costing no new fetch.
-        prefetch_fetch_ops=inserted,
+
+class ReplayKernel:
+    """One mechanism and prefetch buffer compiled into a resumable loop.
+
+    The loop is seeded from canonical snapshots — ``mechanism``
+    (default: a snapshot of ``prefetcher``, which also supplies the
+    configuration) and ``buffer`` — and :meth:`run` replays any
+    ``[start, stop)`` window of the stream, comparing the *global*
+    index with the stream's warm-up boundary. Windows must follow one
+    another; tables, buffer, recency stack and counters stay live in
+    between, so any chunking adds up to the one-shot replay.
+    :meth:`mechanism_snapshot` and :meth:`buffer_snapshot` build the
+    canonical snapshots straight from that live state.
+
+    ``pb_hits`` seeds the measured prefetch-buffer hit count (a resumed
+    session's tally so far).
+    """
+
+    def __init__(
+        self,
+        miss_trace: MissTrace,
+        prefetcher: Prefetcher,
+        buffer: BufferSnapshot,
+        max_prefetches_per_miss: int = 0,
+        pb_hits: int = 0,
+        mechanism: MechanismSnapshot | None = None,
+    ) -> None:
+        plan = _plan(prefetcher, buffer.capacity, max_prefetches_per_miss)
+        if mechanism is None:
+            mechanism = snapshot_prefetcher(prefetcher)
+        self._family = plan.family
+        self._sig = _exact_sig(plan)
+        self._trace = miss_trace
+        self._buffer_seed = buffer
+        self._pcs, self._pages, _, _ = miss_trace.as_lists()
+        self._begin = self._end = 0
+        self._regs = _fresh_registers()
+        for field, register in _REGISTERS.get(plan.family, ()):
+            self._regs[register] = getattr(mechanism, field)
+        self._stack: _RecencyStack | None = None
+        buffer_keys = None
+        if plan.family == "recency":
+            buffer_keys = self._seed_recency(mechanism, buffer)
+        self._state = _slot_state(self._sig, mechanism, buffer, buffer_keys)
+        self._state["pb"] = pb_hits
+        self._slots = [self._state]
+        # The live state now holds the snapshot's tables and page-table
+        # entries; keep only its configuration and counters.
+        if plan.family in _TABLE_FAMILIES:
+            mechanism = dataclasses.replace(
+                mechanism, table=dataclasses.replace(mechanism.table, sets=[])
+            )
+        elif plan.family == "recency":
+            mechanism = dataclasses.replace(mechanism, entries=[])
+        self._seed = mechanism
+
+    def _seed_recency(self, mechanism, buffer: BufferSnapshot) -> list[int]:
+        """Dense ids over the stream, the seeded PTEs and buffered pages;
+        returns the buffer's pages as ids."""
+        seeded = np.asarray([entry[0] for entry in mechanism.entries], dtype=np.int64)
+        buffered = np.asarray(buffer.pages, dtype=np.int64)
+        unique, page_ids, evicted_ids = _dense_ids(self._trace, seeded, buffered)
+        self._unique = unique
+        self._seeded_ids = np.searchsorted(unique, seeded)
+        stack = _RecencyStack(page_ids, evicted_ids, len(unique))
+        ids = dict(zip(seeded.tolist(), self._seeded_ids.tolist()))
+        for page, below, above, on_stack in mechanism.entries:
+            pid = ids[page]
+            stack.next[pid] = -1 if below is None else ids[below]
+            stack.prev[pid] = -1 if above is None else ids[above]
+            stack.on[pid] = 1 if on_stack else 0
+        stack.top = -1 if mechanism.top is None else ids[mechanism.top]
+        self._stack = stack
+        return np.searchsorted(unique, buffered).tolist()
+
+    @property
+    def processed(self) -> int:
+        """Entries replayed by this kernel so far."""
+        return self._end - self._begin
+
+    def run(self, start: int, stop: int) -> None:
+        """Replay stream entries ``[start, stop)``."""
+        if stop <= start:
+            return
+        if self.processed and start != self._end:
+            raise ValueError(
+                f"kernel windows must be contiguous: next window starts at "
+                f"{self._end}, not {start}"
+            )
+        if not self.processed:
+            self._begin = start
+        warmup = self._trace.warmup_misses
+        # A window entirely past the warm-up boundary counts every hit,
+        # which is exactly the loop compiled without a boundary.
+        fn = _compiled(warmup if start < warmup else 0, (self._sig,))
+        rp: tuple = ((), (), (), ())
+        if self._stack is not None:
+            rp = self._stack.window(start, stop)
+        fn(
+            self._regs,
+            self._slots,
+            start,
+            _window(self._pcs, start, stop),
+            _window(self._pages, start, stop),
+            *rp,
+        )
+        self._end = stop
+
+    def counters(self) -> tuple[int, int, int, int, int, int]:
+        """``(pb_hits, prefetches_issued, overhead_ops_total, inserted,
+        refreshed, evicted_unused)``; mechanism and buffer counters are
+        cumulative, as on the live objects."""
+        state, seed = self._state, self._seed
+        overhead = self._stack.overhead if self._stack is not None else 0
+        return (
+            state["pb"],
+            seed.prefetches_issued + state["iss"],
+            seed.overhead_ops_total + overhead,
+            state["ins"],
+            state["rf"],
+            state["ev"],
+        )
+
+    def mechanism_snapshot(self) -> MechanismSnapshot:
+        """The mechanism's canonical snapshot at the current position."""
+        seed, family, state = self._seed, self._family, self._state
+        if family == "none":
+            # Null never calls ``account()``: nothing about it changes.
+            return seed
+        _, issued, overhead, _, _, _ = self.counters()
+        if not self.processed:
+            last_overhead = seed.last_overhead_ops
+        else:
+            # Every miss ends in ``account()``, which leaves the miss's
+            # own overhead behind: 0 on chip, RP's pointer writes.
+            last_overhead = self._stack.last_overhead if self._stack else 0
+        changes: dict = {
+            "prefetches_issued": issued,
+            "overhead_ops_total": overhead,
+            "last_overhead_ops": last_overhead,
+        }
+        if family == "aseq":
+            changes.update(
+                degree=state["deg"], window_misses=state["wm"], window_hits=state["wh"]
+            )
+        elif family in _TABLE_FAMILIES:
+            changes["table"] = dataclasses.replace(
+                seed.table, sets=_table_sets(self._sig, state)
+            )
+            for field, register in _REGISTERS.get(family, ()):
+                changes[field] = self._regs[register]
+        elif family == "recency":
+            changes.update(self._recency_fields())
+        return dataclasses.replace(seed, **changes)
+
+    def _recency_fields(self) -> dict:
+        """RP's stack top and page-table entries, in canonical order.
+
+        The reference page table holds a PTE for every page a miss
+        touched (missing or evicted) plus the seeded ones; ids are in
+        page order, so walking them yields the sorted entry list.
+        """
+        stack = self._stack
+        touched = np.zeros(len(self._unique), dtype=bool)
+        touched[self._seeded_ids] = True
+        touched[stack.page_ids[self._begin:self._end]] = True
+        evicted = stack.evicted_ids[self._begin:self._end]
+        touched[evicted[evicted >= 0]] = True
+        pids = np.flatnonzero(touched)
+        unique = self._unique.tolist()
+        below, above, on = stack.next, stack.prev, stack.on
+        entries = [
+            [
+                page,
+                None if below[pid] == -1 else unique[below[pid]],
+                None if above[pid] == -1 else unique[above[pid]],
+                bool(on[pid]),
+            ]
+            for page, pid in zip(self._unique[pids].tolist(), pids.tolist())
+        ]
+        top = None if stack.top == -1 else unique[stack.top]
+        return {"top": top, "entries": entries}
+
+    def buffer_snapshot(self) -> BufferSnapshot:
+        """The prefetch buffer's canonical snapshot (pages LRU first)."""
+        state, seed = self._state, self._buffer_seed
+        pages = list(state["buf"])
+        if self._stack is not None:
+            pages = self._unique[pages].tolist()
+        # Inserts add an entry, evictions and hits remove one, so the
+        # population change gives the hits without counting them.
+        hits = (
+            seed.hits
+            + len(seed.pages)
+            + (state["ins"] - seed.inserted)
+            - (state["ev"] - seed.evicted_unused)
+            - state["bn"]
+        )
+        return BufferSnapshot(
+            capacity=seed.capacity,
+            hits=hits,
+            lookups=seed.lookups + self.processed,
+            inserted=state["ins"],
+            refreshed=state["rf"],
+            evicted_unused=state["ev"],
+            pages=pages,
+        )
+
+    def write_back(self, prefetcher: Prefetcher) -> None:
+        """Train ``prefetcher`` to the kernel's current state."""
+        if self.processed:
+            restore_prefetcher(self.mechanism_snapshot(), prefetcher)
+
+
+def replay_compiled(
+    miss_trace: MissTrace,
+    prefetcher: Prefetcher,
+    buffer_entries: int = 16,
+    max_prefetches_per_miss: int = 0,
+) -> "PrefetchRunStats":
+    """Compiled equivalent of :func:`~repro.sim.two_phase.replay_prefetcher`.
+
+    One mechanism, fresh or trained, as a one-slot kernel: the
+    instance's state seeds the loop and the final state is written back
+    into it, so canonical snapshots of the instance agree between
+    engines after any sequence of replays. Raises
+    :class:`~repro.errors.ConfigurationError` when the mechanism has
+    no compiled loop.
+    """
+    issued_before = prefetcher.prefetches_issued
+    overhead_before = prefetcher.overhead_ops_total
+    kernel = ReplayKernel(
+        miss_trace,
+        prefetcher,
+        snapshot_buffer(PrefetchBuffer(buffer_entries)),
+        max_prefetches_per_miss,
+    )
+    kernel.run(0, len(miss_trace))
+    kernel.write_back(prefetcher)
+    return replay_stats(
+        miss_trace, prefetcher.label, kernel.counters(), issued_before, overhead_before
     )

@@ -1,40 +1,37 @@
-"""Replay-engine selection: reference semantics or the fast path.
+"""Replay-engine selection: the reference oracle or the compiled engine.
 
-Two engines can replay a mechanism over a TLB miss stream:
+Two engines replay mechanisms over a TLB miss stream:
 
 - ``"reference"`` — :func:`repro.sim.two_phase.replay_prefetcher`,
   driving live :class:`~repro.prefetch.base.Prefetcher` /
   :class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` objects. This is
   the authoritative engine: the paper's numbers come from it.
-- ``"fast"`` — :func:`repro.sim.fastpath.replay_fast`, the specialized
-  flat-array loops, bit-identical by contract (and by the
-  ``tests/differential/`` harness) but several times faster.
-- ``"batch"`` — :func:`repro.sim.batchpath.replay_batch`, the one-pass
-  multi-config loop. It amortizes the stream scan across *many* specs,
-  so it only pays off at the :class:`~repro.run.runner.Runner` level:
-  the runner groups a batch by stream key and replays each group of
-  compatible fresh specs in a single pass. For a *single* replay (this
-  module's :func:`replay`) there is nothing to amortize, so
-  ``engine="batch"`` resolves to the fast engine here — same bits,
-  and warm (trained) instances keep their snapshot warm-start.
+- the compiled engine, :mod:`repro.sim.batchpath` — generated loops,
+  bit-identical by contract (and by the ``tests/differential/``
+  harness). A :class:`~repro.run.runner.Runner` replays every stream
+  group through it in one pass; a single replay (this module's
+  :func:`replay`) runs it as a one-slot kernel that warm-starts from
+  the instance's canonical snapshot and writes the final state back;
+  suspendable sessions (:func:`open_replay`) keep the kernel live
+  between windows.
 
-``"auto"`` picks the fast engine whenever the mechanism has a fast
-loop. Warm-started (trained) instances take the fast path too: the
-fast engine seeds its tables from a canonical snapshot of the instance
-and writes the final state back (:mod:`repro.ckpt`), so the engines
-agree on statistics *and* side effects. Only mechanisms without a fast
-loop — e.g. user-defined subclasses — fall back to the reference
-engine, so ``auto`` is always correct to request.
+``"auto"`` picks the compiled engine whenever the mechanism has a
+compiled loop, trained or not, and the reference engine otherwise
+(e.g. user-defined subclasses), so ``auto`` is always correct to
+request. ``"fast"`` and ``"batch"`` are accepted as aliases that ask
+for the compiled engine outright.
 """
 
 from __future__ import annotations
 
+from repro.ckpt.snapshots import MechanismSnapshot, snapshot_buffer
 from repro.errors import ConfigurationError
 from repro.mem.trace import MissTrace
 from repro.prefetch.base import Prefetcher
-from repro.sim import fastpath
+from repro.sim import batchpath
 from repro.sim.stats import PrefetchRunStats
-from repro.sim.two_phase import replay_prefetcher
+from repro.sim.two_phase import ReplayWindow, replay_prefetcher
+from repro.tlb.prefetch_buffer import PrefetchBuffer
 
 #: Engine names accepted everywhere an ``engine`` knob appears
 #: (``RunSpec``, ``Runner``, ``evaluate``, ``simulate``, the CLI).
@@ -50,47 +47,18 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def fast_available(prefetcher: Prefetcher) -> bool:
-    """True when ``engine="fast"`` can replay this mechanism at all."""
-    return fastpath.supports(prefetcher)
-
-
-def batch_available(prefetcher: Prefetcher) -> bool:
-    """True when the batch engine can include this *fresh* instance.
-
-    The batch loop advances throwaway tables built from specs; it has
-    no warm-start path, so trained instances (and mechanisms without a
-    batch loop) are replayed per-spec instead — the
-    :class:`~repro.run.runner.Runner` applies exactly this predicate
-    when it forms one-pass groups.
-    """
-    from repro.sim import batchpath
-
-    return batchpath.supports(prefetcher) and not prefetcher.has_prediction_state()
-
-
-def fast_preferred(prefetcher: Prefetcher) -> bool:
-    """True when ``engine="auto"`` would pick the fast engine.
-
-    ``auto`` falls back to the reference engine only for mechanisms
-    without a fast loop (e.g. user-defined subclasses); trained state
-    no longer matters — the fast engine warm-starts from a snapshot of
-    the instance and trains it exactly as the reference engine would.
-    """
-    return fastpath.supports(prefetcher)
-
-
 def resolve_engine(prefetcher: Prefetcher, engine: str = "auto") -> str:
-    """The concrete engine (``reference`` or ``fast``) a replay will use.
+    """The concrete engine a replay will use: ``batch`` or ``reference``.
 
-    ``"batch"`` is a *runner-level* engine: for a single replay it
-    resolves like ``"auto"`` (the batch loop needs multiple specs to
-    amortize anything, and the fast engine is bit-identical).
+    ``batch`` names the compiled engine. ``auto`` falls back to the
+    reference engine only for mechanisms without a compiled loop.
     """
     validate_engine(engine)
-    if engine in ("auto", "batch"):
-        return "fast" if fast_preferred(prefetcher) else "reference"
-    return engine
+    if engine == "reference" or (
+        engine == "auto" and not batchpath.supports(prefetcher)
+    ):
+        return "reference"
+    return "batch"
 
 
 def replay(
@@ -107,8 +75,8 @@ def replay(
     sequence of replays leaves the instance with the same canonical
     snapshot regardless of which engine ran each one.
     """
-    if resolve_engine(prefetcher, engine) == "fast":
-        return fastpath.replay_fast(
+    if resolve_engine(prefetcher, engine) == "batch":
+        return batchpath.replay_compiled(
             miss_trace,
             prefetcher,
             buffer_entries=buffer_entries,
@@ -119,4 +87,36 @@ def replay(
         prefetcher,
         buffer_entries=buffer_entries,
         max_prefetches_per_miss=max_prefetches_per_miss,
+    )
+
+
+def open_replay(
+    miss_trace: MissTrace,
+    prefetcher: Prefetcher,
+    buffer: PrefetchBuffer,
+    max_prefetches_per_miss: int = 0,
+    pb_hits: int = 0,
+    mechanism: MechanismSnapshot | None = None,
+) -> "batchpath.ReplayKernel | ReplayWindow":
+    """A replay of ``prefetcher`` and ``buffer`` that runs window by window.
+
+    A compiled :class:`~repro.sim.batchpath.ReplayKernel` seeded from
+    the two objects' state when the mechanism has a compiled loop,
+    otherwise a reference :class:`~repro.sim.two_phase.ReplayWindow`
+    over the live objects. Both expose ``run(start, stop)``,
+    ``counters()``, ``mechanism_snapshot()``, ``buffer_snapshot()`` and
+    ``write_back(prefetcher)``. ``mechanism`` is the instance's
+    snapshot, when the caller already holds one.
+    """
+    if batchpath.supports(prefetcher):
+        return batchpath.ReplayKernel(
+            miss_trace,
+            prefetcher,
+            snapshot_buffer(buffer),
+            max_prefetches_per_miss,
+            pb_hits,
+            mechanism,
+        )
+    return ReplayWindow(
+        miss_trace, prefetcher, buffer, max_prefetches_per_miss, pb_hits
     )

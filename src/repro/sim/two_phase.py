@@ -82,6 +82,114 @@ def filter_tlb(
     )
 
 
+def replay_stats(
+    miss_trace: MissTrace,
+    label: str,
+    counters: tuple[int, int, int, int, int, int],
+    issued_before: int = 0,
+    overhead_before: int = 0,
+) -> PrefetchRunStats:
+    """One run's statistics from a replay's counters.
+
+    ``counters`` is ``(pb_hits, prefetches_issued, overhead_ops_total,
+    inserted, refreshed, evicted_unused)``. Mechanism counters are
+    cumulative over an instance's lifetime, so the values they held
+    before this run are subtracted: a reused (pre-trained) instance
+    reports only this run's activity.
+    """
+    pb_hits, issued, overhead, inserted, refreshed, evicted_unused = counters
+    return PrefetchRunStats(
+        workload=miss_trace.name,
+        mechanism=label,
+        tlb_label=miss_trace.tlb_label,
+        total_references=miss_trace.total_references,
+        tlb_misses=miss_trace.num_misses,
+        measured_misses=miss_trace.measured_misses,
+        pb_hits=pb_hits,
+        prefetches_issued=issued - issued_before,
+        buffer_inserted=inserted,
+        buffer_refreshed=refreshed,
+        buffer_evicted_unused=evicted_unused,
+        overhead_memory_ops=overhead - overhead_before,
+        # A prefetch already buffered is coalesced, costing no new fetch.
+        prefetch_fetch_ops=inserted,
+    )
+
+
+class ReplayWindow:
+    """Phase 2 over live objects, one window of the miss stream at a time.
+
+    Holds a mechanism and a prefetch buffer; :meth:`run` replays entries
+    ``[start, stop)``. The warm-up boundary is compared with the
+    *global* index, so any chunking of a stream adds up to the one-shot
+    replay. This is the reference engine's per-miss body, shared by
+    :func:`replay_prefetcher` and by suspendable sessions over
+    mechanisms the compiled engine has no loop for.
+    """
+
+    def __init__(
+        self,
+        miss_trace: MissTrace,
+        prefetcher: Prefetcher,
+        buffer: PrefetchBuffer,
+        max_prefetches_per_miss: int = 0,
+        pb_hits: int = 0,
+    ) -> None:
+        self.miss_trace = miss_trace
+        self.prefetcher = prefetcher
+        self.buffer = buffer
+        self.max_prefetches_per_miss = max_prefetches_per_miss
+        #: Measured (post-warm-up) prefetch-buffer hits so far.
+        self.pb_hits = pb_hits
+
+    def run(self, start: int, stop: int) -> None:
+        """Probe the buffer (removing on hit), inform the mechanism,
+        insert its prefetches — for every miss in ``[start, stop)``."""
+        pcs, pages, evicted, _ = self.miss_trace.as_lists()
+        warmup = self.miss_trace.warmup_misses
+        clamp = self.max_prefetches_per_miss
+        pb_hits = self.pb_hits
+        lookup_remove = self.buffer.lookup_remove
+        insert = self.buffer.insert
+        on_miss = self.prefetcher.on_miss
+        for index in range(start, stop):
+            page = pages[index]
+            pb_hit = lookup_remove(page)
+            if pb_hit and index >= warmup:
+                pb_hits += 1
+            prefetches = on_miss(pcs[index], page, evicted[index], pb_hit)
+            if clamp and len(prefetches) > clamp:
+                prefetches = prefetches[:clamp]
+            for target in prefetches:
+                insert(target)
+        self.pb_hits = pb_hits
+
+    def counters(self) -> tuple[int, int, int, int, int, int]:
+        """The :func:`replay_stats` counters, read off the live objects."""
+        prefetcher, buffer = self.prefetcher, self.buffer
+        return (
+            self.pb_hits,
+            prefetcher.prefetches_issued,
+            prefetcher.overhead_ops_total,
+            buffer.inserted,
+            buffer.refreshed,
+            buffer.evicted_unused,
+        )
+
+    def mechanism_snapshot(self):
+        from repro.ckpt.snapshots import snapshot_prefetcher
+
+        return snapshot_prefetcher(self.prefetcher)
+
+    def buffer_snapshot(self):
+        from repro.ckpt.snapshots import snapshot_buffer
+
+        return snapshot_buffer(self.buffer)
+
+    def write_back(self, prefetcher: Prefetcher) -> None:
+        """Nothing to do: the window trains the live instance as it runs."""
+
+
 def replay_prefetcher(
     miss_trace: MissTrace,
     prefetcher: Prefetcher,
@@ -92,47 +200,17 @@ def replay_prefetcher(
 
     Semantically identical to the online pipeline: for each miss, probe
     the buffer (removing on hit), inform the mechanism, insert its
-    prefetches.
+    prefetches. This is the reference engine, the oracle every compiled
+    replay is checked against.
     """
-    buffer = PrefetchBuffer(buffer_entries)
-    pcs, pages, evicted, _ = miss_trace.as_lists()
-    warmup = miss_trace.warmup_misses
-
-    # Mechanism counters are cumulative over the instance's lifetime;
-    # snapshot them so a reused (pre-trained) instance reports only
-    # this run's activity instead of inflating it with earlier runs'.
     issued_before = prefetcher.prefetches_issued
     overhead_before = prefetcher.overhead_ops_total
-
-    pb_hits_measured = 0
-    lookup_remove = buffer.lookup_remove
-    insert = buffer.insert
-    on_miss = prefetcher.on_miss
-    for index, page in enumerate(pages):
-        pb_hit = lookup_remove(page)
-        if pb_hit and index >= warmup:
-            pb_hits_measured += 1
-        prefetches = on_miss(pcs[index], page, evicted[index], pb_hit)
-        if max_prefetches_per_miss and len(prefetches) > max_prefetches_per_miss:
-            prefetches = prefetches[:max_prefetches_per_miss]
-        for target in prefetches:
-            insert(target)
-
-    return PrefetchRunStats(
-        workload=miss_trace.name,
-        mechanism=prefetcher.label,
-        tlb_label=miss_trace.tlb_label,
-        total_references=miss_trace.total_references,
-        tlb_misses=miss_trace.num_misses,
-        measured_misses=miss_trace.measured_misses,
-        pb_hits=pb_hits_measured,
-        prefetches_issued=prefetcher.prefetches_issued - issued_before,
-        buffer_inserted=buffer.inserted,
-        buffer_refreshed=buffer.refreshed,
-        buffer_evicted_unused=buffer.evicted_unused,
-        overhead_memory_ops=prefetcher.overhead_ops_total - overhead_before,
-        # A prefetch already buffered is coalesced, costing no new fetch.
-        prefetch_fetch_ops=buffer.inserted,
+    window = ReplayWindow(
+        miss_trace, prefetcher, PrefetchBuffer(buffer_entries), max_prefetches_per_miss
+    )
+    window.run(0, len(miss_trace))
+    return replay_stats(
+        miss_trace, prefetcher.label, window.counters(), issued_before, overhead_before
     )
 
 
@@ -145,9 +223,10 @@ def evaluate(
     """Convenience wrapper: filter then replay under one config.
 
     ``engine`` selects the replay implementation (see
-    :mod:`repro.sim.engine`): ``"reference"`` (default), ``"fast"``
-    (specialized loops) or ``"auto"``. All engines return bit-identical
-    statistics and train the given instance identically.
+    :mod:`repro.sim.engine`): ``"reference"`` (default), or ``"auto"``
+    (the compiled engine; ``"fast"`` and ``"batch"`` are aliases). Both
+    engines return bit-identical statistics and train the given
+    instance identically.
     """
     config = config or SimulationConfig()
     miss_trace = filter_tlb(trace, config.tlb, config.warmup_fraction)

@@ -119,3 +119,19 @@ class TestResumeValidation:
             session.snapshot(), stream, create_prefetcher("DP", rows=64)
         )
         assert resumed.buffer.capacity == 4
+
+
+def test_subclass_sessions_run_the_reference_loop(stream):
+    """A mechanism without a compiled loop (any subclass: dispatch is
+    on exact type) still streams, on the reference per-miss body."""
+    from repro.core.distance import DistancePrefetcher
+
+    class Tweaked(DistancePrefetcher):
+        pass
+
+    session = ReplaySession(stream, Tweaked(rows=64), buffer_entries=8)
+    while not session.finished:
+        session.advance(333)
+    assert session.stats() == replay_prefetcher(
+        stream, Tweaked(rows=64), buffer_entries=8
+    )

@@ -1,19 +1,20 @@
-"""DifferentialRunner: execute one spec on every engine, demand equality.
+"""DifferentialRunner: execute one spec on both engines, demand equality.
 
 "Bit-identical" here is literal: the full
 :class:`~repro.sim.stats.PrefetchRunStats` dataclass — every stored
 counter and every ``extra`` annotation — must compare equal field for
 field, and whole :class:`~repro.run.results.ResultSet` batches must
 serialize to identical JSON. Tolerances would defeat the point: the
-fast and batch engines are only trustworthy if they *are* the
-reference engine, observationally.
+compiled engine is only trustworthy if it *is* the reference engine,
+observationally.
 
-Every check covers three engines: the reference loop, the per-spec
-fast path, and the one-pass batch engine (``engine="batch"`` forces
-the fused loop through :class:`~repro.run.Runner` even for a single
-spec; the direct-trace checks call
+Every check compares the reference loop with the compiled engine in
+each shape it runs in: a single replay (a one-slot kernel at exact
+geometry, through :func:`repro.sim.engine.replay`), and the one-pass
+batch through :class:`~repro.run.Runner` (every non-reference group
+takes it, a group of one included); the direct-trace checks also call
 :func:`repro.sim.batchpath.replay_batch` with a duplicated request so
-the equivalence-class deduplication is exercised too).
+the equivalence-class deduplication is exercised too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.prefetch.base import Prefetcher
 from repro.run import MissStreamCache, ResultSet, Runner, RunSpec
 from repro.sim.config import SimulationConfig
 from repro.sim.batchpath import replay_batch
-from repro.sim.fastpath import replay_fast
+from repro.sim.engine import replay
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.two_phase import filter_tlb, replay_prefetcher
 
@@ -35,21 +36,21 @@ class EngineDivergenceError(AssertionError):
 
 
 def assert_identical(
-    reference: PrefetchRunStats, fast: PrefetchRunStats, context: str = ""
+    reference: PrefetchRunStats, compiled: PrefetchRunStats, context: str = ""
 ) -> None:
     """Raise :class:`EngineDivergenceError` unless stats match exactly."""
     ref_dict = asdict(reference)
-    fast_dict = asdict(fast)
-    if ref_dict == fast_dict:
+    compiled_dict = asdict(compiled)
+    if ref_dict == compiled_dict:
         return
     diffs = [
-        f"  {name}: reference={ref_dict[name]!r} fast={fast_dict[name]!r}"
+        f"  {name}: reference={ref_dict[name]!r} compiled={compiled_dict[name]!r}"
         for name in ref_dict
-        if ref_dict[name] != fast_dict.get(name, object())
+        if ref_dict[name] != compiled_dict.get(name, object())
     ]
     where = f" [{context}]" if context else ""
     raise EngineDivergenceError(
-        "fast engine diverged from reference engine" + where + ":\n"
+        "compiled engine diverged from reference engine" + where + ":\n"
         + "\n".join(diffs)
     )
 
@@ -67,17 +68,16 @@ class DifferentialRunner:
         self.checked = 0
 
     def run_both(self, spec: RunSpec) -> tuple[PrefetchRunStats, PrefetchRunStats]:
-        """Execute ``spec`` on the reference and the fast engine."""
+        """Execute ``spec`` as a single replay on each engine."""
         reference = self.runner.run_one(spec.derive(engine="reference"))
-        fast = self.runner.run_one(spec.derive(engine="fast"))
-        return reference, fast
+        compiled = self.runner.run_one(spec.derive(engine="auto"))
+        return reference, compiled
 
     def check_spec(self, spec: RunSpec) -> PrefetchRunStats:
-        """Assert all three engines agree on ``spec``; return the stats."""
-        reference, fast = self.run_both(spec)
-        assert_identical(reference, fast, context=f"spec {spec.label} {spec.key()}")
-        # engine="batch" forces the fused loop even for this singleton.
-        (batch,) = self.runner.run([spec.derive(engine="batch")])
+        """Assert both engines agree on ``spec``; return the stats."""
+        reference, compiled = self.run_both(spec)
+        assert_identical(reference, compiled, context=f"spec {spec.label} {spec.key()}")
+        (batch,) = self.runner.run([spec.derive(engine="auto")])
         assert_identical(
             reference, batch, context=f"batch spec {spec.label} {spec.key()}"
         )
@@ -87,20 +87,12 @@ class DifferentialRunner:
     def check_batch(self, specs: list[RunSpec]) -> ResultSet:
         """Assert whole-batch ResultSets serialize identically."""
         reference = self.runner.run([spec.derive(engine="reference") for spec in specs])
-        fast = self.runner.run([spec.derive(engine="fast") for spec in specs])
-        batch = self.runner.run([spec.derive(engine="batch") for spec in specs])
-        for ref_row, fast_row, batch_row in zip(reference, fast, batch):
-            assert_identical(ref_row, fast_row, context=ref_row.workload)
-            assert_identical(
-                ref_row, batch_row, context=f"batch {ref_row.workload}"
-            )
-        if reference.to_json() != fast.to_json():
+        compiled = self.runner.run([spec.derive(engine="auto") for spec in specs])
+        for ref_row, compiled_row in zip(reference, compiled):
+            assert_identical(ref_row, compiled_row, context=ref_row.workload)
+        if reference.to_json() != compiled.to_json():
             raise EngineDivergenceError(
                 "ResultSet JSON differs between engines despite equal rows"
-            )
-        if reference.to_json() != batch.to_json():
-            raise EngineDivergenceError(
-                "batch ResultSet JSON differs from reference despite equal rows"
             )
         self.checked += len(specs)
         return reference
@@ -133,13 +125,14 @@ class DifferentialRunner:
             buffer_entries=config.buffer_entries,
             max_prefetches_per_miss=config.max_prefetches_per_miss,
         )
-        fast = replay_fast(
+        compiled = replay(
             miss_trace,
             prefetcher_factory(),
             buffer_entries=config.buffer_entries,
             max_prefetches_per_miss=config.max_prefetches_per_miss,
+            engine="batch",
         )
-        assert_identical(reference, fast, context=f"trace {miss_trace.name}")
+        assert_identical(reference, compiled, context=f"trace {miss_trace.name}")
         # The same request twice in one batch: the second slot dedups
         # onto the first's simulation, and both must match reference.
         batch_rows = replay_batch(

@@ -4,7 +4,7 @@ Spans every mechanism family × one representative workload per trace
 suite × the superpage sizes, plus associativity, slot, buffer, clamp,
 warm-up and TLB-shape variants — the configuration axes the paper's
 tables and figures actually sweep. Every spec must produce
-bit-identical statistics on the reference and fast engines.
+bit-identical statistics on the reference and compiled engines.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Warm-start differential: trained instances on the fast path.
+"""Warm-start differential: trained instances on the compiled engine.
 
-The fast engine now *continues* a trained mechanism instead of
-refusing it: it seeds its flat tables from the instance's canonical
-snapshot and restores the final state afterwards. These tests demand
+The compiled engine *continues* a trained mechanism: a one-slot kernel
+seeds its tables from the instance's canonical snapshot and restores
+the final state afterwards. These tests demand
 full observational equivalence for every mechanism family — identical
 statistics on a second stream *and* identical canonical state digests
 after any interleaving of engines — plus bit-identity between chunked
@@ -17,15 +17,20 @@ import pytest
 from repro.ckpt import ReplaySession, SessionSnapshot, snapshot_prefetcher
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner
-from repro.sim.engine import resolve_engine
-from repro.sim.fastpath import replay_fast
+from repro.sim.engine import replay, resolve_engine
 from repro.sim.two_phase import replay_prefetcher
 
 from tests.differential.harness import assert_identical
 
 SCALE = 0.05
 
-#: Every family the fast engine replays, with small tables so state
+
+def replay_compiled(miss_trace, prefetcher):
+    """A single replay forced onto the compiled engine."""
+    return replay(miss_trace, prefetcher, engine="batch")
+
+
+#: Every family the compiled engine replays, with small tables so state
 #: actually churns (evictions, LRU promotions) at this trace scale.
 FAMILIES: list[tuple[str, dict]] = [
     ("none", {}),
@@ -61,31 +66,31 @@ def test_warm_instances_bit_identical(streams, name, params):
     warm second replay must agree on stats and on final state."""
     first, second = streams
     ref_p = create_prefetcher(name, **params)
-    fast_p = create_prefetcher(name, **params)
+    compiled_p = create_prefetcher(name, **params)
     warm_ref = replay_prefetcher(first, ref_p)
-    warm_fast = replay_fast(first, fast_p)
-    assert_identical(warm_ref, warm_fast, context=f"{name} cold run")
+    warm_compiled = replay_compiled(first, compiled_p)
+    assert_identical(warm_ref, warm_compiled, context=f"{name} cold run")
     again_ref = replay_prefetcher(second, ref_p)
-    again_fast = replay_fast(second, fast_p)
-    assert_identical(again_ref, again_fast, context=f"{name} warm run")
+    again_compiled = replay_compiled(second, compiled_p)
+    assert_identical(again_ref, again_compiled, context=f"{name} warm run")
     assert (
         snapshot_prefetcher(ref_p).digest()
-        == snapshot_prefetcher(fast_p).digest()
+        == snapshot_prefetcher(compiled_p).digest()
     ), f"{name}: engines disagree on final canonical state"
 
 
 @pytest.mark.parametrize(("name", "params"), FAMILIES, ids=FAMILY_IDS)
 def test_engine_interleaving_order_is_irrelevant(streams, name, params):
-    """fast-then-reference and reference-then-fast land on the same
-    canonical state as reference-only: engines are interchangeable
+    """compiled-then-reference and reference-then-compiled land on the
+    same canonical state as reference-only: engines are interchangeable
     mid-sequence."""
     first, second = streams
     digests = []
     for engines in (
         (replay_prefetcher, replay_prefetcher),
-        (replay_fast, replay_prefetcher),
-        (replay_prefetcher, replay_fast),
-        (replay_fast, replay_fast),
+        (replay_compiled, replay_prefetcher),
+        (replay_prefetcher, replay_compiled),
+        (replay_compiled, replay_compiled),
     ):
         p = create_prefetcher(name, **params)
         engines[0](first, p)
@@ -116,4 +121,4 @@ def test_auto_resolves_fast_for_trained_instances(streams):
     for name, params in FAMILIES:
         p = create_prefetcher(name, **params)
         replay_prefetcher(streams[0], p)
-        assert resolve_engine(p, "auto") == "fast", name
+        assert resolve_engine(p, "auto") == "batch", name

@@ -216,7 +216,8 @@ class TestDistributedTraceAndConservation:
         while True:
             spans = client.fetch_trace(trace_id)["spans"]
             names = {s["name"] for s in spans}
-            if {"sweep", "http.request", "worker.job", "replay"} <= names:
+            # Each worker job replays its spec as a one-pass batch.
+            if {"sweep", "http.request", "worker.job", "replay.batch"} <= names:
                 break
             assert time.monotonic() < deadline, f"incomplete trace: {names}"
             time.sleep(0.05)

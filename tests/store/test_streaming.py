@@ -216,6 +216,56 @@ class TestEvictionAndRestore:
         )
 
 
+class TestResumeRecordChecks:
+    """A session record that disagrees with its snapshot or its spec is
+    corrupt: resuming it would replay some other run, so the restore
+    answers 500 through the corrupt-artifact path instead."""
+
+    def _paused(self, service):
+        service.handle(
+            "POST", "/streams", body={"spec": _spec_dict(), "session_id": "s1"}
+        )
+        service.handle("POST", "/streams/s1/advance", body={"count": 500})
+        service._sessions.clear()
+        return service.ckpt.load_session("s1")
+
+    def _advance_with(self, service, record):
+        service.ckpt.save_session("s1", record)
+        return service.handle("POST", "/streams/s1/advance", body={})
+
+    def test_stream_offset_must_match_the_snapshot(self, service):
+        record = self._paused(service)
+        record["stream_offset"] = 499
+        status, payload = self._advance_with(service, record)
+        assert status == 500 and "stream_offset" in payload["error"]
+
+    def test_spec_key_must_match_the_spec(self, service):
+        record = self._paused(service)
+        record["spec_key"] = RunSpec.from_dict(_spec_dict(mechanism="MP")).key()
+        status, payload = self._advance_with(service, record)
+        assert status == 500 and "spec_key" in payload["error"]
+
+    def _respec(self, record, **changes):
+        spec = RunSpec.from_dict(record["spec"]).derive(**changes)
+        record.update(spec=spec.to_dict(), spec_key=spec.key())
+        return record
+
+    def test_buffer_capacity_must_match_the_spec(self, service):
+        record = self._respec(self._paused(service), buffer_entries=32)
+        status, payload = self._advance_with(service, record)
+        assert status == 500 and "buffer capacity" in payload["error"]
+
+    def test_clamp_must_match_the_spec(self, service):
+        record = self._respec(self._paused(service), max_prefetches_per_miss=1)
+        status, payload = self._advance_with(service, record)
+        assert status == 500 and "max_prefetches_per_miss" in payload["error"]
+
+    def test_consistent_record_still_resumes(self, service):
+        record = self._paused(service)
+        status, payload = self._advance_with(service, record)
+        assert status == 200 and payload["finished"]
+
+
 class TestOverHTTP:
     @pytest.fixture
     def server(self, tmp_path):

@@ -15,8 +15,9 @@ from repro.errors import ConfigurationError
 from repro.prefetch.base import HardwareDescription, Prefetcher
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
-from repro.sim.engine import ENGINES, fast_preferred, replay, resolve_engine
-from repro.sim.fastpath import is_fresh, replay_fast, supports
+from repro import replay_fast
+from repro.sim.batchpath import is_fresh, supports
+from repro.sim.engine import ENGINES, replay, resolve_engine
 from repro.sim.functional import simulate
 from repro.sim.two_phase import evaluate, replay_prefetcher
 from repro.workloads.registry import get_trace
@@ -25,7 +26,7 @@ SCALE = 0.05
 
 
 class _CustomPrefetcher(Prefetcher):
-    """A user subclass the fast engine must refuse to second-guess."""
+    """A user subclass the compiled engine must refuse to second-guess."""
 
     name = "custom"
 
@@ -54,9 +55,16 @@ class TestResolution:
             resolve_engine(create_prefetcher("DP"), "warp")
 
     def test_auto_prefers_fast_for_fresh_builtin(self):
+        """Every built-in mechanism resolves to the compiled engine."""
         for name in ("none", "SP", "SP-adaptive", "ASP", "MP", "RP",
                      "DP", "DP-PC", "DP-2"):
-            assert resolve_engine(create_prefetcher(name), "auto") == "fast"
+            assert resolve_engine(create_prefetcher(name), "auto") == "batch"
+
+    def test_fast_and_batch_are_aliases_of_the_compiled_engine(self):
+        for engine in ("fast", "batch"):
+            assert resolve_engine(create_prefetcher("DP"), engine) == "batch"
+            assert resolve_engine(_CustomPrefetcher(), engine) == "batch"
+        assert resolve_engine(create_prefetcher("DP"), "reference") == "reference"
 
     def test_auto_falls_back_for_subclasses(self):
         custom = _CustomPrefetcher()
@@ -64,25 +72,24 @@ class TestResolution:
         assert resolve_engine(custom, "auto") == "reference"
 
     def test_auto_keeps_fast_for_trained_instances(self, miss_trace):
-        """Warm-start: trained state no longer forces the reference
-        engine — the fast engine restores it into its own tables."""
+        """Warm-start: trained state does not force the reference
+        engine — the compiled engine seeds its tables from it."""
         prefetcher = create_prefetcher("DP", rows=64)
         replay_prefetcher(miss_trace, prefetcher)
         assert not is_fresh(prefetcher)
-        assert fast_preferred(prefetcher)
-        assert resolve_engine(prefetcher, "auto") == "fast"
+        assert resolve_engine(prefetcher, "auto") == "batch"
 
     def test_history_only_state_stays_on_fast_path(self):
         """One miss leaves DP's table empty and counters at zero, but
-        its distance history is trained — the fast engine seeds that
-        history too, so auto keeps the fast path."""
+        its distance history is trained — the compiled engine seeds
+        that history too, so auto keeps the compiled path."""
         prefetcher = create_prefetcher("DP", rows=64)
         prefetcher.on_miss(0, 100, -1, False)
         assert prefetcher.prefetches_issued == 0
         assert len(prefetcher.table) == 0
         assert prefetcher.has_prediction_state()
         assert not is_fresh(prefetcher)
-        assert resolve_engine(prefetcher, "auto") == "fast"
+        assert resolve_engine(prefetcher, "auto") == "batch"
 
     def test_flush_restores_freshness_for_on_chip_state(self):
         """flush() drops on-chip state, so a flushed mechanism is fresh

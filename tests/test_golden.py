@@ -2,8 +2,9 @@
 
 ``tests/golden/*.json`` are :meth:`ResultSet.save` outputs for the
 canonical RunSpecs below, produced by the *reference* engine. The
-tests re-run those specs — on the reference engine, the fast engine
-AND the one-pass batch engine — and fail loudly on any row that
+tests re-run those specs — on the reference engine AND the compiled
+engine, under ``auto`` and its ``fast``/``batch`` aliases — and fail
+loudly on any row that
 drifts, so an engine or mechanism change that shifts paper numbers
 cannot land silently.
 
@@ -57,7 +58,7 @@ def _run(specs: list[RunSpec], engine: str) -> ResultSet:
 
 
 @pytest.mark.parametrize("filename", sorted(GOLDEN_FILES))
-@pytest.mark.parametrize("engine", ["reference", "fast", "batch"])
+@pytest.mark.parametrize("engine", ["reference", "auto", "fast", "batch"])
 def test_results_match_golden(filename, engine):
     path = GOLDEN_DIR / filename
     assert path.exists(), (

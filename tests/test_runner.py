@@ -532,11 +532,11 @@ class TestExperimentContextIntegration:
 class TestBatchEngineRouting:
     """Which specs the serial Runner routes through the batch engine.
 
-    Contract (see Runner._run_serial): specs with engine "auto" or
-    "batch" whose mechanism the batch engine supports are grouped by
-    stream key; "auto" groups need >= 2 members to amortize a fused
-    loop, "batch" forces it even for a singleton; checkpointing runs
-    disable grouping entirely. Routing must never change results.
+    Contract (see Runner._run_serial): specs on any engine but
+    "reference" whose mechanism has a compiled loop are grouped by
+    stream key, and every group — a group of one included — takes one
+    fused pass; checkpointing runs disable grouping entirely. Routing
+    must never change results.
     """
 
     def _spy(self, monkeypatch):
@@ -562,10 +562,15 @@ class TestBatchEngineRouting:
         assert calls == [3]  # one shared stream, one fused pass
         assert results.to_json() == reference.to_json()
 
-    def test_auto_singleton_stays_per_spec(self, monkeypatch):
+    def test_auto_singleton_routes_through_batch_engine(self, monkeypatch):
         calls = self._spy(monkeypatch)
-        Runner(cache=MissStreamCache()).run([spec_of()])
-        assert calls == []
+        spec = spec_of()
+        reference = Runner(cache=MissStreamCache()).run_one(
+            spec.derive(engine="reference")
+        )
+        (row,) = Runner(cache=MissStreamCache()).run([spec])
+        assert calls == [1]
+        assert row == reference
 
     def test_engine_batch_forces_singleton_through_batch(self, monkeypatch):
         calls = self._spy(monkeypatch)

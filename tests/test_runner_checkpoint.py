@@ -10,7 +10,7 @@ import pytest
 
 import repro.ckpt
 from repro.ckpt import CheckpointManager, ReplaySession
-from repro.errors import ConfigurationError
+from repro.errors import CkptError, ConfigurationError
 from repro.run import MissStreamCache, Runner, RunSpec
 from repro.store import ExperimentStore
 
@@ -116,3 +116,58 @@ def test_checkpointed_batch_still_deduplicates_via_store(store):
     second = runner.run([_spec()])
     assert second.to_json() == first.to_json()
     assert store.stats()["result_hits"] == probes_before + 1
+
+
+
+class TestBookmarkChecks:
+    """A continuation whose record disagrees with its snapshot or with
+    the spec being run is corrupt: the runner refuses to resume it."""
+
+    def _bookmark(self, store, spec, ran=None, offset=None, spec_key=None):
+        """Bookmark ``spec`` with a snapshot of ``ran`` (default: spec)
+        after 300 entries; ``offset``/``spec_key`` override the record."""
+        ran = ran or spec
+        session = ReplaySession(
+            Runner(cache=MissStreamCache()).miss_stream_for(ran),
+            ran.build_prefetcher(),
+            buffer_entries=ran.buffer_entries,
+            max_prefetches_per_miss=ran.max_prefetches_per_miss,
+        )
+        session.advance(300)
+        manager = CheckpointManager(store)
+        record = manager.save_continuation(
+            spec.key(),
+            session.offset if offset is None else offset,
+            session.snapshot(),
+        )
+        if spec_key is not None:
+            record["spec_key"] = spec_key
+            manager._put_record("cont:" + spec.key(), record)
+
+    def _resume(self, store, spec):
+        runner = Runner(cache=MissStreamCache(), store=store, checkpoint_every=500)
+        return runner.run_one(spec)
+
+    def test_stream_offset_must_match_the_snapshot(self, store):
+        spec = _spec()
+        self._bookmark(store, spec, offset=299)
+        with pytest.raises(CkptError, match="stream_offset"):
+            self._resume(store, spec)
+
+    def test_spec_key_must_match_the_spec(self, store):
+        spec = _spec()
+        self._bookmark(store, spec, spec_key=_spec("MP").key())
+        with pytest.raises(CkptError, match="spec_key"):
+            self._resume(store, spec)
+
+    def test_buffer_capacity_must_match_the_spec(self, store):
+        spec = _spec()
+        self._bookmark(store, spec, ran=spec.derive(buffer_entries=32))
+        with pytest.raises(CkptError, match="buffer capacity"):
+            self._resume(store, spec)
+
+    def test_clamp_must_match_the_spec(self, store):
+        spec = _spec()
+        self._bookmark(store, spec, ran=spec.derive(max_prefetches_per_miss=1))
+        with pytest.raises(CkptError, match="max_prefetches_per_miss"):
+            self._resume(store, spec)
