@@ -1,47 +1,11 @@
 """HTTP query service over the persistent experiment store.
 
-A thin, dependency-free (stdlib ``http.server``) JSON API that makes a
+A dependency-free (stdlib ``http.server``) JSON API that makes a
 :class:`~repro.store.ExperimentStore` queryable — and extendable —
-without touching Python:
-
-==========================  ===========================================
-``GET  /stats``             store + miss-stream-cache + queue counters
-``GET  /runs/<key>``        one stored run by ``RunSpec.key()``
-``GET  /results?field=v``   stored rows filtered via ``ResultSet.filter``
-                            (paged with ``limit``/``offset``)
-``POST /runs``              submit a RunSpec batch; cached specs are
-                            served from the store, the rest simulated
-                            and stored
-``POST /jobs``              enqueue a sweep for the worker fleet
-                            (store-known specs precompleted)
-``POST /claim``             lease queued jobs to a worker
-``POST /complete``          deliver a result row (idempotent) or a
-                            failure report (bounded retries)
-``POST /heartbeat``         extend a worker's leases
-``POST /cancel``            cancel a sweep's queued jobs
-``GET  /jobs/<id>``         one job's full record
-``GET  /progress``          state counts for a sweep (or the queue)
-``POST /streams``           open a suspendable streaming replay
-                            session for one spec
-``POST /streams/<id>/advance``  replay the next N miss entries and
-                            checkpoint the session
-``GET  /streams/<id>/stats``    a session's progress + statistics so far
-==========================  ===========================================
-
-Streaming sessions are checkpointed into the store on every advance,
-so they survive idle eviction and server restarts; the final
-statistics are byte-identical to a one-shot ``POST /runs`` of the same
-spec no matter how the stream was chunked.
-
-Every route except ``/healthz``, ``/alerts``, and ``/metrics`` passes
-through an :class:`~repro.service.admission.AdmissionController`
-first. With tenants configured (``serve --tenant-config``), requests
-authenticate with ``Authorization: Bearer <token>``, each tenant gets
-a token-bucket request rate plus a sweep cost budget, and results,
-streams, and sweeps are scoped to the submitting tenant. With no
-tenants the service runs open exactly as before — but the in-flight
-pool is still bounded, and overload is shed with ``429`` +
-``Retry-After`` instead of unbounded handler threads.
+without touching Python: run batches, distributed sweeps over a worker
+fleet, checkpointed streaming sessions, health and telemetry. Every
+route, with its admission class and the fields it reads, is one row of
+:data:`repro.service.server.ROUTES`.
 
 Launch with ``repro-tlb serve --store DIR`` or programmatically via
 :func:`make_server`; :class:`~repro.service.client.ServiceClient` is a

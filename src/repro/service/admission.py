@@ -1,9 +1,8 @@
 """Admission control for the experiment service: tenants, rates, slots.
 
-The service used to accept unlimited anonymous requests; every
-connection got a ``ThreadingHTTPServer`` thread and went straight at
-the handlers. This module is the front door that PR 10 puts between
-the socket and the routes:
+Every request to a ``tenant`` or ``worker`` row of the service's route
+table (:data:`repro.service.server.ROUTES`) passes through here before
+its handler runs:
 
 - :class:`TokenBucket` — the classic rate limiter: ``rate`` tokens per
   second refill, ``burst`` bucket depth, and a non-blocking
@@ -14,8 +13,7 @@ the socket and the routes:
   10,000-spec sweep cannot starve everyone else's small batches.
 - :class:`TenantConfig` — one API token mapped to one named tenant
   namespace, with its rate/cost budgets and a ``worker`` capability
-  bit gating the fleet routes (``/claim``, ``/complete``,
-  ``/heartbeat``).
+  bit that the ``worker`` rows require.
 - :class:`AdmissionController` — token → tenant resolution plus a
   bounded in-flight slot pool: at most ``max_inflight`` requests run
   concurrently, at most ``max_queue`` wait (briefly) for a slot, and
@@ -23,9 +21,9 @@ the socket and the routes:
   piling up threads.
 
 With no tenants configured the controller runs in **open mode**:
-requests are anonymous, unauthenticated, and rate-unlimited — exactly
-the pre-admission behaviour — but the in-flight bound still applies,
-so a request flood degrades to fast 429s rather than thread buildup.
+requests are anonymous, unauthenticated, and rate-unlimited, but the
+in-flight bound still applies, so a request flood degrades to fast
+429s rather than thread buildup.
 
 Everything here is observation-friendly but determinism-neutral: no
 admission decision influences result rows, spec keys, or checkpoint

@@ -1,4 +1,23 @@
-"""The experiment query service: routing, handlers, HTTP plumbing.
+"""The experiment query service: one route table, its handlers, HTTP plumbing.
+
+Every route is one row of :data:`ROUTES`,
+``Route(method, template, handler, access, fields)``, the only place
+the route is described. :func:`_match` walks the table, and its answer
+drives everything route-shaped:
+
+- the ``route`` label of the request metrics and span: the row's
+  template, or ``<unknown>`` for every unroutable request, so label
+  cardinality is bounded by the table, not by traffic;
+- admission: ``ops`` rows bypass it, so health probes answer while the
+  service sheds; ``worker`` rows need a worker-capable token (they
+  expose every tenant's specs or spans); ``tenant`` rows run in the
+  caller's namespace;
+- dispatch, and the 404 for a route that does not exist;
+- validation: the ``POST`` body (a JSON object) or the ``GET`` query
+  is checked against the row's ``fields``, and the handler receives
+  the parsed values as keyword arguments. A template parameter
+  captures the rest of the path, is percent-decoded, and is a 400 when
+  empty or containing ``/``.
 
 :class:`ExperimentService` is the pure request handler — method + path
 + query + body in, ``(status, payload)`` out — so every route is unit
@@ -8,47 +27,22 @@ stdlib HTTP server; :func:`serve` is the blocking CLI entry point.
 Execution goes through a store-backed
 :class:`~repro.run.runner.Runner`, so ``POST /runs`` serves previously
 computed specs straight from the store and persists anything it had to
-simulate — submitting the same batch twice costs one simulation pass,
-total.
+simulate. The distributed sweep scheduler keeps a persistent
+:class:`~repro.sched.queue.JobQueue` at ``<store>/jobs.sqlite``:
+submission and claims probe the store so a computed spec is never
+handed out, and completions write rows back through the
+content-addressed store. ``/streams`` sessions are suspendable
+:class:`~repro.ckpt.ReplaySession` objects checkpointed on every
+advance, so they survive idle eviction and server restarts with
+byte-identical final statistics.
 
-The service also hosts the distributed sweep scheduler: a persistent
-:class:`~repro.sched.queue.JobQueue` (stored next to the experiment
-artifacts as ``<store>/jobs.sqlite``) behind ``POST /jobs`` / ``/claim``
-/ ``/complete`` / ``/heartbeat`` and ``GET /jobs/<id>`` /
-``/progress``. Submission probes the store so already-computed specs
-never enter the queue, claims re-probe it so a spec landed mid-sweep is
-never handed out twice, and completions write rows back through the
-store — content-addressed and deduplicated.
-
-Streaming replay lives under ``/streams``: ``POST /streams`` opens a
-suspendable :class:`~repro.ckpt.ReplaySession` for one spec, chunked
-``POST /streams/<id>/advance`` replays the next N miss entries, and
-``GET /streams/<id>/stats`` reports progress and statistics so far.
-Every advance checkpoints the session (content-addressed snapshot +
-descriptor record) through the store's ``ckpt`` artifacts, so sessions
-survive idle eviction *and* full server restarts: an unknown session id
-is restored from its persisted snapshot on the next touch, and the
-final statistics are byte-identical to a single-shot replay no matter
-how the stream was chunked or interrupted.
-
-Health lives under ``GET /healthz`` (componentwise: store writable,
-queue lag, worker leases, live sessions; 200 ok / 503 degraded) and
-``GET /alerts`` (SLO alert records with firing→resolved state). When
-telemetry is enabled the service also journals registry snapshots to
-``<store>/telemetry.sqlite`` on a watchdog cadence, so latency and
-queue history survive restarts and feed ``repro-tlb top`` trends.
-
-Every request passes through an
-:class:`~repro.service.admission.AdmissionController` first: API
-tokens map to per-tenant namespaces (tenant-scoped result, stream, and
-sweep visibility over the shared content-addressed artifacts), each
-tenant has a token-bucket request rate and a sweep cost budget checked
-before dispatch, and a bounded in-flight pool sheds overload with
-``429`` + ``Retry-After`` instead of letting the threading server pile
-up handler threads. The ops routes (``/healthz``, ``/alerts``,
-``/metrics``) bypass admission so health probes keep answering while
-the service sheds. With no tenants configured the service runs open
-(anonymous, unlimited rate) exactly as before — only the in-flight
+Before dispatch, an
+:class:`~repro.service.admission.AdmissionController` maps API tokens
+to tenants (tenant-scoped results, streams and sweeps over shared
+content-addressed artifacts), applies each tenant's token-bucket rate
+and sweep cost budget, and sheds overload past a bounded in-flight
+pool with ``429`` + ``Retry-After``. With no tenants configured the
+service runs open (anonymous, unlimited rate); only the in-flight
 bound applies.
 """
 
@@ -56,12 +50,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 import threading
 import time
 import uuid
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import parse_qsl, unquote, urlparse
 
 from repro.ckpt import CheckpointManager, ReplaySession, SessionSnapshot, verify_resume
@@ -134,51 +130,81 @@ _OBS_SESSIONS = REGISTRY.gauge(
     labels=("state",),
 )
 
-_KNOWN_ROUTES = frozenset(
-    (
-        "/stats", "/results", "/progress", "/runs", "/jobs", "/claim",
-        "/complete", "/heartbeat", "/cancel", "/streams", "/metrics", "/trace",
-        "/healthz", "/alerts",
-    )
-)
-
-#: Stream sub-route verbs the dispatcher actually serves. Anything else
-#: under ``/streams/<id>/`` is a 404 and must not mint its own label.
-_STREAM_VERBS = frozenset(("advance", "stats"))
-
-#: Routes that bypass admission entirely: health probes and the
-#: metrics scrape must keep answering while the service sheds load —
-#: ``wait_healthy`` is exactly how operators watch a shedding service
-#: recover. (``/metrics`` is served before ``handle()`` but is listed
-#: for completeness.)
-_OPS_ROUTES = frozenset(("/healthz", "/alerts", "/metrics"))
-
-#: Routes reserved for worker-capable tenants: the fleet protocol
-#: hands out other tenants' specs, so a plain (non-worker) token gets
-#: 403 here instead of a cross-tenant view.
-_WORKER_ROUTES = frozenset(("/claim", "/complete", "/heartbeat"))
-
 _LOG = get_logger("service")
 
+#: Marks a :class:`Field` that has no default: absent or null is a 400.
+_REQUIRED: Any = object()
 
-def _route_label(path: str) -> str:
-    """Collapse a request path onto its route template.
 
-    Every unroutable path — including unknown ``/streams/<id>/<verb>``
-    verbs — shares the single ``<unknown>`` label, so a client probing
-    arbitrary paths cannot grow the ``/metrics`` exposition: label
-    cardinality is bounded by the route table, not by request traffic.
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Field kinds: what a valid value is (for the 400 message) and the
+#: check. Integers exclude ``bool``; numbers must be finite, since a NaN
+#: or infinite lease would never expire.
+_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "id": (
+        "a non-empty string without '/'",
+        lambda v: isinstance(v, str) and v != "" and "/" not in v,
+    ),
+    "int>=0": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "int>=1": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "number>0": (
+        "a finite number > 0",
+        lambda v: (_is_int(v) or isinstance(v, float))
+        and 0 < v <= sys.float_info.max,
+    ),
+    "list[str]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
+    ),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
+
+
+class Field(NamedTuple):
+    """One body (``POST``) or query (``GET``) value a handler reads.
+
+    ``kind`` is a key of ``_KINDS``, or ``"filters"``: every query key
+    no other field declares, typed best-effort. A field that is absent
+    or null takes ``default``; without one it is required.
     """
-    if path.startswith("/runs/"):
-        return "/runs/:key"
-    if path.startswith("/jobs/"):
-        return "/jobs/:id"
-    if path.startswith("/streams/"):
-        _, _, verb = path[len("/streams/"):].partition("/")
-        if verb in _STREAM_VERBS:
-            return f"/streams/:id/{verb}"
-        return "<unknown>"
-    return path if path in _KNOWN_ROUTES else "<unknown>"
+
+    name: str
+    kind: str
+    default: Any = _REQUIRED
+
+
+class Route(NamedTuple):
+    """One row of :data:`ROUTES`.
+
+    ``template`` is both the path pattern and the metric label.
+    ``access`` is ``"ops"`` (no admission), ``"tenant"`` or
+    ``"worker"`` (worker-capable tokens only).
+    """
+
+    method: str
+    template: str
+    handler: Callable[..., tuple[int, Any]]
+    access: str
+    fields: tuple[Field, ...] = ()
+
+
+def _match(method: str, path: str) -> tuple[Route | None, str | None]:
+    """The row serving ``method path`` and its raw template parameter.
+
+    A parameter captures the rest of the path, slashes included, so a
+    malformed id is a 400 from :func:`_arguments` rather than a 404.
+    ``(None, None)`` when no row matches.
+    """
+    for route, pattern in _PATTERNS:
+        found = route.method == method and pattern.fullmatch(path)
+        if found:
+            return route, next(iter(found.groups()), None)
+    return None, None
 
 
 def _coerce(value: str) -> Any:
@@ -189,6 +215,61 @@ def _coerce(value: str) -> Any:
         except ValueError:
             continue
     return value
+
+
+def _arguments(
+    route: Route, param: str | None, query: dict[str, str], body: Any
+) -> tuple[list[str], dict[str, Any]]:
+    """The handler's parsed arguments, or :class:`ReproError` (a 400).
+
+    The template parameter is percent-decoded (clients encode ids that
+    embed user-chosen sweep ids) and must then be a valid ``id``: a
+    ``/`` could otherwise forge the tenant separator of a namespaced
+    session key. ``POST`` rows read the body, which must be a JSON
+    object (absent is empty); ``GET`` rows read the query string,
+    whose integers arrive as text.
+    """
+    args = [] if param is None else [unquote(param)]
+    if args and not _KINDS["id"][1](args[0]):
+        raise ReproError(f"malformed path parameter {args[0]!r} in {route.template}")
+    source = query
+    if route.method == "POST":
+        source = {} if body is None else body
+        if not isinstance(source, dict):
+            raise ReproError(
+                f"request body must be an object, got {type(source).__name__}"
+            )
+    values: dict[str, Any] = {}
+    for name, kind, default in route.fields:
+        if kind == "filters":
+            declared = {field.name for field in route.fields}
+            values[name] = {
+                key: _coerce(raw)
+                for key, raw in source.items()
+                if key not in declared
+            }
+            continue
+        value = source.get(name)
+        if value is None and default is not _REQUIRED:
+            values[name] = default
+            continue
+        if route.method == "GET" and kind.startswith("int") and isinstance(value, str):
+            value = _coerce(value)
+        description, valid = _KINDS[kind]
+        if not valid(value):
+            raise ReproError(f"'{name}' must be {description}, got {value!r}")
+        values[name] = value
+    return args, values
+
+
+def _parse_specs(raw_specs: list) -> list[RunSpec]:
+    """Body spec objects as :class:`RunSpec`; a bad one is a 400."""
+    try:
+        return [RunSpec.from_dict(raw) for raw in raw_specs]
+    except (TypeError, ValueError) as exc:
+        # Covers ConfigurationError plus raw type mistakes (e.g. a
+        # string scale) the dataclass validators trip over.
+        raise ReproError(str(exc)) from exc
 
 
 class _SessionEntry:
@@ -439,31 +520,33 @@ class ExperimentService:
         method: str,
         path: str,
         query: dict[str, str] | None = None,
-        body: dict | None = None,
+        body: Any = None,
         trace_parent: str | None = None,
         authorization: str | None = None,
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, Any]:
         """Dispatch one request; never raises — errors become payloads.
 
-        ``trace_parent`` is the caller's ``X-Repro-Trace`` context (if
-        any): the request span — and everything the handler does under
-        it, replays and store writes included — joins the caller's
-        trace instead of starting a fresh one. ``authorization`` is
-        the raw ``Authorization`` header, resolved to a tenant by the
-        admission controller before any route runs.
+        The payload is a JSON envelope, except ``GET /metrics``, which
+        answers Prometheus text. ``trace_parent`` is the caller's
+        ``X-Repro-Trace`` context (if any): the request span — and
+        everything the handler does under it, replays and store writes
+        included — joins the caller's trace instead of starting a fresh
+        one. ``authorization`` is the raw ``Authorization`` header,
+        resolved to a tenant by the admission controller before any
+        route runs.
         """
-        query = query or {}
-        route = _route_label(path)
+        route, param = _match(method, path)
+        label = "<unknown>" if route is None else route.template
         began = time.perf_counter()
         with bind_context(trace_parent):
-            with trace("http.request", method=method, route=route) as span:
+            with trace("http.request", method=method, route=label) as span:
                 status, payload = self._admit(
-                    method, path, query, body, authorization
+                    method, path, route, param, query or {}, body, authorization
                 )
                 span.attrs["status"] = status
-        _OBS_HTTP_REQUESTS.inc(method=method, route=route, status=str(status))
+        _OBS_HTTP_REQUESTS.inc(method=method, route=label, status=str(status))
         _OBS_HTTP_SECONDS.observe(
-            time.perf_counter() - began, method=method, route=route
+            time.perf_counter() - began, method=method, route=label
         )
         return status, payload
 
@@ -471,129 +554,77 @@ class ExperimentService:
         self,
         method: str,
         path: str,
+        route: Route | None,
+        param: str | None,
         query: dict[str, str],
-        body: dict | None,
+        body: Any,
         authorization: str | None,
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, Any]:
         """Admission gauntlet: auth → capability → rate → slot → route.
 
         A 429 from any stage carries ``retry_after`` (seconds) in the
         payload, which the HTTP layer mirrors into a ``Retry-After``
         header. A shed or limited request never reaches a handler, so
-        shedding is cheap by construction.
+        shedding is cheap by construction. Unknown routes pass the
+        gauntlet like ``tenant`` rows before their 404.
         """
-        if path in _OPS_ROUTES:
+        if route is not None and route.access == "ops":
             # Ops routes skip admission entirely — and run with admin
             # (tenant-unscoped) visibility, which they don't use.
-            return self._dispatch(method, path, query, body, None)
+            return self._dispatch(route, param, query, body, None)
         tenant, auth_error = self.admission.authenticate(authorization)
         if auth_error is not None:
             return 401, self._envelope({"error": auth_error})
         if (
             tenant is not None
-            and path in _WORKER_ROUTES
+            and route is not None
+            and route.access == "worker"
             and not tenant.worker
         ):
             self.admission.note(tenant.name, "forbidden")
             return 403, self._envelope(
                 {
                     "error": f"tenant {tenant.name!r} is not worker-capable; "
-                    f"{path} requires a worker token"
+                    f"{method} {route.template} requires a worker token"
                 }
             )
         wait = self.admission.check_rate(tenant)
         if wait > 0.0:
-            return 429, self._envelope(
-                {
-                    "error": "request rate limit exceeded",
-                    "retry_after": round(wait, 3),
-                }
-            )
+            return self._retry_later("request rate limit exceeded", wait)
         shed = self.admission.try_enter(tenant)
         if shed is not None:
-            return 429, self._envelope(
-                {
-                    "error": "service at capacity, request shed",
-                    "retry_after": round(shed, 3),
-                }
-            )
+            return self._retry_later("service at capacity, request shed", shed)
         try:
             self.admission.note(
                 tenant.name if tenant is not None else None, "admitted"
             )
-            return self._dispatch(method, path, query, body, tenant)
+            if route is None:
+                return 404, self._envelope(
+                    {"error": f"unknown route {method} {path}"}
+                )
+            return self._dispatch(route, param, query, body, tenant)
         finally:
             self.admission.leave()
 
     def _dispatch(
         self,
-        method: str,
-        path: str,
+        route: Route,
+        param: str | None,
         query: dict[str, str],
-        body: dict | None,
-        tenant: TenantConfig | None = None,
-    ) -> tuple[int, dict]:
+        body: Any,
+        tenant: TenantConfig | None,
+    ) -> tuple[int, Any]:
         try:
-            if method == "GET" and path == "/stats":
-                return self._get_stats()
-            if method == "GET" and path == "/healthz":
-                return self._get_healthz()
-            if method == "GET" and path == "/alerts":
-                return self._get_alerts()
-            if method == "GET" and path == "/results":
-                return self._get_results(query, tenant)
-            if method == "GET" and path == "/progress":
-                return self._get_progress(query, tenant)
-            if method == "GET" and path.startswith("/runs/"):
-                return self._get_run(path[len("/runs/"):], tenant)
-            if method == "GET" and path.startswith("/jobs/"):
-                return self._get_job(path[len("/jobs/"):], tenant)
-            if method == "GET" and path.startswith("/streams/"):
-                session_id, _, verb = path[len("/streams/"):].partition("/")
-                if verb == "stats":
-                    return self._get_stream_stats(unquote(session_id), tenant)
-                return 404, self._envelope(
-                    {"error": f"unknown route {method} {path}"}
-                )
-            if method == "POST" and path == "/streams":
-                return self._post_streams(
-                    body if body is not None else {}, tenant
-                )
-            if method == "POST" and path.startswith("/streams/"):
-                session_id, _, verb = path[len("/streams/"):].partition("/")
-                if verb == "advance":
-                    return self._post_stream_advance(
-                        unquote(session_id),
-                        body if body is not None else {},
-                        tenant,
-                    )
-                return 404, self._envelope(
-                    {"error": f"unknown route {method} {path}"}
-                )
-            if method == "POST" and path == "/runs":
-                return self._post_runs(body if body is not None else {}, tenant)
-            if method == "POST" and path == "/jobs":
-                return self._post_jobs(body if body is not None else {}, tenant)
-            if method == "POST" and path == "/claim":
-                return self._post_claim(body if body is not None else {})
-            if method == "POST" and path == "/complete":
-                return self._post_complete(body if body is not None else {})
-            if method == "POST" and path == "/heartbeat":
-                return self._post_heartbeat(body if body is not None else {})
-            if method == "POST" and path == "/cancel":
-                return self._post_cancel(body if body is not None else {}, tenant)
-            if method == "POST" and path == "/trace":
-                return self._post_trace(body if body is not None else {})
-            if method == "GET" and path == "/trace":
-                return self._get_trace(query)
-            return 404, self._envelope({"error": f"unknown route {method} {path}"})
+            args, values = _arguments(route, param, query, body)
+            return route.handler(self, tenant, *args, **values)
         except (StoreError, CkptError) as exc:
             # A corrupt artifact (result row or checkpoint blob) is a
             # server-side problem, not a bad request.
             return 500, self._envelope({"error": str(exc)})
         except ReproError as exc:
-            # Library-validated input (unknown workload/mechanism, bad
-            # knob values, ...) is the client's mistake.
+            # Request validation and library-validated input (unknown
+            # workload/mechanism, bad knob values, ...) are the
+            # client's mistake.
             return 400, self._envelope({"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - service must stay alive
             # Anything else is a server bug: report it as one instead of
@@ -606,9 +637,27 @@ class ExperimentService:
     def _envelope(payload: dict) -> dict:
         return {"schema": SERVICE_SCHEMA, **payload}
 
+    def _retry_later(self, error: str, wait: float) -> tuple[int, dict]:
+        return 429, self._envelope(
+            {"error": error, "retry_after": round(wait, 3)}
+        )
+
+    def _charge_cost(
+        self, tenant: TenantConfig | None, specs: list[RunSpec]
+    ) -> tuple[int, dict] | None:
+        """Charge a sweep's cost before dispatch: one request, N specs
+        of work. Nothing has executed yet, so the 429 it may return is
+        free to retry once the budget refills."""
+        wait = self.admission.charge_cost(tenant, len(specs))
+        if wait <= 0.0:
+            return None
+        return self._retry_later(
+            f"sweep cost budget exhausted ({len(specs)} specs requested)", wait
+        )
+
     # -- routes ------------------------------------------------------------
 
-    def _get_stats(self) -> tuple[int, dict]:
+    def _get_stats(self, tenant: TenantConfig | None) -> tuple[int, dict]:
         return 200, self._envelope(
             {
                 "store": self.store.stats(),
@@ -661,10 +710,10 @@ class ExperimentService:
             _OBS_SESSIONS.set(sessions[state], state=state)
         self.admission.refresh_gauges()
 
-    def scrape_metrics(self) -> str:
+    def _get_metrics(self, tenant: TenantConfig | None) -> tuple[int, str]:
         """Prometheus text for ``GET /metrics`` (gauges refreshed first)."""
         self._refresh_gauges()
-        return REGISTRY.render()
+        return 200, REGISTRY.render()
 
     # -- health routes -----------------------------------------------------
 
@@ -678,7 +727,7 @@ class ExperimentService:
         except OSError:
             return False
 
-    def _get_healthz(self) -> tuple[int, dict]:
+    def _get_healthz(self, tenant: TenantConfig | None) -> tuple[int, dict]:
         """Componentwise health: 200 when everything is ok, 503 if not.
 
         When the background watchdog is not running (pure-handler use,
@@ -696,7 +745,7 @@ class ExperimentService:
         )
         return (200 if report["status"] == "ok" else 503), self._envelope(report)
 
-    def _get_alerts(self) -> tuple[int, dict]:
+    def _get_alerts(self, tenant: TenantConfig | None) -> tuple[int, dict]:
         """Alert records with firing/resolved state (re-evaluated if idle)."""
         if self.engine is None:
             return 200, self._envelope(
@@ -713,17 +762,12 @@ class ExperimentService:
         )
 
     def _get_run(
-        self, key: str, tenant: TenantConfig | None = None
+        self, tenant: TenantConfig | None, key: str
     ) -> tuple[int, dict]:
-        if not key or "/" in key:
-            return 400, self._envelope({"error": f"malformed run key {key!r}"})
-        if tenant is not None and not self.store.is_granted(
-            tenant.name, "result", key
-        ):
-            # Same answer as a missing key: a tenant cannot probe for
-            # the existence of other tenants' results.
-            return 404, self._envelope({"error": f"no stored run for key {key!r}"})
-        stats = self.store.get_result(key)
+        # An ungranted key answers like a missing one: a tenant cannot
+        # probe for the existence of other tenants' results.
+        granted = tenant is None or self.store.is_granted(tenant.name, "result", key)
+        stats = self.store.get_result(key) if granted else None
         if stats is None:
             return 404, self._envelope({"error": f"no stored run for key {key!r}"})
         return 200, self._envelope(
@@ -731,105 +775,50 @@ class ExperimentService:
         )
 
     def _get_results(
-        self, query: dict[str, str], tenant: TenantConfig | None = None
+        self,
+        tenant: TenantConfig | None,
+        limit: int | None,
+        offset: int,
+        filters: dict[str, Any],
     ) -> tuple[int, dict]:
-        query = dict(query)
-        page = {}
-        for name, default in (("limit", None), ("offset", 0)):
-            raw = query.pop(name, None)
-            if raw is None:
-                page[name] = default
-                continue
-            value = _coerce(raw)
-            if not isinstance(value, int) or value < 0:
-                return 400, self._envelope(
-                    {"error": f"'{name}' must be a non-negative integer, got {raw!r}"}
+        if tenant is None and not filters:
+            # Unfiltered pages go through the index's LIMIT/OFFSET: one
+            # page of artifact reads, however large the store is.
+            total = self.store.count_results()
+            results = self.store.load_results(limit=limit, offset=offset)
+        else:
+            # Filters need every row in memory, and a tenant sees only
+            # its granted keys (its working set, not the whole store);
+            # page *after* filtering so offset/limit walk the filtered
+            # set.
+            results = self.store.load_results()
+            if tenant is not None:
+                granted = self.store.granted_keys(tenant.name, "result")
+                results = ResultSet(
+                    [row for row in results if row.extra.get("spec_key") in granted]
                 )
-            page[name] = value
-        filters = {name: _coerce(value) for name, value in query.items()}
-        if tenant is not None:
-            # Tenant-scoped view: only granted keys, filtered and paged
-            # in memory (the grant set is the tenant's working set, not
-            # the whole store).
-            granted = self.store.granted_keys(tenant.name, "result")
-            results = ResultSet(
-                [
-                    row
-                    for row in self.store.load_results()
-                    if row.extra.get("spec_key") in granted
-                ]
-            )
             if filters:
                 try:
                     results = results.filter(**filters)
                 except KeyError as exc:
                     return 400, self._envelope({"error": str(exc)})
             total = len(results)
-            if page["offset"]:
-                results = results[page["offset"]:]
-            if page["limit"] is not None:
-                results = results[:page["limit"]]
-        elif filters:
-            # Filters need every row in memory; page *after* filtering
-            # so offset/limit walk the filtered set.
-            try:
-                results = self.store.load_results().filter(**filters)
-            except KeyError as exc:
-                return 400, self._envelope({"error": str(exc)})
-            total = len(results)
-            if page["offset"]:
-                results = results[page["offset"]:]
-            if page["limit"] is not None:
-                results = results[:page["limit"]]
-        else:
-            # Unfiltered pages go through the index's LIMIT/OFFSET: one
-            # page of artifact reads, however large the store is.
-            total = self.store.count_results()
-            results = self.store.load_results(
-                limit=page["limit"], offset=page["offset"]
-            )
+            end = None if limit is None else offset + limit
+            results = results[offset:end]
         payload = json.loads(results.to_json())
         payload["count"] = len(results)
         payload["total"] = total
         payload["filters"] = filters
-        payload.update(page)
+        payload.update(limit=limit, offset=offset)
         return 200, self._envelope(payload)
 
     def _post_runs(
-        self, body: dict, tenant: TenantConfig | None = None
+        self, tenant: TenantConfig | None, specs: list, workers: int
     ) -> tuple[int, dict]:
-        if not isinstance(body, dict):
-            return 400, self._envelope(
-                {"error": f"request body must be an object, got {type(body).__name__}"}
-            )
-        raw_specs = body.get("specs")
-        if not isinstance(raw_specs, list):
-            return 400, self._envelope(
-                {"error": "request body needs a 'specs' list of RunSpec objects"}
-            )
-        workers = body.get("workers", 0)
-        if not isinstance(workers, int) or workers < 0:
-            return 400, self._envelope(
-                {"error": f"'workers' must be a non-negative integer, got {workers!r}"}
-            )
-        try:
-            specs = [RunSpec.from_dict(raw) for raw in raw_specs]
-        except (TypeError, ValueError) as exc:
-            # Covers ConfigurationError plus raw type mistakes (e.g. a
-            # string scale) the dataclass validators trip over.
-            return 400, self._envelope({"error": str(exc)})
-        # Sweep cost is charged *before* dispatch: one request, N specs
-        # of work. Nothing has executed yet, so a 429 here is free to
-        # retry once the budget refills.
-        cost_wait = self.admission.charge_cost(tenant, len(specs))
-        if cost_wait > 0.0:
-            return 429, self._envelope(
-                {
-                    "error": f"sweep cost budget exhausted "
-                    f"({len(specs)} specs requested)",
-                    "retry_after": round(cost_wait, 3),
-                }
-            )
+        specs = _parse_specs(specs)
+        refusal = self._charge_cost(tenant, specs)
+        if refusal is not None:
+            return refusal
         runner = self.runner
         if workers > 1:
             runner = Runner(workers=workers, cache=self.runner.cache, store=self.store)
@@ -913,9 +902,7 @@ class ExperimentService:
         """
         record = self.ckpt.load_session(session_key)
         if record is None:
-            return 404, self._envelope(
-                {"error": f"no streaming session {session_id!r}"}
-            )
+            return self._no_session(session_id)
         digest = record.get("state_digest")
         if not isinstance(digest, str):
             raise CkptError(
@@ -954,6 +941,9 @@ class ExperimentService:
         self._sessions.note_restored()
         return None
 
+    def _no_session(self, session_id: str) -> tuple[int, dict]:
+        return 404, self._envelope({"error": f"no streaming session {session_id!r}"})
+
     @contextmanager
     def _locked_session(
         self, session_id: str, tenant: TenantConfig | None
@@ -967,15 +957,6 @@ class ExperimentService:
         ``dead`` flag and simply re-fetched (the restore path then
         brings it back from its checkpoint).
         """
-        if not session_id or "/" in session_id:
-            # No such id can ever be created (``POST /streams`` rejects
-            # them), and a percent-encoded ``/`` must not reach the
-            # tenant-namespaced key where it could forge a separator.
-            yield None, (
-                400,
-                self._envelope({"error": f"malformed session id {session_id!r}"}),
-            )
-            return
         key = self._session_key(session_id, tenant)
         while True:
             entry = self._sessions.get_or_create(key)
@@ -997,12 +978,7 @@ class ExperimentService:
                     # a foreign session can't even be addressed — but a
                     # mismatched record still answers like a missing
                     # session rather than trusting the key alone.
-                    yield None, (
-                        404,
-                        self._envelope(
-                            {"error": f"no streaming session {session_id!r}"}
-                        ),
-                    )
+                    yield None, self._no_session(session_id)
                     return
                 entry.touched = time.monotonic()
                 yield entry, None
@@ -1030,29 +1006,12 @@ class ExperimentService:
         )
 
     def _post_streams(
-        self, body: dict, tenant: TenantConfig | None = None
+        self, tenant: TenantConfig | None, spec: dict, session_id: str | None
     ) -> tuple[int, dict]:
         """Open a suspendable streaming session for one spec."""
-        if not isinstance(body, dict):
-            return 400, self._envelope(
-                {"error": f"request body must be an object, got {type(body).__name__}"}
-            )
-        raw_spec = body.get("spec")
-        if not isinstance(raw_spec, dict):
-            return 400, self._envelope(
-                {"error": "request body needs a 'spec' RunSpec object"}
-            )
-        try:
-            spec = RunSpec.from_dict(raw_spec)
-        except (TypeError, ValueError) as exc:
-            return 400, self._envelope({"error": str(exc)})
-        session_id = body.get("session_id")
+        (spec,) = _parse_specs([spec])
         if session_id is None:
             session_id = f"stream-{uuid.uuid4().hex[:12]}"
-        if not isinstance(session_id, str) or not session_id or "/" in session_id:
-            return 400, self._envelope(
-                {"error": f"malformed session id {session_id!r}"}
-            )
         self._sessions.evict_idle(self.max_idle_seconds)
         # The tenant-namespaced key means an id collision can only be
         # with the caller's *own* sessions: another tenant's identical
@@ -1102,23 +1061,10 @@ class ExperimentService:
                 )
 
     def _post_stream_advance(
-        self, session_id: str, body: dict, tenant: TenantConfig | None = None
+        self, tenant: TenantConfig | None, session_id: str, count: int | None
     ) -> tuple[int, dict]:
-        """Replay the next chunk of a session, then checkpoint it."""
-        if not isinstance(body, dict):
-            return 400, self._envelope(
-                {"error": f"request body must be an object, got {type(body).__name__}"}
-            )
-        count = body.get("count")
-        if count is not None and (
-            not isinstance(count, int) or isinstance(count, bool) or count < 0
-        ):
-            return 400, self._envelope(
-                {
-                    "error": "'count' must be a non-negative integer or "
-                    f"null, got {count!r}"
-                }
-            )
+        """Replay the next chunk of a session (all of it when ``count``
+        is null), then checkpoint it."""
         self._sessions.evict_idle(self.max_idle_seconds)
         with self._locked_session(session_id, tenant) as (entry, error):
             if error is not None:
@@ -1139,7 +1085,7 @@ class ExperimentService:
             )
 
     def _get_stream_stats(
-        self, session_id: str, tenant: TenantConfig | None = None
+        self, tenant: TenantConfig | None, session_id: str
     ) -> tuple[int, dict]:
         """Progress and statistics-so-far; restores an evicted session."""
         with self._locked_session(session_id, tenant) as (entry, error):
@@ -1151,46 +1097,23 @@ class ExperimentService:
 
     # -- scheduler routes --------------------------------------------------
 
-    @staticmethod
-    def _parse_specs(body: dict) -> list[RunSpec] | tuple[int, dict]:
-        raw_specs = body.get("specs")
-        if not isinstance(raw_specs, list):
-            return 400, {"error": "request body needs a 'specs' list of RunSpec objects"}
-        try:
-            return [RunSpec.from_dict(raw) for raw in raw_specs]
-        except (TypeError, ValueError) as exc:
-            return 400, {"error": str(exc)}
-
     def _post_jobs(
-        self, body: dict, tenant: TenantConfig | None = None
+        self,
+        tenant: TenantConfig | None,
+        specs: list,
+        sweep_id: str | None,
+        max_attempts: int | None,
     ) -> tuple[int, dict]:
         """Enqueue a sweep; store-known specs are precompleted on the spot."""
-        if not isinstance(body, dict):
-            return 400, self._envelope(
-                {"error": f"request body must be an object, got {type(body).__name__}"}
-            )
-        specs = self._parse_specs(body)
-        if not isinstance(specs, list):
-            status, payload = specs
-            return status, self._envelope(payload)
+        specs = _parse_specs(specs)
         if not specs:
             # An empty sweep does no work but would still claim the
             # sweep id (ownership, trace slot) — reject it outright.
             return 400, self._envelope(
                 {"error": "'specs' must be a non-empty list"}
             )
-        sweep_id = body.get("sweep_id") or f"sweep-{uuid.uuid4().hex[:12]}"
-        if not isinstance(sweep_id, str):
-            return 400, self._envelope(
-                {"error": f"'sweep_id' must be a string, got {sweep_id!r}"}
-            )
-        max_attempts = body.get("max_attempts")
-        if max_attempts is not None and (
-            not isinstance(max_attempts, int) or max_attempts < 1
-        ):
-            return 400, self._envelope(
-                {"error": f"'max_attempts' must be a positive integer, got {max_attempts!r}"}
-            )
+        if sweep_id is None:
+            sweep_id = f"sweep-{uuid.uuid4().hex[:12]}"
         owner = tenant.name if tenant is not None else None
         if tenant is not None:
             # Probe-hiding pre-check before the cost charge: a sweep id
@@ -1201,15 +1124,9 @@ class ExperimentService:
             known, recorded = self.queue.sweep_owner(sweep_id)
             if known and recorded != tenant.name:
                 return 404, self._envelope({"error": f"no sweep {sweep_id!r}"})
-        cost_wait = self.admission.charge_cost(tenant, len(specs))
-        if cost_wait > 0:
-            return 429, self._envelope(
-                {
-                    "error": "sweep cost budget exhausted "
-                    f"({len(specs)} specs requested)",
-                    "retry_after": round(cost_wait, 3),
-                }
-            )
+        refusal = self._charge_cost(tenant, specs)
+        if refusal is not None:
+            return refusal
         # Remember the submitting request's trace context so claims of
         # this sweep's jobs can hand it to workers (one connected trace
         # per sweep across client, service, and the whole fleet).
@@ -1262,29 +1179,20 @@ class ExperimentService:
         with self._sweep_traces_lock:
             return self._sweep_traces.get(sweep_id)
 
-    def _post_claim(self, body: dict) -> tuple[int, dict]:
+    def _post_claim(
+        self,
+        tenant: TenantConfig | None,
+        worker_id: str,
+        limit: int,
+        lease_seconds: float | None,
+    ) -> tuple[int, dict]:
         """Lease queued jobs to a worker, store-probing each handout."""
-        worker_id = body.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            return 400, self._envelope(
-                {"error": f"'worker_id' must be a non-empty string, got {worker_id!r}"}
-            )
-        limit = body.get("limit", 1)
-        if not isinstance(limit, int) or limit < 1:
-            return 400, self._envelope(
-                {"error": f"'limit' must be a positive integer, got {limit!r}"}
-            )
-        lease = body.get("lease_seconds")
-        if lease is not None and (
-            not isinstance(lease, (int, float)) or lease <= 0
-        ):
-            return 400, self._envelope(
-                {"error": f"'lease_seconds' must be > 0, got {lease!r}"}
-            )
         handout: list[dict] = []
         while len(handout) < limit:
             batch = self.queue.claim(
-                worker_id, limit=limit - len(handout), lease_seconds=lease
+                worker_id,
+                limit=limit - len(handout),
+                lease_seconds=lease_seconds,
             )
             if not batch:
                 break
@@ -1309,25 +1217,24 @@ class ExperimentService:
                     )
         return 200, self._envelope({"worker_id": worker_id, "jobs": handout})
 
-    def _post_complete(self, body: dict) -> tuple[int, dict]:
+    def _post_complete(
+        self,
+        tenant: TenantConfig | None,
+        job_id: str,
+        worker_id: str | None,
+        run: dict | None,
+        error: str | None,
+    ) -> tuple[int, dict]:
         """Record a job outcome; result rows land in the store first."""
-        job_id = body.get("job_id")
-        if not isinstance(job_id, str) or not job_id:
-            return 400, self._envelope(
-                {"error": f"'job_id' must be a non-empty string, got {job_id!r}"}
-            )
-        worker_id = body.get("worker_id")
         job = self.queue.job(job_id)
         if job is None:
             return 404, self._envelope({"error": f"no job {job_id!r}"})
-        error = body.get("error")
         if error is not None:
-            failed = self.queue.fail(job_id, worker_id, error=str(error))
+            failed = self.queue.fail(job_id, worker_id, error=error)
             return 200, self._envelope(
                 {"id": job_id, "state": failed["state"], "attempts": failed["attempts"]}
             )
-        run = body.get("run")
-        if not isinstance(run, dict):
+        if run is None:
             return 400, self._envelope(
                 {"error": "request body needs a 'run' result object (or an 'error')"}
             )
@@ -1360,60 +1267,38 @@ class ExperimentService:
             }
         )
 
-    def _post_heartbeat(self, body: dict) -> tuple[int, dict]:
-        worker_id = body.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            return 400, self._envelope(
-                {"error": f"'worker_id' must be a non-empty string, got {worker_id!r}"}
-            )
-        job_ids = body.get("job_ids")
-        if not isinstance(job_ids, list) or not all(
-            isinstance(job_id, str) for job_id in job_ids
-        ):
-            return 400, self._envelope(
-                {"error": "'job_ids' must be a list of job id strings"}
-            )
-        lease = body.get("lease_seconds")
-        if lease is not None and (
-            not isinstance(lease, (int, float)) or lease <= 0
-        ):
-            return 400, self._envelope(
-                {"error": f"'lease_seconds' must be > 0, got {lease!r}"}
-            )
-        beat = self.queue.heartbeat(worker_id, job_ids, lease_seconds=lease)
+    def _post_heartbeat(
+        self,
+        tenant: TenantConfig | None,
+        worker_id: str,
+        job_ids: list[str],
+        lease_seconds: float | None,
+    ) -> tuple[int, dict]:
+        beat = self.queue.heartbeat(
+            worker_id, job_ids, lease_seconds=lease_seconds
+        )
         return 200, self._envelope(beat)
 
     def _post_cancel(
-        self, body: dict, tenant: TenantConfig | None = None
+        self, tenant: TenantConfig | None, sweep_id: str
     ) -> tuple[int, dict]:
-        sweep_id = body.get("sweep_id")
-        if not isinstance(sweep_id, str) or not sweep_id:
-            return 400, self._envelope(
-                {"error": f"'sweep_id' must be a non-empty string, got {sweep_id!r}"}
-            )
         if not self._owns_sweep(tenant, sweep_id):
             return 404, self._envelope({"error": f"no sweep {sweep_id!r}"})
         cancelled = self.queue.cancel(sweep_id)
         return 200, self._envelope({"sweep_id": sweep_id, "cancelled": cancelled})
 
-    def _post_trace(self, body: dict) -> tuple[int, dict]:
+    def _post_trace(
+        self, tenant: TenantConfig | None, spans: list
+    ) -> tuple[int, dict]:
         """Ingest spans shipped from a remote process (worker, client)."""
-        if not isinstance(body, dict):
-            return 400, self._envelope(
-                {"error": f"request body must be an object, got {type(body).__name__}"}
-            )
-        spans = body.get("spans")
-        if not isinstance(spans, list):
-            return 400, self._envelope(
-                {"error": "request body needs a 'spans' list of span objects"}
-            )
         accepted = COLLECTOR.ingest(spans)
         return 200, self._envelope({"accepted": accepted})
 
-    def _get_trace(self, query: dict[str, str]) -> tuple[int, dict]:
+    def _get_trace(
+        self, tenant: TenantConfig | None, trace_id: str | None
+    ) -> tuple[int, dict]:
         """One trace's spans (``?trace_id=``) or summaries of all."""
-        trace_id = query.get("trace_id")
-        if trace_id:
+        if trace_id is not None:
             spans = [span.to_dict() for span in COLLECTOR.spans(trace_id)]
             return 200, self._envelope(
                 {"trace_id": trace_id, "count": len(spans), "spans": spans}
@@ -1435,41 +1320,125 @@ class ExperimentService:
         return known and owner == tenant.name
 
     def _get_job(
-        self, job_id: str, tenant: TenantConfig | None = None
+        self, tenant: TenantConfig | None, job_id: str
     ) -> tuple[int, dict]:
-        if not job_id or "/" in job_id:
-            return 400, self._envelope({"error": f"malformed job id {job_id!r}"})
-        # Clients percent-encode the path segment (job ids embed the
-        # user-supplied sweep id); decode it before the lookup.
-        job_id = unquote(job_id)
         job = self.queue.job(job_id)
-        if job is None:
-            return 404, self._envelope({"error": f"no job {job_id!r}"})
-        if not self._owns_sweep(tenant, job["sweep_id"]):
-            # Same message as the missing case: job ids embed sweep ids,
-            # so a 403 would leak which sweeps exist.
+        # A foreign job answers like a missing one: job ids embed sweep
+        # ids, so a 403 would leak which sweeps exist.
+        if job is None or not self._owns_sweep(tenant, job["sweep_id"]):
             return 404, self._envelope({"error": f"no job {job_id!r}"})
         return 200, self._envelope({"job": job})
 
     def _get_progress(
-        self, query: dict[str, str], tenant: TenantConfig | None = None
+        self, tenant: TenantConfig | None, sweep_id: str | None
     ) -> tuple[int, dict]:
-        sweep_id = query.get("sweep_id")
         # Per-sweep progress is owner-only; the unscoped aggregate is
         # open to every tenant (counts only, no spec material).
-        if sweep_id and not self._owns_sweep(tenant, sweep_id):
+        if sweep_id is not None and not self._owns_sweep(tenant, sweep_id):
             return 404, self._envelope({"error": f"no sweep {sweep_id!r}"})
         return 200, self._envelope(self.queue.progress(sweep_id))
+
+
+_SVC = ExperimentService
+_LEASE = Field("lease_seconds", "number>0", None)
+
+#: The service's routes: the single description of each one's method,
+#: path, handler, admission class and the body/query fields it reads.
+ROUTES: tuple[Route, ...] = (
+    Route("GET", "/healthz", _SVC._get_healthz, "ops"),
+    Route("GET", "/alerts", _SVC._get_alerts, "ops"),
+    Route("GET", "/metrics", _SVC._get_metrics, "ops"),
+    Route("GET", "/stats", _SVC._get_stats, "tenant"),
+    Route(
+        "GET", "/results", _SVC._get_results, "tenant",
+        (
+            Field("limit", "int>=0", None),
+            Field("offset", "int>=0", 0),
+            Field("filters", "filters"),
+        ),
+    ),
+    Route("GET", "/runs/:key", _SVC._get_run, "tenant"),
+    Route(
+        "POST", "/runs", _SVC._post_runs, "tenant",
+        (Field("specs", "list"), Field("workers", "int>=0", 0)),
+    ),
+    Route(
+        "POST", "/streams", _SVC._post_streams, "tenant",
+        (Field("spec", "object"), Field("session_id", "id", None)),
+    ),
+    Route(
+        "POST", "/streams/:id/advance", _SVC._post_stream_advance, "tenant",
+        (Field("count", "int>=0", None),),
+    ),
+    Route("GET", "/streams/:id/stats", _SVC._get_stream_stats, "tenant"),
+    Route(
+        "POST", "/jobs", _SVC._post_jobs, "tenant",
+        (
+            Field("specs", "list"),
+            Field("sweep_id", "id", None),
+            Field("max_attempts", "int>=1", None),
+        ),
+    ),
+    Route("GET", "/jobs/:id", _SVC._get_job, "tenant"),
+    Route(
+        "GET", "/progress", _SVC._get_progress, "tenant",
+        (Field("sweep_id", "str", None),),
+    ),
+    Route(
+        "POST", "/cancel", _SVC._post_cancel, "tenant",
+        (Field("sweep_id", "str"),),
+    ),
+    Route(
+        "POST", "/claim", _SVC._post_claim, "worker",
+        (Field("worker_id", "str"), Field("limit", "int>=1", 1), _LEASE),
+    ),
+    Route(
+        "POST", "/complete", _SVC._post_complete, "worker",
+        (
+            Field("job_id", "str"),
+            Field("worker_id", "str", None),
+            Field("run", "object", None),
+            Field("error", "str", None),
+        ),
+    ),
+    Route(
+        "POST", "/heartbeat", _SVC._post_heartbeat, "worker",
+        (Field("worker_id", "str"), Field("job_ids", "list[str]"), _LEASE),
+    ),
+    # Spans carry every tenant's sweep and job ids, so reading them is
+    # fleet-wide like a claim; any tenant may ship its own spans.
+    Route(
+        "GET", "/trace", _SVC._get_trace, "worker",
+        (Field("trace_id", "str", None),),
+    ),
+    Route("POST", "/trace", _SVC._post_trace, "tenant", (Field("spans", "list"),)),
+)
+_PATTERNS = [
+    (route, re.compile(re.sub(r":\w+", "(.*)", route.template))) for route in ROUTES
+]
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
-    def _respond(self, status: int, payload: dict) -> None:
-        data = json.dumps(payload, sort_keys=True).encode() + b"\n"
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._serve("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._serve("POST")
+
+    def _serve(self, method: str) -> None:
+        began = time.perf_counter()
+        status, payload = self._exchange(method)
+        if isinstance(payload, str):
+            data = payload.encode()
+            content_type = "text/plain; version=0.0.4"
+        else:
+            data = json.dumps(payload, sort_keys=True).encode() + b"\n"
+            content_type = "application/json"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        retry_after = payload.get("retry_after")
+        self.send_header("Content-Type", content_type)
+        retry_after = None if isinstance(payload, str) else payload.get("retry_after")
         if retry_after is not None:
             # The header is integer seconds per RFC 9110; the payload
             # keeps the precise float for clients that parse JSON.
@@ -1477,16 +1446,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
-
-    def _respond_text(self, status: int, text: str) -> None:
-        data = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _access_log(self, method: str, status: int, began: float) -> None:
         _LOG.info(
             "%s %s %s %s %.1fms",
             self.address_string(),
@@ -1496,97 +1455,52 @@ class _RequestHandler(BaseHTTPRequestHandler):
             (time.perf_counter() - began) * 1000.0,
         )
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        began = time.perf_counter()
-        parsed = urlparse(self.path)
-        if parsed.path == "/metrics":
-            # Prometheus text, not a JSON envelope: rendered straight
-            # from the registry, counted like any other route.
-            text = self.server.service.scrape_metrics()
-            _OBS_HTTP_REQUESTS.inc(method="GET", route="/metrics", status="200")
-            _OBS_HTTP_SECONDS.observe(
-                time.perf_counter() - began, method="GET", route="/metrics"
-            )
-            self._respond_text(200, text)
-            self._access_log("GET", 200, began)
-            return
-        status, payload = self.server.service.handle(
-            "GET",
-            parsed.path,
-            dict(parse_qsl(parsed.query)),
-            trace_parent=self.headers.get(TRACE_HEADER),
-            authorization=self.headers.get("Authorization"),
-        )
-        self._respond(status, payload)
-        self._access_log("GET", status, began)
+    def _exchange(self, method: str) -> tuple[int, Any]:
+        """Read and frame the request, then hand it to the service.
 
-    def _read_body(self, began: float) -> bytes | None:
-        """The request body, or ``None`` after responding with an error.
-
-        Hardened against hostile framing: a malformed or negative
-        ``Content-Length`` is a 400 and an oversized one a 413, both
-        before reading a single body byte. The connection is closed on
-        these paths — the unread body would otherwise be parsed as the
-        next request on the keep-alive socket.
+        A ``POST`` body is hardened against hostile framing: a
+        malformed or negative ``Content-Length`` is a 400 and an
+        oversized one a 413, both before reading a single body byte.
+        The connection is closed on these paths — the unread body
+        would otherwise be parsed as the next request on the
+        keep-alive socket.
         """
-        raw_length = self.headers.get("Content-Length")
-        length: int | None
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-        except ValueError:
-            length = None
-        if length is None or length < 0:
-            self.close_connection = True
-            self._respond(
-                400,
-                {
-                    "schema": SERVICE_SCHEMA,
-                    "error": f"malformed Content-Length header {raw_length!r}",
-                },
-            )
-            self._access_log("POST", 400, began)
-            return None
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._respond(
-                413,
-                {
-                    "schema": SERVICE_SCHEMA,
-                    "error": (
-                        f"request body of {length} bytes exceeds the "
-                        f"{MAX_BODY_BYTES} byte cap"
-                    ),
-                },
-            )
-            self._access_log("POST", 413, began)
-            return None
-        return self.rfile.read(length)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        began = time.perf_counter()
-        raw = self._read_body(began)
-        if raw is None:
-            return
-        try:
-            body = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            self._respond(
-                400,
-                {"schema": SERVICE_SCHEMA, "error": f"request body is not JSON: {exc}"},
-            )
-            self._access_log("POST", 400, began)
-            return
+        body = None
+        if method == "POST":
+            raw_length = self.headers.get("Content-Length", "0")
+            try:
+                length = int(raw_length)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                return 400, ExperimentService._envelope(
+                    {"error": f"malformed Content-Length header {raw_length!r}"}
+                )
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                return 413, ExperimentService._envelope(
+                    {
+                        "error": f"request body of {length} bytes exceeds "
+                        f"the {MAX_BODY_BYTES} byte cap"
+                    }
+                )
+            raw = self.rfile.read(length)
+            try:
+                body = json.loads(raw) if raw else None
+            except json.JSONDecodeError as exc:
+                return 400, ExperimentService._envelope(
+                    {"error": f"request body is not JSON: {exc}"}
+                )
         parsed = urlparse(self.path)
-        status, payload = self.server.service.handle(
-            "POST",
+        return self.server.service.handle(
+            method,
             parsed.path,
             dict(parse_qsl(parsed.query)),
             body,
             trace_parent=self.headers.get(TRACE_HEADER),
             authorization=self.headers.get("Authorization"),
         )
-        self._respond(status, payload)
-        self._access_log("POST", status, began)
 
     def log_message(self, format: str, *args: object) -> None:
         # http.server's own lines (error responses, malformed requests)
