@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
-from repro.tlb.tlb import FULLY_ASSOCIATIVE, TLB
+from repro.tlb.tlb import FULLY_ASSOCIATIVE, TLB, check_shape
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,9 @@ class TLBConfig:
 
     entries: int = 128
     ways: int = FULLY_ASSOCIATIVE
+
+    def __post_init__(self) -> None:
+        check_shape(self.entries, self.ways)
 
     def build(self) -> TLB:
         """Instantiate a fresh TLB of this shape."""

@@ -6,9 +6,9 @@ fetch would, so TLB contents — and therefore the miss stream — are
 identical under every mechanism (and under none). That invariance lets
 us split simulation into:
 
-1. :func:`filter_tlb` — run the reference trace through the TLB once
-   per (workload, TLB shape) and record every miss with its PC, evicted
-   page, and position; and
+1. :func:`filter_tlb` — compute the TLB's miss stream once per
+   (workload, TLB shape): every miss with its PC, evicted page, and
+   position; and
 2. :func:`replay_prefetcher` — drive each mechanism + prefetch buffer
    over that recorded miss stream.
 
@@ -30,6 +30,7 @@ from repro.prefetch.base import Prefetcher
 from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.stats import PrefetchRunStats
 from repro.tlb.prefetch_buffer import PrefetchBuffer
+from repro.tlb.tlb import check_shape
 
 
 def filter_tlb(
@@ -45,40 +46,111 @@ def filter_tlb(
         warmup_fraction: leading fraction of references whose misses
             are flagged as warm-up (they still train mechanisms during
             replay but are excluded from accuracy).
+
+    The stream is exactly the one a true-LRU :class:`~repro.tlb.TLB`
+    of N ways per set reports run by run. It is computed from each run's
+    previous and next use of its page, with positions counted over the
+    runs of the page's set only. Three LRU facts (the inclusion property
+    of Mattson et al., 1970) decide every run:
+
+    1. A set holds its N most recently used distinct pages, so a run at
+       most N positions after its page's previous use hits: no more
+       than N - 1 other pages came in between.
+    2. Victims leave in order of last use, and that order only moves
+       forward. So a page is resident iff its previous use lies at or
+       after ``c``: one past the last victim's last-use position, or
+       the set's first position before the set has evicted anything.
+    3. The victim of an eviction at run ``i`` is the least recently
+       used resident page: the first position ``k >= c`` whose next use
+       comes after ``i``. ``c`` then moves to ``k + 1``. The first N
+       misses of a set fill free entries and evict nothing.
+
+    Fact 1 settles most runs with array operations. One pass over the
+    rest, set by set, applies facts 2 and 3 with a pointer that only
+    moves forward.
     """
     tlb_config = tlb_config or TLBConfig()
-    tlb = tlb_config.build()
+    ways = check_shape(tlb_config.entries, tlb_config.ways)
+    num_sets = tlb_config.entries // ways
+    runs = len(trace.pages)
 
-    miss_pcs: list[int] = []
-    miss_pages: list[int] = []
-    miss_evicted: list[int] = []
-    miss_ref_index: list[int] = []
+    # Set-major order: each set's runs contiguous, in trace order.
+    # Index arrays are int32 to keep the filter's peak memory down.
+    if num_sets == 1:
+        order = None
+        set_pages = trace.pages
+        set_bounds = [0, runs]
+    else:
+        sets = trace.pages % num_sets
+        order = np.argsort(sets, kind="stable").astype(np.int32)
+        set_pages = trace.pages[order]
+        set_bounds = [0] + np.cumsum(np.bincount(sets, minlength=num_sets)).tolist()
+        del sets
+    # Each position's previous and next use of its page (-1 / runs if none).
+    by_page = np.argsort(set_pages, kind="stable").astype(np.int32)
+    reuse = set_pages[by_page[1:]] == set_pages[by_page[:-1]]
+    earlier = by_page[:-1][reuse]
+    later = by_page[1:][reuse]
+    del by_page, reuse
+    prev = np.full(runs, -1, dtype=np.int32)
+    prev[later] = earlier
+    nxt = np.full(runs, runs, dtype=np.int32)
+    nxt[earlier] = later
+    del earlier, later
 
-    references_seen = 0
-    pcs, pages, counts = trace.as_lists()
-    # Local bindings keep the hot loop free of attribute lookups.
-    probe = tlb.probe
-    fill = tlb.fill
-    for pc, page, count in zip(pcs, pages, counts):
-        if not probe(page):
-            evicted = fill(page)
-            miss_pcs.append(pc)
-            miss_pages.append(page)
-            miss_evicted.append(NO_EVICTION if evicted is None else evicted)
-            miss_ref_index.append(references_seen)
-        references_seen += count
+    # Fact 1 leaves first uses and reuses more than N positions apart.
+    open_runs = np.flatnonzero(
+        (prev < 0) | (np.arange(runs, dtype=np.int32) - prev > ways)
+    ).astype(np.int32)
+    open_prev = prev[open_runs]
+    del prev
+    open_bounds = np.searchsorted(open_runs, set_bounds).tolist()
+
+    # Per position: -2 if it hits, else its victim's position or -1.
+    victim_of = np.full(runs, -2, dtype=np.int32)
+    out = memoryview(victim_of)
+    next_use = memoryview(nxt)
+    open_mv = memoryview(open_runs)
+    prev_mv = memoryview(open_prev)
+    for s in range(num_sets):
+        lo, hi = open_bounds[s], open_bounds[s + 1]
+        c = set_bounds[s]
+        free = ways
+        for i, p in zip(open_mv[lo:hi], prev_mv[lo:hi]):
+            if p >= c:
+                continue
+            if free:
+                free -= 1
+                out[i] = -1
+                continue
+            k = c
+            while next_use[k] <= i:
+                k += 1
+            out[i] = k
+            c = k + 1
+    del out, next_use, open_mv, prev_mv, nxt, open_runs, open_prev
+
+    if order is not None:
+        # Back to trace order; victims stay set-major positions.
+        in_trace_order = np.empty_like(victim_of)
+        in_trace_order[order] = victim_of
+        victim_of = in_trace_order
+    miss_at = np.flatnonzero(victim_of >= -1)
+    victim_at = victim_of[miss_at]
+    del victim_of
+    evicted = np.where(victim_at >= 0, set_pages[victim_at], NO_EVICTION)
+    ref_index = np.cumsum(trace.counts)[miss_at] - trace.counts[miss_at]
 
     warmup_limit = int(trace.total_references * warmup_fraction)
-    warmup_misses = int(np.searchsorted(np.asarray(miss_ref_index), warmup_limit))
     return MissTrace(
-        pcs=np.asarray(miss_pcs, dtype=np.int64),
-        pages=np.asarray(miss_pages, dtype=np.int64),
-        evicted=np.asarray(miss_evicted, dtype=np.int64),
-        ref_index=np.asarray(miss_ref_index, dtype=np.int64),
+        pcs=trace.pcs[miss_at],
+        pages=trace.pages[miss_at],
+        evicted=evicted,
+        ref_index=ref_index,
         total_references=trace.total_references,
-        warmup_misses=warmup_misses,
+        warmup_misses=int(np.searchsorted(ref_index, warmup_limit)),
         name=trace.name,
-        tlb_label=tlb.label,
+        tlb_label=tlb_config.label,
     )
 
 

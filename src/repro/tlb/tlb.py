@@ -7,20 +7,43 @@ set keeps its entries in recency order.
 
 Implementation note: each set is an :class:`collections.OrderedDict`
 mapping page -> None. ``move_to_end`` and ``popitem(last=False)`` give
-O(1) MRU promotion and LRU eviction with C-speed constants, which is
-what keeps the TLB filter fast enough for multi-million-reference
-traces.
+O(1) MRU promotion and LRU eviction with C-speed constants, which keeps
+the online MMU (:mod:`repro.tlb.mmu`) cheap per access. The two-phase
+filter does not run this class: it computes the same miss stream from
+reuse positions (:func:`repro.sim.two_phase.filter_tlb`), and this TLB
+is the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.errors import ConfigurationError
 
 #: Pass as ``ways`` to request a fully-associative TLB.
 FULLY_ASSOCIATIVE = 0
+
+
+def check_shape(entries: int, ways: int) -> int:
+    """Validate a TLB shape and return its ways per set.
+
+    ``entries`` must be an integer > 0 and ``ways`` an integer >= 0
+    (:data:`FULLY_ASSOCIATIVE` for one set) that divides it; booleans
+    are not integers here.
+    """
+    if isinstance(entries, bool) or not isinstance(entries, Integral) or entries <= 0:
+        raise ConfigurationError(f"TLB entries must be > 0, got {entries!r}")
+    if isinstance(ways, bool) or not isinstance(ways, Integral) or ways < 0:
+        raise ConfigurationError(f"ways must be >= 0, got {ways!r}")
+    if ways == FULLY_ASSOCIATIVE:
+        return int(entries)
+    if entries % ways:
+        raise ConfigurationError(
+            f"entries ({entries}) must be a multiple of ways ({ways})"
+        )
+    return int(ways)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,16 +74,7 @@ class TLB:
     """
 
     def __init__(self, entries: int = 128, ways: int = FULLY_ASSOCIATIVE) -> None:
-        if entries <= 0:
-            raise ConfigurationError(f"TLB entries must be > 0, got {entries}")
-        if ways < 0:
-            raise ConfigurationError(f"ways must be >= 0, got {ways}")
-        if ways == FULLY_ASSOCIATIVE:
-            ways = entries
-        if entries % ways:
-            raise ConfigurationError(
-                f"entries ({entries}) must be a multiple of ways ({ways})"
-            )
+        ways = check_shape(entries, ways)
         self.entries = entries
         self.ways = ways
         self.num_sets = entries // ways

@@ -281,3 +281,29 @@ class TestBodyValidation:
         assert status == 400 and "lease_seconds" in payload["error"]
         record = service.queue.job(job["id"])
         assert record["lease_expires"] == job["lease_expires"]
+
+
+class TestSpecValidation:
+    BAD_SHAPE = {**SPEC, "tlb_entries": 100, "tlb_ways": 3}
+
+    def test_jobs_with_an_invalid_tlb_shape_is_400_and_queues_nothing(
+        self, make_service
+    ):
+        service = make_service()
+        status, payload = service.handle(
+            "POST", "/jobs", body={"specs": [SPEC, self.BAD_SHAPE]}
+        )
+        assert status == 400, payload
+        assert "multiple of ways" in payload["error"]
+        assert service.queue.progress()["queued"] == 0
+
+    @pytest.mark.parametrize(
+        "path, field", [("/runs", "specs"), ("/streams", "spec")]
+    )
+    def test_runs_and_streams_reject_an_invalid_tlb_shape(
+        self, make_service, path, field
+    ):
+        body = {field: [self.BAD_SHAPE] if field == "specs" else self.BAD_SHAPE}
+        status, payload = make_service().handle("POST", path, body=body)
+        assert status == 400, payload
+        assert "multiple of ways" in payload["error"]

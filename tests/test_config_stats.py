@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.mem.trace import ReferenceTrace
 from repro.sim.config import PAPER_DEFAULT, SimulationConfig, TLBConfig
+from repro.sim.two_phase import filter_tlb
+from repro.tlb.tlb import TLB
 from repro.sim.stats import PrefetchRunStats
 
 
@@ -23,6 +26,37 @@ class TestTLBConfig:
 
     def test_label_for_set_associative(self):
         assert TLBConfig(entries=256, ways=4).label == "256e-4w"
+
+    @pytest.mark.parametrize(
+        "entries, ways, message",
+        [
+            (100, 3, "multiple of ways"),
+            (8, -1, "ways must be >= 0"),
+            (0, 0, "entries must be > 0"),
+            (-4, 2, "entries must be > 0"),
+            (True, 0, "entries must be > 0"),
+            (8, True, "ways must be >= 0"),
+            (8.0, 0, "entries must be > 0"),
+            (8, 2.0, "ways must be >= 0"),
+            ("8", 0, "entries must be > 0"),
+        ],
+    )
+    def test_invalid_shape_is_rejected_at_construction(self, entries, ways, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TLBConfig(entries=entries, ways=ways)
+
+    def test_invalid_shape_messages_match_the_tlb(self):
+        for entries, ways in [(100, 3), (8, -1), (0, 1)]:
+            with pytest.raises(ConfigurationError) as config_error:
+                TLBConfig(entries=entries, ways=ways)
+            with pytest.raises(ConfigurationError) as tlb_error:
+                TLB(entries=entries, ways=ways)
+            assert str(config_error.value) == str(tlb_error.value)
+
+    def test_filter_rejects_an_invalid_shape(self):
+        trace = ReferenceTrace([0, 0], [1, 2], [1, 1])
+        with pytest.raises(ConfigurationError, match="multiple of ways"):
+            filter_tlb(trace, TLBConfig(100, 3))
 
 
 class TestSimulationConfig:

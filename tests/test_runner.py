@@ -472,6 +472,17 @@ class TestRunSpecDictRoundTrip:
         with pytest.raises(ConfigurationError, match="object"):
             RunSpec.from_dict(["galgel"])
 
+    @pytest.mark.parametrize(
+        "entries, ways", [(100, 3), (8, -1), (0, 0), (True, 0), (128, 2.0)]
+    )
+    def test_from_dict_rejects_an_invalid_tlb_shape(self, entries, ways):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            RunSpec.from_dict(
+                {"workload": "galgel", "tlb_entries": entries, "tlb_ways": ways}
+            )
+
     def test_from_dict_applies_defaults(self):
         spec = RunSpec.from_dict({"workload": "galgel"})
         assert spec == RunSpec.of("galgel", "DP")
