@@ -5,11 +5,13 @@ Times a representative batch (a handful of workloads x the full
 Figure 7 mechanism legend) through the unified :class:`repro.Runner`
 on both replay engines — the authoritative reference engine and the
 compiled engine (:mod:`repro.sim.batchpath`, which replays every
-stream group in one pass) — verifies their rows are bit-identical,
-and emits a machine-readable JSON record with the wall-clock speedup
-(``specs_per_second``, ``speedup_vs_reference``,
-``engines_identical``). CI tracks this record (``BENCH_smoke.json``)
-to watch the execution path's performance trajectory over time.
+stream group in one pass) — and then through every other execution
+path: a process pool, a persistent store, checkpointed ``/streams``
+sessions, the sweep scheduler with a worker fleet, and a tenant-gated
+server under overload. It emits one machine-readable JSON record
+(``BENCH_smoke.json``) and judges it with the gate table
+:data:`repro.obs.SMOKE_GATES`: the exit code is nonzero when any row
+fails, and the record carries every row's verdict under ``gates``.
 
 Run:  PYTHONPATH=src python benchmarks/smoke.py --out BENCH_smoke.json
 """
@@ -28,21 +30,32 @@ import time
 from pathlib import Path
 
 import repro
-from repro import ENGINES, ExperimentStore, MissStreamCache, Runner, RunSpec
+from repro import ExperimentStore, MissStreamCache, Runner, RunSpec
 from repro.analysis.figures import figure7_configs
-from repro.obs import REGISTRY, PhaseProfiler, set_enabled
+from repro.obs import (
+    REGISTRY,
+    PhaseProfiler,
+    append_history,
+    check_gates,
+    set_enabled,
+)
 
 #: Small but behaviour-diverse: strided, pointer-walk, interleaved, noise.
 SMOKE_APPS = ("galgel", "swim", "ammp", "eon")
 
-#: Budget for the store's cold write-back overhead, as a fraction of
-#: the bare replay wall-clock. Both sides are fastest-of-N within the
-#: same window, so machine noise largely cancels; exceeding this fails
-#: the benchmark. The replay it is measured against is the compiled
-#: one-pass engine (~0.09 s for the 84 specs at scale 0.1), about a
-#: third of the per-spec replay the first 5% budget was set against;
-#: the write-back itself did not change and measures 3-6% of it.
-STORE_COLD_BUDGET = 0.10
+#: Timed repetitions per measurement; the fastest is recorded
+#: (scheduler interference only ever slows a run down).
+REPEATS = 5
+
+#: Process-pool size for the parallel-vs-serial check.
+WORKERS = 2
+
+#: Largest worker fleet in the distributed phase (it also times 1).
+DISTRIBUTED_WORKERS = 2
+
+#: Concurrent clients in the load phase: enough to overrun the
+#: deliberately small admission envelope (the gate needs >= 100).
+LOAD_CLIENTS = 120
 
 #: Batches per timed window in the overhead comparisons (store
 #: write-back, telemetry). One compiled batch takes ~0.09 s, short
@@ -59,10 +72,8 @@ def _timed_window(run) -> float:
     return (time.perf_counter() - started) / WINDOW_BATCHES
 
 
-def distributed_phase(
-    specs: list[RunSpec], reference_json: str, max_workers: int
-) -> dict:
-    """Time the smoke sweep through the scheduler at 1..N workers.
+def distributed_phase(specs: list[RunSpec], reference_json: str) -> dict:
+    """Time the smoke sweep through the scheduler at 1 and N workers.
 
     Each worker-count run gets a fresh store and an in-process server;
     the workers are real ``repro-tlb worker`` subprocesses, and the
@@ -77,7 +88,7 @@ def distributed_phase(
     scaling: dict[str, float] = {}
     identical = True
     with tempfile.TemporaryDirectory(prefix="repro-dist-smoke-") as root:
-        for count in sorted({1, max_workers}):
+        for count in (1, DISTRIBUTED_WORKERS):
             server = make_server(Path(root) / f"store{count}", port=0)
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
@@ -111,9 +122,9 @@ def distributed_phase(
                 server.server_close()
                 thread.join(timeout=10)
             identical = identical and results.to_json() == reference_json
-    elapsed = scaling[str(max_workers)]
+    elapsed = scaling[str(DISTRIBUTED_WORKERS)]
     return {
-        "distributed_workers": max_workers,
+        "distributed_workers": DISTRIBUTED_WORKERS,
         "distributed_elapsed_seconds": elapsed,
         "distributed_specs_per_second": round(len(specs) / elapsed, 2)
         if elapsed
@@ -126,7 +137,7 @@ def distributed_phase(
     }
 
 
-def streaming_phase(runner: Runner, spec: RunSpec, repeats: int) -> dict:
+def streaming_phase(runner: Runner, spec: RunSpec) -> dict:
     """Time the checkpoint/streaming path on one representative spec.
 
     ``warm_start_speedup`` compares replaying the whole miss stream
@@ -144,7 +155,7 @@ def streaming_phase(runner: Runner, spec: RunSpec, repeats: int) -> dict:
 
     # Cold: the whole stream in one session, fastest of N.
     cold_elapsed = float("inf")
-    for _ in range(max(1, repeats)):
+    for _ in range(REPEATS):
         session = ReplaySession(stream, spec.build_prefetcher())
         started = time.perf_counter()
         session.advance(None)
@@ -157,7 +168,7 @@ def streaming_phase(runner: Runner, spec: RunSpec, repeats: int) -> dict:
     half_session.advance(half_session.total // 2)
     snapshot_bytes = half_session.snapshot().to_bytes()
     warm_elapsed = float("inf")
-    for _ in range(max(1, repeats)):
+    for _ in range(REPEATS):
         resumed = ReplaySession.resume(
             SessionSnapshot.from_bytes(snapshot_bytes),
             stream,
@@ -209,21 +220,22 @@ def streaming_phase(runner: Runner, spec: RunSpec, repeats: int) -> dict:
     }
 
 
-def obs_phase(runner: Runner, specs: list[RunSpec], repeats: int) -> dict:
+def obs_phase(runner: Runner, specs: list[RunSpec]) -> dict:
     """Measure what the telemetry itself costs, and what it observed.
 
     ``obs_overhead_fraction`` times the primary batch with the whole
     observability layer on vs switched off (``set_enabled(False)`` —
-    the same switch ``REPRO_OBS_DISABLED=1`` throws); CI gates it
-    below 5%. The two timings are interleaved within the same window
-    (fastest-of-N each) so machine-load drift between benchmark phases
-    cannot masquerade as instrumentation overhead. The service latency
-    quantiles come straight from the process-wide registry, which the
-    streaming and distributed phases populated through the real
-    ``ExperimentService.handle`` path.
+    the same switch ``REPRO_OBS_DISABLED=1`` throws); the gate table
+    holds it below 5%. The two timings are interleaved within the same
+    window (fastest-of-N each) so machine-load drift between benchmark
+    phases cannot masquerade as instrumentation overhead. The service
+    latency quantiles come straight from the process-wide registry,
+    which the streaming and distributed phases populated through the
+    real ``ExperimentService.handle`` path; this phase must run before
+    the load phase, whose flood lands in the same histogram.
     """
     enabled_elapsed = disabled_elapsed = float("inf")
-    for _ in range(max(2, repeats)):
+    for _ in range(REPEATS):
         enabled_elapsed = min(
             enabled_elapsed, _timed_window(lambda _: runner.run(specs))
         )
@@ -255,8 +267,8 @@ def obs_phase(runner: Runner, specs: list[RunSpec], repeats: int) -> dict:
     }
 
 
-def load_phase(spec: RunSpec, clients: int, duration: float = 2.0) -> dict:
-    """Hammer a tenant-gated server with ``clients`` concurrent clients.
+def load_phase(spec: RunSpec, duration: float = 2.0) -> dict:
+    """Hammer a tenant-gated server with LOAD_CLIENTS concurrent clients.
 
     Two tenants share a deliberately small admission envelope
     (``max_inflight=16``, ``max_queue=32``), so a fraction of the flood
@@ -275,7 +287,7 @@ def load_phase(spec: RunSpec, clients: int, duration: float = 2.0) -> dict:
     from repro.service import make_server
     from repro.service.admission import AdmissionController, TenantConfig
 
-    # The flood tenants get rate budgets well below what `clients`
+    # The flood tenants get rate budgets well below what LOAD_CLIENTS
     # concurrent loops can attempt, so a healthy fraction of the flood
     # is *guaranteed* to be rejected with 429 — that rejection path is
     # what this phase measures. The byte-identity runs use a third
@@ -344,9 +356,9 @@ def load_phase(spec: RunSpec, clients: int, duration: float = 2.0) -> dict:
             # has-Retry-After) triple. Tokens alternate so both tenant
             # buckets drain.
             samples: list[list[tuple[int, float, bool]]] = [
-                [] for _ in range(clients)
+                [] for _ in range(LOAD_CLIENTS)
             ]
-            begin = threading.Barrier(clients + 1)
+            begin = threading.Barrier(LOAD_CLIENTS + 1)
 
             def client_loop(index: int) -> None:
                 token = "bench-alpha" if index % 2 == 0 else "bench-beta"
@@ -369,7 +381,7 @@ def load_phase(spec: RunSpec, clients: int, duration: float = 2.0) -> dict:
 
             threads = [
                 threading.Thread(target=client_loop, args=(index,))
-                for index in range(clients)
+                for index in range(LOAD_CLIENTS)
             ]
             for worker in threads:
                 worker.start()
@@ -402,7 +414,7 @@ def load_phase(spec: RunSpec, clients: int, duration: float = 2.0) -> dict:
         return values[min(len(values) - 1, int(q * len(values)))]
 
     return {
-        "load_clients": clients,
+        "load_clients": LOAD_CLIENTS,
         "load_requests_total": len(flat),
         "load_p50_ms": round(quantile(ok_latencies, 0.50) * 1000.0, 3),
         "load_p99_ms": round(quantile(ok_latencies, 0.99) * 1000.0, 3),
@@ -421,35 +433,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_smoke.json", help="output JSON path")
     parser.add_argument("--scale", type=float, default=0.1, help="workload scale")
-    parser.add_argument("--workers", type=int, default=0, help="process-pool size")
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="engine for the timed primary batch (compared against reference)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="timed repetitions per engine; the fastest is recorded "
-        "(noise-robust: scheduler interference only ever slows a run down)",
-    )
-    parser.add_argument(
-        "--distributed-workers",
-        type=int,
-        default=0,
-        help="also run the batch through the sweep scheduler with 1..N "
-        "worker subprocesses and record the scaling (0 = skip)",
-    )
-    parser.add_argument(
-        "--load-clients",
-        type=int,
-        default=0,
-        help="also flood a tenant-gated in-process server with N "
-        "concurrent clients and record the admission-control latency "
-        "quantiles and shed counts (0 = skip)",
-    )
     parser.add_argument(
         "--history",
         default=None,
@@ -462,23 +445,10 @@ def main(argv: list[str] | None = None) -> int:
         help="provenance stamp for the --history line (passed in, "
         "never computed here)",
     )
-    parser.add_argument(
-        "--timestamp",
-        type=float,
-        default=None,
-        help="provenance epoch-seconds for the --history line "
-        "(passed in, never computed here)",
-    )
     args = parser.parse_args(argv)
 
     specs = [
-        RunSpec.of(
-            app,
-            config.mechanism,
-            scale=args.scale,
-            engine=args.engine,
-            **config.factory_params(),
-        )
+        RunSpec.of(app, config.mechanism, scale=args.scale, **config.factory_params())
         for app in SMOKE_APPS
         for config in figure7_configs()
     ]
@@ -499,9 +469,8 @@ def main(argv: list[str] | None = None) -> int:
     # both engines alike; keep each engine's fastest wall-clock.
     reference_specs = [spec.derive(engine="reference") for spec in specs]
     reference_elapsed = elapsed = float("inf")
-    reference = results = None
     with profiler.phase("engines"):
-        for _ in range(max(1, args.repeats)):
+        for _ in range(REPEATS):
             started = time.perf_counter()
             reference = runner.run(reference_specs)
             reference_elapsed = min(reference_elapsed, time.perf_counter() - started)
@@ -518,26 +487,23 @@ def main(argv: list[str] | None = None) -> int:
     # The parallel run is a Runner check, not an engine comparison: it
     # filters inside the worker processes, so its wall-clock includes
     # TLB filtering and is NOT comparable to the replay-only timings.
-    parallel_elapsed = None
-    parallel_identical = None
-    if args.workers > 1:
-        started = time.perf_counter()
-        parallel = Runner(workers=args.workers, cache=MissStreamCache()).run(specs)
-        parallel_elapsed = round(time.perf_counter() - started, 4)
-        parallel_identical = parallel.to_json() == reference.to_json()
+    started = time.perf_counter()
+    parallel = Runner(workers=WORKERS, cache=MissStreamCache()).run(specs)
+    parallel_elapsed = time.perf_counter() - started
+    parallel_identical = parallel.to_json() == reference.to_json()
 
     # Store-backed phase: the same batch against a fresh persistent
     # store, twice. The cold pass reuses the warm miss-stream cache so
     # its wall-clock is replay + store write-back, compared with bare
-    # batches timed in the same loop (see STORE_COLD_BUDGET); the warm
-    # pass must be 100% store hits — zero replays — and bit-identical.
+    # batches timed in the same loop; the warm pass must be 100% store
+    # hits — zero replays — and bit-identical.
     with profiler.phase("store"), tempfile.TemporaryDirectory(
         prefix="repro-store-smoke-"
     ) as store_root:
         # Fastest-of-repeats like the engine timings (every cold batch
         # needs a fresh store); warm timing reuses the last store.
-        store_cold_elapsed = store_warm_elapsed = bare_elapsed = float("inf")
-        for repeat in range(max(1, args.repeats)):
+        store_cold_elapsed = bare_elapsed = float("inf")
+        for repeat in range(REPEATS):
             stores = [
                 ExperimentStore(Path(store_root) / f"run{repeat}-{index}")
                 for index in range(WINDOW_BATCHES)
@@ -560,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         before_warm = store.stats()
         started = time.perf_counter()
         store_warm = store_runner.run(specs)
-        store_warm_elapsed = min(store_warm_elapsed, time.perf_counter() - started)
+        store_warm_elapsed = time.perf_counter() - started
         after_warm = store.stats()
         store_identical = (
             store_cold.to_json() == results.to_json()
@@ -582,53 +548,26 @@ def main(argv: list[str] | None = None) -> int:
     # a mid-stream checkpoint and chunked through the /streams API.
     with profiler.phase("streaming"):
         streaming = streaming_phase(
-            runner,
-            RunSpec.of("galgel", "DP", scale=args.scale, rows=256),
-            args.repeats,
+            runner, RunSpec.of("galgel", "DP", scale=args.scale, rows=256)
         )
 
     # Distributed phase: the same batch through the scheduler + a real
     # worker fleet, recording end-to-end throughput and worker scaling.
-    distributed: dict = {
-        "distributed_workers": None,
-        "distributed_elapsed_seconds": None,
-        "distributed_specs_per_second": None,
-        "distributed_identical": None,
-        "distributed_scaling": None,
-        "distributed_scaling_speedup": None,
-    }
-    if args.distributed_workers > 0:
-        with profiler.phase("distributed"):
-            distributed = distributed_phase(
-                specs, results.to_json(), args.distributed_workers
-            )
+    with profiler.phase("distributed"):
+        distributed = distributed_phase(specs, results.to_json())
+
+    # Observability phase: what did the telemetry layer itself cost,
+    # and what service latencies did the streaming and distributed
+    # phases see? It runs before the load phase, whose flood would
+    # otherwise swamp those quantiles.
+    with profiler.phase("obs"):
+        obs_record = obs_phase(runner, specs)
 
     # Load phase: a tenant-gated server under a deliberate overload —
     # latency quantiles for the admitted, 429 + Retry-After for the
     # shed, and byte-identical results either way.
-    load: dict = {
-        "load_clients": None,
-        "load_requests_total": None,
-        "load_p50_ms": None,
-        "load_p99_ms": None,
-        "load_requests_per_second": None,
-        "load_shed_429_total": None,
-        "load_429_missing_retry_after": None,
-        "load_5xx_total": None,
-        "load_conn_errors": None,
-        "load_identical": None,
-    }
-    if args.load_clients > 0:
-        with profiler.phase("load"):
-            load = load_phase(
-                RunSpec.of("galgel", "DP", scale=args.scale, rows=256),
-                args.load_clients,
-            )
-
-    # Observability phase: what did the telemetry layer itself cost,
-    # and what service latencies did it observe along the way?
-    with profiler.phase("obs"):
-        obs_record = obs_phase(runner, specs, args.repeats)
+    with profiler.phase("load"):
+        load = load_phase(RunSpec.of("galgel", "DP", scale=args.scale, rows=256))
     profile = profiler.report()
 
     # Track the paper's representative DP configuration explicitly
@@ -639,15 +578,14 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "smoke",
         "python": platform.python_version(),
         "scale": args.scale,
-        "workers": args.workers,
-        "engine": args.engine,
+        "workers": WORKERS,
         "specs": len(specs),
         "workloads": len(SMOKE_APPS),
         "tlb_filters": filters,
         "tlb_filter_seconds": round(filter_elapsed, 4),
         "elapsed_seconds": round(elapsed, 4),
         "elapsed_reference_seconds": round(reference_elapsed, 4),
-        "elapsed_parallel_total_seconds": parallel_elapsed,
+        "elapsed_parallel_total_seconds": round(parallel_elapsed, 4),
         "speedup_vs_reference": round(speedup, 2),
         "engines_identical": engines_identical,
         "parallel_identical": parallel_identical,
@@ -683,20 +621,18 @@ def main(argv: list[str] | None = None) -> int:
             for run in results
         ],
     }
+    record["gates"] = check_gates(record)
     out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
     if args.history:
-        from repro.obs import append_history
-
         append_history(
             args.history,
             {key: value for key, value in record.items() if key != "rows"},
             git_sha=args.git_sha,
-            timestamp=args.timestamp,
         )
         print(f"[smoke] appended history record -> {args.history}")
     print(
-        f"[smoke] {len(specs)} specs: engine={args.engine} {elapsed:.2f}s vs "
+        f"[smoke] {len(specs)} specs: compiled {elapsed:.2f}s vs "
         f"reference {reference_elapsed:.2f}s -> {speedup:.2f}x speedup, "
         f"bit-identical={engines_identical} "
         f"({record['specs_per_second']} specs/s, {filters} TLB filters) -> {out}"
@@ -716,6 +652,14 @@ def main(argv: list[str] | None = None) -> int:
         f"through /streams, bit-identical={streaming['streaming_identical']}"
     )
     print(
+        f"[smoke] distributed: {distributed['distributed_workers']} workers "
+        f"{distributed['distributed_elapsed_seconds']:.2f}s "
+        f"({distributed['distributed_specs_per_second']} specs/s, "
+        f"scaling {distributed['distributed_scaling']}, "
+        f"{distributed['distributed_scaling_speedup']}x vs 1 worker) "
+        f"bit-identical={distributed['distributed_identical']}"
+    )
+    print(
         f"[smoke] obs: {obs_record['obs_overhead_fraction'] * 100:.1f}% "
         f"instrumentation overhead (instrumented "
         f"{obs_record['obs_enabled_seconds']:.2f}s vs disabled "
@@ -725,70 +669,24 @@ def main(argv: list[str] | None = None) -> int:
         f"{obs_record['service_requests_observed']} requests; peak RSS "
         f"{record['peak_rss_bytes'] // (1024 * 1024)} MiB"
     )
-    if load["load_clients"]:
+    print(
+        f"[smoke] load: {load['load_clients']} clients, "
+        f"{load['load_requests_total']} requests "
+        f"({load['load_requests_per_second']} req/s), p50 "
+        f"{load['load_p50_ms']:.1f}ms / p99 {load['load_p99_ms']:.1f}ms, "
+        f"{load['load_shed_429_total']} shed with 429 "
+        f"({load['load_429_missing_retry_after']} missing Retry-After), "
+        f"{load['load_5xx_total']} server errors, "
+        f"{load['load_conn_errors']} connection errors, "
+        f"bit-identical={load['load_identical']}"
+    )
+    failed = [verdict for verdict in record["gates"] if not verdict["passed"]]
+    for verdict in failed:
         print(
-            f"[smoke] load: {load['load_clients']} clients, "
-            f"{load['load_requests_total']} requests "
-            f"({load['load_requests_per_second']} req/s), p50 "
-            f"{load['load_p50_ms']:.1f}ms / p99 {load['load_p99_ms']:.1f}ms, "
-            f"{load['load_shed_429_total']} shed with 429 "
-            f"({load['load_429_missing_retry_after']} missing Retry-After), "
-            f"{load['load_5xx_total']} server errors, "
-            f"{load['load_conn_errors']} connection errors, "
-            f"bit-identical={load['load_identical']}"
+            f"[smoke] ERROR: {verdict['field']}={verdict['value']} fails "
+            f"{verdict['condition']}: {verdict['message']}"
         )
-    if distributed["distributed_workers"]:
-        print(
-            f"[smoke] distributed: {distributed['distributed_workers']} workers "
-            f"{distributed['distributed_elapsed_seconds']:.2f}s "
-            f"({distributed['distributed_specs_per_second']} specs/s, "
-            f"scaling {distributed['distributed_scaling']}, "
-            f"{distributed['distributed_scaling_speedup']}x vs 1 worker) "
-            f"bit-identical={distributed['distributed_identical']}"
-        )
-    if not engines_identical:
-        print("[smoke] ERROR: engines diverged — compiled replay is not bit-identical")
-        return 1
-    if distributed["distributed_identical"] is False:
-        print("[smoke] ERROR: distributed sweep diverged from serial execution")
-        return 1
-    if parallel_identical is False:
-        print("[smoke] ERROR: parallel batch diverged from serial (Runner bug)")
-        return 1
-    if not store_identical:
-        print("[smoke] ERROR: store-backed batch diverged from direct execution")
-        return 1
-    if not store_warm_all_hits:
-        print("[smoke] ERROR: warm store pass replayed specs (store miss)")
-        return 1
-    if store_cold_overhead > STORE_COLD_BUDGET:
-        print(
-            f"[smoke] ERROR: store cold write-back overhead "
-            f"{store_cold_overhead * 100:.1f}% exceeds the "
-            f"{STORE_COLD_BUDGET * 100:.0f}% budget"
-        )
-        return 1
-    if not streaming["streaming_identical"]:
-        print(
-            "[smoke] ERROR: streamed/resumed replay diverged from one-shot"
-        )
-        return 1
-    if load["load_5xx_total"]:
-        print(
-            f"[smoke] ERROR: {load['load_5xx_total']} 5xx responses under "
-            f"load — overload must shed with 429, never crash"
-        )
-        return 1
-    if load["load_429_missing_retry_after"]:
-        print(
-            f"[smoke] ERROR: {load['load_429_missing_retry_after']} shed "
-            f"responses lacked a Retry-After header"
-        )
-        return 1
-    if load["load_identical"] is False:
-        print("[smoke] ERROR: results diverged under admission-control load")
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

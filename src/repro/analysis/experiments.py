@@ -75,13 +75,10 @@ class ExperimentContext:
             a table/figure against the same store replays only the specs
             it has never executed (resumable sweeps). Mutually exclusive
             with ``runner`` (give the runner its own store instead).
-        executor: execution backend for the default runner — ``"auto"``,
-            ``"serial"``, ``"pool"``, or ``"distributed"`` (sweeps are
-            submitted to the scheduler service at ``service_url`` and
-            replayed by its worker fleet). Mutually exclusive with
+        service_url: ``repro-tlb serve`` address; when given, the
+            default runner submits sweeps to that scheduler service and
+            its worker fleet replays them. Mutually exclusive with
             ``runner``.
-        service_url: ``repro-tlb serve`` address for the distributed
-            executor.
         request_timeout: per-HTTP-request socket timeout (seconds) for
             the distributed executor's service client.
         service_token: API token for a tenant-mode service (forwarded
@@ -96,17 +93,14 @@ class ExperimentContext:
         runner: Runner | None = None,
         engine: str = "auto",
         store=None,
-        executor: str = "auto",
         service_url: str | None = None,
         request_timeout: float = 30.0,
         service_token: str | None = None,
     ) -> None:
-        if runner is not None and (
-            store is not None or service_url is not None or executor != "auto"
-        ):
+        if runner is not None and (store is not None or service_url is not None):
             raise ConfigurationError(
-                "pass either runner= or store=/executor=/service_url=, not "
-                "both (a Runner already carries its own store and executor)"
+                "pass either runner= or store=/service_url=, not both "
+                "(a Runner already carries its own store and service)"
             )
         self.scale = scale
         self.buffer_entries = buffer_entries
@@ -116,7 +110,6 @@ class ExperimentContext:
             else Runner(
                 workers=workers,
                 store=store,
-                executor=executor,
                 service_url=service_url,
                 request_timeout=request_timeout,
                 service_token=service_token,

@@ -433,7 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_compare.add_argument(
         "--history",
         default="benchmarks/results/BENCH_history.jsonl",
-        help="history file written by benchmarks/smoke.py --history",
+        help="history file that benchmarks/smoke.py --history appends to "
+        "(gitignored, so it holds only this machine's runs; the smoke "
+        "record's pass/fail gates are checked by smoke.py itself)",
     )
     bench_compare.add_argument(
         "--baseline-window", type=int, default=5,

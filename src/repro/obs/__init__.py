@@ -24,7 +24,9 @@ import os
 from repro.obs.bench import (
     BENCH_SCHEMA,
     DEFAULT_TOLERANCES,
+    SMOKE_GATES,
     append_history,
+    check_gates,
     compare_history,
     format_compare,
     load_history,
@@ -97,11 +99,13 @@ __all__ = [
     "REGISTRY",
     "Rule",
     "RuleEngine",
+    "SMOKE_GATES",
     "Span",
     "SpanCollector",
     "TRACE_HEADER",
     "append_history",
     "bind_context",
+    "check_gates",
     "compare_history",
     "component_health",
     "current_context",

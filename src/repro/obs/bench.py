@@ -1,17 +1,22 @@
-"""Benchmark history: append-only JSONL records and regression compare.
+"""Benchmark gates and history: the smoke record's verdicts over time.
 
-The smoke benchmark (``benchmarks/smoke.py --history ...``) appends one
-schema-versioned line per run to ``benchmarks/results/BENCH_history.jsonl``;
-``repro-tlb bench compare`` diffs the newest record against a baseline
-window of earlier ones with per-metric tolerances and exits nonzero on
-a regression — the perf-regression observatory CI leans on.
+``benchmarks/smoke.py`` judges its own record with :data:`SMOKE_GATES`,
+one table of ``(field, condition, message)`` rows: every ``*_identical``
+byte-identity check, the overload contract and the overhead budgets.
+:func:`check_gates` evaluates it and the benchmark exits nonzero on
+any failed row, so no CI step re-checks a field by hand.
+
+With ``--history`` the benchmark also appends one schema-versioned
+line per run to a ``BENCH_history.jsonl`` file; ``repro-tlb bench
+compare`` diffs the newest record against a baseline window of earlier
+ones with per-metric tolerances and exits nonzero on a regression.
 
 Every line carries provenance the *caller* supplies (``git_sha``,
 ``timestamp``); this module never shells out to git or reads the clock,
 so records are reproducible and the diff logic is pure. Comparisons are
 only meaningful between records from the same machine — CI therefore
-benches twice on one runner and compares with ``--baseline-window 1``
-rather than diffing CI wall-clock against a record committed elsewhere.
+benches twice on one runner and compares with ``--baseline-window 1``;
+nothing is committed to diff CI wall clocks against.
 
 Three tolerance kinds cover the smoke record's shapes:
 
@@ -20,7 +25,8 @@ Three tolerance kinds cover the smoke record's shapes:
   window's mean — ``specs_per_second`` at 0.15 catches a 20% drop.
 - ``lower``: latency-like, lower is better; mirrored check.
 - ``ceiling``: an absolute budget on the latest value alone (overhead
-  fractions); the baseline window is ignored.
+  fractions); the baseline window is ignored. The gate table reads the
+  same budgets, so each is stated once.
 
 Metrics missing from either side are reported as skipped, never
 regressed — a record predating a metric must not fail the gate.
@@ -29,8 +35,9 @@ regressed — a record predating a metric must not fail the gate.
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ObsError
 
@@ -43,9 +50,88 @@ DEFAULT_TOLERANCES: dict[str, dict[str, float | str]] = {
     "specs_per_second": {"kind": "higher", "tolerance": 0.15},
     "stream_entries_per_second": {"kind": "higher", "tolerance": 0.30},
     "warm_start_speedup": {"kind": "higher", "tolerance": 0.40},
+    # Cold store write-back against the bare batch, both fastest-of-N
+    # in one window. The batch is the compiled one-pass engine (~0.09 s
+    # for the 84 smoke specs at scale 0.1), a third of the per-spec
+    # replay the first 5% budget was set against; the write-back did
+    # not change and measures 3-6% of it.
     "store_cold_overhead_fraction": {"kind": "ceiling", "tolerance": 0.10},
+    # Telemetry on against off: the instrumentation tax.
     "obs_overhead_fraction": {"kind": "ceiling", "tolerance": 0.05},
 }
+
+
+class Gate(NamedTuple):
+    """One pass/fail row of the smoke record: ``record[field] op bound``."""
+
+    field: str
+    op: str
+    bound: Any
+    message: str
+
+
+_GATE_OPS = {
+    "==": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
+def _ceiling(metric: str) -> float:
+    return float(DEFAULT_TOLERANCES[metric]["tolerance"])
+
+
+#: Every verdict the smoke benchmark's exit code depends on.
+SMOKE_GATES: tuple[Gate, ...] = (
+    Gate("engines_identical", "==", True,
+         "compiled replay diverged from the reference engine"),
+    Gate("parallel_identical", "==", True,
+         "process-pool batch diverged from serial (Runner bug)"),
+    Gate("store_identical", "==", True,
+         "store-backed batch diverged from direct execution"),
+    Gate("store_warm_all_hits", "==", True,
+         "warm store pass replayed specs (store miss)"),
+    Gate("store_cold_overhead_fraction", "<=",
+         _ceiling("store_cold_overhead_fraction"),
+         "store cold write-back overhead exceeds its budget"),
+    Gate("streaming_identical", "==", True,
+         "streamed/resumed replay diverged from one-shot"),
+    Gate("distributed_identical", "==", True,
+         "distributed sweep diverged from serial execution"),
+    Gate("load_identical", "==", True,
+         "results diverged under admission-control load"),
+    Gate("load_clients", ">=", 100,
+         "load phase ran too few clients to overload admission"),
+    Gate("load_5xx_total", "==", 0,
+         "5xx responses under load: overload must shed with 429, never crash"),
+    Gate("load_429_missing_retry_after", "==", 0,
+         "shed responses lacked a Retry-After header"),
+    Gate("obs_overhead_fraction", "<", _ceiling("obs_overhead_fraction"),
+         "instrumentation overhead breaches its budget"),
+)
+
+
+def check_gates(record: dict[str, Any]) -> list[dict[str, Any]]:
+    """Each gate row's verdict on one smoke record, in table order.
+
+    A field that is missing or null fails its row: the benchmark runs
+    every phase, so an absent value means a phase did not run.
+    """
+    verdicts = []
+    for gate in SMOKE_GATES:
+        value = record.get(gate.field)
+        verdicts.append(
+            {
+                "field": gate.field,
+                "condition": f"{gate.op} {json.dumps(gate.bound)}",
+                "value": value,
+                "passed": value is not None
+                and _GATE_OPS[gate.op](value, gate.bound),
+                "message": gate.message,
+            }
+        )
+    return verdicts
 
 
 def append_history(

@@ -21,10 +21,10 @@ specs come back without filtering or replaying, freshly computed rows
 (serial or from worker processes) are written back exactly once per
 spec, and in-process stream builds are persisted for future processes.
 
-With ``executor="distributed"`` (plus ``service_url=``) the batch is
-not executed locally at all: it is submitted as a sweep to a scheduler
-service (``repro-tlb serve``) and replayed by whatever worker fleet is
-polling it — same rows, same order, byte-identical to serial.
+With ``service_url=`` the batch is not executed locally at all: it is
+submitted as a sweep to a scheduler service (``repro-tlb serve``) and
+replayed by whatever worker fleet is polling it — same rows, same
+order, byte-identical to serial.
 """
 
 from __future__ import annotations
@@ -300,14 +300,12 @@ class Runner:
             worker processes. Miss streams built in-process are
             persisted too, so even a cold process skips phase 1 for
             streams the store has seen.
-        executor: execution backend for :meth:`run` — ``"auto"``
-            (default: a process pool when ``workers > 1``, else
-            serial), ``"serial"``, ``"pool"``, or ``"distributed"``
-            (submit batches as sweeps to a scheduler service; requires
-            ``service_url``). All backends return identical rows.
-        service_url: address of a ``repro-tlb serve`` instance for the
-            distributed executor; giving one with ``executor="auto"``
-            selects distributed execution.
+        service_url: address of a ``repro-tlb serve`` instance; when
+            given, :meth:`run` submits batches as sweeps to its worker
+            fleet instead of executing them locally. The backend is
+            derived, never chosen: ``service_url`` → distributed,
+            ``workers > 1`` → process pool, otherwise serial. All
+            backends return identical rows.
         request_timeout: per-HTTP-request socket timeout in seconds for
             the distributed executor's service client (not the sweep
             deadline — a hung socket fails fast instead of masking the
@@ -323,14 +321,11 @@ class Runner:
             uninterrupted one. Requires ``store``.
     """
 
-    EXECUTORS = ("auto", "serial", "pool", "distributed")
-
     def __init__(
         self,
         workers: int | None = None,
         cache: MissStreamCache | None = None,
         store: "ExperimentStore | str | Path | None" = None,
-        executor: str = "auto",
         service_url: str | None = None,
         checkpoint_every: int = 0,
         request_timeout: float = 30.0,
@@ -349,23 +344,11 @@ class Runner:
                 "checkpoint_every needs a store to keep its resume "
                 "bookmarks in; pass store="
             )
-        if executor not in self.EXECUTORS:
-            raise ConfigurationError(
-                f"unknown executor {executor!r}; expected one of {self.EXECUTORS}"
-            )
-        if executor == "auto" and service_url is not None:
-            executor = "distributed"
-        if executor == "distributed" and service_url is None:
-            raise ConfigurationError(
-                "executor='distributed' needs a service_url "
-                "(a repro-tlb serve address)"
-            )
-        self.executor = executor
         self.service_url = service_url
         self.request_timeout = request_timeout
         self.service_token = service_token
         self._distributed = None
-        if executor == "distributed":
+        if service_url is not None:
             # Local import: repro.sched builds on this module.
             from repro.sched.executor import DistributedExecutor
 
@@ -527,11 +510,7 @@ class Runner:
         """Compute every spec (no store consultation)."""
         if self._distributed is not None:
             return self._distributed.run(spec_list)
-        if (
-            self.executor != "serial"
-            and self.workers > 1
-            and len(spec_list) > 1
-        ):
+        if self.workers > 1 and len(spec_list) > 1:
             return self._run_parallel(spec_list)
         return self._run_serial(spec_list)
 

@@ -17,7 +17,7 @@ byte-identical to the serial one.
                                        job-queue endpoints +
                                        :meth:`submit_sweep`
 :class:`~repro.sched.executor.DistributedExecutor`
-                                       ``Runner(executor="distributed")``
+                                       ``Runner(service_url=...)``
                                        backend
 =====================================  ================================
 

@@ -3,9 +3,9 @@
 :class:`DistributedExecutor` adapts the scheduler protocol to the shape
 :class:`~repro.run.runner.Runner` needs from an execution backend — a
 list of specs in, an aligned list of result rows out — so
-``Runner(executor="distributed", service_url=...)`` (and therefore
-``ExperimentContext(executor="distributed", ...)`` and every table or
-figure built on it) fans a batch out to the worker fleet instead of a
+``Runner(service_url=...)`` (and therefore
+``ExperimentContext(service_url=...)`` and every table or figure built
+on it) fans a batch out to the worker fleet instead of a
 local process pool, with no change to the results: rows come back in
 input order and byte-identical to serial execution.
 """

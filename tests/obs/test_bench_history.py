@@ -5,7 +5,9 @@ modes that matter: a clean window passes, a synthetic 20% throughput
 drop regresses (and ``repro-tlb bench compare`` exits nonzero on it),
 ceiling budgets bind on the latest value alone, corrupt or foreign
 history lines raise instead of being skipped, and metrics absent from
-either side are reported as skipped, never regressed.
+either side are reported as skipped, never regressed. The smoke
+benchmark's gate table is pinned row by row: a clean record passes,
+and each row violated on its own fails that row and no other.
 """
 
 import json
@@ -16,7 +18,10 @@ from repro.cli import main
 from repro.errors import ObsError
 from repro.obs import (
     BENCH_SCHEMA,
+    DEFAULT_TOLERANCES,
+    SMOKE_GATES,
     append_history,
+    check_gates,
     compare_history,
     format_compare,
     load_history,
@@ -213,3 +218,89 @@ class TestBenchCompareCli:
                    str(tmp_path / "absent.jsonl")])
         assert rc == 2  # usage/input error, distinct from a regression
         assert "no benchmark history" in capsys.readouterr().err
+
+
+def clean_smoke_record():
+    return {
+        "engines_identical": True,
+        "parallel_identical": True,
+        "store_identical": True,
+        "store_warm_all_hits": True,
+        "store_cold_overhead_fraction": 0.04,
+        "streaming_identical": True,
+        "distributed_identical": True,
+        "load_identical": True,
+        "load_clients": 120,
+        "load_5xx_total": 0,
+        "load_429_missing_retry_after": 0,
+        "obs_overhead_fraction": 0.01,
+    }
+
+
+#: One violating value per gate row.
+VIOLATIONS = {
+    "engines_identical": False,
+    "parallel_identical": False,
+    "store_identical": False,
+    "store_warm_all_hits": False,
+    "store_cold_overhead_fraction": 0.1001,
+    "streaming_identical": False,
+    "distributed_identical": False,
+    "load_identical": False,
+    "load_clients": 99,
+    "load_5xx_total": 1,
+    "load_429_missing_retry_after": 1,
+    "obs_overhead_fraction": 0.05,
+}
+
+
+def failed_fields(record):
+    return [v["field"] for v in check_gates(record) if not v["passed"]]
+
+
+class TestSmokeGates:
+    def test_clean_record_passes_every_row(self):
+        verdicts = check_gates(clean_smoke_record())
+        assert [v["field"] for v in verdicts] == [g.field for g in SMOKE_GATES]
+        assert all(v["passed"] for v in verdicts)
+
+    def test_every_row_has_a_violation_case(self):
+        assert set(VIOLATIONS) == {gate.field for gate in SMOKE_GATES}
+
+    @pytest.mark.parametrize("field", sorted(VIOLATIONS))
+    def test_each_row_violated_alone_fails_that_row(self, field):
+        record = clean_smoke_record()
+        record[field] = VIOLATIONS[field]
+        assert failed_fields(record) == [field]
+        (verdict,) = [v for v in check_gates(record) if not v["passed"]]
+        assert verdict["value"] == VIOLATIONS[field]
+        assert verdict["message"]
+
+    @pytest.mark.parametrize("field", sorted(VIOLATIONS))
+    def test_missing_or_null_field_fails_its_row(self, field):
+        record = clean_smoke_record()
+        record[field] = None
+        assert failed_fields(record) == [field]
+        del record[field]
+        assert failed_fields(record) == [field]
+
+    def test_budgets_are_the_compare_ceilings(self):
+        bounds = {gate.field: gate.bound for gate in SMOKE_GATES}
+        for metric in ("store_cold_overhead_fraction", "obs_overhead_fraction"):
+            assert DEFAULT_TOLERANCES[metric]["kind"] == "ceiling"
+            assert bounds[metric] == DEFAULT_TOLERANCES[metric]["tolerance"]
+
+    def test_budget_boundaries(self):
+        # Store overhead may sit exactly on its budget; telemetry
+        # overhead must stay strictly below its own.
+        record = clean_smoke_record()
+        record["store_cold_overhead_fraction"] = 0.10
+        record["obs_overhead_fraction"] = 0.0499
+        assert failed_fields(record) == []
+
+    def test_conditions_render_as_json(self):
+        conditions = {v["field"]: v["condition"] for v in check_gates({})}
+        assert conditions["engines_identical"] == "== true"
+        assert conditions["obs_overhead_fraction"] == "< 0.05"
+        assert conditions["store_cold_overhead_fraction"] == "<= 0.1"
+        assert conditions["load_clients"] == ">= 100"

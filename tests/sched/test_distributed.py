@@ -159,20 +159,12 @@ class TestDistributedExecutor:
         specs = sweep_specs()[:4]
         serial = Runner(cache=MissStreamCache()).run(specs)
         with fleet(server.url, 2):
-            distributed = Runner(executor="distributed", service_url=server.url).run(
-                specs
-            )
+            distributed = Runner(service_url=server.url).run(specs)
         assert distributed.to_json() == serial.to_json()
 
     def test_service_url_alone_selects_distributed(self, server):
-        runner = Runner(service_url=server.url)
-        assert runner.executor == "distributed"
-
-    def test_distributed_without_url_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="service_url"):
-            Runner(executor="distributed")
-        with pytest.raises(ConfigurationError, match="executor"):
-            Runner(executor="bogus")
+        assert Runner(service_url=server.url)._distributed is not None
+        assert Runner(workers=2)._distributed is None
 
     def test_experiment_context_runs_distributed(self, server):
         serial_context = ExperimentContext(scale=SCALE)
@@ -182,9 +174,7 @@ class TestDistributedExecutor:
         ]
         serial = serial_context.run_specs(specs)
         with fleet(server.url, 2):
-            context = ExperimentContext(
-                scale=SCALE, executor="distributed", service_url=server.url
-            )
+            context = ExperimentContext(scale=SCALE, service_url=server.url)
             distributed = context.run_specs(specs)
         assert distributed.to_json() == serial.to_json()
 
