@@ -8,17 +8,22 @@ that state from process memory:
   schema-tagged, digest-trailed, deterministic (identical state ⇒
   identical bytes ⇒ identical digest).
 - :mod:`~repro.ckpt.snapshots` — ``StateSnapshot`` dataclasses with
-  ``to_bytes()/from_bytes()`` for every prefetcher family plus the
-  shared :class:`~repro.core.prediction_table.PredictionTable`,
+  ``to_bytes()/from_bytes()`` for the shared
+  :class:`~repro.core.prediction_table.PredictionTable`,
   :class:`~repro.tlb.tlb.TLB` and
-  :class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` substrates.
+  :class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` substrates, and
+  one declared ``MechanismSnapshot`` per prefetcher family (mechanism
+  class, configuration fields, live fields, table row codec) that the
+  generic ``snapshot_prefetcher``/``restore_prefetcher`` walk.
 - :mod:`~repro.ckpt.session` — :class:`ReplaySession`, phase-2 replay
   that can pause after any miss and resume bit-identically.
 - :mod:`~repro.ckpt.manager` — :class:`CheckpointManager`, persisting
   snapshots content-addressed in the
-  :class:`~repro.store.ExperimentStore` (``ckpt/<digest>.bin``) with
-  resume bookmarks for :class:`~repro.run.runner.Runner` continuations
-  and service streaming sessions.
+  :class:`~repro.store.ExperimentStore` (``ckpt/<digest>.bin``) and
+  owning the one resume bookmark: ``write`` (blob, then record) and
+  ``resume`` (record, blob, consistency checks, live session), shared
+  by :class:`~repro.run.runner.Runner` continuations and the service's
+  streaming sessions.
 
 The same canonical snapshots seed the compiled replay engine
 (:mod:`repro.sim.batchpath`): a kernel starts from a mechanism's and a
@@ -30,7 +35,7 @@ compiled speed.
 
 from repro.ckpt.codec import CKPT_SCHEMA, blob_digest, decode_blob, encode_blob
 from repro.ckpt.manager import CheckpointManager
-from repro.ckpt.session import ReplaySession, SessionSnapshot, verify_resume
+from repro.ckpt.session import ReplaySession, SessionSnapshot
 from repro.ckpt.snapshots import (
     SNAPSHOT_KINDS,
     AdaptiveSequentialSnapshot,
@@ -88,5 +93,4 @@ __all__ = [
     "snapshot_prefetcher",
     "snapshot_table",
     "snapshot_tlb",
-    "verify_resume",
 ]

@@ -15,8 +15,9 @@ differential suite.
 :meth:`snapshot` captures the whole session as a
 :class:`SessionSnapshot` (nesting the mechanism and buffer snapshots),
 and :meth:`ReplaySession.resume` rebuilds a live session from one —
-the service uses this pair to evict idle sessions and to survive
-server restarts.
+:class:`~repro.ckpt.manager.CheckpointManager` bookmarks runs and
+streaming sessions with this pair, so checkpointed runs and evicted or
+restarted-away ``/streams`` sessions pick up where they stopped.
 """
 
 from __future__ import annotations
@@ -59,33 +60,6 @@ class SessionSnapshot(StateSnapshot):
     max_prefetches_per_miss: int
     mechanism: MechanismSnapshot
     buffer: BufferSnapshot
-
-
-def verify_resume(record: dict, snap: "SessionSnapshot", spec) -> None:
-    """Check a stored session/continuation record against its snapshot.
-
-    ``record`` is the JSON descriptor that points at ``snap``; ``spec``
-    is the :class:`~repro.run.spec.RunSpec` being resumed. The record's
-    ``stream_offset`` must be the snapshot's offset, its ``spec_key``
-    the spec's key, and the snapshot's buffer capacity and per-miss
-    clamp the spec's. Raises :class:`~repro.errors.CkptError` on any
-    mismatch: resuming would replay some other run.
-    """
-    checks = (
-        ("stream_offset", record.get("stream_offset"), snap.offset),
-        ("spec_key", record.get("spec_key"), spec.key()),
-        ("buffer capacity", snap.buffer.capacity, spec.buffer_entries),
-        (
-            "max_prefetches_per_miss",
-            snap.max_prefetches_per_miss,
-            spec.max_prefetches_per_miss,
-        ),
-    )
-    for name, stored, expected in checks:
-        if stored != expected:
-            raise CkptError(
-                f"corrupt resume record: {name} is {stored!r}, expected {expected!r}"
-            )
 
 
 class ReplaySession:

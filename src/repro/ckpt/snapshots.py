@@ -349,37 +349,62 @@ def restore_buffer(snap: BufferSnapshot, buffer: PrefetchBuffer) -> None:
     buffer.evicted_unused = snap.evicted_unused
 
 
+
+
 # ---------------------------------------------------------------------------
-# Mechanism snapshots: one dataclass per prefetcher family. Every one
-# carries the base Prefetcher issue/overhead counters — those feed the
+# Mechanism snapshots: one declared dataclass per prefetcher family. Every
+# one carries the base Prefetcher issue/overhead counters — those feed the
 # engines' delta-based statistics, so they are behaviour-bearing.
 
+#: The :class:`Prefetcher` accounting counters, captured for every family.
+_COUNTERS = ("last_overhead_ops", "prefetches_issued", "overhead_ops_total")
+
+#: Table row codecs by name: ``(encode, decoder for a prefetcher)``.
+_ROW_CODECS = {
+    "slots": (_encode_slots, lambda prefetcher: _slot_decoder(prefetcher.slots)),
+    "stride": (_encode_stride, lambda prefetcher: _decode_stride),
+}
 
 @dataclass
 class MechanismSnapshot(StateSnapshot):
-    """Shared base: the :class:`Prefetcher` accounting counters."""
+    """Shared base: the :class:`Prefetcher` accounting counters.
+
+    A family subclass declares what it captures instead of coding it:
+
+    - ``mechanism`` — the exact prefetcher class it snapshots;
+    - ``config`` — configuration fields, read from the instance
+      attribute of the same name, that must match on restore;
+    - ``live`` — live-state fields, each mapped to the instance
+      attribute that holds it (``prev_page`` ↔ ``_prev_page``);
+    - ``row_codec`` — the ``table`` field's row payloads: ``"slots"``
+      (slot lists) or ``"stride"`` (stride triples); ``None`` without
+      a table.
+
+    :func:`snapshot_prefetcher` and :func:`restore_prefetcher` walk
+    that declaration; :meth:`_capture` and :meth:`_restore` hold the
+    little a family cannot declare.
+    """
+
+    mechanism: ClassVar[type]
+    config: ClassVar[tuple[str, ...]] = ()
+    live: ClassVar[dict[str, str]] = {}
+    row_codec: ClassVar[str | None] = None
 
     last_overhead_ops: int
     prefetches_issued: int
     overhead_ops_total: int
 
-    def apply_counters(self, prefetcher: Prefetcher) -> None:
-        prefetcher.last_overhead_ops = self.last_overhead_ops
-        prefetcher.prefetches_issued = self.prefetches_issued
-        prefetcher.overhead_ops_total = self.overhead_ops_total
+    @classmethod
+    def _capture(cls, prefetcher: Prefetcher) -> dict:
+        """Fields beyond the declaration (none by default)."""
+        return {}
 
+    def _restore(self, prefetcher: Prefetcher) -> None:
+        """Checks and state beyond the declaration (none by default).
 
-def _base_counters(prefetcher: Prefetcher) -> dict:
-    return {
-        "last_overhead_ops": prefetcher.last_overhead_ops,
-        "prefetches_issued": prefetcher.prefetches_issued,
-        "overhead_ops_total": prefetcher.overhead_ops_total,
-    }
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CkptError(message)
+        Runs after the configuration check and before the table and
+        the live fields are written.
+        """
 
 
 @dataclass
@@ -387,6 +412,7 @@ class NullSnapshot(MechanismSnapshot):
     """``NullPrefetcher`` — counters only (it never issues anything)."""
 
     kind: ClassVar[str] = "mech.none"
+    mechanism = NullPrefetcher
 
 
 @dataclass
@@ -394,6 +420,8 @@ class SequentialSnapshot(MechanismSnapshot):
     """``SP`` — stateless beyond its configured degree."""
 
     kind: ClassVar[str] = "mech.sp"
+    mechanism = SequentialPrefetcher
+    config = ("degree",)
 
     degree: int
 
@@ -403,6 +431,13 @@ class AdaptiveSequentialSnapshot(MechanismSnapshot):
     """``ASP-seq`` — adaptation counters plus configuration bounds."""
 
     kind: ClassVar[str] = "mech.asp_seq"
+    mechanism = AdaptiveSequentialPrefetcher
+    config = ("max_degree", "window", "raise_above", "lower_below")
+    live = {
+        "degree": "degree",
+        "window_misses": "_window_misses",
+        "window_hits": "_window_hits",
+    }
 
     max_degree: int
     window: int
@@ -412,12 +447,21 @@ class AdaptiveSequentialSnapshot(MechanismSnapshot):
     window_misses: int
     window_hits: int
 
+    def _restore(self, prefetcher: Prefetcher) -> None:
+        if not 1 <= self.degree <= self.max_degree:
+            raise CkptError(
+                f"corrupt ASP-seq snapshot: degree {self.degree} outside "
+                f"[1, {self.max_degree}]"
+            )
+
 
 @dataclass
 class StrideSnapshot(MechanismSnapshot):
     """``ASP`` — the Chen & Baer RPT contents."""
 
     kind: ClassVar[str] = "mech.asp"
+    mechanism = ArbitraryStridePrefetcher
+    row_codec = "stride"
 
     table: TableSnapshot
 
@@ -427,6 +471,10 @@ class MarkovSnapshot(MechanismSnapshot):
     """``MP`` — successor table plus the previous-miss register."""
 
     kind: ClassVar[str] = "mech.mp"
+    mechanism = MarkovPrefetcher
+    config = ("slots",)
+    live = {"prev_page": "_prev_page"}
+    row_codec = "slots"
 
     slots: int
     prev_page: int | None
@@ -438,6 +486,10 @@ class DistanceSnapshot(MechanismSnapshot):
     """``DP`` — distance table plus prev-page/prev-distance registers."""
 
     kind: ClassVar[str] = "mech.dp"
+    mechanism = DistancePrefetcher
+    config = ("slots",)
+    live = {"prev_page": "_prev_page", "prev_distance": "_prev_distance"}
+    row_codec = "slots"
 
     slots: int
     prev_page: int | None
@@ -450,6 +502,10 @@ class PCDistanceSnapshot(MechanismSnapshot):
     """``DP-PC`` — (PC, distance)-keyed table plus history registers."""
 
     kind: ClassVar[str] = "mech.dp_pc"
+    mechanism = PCDistancePrefetcher
+    config = ("slots",)
+    live = {"prev_page": "_prev_page", "prev_key": "_prev_key"}
+    row_codec = "slots"
 
     slots: int
     prev_page: int | None
@@ -462,6 +518,14 @@ class DistancePairSnapshot(MechanismSnapshot):
     """``DP-2`` — distance-pair-keyed table plus history registers."""
 
     kind: ClassVar[str] = "mech.dp2"
+    mechanism = DistancePairPrefetcher
+    config = ("slots",)
+    live = {
+        "prev_page": "_prev_page",
+        "prev_distance": "_prev_distance",
+        "prev_key": "_prev_key",
+    }
+    row_codec = "slots"
 
     slots: int
     prev_page: int | None
@@ -481,234 +545,74 @@ class RecencySnapshot(MechanismSnapshot):
     """
 
     kind: ClassVar[str] = "mech.rp"
+    mechanism = RecencyPrefetcher
+    config = ("variant_three",)
 
     variant_three: bool
     top: int | None
     entries: list
 
+    @classmethod
+    def _capture(cls, prefetcher: RecencyPrefetcher) -> dict:
+        ptes = sorted(prefetcher.page_table._entries.values(), key=lambda pte: pte.page)
+        return {
+            "top": prefetcher.stack.top,
+            "entries": [[pte.page, pte.next, pte.prev, pte.on_stack] for pte in ptes],
+        }
 
-def _snapshot_sequential(p: SequentialPrefetcher) -> SequentialSnapshot:
-    return SequentialSnapshot(degree=p.degree, **_base_counters(p))
-
-
-def _restore_sequential(snap: SequentialSnapshot, p: SequentialPrefetcher) -> None:
-    _require(
-        snap.degree == p.degree,
-        f"SP degree mismatch: snapshot k={snap.degree}, instance k={p.degree}",
-    )
-    snap.apply_counters(p)
-
-
-def _snapshot_adaptive(p: AdaptiveSequentialPrefetcher) -> AdaptiveSequentialSnapshot:
-    return AdaptiveSequentialSnapshot(
-        max_degree=p.max_degree,
-        window=p.window,
-        raise_above=p.raise_above,
-        lower_below=p.lower_below,
-        degree=p.degree,
-        window_misses=p._window_misses,
-        window_hits=p._window_hits,
-        **_base_counters(p),
-    )
-
-
-def _restore_adaptive(
-    snap: AdaptiveSequentialSnapshot, p: AdaptiveSequentialPrefetcher
-) -> None:
-    _require(
-        snap.max_degree == p.max_degree
-        and snap.window == p.window
-        and snap.raise_above == p.raise_above
-        and snap.lower_below == p.lower_below,
-        "ASP-seq configuration mismatch between snapshot and instance",
-    )
-    _require(
-        1 <= snap.degree <= snap.max_degree,
-        f"corrupt ASP-seq snapshot: degree {snap.degree} outside "
-        f"[1, {snap.max_degree}]",
-    )
-    p.degree = snap.degree
-    p._window_misses = snap.window_misses
-    p._window_hits = snap.window_hits
-    snap.apply_counters(p)
+    def _restore(self, prefetcher: RecencyPrefetcher) -> None:
+        table: dict[int, PageTableEntry] = {}
+        for record in self.entries:
+            if len(record) != 4:
+                raise CkptError(f"corrupt RP snapshot: malformed PTE {record!r}")
+            page, below, above, on_stack = record
+            if page in table:
+                raise CkptError(f"corrupt RP snapshot: duplicate PTE for page {page}")
+            table[page] = PageTableEntry(
+                page, next=below, prev=above, on_stack=bool(on_stack)
+            )
+        # Every link must land on a PTE: the stack is walked through them.
+        if self.top is not None and self.top not in table:
+            raise CkptError(f"corrupt RP snapshot: stack top {self.top} has no PTE")
+        for pte in table.values():
+            for target in (pte.next, pte.prev):
+                if target is not None and target not in table:
+                    raise CkptError(
+                        f"corrupt RP snapshot: page {pte.page} links to "
+                        f"{target}, which has no PTE"
+                    )
+        prefetcher.page_table._entries = table
+        prefetcher.stack._top = self.top
+        prefetcher.stack.pointer_writes = 0
 
 
-def _snapshot_stride(p: ArbitraryStridePrefetcher) -> StrideSnapshot:
-    return StrideSnapshot(
-        table=snapshot_table(p.table, _encode_stride), **_base_counters(p)
-    )
-
-
-def _restore_stride(snap: StrideSnapshot, p: ArbitraryStridePrefetcher) -> None:
-    restore_table(snap.table, p.table, _decode_stride)
-    snap.apply_counters(p)
-
-
-def _snapshot_markov(p: MarkovPrefetcher) -> MarkovSnapshot:
-    return MarkovSnapshot(
-        slots=p.slots,
-        prev_page=p._prev_page,
-        table=snapshot_table(p.table, _encode_slots),
-        **_base_counters(p),
-    )
-
-
-def _restore_markov(snap: MarkovSnapshot, p: MarkovPrefetcher) -> None:
-    _require(
-        snap.slots == p.slots,
-        f"MP slots mismatch: snapshot s={snap.slots}, instance s={p.slots}",
-    )
-    restore_table(snap.table, p.table, _slot_decoder(p.slots))
-    p._prev_page = snap.prev_page
-    snap.apply_counters(p)
-
-
-def _snapshot_distance(p: DistancePrefetcher) -> DistanceSnapshot:
-    return DistanceSnapshot(
-        slots=p.slots,
-        prev_page=p._prev_page,
-        prev_distance=p._prev_distance,
-        table=snapshot_table(p.table, _encode_slots),
-        **_base_counters(p),
-    )
-
-
-def _restore_distance(snap: DistanceSnapshot, p: DistancePrefetcher) -> None:
-    _require(
-        snap.slots == p.slots,
-        f"DP slots mismatch: snapshot s={snap.slots}, instance s={p.slots}",
-    )
-    restore_table(snap.table, p.table, _slot_decoder(p.slots))
-    p._prev_page = snap.prev_page
-    p._prev_distance = snap.prev_distance
-    snap.apply_counters(p)
-
-
-def _snapshot_pc_distance(p: PCDistancePrefetcher) -> PCDistanceSnapshot:
-    return PCDistanceSnapshot(
-        slots=p.slots,
-        prev_page=p._prev_page,
-        prev_key=p._prev_key,
-        table=snapshot_table(p.table, _encode_slots),
-        **_base_counters(p),
-    )
-
-
-def _restore_pc_distance(snap: PCDistanceSnapshot, p: PCDistancePrefetcher) -> None:
-    _require(
-        snap.slots == p.slots,
-        f"DP-PC slots mismatch: snapshot s={snap.slots}, instance s={p.slots}",
-    )
-    restore_table(snap.table, p.table, _slot_decoder(p.slots))
-    p._prev_page = snap.prev_page
-    p._prev_key = snap.prev_key
-    snap.apply_counters(p)
-
-
-def _snapshot_distance_pair(p: DistancePairPrefetcher) -> DistancePairSnapshot:
-    return DistancePairSnapshot(
-        slots=p.slots,
-        prev_page=p._prev_page,
-        prev_distance=p._prev_distance,
-        prev_key=p._prev_key,
-        table=snapshot_table(p.table, _encode_slots),
-        **_base_counters(p),
-    )
-
-
-def _restore_distance_pair(
-    snap: DistancePairSnapshot, p: DistancePairPrefetcher
-) -> None:
-    _require(
-        snap.slots == p.slots,
-        f"DP-2 slots mismatch: snapshot s={snap.slots}, instance s={p.slots}",
-    )
-    restore_table(snap.table, p.table, _slot_decoder(p.slots))
-    p._prev_page = snap.prev_page
-    p._prev_distance = snap.prev_distance
-    p._prev_key = snap.prev_key
-    snap.apply_counters(p)
-
-
-def _snapshot_recency(p: RecencyPrefetcher) -> RecencySnapshot:
-    entries = [
-        [pte.page, pte.next, pte.prev, pte.on_stack]
-        for pte in sorted(
-            p.page_table._entries.values(), key=lambda pte: pte.page
-        )
-    ]
-    return RecencySnapshot(
-        variant_three=p.variant_three,
-        top=p.stack.top,
-        entries=entries,
-        **_base_counters(p),
-    )
-
-
-def _restore_recency(snap: RecencySnapshot, p: RecencyPrefetcher) -> None:
-    _require(
-        snap.variant_three == p.variant_three,
-        "RP variant mismatch between snapshot and instance",
-    )
-    table: dict[int, PageTableEntry] = {}
-    for record in snap.entries:
-        if len(record) != 4:
-            raise CkptError(f"corrupt RP snapshot: malformed PTE {record!r}")
-        page, nxt, prev, on_stack = record
-        if page in table:
-            raise CkptError(f"corrupt RP snapshot: duplicate PTE for page {page}")
-        table[page] = PageTableEntry(page, next=nxt, prev=prev, on_stack=bool(on_stack))
-    _require(
-        snap.top is None or snap.top in table,
-        f"corrupt RP snapshot: stack top {snap.top} has no PTE",
-    )
-    p.page_table._entries = table
-    p.stack._top = snap.top
-    p.stack.pointer_writes = 0
-    snap.apply_counters(p)
-
-
-_FAMILIES: dict[type, tuple] = {
-    NullPrefetcher: (
-        NullSnapshot,
-        lambda p: NullSnapshot(**_base_counters(p)),
-        lambda snap, p: snap.apply_counters(p),
-    ),
-    SequentialPrefetcher: (SequentialSnapshot, _snapshot_sequential, _restore_sequential),
-    AdaptiveSequentialPrefetcher: (
-        AdaptiveSequentialSnapshot,
-        _snapshot_adaptive,
-        _restore_adaptive,
-    ),
-    ArbitraryStridePrefetcher: (StrideSnapshot, _snapshot_stride, _restore_stride),
-    MarkovPrefetcher: (MarkovSnapshot, _snapshot_markov, _restore_markov),
-    DistancePrefetcher: (DistanceSnapshot, _snapshot_distance, _restore_distance),
-    PCDistancePrefetcher: (
-        PCDistanceSnapshot,
-        _snapshot_pc_distance,
-        _restore_pc_distance,
-    ),
-    DistancePairPrefetcher: (
-        DistancePairSnapshot,
-        _snapshot_distance_pair,
-        _restore_distance_pair,
-    ),
-    RecencyPrefetcher: (RecencySnapshot, _snapshot_recency, _restore_recency),
+#: Exact mechanism class -> the snapshot family declaring it.
+_MECHANISMS: dict[type, type[MechanismSnapshot]] = {
+    cls.mechanism: cls
+    for cls in SNAPSHOT_KINDS.values()
+    if issubclass(cls, MechanismSnapshot)
 }
 
 
-def snapshot_prefetcher(prefetcher: Prefetcher) -> MechanismSnapshot:
-    """Capture any supported mechanism's full behaviour-bearing state.
-
-    Dispatch is on exact type (mirroring the compiled engine's support
-    check): a subclass with extra state must register its own family.
-    """
-    family = _FAMILIES.get(type(prefetcher))
+def _family(prefetcher: Prefetcher) -> type[MechanismSnapshot]:
+    # Exact type (mirroring the compiled engine's support check): a
+    # subclass with extra state must declare its own family.
+    family = _MECHANISMS.get(type(prefetcher))
     if family is None:
-        raise CkptError(
-            f"no snapshot support for {type(prefetcher).__name__}"
-        )
-    return family[1](prefetcher)
+        raise CkptError(f"no snapshot support for {type(prefetcher).__name__}")
+    return family
+
+
+def snapshot_prefetcher(prefetcher: Prefetcher) -> MechanismSnapshot:
+    """Capture any supported mechanism's full behaviour-bearing state."""
+    family = _family(prefetcher)
+    fields = {name: getattr(prefetcher, name) for name in _COUNTERS + family.config}
+    for name, attribute in family.live.items():
+        fields[name] = getattr(prefetcher, attribute)
+    if family.row_codec is not None:
+        encode, _ = _ROW_CODECS[family.row_codec]
+        fields["table"] = snapshot_table(prefetcher.table, encode)
+    return family(**fields, **family._capture(prefetcher))
 
 
 def restore_prefetcher(snap: MechanismSnapshot, prefetcher: Prefetcher) -> None:
@@ -720,13 +624,24 @@ def restore_prefetcher(snap: MechanismSnapshot, prefetcher: Prefetcher) -> None:
     snapshots (table lookup/hit/eviction tallies, RP pointer-write
     tally) are zeroed.
     """
-    family = _FAMILIES.get(type(prefetcher))
-    if family is None:
-        raise CkptError(f"no snapshot support for {type(prefetcher).__name__}")
-    expected, _, restore = family
-    if type(snap) is not expected:
+    family = _family(prefetcher)
+    if type(snap) is not family:
         raise CkptError(
             f"snapshot kind mismatch: {type(snap).__name__} cannot restore "
             f"a {type(prefetcher).__name__}"
         )
-    restore(snap, prefetcher)
+    for name in family.config:
+        stored, configured = getattr(snap, name), getattr(prefetcher, name)
+        if stored != configured:
+            raise CkptError(
+                f"{snap.kind} configuration mismatch: snapshot {name}={stored!r}, "
+                f"instance {name}={configured!r}"
+            )
+    snap._restore(prefetcher)
+    if family.row_codec is not None:
+        _, decoder = _ROW_CODECS[family.row_codec]
+        restore_table(snap.table, prefetcher.table, decoder(prefetcher))
+    for name in _COUNTERS:
+        setattr(prefetcher, name, getattr(snap, name))
+    for name, attribute in family.live.items():
+        setattr(prefetcher, attribute, getattr(snap, name))

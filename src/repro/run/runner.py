@@ -450,28 +450,16 @@ class Runner:
         """Chunked replay with store-backed suspend/resume bookmarks."""
         # Local import: repro.ckpt.manager deliberately avoids importing
         # the store at runtime, and we return the favor here.
-        from repro.ckpt import (
-            CheckpointManager,
-            ReplaySession,
-            SessionSnapshot,
-            verify_resume,
-        )
+        from repro.ckpt import CheckpointManager, ReplaySession
 
         manager = CheckpointManager(self.store)
-        miss_trace = self.miss_stream_for(spec)
-        key = spec.key()
-        session = None
-        resumed = manager.load_continuation(key)
-        if resumed is not None:
-            record, snap = resumed
-            if isinstance(snap, SessionSnapshot):
-                verify_resume(record, snap, spec)
-                session = ReplaySession.resume(
-                    snap, miss_trace, spec.build_prefetcher()
-                )
+        key = manager.run_key(spec.key())
+        resumed = manager.resume(key, self.miss_stream_for, spec)
+        # No bookmark, or GC took its state: start from the beginning.
+        session = resumed.session if resumed is not None else None
         if session is None:
             session = ReplaySession(
-                miss_trace,
+                self.miss_stream_for(spec),
                 spec.build_prefetcher(),
                 buffer_entries=spec.buffer_entries,
                 max_prefetches_per_miss=spec.max_prefetches_per_miss,
@@ -479,8 +467,8 @@ class Runner:
         while not session.finished:
             session.advance(self.checkpoint_every)
             if not session.finished:
-                manager.save_continuation(key, session.offset, session.snapshot())
-        manager.clear_continuation(key)
+                manager.write(key, spec, session)
+        manager.delete(key)
         return annotate_stats(session.stats(), spec)
 
     def run(self, specs: Iterable[RunSpec]) -> ResultSet:

@@ -60,7 +60,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import parse_qsl, unquote, urlparse
 
-from repro.ckpt import CheckpointManager, ReplaySession, SessionSnapshot, verify_resume
+from repro.ckpt import CheckpointManager, ReplaySession
 from repro.errors import CkptError, ReproError, StoreError, SweepOwnershipError
 from repro.obs import (
     COLLECTOR,
@@ -868,75 +868,37 @@ class ExperimentService:
         session: ReplaySession,
         tenant: str | None = None,
     ) -> str:
-        """Persist the session's snapshot and descriptor; returns the digest.
-
-        Blob first, record second: a crash between the writes leaves at
-        worst an orphan blob, never a record pointing at nothing newer
-        than the previous checkpoint. The owning tenant rides in the
-        descriptor record, so scoping survives eviction and restarts.
-        """
-        digest = self.ckpt.save(session.snapshot())
-        self.ckpt.save_session(
-            session_key,
-            {
-                "spec": spec.to_dict(),
-                "spec_key": spec.key(),
-                "stream_offset": session.offset,
-                "state_digest": digest,
-                "tenant": tenant,
-            },
-        )
-        return digest
+        """Bookmark the session under its tenant-namespaced key; returns
+        the state digest."""
+        return self.ckpt.write(self.ckpt.stream_key(session_key), spec, session, tenant)
 
     def _restore_into(
         self, session_key: str, entry: _SessionEntry, session_id: str
     ) -> tuple[int, dict] | None:
-        """Restore a persisted session into ``entry`` (lock held).
+        """Restore a bookmarked session into ``entry`` (lock held).
 
         ``session_key`` is the tenant-namespaced lookup key;
         ``session_id`` is the caller-visible id used in error messages.
         Returns ``None`` on success, or the ``(status, payload)`` error
         pair when the id is unknown (404) or its checkpoint blob has
-        been garbage-collected (410). A record that disagrees with its
-        snapshot or spec raises :class:`~repro.errors.CkptError`.
+        been garbage-collected (410). A corrupt bookmark raises
+        :class:`~repro.errors.CkptError`.
         """
-        record = self.ckpt.load_session(session_key)
-        if record is None:
+        resumed = self.ckpt.resume(
+            self.ckpt.stream_key(session_key), self.runner.miss_stream_for
+        )
+        if resumed is None:
             return self._no_session(session_id)
-        digest = record.get("state_digest")
-        if not isinstance(digest, str):
-            raise CkptError(
-                f"corrupt session record {session_id!r}: no state digest"
-            )
-        snap = self.ckpt.load(digest)
-        if snap is None:
+        if resumed.session is None:
             return 410, self._envelope(
                 {
                     "error": f"session {session_id!r} cannot be restored: "
-                    f"checkpoint {digest} was garbage-collected"
+                    f"checkpoint {resumed.digest} was garbage-collected"
                 }
             )
-        if not isinstance(snap, SessionSnapshot):
-            raise CkptError(
-                f"session {session_id!r} points at a {type(snap).__name__}, "
-                "not a session snapshot"
-            )
-        try:
-            spec = RunSpec.from_dict(record.get("spec"))
-        except (TypeError, ValueError) as error:
-            # The record came from our own store, so a spec that no
-            # longer parses is corruption, not a client mistake.
-            raise CkptError(
-                f"corrupt session record {session_id!r}: {error}"
-            ) from error
-        # The record must describe the snapshot it points at and the
-        # spec it carries; otherwise resuming would replay another run.
-        verify_resume(record, snap, spec)
-        entry.session = ReplaySession.resume(
-            snap, self.runner.miss_stream_for(spec), spec.build_prefetcher()
-        )
-        entry.spec = spec
-        entry.tenant = record.get("tenant")
+        entry.session = resumed.session
+        entry.spec = resumed.spec
+        entry.tenant = resumed.tenant
         entry.touched = time.monotonic()
         self._sessions.note_restored()
         return None
@@ -1024,9 +986,8 @@ class ExperimentService:
                 if entry.dead:
                     continue
                 try:
-                    if (
-                        entry.session is not None
-                        or self.ckpt.load_session(key) is not None
+                    if entry.session is not None or self.ckpt.exists(
+                        self.ckpt.stream_key(key)
                     ):
                         # A 409 must not leave a fresh placeholder behind:
                         # later opens would mistake it for a live session.

@@ -65,47 +65,68 @@ class TestBlobs:
         assert manager.load(digest) is None
 
 
+@pytest.fixture(scope="module")
+def runner():
+    return Runner(cache=MissStreamCache())
+
+
+SPEC = RunSpec.of("galgel", "DP", scale=SCALE, rows=8)
+
+
+def _paused(runner, entries, spec=SPEC):
+    session = ReplaySession(runner.miss_stream_for(spec), spec.build_prefetcher())
+    session.advance(entries)
+    return session
+
+
 class TestContinuations:
-    def test_round_trip_and_clear(self, manager):
-        snap = _snapshot()
-        record = manager.save_continuation("spec-a", 1234, snap)
-        assert record["stream_offset"] == 1234
-        loaded_record, loaded_snap = manager.load_continuation("spec-a")
-        assert loaded_record == record
-        assert loaded_snap == snap
-        assert manager.clear_continuation("spec-a") is True
-        assert manager.load_continuation("spec-a") is None
-        assert manager.clear_continuation("spec-a") is False
+    def test_round_trip_and_clear(self, manager, runner):
+        session = _paused(runner, 1234)
+        key = manager.run_key(SPEC.key())
+        digest = manager.write(key, SPEC, session)
+        resumed = manager.resume(key, runner.miss_stream_for, SPEC)
+        assert resumed.session.offset == 1234
+        assert resumed.digest == digest
+        assert resumed.session.snapshot() == session.snapshot()
+        assert manager.delete(key) is True
+        assert manager.resume(key, runner.miss_stream_for, SPEC) is None
+        assert manager.delete(key) is False
 
-    def test_gc_lost_blob_means_no_continuation(self, manager, store):
-        manager.save_continuation("spec-a", 10, _snapshot())
-        record, _ = manager.load_continuation("spec-a")
-        store.delete_ckpt(record["state_digest"])
-        assert manager.load_continuation("spec-a") is None
+    def test_gc_lost_blob_means_no_continuation(self, manager, store, runner):
+        key = manager.run_key(SPEC.key())
+        digest = manager.write(key, SPEC, _paused(runner, 10))
+        store.delete_ckpt(digest)
+        resumed = manager.resume(key, runner.miss_stream_for, SPEC)
+        assert resumed.digest == digest
+        assert resumed.session is None
 
-    def test_survives_a_fresh_manager(self, store, manager):
-        manager.save_continuation("spec-a", 7, _snapshot())
+    def test_survives_a_fresh_manager(self, store, manager, runner):
+        key = manager.run_key(SPEC.key())
+        manager.write(key, SPEC, _paused(runner, 7))
         reopened = CheckpointManager(ExperimentStore(store.root))
-        record, snap = reopened.load_continuation("spec-a")
-        assert record["stream_offset"] == 7
-        assert snap == _snapshot()
+        resumed = reopened.resume(key, runner.miss_stream_for, SPEC)
+        assert resumed.session.offset == 7
+        assert resumed.session.snapshot() == _paused(runner, 7).snapshot()
 
 
 class TestSessions:
-    def test_record_round_trip(self, manager):
-        manager.save_session("s1", {"spec_key": "k", "stream_offset": 5})
-        assert manager.load_session("s1") == {
-            "spec_key": "k", "stream_offset": 5,
-        }
+    def test_record_round_trip(self, manager, runner):
+        key = manager.stream_key("s1")
+        manager.write(key, SPEC, _paused(runner, 5), tenant="alpha")
+        resumed = manager.resume(key, runner.miss_stream_for)
+        assert (resumed.spec, resumed.session.offset, resumed.tenant) == (
+            SPEC, 5, "alpha",
+        )
         assert manager.session_ids() == ["s1"]
-        assert manager.delete_session("s1") is True
-        assert manager.load_session("s1") is None
+        assert manager.delete(key) is True
+        assert manager.resume(key, runner.miss_stream_for) is None
         assert manager.session_ids() == []
 
-    def test_session_ids_exclude_other_record_kinds(self, manager):
-        manager.save_session("s1", {"a": 1})
-        manager.save_session("s2", {"a": 2})
-        manager.save_continuation("spec-a", 0, _snapshot())
+    def test_session_ids_exclude_other_record_kinds(self, manager, runner):
+        session = _paused(runner, 0)
+        manager.write(manager.stream_key("s1"), SPEC, session)
+        manager.write(manager.stream_key("s2"), SPEC, session)
+        manager.write(manager.run_key(SPEC.key()), SPEC, session)
         assert manager.session_ids() == ["s1", "s2"]
 
 

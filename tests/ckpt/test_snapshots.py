@@ -9,12 +9,16 @@ configuration mismatches and cross-family restores raise
 :class:`~repro.errors.CkptError` instead of silently corrupting state.
 """
 
+import dataclasses
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckpt import (
     SNAPSHOT_KINDS,
+    ReplaySession,
     StateSnapshot,
     restore_buffer,
     restore_prefetcher,
@@ -24,7 +28,9 @@ from repro.ckpt import (
     snapshot_tlb,
 )
 from repro.errors import CkptError
+from repro.prefetch.adaptive_sequential import AdaptiveSequentialPrefetcher
 from repro.prefetch.factory import create_prefetcher
+from repro.run import MissStreamCache, Runner, RunSpec
 from repro.tlb.prefetch_buffer import PrefetchBuffer
 from repro.tlb.tlb import TLB
 
@@ -149,12 +155,105 @@ def test_buffer_snapshot_round_trip(ops, capacity):
         assert getattr(twin, field) == getattr(buffer, field)
 
 
+#: case id (``kind:field``) -> (builder, captured config, the same
+#: config with that one field changed).
+CONFIG_MISMATCHES = {
+    "mech.sp:degree": (partial(create_prefetcher, "SP"), {}, {"degree": 2}),
+    **{
+        f"mech.asp_seq:{field}": (AdaptiveSequentialPrefetcher, {}, {field: value})
+        for field, value in (
+            ("max_degree", 4),
+            ("window", 32),
+            ("raise_above", 0.7),
+            ("lower_below", 0.1),
+        )
+    },
+    "mech.asp:rows": (
+        partial(create_prefetcher, "ASP"),
+        {"rows": 8, "ways": 2},
+        {"rows": 16, "ways": 2},
+    ),
+    "mech.asp:ways": (
+        partial(create_prefetcher, "ASP"),
+        {"rows": 8, "ways": 2},
+        {"rows": 8, "ways": 4},
+    ),
+    **{
+        f"{kind}:slots": (
+            partial(create_prefetcher, name),
+            {"rows": 8},
+            {"rows": 8, "slots": 3},
+        )
+        for kind, name in (
+            ("mech.mp", "MP"),
+            ("mech.dp", "DP"),
+            ("mech.dp_pc", "DP-PC"),
+            ("mech.dp2", "DP-2"),
+        )
+    },
+    "mech.rp:variant_three": (
+        partial(create_prefetcher, "RP"),
+        {},
+        {"variant_three": True},
+    ),
+}
+
+
 class TestStrictRestore:
     def _trained(self, name, **params):
         prefetcher = create_prefetcher(name, **params)
         for page in (3, 7, 12, 3, 9, 7):
             prefetcher.on_miss(0, page, -1, False)
         return prefetcher
+
+    @staticmethod
+    def _train(prefetcher):
+        for page in (3, 7, 12, 3, 9, 7):
+            prefetcher.on_miss(0, page, -1, False)
+        return prefetcher
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_MISMATCHES))
+    def test_every_configuration_field_is_strict(self, case):
+        build, captured, changed = CONFIG_MISMATCHES[case]
+        snap = snapshot_prefetcher(self._train(build(**captured)))
+        with pytest.raises(CkptError, match="mismatch"):
+            restore_prefetcher(snap, build(**changed))
+
+    def test_mismatch_cases_cover_every_declared_field(self):
+        declared = {
+            f"{cls.kind}:{field}"
+            for cls in SNAPSHOT_KINDS.values()
+            for field in getattr(cls, "config", ())
+        }
+        assert declared <= set(CONFIG_MISMATCHES)
+
+    @pytest.mark.parametrize("degree", [0, 9])
+    def test_asp_seq_degree_outside_its_range_rejected(self, degree):
+        snap = snapshot_prefetcher(AdaptiveSequentialPrefetcher(max_degree=8))
+        corrupt = dataclasses.replace(snap, degree=degree)
+        with pytest.raises(CkptError, match=r"degree .* outside \[1, 8\]"):
+            restore_prefetcher(corrupt, AdaptiveSequentialPrefetcher(max_degree=8))
+
+    def test_invalid_stride_state_rejected(self):
+        snap = snapshot_prefetcher(self._trained("ASP", rows=8, ways=2))
+        pairs = next(pairs for pairs in snap.table.sets if pairs)
+        key, (prev_page, stride, _) = pairs[0]
+        pairs[0] = [key, [prev_page, stride, 7]]
+        with pytest.raises(CkptError, match="stride row"):
+            restore_prefetcher(snap, create_prefetcher("ASP", rows=8, ways=2))
+
+    def test_table_key_filed_under_the_wrong_set_rejected(self):
+        snap = snapshot_prefetcher(self._trained("DP", rows=8, ways=2))
+        sets = snap.table.sets
+        home = next(index for index, pairs in enumerate(sets) if pairs)
+        stray = next(
+            index
+            for index, pairs in enumerate(sets)
+            if index != home and len(pairs) < snap.table.ways
+        )
+        sets[stray].append(sets[home].pop())
+        with pytest.raises(CkptError, match="filed under set"):
+            restore_prefetcher(snap, create_prefetcher("DP", rows=8, ways=2))
 
     def test_configuration_mismatch_rejected(self):
         snap = snapshot_prefetcher(self._trained("DP", rows=8))
@@ -184,6 +283,24 @@ class TestStrictRestore:
         blob = snapshot_prefetcher(self._trained("DP", rows=8)).to_bytes()
         with pytest.raises(CkptError, match="kind"):
             TLBSnapshot.from_bytes(blob)
+
+
+@pytest.mark.parametrize("link", [1, 2], ids=["next", "prev"])
+def test_rp_dangling_link_rejected_at_restore(link):
+    """A PTE whose stack link names a page without a PTE is corrupt:
+    restore refuses it rather than leaving the compiled kernel to fail
+    on the missing page when it seeds its stack."""
+    spec = RunSpec.of("galgel", "RP", scale=0.05)
+    stream = Runner(cache=MissStreamCache()).miss_stream_for(spec)
+    session = ReplaySession(stream, spec.build_prefetcher())
+    session.advance(200)
+    snap = session.snapshot()
+    entry = next(entry for entry in snap.mechanism.entries if entry[link] is not None)
+    entry[link] = 10**12
+    with pytest.raises(CkptError, match="has no PTE"):
+        restore_prefetcher(snap.mechanism, spec.build_prefetcher())
+    with pytest.raises(CkptError, match="has no PTE"):
+        ReplaySession.resume(snap, stream, spec.build_prefetcher())
 
 
 def test_every_registered_kind_is_reachable():

@@ -227,10 +227,10 @@ class TestResumeRecordChecks:
         )
         service.handle("POST", "/streams/s1/advance", body={"count": 500})
         service._sessions.clear()
-        return service.ckpt.load_session("s1")
+        return service.ckpt._get_record(service.ckpt.stream_key("s1"))
 
     def _advance_with(self, service, record):
-        service.ckpt.save_session("s1", record)
+        service.ckpt._put_record(service.ckpt.stream_key("s1"), record)
         return service.handle("POST", "/streams/s1/advance", body={})
 
     def test_stream_offset_must_match_the_snapshot(self, service):

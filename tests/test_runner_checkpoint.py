@@ -39,10 +39,15 @@ def test_checkpointed_row_equals_plain_row(store):
     assert checkpointed.to_json() == plain.to_json()
 
 
+def _record(store, spec):
+    """The run's stored bookmark record, or None."""
+    return CheckpointManager(store)._get_record(CheckpointManager.run_key(spec.key()))
+
+
 def test_completion_clears_the_bookmark(store):
     spec = _spec()
     Runner(cache=MissStreamCache(), store=store, checkpoint_every=500).run_one(spec)
-    assert CheckpointManager(store).load_continuation(spec.key()) is None
+    assert _record(store, spec) is None
 
 
 def test_killed_run_resumes_from_its_bookmark(store, monkeypatch):
@@ -67,7 +72,7 @@ def test_killed_run_resumes_from_its_bookmark(store, monkeypatch):
     runner = Runner(cache=MissStreamCache(), store=store, checkpoint_every=700)
     with pytest.raises(_Crash):
         runner.run_one(spec)
-    record, _ = CheckpointManager(store).load_continuation(spec.key())
+    record = _record(store, spec)
     assert record["stream_offset"] == 1400
     assert record["spec_key"] == spec.key()
 
@@ -85,7 +90,7 @@ def test_killed_run_resumes_from_its_bookmark(store, monkeypatch):
     retried = runner.run_one(spec)
     assert resume_offsets == [1400]  # resumed, not restarted
     assert retried == plain[0]
-    assert CheckpointManager(store).load_continuation(spec.key()) is None
+    assert _record(store, spec) is None
 
 
 def test_gc_lost_bookmark_restarts_cleanly(store):
@@ -100,11 +105,11 @@ def test_gc_lost_bookmark_restarts_cleanly(store):
     stream = runner.miss_stream_for(spec)
     session = ReplaySession(stream, spec.build_prefetcher())
     session.advance(900)
-    record = manager.save_continuation(spec.key(), session.offset, session.snapshot())
-    store.delete_ckpt(record["state_digest"])
+    key = manager.run_key(spec.key())
+    store.delete_ckpt(manager.write(key, spec, session))
 
     assert runner.run_one(spec) == plain[0]
-    assert manager.load_continuation(spec.key()) is None
+    assert manager.resume(key, runner.miss_stream_for, spec) is None
 
 
 def test_checkpointed_batch_still_deduplicates_via_store(store):
@@ -135,14 +140,15 @@ class TestBookmarkChecks:
         )
         session.advance(300)
         manager = CheckpointManager(store)
-        record = manager.save_continuation(
-            spec.key(),
-            session.offset if offset is None else offset,
-            session.snapshot(),
-        )
+        key = manager.run_key(spec.key())
+        manager.write(key, spec, session)
+        record = manager._get_record(key)
+        if offset is not None:
+            record["stream_offset"] = offset
         if spec_key is not None:
             record["spec_key"] = spec_key
-            manager._put_record("cont:" + spec.key(), record)
+        manager._put_record(key, record)
+        return session
 
     def _resume(self, store, spec):
         runner = Runner(cache=MissStreamCache(), store=store, checkpoint_every=500)
@@ -170,4 +176,17 @@ class TestBookmarkChecks:
         spec = _spec()
         self._bookmark(store, spec, ran=spec.derive(max_prefetches_per_miss=1))
         with pytest.raises(CkptError, match="max_prefetches_per_miss"):
+            self._resume(store, spec)
+
+    def test_blob_must_be_a_session_snapshot(self, store):
+        """A bookmark filed against any other snapshot kind is corrupt:
+        the run raises instead of silently starting over."""
+        spec = _spec()
+        session = self._bookmark(store, spec)
+        manager = CheckpointManager(store)
+        key = manager.run_key(spec.key())
+        record = manager._get_record(key)
+        record["state_digest"] = manager.save(session.snapshot().mechanism)
+        manager._put_record(key, record)
+        with pytest.raises(CkptError, match="not a session snapshot"):
             self._resume(store, spec)
