@@ -18,6 +18,7 @@ guessing.
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +58,31 @@ def load_reference_trace(path: str | Path) -> ReferenceTrace:
 def save_miss_trace(miss_trace: MissTrace, path: str | Path) -> Path:
     """Write a miss trace (with its TLB provenance) to ``path``."""
     path = Path(path)
-    np.savez_compressed(
-        path,
+    np.savez_compressed(path, **_miss_arrays(miss_trace))
+    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+
+
+def miss_trace_bytes(miss_trace: MissTrace) -> bytes:
+    """The ``.npz`` bytes of a miss trace, as :func:`save_miss_trace` writes them."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **_miss_arrays(miss_trace))
+    return buffer.getvalue()
+
+
+def load_miss_trace(path: str | Path) -> MissTrace:
+    """Read a miss trace written by :func:`save_miss_trace`."""
+    with np.load(Path(path), allow_pickle=False) as data:
+        return _miss_trace_from(data, path)
+
+
+def parse_miss_trace(blob: bytes, source: str | Path = "<bytes>") -> MissTrace:
+    """Decode :func:`miss_trace_bytes` output; ``source`` names it in errors."""
+    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+        return _miss_trace_from(data, source)
+
+
+def _miss_arrays(miss_trace: MissTrace) -> dict[str, np.ndarray]:
+    return dict(
         kind=np.array(_MISS_KIND),
         version=np.array(_FORMAT_VERSION),
         name=np.array(miss_trace.name),
@@ -70,23 +94,20 @@ def save_miss_trace(miss_trace: MissTrace, path: str | Path) -> Path:
         total_references=np.array(miss_trace.total_references),
         warmup_misses=np.array(miss_trace.warmup_misses),
     )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-def load_miss_trace(path: str | Path) -> MissTrace:
-    """Read a miss trace written by :func:`save_miss_trace`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        _check_header(data, _MISS_KIND, path)
-        return MissTrace(
-            pcs=data["pcs"],
-            pages=data["pages"],
-            evicted=data["evicted"],
-            ref_index=data["ref_index"],
-            total_references=int(data["total_references"]),
-            warmup_misses=int(data["warmup_misses"]),
-            name=str(data["name"]),
-            tlb_label=str(data["tlb_label"]),
-        )
+def _miss_trace_from(data: np.lib.npyio.NpzFile, source: str | Path) -> MissTrace:
+    _check_header(data, _MISS_KIND, source)
+    return MissTrace(
+        pcs=data["pcs"],
+        pages=data["pages"],
+        evicted=data["evicted"],
+        ref_index=data["ref_index"],
+        total_references=int(data["total_references"]),
+        warmup_misses=int(data["warmup_misses"]),
+        name=str(data["name"]),
+        tlb_label=str(data["tlb_label"]),
+    )
 
 
 def _check_header(data: np.lib.npyio.NpzFile, expected_kind: str, path: str | Path) -> None:

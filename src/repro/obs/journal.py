@@ -39,12 +39,22 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import ObsError
+from repro.sqlite_index import open_index, transaction
 
 #: Version stamp in the journal's ``meta`` table.
 OBS_SCHEMA = "repro.obs/v1"
 
 #: Filename of the journal beside a store's ``index.sqlite``.
 JOURNAL_FILENAME = "telemetry.sqlite"
+
+_TABLES = (
+    "CREATE TABLE IF NOT EXISTS samples ("
+    " ts REAL NOT NULL,"
+    " metric TEXT NOT NULL,"
+    " labels TEXT NOT NULL,"
+    " value REAL NOT NULL)",
+    "CREATE INDEX IF NOT EXISTS samples_by_metric ON samples (metric, ts)",
+)
 
 #: Quantile series derived from each histogram child at sample time.
 _QUANTILES = ((0.50, "p50"), (0.99, "p99"))
@@ -174,58 +184,18 @@ class MetricsJournal:
         self.downsample_after_seconds = float(downsample_after_seconds)
         self.downsample_interval_seconds = float(downsample_interval_seconds)
         self._lock = threading.RLock()
-        self._db = sqlite3.connect(
+        self._db = open_index(
             self.path,
-            timeout=30.0,
-            check_same_thread=False,
-            isolation_level=None,  # autocommit; explicit BEGIN for batches
+            self._lock,
+            OBS_SCHEMA,
+            _TABLES,
+            ObsError,
+            f"telemetry journal at {self.path}",
         )
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.execute("PRAGMA busy_timeout=30000")
-        self._init_schema()
         self._sampler: threading.Thread | None = None
         self._stop = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
-
-    def _init_schema(self) -> None:
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS meta "
-                    "(key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-                )
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS samples ("
-                    " ts REAL NOT NULL,"
-                    " metric TEXT NOT NULL,"
-                    " labels TEXT NOT NULL,"
-                    " value REAL NOT NULL)"
-                )
-                self._db.execute(
-                    "CREATE INDEX IF NOT EXISTS samples_by_metric "
-                    "ON samples (metric, ts)"
-                )
-                row = self._db.execute(
-                    "SELECT value FROM meta WHERE key='schema'"
-                ).fetchone()
-                if row is None:
-                    self._db.execute(
-                        "INSERT INTO meta (key, value) VALUES ('schema', ?)",
-                        (OBS_SCHEMA,),
-                    )
-                elif row[0] != OBS_SCHEMA:
-                    raise ObsError(
-                        f"telemetry journal at {self.path} has schema "
-                        f"{row[0]!r}; this library reads {OBS_SCHEMA!r} — "
-                        "use a fresh file or migrate the journal"
-                    )
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
 
     def close(self) -> None:
         """Stop the background sampler (if any) and close the file."""
@@ -261,18 +231,12 @@ class MetricsJournal:
         if not rows:
             return 0
         ts = self.clock() if now is None else now
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._db.executemany(
-                    "INSERT INTO samples (ts, metric, labels, value) "
-                    "VALUES (?, ?, ?, ?)",
-                    [(ts, metric, labels, value) for metric, labels, value in rows],
-                )
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
+        with transaction(self._lock, self._db):
+            self._db.executemany(
+                "INSERT INTO samples (ts, metric, labels, value) "
+                "VALUES (?, ?, ?, ?)",
+                [(ts, metric, labels, value) for metric, labels, value in rows],
+            )
         return len(rows)
 
     def prune(self, now: float | None = None) -> dict[str, int]:
@@ -286,30 +250,20 @@ class MetricsJournal:
         ts = self.clock() if now is None else now
         expire_before = ts - self.retention_seconds
         thin_before = ts - self.downsample_after_seconds
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                expired = self._db.execute(
-                    "DELETE FROM samples WHERE ts < ?", (expire_before,)
-                ).rowcount
-                thinned = self._db.execute(
-                    "DELETE FROM samples WHERE ts < ? AND rowid NOT IN ("
-                    " SELECT MAX(rowid) FROM samples WHERE ts < ?"
-                    " GROUP BY metric, labels,"
-                    " CAST(ts / ? AS INTEGER))",
-                    (
-                        thin_before,
-                        thin_before,
-                        self.downsample_interval_seconds,
-                    ),
-                ).rowcount
-                (remaining,) = self._db.execute(
-                    "SELECT COUNT(*) FROM samples"
-                ).fetchone()
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
+        with transaction(self._lock, self._db):
+            expired = self._db.execute(
+                "DELETE FROM samples WHERE ts < ?", (expire_before,)
+            ).rowcount
+            thinned = self._db.execute(
+                "DELETE FROM samples WHERE ts < ? AND rowid NOT IN ("
+                " SELECT MAX(rowid) FROM samples WHERE ts < ?"
+                " GROUP BY metric, labels,"
+                " CAST(ts / ? AS INTEGER))",
+                (thin_before, thin_before, self.downsample_interval_seconds),
+            ).rowcount
+            (remaining,) = self._db.execute(
+                "SELECT COUNT(*) FROM samples"
+            ).fetchone()
         return {"expired": expired, "downsampled": thinned, "remaining": remaining}
 
     # -- queries -----------------------------------------------------------

@@ -38,7 +38,6 @@ Design points:
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 import time
 from collections.abc import Callable, Iterable
@@ -47,6 +46,7 @@ from typing import Any
 
 from repro.errors import SchedulerError, SweepOwnershipError
 from repro.obs import REGISTRY
+from repro.sqlite_index import open_index, transaction
 
 #: Version stamp on the queue index.
 SCHED_SCHEMA = "repro.sched/v1"
@@ -91,6 +91,33 @@ _JOB_COLUMNS = (
 )
 
 
+_TABLES = (
+    "CREATE TABLE IF NOT EXISTS jobs ("
+    " id TEXT PRIMARY KEY,"
+    " sweep_id TEXT NOT NULL,"
+    " seq INTEGER NOT NULL,"
+    " spec_key TEXT NOT NULL,"
+    " spec_json TEXT NOT NULL,"
+    " state TEXT NOT NULL,"
+    " attempts INTEGER NOT NULL DEFAULT 0,"
+    " max_attempts INTEGER NOT NULL,"
+    " worker_id TEXT,"
+    " lease_expires REAL,"
+    " result_source TEXT,"
+    " error TEXT,"
+    " created_at REAL NOT NULL,"
+    " updated_at REAL NOT NULL)",
+    "CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state)",
+    "CREATE INDEX IF NOT EXISTS jobs_by_sweep ON jobs (sweep_id, seq)",
+    "CREATE TABLE IF NOT EXISTS counters "
+    "(name TEXT PRIMARY KEY, value INTEGER NOT NULL)",
+    # Lazily migrated: queue files from before sweep ownership gain the
+    # (empty) table on open; their pre-existing sweeps simply have no
+    # recorded owner yet.
+    "CREATE TABLE IF NOT EXISTS sweeps (sweep_id TEXT PRIMARY KEY, owner TEXT)",
+)
+
+
 def _job_dict(row: tuple) -> dict[str, Any]:
     job = dict(zip(_JOB_COLUMNS, row))
     job["spec"] = json.loads(job.pop("spec_json"))
@@ -110,7 +137,7 @@ class JobQueue:
 
     Instances are safe to share between threads (one lock serializes
     access) and the on-disk format is safe to share between processes
-    (WAL SQLite, every mutation in one ``BEGIN IMMEDIATE`` transaction).
+    (WAL SQLite, every mutation in one write transaction).
     """
 
     def __init__(
@@ -130,73 +157,16 @@ class JobQueue:
         self.max_attempts = int(max_attempts)
         self._clock = clock
         self._lock = threading.RLock()
-        self._db = sqlite3.connect(
+        self._db = open_index(
             self.path,
-            timeout=30.0,
-            check_same_thread=False,
-            isolation_level=None,  # autocommit; explicit BEGIN for batches
+            self._lock,
+            SCHED_SCHEMA,
+            _TABLES,
+            SchedulerError,
+            f"job queue at {self.path}",
         )
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.execute("PRAGMA busy_timeout=30000")
-        self._init_schema()
 
     # -- lifecycle ---------------------------------------------------------
-
-    def _init_schema(self) -> None:
-        with self._txn():
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS meta "
-                "(key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-            )
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS jobs ("
-                " id TEXT PRIMARY KEY,"
-                " sweep_id TEXT NOT NULL,"
-                " seq INTEGER NOT NULL,"
-                " spec_key TEXT NOT NULL,"
-                " spec_json TEXT NOT NULL,"
-                " state TEXT NOT NULL,"
-                " attempts INTEGER NOT NULL DEFAULT 0,"
-                " max_attempts INTEGER NOT NULL,"
-                " worker_id TEXT,"
-                " lease_expires REAL,"
-                " result_source TEXT,"
-                " error TEXT,"
-                " created_at REAL NOT NULL,"
-                " updated_at REAL NOT NULL)"
-            )
-            self._db.execute(
-                "CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state)"
-            )
-            self._db.execute(
-                "CREATE INDEX IF NOT EXISTS jobs_by_sweep ON jobs (sweep_id, seq)"
-            )
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS counters "
-                "(name TEXT PRIMARY KEY, value INTEGER NOT NULL)"
-            )
-            # Lazily migrated: queue files from before sweep ownership
-            # gain the (empty) table on open; their pre-existing sweeps
-            # simply have no recorded owner yet.
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS sweeps "
-                "(sweep_id TEXT PRIMARY KEY, owner TEXT)"
-            )
-            row = self._db.execute(
-                "SELECT value FROM meta WHERE key='schema'"
-            ).fetchone()
-            if row is None:
-                self._db.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema', ?)",
-                    (SCHED_SCHEMA,),
-                )
-            elif row[0] != SCHED_SCHEMA:
-                raise SchedulerError(
-                    f"job queue at {self.path} has schema {row[0]!r}; this "
-                    f"library reads {SCHED_SCHEMA!r} — use a fresh file or "
-                    "migrate the queue"
-                )
 
     def close(self) -> None:
         """Close the SQLite connection."""
@@ -215,7 +185,7 @@ class JobQueue:
     # -- small internals ---------------------------------------------------
 
     def _txn(self):
-        return _Transaction(self._lock, self._db)
+        return transaction(self._lock, self._db)
 
     def _bump(self, name: str, delta: int = 1) -> None:
         self._db.execute(
@@ -671,20 +641,3 @@ class JobQueue:
             "running": int(running or 0),
         }
 
-
-class _Transaction:
-    """``with queue._txn():`` — lock + BEGIN IMMEDIATE + commit/rollback."""
-
-    def __init__(self, lock: threading.RLock, db: sqlite3.Connection) -> None:
-        self._lock = lock
-        self._db = db
-
-    def __enter__(self) -> None:
-        self._lock.acquire()
-        self._db.execute("BEGIN IMMEDIATE")
-
-    def __exit__(self, exc_type, *exc_info: object) -> None:
-        try:
-            self._db.execute("COMMIT" if exc_type is None else "ROLLBACK")
-        finally:
-            self._lock.release()

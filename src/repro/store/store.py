@@ -19,6 +19,23 @@ Design points:
   the same directory and ``os.replace``-d into place, so concurrent
   writers of the same key race to an *identical* final state and a
   reader never observes a torn file.
+- **One read path, one write path.** Results, miss streams and
+  checkpoint blobs differ only in how their bytes are encoded (result
+  JSON, the ``trace_io`` npz, opaque blobs). Every keyed read goes
+  through ``_get``: index lookup, one file read, decode, then the LRU
+  touch and hit/byte counters. An artifact that has vanished — another
+  process's ``cache gc`` deleted it after the lookup — is dropped from
+  the index and counted as a miss, for every kind; a damaged one
+  raises :class:`~repro.errors.StoreError`. Every write goes through
+  ``_put``: each artifact's atomic write, then one index transaction
+  for the whole batch, then the budget's :meth:`~ExperimentStore.gc`.
+- **Crash points.** A writer that dies between its tmp write and the
+  rename leaves only a dot-named temporary, which :meth:`gc` sweeps
+  once it is older than an hour. One that dies after the rename but
+  before the index commit leaves the key reading as before: absent if
+  it was new; if it existed, its old row points at a file holding the
+  new, equally valid bytes. A batch commits all of its rows or none.
+  Either way a reopened store serves every committed key.
 - **Schema versioning.** The index records :data:`STORE_SCHEMA`; both
   the index and every artifact are checked on read, and a mismatch
   raises :class:`~repro.errors.StoreError` rather than guessing.
@@ -44,16 +61,16 @@ import time
 import zipfile
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.errors import StoreError, TraceError
 from repro.mem.trace import MissTrace
-from repro.mem.trace_io import load_miss_trace, save_miss_trace
+from repro.mem.trace_io import miss_trace_bytes, parse_miss_trace
 from repro.obs import REGISTRY, trace
 from repro.run.results import ResultSet
 from repro.sim.stats import PrefetchRunStats
+from repro.sqlite_index import open_index, transaction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner -> store)
     from repro.run.spec import RunSpec
@@ -110,6 +127,60 @@ _OBS_OP_SECONDS = REGISTRY.histogram(
 #: older is an abandoned write from a crashed process.
 _TMP_SWEEP_AGE_SECONDS = 3600.0
 
+_TABLES = (
+    "CREATE TABLE IF NOT EXISTS entries ("
+    " kind TEXT NOT NULL,"
+    " key TEXT NOT NULL,"
+    " path TEXT NOT NULL,"
+    " size_bytes INTEGER NOT NULL,"
+    " created_at REAL NOT NULL,"
+    " last_access REAL NOT NULL,"
+    " workload TEXT,"
+    " mechanism TEXT,"
+    " PRIMARY KEY (kind, key))",
+    "CREATE TABLE IF NOT EXISTS counters "
+    "(name TEXT PRIMARY KEY, value INTEGER NOT NULL)",
+    # Tenant visibility grants (multi-tenant service). This is a *lazy
+    # migration*: artifacts stay shared and content-addressed (dedup
+    # and byte-identity untouched); the table only records which
+    # tenant namespaces may *see* which keys. Pre-tenant stores gain
+    # the empty table on their next open — no version bump needed,
+    # because absent rows simply mean "no grants yet".
+    "CREATE TABLE IF NOT EXISTS tenant_keys ("
+    " tenant TEXT NOT NULL,"
+    " kind TEXT NOT NULL,"
+    " key TEXT NOT NULL,"
+    " PRIMARY KEY (tenant, kind, key))",
+)
+
+
+def _seed_access_clock(db: sqlite3.Connection) -> None:
+    """Migrate a pre-counter store: start the LRU clock past its entries.
+
+    Seeds ``access_seq`` just past the largest wall-clock recency
+    already recorded, so existing entries keep their relative order
+    and every new access sorts after them.
+    """
+    if db.execute("SELECT value FROM counters WHERE name='access_seq'").fetchone():
+        return
+    seed = db.execute(
+        "SELECT CAST(MAX(last_access) AS INTEGER) FROM entries"
+    ).fetchone()[0]
+    db.execute(
+        "INSERT INTO counters (name, value) VALUES ('access_seq', ?)",
+        (int(seed or 0),),
+    )
+
+
+def _decode_stream(path: Path, data: bytes) -> MissTrace:
+    try:
+        return parse_miss_trace(data, path)
+    except _ARTIFACT_ERRORS as exc:
+        raise StoreError(
+            f"{path}: corrupt miss-stream artifact "
+            f"({type(exc).__name__}: {exc}); delete it or run gc"
+        ) from exc
+
 
 def stream_digest_for_spec(spec: "RunSpec") -> str:
     """Stable digest of the miss stream a registry-workload spec replays.
@@ -161,94 +232,19 @@ class ExperimentStore:
         self.max_bytes = max_bytes
         self._lock = threading.RLock()
         self._pins: Counter[tuple[str, str]] = Counter()
-        (self.root / "results").mkdir(parents=True, exist_ok=True)
-        (self.root / "streams").mkdir(parents=True, exist_ok=True)
-        (self.root / "ckpt").mkdir(parents=True, exist_ok=True)
-        self._db = sqlite3.connect(
+        for subdir in ("results", "streams", "ckpt"):
+            (self.root / subdir).mkdir(parents=True, exist_ok=True)
+        self._db = open_index(
             self.root / "index.sqlite",
-            timeout=30.0,
-            check_same_thread=False,
-            isolation_level=None,  # autocommit; explicit BEGIN for batches
+            self._lock,
+            STORE_SCHEMA,
+            _TABLES,
+            StoreError,
+            f"store at {self.root}",
+            migrate=_seed_access_clock,
         )
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.execute("PRAGMA busy_timeout=30000")
-        self._init_schema()
 
     # -- lifecycle ---------------------------------------------------------
-
-    def _init_schema(self) -> None:
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS meta "
-                    "(key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-                )
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS entries ("
-                    " kind TEXT NOT NULL,"
-                    " key TEXT NOT NULL,"
-                    " path TEXT NOT NULL,"
-                    " size_bytes INTEGER NOT NULL,"
-                    " created_at REAL NOT NULL,"
-                    " last_access REAL NOT NULL,"
-                    " workload TEXT,"
-                    " mechanism TEXT,"
-                    " PRIMARY KEY (kind, key))"
-                )
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS counters "
-                    "(name TEXT PRIMARY KEY, value INTEGER NOT NULL)"
-                )
-                # Tenant visibility grants (multi-tenant service). This
-                # is a *lazy migration*: artifacts stay shared and
-                # content-addressed (dedup and byte-identity untouched);
-                # the table only records which tenant namespaces may
-                # *see* which keys. Pre-tenant stores gain the empty
-                # table on their next open — no version bump needed,
-                # because absent rows simply mean "no grants yet".
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS tenant_keys ("
-                    " tenant TEXT NOT NULL,"
-                    " kind TEXT NOT NULL,"
-                    " key TEXT NOT NULL,"
-                    " PRIMARY KEY (tenant, kind, key))"
-                )
-                seq = self._db.execute(
-                    "SELECT value FROM counters WHERE name='access_seq'"
-                ).fetchone()
-                if seq is None:
-                    # Migrate a pre-counter store: seed the LRU clock
-                    # just past the largest wall-clock recency already
-                    # recorded, so existing entries keep their relative
-                    # order and every new access sorts after them.
-                    seed = self._db.execute(
-                        "SELECT CAST(MAX(last_access) AS INTEGER) FROM entries"
-                    ).fetchone()[0]
-                    self._db.execute(
-                        "INSERT INTO counters (name, value) "
-                        "VALUES ('access_seq', ?)",
-                        (int(seed or 0),),
-                    )
-                row = self._db.execute(
-                    "SELECT value FROM meta WHERE key='schema'"
-                ).fetchone()
-                if row is None:
-                    self._db.execute(
-                        "INSERT INTO meta (key, value) VALUES ('schema', ?)",
-                        (STORE_SCHEMA,),
-                    )
-                elif row[0] != STORE_SCHEMA:
-                    raise StoreError(
-                        f"store at {self.root} has schema {row[0]!r}; this "
-                        f"library reads {STORE_SCHEMA!r} — use a fresh "
-                        "directory or migrate the store"
-                    )
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
 
     def close(self) -> None:
         """Close the index connection (artifacts need no teardown)."""
@@ -277,17 +273,19 @@ class ExperimentStore:
 
     # -- small internals ---------------------------------------------------
 
+    def _txn(self):
+        return transaction(self._lock, self._db)
+
     def _bump(self, name: str, delta: int = 1) -> None:
         self._db.execute(
             "INSERT INTO counters (name, value) VALUES (?, ?) "
             "ON CONFLICT(name) DO UPDATE SET value = value + excluded.value",
             (name, delta),
         )
-        if name != "access_seq":
-            _OBS_COUNTERS.inc(delta, name=name)
+        _OBS_COUNTERS.inc(delta, name=name)
 
-    def _next_access(self) -> int:
-        """Advance the persistent LRU clock and return its new value.
+    def _advance_clock(self, steps: int) -> int:
+        """Advance the persistent LRU clock by ``steps``; its new value.
 
         Entry recency used to be wall-clock ``time.time()``: an NTP
         step (or two touches inside one clock tick) could reorder —
@@ -299,55 +297,118 @@ class ExperimentStore:
         never ties.
         """
         return self._db.execute(
-            "INSERT INTO counters (name, value) VALUES ('access_seq', 1) "
-            "ON CONFLICT(name) DO UPDATE SET value = value + 1 "
-            "RETURNING value"
+            "INSERT INTO counters (name, value) VALUES ('access_seq', ?) "
+            "ON CONFLICT(name) DO UPDATE SET value = value + excluded.value "
+            "RETURNING value",
+            (steps,),
         ).fetchone()[0]
-
-    def _write_atomic(self, final: Path, data: bytes) -> None:
-        tmp = final.parent / f".{final.name}.{os.getpid()}.{next(_tmp_counter)}.tmp"
-        tmp.write_bytes(data)
-        os.replace(tmp, final)
-
-    def _record_entry(
-        self,
-        kind: str,
-        key: str,
-        rel_path: str,
-        size: int,
-        workload: str | None,
-        mechanism: str | None,
-    ) -> None:
-        self._db.execute(
-            "INSERT INTO entries "
-            "(kind, key, path, size_bytes, created_at, last_access, workload,"
-            " mechanism) VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
-            "ON CONFLICT(kind, key) DO UPDATE SET path=excluded.path,"
-            " size_bytes=excluded.size_bytes, last_access=excluded.last_access,"
-            " workload=excluded.workload, mechanism=excluded.mechanism",
-            (
-                kind,
-                key,
-                rel_path,
-                size,
-                time.time(),
-                self._next_access(),
-                workload,
-                mechanism,
-            ),
-        )
-        self._bump("bytes_written", size)
-
-    def _touch(self, kind: str, key: str) -> None:
-        self._db.execute(
-            "UPDATE entries SET last_access=? WHERE kind=? AND key=?",
-            (self._next_access(), kind, key),
-        )
 
     def _drop_entry(self, kind: str, key: str) -> None:
         self._db.execute(
             "DELETE FROM entries WHERE kind=? AND key=?", (kind, key)
         )
+
+    def _has(self, kind: str, key: str) -> bool:
+        """Index-only presence probe: no counters, no artifact read."""
+        with self._lock:
+            return (
+                self._db.execute(
+                    "SELECT 1 FROM entries WHERE kind=? AND key=?", (kind, key)
+                ).fetchone()
+                is not None
+            )
+
+    def _get(
+        self, kind: str, key: str, decode: Callable[[Path, bytes], Any]
+    ) -> Any | None:
+        """The one keyed read: artifact for ``key`` decoded, or ``None``.
+
+        Counts exactly one hit or miss. An artifact gone by the time it
+        is read (collected by another process after we indexed it) is
+        an honest miss and its stale row is dropped; ``decode`` raises
+        :class:`~repro.errors.StoreError` for a damaged one.
+        """
+        _OBS_LOOKUPS.inc(kind=kind)
+        with self._lock:
+            row = self._db.execute(
+                "SELECT path FROM entries WHERE kind=? AND key=?", (kind, key)
+            ).fetchone()
+            data = None
+            if row is not None:
+                path = self.root / row[0]
+                try:
+                    data = path.read_bytes()
+                except FileNotFoundError:
+                    self._drop_entry(kind, key)
+                except OSError as exc:
+                    raise StoreError(
+                        f"{path}: unreadable {kind} artifact "
+                        f"({type(exc).__name__}: {exc})"
+                    ) from exc
+            if data is None:
+                self._bump(f"{kind}_misses")
+                return None
+            value = decode(path, data)
+            self._db.execute(
+                "UPDATE entries SET last_access=? WHERE kind=? AND key=?",
+                (self._advance_clock(1), kind, key),
+            )
+            self._bump(f"{kind}_hits")
+            self._bump("bytes_read", len(data))
+            return value
+
+    def _put(
+        self,
+        kind: str,
+        artifacts: list[tuple[str, str, bytes, str | None, str | None]],
+        op: str | None = None,
+    ) -> None:
+        """The one write: ``(key, rel_path, data, workload, mechanism)`` rows.
+
+        Artifacts are written before the transaction opens, so the
+        index write lock is never held across file I/O, and the whole
+        batch costs three index statements (one LRU-clock advance, one
+        ``executemany`` of entry rows, one byte-counter bump) rather
+        than three per artifact. ``op`` labels the write's latency in
+        ``repro_store_op_seconds``.
+        """
+        began = time.perf_counter()
+        with self._lock:
+            for _, rel, data, _, _ in artifacts:
+                final = self.root / rel
+                tmp = final.parent / (
+                    f".{final.name}.{os.getpid()}.{next(_tmp_counter)}.tmp"
+                )
+                tmp.write_bytes(data)
+                os.replace(tmp, final)
+            now = time.time()
+            with self._txn():
+                if artifacts:
+                    # Entry i takes seq base+i+1, preserving relative recency.
+                    base = self._advance_clock(len(artifacts)) - len(artifacts)
+                    self._db.executemany(
+                        "INSERT INTO entries "
+                        "(kind, key, path, size_bytes, created_at, last_access,"
+                        " workload, mechanism) VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
+                        "ON CONFLICT(kind, key) DO UPDATE SET path=excluded.path,"
+                        " size_bytes=excluded.size_bytes,"
+                        " last_access=excluded.last_access,"
+                        " workload=excluded.workload,"
+                        " mechanism=excluded.mechanism",
+                        [
+                            (kind, key, rel, len(data), now, base + i + 1,
+                             workload, mechanism)
+                            for i, (key, rel, data, workload, mechanism)
+                            in enumerate(artifacts)
+                        ],
+                    )
+                    self._bump(
+                        "bytes_written", sum(len(item[2]) for item in artifacts)
+                    )
+        if op is not None:
+            _OBS_OP_SECONDS.observe(time.perf_counter() - began, op=op)
+        if self.max_bytes is not None:
+            self.gc()
 
     @contextmanager
     def pinned(self, key: str, kind: str = _RESULT) -> Iterator[None]:
@@ -386,13 +447,7 @@ class ExperimentStore:
         service's per-request hit accounting) without perturbing the
         hit/miss counters or paying a file read.
         """
-        with self._lock:
-            return (
-                self._db.execute(
-                    "SELECT 1 FROM entries WHERE kind=? AND key=?", (_RESULT, key)
-                ).fetchone()
-                is not None
-            )
+        return self._has(_RESULT, key)
 
     def get_result(self, key: str) -> PrefetchRunStats | None:
         """Stored row for a spec key, or ``None`` (counted as hit/miss).
@@ -400,28 +455,7 @@ class ExperimentStore:
         Raises :class:`~repro.errors.StoreError` if the artifact exists
         but cannot be decoded (truncated/corrupt file).
         """
-        _OBS_LOOKUPS.inc(kind=_RESULT)
-        with self._lock:
-            row = self._db.execute(
-                "SELECT path FROM entries WHERE kind=? AND key=?", (_RESULT, key)
-            ).fetchone()
-            if row is None:
-                self._bump("result_misses")
-                return None
-            path = self.root / row[0]
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                # Another process GC'd the artifact after we indexed it:
-                # drop the stale row and report an honest miss.
-                self._drop_entry(_RESULT, key)
-                self._bump("result_misses")
-                return None
-            stats = self._decode_result(path, data)
-            self._touch(_RESULT, key)
-            self._bump("result_hits")
-            self._bump("bytes_read", len(data))
-            return stats
+        return self._get(_RESULT, key, self._decode_result)
 
     @staticmethod
     def _decode_result(path: Path, data: bytes) -> PrefetchRunStats:
@@ -457,19 +491,12 @@ class ExperimentStore:
         <5% ``store_cold_overhead_fraction`` budget: rows are
         serialized compactly up front (a shallow field copy — every
         stats field is a JSON scalar except ``extra`` — instead of
-        ``dataclasses.asdict``'s deep recursion), artifacts are written
-        before the transaction opens so the index write lock is never
-        held across file I/O, and the whole batch costs three index
-        statements (one LRU-clock advance, one ``executemany`` of entry
-        rows, one byte-counter bump) rather than three per spec.
+        ``dataclasses.asdict``'s deep recursion) and the batch shares
+        one index transaction.
         """
-        pairs = list(pairs)
-        began = time.perf_counter()
-        keys: list[str] = []
-        encoded: list[tuple[str, str, bytes, str, str]] = []
+        artifacts = []
         for spec, stats in pairs:
             key = spec.key()
-            rel = f"results/{key}.json"
             run = dict(vars(stats))
             run["extra"] = dict(run["extra"])
             payload = {
@@ -481,56 +508,13 @@ class ExperimentStore:
             data = (
                 json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
             ).encode()
-            encoded.append((key, rel, data, spec.workload, spec.mechanism.label))
-            keys.append(key)
-        with trace("store.put_results", count=len(pairs)), self._lock:
-            for _, rel, data, _, _ in encoded:
-                self._write_atomic(self.root / rel, data)
-            now = time.time()
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                if encoded:
-                    # One LRU-clock advance covers the batch; entry i
-                    # takes seq base+i+1, preserving relative recency.
-                    base = (
-                        self._db.execute(
-                            "INSERT INTO counters (name, value) "
-                            "VALUES ('access_seq', ?) "
-                            "ON CONFLICT(name) DO UPDATE SET "
-                            "value = value + excluded.value RETURNING value",
-                            (len(encoded),),
-                        ).fetchone()[0]
-                        - len(encoded)
-                    )
-                    self._db.executemany(
-                        "INSERT INTO entries "
-                        "(kind, key, path, size_bytes, created_at, last_access,"
-                        " workload, mechanism) VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
-                        "ON CONFLICT(kind, key) DO UPDATE SET path=excluded.path,"
-                        " size_bytes=excluded.size_bytes,"
-                        " last_access=excluded.last_access,"
-                        " workload=excluded.workload,"
-                        " mechanism=excluded.mechanism",
-                        [
-                            (
-                                _RESULT, key, rel, len(data), now, base + i + 1,
-                                workload, mechanism,
-                            )
-                            for i, (key, rel, data, workload, mechanism)
-                            in enumerate(encoded)
-                        ],
-                    )
-                    self._bump(
-                        "bytes_written", sum(len(data) for _, _, data, _, _ in encoded)
-                    )
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
-        _OBS_OP_SECONDS.observe(time.perf_counter() - began, op="put_results")
-        if self.max_bytes is not None:
-            self.gc()
-        return keys
+            artifacts.append(
+                (key, f"results/{key}.json", data, spec.workload,
+                 spec.mechanism.label)
+            )
+        with trace("store.put_results", count=len(artifacts)):
+            self._put(_RESULT, artifacts, op="put_results")
+        return [key for key, *_ in artifacts]
 
     def count_results(self) -> int:
         """Number of stored runs (index-only; backs pagination totals)."""
@@ -582,55 +566,15 @@ class ExperimentStore:
 
     def get_stream(self, digest: str) -> MissTrace | None:
         """Stored miss stream for a digest, or ``None``."""
-        _OBS_LOOKUPS.inc(kind=_STREAM)
-        with self._lock:
-            row = self._db.execute(
-                "SELECT path FROM entries WHERE kind=? AND key=?",
-                (_STREAM, digest),
-            ).fetchone()
-            if row is None:
-                self._bump("stream_misses")
-                return None
-            path = self.root / row[0]
-            if not path.exists():
-                self._drop_entry(_STREAM, digest)
-                self._bump("stream_misses")
-                return None
-            try:
-                stream = load_miss_trace(path)
-            except _ARTIFACT_ERRORS as exc:
-                raise StoreError(
-                    f"{path}: corrupt miss-stream artifact "
-                    f"({type(exc).__name__}: {exc}); delete it or run gc"
-                ) from exc
-            self._touch(_STREAM, digest)
-            self._bump("stream_hits")
-            self._bump("bytes_read", path.stat().st_size)
-            return stream
+        return self._get(_STREAM, digest, _decode_stream)
 
     def put_stream(self, digest: str, stream: MissTrace) -> str:
         """Store one filtered miss stream under ``digest``."""
-        rel = f"streams/{digest}.npz"
-        final = self.root / rel
-        began = time.perf_counter()
-        with self._lock:
-            tmp = (
-                final.parent
-                / f".{final.name}.{os.getpid()}.{next(_tmp_counter)}.tmp.npz"
-            )
-            save_miss_trace(stream, tmp)
-            os.replace(tmp, final)
-            size = final.stat().st_size
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._record_entry(_STREAM, digest, rel, size, stream.name, None)
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
-        _OBS_OP_SECONDS.observe(time.perf_counter() - began, op="put_stream")
-        if self.max_bytes is not None:
-            self.gc()
+        artifact = (
+            digest, f"streams/{digest}.npz", miss_trace_bytes(stream), stream.name,
+            None,
+        )
+        self._put(_STREAM, [artifact], op="put_stream")
         return digest
 
     # -- checkpoint blobs --------------------------------------------------
@@ -655,51 +599,16 @@ class ExperimentStore:
         integrity are :mod:`repro.ckpt`'s concern — it only files,
         indexes, and garbage-collects them like any other artifact.
         """
-        rel = self._ckpt_rel(key)
-        with self._lock:
-            self._write_atomic(self.root / rel, blob)
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._record_entry(_CKPT, key, rel, len(blob), None, None)
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
-        if self.max_bytes is not None:
-            self.gc()
+        self._put(_CKPT, [(key, self._ckpt_rel(key), blob, None, None)])
         return key
 
     def get_ckpt(self, key: str) -> bytes | None:
         """Stored checkpoint blob for ``key``, or ``None`` (counted)."""
-        _OBS_LOOKUPS.inc(kind=_CKPT)
-        with self._lock:
-            row = self._db.execute(
-                "SELECT path FROM entries WHERE kind=? AND key=?", (_CKPT, key)
-            ).fetchone()
-            if row is None:
-                self._bump("ckpt_misses")
-                return None
-            path = self.root / row[0]
-            try:
-                blob = path.read_bytes()
-            except FileNotFoundError:
-                self._drop_entry(_CKPT, key)
-                self._bump("ckpt_misses")
-                return None
-            self._touch(_CKPT, key)
-            self._bump("ckpt_hits")
-            self._bump("bytes_read", len(blob))
-            return blob
+        return self._get(_CKPT, key, lambda path, blob: blob)
 
     def has_ckpt(self, key: str) -> bool:
         """Index-only presence probe (no counters, no artifact read)."""
-        with self._lock:
-            return (
-                self._db.execute(
-                    "SELECT 1 FROM entries WHERE kind=? AND key=?", (_CKPT, key)
-                ).fetchone()
-                is not None
-            )
+        return self._has(_CKPT, key)
 
     def delete_ckpt(self, key: str) -> bool:
         """Remove one checkpoint blob; True if it existed."""
@@ -738,18 +647,12 @@ class ExperimentStore:
         rows = [(tenant, kind, key) for key in keys]
         if not rows:
             return
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._db.executemany(
-                    "INSERT OR IGNORE INTO tenant_keys (tenant, kind, key) "
-                    "VALUES (?, ?, ?)",
-                    rows,
-                )
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
+        with self._txn():
+            self._db.executemany(
+                "INSERT OR IGNORE INTO tenant_keys (tenant, kind, key) "
+                "VALUES (?, ?, ?)",
+                rows,
+            )
 
     def is_granted(self, tenant: str, kind: str, key: str) -> bool:
         """Whether ``tenant`` may see ``kind``/``key``."""
@@ -862,8 +765,7 @@ class ExperimentStore:
             ).fetchall()
             total = sum(row[3] for row in rows)
             if limit is not None:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
+                with self._txn():
                     for kind, key, rel, size in rows:
                         if total <= limit:
                             break
@@ -876,10 +778,6 @@ class ExperimentStore:
                         evicted += 1
                     if evicted:
                         self._bump("evictions", evicted)
-                    self._db.execute("COMMIT")
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
         return {
             "evicted": evicted,
             "reclaimed_bytes": reclaimed,

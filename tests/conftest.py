@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.mem.trace import ReferenceTrace
 from repro.prefetch.base import NO_EVICTION, Prefetcher
@@ -48,3 +49,16 @@ def drive_misses(
     return [
         prefetcher.on_miss(pcs[i], pages[i], evicted[i], False) for i in range(n)
     ]
+
+
+#: ``--hypothesis-profile=ci`` gives the stateful suites (store crash
+#: points, the job-queue state machine) a larger example budget; the
+#: default profile is untouched.
+settings.register_profile("ci", max_examples=200, deadline=None)
+
+
+def hypothesis_budget(tier1: int) -> int:
+    """Example budget: ``tier1`` by default, the ``ci`` profile's when loaded."""
+    if settings.default is settings.get_profile("ci"):
+        return settings.default.max_examples
+    return tier1

@@ -9,8 +9,11 @@ Three hazards a durable cache must survive:
 - garbage collection racing a reader — a pinned entry is never evicted.
 """
 
+import builtins
+import io
 import json
 import multiprocessing
+import os
 import pathlib
 import sys
 
@@ -117,10 +120,52 @@ class TestCorruptArtifacts:
         with pytest.raises(StoreError, match="corrupt miss-stream artifact"):
             store.get_stream(digest)
 
-    def test_deleted_artifact_is_a_miss_not_an_error(self, tmp_path):
-        store, spec = self._stored(tmp_path)
-        (tmp_path / "store" / "results" / f"{spec.key()}.json").unlink()
-        assert store.get_result(spec.key()) is None
+    def _one_artifact(self, tmp_path, kind):
+        """A store holding one artifact of ``kind``, its key and its reader."""
+        if kind == "result":
+            store, spec = self._stored(tmp_path)
+            return store, spec.key(), store.get_result
+        store = ExperimentStore(tmp_path / "store")
+        if kind == "stream":
+            spec = spec_of()
+            Runner(cache=MissStreamCache(), store=store).miss_stream_for(spec)
+            return store, stream_digest_for_spec(spec), store.get_stream
+        store.put_ckpt("ckpt-key", b"checkpoint blob")
+        return store, "ckpt-key", store.get_ckpt
+
+    @pytest.mark.parametrize(
+        "kind, moment",
+        [
+            pytest.param(kind, moment, id=kind[0] + moment[0])
+            for kind in ("result", "stream", "ckpt")
+            for moment in ("before", "during")
+        ],
+    )
+    def test_deleted_artifact_is_a_miss_not_an_error(
+        self, tmp_path, monkeypatch, kind, moment
+    ):
+        store, key, read = self._one_artifact(tmp_path, kind)
+        (entry,) = store.entries(kind)
+        artifact = tmp_path / "store" / entry["path"]
+        if moment == "before":
+            artifact.unlink()
+        else:
+            # Another process's ``cache gc`` collects the file after the
+            # index lookup, just as the reader opens it.
+            real_open = io.open
+
+            def racing_open(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and pathlib.Path(file) == artifact:
+                    artifact.unlink(missing_ok=True)
+                return real_open(file, *args, **kwargs)
+
+            monkeypatch.setattr(io, "open", racing_open)
+            monkeypatch.setattr(builtins, "open", racing_open)
+        misses = store.stats()[f"{kind}_misses"]
+        assert read(key) is None
+        monkeypatch.undo()
+        assert store.stats()[f"{kind}_misses"] == misses + 1
+        assert store.entries(kind) == []  # the stale row is dropped
 
 
 class TestGCNeverEvictsMidRead:
