@@ -8,8 +8,6 @@ where second-order context could plausibly help.
 """
 
 from repro.analysis.ascii_chart import grouped_bars
-from repro.prefetch.factory import create_prefetcher
-from repro.sim.two_phase import replay_prefetcher
 from repro.workloads.registry import HIGH_MISS_APPS
 
 from conftest import write_result
@@ -19,16 +17,10 @@ APPS = tuple(HIGH_MISS_APPS) + ("swim", "applu", "perl4")
 
 
 def _run(context):
-    results = {}
-    for app in APPS:
-        miss_trace = context.miss_trace(app)
-        results[app] = {
-            variant: replay_prefetcher(
-                miss_trace, create_prefetcher(variant, rows=256)
-            ).prediction_accuracy
-            for variant in VARIANTS
-        }
-    return results
+    points = [(app, variant) for app in APPS for variant in VARIANTS]
+    return context.run_panel(
+        [context.spec(app, variant, rows=256) for app, variant in points], points
+    )
 
 
 def test_ablation_dp_indexing_variants(benchmark, context, results_dir):

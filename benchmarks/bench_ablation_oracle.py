@@ -9,9 +9,7 @@ sits at the oracle's level (galgel, swim), the problem is solved.
 """
 
 from repro.analysis.ascii_chart import format_table
-from repro.prefetch.factory import create_prefetcher
 from repro.sim.oracle import replay_oracle
-from repro.sim.two_phase import replay_prefetcher
 
 from conftest import write_result
 
@@ -20,21 +18,18 @@ MECHANISMS = ("DP", "RP", "MP", "ASP")
 
 
 def _run(context):
-    results = {}
+    points = [(app, mechanism) for app in APPS for mechanism in MECHANISMS]
+    results = context.run_panel(
+        [
+            context.spec(app, mechanism, rows=256).derive(max_prefetches_per_miss=2)
+            for app, mechanism in points
+        ],
+        points,
+    )
     for app in APPS:
-        miss_trace = context.miss_trace(app)
-        per_app = {
-            mechanism: replay_prefetcher(
-                miss_trace,
-                create_prefetcher(mechanism, rows=256),
-                max_prefetches_per_miss=2,
-            ).prediction_accuracy
-            for mechanism in MECHANISMS
-        }
-        per_app["oracle"] = replay_oracle(
-            miss_trace, lookahead=2
+        results[app]["oracle"] = replay_oracle(
+            context.miss_trace(app), lookahead=2
         ).prediction_accuracy
-        results[app] = per_app
     return results
 
 

@@ -11,8 +11,6 @@ Two claims the paper makes in passing are checked empirically here:
 """
 
 from repro.analysis.ascii_chart import grouped_bars
-from repro.prefetch.factory import create_prefetcher
-from repro.sim.two_phase import replay_prefetcher
 
 from conftest import write_result
 
@@ -21,35 +19,21 @@ HISTORY_APPS = ("ammp", "gcc", "crafty", "mcf")
 
 
 def _run_sequential(context):
-    results = {}
-    for app in SEQ_APPS:
-        miss_trace = context.miss_trace(app)
-        results[app] = {
-            label: replay_prefetcher(
-                miss_trace, create_prefetcher(name, rows=256)
-            ).prediction_accuracy
-            for label, name in (
-                ("SP", "SP"),
-                ("SP-adaptive", "SP-adaptive"),
-                ("ASP", "ASP"),
-            )
-        }
-    return results
+    points = [(app, name) for app in SEQ_APPS for name in ("SP", "SP-adaptive", "ASP")]
+    return context.run_panel(
+        [context.spec(app, name, rows=256) for app, name in points], points
+    )
 
 
 def _run_rp_variant(context):
-    results = {}
-    for app in HISTORY_APPS:
-        miss_trace = context.miss_trace(app)
-        results[app] = {
-            "RP": replay_prefetcher(
-                miss_trace, create_prefetcher("RP")
-            ).prediction_accuracy,
-            "RP3": replay_prefetcher(
-                miss_trace, create_prefetcher("RP", variant_three=True)
-            ).prediction_accuracy,
-        }
-    return results
+    points = [(app, label) for app in HISTORY_APPS for label in ("RP", "RP3")]
+    return context.run_panel(
+        [
+            context.spec(app, "RP", variant_three=label == "RP3")
+            for app, label in points
+        ],
+        points,
+    )
 
 
 def test_ablation_sequential_variants(benchmark, context, results_dir):

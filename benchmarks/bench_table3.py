@@ -11,8 +11,6 @@ slowdown (>= 1.0) on mcf.
 """
 
 from repro.analysis.tables import check_table3_shape, compare_table3
-from repro.prefetch.factory import create_prefetcher
-from repro.sim.two_phase import replay_prefetcher
 
 from conftest import write_result
 
@@ -31,11 +29,13 @@ def test_table3_normalized_cycles(benchmark, context, results_dir):
 
     # The accuracy premise of the table: RP predicts better than DP on
     # each of these apps, yet loses the cycle comparison above.
-    for app in results:
-        rp_acc = replay_prefetcher(
-            context.miss_trace(app), create_prefetcher("RP")
-        ).prediction_accuracy
-        dp_acc = replay_prefetcher(
-            context.miss_trace(app), create_prefetcher("DP", rows=256)
-        ).prediction_accuracy
-        assert rp_acc > dp_acc, (app, rp_acc, dp_acc)
+    accuracy = context.run_panel(
+        [
+            spec
+            for app in results
+            for spec in (context.spec(app, "RP"), context.spec(app, "DP", rows=256))
+        ],
+        [(app, mechanism) for app in results for mechanism in ("RP", "DP")],
+    )
+    for app, acc in accuracy.items():
+        assert acc["RP"] > acc["DP"], (app, acc)

@@ -41,8 +41,8 @@ from repro.prefetch.null import NullPrefetcher
 from repro.run import MechanismSpec, ResultSet, Runner, RunSpec
 from repro.sim.config import TLBConfig
 from repro.sim.cycle import CycleSimConfig, normalized_cycles, simulate_cycles
+from repro.sim.engine import replay
 from repro.sim.stats import PrefetchRunStats
-from repro.sim.two_phase import replay_prefetcher
 from repro.workloads.registry import (
     HIGH_MISS_APPS,
     TABLE3_APPS,
@@ -67,9 +67,9 @@ class ExperimentContext:
         runner: the execution engine; defaults to a fresh one over the
             process-wide miss-stream cache.
         engine: replay engine stamped on every spec this context
-            builds — ``"auto"`` (default), ``"reference"``, or the
-            compiled-engine aliases ``"fast"``/``"batch"``; see
-            :mod:`repro.sim.engine`.
+            builds and used by :meth:`run_mechanism` — ``"auto"``
+            (default), ``"reference"``, or the compiled-engine aliases
+            ``"fast"``/``"batch"``; see :mod:`repro.sim.engine`.
         store: optional persistent :class:`~repro.store.ExperimentStore`
             (or store directory) the default runner consults — re-running
             a table/figure against the same store replays only the specs
@@ -152,14 +152,29 @@ class ExperimentContext:
     ) -> PrefetchRunStats:
         """Evaluate one *live* mechanism instance over one app.
 
-        For already-constructed (possibly pre-trained) instances;
-        declarative batches should go through :meth:`run_specs`.
+        For already-constructed (possibly pre-trained) instances, on
+        this context's engine; declarative batches should go through
+        :meth:`run_specs`.
         """
-        return replay_prefetcher(
+        return replay(
             self.miss_trace(app, tlb),
             prefetcher,
             buffer_entries=buffer_entries or self.buffer_entries,
+            engine=self.engine,
         )
+
+    def run_panel(
+        self, specs: Sequence[RunSpec], labels: Sequence[tuple[str, str]]
+    ) -> dict[str, dict[str, float]]:
+        """Execute one batch and pivot it to figure shape.
+
+        ``labels[i]`` is the ``(app, label)`` coordinate of ``specs[i]``;
+        returns ``app -> label -> accuracy`` in input order.
+        """
+        results: dict[str, dict[str, float]] = {}
+        for (app, label), stats in zip(labels, self.run_specs(specs)):
+            results.setdefault(app, {})[label] = stats.prediction_accuracy
+        return results
 
     # ------------------------------------------------------------------
     # Table 1
@@ -200,16 +215,13 @@ class ExperimentContext:
         """
         configs = list(configs) if configs is not None else figures.figure7_configs()
         coordinates = [(app, config) for app in apps for config in configs]
-        batch = self.run_specs(
+        return self.run_panel(
             [
                 self.spec(app, config.mechanism, **config.factory_params())
                 for app, config in coordinates
-            ]
+            ],
+            [(app, config.label) for app, config in coordinates],
         )
-        results: dict[str, dict[str, float]] = {}
-        for (app, config), stats in zip(coordinates, batch):
-            results.setdefault(app, {})[config.label] = stats.prediction_accuracy
-        return results
 
     def run_figure7(self) -> dict[str, dict[str, float]]:
         """Figure 7: all SPEC CPU2000 applications."""
@@ -330,21 +342,12 @@ class ExperimentContext:
         """Panel (a): DP accuracy vs table size and associativity."""
         return self.run_figure(HIGH_MISS_APPS, figures.figure9_table_configs())
 
-    def _run_panel(
-        self, specs: list[RunSpec], labels: list[tuple[str, str]]
-    ) -> dict[str, dict[str, float]]:
-        """Execute one sensitivity panel batch; pivot to figure shape."""
-        results: dict[str, dict[str, float]] = {}
-        for (app, label), stats in zip(labels, self.run_specs(specs)):
-            results.setdefault(app, {})[label] = stats.prediction_accuracy
-        return results
-
     def run_figure9_slots(self) -> dict[str, dict[str, float]]:
         """Panel (b): DP accuracy vs prediction slots ``s``."""
         points = [
             (app, slots) for app in HIGH_MISS_APPS for slots in figures.FIGURE9_SLOTS
         ]
-        return self._run_panel(
+        return self.run_panel(
             [self.spec(app, "DP", rows=256, slots=slots) for app, slots in points],
             [(app, f"s = {slots}") for app, slots in points],
         )
@@ -356,7 +359,7 @@ class ExperimentContext:
             for app in HIGH_MISS_APPS
             for entries in figures.FIGURE9_BUFFERS
         ]
-        return self._run_panel(
+        return self.run_panel(
             [
                 self.spec(app, "DP", buffer_entries=entries, rows=256)
                 for app, entries in points
@@ -369,7 +372,7 @@ class ExperimentContext:
         points = [
             (app, entries) for app in HIGH_MISS_APPS for entries in figures.FIGURE9_TLBS
         ]
-        return self._run_panel(
+        return self.run_panel(
             [
                 self.spec(app, "DP", tlb=TLBConfig(entries=entries), rows=256)
                 for app, entries in points

@@ -6,20 +6,22 @@ since only repetitions in addresses can effect a prefetch", while
 stride/distance schemes can predict from the second or third miss —
 which is why DP captures first-time references that MP/RP never will.
 
-:func:`accuracy_timeline` replays a miss stream and reports the
-prefetch-buffer hit rate per window of misses, making that warm-up
-visible; :func:`misses_to_reach` condenses it to "how many misses until
-the mechanism reached X% of its final accuracy".
+:func:`accuracy_timeline` replays a miss stream window by window
+through a :class:`~repro.ckpt.ReplaySession` (the compiled engine
+whenever the mechanism has a loop) and reports the prefetch-buffer hit
+rate per window of misses, making that warm-up visible;
+:func:`misses_to_reach` condenses it to "how many misses until the
+mechanism reached X% of its final accuracy".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.ckpt.session import ReplaySession
 from repro.errors import ConfigurationError
 from repro.mem.trace import MissTrace
 from repro.prefetch.base import Prefetcher
-from repro.tlb.prefetch_buffer import PrefetchBuffer
 
 
 @dataclass(frozen=True)
@@ -47,27 +49,24 @@ def accuracy_timeline(
     window: int = 500,
     buffer_entries: int = 16,
 ) -> list[TimelinePoint]:
-    """Replay a miss stream, recording accuracy per window of misses."""
+    """Replay a miss stream, recording accuracy per window of misses.
+
+    Every hit counts, warm-up included: the timeline exists to show the
+    warm-up. The replay trains ``prefetcher`` exactly as a single-shot
+    replay does.
+    """
     if window <= 0:
         raise ConfigurationError(f"window must be > 0, got {window}")
-    buffer = PrefetchBuffer(buffer_entries)
-    pcs, pages, evicted, _ = miss_trace.as_lists()
-
+    session = ReplaySession(
+        replace(miss_trace, warmup_misses=0), prefetcher, buffer_entries
+    )
     points: list[TimelinePoint] = []
-    window_hits = 0
-    window_start = 0
-    for index, page in enumerate(pages):
-        pb_hit = buffer.lookup_remove(page)
-        window_hits += int(pb_hit)
-        for target in prefetcher.on_miss(pcs[index], page, evicted[index], pb_hit):
-            buffer.insert(target)
-        if (index + 1 - window_start) == window:
-            points.append(TimelinePoint(window_start, window, window_hits))
-            window_start = index + 1
-            window_hits = 0
-    tail = len(pages) - window_start
-    if tail:
-        points.append(TimelinePoint(window_start, tail, window_hits))
+    hits = 0
+    while not session.finished:
+        start = session.offset
+        misses = session.advance(window)
+        points.append(TimelinePoint(start, misses, session.pb_hits_measured - hits))
+        hits = session.pb_hits_measured
     return points
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.mem.trace import MissTrace
 from repro.prefetch.factory import create_prefetcher
-from repro.sim.two_phase import replay_prefetcher
+from repro.sim.engine import replay
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def measure_traffic(
     buffer_entries: int = 16,
 ) -> TrafficSummary:
     """Replay one mechanism and summarize the traffic it induced."""
-    stats = replay_prefetcher(
+    stats = replay(
         miss_trace,
         create_prefetcher(mechanism, rows=rows),
         buffer_entries=buffer_entries,

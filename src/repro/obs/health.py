@@ -28,7 +28,11 @@ from typing import Any, Callable
 
 from repro.errors import ObsError
 from repro.obs.journal import MetricsJournal
-from repro.obs.rules import RuleEngine
+from repro.obs.rules import (
+    LEASE_OVERDUE_SLO_SECONDS,
+    QUEUE_AGE_SLO_SECONDS,
+    RuleEngine,
+)
 
 
 class HealthWatchdog:
@@ -113,18 +117,17 @@ def component_health(
     queue_slo: dict[str, Any],
     sessions: dict[str, Any],
     engine: RuleEngine | None,
-    queue_age_degraded_seconds: float = 120.0,
-    lease_overdue_degraded_seconds: float = 5.0,
 ) -> dict[str, Any]:
     """Fold probes + firing alerts into the ``/healthz`` report.
 
     Components:
         - ``store``: the artifact root accepted a write probe.
-        - ``queue``: the oldest claimable job is not stuck past the lag
-          threshold.
-        - ``workers``: no running job's lease is overdue past the
-          heartbeat grace (a SIGKILLed worker shows up here as soon as
-          its lease lapses, and recovers when the job is re-claimed).
+        - ``queue``: the oldest claimable job is not stuck past
+          :data:`~repro.obs.rules.QUEUE_AGE_SLO_SECONDS`.
+        - ``workers``: no running job's lease is overdue past
+          :data:`~repro.obs.rules.LEASE_OVERDUE_SLO_SECONDS` (a
+          SIGKILLed worker shows up here as soon as its lease lapses,
+          and recovers when the job is re-claimed).
         - ``sessions``: live streaming-session census (always ok on its
           own; the idle-pileup *rule* degrades it when breached).
 
@@ -141,7 +144,7 @@ def component_health(
     }
 
     queue_age = queue_slo.get("oldest_queued_age_seconds")
-    queue_ok = queue_age is None or queue_age <= queue_age_degraded_seconds
+    queue_ok = queue_age is None or queue_age <= QUEUE_AGE_SLO_SECONDS
     components["queue"] = {
         "status": "ok" if queue_ok else "degraded",
         "oldest_queued_age_seconds": queue_age,
@@ -152,7 +155,7 @@ def component_health(
     overdue_jobs = queue_slo.get("lease_overdue_jobs", 0)
     overdue_seconds = queue_slo.get("lease_overdue_seconds", 0.0)
     workers_ok = (
-        overdue_jobs == 0 or overdue_seconds <= lease_overdue_degraded_seconds
+        overdue_jobs == 0 or overdue_seconds <= LEASE_OVERDUE_SLO_SECONDS
     )
     components["workers"] = {
         "status": "ok" if workers_ok else "degraded",

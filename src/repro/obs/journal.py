@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import sqlite3
 import threading
 import time
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import ObsError
+from repro.obs.metrics import bucket_quantile
 from repro.sqlite_index import open_index, transaction
 
 #: Version stamp in the journal's ``meta`` table.
@@ -58,32 +58,6 @@ _TABLES = (
 
 #: Quantile series derived from each histogram child at sample time.
 _QUANTILES = ((0.50, "p50"), (0.99, "p99"))
-
-
-def _quantile_from_buckets(
-    bounds: list[float], counts: list[int], q: float
-) -> float:
-    """Linear-interpolated quantile over cumulative bucket counts.
-
-    The same estimator as :meth:`MetricFamily.summary`, applied to the
-    raw snapshot lists so the journal does not need a live family.
-    """
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    rank = q * total
-    seen = 0.0
-    for index, count in enumerate(counts):
-        if count == 0:
-            continue
-        if seen + count >= rank:
-            lower = 0.0 if index == 0 else bounds[index - 1]
-            if index >= len(bounds):
-                return lower  # +Inf overflow bucket: report its lower edge
-            upper = bounds[index]
-            return lower + (upper - lower) * (rank - seen) / count
-        seen += count
-    return bounds[-1] if bounds else 0.0
 
 
 def flatten_snapshot(snapshot: dict[str, Any]) -> list[tuple[str, str, float]]:
@@ -106,7 +80,7 @@ def flatten_snapshot(snapshot: dict[str, Any]) -> list[tuple[str, str, float]]:
                         (
                             f"{name}_{suffix}",
                             labels,
-                            _quantile_from_buckets(bounds, child["buckets"], q),
+                            bucket_quantile(bounds, child["buckets"], q),
                         )
                     )
             continue
@@ -192,14 +166,11 @@ class MetricsJournal:
             ObsError,
             f"telemetry journal at {self.path}",
         )
-        self._sampler: threading.Thread | None = None
-        self._stop = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the background sampler (if any) and close the file."""
-        self.stop()
+        """Close the file."""
         with self._lock:
             self._db.close()
 
@@ -383,41 +354,3 @@ class MetricsJournal:
             by_ts[row["ts"]] = by_ts.get(row["ts"], 0.0) + row["value"]
         ordered = [by_ts[ts] for ts in sorted(by_ts)]
         return ordered[-points:]
-
-    # -- background sampling ----------------------------------------------
-
-    def start(self, interval_seconds: float = 5.0, prune_every: int = 12) -> None:
-        """Sample the registry on a background cadence until :meth:`stop`.
-
-        Every ``prune_every``-th sample also runs :meth:`prune`, so a
-        long-lived journal stays inside its retention budget without
-        anyone calling prune explicitly.
-        """
-        if interval_seconds <= 0:
-            raise ObsError(f"interval_seconds must be > 0, got {interval_seconds}")
-        if self._sampler is not None and self._sampler.is_alive():
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            ticks = 0
-            while not self._stop.wait(interval_seconds):
-                try:
-                    self.record()
-                    ticks += 1
-                    if prune_every > 0 and ticks % prune_every == 0:
-                        self.prune()
-                except sqlite3.ProgrammingError:
-                    return  # journal closed under the sampler
-
-        self._sampler = threading.Thread(
-            target=loop, name="repro-obs-journal", daemon=True
-        )
-        self._sampler.start()
-
-    def stop(self) -> None:
-        """Stop the background sampler, if one is running."""
-        self._stop.set()
-        sampler, self._sampler = self._sampler, None
-        if sampler is not None and sampler.is_alive():
-            sampler.join(timeout=10)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 #: Default histogram buckets for request/replay latencies in seconds.
 #: Upper bounds are inclusive (Prometheus ``le`` semantics); +Inf is
@@ -64,6 +64,36 @@ def _label_pairs(label_names: tuple[str, ...], label_values: tuple) -> str:
         for name, value in zip(label_names, label_values)
     )
     return "{" + inner + "}"
+
+
+def bucket_quantile(
+    bounds: Sequence[float], counts: Sequence[int], q: float
+) -> float:
+    """Quantile ``q`` by linear interpolation inside the bucket holding
+    the target rank; ``counts`` ends with the +Inf overflow bucket.
+
+    Exact enough for p50/p99 dashboards, and stable because the buckets
+    are fixed. :meth:`MetricFamily.summary` and the journal's
+    ``_p50``/``_p99`` rows both use it.
+    """
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    rank = q * total
+    seen = 0.0
+    for index, count in enumerate(counts):
+        if count == 0:
+            continue
+        if seen + count >= rank:
+            lower = 0.0 if index == 0 else bounds[index - 1]
+            if index >= len(bounds):
+                # Overflow bucket: no finite upper bound to
+                # interpolate toward; report its lower edge.
+                return lower
+            fraction = (rank - seen) / count
+            return lower + (bounds[index] - lower) * fraction
+        seen += count
+    return bounds[-1] if bounds else 0.0
 
 
 class _HistogramState:
@@ -188,9 +218,7 @@ class MetricFamily:
     def summary(self, **labels: Any) -> dict[str, float]:
         """Count/sum/quantiles for one histogram child (or all merged).
 
-        Quantiles are estimated by linear interpolation inside the
-        bucket containing the target rank — exact enough for p50/p99
-        dashboards, and stable because the buckets are fixed.
+        Quantiles come from :func:`bucket_quantile`.
         """
         if self.kind != "histogram":
             raise TypeError(f"metric {self.name} is a {self.kind}; summary() is histogram-only")
@@ -210,30 +238,10 @@ class MetricFamily:
         return {
             "count": merged.count,
             "sum": merged.sum,
-            "p50": self._quantile(merged, 0.50),
-            "p90": self._quantile(merged, 0.90),
-            "p99": self._quantile(merged, 0.99),
+            "p50": bucket_quantile(self.buckets, merged.bucket_counts, 0.50),
+            "p90": bucket_quantile(self.buckets, merged.bucket_counts, 0.90),
+            "p99": bucket_quantile(self.buckets, merged.bucket_counts, 0.99),
         }
-
-    def _quantile(self, state: _HistogramState, q: float) -> float:
-        if state.count == 0:
-            return 0.0
-        rank = q * state.count
-        seen = 0.0
-        for index, count in enumerate(state.bucket_counts):
-            if count == 0:
-                continue
-            if seen + count >= rank:
-                lower = 0.0 if index == 0 else self.buckets[index - 1]
-                if index >= len(self.buckets):
-                    # Overflow bucket: no finite upper bound to
-                    # interpolate toward; report its lower edge.
-                    return lower
-                upper = self.buckets[index]
-                fraction = (rank - seen) / count
-                return lower + (upper - lower) * fraction
-            seen += count
-        return self.buckets[-1] if self.buckets else 0.0
 
     # -- export ------------------------------------------------------------
 

@@ -157,10 +157,21 @@ class AlertState:
         }
 
 
+#: The oldest claimable job may wait this long (s) before the queue
+#: degrades — the ``queue_oldest_claimable_age`` rule and the
+#: ``/healthz`` queue probe both use it.
+QUEUE_AGE_SLO_SECONDS = 120.0
+
+#: A running job's lease may lapse this long (s) before the workers
+#: degrade — the ``worker_heartbeat_stale`` rule and the ``/healthz``
+#: workers probe both use it.
+LEASE_OVERDUE_SLO_SECONDS = 5.0
+
+
 def default_rules(
     p99_latency_seconds: float = 1.0,
-    queue_age_seconds: float = 120.0,
-    heartbeat_overdue_seconds: float = 5.0,
+    queue_age_seconds: float = QUEUE_AGE_SLO_SECONDS,
+    heartbeat_overdue_seconds: float = LEASE_OVERDUE_SLO_SECONDS,
     error_ratio: float = 0.10,
     idle_sessions: int = 64,
     shed_per_minute: float = 30.0,

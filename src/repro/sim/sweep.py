@@ -18,7 +18,7 @@ from repro.mem.trace import ReferenceTrace
 from repro.prefetch.base import Prefetcher
 from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.stats import PrefetchRunStats
-from repro.sim.two_phase import replay_prefetcher
+from repro.sim.engine import replay
 
 if TYPE_CHECKING:  # repro.run imports this module; avoid the cycle.
     from repro.run.runner import Runner
@@ -85,7 +85,7 @@ def sweep(
                 trace, tlb=config.tlb, warmup_fraction=config.warmup_fraction
             )
             for label, factory in factories:
-                stats = replay_prefetcher(
+                stats = replay(
                     miss_trace,
                     factory(),
                     buffer_entries=config.buffer_entries,
@@ -121,7 +121,7 @@ def page_size_sweep(
         miss_trace = runner.miss_stream(
             trace, tlb=tlb or TLBConfig(), page_size=page_size
         )
-        stats = replay_prefetcher(miss_trace, factory(), buffer_entries=buffer_entries)
+        stats = replay(miss_trace, factory(), buffer_entries=buffer_entries)
         stats.extra["page_size"] = page_size
         results[page_size] = stats
     return results

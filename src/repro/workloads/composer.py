@@ -58,6 +58,27 @@ class AppSpec:
     tags: frozenset[str] = field(default_factory=frozenset)
 
 
+def suite_app(suite: str) -> Callable[..., AppSpec]:
+    """An :class:`AppSpec` constructor with ``suite`` filled in.
+
+    Each suite module builds its apps with one:
+    ``_spec = suite_app("spec2000")``, then
+    ``_spec(name, behavior, paper_note, builder, seed, tags=...)``.
+    """
+
+    def app(
+        name: str,
+        behavior: BehaviorClass,
+        paper_note: str,
+        builder: Callable[[float], Pattern],
+        seed: int,
+        tags: frozenset[str] = frozenset(),
+    ) -> AppSpec:
+        return AppSpec(name, suite, behavior, paper_note, builder, seed, tags)
+
+    return app
+
+
 def scaled(value: float, scale: float, minimum: int = 1) -> int:
     """Scale a volume parameter, keeping it a positive integer."""
     if scale <= 0:

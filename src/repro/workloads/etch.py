@@ -9,25 +9,11 @@ on the remaining two.
 
 from __future__ import annotations
 
-from repro.workloads.composer import AppSpec, BehaviorClass
+from repro.workloads.composer import AppSpec, BehaviorClass, suite_app
 from repro.workloads import recipes
 
 
-def _etch(
-    name: str,
-    behavior: BehaviorClass,
-    paper_note: str,
-    builder,
-    seed: int,
-) -> AppSpec:
-    return AppSpec(
-        name=name,
-        suite="etch",
-        behavior=behavior,
-        paper_note=paper_note,
-        builder=builder,
-        seed=seed,
-    )
+_etch = suite_app("etch")
 
 
 ETCH_APPS: tuple[AppSpec, ...] = (

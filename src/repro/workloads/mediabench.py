@@ -9,29 +9,13 @@ schemes often sit near zero.
 
 from __future__ import annotations
 
-from repro.workloads.composer import AppSpec, BehaviorClass
+from repro.workloads.composer import AppSpec, BehaviorClass, suite_app
 from repro.workloads import recipes
 
 _HIGH = frozenset({"high-miss"})
 
 
-def _media(
-    name: str,
-    behavior: BehaviorClass,
-    paper_note: str,
-    builder,
-    seed: int,
-    tags: frozenset[str] = frozenset(),
-) -> AppSpec:
-    return AppSpec(
-        name=name,
-        suite="mediabench",
-        behavior=behavior,
-        paper_note=paper_note,
-        builder=builder,
-        seed=seed,
-        tags=tags,
-    )
+_media = suite_app("mediabench")
 
 
 MEDIABENCH_APPS: tuple[AppSpec, ...] = (

@@ -9,25 +9,11 @@ the only mechanism with any noticeable predictions on them.
 
 from __future__ import annotations
 
-from repro.workloads.composer import AppSpec, BehaviorClass
+from repro.workloads.composer import AppSpec, BehaviorClass, suite_app
 from repro.workloads import recipes
 
 
-def _ptr(
-    name: str,
-    behavior: BehaviorClass,
-    paper_note: str,
-    builder,
-    seed: int,
-) -> AppSpec:
-    return AppSpec(
-        name=name,
-        suite="ptrdist",
-        behavior=behavior,
-        paper_note=paper_note,
-        builder=builder,
-        seed=seed,
-    )
+_ptr = suite_app("ptrdist")
 
 
 PTRDIST_APPS: tuple[AppSpec, ...] = (

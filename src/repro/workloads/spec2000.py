@@ -14,29 +14,13 @@ measured outcome against it.
 
 from __future__ import annotations
 
-from repro.workloads.composer import AppSpec, BehaviorClass
+from repro.workloads.composer import AppSpec, BehaviorClass, suite_app
 from repro.workloads import recipes
 
 _HIGH = frozenset({"high-miss"})
 
 
-def _spec(
-    name: str,
-    behavior: BehaviorClass,
-    paper_note: str,
-    builder,
-    seed: int,
-    tags: frozenset[str] = frozenset(),
-) -> AppSpec:
-    return AppSpec(
-        name=name,
-        suite="spec2000",
-        behavior=behavior,
-        paper_note=paper_note,
-        builder=builder,
-        seed=seed,
-        tags=tags,
-    )
+_spec = suite_app("spec2000")
 
 
 SPEC2000_APPS: tuple[AppSpec, ...] = (

@@ -19,7 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.analysis.experiments import ExperimentContext
-from repro.prefetch.factory import create_prefetcher
 
 #: app -> mechanism -> accuracy, for one app.
 Accuracies = dict[str, float]
@@ -140,25 +139,27 @@ def group_of(app: str) -> str:
     return "mixed"
 
 
+def _measure(
+    apps: list[str], context: ExperimentContext
+) -> dict[str, Accuracies]:
+    """Accuracies of every app, replayed as one batch."""
+    points = [
+        (app, mechanism) for app in apps for mechanism in ("RP", "MP", "DP", "ASP")
+    ]
+    return context.run_panel(
+        [context.spec(app, mechanism, rows=256) for app, mechanism in points],
+        points,
+    )
+
+
 def measure_accuracies(app: str, context: ExperimentContext) -> Accuracies:
     """Accuracy of the four head-to-head mechanisms on ``app``."""
-    miss_trace = context.miss_trace(app)
-    accuracies: Accuracies = {}
-    for mechanism in ("RP", "MP", "DP", "ASP"):
-        from repro.sim.two_phase import replay_prefetcher
-
-        stats = replay_prefetcher(
-            miss_trace, create_prefetcher(mechanism, rows=256)
-        )
-        accuracies[mechanism] = stats.prediction_accuracy
-    return accuracies
+    return _measure([app], context)[app]
 
 
-def validate_app(app: str, context: ExperimentContext) -> ValidationResult:
-    """Check one application against its behaviour-group claims."""
+def _check(app: str, accuracies: Accuracies) -> ValidationResult:
     group = group_of(app)
     claim, _ = CLAIM_GROUPS[group]
-    accuracies = measure_accuracies(app, context)
     failures: list[str] = []
     for mechanism, value in accuracies.items():
         if not 0.0 <= value <= 1.0:
@@ -171,14 +172,20 @@ def validate_app(app: str, context: ExperimentContext) -> ValidationResult:
     )
 
 
+def validate_app(app: str, context: ExperimentContext) -> ValidationResult:
+    """Check one application against its behaviour-group claims."""
+    return validate_all(context, apps=[app])[0]
+
+
 def validate_all(
     context: ExperimentContext, apps: list[str] | None = None
 ) -> list[ValidationResult]:
-    """Validate every (or the given) application model."""
+    """Validate every (or the given) application model in one batch."""
     from repro.workloads.registry import all_app_names
 
-    names = apps if apps is not None else all_app_names()
-    return [validate_app(app, context) for app in names]
+    names = list(apps) if apps is not None else all_app_names()
+    measured = _measure(names, context)
+    return [_check(app, measured[app]) for app in names]
 
 
 def render_report(results: list[ValidationResult]) -> str:

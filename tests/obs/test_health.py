@@ -9,6 +9,7 @@ flips to 503 when a worker's lease lapses without a heartbeat and
 recovers once the job completes.
 """
 
+import math
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from repro.obs import (
     default_rules,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.rules import LEASE_OVERDUE_SLO_SECONDS, QUEUE_AGE_SLO_SECONDS
 from repro.service import ExperimentService
 from repro.store import ExperimentStore
 
@@ -246,6 +248,42 @@ class TestComponentHealth:
         )
         assert report["components"]["workers"]["status"] == "degraded"
 
+    @pytest.mark.parametrize(
+        "component, rule_name, threshold, slo_at",
+        [
+            (
+                "queue",
+                "queue_oldest_claimable_age",
+                QUEUE_AGE_SLO_SECONDS,
+                lambda value: {"oldest_queued_age_seconds": value, "queued": 1},
+            ),
+            (
+                "workers",
+                "worker_heartbeat_stale",
+                LEASE_OVERDUE_SLO_SECONDS,
+                lambda value: {
+                    "lease_overdue_jobs": 1, "lease_overdue_seconds": value,
+                },
+            ),
+        ],
+        ids=["queue", "workers"],
+    )
+    def test_probe_and_rule_flip_at_the_same_value(
+        self, component, rule_name, threshold, slo_at
+    ):
+        (rule,) = [r for r in default_rules() if r.name == rule_name]
+        assert rule.threshold == threshold
+        for value in (
+            math.nextafter(threshold, 0.0),
+            threshold,
+            math.nextafter(threshold, math.inf),
+            threshold * 2,
+        ):
+            report = component_health(True, self._slo(**slo_at(value)), {}, None)
+            probe_degraded = report["components"][component]["status"] == "degraded"
+            assert probe_degraded == rule.breached(value), (component, value)
+            assert probe_degraded == (value > threshold)
+
     def test_firing_alert_degrades_its_component(self, journal, registry):
         gauge = registry.gauge("load", "t")
         engine = RuleEngine(journal, [load_rule()])
@@ -283,6 +321,61 @@ class TestHealthWatchdog:
     def test_nonpositive_interval_rejected(self, journal):
         with pytest.raises(ObsError):
             HealthWatchdog(journal, None, interval_seconds=0)
+
+    def test_prunes_every_n_ticks(self, journal, registry, clock):
+        registry.gauge("load", "t").set(1.0)
+        pruned = []
+        prune = journal.prune
+        journal.prune = lambda now=None: pruned.append(now) or prune(now=now)
+        watchdog = HealthWatchdog(journal, None, prune_every=3)
+        for tick in range(7):
+            watchdog.tick(now=100.0 + tick)
+        assert pruned == [102.0, 105.0]
+        assert len(journal.query("load")) == 7
+
+    def test_prune_expires_old_samples(self, tmp_path, registry):
+        registry.gauge("load", "t").set(1.0)
+        journal = MetricsJournal(
+            tmp_path / "wd.sqlite", registry=registry, retention_seconds=10.0
+        )
+        watchdog = HealthWatchdog(journal, None, prune_every=2)
+        try:
+            watchdog.tick(now=0.0)
+            watchdog.tick(now=50.0)  # second tick prunes: t=0 expires
+            assert [row["ts"] for row in journal.query("load")] == [50.0]
+        finally:
+            journal.close()
+
+    def test_stop_halts_sampling(self, tmp_path, registry):
+        registry.gauge("load", "t").set(1.0)
+        journal = MetricsJournal(tmp_path / "wd.sqlite", registry=registry)
+        watchdog = HealthWatchdog(journal, None, interval_seconds=0.01)
+        try:
+            watchdog.start()
+            deadline = time.monotonic() + 5.0
+            while len(journal.query("load")) < 2:
+                assert time.monotonic() < deadline, "watchdog never ticked"
+                time.sleep(0.01)
+            watchdog.stop()
+            count = len(journal.query("load"))
+            time.sleep(0.05)
+            assert len(journal.query("load")) == count
+        finally:
+            watchdog.stop()
+            journal.close()
+
+    def test_closing_the_journal_ends_a_running_watchdog(self, tmp_path, registry):
+        registry.gauge("load", "t").set(1.0)
+        journal = MetricsJournal(tmp_path / "wd.sqlite", registry=registry)
+        watchdog = HealthWatchdog(journal, None, interval_seconds=0.01)
+        watchdog.start()
+        time.sleep(0.03)
+        journal.close()  # the next tick hits a closed file and exits
+        deadline = time.monotonic() + 5.0
+        while watchdog.running:
+            assert time.monotonic() < deadline, "watchdog outlived its journal"
+            time.sleep(0.01)
+        watchdog.stop()
 
     def test_start_and_stop(self, tmp_path, registry):
         registry.gauge("load", "t").set(1.0)

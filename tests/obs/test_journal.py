@@ -3,7 +3,8 @@
 The journal is the telemetry layer's only persistent state, so these
 tests pin down its contract precisely: flattened snapshot rows
 (histograms decomposed into ``_count``/``_sum``/``_p50``/``_p99``),
-the ``repro.obs/v1`` schema stamp, *deterministic* retention and
+the same quantile estimate as :meth:`MetricFamily.summary`, the
+``repro.obs/v1`` schema stamp, *deterministic* retention and
 downsampling under an injected clock, and samples surviving the
 close-and-reopen cycle a service restart performs.
 """
@@ -11,9 +12,10 @@ close-and-reopen cycle a service restart performs.
 import json
 import sqlite3
 import threading
-import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ObsError
 from repro.obs import MetricsJournal, flatten_snapshot
@@ -76,6 +78,37 @@ class TestFlattenSnapshot:
         assert rows["latency_seconds_sum"] == pytest.approx(0.07)
         assert 0.0 < rows["latency_seconds_p50"] <= rows["latency_seconds_p99"]
 
+    @given(
+        bounds=st.lists(
+            st.floats(0.001, 100.0), min_size=1, max_size=6, unique=True
+        ),
+        values=st.lists(st.floats(0.0, 250.0), max_size=40),
+    )
+    @example(bounds=[0.1, 1.0], values=[])  # an empty histogram
+    @example(bounds=[0.1, 1.0], values=[5.0, 7.0])  # overflow bucket only
+    @example(bounds=[0.1, 1.0], values=[0.05, 0.5, 0.5, 9.0])
+    # Two estimators rounding in different orders disagreed here.
+    @example(bounds=[43.0], values=[0.0, 0.0, 0.0])
+    def test_quantile_rows_equal_summary(self, bounds, values):
+        registry = MetricsRegistry(enabled=True)
+        family = registry.histogram("h_seconds", "t", buckets=tuple(bounds))
+        for value in values:
+            family.observe(value)
+        snapshot = registry.snapshot()
+        if not values:
+            # An untouched family exports no child; flatten its zero
+            # child, which summary() reports as all zeros.
+            snapshot["h_seconds"]["series"] = [
+                {"labels": {}, "buckets": [0] * (len(bounds) + 1),
+                 "count": 0, "sum": 0.0}
+            ]
+        rows = {metric: value for metric, _, value in flatten_snapshot(snapshot)}
+        summary = family.summary()
+        assert rows["h_seconds_count"] == summary["count"] == len(values)
+        assert rows["h_seconds_sum"] == summary["sum"]
+        assert rows["h_seconds_p50"] == summary["p50"]
+        assert rows["h_seconds_p99"] == summary["p99"]
+
     def test_labels_serialize_canonically(self, registry):
         rows = flatten_snapshot(registry.snapshot())
         labels = [l for metric, l, _ in rows if metric == "hits_total"]
@@ -131,6 +164,26 @@ class TestRecordAndQuery:
         try:
             assert journal.record() == 0
             assert journal.metrics() == []
+        finally:
+            journal.close()
+
+    def test_concurrent_records_are_all_committed(self, tmp_path, registry):
+        journal = MetricsJournal(tmp_path / "mt.sqlite", registry=registry)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda base: [
+                        journal.record(now=base + i) for i in range(5)
+                    ],
+                    args=(100.0 * n,),
+                )
+                for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(journal.query("depth")) == 20
         finally:
             journal.close()
 
@@ -240,47 +293,3 @@ class TestDurability:
             assert len(reborn.query("depth")) == 2
         finally:
             reborn.close()
-
-
-class TestBackgroundSampler:
-    def test_start_samples_and_stop_halts(self, tmp_path, registry):
-        journal = MetricsJournal(tmp_path / "bg.sqlite", registry=registry)
-        try:
-            journal.start(interval_seconds=0.01, prune_every=2)
-            deadline = time.monotonic() + 5.0
-            while not journal.query("depth"):
-                assert time.monotonic() < deadline, "sampler never recorded"
-                time.sleep(0.01)
-            journal.stop()
-            count = len(journal.query("depth"))
-            time.sleep(0.05)
-            assert len(journal.query("depth")) == count
-        finally:
-            journal.close()
-
-    def test_close_is_safe_under_running_sampler(self, tmp_path, registry):
-        journal = MetricsJournal(tmp_path / "race.sqlite", registry=registry)
-        journal.start(interval_seconds=0.01)
-        time.sleep(0.03)
-        journal.close()  # must stop the thread, not raise
-        assert journal._sampler is None
-
-    def test_concurrent_records_are_all_committed(self, tmp_path, registry):
-        journal = MetricsJournal(tmp_path / "mt.sqlite", registry=registry)
-        try:
-            threads = [
-                threading.Thread(
-                    target=lambda base: [
-                        journal.record(now=base + i) for i in range(5)
-                    ],
-                    args=(100.0 * n,),
-                )
-                for n in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert len(journal.query("depth")) == 20
-        finally:
-            journal.close()

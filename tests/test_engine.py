@@ -204,6 +204,36 @@ class TestWrapperThreading:
         fast_fig = fast.run_figure(["galgel"], None)
         assert ref_fig == fast_fig
 
+    def test_context_replays_honour_engine_and_buffer(self):
+        from repro.analysis.experiments import ExperimentContext
+        from repro.workloads.validation import validate_all
+
+        forced = ExperimentContext(scale=SCALE, engine="fast", buffer_entries=8)
+        with pytest.raises(ConfigurationError):
+            forced.run_mechanism("galgel", _CustomPrefetcher())
+        reference = ExperimentContext(
+            scale=SCALE, engine="reference", buffer_entries=8
+        )
+        expected = replay_prefetcher(
+            reference.miss_trace("galgel"), create_prefetcher("DP"), buffer_entries=8
+        )
+        assert (
+            forced.run_mechanism("galgel", create_prefetcher("DP"))
+            == reference.run_mechanism("galgel", create_prefetcher("DP"))
+            == expected
+        )
+
+        batches = []
+        run_specs = reference.run_specs
+        reference.run_specs = lambda specs: batches.append(specs) or run_specs(specs)
+        results = validate_all(reference, apps=["galgel", "eon"])
+        assert [result.app for result in results] == ["galgel", "eon"]
+        (batch,) = batches  # every app in one batch
+        assert len(batch) == 8
+        assert {(spec.engine, spec.buffer_entries) for spec in batch} == {
+            ("reference", 8)
+        }
+
     def test_cli_engine_flag(self, capsys):
         from repro.cli import main
 

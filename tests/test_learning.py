@@ -9,13 +9,79 @@ from repro.analysis.learning import (
     misses_to_reach,
     render_timeline,
 )
+from repro.ckpt.snapshots import snapshot_prefetcher
+from repro.core.distance import DistancePrefetcher
 from repro.errors import ConfigurationError
-from repro.prefetch.factory import create_prefetcher
+from repro.prefetch.factory import PREFETCHER_NAMES, create_prefetcher
+from repro.sim import batchpath
 from repro.sim.config import TLBConfig
 from repro.sim.two_phase import filter_tlb
+from repro.tlb.prefetch_buffer import PrefetchBuffer
 from repro.workloads.registry import get_trace
 
 from conftest import make_trace
+
+
+def oracle_timeline(miss_trace, prefetcher, window=500, buffer_entries=16):
+    """The per-miss loop :func:`accuracy_timeline` used to run itself:
+    every hit counts, warm-up included, and the instance is trained in
+    place."""
+    buffer = PrefetchBuffer(buffer_entries)
+    pcs, pages, evicted, _ = miss_trace.as_lists()
+    points = []
+    window_hits = 0
+    window_start = 0
+    for index, page in enumerate(pages):
+        pb_hit = buffer.lookup_remove(page)
+        window_hits += int(pb_hit)
+        for target in prefetcher.on_miss(pcs[index], page, evicted[index], pb_hit):
+            buffer.insert(target)
+        if (index + 1 - window_start) == window:
+            points.append(TimelinePoint(window_start, window, window_hits))
+            window_start = index + 1
+            window_hits = 0
+    tail = len(pages) - window_start
+    if tail:
+        points.append(TimelinePoint(window_start, tail, window_hits))
+    return points
+
+
+class _UncompiledDP(DistancePrefetcher):
+    """A user subclass: no compiled loop, so sessions use the oracle."""
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.3], ids=["cold", "warmup"])
+def galgel_misses(request):
+    miss_trace = filter_tlb(
+        get_trace("galgel", 0.05), warmup_fraction=request.param
+    )
+    assert (miss_trace.warmup_misses > 0) == (request.param > 0)
+    return miss_trace
+
+
+class TestTimelineMatchesOracle:
+    """Same points, same trained instance as the old per-miss loop."""
+
+    @pytest.mark.parametrize("mechanism", PREFETCHER_NAMES)
+    @pytest.mark.parametrize("window", [100, 777])
+    def test_every_mechanism(self, galgel_misses, mechanism, window):
+        ours, theirs = create_prefetcher(mechanism), create_prefetcher(mechanism)
+        for _ in range(2):  # fresh, then the instance the first pass trained
+            assert accuracy_timeline(
+                galgel_misses, ours, window=window, buffer_entries=8
+            ) == oracle_timeline(galgel_misses, theirs, window=window, buffer_entries=8)
+            assert (
+                snapshot_prefetcher(ours).to_bytes()
+                == snapshot_prefetcher(theirs).to_bytes()
+            )
+
+    def test_mechanism_without_a_compiled_loop(self, galgel_misses):
+        ours, theirs = _UncompiledDP(rows=64), _UncompiledDP(rows=64)
+        assert not batchpath.supports(ours)
+        assert accuracy_timeline(galgel_misses, ours, window=300) == oracle_timeline(
+            galgel_misses, theirs, window=300
+        )
+        assert ours.prefetches_issued == theirs.prefetches_issued > 0
 
 
 class TestTimelineMechanics:

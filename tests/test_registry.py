@@ -1,5 +1,7 @@
 """Tests for the 56-application registry and trace building."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError, UnknownWorkloadError
@@ -53,6 +55,22 @@ class TestSuiteComposition:
         assert spec_names[:4] == ["gzip", "vpr", "gcc", "mcf"]
         media = app_names_for_suite("mediabench")
         assert media[0] == "adpcm-enc"
+
+
+    def test_app_metadata_is_pinned(self):
+        """Every app's identity, in registry order, digests to the value
+        the per-suite modules produced before they shared one builder."""
+        lines = []
+        for name in all_app_names():
+            app = get_app(name)
+            lines.append(repr((
+                app.name, app.suite, app.behavior.name, app.seed,
+                sorted(app.tags), app.paper_note,
+            )))
+        assert len(lines) == 56
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "4a20c93d720d7ca7c4897fce9d2ee957c17d5bebea3d977d68d8279ad9df3926"
+        )
 
 
 class TestLookup:
