@@ -73,7 +73,7 @@ from repro.sim import replay_fast
 from repro.sim.engine import ENGINES, resolve_engine
 from repro.sim.functional import simulate
 from repro.sim.stats import PrefetchRunStats
-from repro.sched import DistributedExecutor, JobQueue, SchedulerClient, Worker
+from repro.sched import JobQueue, SchedulerClient, Worker
 from repro.store import STORE_SCHEMA, ExperimentStore
 from repro.sim.two_phase import evaluate, filter_tlb, replay_prefetcher
 from repro.tlb.mmu import MMU, TranslationOutcome

@@ -8,7 +8,8 @@ expensive intermediates — filtered TLB miss streams keyed by (app,
 scale, TLB shape, page size) in a process-wide cache — so a benchmark
 session touching many mechanism configurations filters each workload's
 TLB exactly once (the two-phase split described in DESIGN.md). Pass
-``workers=N`` to fan a whole figure's batch out to a process pool.
+``runner=Runner(workers=N)`` to fan a whole figure's batch out to a
+process pool.
 
 Each ``run_*`` method regenerates one experiment of the paper:
 
@@ -33,7 +34,6 @@ from repro.analysis.metrics import (
     best_or_within_counts,
     weighted_average_accuracy,
 )
-from repro.errors import ConfigurationError
 from repro.mem.trace import MissTrace
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.factory import create_prefetcher
@@ -61,60 +61,28 @@ class ExperimentContext:
         scale: workload volume multiplier (1.0 = the library's full
             trace size; benchmarks default lower for runtime).
         buffer_entries: prefetch buffer size ``b`` (paper default 16).
-        workers: process-pool size for batch execution (``None`` =
-            serial); forwarded to the :class:`Runner` when one is not
-            supplied explicitly.
-        runner: the execution engine; defaults to a fresh one over the
-            process-wide miss-stream cache.
+        runner: the execution backend; defaults to a serial
+            :class:`Runner` over the process-wide miss-stream cache.
+            Every backend choice lives on the runner: pass
+            ``Runner(workers=N)`` for a process pool, ``store=`` for
+            resumable sweeps, or ``service_url=`` to replay on a
+            scheduler's worker fleet — all return identical rows.
         engine: replay engine stamped on every spec this context
             builds and used by :meth:`run_mechanism` — ``"auto"``
             (default), ``"reference"``, or the compiled-engine aliases
             ``"fast"``/``"batch"``; see :mod:`repro.sim.engine`.
-        store: optional persistent :class:`~repro.store.ExperimentStore`
-            (or store directory) the default runner consults — re-running
-            a table/figure against the same store replays only the specs
-            it has never executed (resumable sweeps). Mutually exclusive
-            with ``runner`` (give the runner its own store instead).
-        service_url: ``repro-tlb serve`` address; when given, the
-            default runner submits sweeps to that scheduler service and
-            its worker fleet replays them. Mutually exclusive with
-            ``runner``.
-        request_timeout: per-HTTP-request socket timeout (seconds) for
-            the distributed executor's service client.
-        service_token: API token for a tenant-mode service (forwarded
-            to the distributed executor's client).
     """
 
     def __init__(
         self,
         scale: float = 1.0,
         buffer_entries: int = 16,
-        workers: int | None = None,
         runner: Runner | None = None,
         engine: str = "auto",
-        store=None,
-        service_url: str | None = None,
-        request_timeout: float = 30.0,
-        service_token: str | None = None,
     ) -> None:
-        if runner is not None and (store is not None or service_url is not None):
-            raise ConfigurationError(
-                "pass either runner= or store=/service_url=, not both "
-                "(a Runner already carries its own store and service)"
-            )
         self.scale = scale
         self.buffer_entries = buffer_entries
-        self.runner = (
-            runner
-            if runner is not None
-            else Runner(
-                workers=workers,
-                store=store,
-                service_url=service_url,
-                request_timeout=request_timeout,
-                service_token=service_token,
-            )
-        )
+        self.runner = runner if runner is not None else Runner()
         self.engine = engine
 
     def spec(

@@ -906,20 +906,20 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table1":
         print(ExperimentContext(scale=0.05).run_table1())
         return 0
+    if args.command == "table3":
+        print(compare_table3(ExperimentContext(scale=args.scale).run_table3()))
+        return 0
 
-    context = ExperimentContext(
-        scale=args.scale,
-        workers=getattr(args, "workers", 0),
-        engine=getattr(args, "engine", "auto"),
-        store=getattr(args, "store", None),
-        service_url=getattr(args, "service_url", None),
-        request_timeout=getattr(args, "request_timeout", 30.0),
-        service_token=getattr(args, "token", None),
+    runner = Runner(
+        workers=args.workers,
+        store=args.store,
+        service_url=args.service_url,
+        request_timeout=args.request_timeout,
+        service_token=args.token,
     )
+    context = ExperimentContext(scale=args.scale, runner=runner, engine=args.engine)
     if args.command == "table2":
         print(compare_table2(context.run_table2()))
-    elif args.command == "table3":
-        print(compare_table3(context.run_table3()))
     elif args.command == "figure7":
         print(context.render_figure(context.run_figure7(), "Figure 7: SPEC CPU2000"))
     elif args.command == "figure8":
@@ -936,8 +936,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             "tlbs": ("Figure 9d: TLB size", context.run_figure9_tlbs),
         }
         selected = panels if args.panel == "all" else {args.panel: panels[args.panel]}
-        for title, runner in selected.values():
-            print(context.render_figure(runner(), title))
+        for title, run_panel in selected.values():
+            print(context.render_figure(run_panel(), title))
     return 0
 
 

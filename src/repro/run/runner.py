@@ -21,10 +21,11 @@ specs come back without filtering or replaying, freshly computed rows
 (serial or from worker processes) are written back exactly once per
 spec, and in-process stream builds are persisted for future processes.
 
-With ``service_url=`` the batch is not executed locally at all: it is
-submitted as a sweep to a scheduler service (``repro-tlb serve``) and
-replayed by whatever worker fleet is polling it — same rows, same
-order, byte-identical to serial.
+With ``service_url=`` the batch is not executed locally at all: the
+runner's one :class:`~repro.sched.client.SchedulerClient` submits it as
+a sweep to a scheduler service (``repro-tlb serve``), and whatever
+worker fleet is polling it replays it — same rows, same order,
+byte-identical to serial.
 """
 
 from __future__ import annotations
@@ -307,11 +308,11 @@ class Runner:
             ``workers > 1`` → process pool, otherwise serial. All
             backends return identical rows.
         request_timeout: per-HTTP-request socket timeout in seconds for
-            the distributed executor's service client (not the sweep
-            deadline — a hung socket fails fast instead of masking the
-            outage as an endless poll).
-        service_token: API token for a tenant-mode service; forwarded
-            to the distributed executor's client.
+            the :class:`~repro.sched.client.SchedulerClient` that submits
+            those sweeps (not the sweep deadline — a hung socket fails
+            fast instead of masking the outage as an endless poll).
+        service_token: API token for a tenant-mode service; sent by
+            that client.
         checkpoint_every: when > 0, in-process replays run through a
             suspendable :class:`~repro.ckpt.ReplaySession`, leaving a
             resume bookmark in the store every N miss entries. A run
@@ -344,18 +345,13 @@ class Runner:
                 "checkpoint_every needs a store to keep its resume "
                 "bookmarks in; pass store="
             )
-        self.service_url = service_url
-        self.request_timeout = request_timeout
-        self.service_token = service_token
-        self._distributed = None
+        self._client = None
         if service_url is not None:
             # Local import: repro.sched builds on this module.
-            from repro.sched.executor import DistributedExecutor
+            from repro.sched.client import SchedulerClient
 
-            self._distributed = DistributedExecutor(
-                service_url,
-                request_timeout=request_timeout,
-                token=service_token,
+            self._client = SchedulerClient(
+                service_url, timeout=request_timeout, token=service_token
             )
 
     # -- miss streams ------------------------------------------------------
@@ -496,8 +492,8 @@ class Runner:
 
     def _execute(self, spec_list: list[RunSpec]) -> list[PrefetchRunStats]:
         """Compute every spec (no store consultation)."""
-        if self._distributed is not None:
-            return self._distributed.run(spec_list)
+        if self._client is not None:
+            return list(self._client.submit_sweep(spec_list))
         if self.workers > 1 and len(spec_list) > 1:
             return self._run_parallel(spec_list)
         return self._run_serial(spec_list)

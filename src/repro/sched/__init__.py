@@ -15,10 +15,9 @@ byte-identical to the serial one.
                                        worker``)
 :class:`~repro.sched.client.SchedulerClient`
                                        job-queue endpoints +
-                                       :meth:`submit_sweep`
-:class:`~repro.sched.executor.DistributedExecutor`
+                                       :meth:`submit_sweep` (the
                                        ``Runner(service_url=...)``
-                                       backend
+                                       backend)
 =====================================  ================================
 
 Quickstart — a server, two workers, one sweep::
@@ -31,12 +30,10 @@ Quickstart — a server, two workers, one sweep::
 """
 
 from repro.sched.client import SchedulerClient
-from repro.sched.executor import DistributedExecutor
 from repro.sched.queue import JOB_STATES, SCHED_SCHEMA, JobQueue
 from repro.sched.worker import Worker, default_worker_id, run_worker
 
 __all__ = [
-    "DistributedExecutor",
     "JOB_STATES",
     "JobQueue",
     "SCHED_SCHEMA",

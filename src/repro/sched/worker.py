@@ -35,6 +35,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
+from repro.errors import ConfigurationError
 from repro.obs import REGISTRY, bind_context, drain_spans, get_logger, trace
 from repro.run.runner import MissStreamCache, Runner
 from repro.run.spec import RunSpec
@@ -80,7 +81,8 @@ class Worker:
             there are served without replaying.
         lease_seconds: lease length requested on claim and heartbeat.
         poll_interval: sleep between empty claims.
-        batch: jobs claimed per request (amortizes HTTP overhead).
+        batch: jobs claimed per request (amortizes HTTP overhead);
+            must be >= 1.
         max_jobs: stop after processing this many jobs (None = forever).
         fail_keys: spec keys to report as failures (fault injection).
         crash_after_claims: vanish (stop heartbeating, abandon leases,
@@ -113,6 +115,8 @@ class Worker:
         token: str | None = None,
         client: SchedulerClient | None = None,
     ) -> None:
+        if batch < 1:
+            raise ConfigurationError(f"batch must be >= 1, got {batch}")
         self.client = (
             client
             if client is not None
@@ -122,7 +126,7 @@ class Worker:
         self.runner = Runner(cache=MissStreamCache(), store=store)
         self.lease_seconds = lease_seconds
         self.poll_interval = poll_interval
-        self.batch = max(1, int(batch))
+        self.batch = int(batch)
         self.max_jobs = max_jobs
         self.fail_keys = frozenset(fail_keys)
         self.crash_after_claims = crash_after_claims
@@ -311,36 +315,16 @@ class Worker:
             _OBS_HEARTBEATS.inc(outcome="ok")
 
 
-def run_worker(
-    base_url: str,
-    store: str | None = None,
-    lease_seconds: float = 15.0,
-    poll_interval: float = 0.25,
-    batch: int = 4,
-    max_jobs: int | None = None,
-    worker_id: str | None = None,
-    crash_after_claims: int | None = None,
-    slow_seconds: float = 0.0,
-    request_timeout: float = 30.0,
-    token: str | None = None,
-) -> int:
-    """Blocking CLI entry point (``repro-tlb worker``)."""
-    worker = Worker(
-        base_url,
-        worker_id=worker_id,
-        store=store,
-        lease_seconds=lease_seconds,
-        poll_interval=poll_interval,
-        batch=batch,
-        max_jobs=max_jobs,
-        crash_after_claims=crash_after_claims,
-        slow_seconds=slow_seconds,
-        request_timeout=request_timeout,
-        token=token,
-    )
+def run_worker(base_url: str, **options: Any) -> int:
+    """Blocking CLI entry point (``repro-tlb worker``).
+
+    ``options`` are :class:`Worker` keyword arguments; the worker is
+    the one place their defaults live.
+    """
+    worker = Worker(base_url, **options)
     print(
         f"repro-tlb worker {worker.worker_id} polling {worker.client.base_url} "
-        f"(lease {lease_seconds}s, batch {batch})",
+        f"(lease {worker.lease_seconds}s, batch {worker.batch})",
         flush=True,
     )
     started = time.monotonic()

@@ -273,7 +273,7 @@ def _parse_specs(raw_specs: list) -> list[RunSpec]:
 
 
 class _SessionEntry:
-    """One streaming session's slot in the sharded table.
+    """One streaming session's slot in the session table.
 
     ``lock`` serializes everything that mutates *this* session —
     advance, checkpoint, restore — while other sessions proceed in
@@ -293,70 +293,54 @@ class _SessionEntry:
         self.dead = False
 
 
-class _SessionShard:
-    __slots__ = ("lock", "entries")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.entries: dict[str, _SessionEntry] = {}
-
-
 class _SessionTable:
-    """Sharded session map with per-session locks.
+    """Session map with per-session locks.
 
-    Replaces the single service-wide ``_streams_lock`` RLock that
-    serialized every ``/streams`` request: shard locks are held only
-    for dict lookups (microseconds), and the per-entry locks serialize
+    One table lock guards the map and the counters, and is held only
+    for dict operations (microseconds); the per-entry locks serialize
     work on one session without blocking any other. Lock ordering
-    rule: a shard lock is never held while *blocking* on an entry lock
-    (eviction uses a non-blocking try-acquire), so the two layers
+    rule: the table lock is never held while *blocking* on an entry
+    lock (eviction uses a non-blocking try-acquire), so the two layers
     cannot deadlock.
     """
 
-    def __init__(self, shards: int = 16) -> None:
-        self._shards = [_SessionShard() for _ in range(max(1, shards))]
-        self._stats_lock = threading.Lock()
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: dict[str, _SessionEntry] = {}
         self.restored = 0
         self.evicted = 0
 
-    def _shard(self, session_id: str) -> _SessionShard:
-        return self._shards[hash(session_id) % len(self._shards)]
-
     def get_or_create(self, session_id: str) -> _SessionEntry:
         """The live entry for ``session_id`` (a fresh one if absent/dead)."""
-        shard = self._shard(session_id)
-        with shard.lock:
-            entry = shard.entries.get(session_id)
+        with self._lock:
+            entry = self._entries.get(session_id)
             if entry is None or entry.dead:
                 entry = _SessionEntry()
-                shard.entries[session_id] = entry
+                self._entries[session_id] = entry
             return entry
 
     def discard(self, session_id: str, entry: _SessionEntry) -> None:
-        """Drop ``entry`` (placeholder cleanup); marks it dead."""
-        shard = self._shard(session_id)
-        with shard.lock:
-            if shard.entries.get(session_id) is entry:
-                del shard.entries[session_id]
+        """Drop ``entry`` from the map; marks it dead."""
+        with self._lock:
+            if self._entries.get(session_id) is entry:
+                del self._entries[session_id]
         entry.dead = True
 
     def __contains__(self, session_id: str) -> bool:
-        shard = self._shard(session_id)
-        with shard.lock:
-            entry = shard.entries.get(session_id)
+        with self._lock:
+            entry = self._entries.get(session_id)
             return entry is not None and entry.session is not None
 
     def clear(self) -> None:
         """Forget every live session (tests simulate memory loss)."""
-        for shard in self._shards:
-            with shard.lock:
-                for entry in shard.entries.values():
-                    entry.dead = True
-                    entry.session = None
-                shard.entries.clear()
+        with self._lock:
+            for entry in self._entries.values():
+                entry.dead = True
+                entry.session = None
+            self._entries.clear()
 
     def note_restored(self) -> None:
-        with self._stats_lock:
+        with self._lock:
             self.restored += 1
 
     def evict_idle(self, max_idle_seconds: float) -> int:
@@ -369,48 +353,40 @@ class _SessionTable:
         if max_idle_seconds <= 0:
             return 0
         now = time.monotonic()
+        with self._lock:
+            stale = [
+                (session_id, entry)
+                for session_id, entry in self._entries.items()
+                if entry.session is not None
+                and now - entry.touched > max_idle_seconds
+            ]
         evicted = 0
-        for shard in self._shards:
-            with shard.lock:
-                stale = [
-                    (session_id, entry)
-                    for session_id, entry in shard.entries.items()
-                    if entry.session is not None
+        for session_id, entry in stale:
+            if not entry.lock.acquire(blocking=False):
+                continue
+            try:
+                if (
+                    entry.session is not None
                     and now - entry.touched > max_idle_seconds
-                ]
-            for session_id, entry in stale:
-                if not entry.lock.acquire(blocking=False):
-                    continue
-                try:
-                    if (
-                        entry.session is not None
-                        and now - entry.touched > max_idle_seconds
-                    ):
-                        with shard.lock:
-                            if shard.entries.get(session_id) is entry:
-                                del shard.entries[session_id]
-                        entry.dead = True
-                        entry.session = None
-                        evicted += 1
-                finally:
-                    entry.lock.release()
+                ):
+                    self.discard(session_id, entry)
+                    entry.session = None
+                    evicted += 1
+            finally:
+                entry.lock.release()
         if evicted:
-            with self._stats_lock:
+            with self._lock:
                 self.evicted += evicted
         return evicted
 
     def census(self) -> dict[str, int]:
         """Live/restored/evicted counts for stats, healthz, gauges."""
-        active = 0
-        for shard in self._shards:
-            with shard.lock:
-                active += sum(
-                    1 for entry in shard.entries.values()
-                    if entry.session is not None
-                )
-        with self._stats_lock:
+        with self._lock:
             return {
-                "active": active,
+                "active": sum(
+                    1 for entry in self._entries.values()
+                    if entry.session is not None
+                ),
                 "restored": self.restored,
                 "evicted": self.evicted,
             }
@@ -431,11 +407,6 @@ class ExperimentService:
         max_idle_seconds: streaming sessions untouched for this long
             are evicted from memory (their persisted checkpoint stays
             in the store; the next touch restores them transparently).
-        watchdog_interval_seconds: cadence of the background health
-            watchdog (telemetry sampling + SLO evaluation). The
-            watchdog is *constructed* here but only *started* by
-            :func:`make_server`, so pure-handler tests stay
-            single-threaded and drive ``GET /healthz`` synchronously.
         admission: the admission controller every non-ops request
             passes through; defaults to an open-mode controller
             (anonymous, rate-unlimited, in-flight bounded). Configure
@@ -448,6 +419,11 @@ class ExperimentService:
     :func:`~repro.obs.rules.default_rules`; ``REPRO_OBS_DISABLED``
     leaves all three of ``journal``/``engine``/``watchdog`` as
     ``None`` and ``GET /healthz`` falls back to direct probes only.
+    The :class:`~repro.obs.health.HealthWatchdog` (telemetry sampling
+    and SLO evaluation on its own default cadence) is *constructed*
+    here but only *started* by :func:`make_server`, so pure-handler
+    tests stay single-threaded and drive ``GET /healthz``
+    synchronously.
     """
 
     def __init__(
@@ -456,7 +432,6 @@ class ExperimentService:
         runner: Runner | None = None,
         queue: JobQueue | None = None,
         max_idle_seconds: float = 300.0,
-        watchdog_interval_seconds: float = 5.0,
         admission: AdmissionController | None = None,
     ) -> None:
         self.store = store
@@ -473,10 +448,9 @@ class ExperimentService:
         self.admission = (
             admission if admission is not None else AdmissionController()
         )
-        # Sharded session table with per-session locks: sessions mutate
-        # under advance, so each one is serialized by its own entry
-        # lock — but thousands of concurrent streams no longer funnel
-        # through one service-wide lock.
+        # Session table with per-session locks: sessions mutate under
+        # advance, so each one is serialized by its own entry lock —
+        # but concurrent streams never wait on one another's work.
         self._sessions = _SessionTable()
         # sweep_id -> the submitting request's trace context, so jobs
         # claimed later (a different request, a different worker) can
@@ -495,10 +469,7 @@ class ExperimentService:
             self.journal = MetricsJournal(store.journal_path)
             self.engine = RuleEngine(self.journal, default_rules())
             self.watchdog = HealthWatchdog(
-                self.journal,
-                self.engine,
-                interval_seconds=watchdog_interval_seconds,
-                collect=self._refresh_gauges,
+                self.journal, self.engine, collect=self._refresh_gauges
             )
 
     def close(self) -> None:
@@ -907,44 +878,55 @@ class ExperimentService:
         return 404, self._envelope({"error": f"no streaming session {session_id!r}"})
 
     @contextmanager
-    def _locked_session(
-        self, session_id: str, tenant: TenantConfig | None
-    ) -> Iterator[tuple[_SessionEntry | None, tuple[int, dict] | None]]:
-        """Yield ``(entry, error)`` with the entry's lock held.
+    def _session_entry(self, key: str) -> Iterator[_SessionEntry]:
+        """Yield the table entry for ``key`` with its lock held.
 
-        Exactly one of the pair is non-``None``. The lock is held for
-        the caller's whole body, so an advance-and-checkpoint is atomic
-        per session while other sessions run in parallel. An entry
-        evicted between lookup and lock acquisition is detected by its
-        ``dead`` flag and simply re-fetched (the restore path then
-        brings it back from its checkpoint).
+        The lock is held for the caller's whole body, so an
+        advance-and-checkpoint is atomic per session while other
+        sessions run in parallel. An entry evicted between lookup and
+        lock acquisition is detected by its ``dead`` flag and simply
+        re-fetched. An entry still empty when the body exits — by a
+        return, an error reply or an exception — is a placeholder and
+        is dropped, so later requests cannot mistake it for a live
+        session.
         """
-        key = self._session_key(session_id, tenant)
         while True:
             entry = self._sessions.get_or_create(key)
             with entry.lock:
                 if entry.dead:
                     continue
-                if entry.session is None:
-                    try:
-                        error = self._restore_into(key, entry, session_id)
-                    except BaseException:
+                try:
+                    yield entry
+                finally:
+                    if entry.session is None:
                         self._sessions.discard(key, entry)
-                        raise
-                    if error is not None:
-                        self._sessions.discard(key, entry)
-                        yield None, error
-                        return
-                if tenant is not None and entry.tenant != tenant.name:
-                    # Defense in depth: keys are tenant-namespaced, so
-                    # a foreign session can't even be addressed — but a
-                    # mismatched record still answers like a missing
-                    # session rather than trusting the key alone.
-                    yield None, self._no_session(session_id)
-                    return
-                entry.touched = time.monotonic()
-                yield entry, None
                 return
+
+    @contextmanager
+    def _locked_session(
+        self, session_id: str, tenant: TenantConfig | None
+    ) -> Iterator[tuple[_SessionEntry | None, tuple[int, dict] | None]]:
+        """Yield ``(entry, error)`` with the entry's lock held.
+
+        Exactly one of the pair is non-``None``. An entry not in memory
+        is restored from its checkpoint first.
+        """
+        key = self._session_key(session_id, tenant)
+        with self._session_entry(key) as entry:
+            if entry.session is None:
+                error = self._restore_into(key, entry, session_id)
+                if error is not None:
+                    yield None, error
+                    return
+            if tenant is not None and entry.tenant != tenant.name:
+                # Defense in depth: keys are tenant-namespaced, so a
+                # foreign session can't even be addressed — but a
+                # mismatched record still answers like a missing
+                # session rather than trusting the key alone.
+                yield None, self._no_session(session_id)
+                return
+            entry.touched = time.monotonic()
+            yield entry, None
 
     def _session_payload(
         self,
@@ -980,46 +962,28 @@ class ExperimentService:
         # id lives under a different key, so no 409 (or any other
         # signal) ever reveals it.
         key = self._session_key(session_id, tenant)
-        while True:
-            entry = self._sessions.get_or_create(key)
-            with entry.lock:
-                if entry.dead:
-                    continue
-                try:
-                    if entry.session is not None or self.ckpt.exists(
-                        self.ckpt.stream_key(key)
-                    ):
-                        # A 409 must not leave a fresh placeholder behind:
-                        # later opens would mistake it for a live session.
-                        if entry.session is None:
-                            self._sessions.discard(key, entry)
-                        return 409, self._envelope(
-                            {
-                                "error": f"streaming session {session_id!r} "
-                                "already exists"
-                            }
-                        )
-                    session = ReplaySession(
-                        self.runner.miss_stream_for(spec),
-                        spec.build_prefetcher(),
-                        buffer_entries=spec.buffer_entries,
-                        max_prefetches_per_miss=spec.max_prefetches_per_miss,
-                    )
-                    owner = tenant.name if tenant is not None else None
-                    digest = self._checkpoint_session(
-                        key, spec, session, owner
-                    )
-                    entry.session = session
-                    entry.spec = spec
-                    entry.tenant = owner
-                    entry.touched = time.monotonic()
-                except BaseException:
-                    if entry.session is None:
-                        self._sessions.discard(key, entry)
-                    raise
-                return 200, self._session_payload(
-                    session_id, session, spec, state_digest=digest
+        with self._session_entry(key) as entry:
+            if entry.session is not None or self.ckpt.exists(
+                self.ckpt.stream_key(key)
+            ):
+                return 409, self._envelope(
+                    {"error": f"streaming session {session_id!r} already exists"}
                 )
+            session = ReplaySession(
+                self.runner.miss_stream_for(spec),
+                spec.build_prefetcher(),
+                buffer_entries=spec.buffer_entries,
+                max_prefetches_per_miss=spec.max_prefetches_per_miss,
+            )
+            owner = tenant.name if tenant is not None else None
+            digest = self._checkpoint_session(key, spec, session, owner)
+            entry.session = session
+            entry.spec = spec
+            entry.tenant = owner
+            entry.touched = time.monotonic()
+            return 200, self._session_payload(
+                session_id, session, spec, state_digest=digest
+            )
 
     def _post_stream_advance(
         self, tenant: TenantConfig | None, session_id: str, count: int | None
@@ -1508,40 +1472,30 @@ def make_server(
     port: int = 0,
     workers: int = 0,
     verbose: bool = False,
-    max_idle_seconds: float = 300.0,
-    watchdog_interval_seconds: float = 5.0,
     tenants: Iterable[TenantConfig] | None = None,
     max_inflight: int = 64,
-    max_queue: int = 256,
     admission: AdmissionController | None = None,
 ) -> ExperimentServer:
     """Build a ready-to-run server (``port=0`` picks a free port).
 
     The health watchdog starts here (when telemetry is enabled): a
-    served store journals its metrics and evaluates SLO rules on the
-    ``watchdog_interval_seconds`` cadence until ``server_close()``.
+    served store journals its metrics and evaluates SLO rules until
+    ``server_close()``.
 
     With no ``tenants`` the service runs open (anonymous, unmetered
-    rates) but still sheds load past ``max_inflight`` + ``max_queue``.
-    Pass a prebuilt ``admission`` controller to tune the queue-wait
-    and shed hints; it overrides the other three knobs.
+    rates) but still sheds load past ``max_inflight`` plus the
+    controller's queue. Pass a prebuilt ``admission`` controller to
+    tune the queue and shed hints; it overrides ``tenants`` and
+    ``max_inflight``.
     """
     if not isinstance(store, ExperimentStore):
         store = ExperimentStore(store)
     runner = Runner(workers=workers, cache=MissStreamCache(), store=store)
     if admission is None:
         admission = AdmissionController(
-            tenants=tuple(tenants or ()),
-            max_inflight=max_inflight,
-            max_queue=max_queue,
+            tenants=tuple(tenants or ()), max_inflight=max_inflight
         )
-    service = ExperimentService(
-        store,
-        runner,
-        max_idle_seconds=max_idle_seconds,
-        watchdog_interval_seconds=watchdog_interval_seconds,
-        admission=admission,
-    )
+    service = ExperimentService(store, runner, admission=admission)
     if service.watchdog is not None:
         service.watchdog.start()
     return ExperimentServer((host, port), service, verbose)
@@ -1549,28 +1503,21 @@ def make_server(
 
 def serve(
     store: ExperimentStore | str,
-    host: str = "127.0.0.1",
-    port: int = 8321,
-    workers: int = 0,
-    verbose: bool = False,
-    max_inflight: int = 64,
     tenant_config: str | None = None,
+    **options: Any,
 ) -> int:
-    """Blocking CLI entry point: print the address and serve forever."""
+    """Blocking CLI entry point: print the address and serve forever.
+
+    ``options`` are :func:`make_server` keyword arguments; the tenant
+    list is loaded from the ``tenant_config`` file, if one is given.
+    """
     tenants = load_tenant_config(tenant_config) if tenant_config else ()
-    server = make_server(
-        store,
-        host=host,
-        port=port,
-        workers=workers,
-        verbose=verbose,
-        tenants=tenants,
-        max_inflight=max_inflight,
-    )
+    server = make_server(store, tenants=tenants, **options)
     mode = f"{len(tenants)} tenants" if tenants else "open access"
     print(
         f"repro-tlb service on {server.url} "
-        f"(store: {server.service.store.root}, workers: {workers}, {mode})",
+        f"(store: {server.service.store.root}, "
+        f"workers: {server.service.runner.workers}, {mode})",
         flush=True,
     )
     try:

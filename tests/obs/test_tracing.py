@@ -5,6 +5,7 @@ import pytest
 from repro.obs import (
     COLLECTOR,
     Span,
+    SpanCollector,
     bind_context,
     current_context,
     drain_spans,
@@ -84,6 +85,25 @@ class TestSpans:
         assert accepted == 1
         trace_id = payloads[0]["trace_id"]
         assert [s.name for s in COLLECTOR.spans(trace_id)] == ["shipped"]
+
+    def test_collector_keeps_only_the_newest_max_spans(self):
+        # A long-lived server ingests every worker's pushed spans; the
+        # cap is what bounds its memory, whichever path spans take in.
+        collector = SpanCollector(max_spans=5)
+        for index in range(4):
+            collector.record(Span(f"local-{index}", "t", f"l{index}"))
+        shipped = [
+            Span(f"shipped-{index}", "t", f"s{index}").to_dict()
+            for index in range(4)
+        ]
+        assert collector.ingest(shipped) == 4
+        assert [s.name for s in collector.spans()] == [
+            "local-3", "shipped-0", "shipped-1", "shipped-2", "shipped-3"
+        ]
+        collector.record(Span("last", "t", "z"))
+        assert [s.name for s in collector.spans()] == [
+            "shipped-0", "shipped-1", "shipped-2", "shipped-3", "last"
+        ]
 
     def test_disabled_tracing_records_nothing(self):
         set_enabled(False)

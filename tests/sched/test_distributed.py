@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.experiments import ExperimentContext
 from repro.errors import ConfigurationError, SchedulerError
 from repro.run import MissStreamCache, Runner, RunSpec
-from repro.sched import SchedulerClient, Worker
+from repro.sched import SchedulerClient, Worker, run_worker
 from repro.service import make_server
 
 SCALE = 0.05
@@ -163,8 +163,8 @@ class TestDistributedExecutor:
         assert distributed.to_json() == serial.to_json()
 
     def test_service_url_alone_selects_distributed(self, server):
-        assert Runner(service_url=server.url)._distributed is not None
-        assert Runner(workers=2)._distributed is None
+        assert isinstance(Runner(service_url=server.url)._client, SchedulerClient)
+        assert Runner(workers=2)._client is None
 
     def test_experiment_context_runs_distributed(self, server):
         serial_context = ExperimentContext(scale=SCALE)
@@ -174,10 +174,31 @@ class TestDistributedExecutor:
         ]
         serial = serial_context.run_specs(specs)
         with fleet(server.url, 2):
-            context = ExperimentContext(scale=SCALE, service_url=server.url)
+            context = ExperimentContext(
+                scale=SCALE, runner=Runner(service_url=server.url)
+            )
             distributed = context.run_specs(specs)
         assert distributed.to_json() == serial.to_json()
 
-    def test_context_rejects_runner_plus_executor(self, server):
-        with pytest.raises(ConfigurationError):
-            ExperimentContext(runner=Runner(), service_url=server.url)
+
+class TestWorkerOptions:
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_batch_below_one_is_rejected(self, batch):
+        # Regression: the constructor used to clamp to 1 silently.
+        with pytest.raises(ConfigurationError, match="batch must be >= 1"):
+            Worker("http://127.0.0.1:1", batch=batch)
+
+    def test_run_worker_banner_reports_the_workers_own_settings(self, capsys):
+        # max_jobs=0: the budget is spent before the first claim, so
+        # the loop exits without contacting the (absent) service.
+        assert run_worker("http://127.0.0.1:1", max_jobs=0) == 0
+        assert run_worker(
+            "http://127.0.0.1:1", max_jobs=0, lease_seconds=3.0, batch=2
+        ) == 0
+        banners = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "polling" in line
+        ]
+        assert len(banners) == 2
+        assert "polling http://127.0.0.1:1 (lease 15.0s, batch 4)" in banners[0]
+        assert "polling http://127.0.0.1:1 (lease 3.0s, batch 2)" in banners[1]

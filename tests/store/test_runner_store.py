@@ -10,7 +10,6 @@ serial and ``workers=N`` execution and under both replay engines.
 import pytest
 
 from repro.analysis.experiments import ExperimentContext
-from repro.errors import ConfigurationError
 from repro.run import MissStreamCache, Runner, RunSpec
 from repro.store import ExperimentStore
 
@@ -123,7 +122,7 @@ class TestResumableSweeps:
 class TestExperimentContextResumption:
     def test_figure_resumes_from_store(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
-        cold_context = ExperimentContext(scale=SCALE, store=store)
+        cold_context = ExperimentContext(scale=SCALE, runner=Runner(store=store))
         cold = cold_context.run_figure(["galgel"])
         before = store.stats()
         assert before["result_misses"] > 0
@@ -140,7 +139,7 @@ class TestExperimentContextResumption:
 
     def test_partial_sweep_only_missing_specs_replay(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
-        context = ExperimentContext(scale=SCALE, store=store)
+        context = ExperimentContext(scale=SCALE, runner=Runner(store=store))
         context.run_figure(["galgel"])
         before = store.stats()
         context.run_figure(["galgel", "swim"])  # extends the sweep
@@ -149,10 +148,3 @@ class TestExperimentContextResumption:
         assert new_specs > 0  # swim rows computed...
         assert after["result_misses"] - before["result_misses"] == new_specs
         assert after["result_hits"] - before["result_hits"] == before["result_entries"]
-
-    def test_runner_and_store_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="either runner= or store="):
-            ExperimentContext(
-                runner=Runner(cache=MissStreamCache()),
-                store=ExperimentStore(tmp_path / "store"),
-            )

@@ -1,6 +1,6 @@
 """Regression: per-session locks ended the ``/streams`` serialization.
 
-Before the sharded session table, one service-wide RLock serialized
+Before the per-session entry locks, one service-wide RLock serialized
 every streaming request — an advance blocked in checkpointing stalled
 *every other* session, and idle-eviction raced restore-on-touch
 through the same lock. These tests pin the new contract: one stuck

@@ -130,6 +130,42 @@ class TestErrorReporting:
         ) == 2
         assert "error: service unreachable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch", ["0", "-3"])
+    def test_worker_batch_below_one_rejected(self, capsys, batch):
+        assert main(
+            ["worker", "--url", "http://127.0.0.1:1", "--batch", batch]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: batch must be >= 1, got {batch}\n"
+        assert captured.out == ""
+
+
+class TestFigureRunner:
+    """The Runner the CLI builds from ``--store``/``--service-url``."""
+
+    ARGV = ["figure9", "--panel", "slots", "--scale", "0.05"]
+
+    def test_store_rerun_is_warm_and_identical(self, capsys, tmp_path):
+        from repro.store import ExperimentStore
+
+        store_dir = str(tmp_path / "store")
+        assert main(self.ARGV + ["--store", store_dir]) == 0
+        cold = capsys.readouterr().out
+        before = ExperimentStore(store_dir).stats()
+        assert main(self.ARGV + ["--store", store_dir]) == 0
+        warm = capsys.readouterr().out
+        after = ExperimentStore(store_dir).stats()
+        assert warm == cold
+        assert after["result_hits"] - before["result_hits"] == 24
+        assert after["result_misses"] == before["result_misses"]
+
+    def test_unreachable_service_reported_not_raised(self, capsys):
+        assert main(
+            self.ARGV
+            + ["--service-url", "http://127.0.0.1:1", "--request-timeout", "0.2"]
+        ) == 2
+        assert "error: service unreachable" in capsys.readouterr().err
+
 
 class TestRequestTimeoutFlag:
     def test_default_and_override_parse(self):
