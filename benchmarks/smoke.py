@@ -78,7 +78,9 @@ def distributed_phase(specs: list[RunSpec], reference_json: str) -> dict:
     Each worker-count run gets a fresh store and an in-process server;
     the workers are real ``repro-tlb worker`` subprocesses, and the
     timer starts only after every worker has announced itself (their
-    cold-start imports are not the scheduler's throughput).
+    cold-start imports are not the scheduler's throughput). Workers and
+    the sweep client keep their default long-poll bounds, so the phase
+    times the path users get.
     """
     from repro.sched import SchedulerClient
     from repro.service import make_server
@@ -98,7 +100,7 @@ def distributed_phase(specs: list[RunSpec], reference_json: str) -> dict:
                 subprocess.Popen(
                     [
                         sys.executable, "-m", "repro.cli", "worker",
-                        "--url", server.url, "--poll", "0.02", "--batch", "8",
+                        "--url", server.url, "--batch", "8",
                     ],
                     env=env,
                     stdout=subprocess.PIPE,
@@ -111,7 +113,7 @@ def distributed_phase(specs: list[RunSpec], reference_json: str) -> dict:
                 for worker in workers:
                     worker.stdout.readline()  # "... polling ..." = ready
                 started = time.perf_counter()
-                results = client.submit_sweep(specs, poll_interval=0.05, timeout=600)
+                results = client.submit_sweep(specs, timeout=600)
                 scaling[str(count)] = round(time.perf_counter() - started, 4)
             finally:
                 for worker in workers:

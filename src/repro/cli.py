@@ -314,17 +314,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_url(worker)
     _add_store(worker)
+    # No defaults here: a flag that is not given is not passed, so
+    # Worker is the one place these defaults live.
     worker.add_argument(
-        "--lease", type=float, default=15.0,
-        help="job lease length in seconds (heartbeats extend it; default 15)",
+        "--lease", type=float,
+        help="job lease length in seconds (heartbeats extend it)",
     )
     worker.add_argument(
-        "--poll", type=float, default=0.25,
-        help="seconds between empty claim polls (default 0.25)",
+        "--poll", type=float,
+        help=(
+            "longest an empty claim waits at the server for work, in "
+            "seconds"
+        ),
     )
     worker.add_argument(
-        "--batch", type=int, default=4,
-        help="jobs claimed per request (default 4)",
+        "--batch", type=int,
+        help="jobs claimed, replayed and reported together",
     )
     worker.add_argument(
         "--max-jobs", type=int, default=None,
@@ -614,12 +619,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.sched import run_worker
 
+    given = {
+        option: value
+        for option, value in (
+            ("lease_seconds", args.lease),
+            ("poll_interval", args.poll),
+            ("batch", args.batch),
+        )
+        if value is not None
+    }
     return run_worker(
         args.url,
         store=args.store,
-        lease_seconds=args.lease,
-        poll_interval=args.poll,
-        batch=args.batch,
+        **given,
         max_jobs=args.max_jobs,
         worker_id=args.worker_id,
         crash_after_claims=args.crash_after_claims,

@@ -10,8 +10,9 @@ byte-identical to the serial one.
 :class:`~repro.sched.queue.JobQueue`   persistent SQLite queue: leases,
                                        heartbeats, bounded retries,
                                        dead-worker requeue
-:class:`~repro.sched.worker.Worker`    claim → store-first replay →
-                                       complete loop (``repro-tlb
+:class:`~repro.sched.worker.Worker`    long-polled claim → store-first
+                                       replay → one complete per
+                                       claim loop (``repro-tlb
                                        worker``)
 :class:`~repro.sched.client.SchedulerClient`
                                        job-queue endpoints +

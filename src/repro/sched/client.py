@@ -3,12 +3,12 @@
 :class:`SchedulerClient` extends the plain
 :class:`~repro.service.client.ServiceClient` with the job-queue
 endpoints, and :meth:`SchedulerClient.submit_sweep` is the high-level
-entry point: submit a RunSpec batch, poll until the worker fleet has
-drained it, and assemble the rows into a :class:`~repro.run.results.ResultSet`
-**in submission order** — byte-identical to what a serial
-:class:`~repro.run.runner.Runner` would have returned, because replays
-are deterministic and every row round-trips through the same
-content-addressed store.
+entry point: submit a RunSpec batch, long-poll ``GET /progress`` until
+the worker fleet has drained it, and assemble the rows into a
+:class:`~repro.run.results.ResultSet` **in submission order** —
+byte-identical to what a serial :class:`~repro.run.runner.Runner`
+would have returned, because replays are deterministic and every row
+round-trips through the same content-addressed store.
 """
 
 from __future__ import annotations
@@ -51,8 +51,14 @@ class SchedulerClient(ServiceClient):
         worker_id: str,
         limit: int = 1,
         lease_seconds: float | None = None,
+        wait: float | None = None,
     ) -> list[dict]:
         """``POST /claim``: lease up to ``limit`` jobs.
+
+        With ``wait``, the server holds an empty claim for up to that
+        many seconds (capped server-side) and answers as soon as a job
+        is claimable, so a worker needs no sleep between claims; an
+        empty list means the wait ran out.
 
         Retried on transport failure (marked idempotent): a claim the
         server processed but whose response was lost is recovered by
@@ -66,25 +72,22 @@ class SchedulerClient(ServiceClient):
         body: dict[str, Any] = {"worker_id": worker_id, "limit": limit}
         if lease_seconds is not None:
             body["lease_seconds"] = lease_seconds
-        return self.request("/claim", body, idempotent=True)["jobs"]
+        if wait is not None:
+            body["wait"] = wait
+        return self.request(
+            "/claim", body, idempotent=True, timeout=self._held(wait)
+        )["jobs"]
 
-    def complete(
-        self,
-        job_id: str,
-        worker_id: str,
-        run: dict | None = None,
-        error: str | None = None,
-    ) -> dict:
-        """``POST /complete``: deliver a result row (or report failure).
+    def complete(self, worker_id: str, results: list[dict]) -> list[dict]:
+        """``POST /complete``: deliver a claim's result rows and failures.
 
-        Idempotent server-side, so marked retryable here.
+        ``results`` holds one ``{"job_id", "run" | "error"}`` outcome
+        per job; the answer is one reply per outcome, in order. The
+        server checks every outcome before it writes any. Idempotent
+        server-side, so marked retryable here.
         """
-        body: dict[str, Any] = {"job_id": job_id, "worker_id": worker_id}
-        if run is not None:
-            body["run"] = run
-        if error is not None:
-            body["error"] = error
-        return self.request("/complete", body, idempotent=True)
+        body = {"worker_id": worker_id, "results": results}
+        return self.request("/complete", body, idempotent=True)["results"]
 
     def heartbeat(
         self,
@@ -102,14 +105,27 @@ class SchedulerClient(ServiceClient):
         """``GET /jobs/<id>``: one job's full record."""
         return self.request(f"/jobs/{urllib.parse.quote(job_id, safe='')}")
 
-    def progress(self, sweep_id: str | None = None) -> dict:
-        """``GET /progress``: state counts for one sweep (or the queue)."""
-        suffix = (
-            "?" + urllib.parse.urlencode({"sweep_id": sweep_id})
-            if sweep_id is not None
-            else ""
-        )
-        return self.request("/progress" + suffix)
+    def progress(
+        self, sweep_id: str | None = None, wait: float | None = None
+    ) -> dict:
+        """``GET /progress``: state counts for one sweep (or the queue).
+
+        With ``wait``, the server answers once nothing is pending, a job
+        has failed or been cancelled, or ``wait`` seconds (capped
+        server-side) have passed, whichever comes first.
+        """
+        query = {
+            name: value
+            for name, value in (("sweep_id", sweep_id), ("wait", wait))
+            if value is not None
+        }
+        suffix = "?" + urllib.parse.urlencode(query) if query else ""
+        return self.request("/progress" + suffix, timeout=self._held(wait))
+
+    def _held(self, wait: float | None) -> float:
+        """Socket timeout for a request the server may hold ``wait`` s:
+        a held request must not time out while the server is healthy."""
+        return self.timeout + (wait or 0.0)
 
     def cancel(self, sweep_id: str) -> dict:
         """``POST /cancel``: cancel a sweep's queued jobs."""
@@ -156,7 +172,9 @@ class SchedulerClient(ServiceClient):
         Returns the rows in submission order (duplicate specs share a
         row), byte-identical to a serial Runner run of the same batch.
         Raises :class:`~repro.errors.SchedulerError` if any job ends
-        failed or cancelled, or the deadline passes.
+        failed or cancelled, or the ``timeout`` passes. Each
+        ``GET /progress`` long-polls for at most ``poll_interval``
+        seconds and never past the deadline.
         """
         spec_dicts = [
             spec.to_dict() if isinstance(spec, RunSpec) else spec for spec in specs
@@ -174,7 +192,10 @@ class SchedulerClient(ServiceClient):
             )
             deadline = None if timeout is None else time.monotonic() + timeout
             while True:
-                progress = self.progress(sweep_id)
+                wait = poll_interval
+                if deadline is not None:
+                    wait = max(0.0, min(wait, deadline - time.monotonic()))
+                progress = self.progress(sweep_id, wait=wait)
                 if progress["failed"] or progress["cancelled"]:
                     details = "; ".join(
                         f"{job['id']} ({job['spec_key']}): {job['error']}"
@@ -191,7 +212,6 @@ class SchedulerClient(ServiceClient):
                         f"sweep {sweep_id} timed out with {progress['pending']} "
                         f"job(s) still pending (of {progress['total']})"
                     )
-                time.sleep(poll_interval)
             # One batch fetch for the whole sweep: every key is in the
             # store now, so the store-backed ``POST /runs`` serves the
             # rows in submission order (duplicates sharing one row)

@@ -33,6 +33,12 @@ Design points:
   resubmitting a sweep reuses done jobs, requeues failed/cancelled
   ones, and marks jobs whose ``spec_key`` is already in the experiment
   store as done without ever queueing them (zero re-replays).
+- **Waiting without polling.** Every commit that can make a job
+  claimable or change a sweep's progress (submit, complete, fail,
+  cancel, a lapsed lease) bumps :attr:`JobQueue.version` and wakes the
+  threads blocked in :meth:`JobQueue.wait`. Commits made by another
+  process on the same file wake nobody; a waiter sees them when its
+  wait runs out.
 """
 
 from __future__ import annotations
@@ -165,11 +171,15 @@ class JobQueue:
             SchedulerError,
             f"job queue at {self.path}",
         )
+        self._changed = threading.Condition(threading.Lock())
+        self._version = 0
+        self._stopped = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Close the SQLite connection."""
+        """Wake every waiter, then close the SQLite connection."""
+        self.stop_waiting()
         with self._lock:
             self._db.close()
 
@@ -194,6 +204,12 @@ class JobQueue:
             (name, delta),
         )
         _OBS_EVENTS.inc(delta, name=name)
+
+    def _notify(self) -> None:
+        """Wake the waiters: call after a commit that changed a job."""
+        with self._changed:
+            self._version += 1
+            self._changed.notify_all()
 
     def _fetch_job(self, job_id: str) -> tuple | None:
         return self._db.execute(
@@ -335,6 +351,7 @@ class JobQueue:
                 self._bump("jobs_reused", reused)
             if stored:
                 self._bump("jobs_precompleted", stored)
+        self._notify()
         return jobs
 
     def sweep_owner(self, sweep_id: str) -> tuple[bool, str | None]:
@@ -376,7 +393,7 @@ class JobQueue:
         now = self._clock()
         claimed: list[dict[str, Any]] = []
         with self._txn():
-            self._expire_leases_locked(now)
+            expired = self._expire_leases_locked(now)
             rows = self._db.execute(
                 "SELECT id FROM jobs WHERE state='queued' "
                 "ORDER BY created_at ASC, sweep_id ASC, seq ASC LIMIT ?",
@@ -392,6 +409,8 @@ class JobQueue:
                 claimed.append(_job_dict(self._fetch_job(job_id)))
             if claimed:
                 self._bump("claims", len(claimed))
+        if any(expired.values()):
+            self._notify()
         return claimed
 
     def heartbeat(
@@ -422,10 +441,10 @@ class JobQueue:
 
     def complete(
         self,
-        job_id: str,
+        job_id: str | list[str],
         worker_id: str | None = None,
         source: str = "worker",
-    ) -> dict[str, Any] | None:
+    ) -> dict[str, Any] | None | list[dict[str, Any] | None]:
         """Mark a job done; idempotent. Returns ``None`` for unknown ids.
 
         Any live state is accepted: replays are deterministic, so a
@@ -434,26 +453,34 @@ class JobQueue:
         returned dictionary carries ``duplicate=True`` when the job was
         already done — the second of two completions is acknowledged,
         never an error.
+
+        Given a list of ids, completes them all in one transaction, in
+        order, and returns the aligned list of answers (an id listed
+        twice is done, then a duplicate).
         """
+        job_ids = [job_id] if isinstance(job_id, str) else list(job_id)
         now = self._clock()
+        answers: list[dict[str, Any] | None] = []
         with self._txn():
-            row = self._fetch_job(job_id)
-            if row is None:
-                return None
-            job = _job_dict(row)
-            if job["state"] == "done":
-                self._bump("duplicate_completes")
-                job["duplicate"] = True
-                return job
-            self._db.execute(
-                "UPDATE jobs SET state='done', result_source=?, worker_id=?,"
-                " lease_expires=NULL, error=NULL, updated_at=? WHERE id=?",
-                (source, worker_id, now, job_id),
-            )
-            self._bump("completes")
-            job = _job_dict(self._fetch_job(job_id))
-            job["duplicate"] = False
-            return job
+            for one in job_ids:
+                row = self._fetch_job(one)
+                job = None if row is None else _job_dict(row)
+                if job is not None and job["state"] == "done":
+                    self._bump("duplicate_completes")
+                    job["duplicate"] = True
+                elif job is not None:
+                    self._db.execute(
+                        "UPDATE jobs SET state='done', result_source=?,"
+                        " worker_id=?, lease_expires=NULL, error=NULL,"
+                        " updated_at=? WHERE id=?",
+                        (source, worker_id, now, one),
+                    )
+                    self._bump("completes")
+                    job = _job_dict(self._fetch_job(one))
+                    job["duplicate"] = False
+                answers.append(job)
+        self._notify()
+        return answers[0] if isinstance(job_id, str) else answers
 
     def fail(
         self, job_id: str, worker_id: str | None = None, error: str = ""
@@ -496,7 +523,9 @@ class JobQueue:
                     (error or "worker reported failure", now, job_id),
                 )
                 self._bump("retries")
-            return _job_dict(self._fetch_job(job_id))
+            job = _job_dict(self._fetch_job(job_id))
+        self._notify()
+        return job
 
     # -- control and introspection ----------------------------------------
 
@@ -511,12 +540,47 @@ class JobQueue:
             )
             if cursor.rowcount:
                 self._bump("cancelled", cursor.rowcount)
-            return cursor.rowcount
+        self._notify()
+        return cursor.rowcount
 
     def expire_leases(self) -> dict[str, int]:
         """Sweep lapsed leases now (claim and progress do this lazily)."""
         with self._txn():
-            return self._expire_leases_locked(self._clock())
+            expired = self._expire_leases_locked(self._clock())
+        if any(expired.values()):
+            self._notify()
+        return expired
+
+    @property
+    def version(self) -> int:
+        """How many times this process has woken the queue's waiters.
+
+        Read it before checking the queue, then pass it to :meth:`wait`:
+        a commit in between makes the wait return at once.
+        """
+        with self._changed:
+            return self._version
+
+    def wait(self, seen: int, timeout: float) -> bool:
+        """Block until :attr:`version` passes ``seen``, or ``timeout``.
+
+        Returns ``False`` once :meth:`stop_waiting` has been called (at
+        once, without blocking), ``True`` otherwise.
+        """
+        with self._changed:
+            if not self._stopped and self._version == seen:
+                self._changed.wait(timeout)
+            return not self._stopped
+
+    def stop_waiting(self) -> None:
+        """Wake every :meth:`wait` and make later ones return at once.
+
+        A server calls this as it closes, so a request blocked on an
+        empty queue answers at once instead of outliving the server.
+        """
+        with self._changed:
+            self._stopped = True
+            self._changed.notify_all()
 
     def job(self, job_id: str) -> dict[str, Any] | None:
         """One job by id, or ``None``."""
@@ -562,13 +626,15 @@ class JobQueue:
         """
         now = self._clock()
         with self._txn():
-            self._expire_leases_locked(now)
+            expired = self._expire_leases_locked(now)
             query = "SELECT state, COUNT(*) FROM jobs"
             params: tuple = ()
             if sweep_id is not None:
                 query += " WHERE sweep_id=?"
                 params = (sweep_id,)
             counts = dict(self._db.execute(query + " GROUP BY state", params))
+        if any(expired.values()):
+            self._notify()
         report: dict[str, Any] = {"sweep_id": sweep_id}
         report.update({state: counts.get(state, 0) for state in JOB_STATES})
         report["total"] = sum(counts.values())

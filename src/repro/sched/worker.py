@@ -4,16 +4,22 @@ A :class:`Worker` is one member of the fleet behind a scheduler-enabled
 service (``repro-tlb serve``). Its loop is deliberately dumb — all
 coordination state lives in the server's :class:`~repro.sched.queue.JobQueue`:
 
-1. ``POST /claim`` a batch of jobs (polling while the queue is empty);
+1. ``POST /claim`` a batch of jobs with ``wait=poll_interval``: on an
+   empty queue the server holds the request until a job is claimable
+   (or the wait runs out, and the worker simply claims again), so the
+   worker does not sleep between claims. Only an empty claim answered
+   sooner than that (a server that does not hold claims) is followed
+   by a pause for the rest of ``poll_interval``;
 2. for each job, **consult the store first** — a worker given a local
    ``store=`` (shared filesystem with the server) runs its specs
    through a store-backed :class:`~repro.run.runner.Runner`, so a spec
    another worker already landed costs one index probe, not a replay;
 3. replay the rest through the engine the spec names (``auto`` → the
    compiled engine for every built-in mechanism);
-4. ``POST /complete`` with the result row — the server writes it back
-   through its :class:`~repro.store.ExperimentStore`, content-addressed
-   and deduplicated.
+4. one ``POST /complete`` carrying every row and every error of the
+   batch — the server writes the rows back through its
+   :class:`~repro.store.ExperimentStore`, content-addressed and
+   deduplicated.
 
 A background thread heartbeats the in-flight jobs; if the worker dies,
 the heartbeats stop and the leases lapse, so the scheduler requeues its
@@ -45,7 +51,8 @@ from repro.store import ExperimentStore
 
 _OBS_CLAIM_SECONDS = REGISTRY.histogram(
     "repro_worker_claim_seconds",
-    "Wall-clock per claim round trip (including empty claims).",
+    "Wall-clock per claim round trip (including empty claims and the "
+    "server-side wait for work).",
 )
 _OBS_HEARTBEAT_SECONDS = REGISTRY.histogram(
     "repro_worker_heartbeat_seconds",
@@ -80,7 +87,9 @@ class Worker:
             for workers sharing the server's filesystem; specs found
             there are served without replaying.
         lease_seconds: lease length requested on claim and heartbeat.
-        poll_interval: sleep between empty claims.
+        poll_interval: the longest an empty claim waits at the server
+            for work (the claim's ``wait``); also the pause before
+            retrying an unreachable service.
         batch: jobs claimed per request (amortizes HTTP overhead);
             must be >= 1.
         max_jobs: stop after processing this many jobs (None = forever).
@@ -143,7 +152,7 @@ class Worker:
     # -- control -----------------------------------------------------------
 
     def stop(self) -> None:
-        """Ask the loop to exit after the current job."""
+        """Ask the loop to exit after the current batch."""
         self._stop.set()
 
     # -- the loop ----------------------------------------------------------
@@ -167,15 +176,20 @@ class Worker:
                         self.worker_id,
                         limit=limit,
                         lease_seconds=self.lease_seconds,
+                        wait=self.poll_interval,
                     )
                     _OBS_CLAIM_SECONDS.observe(time.perf_counter() - claim_began)
                 except ServiceError as exc:
-                    if exc.status == 0:  # service down/restarting: keep polling
+                    if exc.status == 0:  # service down/restarting: retry soon
                         self._stop.wait(self.poll_interval)
                         continue
                     raise
                 if not jobs:
-                    self._stop.wait(self.poll_interval)
+                    # Normally the server already held the claim for
+                    # poll_interval; one that answered early must not
+                    # be claimed from again in a tight loop.
+                    held = time.perf_counter() - claim_began
+                    self._stop.wait(max(0.0, self.poll_interval - held))
                     continue
                 self.claimed += len(jobs)
                 if (
@@ -186,20 +200,17 @@ class Worker:
                     # like a SIGKILL between claim and complete.
                     self.crashed = True
                     return self.summary()
-                # The whole claimed batch is in flight from this moment:
-                # heartbeats must cover the jobs *waiting* behind a slow
-                # replay too, or their leases lapse mid-batch and burn
-                # their retry budgets while the worker is healthy.
+                # The whole claimed batch is in flight until its one
+                # report: heartbeats must cover every job of a slow
+                # batch, or their leases lapse mid-replay and burn their
+                # retry budgets while the worker is healthy.
                 with self._inflight_lock:
                     self._inflight.update(job["id"] for job in jobs)
-                for job in jobs:
-                    if self._stop.is_set():
-                        break
-                    self._process(job)
-                    if self._budget_spent():
-                        break
-                with self._inflight_lock:
-                    self._inflight.clear()
+                try:
+                    self._process(jobs)
+                finally:
+                    with self._inflight_lock:
+                        self._inflight.clear()
                 self._push_spans()
         finally:
             self._stop.set()
@@ -222,59 +233,60 @@ class Worker:
             and self.completed + self.failed >= self.max_jobs
         )
 
-    # -- one job -----------------------------------------------------------
+    # -- one batch ---------------------------------------------------------
 
-    def _process(self, job: dict[str, Any]) -> None:
-        job_id = job["id"]
+    def _process(self, jobs: list[dict[str, Any]]) -> None:
+        """Replay a claimed batch job by job, then report it in one
+        ``/complete``."""
+        outcomes = [self._replay(job) for job in jobs]
+        try:
+            self.client.complete(self.worker_id, outcomes)
+        except ServiceError as exc:
+            # The results (and failure reports) are lost; lease expiry
+            # will requeue the jobs, and replays are deterministic, so
+            # the sweep still converges. A refused report (a 4xx) will
+            # not converge, though, so say so loudly.
+            self.report_errors += 1
+            _LOG.error(
+                "worker %s could not report %d job(s): %s",
+                self.worker_id, len(outcomes), exc,
+            )
+
+    def _replay(self, job: dict[str, Any]) -> dict[str, Any]:
+        """Replay one job: its ``{"job_id", "run" | "error"}`` outcome."""
+        outcome: dict[str, Any] = {"job_id": job["id"]}
         began = time.perf_counter()
         # A job claimed from a traced sweep carries the sweep's trace
         # context; binding it makes this worker's spans (job → replay →
         # store-write) part of that one distributed trace.
-        try:
-            with bind_context(job.get("trace")):
-                with trace("worker.job", job_id=job_id, worker=self.worker_id):
-                    try:
-                        if self.slow_seconds:
-                            self._stop.wait(self.slow_seconds)
-                        spec = RunSpec.from_dict(job["spec"])
-                        if spec.key() in self.fail_keys:
-                            raise RuntimeError(
-                                f"injected failure for spec {spec.key()}"
-                            )
-                        # Store-backed runner: consult the store first,
-                        # replay only on a miss, persist the fresh row
-                        # locally too.
-                        stats = self.runner.run([spec])[0]
-                    except Exception as exc:  # noqa: BLE001 - report, don't die
-                        self.failed += 1
-                        _OBS_JOB_SECONDS.observe(
-                            time.perf_counter() - began, outcome="failed"
+        with bind_context(job.get("trace")):
+            with trace("worker.job", job_id=job["id"], worker=self.worker_id):
+                try:
+                    if self.slow_seconds:
+                        self._stop.wait(self.slow_seconds)
+                    spec = RunSpec.from_dict(job["spec"])
+                    if spec.key() in self.fail_keys:
+                        raise RuntimeError(
+                            f"injected failure for spec {spec.key()}"
                         )
-                        _LOG.warning(
-                            "worker %s job %s failed: %s",
-                            self.worker_id, job_id, exc,
-                        )
-                        self._report(
-                            job_id, error=f"{type(exc).__name__}: {exc}"
-                        )
-                        return
-                    self.completed += 1
-                    _OBS_JOB_SECONDS.observe(
-                        time.perf_counter() - began, outcome="completed"
+                    # Store-backed runner: consult the store first,
+                    # replay only on a miss, persist the fresh row
+                    # locally too.
+                    outcome["run"] = asdict(self.runner.run([spec])[0])
+                except Exception as exc:  # noqa: BLE001 - report, don't die
+                    outcome["error"] = f"{type(exc).__name__}: {exc}"
+                    self.failed += 1
+                    _LOG.warning(
+                        "worker %s job %s failed: %s",
+                        self.worker_id, job["id"], exc,
                     )
-                    self._report(job_id, run=asdict(stats))
-        finally:
-            with self._inflight_lock:
-                self._inflight.discard(job_id)
-
-    def _report(self, job_id: str, **outcome: Any) -> None:
-        try:
-            self.client.complete(job_id, self.worker_id, **outcome)
-        except ServiceError:
-            # The result (or failure report) is lost; lease expiry will
-            # requeue the job, and replays are deterministic, so the
-            # sweep still converges. Count it for observability.
-            self.report_errors += 1
+                else:
+                    self.completed += 1
+        _OBS_JOB_SECONDS.observe(
+            time.perf_counter() - began,
+            outcome="failed" if "error" in outcome else "completed",
+        )
+        return outcome
 
     def _push_spans(self) -> None:
         """Ship this worker's freshly collected spans to the service.

@@ -18,7 +18,10 @@ its handler runs:
   bounded in-flight slot pool: at most ``max_inflight`` requests run
   concurrently, at most ``max_queue`` wait (briefly) for a slot, and
   everything beyond that is shed with 429 + ``Retry-After`` instead of
-  piling up threads.
+  piling up threads. A long-poll gives its slot back while it blocks
+  (:meth:`AdmissionController.park`), and each tenant may park at most
+  :data:`MAX_PARKED_PER_TENANT` at once, so waiting requests never
+  crowd out other tenants' work.
 
 With no tenants configured the controller runs in **open mode**:
 requests are anonymous, unauthenticated, and rate-unlimited, but the
@@ -44,6 +47,10 @@ from repro.obs import REGISTRY
 
 #: Version stamp for tenant-config files (forward compatibility).
 ADMISSION_SCHEMA = "repro.admission/v1"
+
+#: Long-polls one tenant may hold parked (blocked without a slot) at
+#: once; past it, a long-poll answers at once instead of blocking.
+MAX_PARKED_PER_TENANT = 16
 
 #: Admission decisions by tenant and outcome. Label cardinality is
 #: bounded: tenants come from the operator's config file, and the
@@ -304,6 +311,7 @@ class AdmissionController:
         self._cond = threading.Condition(threading.Lock())
         self._inflight = 0
         self._queued = 0
+        self._parked: dict[str, int] = {}
         self.shed_total = 0
 
     # -- identity ----------------------------------------------------------
@@ -410,12 +418,42 @@ class AdmissionController:
             _OBS_INFLIGHT.set(self._inflight)
             self._cond.notify()
 
+    def park(self, tenant: TenantConfig | None) -> bool:
+        """Give up the caller's slot while it blocks in a long-poll.
+
+        Returns ``False``, and keeps the slot, when ``tenant`` already
+        has :data:`MAX_PARKED_PER_TENANT` long-polls parked: the caller
+        answers at once instead. After a ``True``, the caller must
+        :meth:`unpark` before it works again.
+        """
+        name = tenant.name if tenant is not None else ANONYMOUS
+        with self._cond:
+            if self._parked.get(name, 0) >= MAX_PARKED_PER_TENANT:
+                return False
+            self._parked[name] = self._parked.get(name, 0) + 1
+        self.leave()
+        return True
+
+    def unpark(self, tenant: TenantConfig | None) -> bool:
+        """End a :meth:`park`: take a slot again, as :meth:`try_enter`.
+
+        ``True`` when the slot is granted (pair it with :meth:`leave`);
+        ``False`` when the request was shed and holds no slot.
+        """
+        name = tenant.name if tenant is not None else ANONYMOUS
+        with self._cond:
+            self._parked[name] -= 1
+            if not self._parked[name]:
+                del self._parked[name]
+        return self.try_enter(tenant) is None
+
     # -- reporting ---------------------------------------------------------
 
     def census(self) -> dict:
         """Live admission state for ``GET /stats`` and the gauges."""
         with self._cond:
             inflight, queued = self._inflight, self._queued
+            parked = sum(self._parked.values())
         return {
             "mode": "open" if self.open_mode else "tenants",
             "tenants": len(self._by_token),
@@ -423,6 +461,7 @@ class AdmissionController:
             "max_queue": self.max_queue,
             "inflight": inflight,
             "queued": queued,
+            "parked": parked,
             "shed_total": self.shed_total,
         }
 

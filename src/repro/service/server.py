@@ -93,6 +93,10 @@ from repro.store import ExperimentStore
 #: Version stamp on every service response envelope.
 SERVICE_SCHEMA = "repro.service/v1"
 
+#: Longest a long-poll (``wait`` on ``POST /claim`` and
+#: ``GET /progress``) may block, whatever the request asks for.
+MAX_WAIT_SECONDS = 10.0
+
 #: Upper bound on a POST body. Anything larger is refused with 413
 #: before a byte is read — a bogus ``Content-Length: 1e18`` must not
 #: turn into an allocation.
@@ -132,6 +136,13 @@ _OBS_SESSIONS = REGISTRY.gauge(
 
 _LOG = get_logger("service")
 
+#: The current request thread's long-poll state: ``blocked``, the
+#: seconds spent blocked, which :meth:`ExperimentService.handle` leaves
+#: out of the request latency (the ``service_p99_latency`` SLO reads
+#: it); and ``holds_slot``, whether it still holds its admission slot
+#: after a long-poll parked it.
+_REQUEST = threading.local()
+
 #: Marks a :class:`Field` that has no default: absent or null is a 400.
 _REQUIRED: Any = object()
 
@@ -155,6 +166,11 @@ _KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
         "a finite number > 0",
         lambda v: (_is_int(v) or isinstance(v, float))
         and 0 < v <= sys.float_info.max,
+    ),
+    "number>=0": (
+        "a finite number >= 0",
+        lambda v: (_is_int(v) or isinstance(v, float))
+        and 0 <= v <= sys.float_info.max,
     ),
     "list[str]": (
         "a list of strings",
@@ -227,22 +243,34 @@ def _arguments(
     ``/`` could otherwise forge the tenant separator of a namespaced
     session key. ``POST`` rows read the body, which must be a JSON
     object (absent is empty); ``GET`` rows read the query string,
-    whose integers arrive as text.
+    whose numbers arrive as text.
     """
     args = [] if param is None else [unquote(param)]
     if args and not _KINDS["id"][1](args[0]):
         raise ReproError(f"malformed path parameter {args[0]!r} in {route.template}")
-    source = query
-    if route.method == "POST":
-        source = {} if body is None else body
-        if not isinstance(source, dict):
-            raise ReproError(
-                f"request body must be an object, got {type(source).__name__}"
-            )
+    if route.method == "GET":
+        return args, _values(route.fields, query, "query", text=True)
+    return args, _values(route.fields, {} if body is None else body)
+
+
+def _values(
+    fields: tuple[Field, ...],
+    source: Any,
+    what: str = "request body",
+    text: bool = False,
+) -> dict[str, Any]:
+    """``source`` checked against ``fields``, or :class:`ReproError`.
+
+    ``source`` (named ``what`` in the message) must be an object;
+    ``text`` marks a query string, whose numeric values are coerced
+    from their text first.
+    """
+    if not isinstance(source, dict):
+        raise ReproError(f"{what} must be an object, got {type(source).__name__}")
     values: dict[str, Any] = {}
-    for name, kind, default in route.fields:
+    for name, kind, default in fields:
         if kind == "filters":
-            declared = {field.name for field in route.fields}
+            declared = {field.name for field in fields}
             values[name] = {
                 key: _coerce(raw)
                 for key, raw in source.items()
@@ -253,13 +281,13 @@ def _arguments(
         if value is None and default is not _REQUIRED:
             values[name] = default
             continue
-        if route.method == "GET" and kind.startswith("int") and isinstance(value, str):
+        if text and kind.startswith(("int", "number")) and isinstance(value, str):
             value = _coerce(value)
         description, valid = _KINDS[kind]
         if not valid(value):
             raise ReproError(f"'{name}' must be {description}, got {value!r}")
         values[name] = value
-    return args, values
+    return values
 
 
 def _parse_specs(raw_specs: list) -> list[RunSpec]:
@@ -504,10 +532,12 @@ class ExperimentService:
         included — joins the caller's trace instead of starting a fresh
         one. ``authorization`` is the raw ``Authorization`` header,
         resolved to a tenant by the admission controller before any
-        route runs.
+        route runs. Time a long-poll spends blocked on the queue is left
+        out of the request latency metric.
         """
         route, param = _match(method, path)
         label = "<unknown>" if route is None else route.template
+        _REQUEST.blocked = 0.0
         began = time.perf_counter()
         with bind_context(trace_parent):
             with trace("http.request", method=method, route=label) as span:
@@ -517,7 +547,9 @@ class ExperimentService:
                 span.attrs["status"] = status
         _OBS_HTTP_REQUESTS.inc(method=method, route=label, status=str(status))
         _OBS_HTTP_SECONDS.observe(
-            time.perf_counter() - began, method=method, route=label
+            time.perf_counter() - began - _REQUEST.blocked,
+            method=method,
+            route=label,
         )
         return status, payload
 
@@ -565,6 +597,7 @@ class ExperimentService:
         shed = self.admission.try_enter(tenant)
         if shed is not None:
             return self._retry_later("service at capacity, request shed", shed)
+        _REQUEST.holds_slot = True
         try:
             self.admission.note(
                 tenant.name if tenant is not None else None, "admitted"
@@ -575,7 +608,8 @@ class ExperimentService:
                 )
             return self._dispatch(route, param, query, body, tenant)
         finally:
-            self.admission.leave()
+            if _REQUEST.holds_slot:
+                self.admission.leave()
 
     def _dispatch(
         self,
@@ -1104,14 +1138,64 @@ class ExperimentService:
         with self._sweep_traces_lock:
             return self._sweep_traces.get(sweep_id)
 
+    def _long_poll(
+        self,
+        tenant: TenantConfig | None,
+        wait: float,
+        attempt: Callable[[], Any],
+        done: Callable[[Any], bool],
+    ) -> Any:
+        """``attempt()`` until ``done`` with its answer, for up to ``wait`` s.
+
+        Between attempts the request thread sleeps on the job queue,
+        which wakes it after every commit that could change the answer;
+        ``wait`` is capped at :data:`MAX_WAIT_SECONDS`, and ``wait=0``
+        makes one attempt. Returns the last answer. A server shutting
+        down stops the wait at once.
+
+        While it sleeps the request gives its admission slot back
+        (:meth:`AdmissionController.park`), so blocked long-polls never
+        crowd out other requests. It answers at once instead when its
+        tenant already has its quota of parked requests, and with the
+        last answer when the service sheds it on waking.
+        """
+        deadline = time.monotonic() + min(wait, MAX_WAIT_SECONDS)
+        while True:
+            seen = self.queue.version
+            answer = attempt()
+            remaining = deadline - time.monotonic()
+            if done(answer) or remaining <= 0:
+                return answer
+            if not self.admission.park(tenant):
+                return answer
+            blocked = time.perf_counter()
+            waiting = self.queue.wait(seen, remaining)
+            _REQUEST.blocked += time.perf_counter() - blocked
+            _REQUEST.holds_slot = self.admission.unpark(tenant)
+            if not (waiting and _REQUEST.holds_slot):
+                return answer
+
     def _post_claim(
         self,
         tenant: TenantConfig | None,
         worker_id: str,
         limit: int,
         lease_seconds: float | None,
+        wait: float,
     ) -> tuple[int, dict]:
-        """Lease queued jobs to a worker, store-probing each handout."""
+        """Lease queued jobs to a worker, store-probing each handout.
+
+        With ``wait``, an empty queue holds the request until a job can
+        be handed out or the wait runs out (an empty ``jobs`` list).
+        """
+        handout = self._long_poll(
+            tenant, wait, lambda: self._claim(worker_id, limit, lease_seconds), bool
+        )
+        return 200, self._envelope({"worker_id": worker_id, "jobs": handout})
+
+    def _claim(
+        self, worker_id: str, limit: int, lease_seconds: float | None
+    ) -> list[dict]:
         handout: list[dict] = []
         while len(handout) < limit:
             batch = self.queue.claim(
@@ -1121,76 +1205,128 @@ class ExperimentService:
             )
             if not batch:
                 break
+            # Consult the store before handing a job out: a spec
+            # another worker (or another sweep) already landed is
+            # completed here, never replayed again.
+            fresh: list[dict] = []
+            stored: list[str] = []
             for job in batch:
-                # Consult the store before handing a job out: a spec
-                # another worker (or another sweep) already landed is
-                # completed here, never replayed again.
                 if self.store.has_result(job["spec_key"]):
-                    self.queue.complete(job["id"], worker_id, source="store")
+                    stored.append(job["id"])
                 else:
-                    handout.append(
-                        {
-                            "id": job["id"],
-                            "sweep_id": job["sweep_id"],
-                            "spec_key": job["spec_key"],
-                            "spec": job["spec"],
-                            "attempts": job["attempts"],
-                            "max_attempts": job["max_attempts"],
-                            "lease_expires": job["lease_expires"],
-                            "trace": self._sweep_trace(job["sweep_id"]),
-                        }
-                    )
-        return 200, self._envelope({"worker_id": worker_id, "jobs": handout})
+                    fresh.append(job)
+            if stored:
+                self.queue.complete(stored, worker_id, source="store")
+            handout += [
+                {
+                    "id": job["id"],
+                    "sweep_id": job["sweep_id"],
+                    "spec_key": job["spec_key"],
+                    "spec": job["spec"],
+                    "attempts": job["attempts"],
+                    "max_attempts": job["max_attempts"],
+                    "lease_expires": job["lease_expires"],
+                    "trace": self._sweep_trace(job["sweep_id"]),
+                }
+                for job in fresh
+            ]
+        return handout
 
     def _post_complete(
         self,
         tenant: TenantConfig | None,
-        job_id: str,
         worker_id: str | None,
+        results: list | None,
+        job_id: str | None,
         run: dict | None,
         error: str | None,
     ) -> tuple[int, dict]:
-        """Record a job outcome; result rows land in the store first."""
-        job = self.queue.job(job_id)
-        if job is None:
-            return 404, self._envelope({"error": f"no job {job_id!r}"})
-        if error is not None:
-            failed = self.queue.fail(job_id, worker_id, error=error)
-            return 200, self._envelope(
-                {"id": job_id, "state": failed["state"], "attempts": failed["attempts"]}
+        """Record job outcomes; result rows land in the store first.
+
+        The body is one outcome (``job_id`` with its ``run`` row or its
+        ``error``) or carries a ``results`` list of them, one per job of
+        a claim. Every outcome is checked before anything is written:
+        one malformed item is a 400 and one unknown job a 404, and
+        neither lands any row of the body. Then the new rows are
+        written with one ``put_results``, the jobs completed in one
+        queue transaction, and the errors reported job by job. A
+        single outcome answers with its own reply; a list with
+        ``results``, the replies in item order.
+        """
+        if results is None:
+            items = [{"job_id": job_id, "run": run, "error": error}]
+        elif (job_id, run, error) != (None, None, None):
+            raise ReproError("send either 'results' or one 'job_id' outcome")
+        else:
+            items = results
+        checked = []
+        for item in items:
+            outcome = _values(_OUTCOME, item, "each 'results' item")
+            job = self.queue.job(outcome["job_id"])
+            if job is None:
+                return 404, self._envelope(
+                    {"error": f"no job {outcome['job_id']!r}"}
+                )
+            stats = None
+            if outcome["error"] is None:
+                stats = self._result_row(job, outcome["run"])
+            checked.append((job, outcome["error"], stats))
+        # Content-addressed write-back: the first completion of a spec
+        # stores its row; duplicates (late workers, client retries, an
+        # item listed twice) find it present.
+        fresh: dict[str, tuple[RunSpec, PrefetchRunStats]] = {}
+        for job, _, stats in checked:
+            key = job["spec_key"]
+            if stats is None or key in fresh or self.store.has_result(key):
+                continue
+            fresh[key] = (RunSpec.from_dict(job["spec"]), stats)
+        if fresh:
+            self.store.put_results(fresh.values())
+        ran = [job["id"] for job, _, stats in checked if stats is not None]
+        completed = iter(self.queue.complete(ran, worker_id, source="worker"))
+        replies = []
+        for job, failure, stats in checked:
+            if stats is None:
+                failed = self.queue.fail(job["id"], worker_id, error=failure)
+                replies.append(
+                    {
+                        "id": job["id"],
+                        "state": failed["state"],
+                        "attempts": failed["attempts"],
+                    }
+                )
+                continue
+            outcome = next(completed)
+            # ``stored`` goes to the first item of each row written here.
+            replies.append(
+                {
+                    "id": job["id"],
+                    "state": outcome["state"],
+                    "duplicate": outcome["duplicate"],
+                    "stored": fresh.pop(job["spec_key"], None) is not None,
+                }
             )
+        if results is None:
+            return 200, self._envelope(replies[0])
+        return 200, self._envelope({"results": replies})
+
+    @staticmethod
+    def _result_row(job: dict, run: dict | None) -> PrefetchRunStats:
+        """The ``run`` row a worker delivered for ``job``, checked."""
         if run is None:
-            return 400, self._envelope(
-                {"error": "request body needs a 'run' result object (or an 'error')"}
+            raise ReproError(
+                "request body needs a 'run' result object (or an 'error')"
             )
         try:
             stats = PrefetchRunStats(**run)
         except TypeError as exc:
-            return 400, self._envelope({"error": f"malformed result row: {exc}"})
+            raise ReproError(f"malformed result row: {exc}") from exc
         if stats.extra.get("spec_key") != job["spec_key"]:
-            return 400, self._envelope(
-                {
-                    "error": (
-                        f"result row is for spec {stats.extra.get('spec_key')!r} "
-                        f"but job {job_id} holds spec {job['spec_key']!r}"
-                    )
-                }
+            raise ReproError(
+                f"result row is for spec {stats.extra.get('spec_key')!r} "
+                f"but job {job['id']} holds spec {job['spec_key']!r}"
             )
-        # Content-addressed write-back: first completion stores the row,
-        # duplicates (late workers, client retries) find it present.
-        stored = False
-        if not self.store.has_result(job["spec_key"]):
-            self.store.put_result(RunSpec.from_dict(job["spec"]), stats)
-            stored = True
-        outcome = self.queue.complete(job_id, worker_id, source="worker")
-        return 200, self._envelope(
-            {
-                "id": job_id,
-                "state": outcome["state"],
-                "duplicate": outcome["duplicate"],
-                "stored": stored,
-            }
-        )
+        return stats
 
     def _post_heartbeat(
         self,
@@ -1255,17 +1391,38 @@ class ExperimentService:
         return 200, self._envelope({"job": job})
 
     def _get_progress(
-        self, tenant: TenantConfig | None, sweep_id: str | None
+        self, tenant: TenantConfig | None, sweep_id: str | None, wait: float
     ) -> tuple[int, dict]:
+        """State counts; with ``wait``, held until nothing is pending,
+        a job has failed or been cancelled, or the wait runs out."""
         # Per-sweep progress is owner-only; the unscoped aggregate is
-        # open to every tenant (counts only, no spec material).
+        # open to every tenant (counts only, no spec material). The
+        # ownership check comes before any wait: a foreign sweep must
+        # answer as fast as a missing one.
         if sweep_id is not None and not self._owns_sweep(tenant, sweep_id):
             return 404, self._envelope({"error": f"no sweep {sweep_id!r}"})
-        return 200, self._envelope(self.queue.progress(sweep_id))
+        report = self._long_poll(
+            tenant,
+            wait,
+            lambda: self.queue.progress(sweep_id),
+            lambda report: not report["pending"]
+            or report["failed"]
+            or report["cancelled"],
+        )
+        return 200, self._envelope(report)
 
 
 _SVC = ExperimentService
 _LEASE = Field("lease_seconds", "number>0", None)
+#: Long-poll bound in seconds (capped at MAX_WAIT_SECONDS); 0 answers at once.
+_WAIT = Field("wait", "number>=0", 0)
+#: One job outcome for ``POST /complete``: the body itself, or each
+#: item of its ``results`` list.
+_OUTCOME = (
+    Field("job_id", "str"),
+    Field("run", "object", None),
+    Field("error", "str", None),
+)
 
 #: The service's routes: the single description of each one's method,
 #: path, handler, admission class and the body/query fields it reads.
@@ -1307,7 +1464,7 @@ ROUTES: tuple[Route, ...] = (
     Route("GET", "/jobs/:id", _SVC._get_job, "tenant"),
     Route(
         "GET", "/progress", _SVC._get_progress, "tenant",
-        (Field("sweep_id", "str", None),),
+        (Field("sweep_id", "str", None), _WAIT),
     ),
     Route(
         "POST", "/cancel", _SVC._post_cancel, "tenant",
@@ -1315,13 +1472,14 @@ ROUTES: tuple[Route, ...] = (
     ),
     Route(
         "POST", "/claim", _SVC._post_claim, "worker",
-        (Field("worker_id", "str"), Field("limit", "int>=1", 1), _LEASE),
+        (Field("worker_id", "str"), Field("limit", "int>=1", 1), _LEASE, _WAIT),
     ),
     Route(
         "POST", "/complete", _SVC._post_complete, "worker",
         (
-            Field("job_id", "str"),
             Field("worker_id", "str", None),
+            Field("results", "list", None),
+            Field("job_id", "str", None),
             Field("run", "object", None),
             Field("error", "str", None),
         ),
@@ -1461,7 +1619,13 @@ class ExperimentServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def server_close(self) -> None:
-        """Tear down sockets, then the service's watchdog + journal."""
+        """End blocked long-polls, tear down sockets, then the service's
+        watchdog + journal.
+
+        A long-poll still blocked answers at once with what it has,
+        instead of outliving the server and touching a closed queue.
+        """
+        self.service.queue.stop_waiting()
         super().server_close()
         self.service.close()
 

@@ -6,6 +6,9 @@ bounded retries, idempotent completion, resumable resubmission — is
 exercised deterministically and instantly.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import SchedulerError, SweepOwnershipError
@@ -271,3 +274,44 @@ class TestControlAndIntrospection:
         assert [job["id"] for job in queue.jobs(state="running")] == [running["id"]]
         with pytest.raises(SchedulerError):
             queue.jobs(state="bogus")
+
+
+class TestBatches:
+    def test_complete_takes_many_ids_in_one_call(self, queue):
+        submit(queue, 3)
+        claimed = queue.claim("w1", limit=3)
+        ids = [claimed[0]["id"], claimed[1]["id"], claimed[0]["id"], "ghost:0"]
+        answers = queue.complete(ids, "w1")
+        assert [a and a["duplicate"] for a in answers] == [False, False, True, None]
+        assert queue.progress()["done"] == 2
+        counters = queue.stats()["counters"]
+        assert counters["completes"] == 2
+        assert counters["duplicate_completes"] == 1
+
+
+class TestWaiting:
+    def test_a_commit_wakes_a_waiter(self, queue):
+        seen = queue.version
+        woke = []
+
+        def waiter():
+            queue.wait(seen, 10.0)
+            woke.append(time.monotonic())
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        time.sleep(0.05)
+        submit(queue, 1)
+        submitted = time.monotonic()
+        thread.join(timeout=5)
+        assert woke and woke[0] - submitted < 1.0
+
+    def test_a_seen_commit_does_not_block(self, queue):
+        seen = queue.version
+        submit(queue, 1)
+        assert queue.version > seen
+        assert queue.wait(seen, 10.0) is True  # returns at once
+
+    def test_stop_waiting_ends_every_wait(self, queue):
+        queue.stop_waiting()
+        assert queue.wait(queue.version, 10.0) is False

@@ -2,11 +2,11 @@
 
 A hypothesis state machine drives one queue file and a dictionary
 model through the same operations — submit (with resumes, foreign
-owners and mismatched resubmissions), claim, heartbeat, complete,
-fail, cancel, the clock jumping past a lease, and closing and
-reopening the file — under the queue's injectable fake clock. After
-every step the queue must agree with the model row for row and
-counter for counter, and:
+owners and mismatched resubmissions), claim, heartbeat, complete (one
+id, or many in one call), fail, cancel, the clock jumping past a lease,
+and closing and reopening the file — under the queue's injectable fake
+clock. After every step the queue must agree with the model row for
+row and counter for counter, and:
 
 - every claim is accounted for: it is still running, or it ended
   exactly once — completed, requeued (lease lapse or worker retry) or
@@ -203,10 +203,7 @@ class QueueMachine(RuleBasedStateMachine):
         """A known job id, or an unknown one while the queue is empty."""
         return data.draw(st.sampled_from(sorted(self.model.jobs) or ["x:0"]))
 
-    @rule(worker=st.sampled_from(WORKERS), data=st.data())
-    def complete(self, worker, data):
-        job_id = self._pick(data)
-        reply = self.queue.complete(job_id, worker)
+    def _model_complete(self, job_id, worker, reply):
         job = self.model.jobs.get(job_id)
         if job is None:
             assert reply is None
@@ -221,6 +218,23 @@ class QueueMachine(RuleBasedStateMachine):
             )
             self.model.bump("completes")
             assert reply["duplicate"] is False
+
+    @rule(worker=st.sampled_from(WORKERS), data=st.data())
+    def complete(self, worker, data):
+        job_id = self._pick(data)
+        self._model_complete(job_id, worker, self.queue.complete(job_id, worker))
+
+    @rule(worker=st.sampled_from(WORKERS), data=st.data())
+    def complete_many(self, worker, data):
+        # A worker's whole batch in one call: ids may repeat (an item
+        # listed twice) or be unknown, and are applied in order.
+        ids = data.draw(
+            st.lists(st.sampled_from(sorted(self.model.jobs) or ["x:0"]), max_size=4)
+        )
+        replies = self.queue.complete(ids, worker)
+        assert len(replies) == len(ids)
+        for job_id, reply in zip(ids, replies):
+            self._model_complete(job_id, worker, reply)
 
     @rule(worker=st.sampled_from(WORKERS), data=st.data())
     def fail(self, worker, data):

@@ -182,3 +182,34 @@ class TestRequestTimeoutFlag:
             ["worker", "--url", "http://x", "--request-timeout", "2.5"]
         )
         assert args.request_timeout == 2.5
+
+
+class TestWorkerFlags:
+    """``repro-tlb worker`` forwards only the flags it was given, so
+    :class:`~repro.sched.Worker` is the one place their defaults live."""
+
+    @pytest.fixture
+    def forwarded(self, monkeypatch):
+        import repro.sched
+
+        calls = []
+
+        def fake_run_worker(url, **options):
+            calls.append(options)
+            return 0
+
+        monkeypatch.setattr(repro.sched, "run_worker", fake_run_worker)
+        return calls
+
+    def test_flagless_worker_passes_no_defaults(self, forwarded):
+        assert main(["worker", "--url", "http://127.0.0.1:1"]) == 0
+        (options,) = forwarded
+        assert not {"lease_seconds", "poll_interval", "batch"} & set(options)
+
+    def test_given_flags_are_forwarded(self, forwarded):
+        argv = ["worker", "--url", "http://127.0.0.1:1", "--lease", "2",
+                "--poll", "0.5", "--batch", "3"]
+        assert main(argv) == 0
+        (options,) = forwarded
+        given = ("lease_seconds", "poll_interval", "batch")
+        assert [options[name] for name in given] == [2.0, 0.5, 3]
