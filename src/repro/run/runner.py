@@ -58,9 +58,10 @@ from repro.sim.sweep import rescale_trace
 from repro.sim.two_phase import filter_tlb
 from repro.workloads.registry import get_trace
 
-#: Replay/stream telemetry. Instrumented per *replay* and per *stream
-#: build* — never per miss entry — so the overhead stays far below the
-#: smoke bench's 5% budget.
+#: Replay telemetry. Instrumented per *replay* — never per miss entry —
+#: so the overhead stays far below the smoke bench's 5% budget. Stream
+#: builds are timed by the ``stream.build`` span and counted by
+#: :class:`MissStreamCache`'s own counters.
 _OBS_REPLAY_SECONDS = REGISTRY.histogram(
     "repro_replay_seconds",
     "Wall-clock per replay by resolved engine.",
@@ -70,15 +71,6 @@ _OBS_REPLAY_ENTRIES = REGISTRY.counter(
     "repro_replay_entries_total",
     "Miss-stream entries replayed (batch replays count once per spec).",
     labels=("engine",),
-)
-_OBS_STREAM_BUILD_SECONDS = REGISTRY.histogram(
-    "repro_stream_build_seconds",
-    "Wall-clock per phase-1 TLB filter (miss-stream build).",
-)
-_OBS_STREAM_CACHE = REGISTRY.counter(
-    "repro_stream_cache_events_total",
-    "In-process miss-stream cache events (hits, misses, evictions).",
-    labels=("event",),
 )
 
 
@@ -126,7 +118,6 @@ class MissStreamCache:
         if cached is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            _OBS_STREAM_CACHE.inc(event="hit")
         return cached
 
     def get_or_build(self, key: tuple, build: Callable[[], MissTrace]) -> MissTrace:
@@ -144,14 +135,12 @@ class MissStreamCache:
                 if cached is not None:
                     return cached
                 self.misses += 1
-                _OBS_STREAM_CACHE.inc(event="miss")
             built = build()
             with self._lock:
                 self._entries[key] = built
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
                     self.evictions += 1
-                    _OBS_STREAM_CACHE.inc(event="eviction")
             return built
 
     def stats(self) -> dict[str, int]:
@@ -196,14 +185,11 @@ SHARED_CACHE = MissStreamCache()
 
 def build_miss_stream(spec: RunSpec) -> MissTrace:
     """Phase 1 for a spec: build (or fetch) the trace, filter the TLB."""
-    began = time.perf_counter()
     with trace("stream.build", workload=spec.workload, scale=spec.scale):
         reference = get_trace(spec.workload, spec.scale)
         if spec.page_size != DEFAULT_PAGE_SIZE:
             reference = rescale_trace(reference, spec.page_size)
-        stream = filter_tlb(reference, spec.tlb, spec.warmup_fraction)
-    _OBS_STREAM_BUILD_SECONDS.observe(time.perf_counter() - began)
-    return stream
+        return filter_tlb(reference, spec.tlb, spec.warmup_fraction)
 
 
 def _replay(spec: RunSpec, miss_trace: MissTrace) -> PrefetchRunStats:
@@ -501,12 +487,11 @@ class Runner:
     def _run_serial(self, spec_list: list[RunSpec]) -> list[PrefetchRunStats]:
         """In-process execution: one compiled pass per stream group.
 
-        Specs are grouped by stream key; within a group, every spec on
-        the compiled engine (any engine but ``"reference"``) whose
-        mechanism has a compiled loop is replayed in a *single* pass
-        over the shared miss stream
-        (:func:`repro.sim.batchpath.replay_batch`) — a group of one
-        included. ``"reference"`` specs run per-spec on the reference
+        Specs are grouped by stream key; within a group, every spec
+        that :func:`~repro.sim.engine.resolve_engine` sends to the
+        compiled engine is replayed in a *single* pass over the shared
+        miss stream (:func:`repro.sim.batchpath.replay_batch`) — a group
+        of one included. The rest run per-spec on the reference
         engine, and checkpointed runs go spec by spec through
         suspendable sessions (compiled kernels, replayed in
         checkpoint-sized windows).
@@ -525,12 +510,11 @@ class Runner:
             batchable: list[tuple[int, RunSpec, object]] = []
             for index in indices:
                 spec = spec_list[index]
-                if spec.engine != "reference":
-                    prefetcher = spec.build_prefetcher()
-                    if batchpath.supports(prefetcher):
-                        batchable.append((index, spec, prefetcher))
-                        continue
-                results[index] = self.run_one(spec)
+                prefetcher = spec.build_prefetcher()
+                if resolve_engine(prefetcher, spec.engine) == "batch":
+                    batchable.append((index, spec, prefetcher))
+                else:
+                    results[index] = self.run_one(spec)
             if not batchable:
                 continue
             miss_trace = None

@@ -78,10 +78,6 @@ _OBS_OLDEST_QUEUED = REGISTRY.gauge(
     "repro_sched_oldest_queued_age_seconds",
     "Age of the oldest claimable (queued) job at last SLO refresh.",
 )
-_OBS_LEASE_OVERDUE_JOBS = REGISTRY.gauge(
-    "repro_sched_lease_overdue_jobs",
-    "Running jobs whose lease has lapsed without a heartbeat.",
-)
 _OBS_LEASE_OVERDUE_SECONDS = REGISTRY.gauge(
     "repro_sched_lease_overdue_seconds",
     "How far past expiry the most overdue running lease is.",
@@ -673,7 +669,7 @@ class JobQueue:
         job until a claim or progress poll requeues it, otherwise the
         health layer could never observe the outage it alerts on.
         Refreshes the ``repro_sched_oldest_queued_age_seconds`` and
-        ``repro_sched_lease_overdue_*`` gauges as a side effect.
+        ``repro_sched_lease_overdue_seconds`` gauges as a side effect.
         """
         ts = self._clock() if now is None else now
         with self._lock:
@@ -697,7 +693,6 @@ class JobQueue:
         oldest_age = None if oldest is None else max(0.0, ts - oldest)
         overdue_seconds = float(most_overdue or 0.0)
         _OBS_OLDEST_QUEUED.set(oldest_age or 0.0)
-        _OBS_LEASE_OVERDUE_JOBS.set(overdue_jobs or 0)
         _OBS_LEASE_OVERDUE_SECONDS.set(overdue_seconds)
         return {
             "oldest_queued_age_seconds": oldest_age,

@@ -42,32 +42,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.obs import REGISTRY, bind_context, drain_spans, get_logger, trace
+from repro.obs import bind_context, drain_spans, get_logger, trace
 from repro.run.runner import MissStreamCache, Runner
 from repro.run.spec import RunSpec
 from repro.sched.client import SchedulerClient
 from repro.service.client import ServiceError
 from repro.store import ExperimentStore
-
-_OBS_CLAIM_SECONDS = REGISTRY.histogram(
-    "repro_worker_claim_seconds",
-    "Wall-clock per claim round trip (including empty claims and the "
-    "server-side wait for work).",
-)
-_OBS_HEARTBEAT_SECONDS = REGISTRY.histogram(
-    "repro_worker_heartbeat_seconds",
-    "Wall-clock per heartbeat round trip.",
-)
-_OBS_HEARTBEATS = REGISTRY.counter(
-    "repro_worker_heartbeats_total",
-    "Heartbeats sent, by outcome.",
-    labels=("outcome",),
-)
-_OBS_JOB_SECONDS = REGISTRY.histogram(
-    "repro_worker_job_seconds",
-    "Wall-clock per processed job, by outcome.",
-    labels=("outcome",),
-)
 
 _LOG = get_logger("worker")
 
@@ -178,7 +158,6 @@ class Worker:
                         lease_seconds=self.lease_seconds,
                         wait=self.poll_interval,
                     )
-                    _OBS_CLAIM_SECONDS.observe(time.perf_counter() - claim_began)
                 except ServiceError as exc:
                     if exc.status == 0:  # service down/restarting: retry soon
                         self._stop.wait(self.poll_interval)
@@ -255,7 +234,6 @@ class Worker:
     def _replay(self, job: dict[str, Any]) -> dict[str, Any]:
         """Replay one job: its ``{"job_id", "run" | "error"}`` outcome."""
         outcome: dict[str, Any] = {"job_id": job["id"]}
-        began = time.perf_counter()
         # A job claimed from a traced sweep carries the sweep's trace
         # context; binding it makes this worker's spans (job → replay →
         # store-write) part of that one distributed trace.
@@ -282,10 +260,6 @@ class Worker:
                     )
                 else:
                     self.completed += 1
-        _OBS_JOB_SECONDS.observe(
-            time.perf_counter() - began,
-            outcome="failed" if "error" in outcome else "completed",
-        )
         return outcome
 
     def _push_spans(self) -> None:
@@ -315,16 +289,12 @@ class Worker:
                 inflight = sorted(self._inflight)
             if not inflight:
                 continue
-            began = time.perf_counter()
             try:
                 self.client.heartbeat(
                     self.worker_id, inflight, lease_seconds=self.lease_seconds
                 )
             except ServiceError:
-                _OBS_HEARTBEATS.inc(outcome="error")
-                continue  # transient; the next beat (or lease slack) covers it
-            _OBS_HEARTBEAT_SECONDS.observe(time.perf_counter() - began)
-            _OBS_HEARTBEATS.inc(outcome="ok")
+                pass  # transient; the next beat (or lease slack) covers it
 
 
 def run_worker(base_url: str, **options: Any) -> int:

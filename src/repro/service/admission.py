@@ -61,14 +61,6 @@ _OBS_ADMISSION = REGISTRY.counter(
     "cost_limited, shed, unauthorized, forbidden).",
     labels=("tenant", "outcome"),
 )
-_OBS_INFLIGHT = REGISTRY.gauge(
-    "repro_admission_inflight",
-    "Requests currently holding an admission slot.",
-)
-_OBS_QUEUED = REGISTRY.gauge(
-    "repro_admission_queued",
-    "Requests currently waiting for an admission slot.",
-)
 
 #: The tenant label used for requests in open (no-tenant) mode.
 ANONYMOUS = "anonymous"
@@ -386,12 +378,10 @@ class AdmissionController:
         with self._cond:
             if self._inflight < self.max_inflight:
                 self._inflight += 1
-                _OBS_INFLIGHT.set(self._inflight)
                 return None
             if self._queued >= self.max_queue:
                 return self._shed(tenant)
             self._queued += 1
-            _OBS_QUEUED.set(self._queued)
             try:
                 while self._inflight >= self.max_inflight:
                     remaining = deadline - self._clock()
@@ -399,11 +389,9 @@ class AdmissionController:
                         return self._shed(tenant)
                     self._cond.wait(remaining)
                 self._inflight += 1
-                _OBS_INFLIGHT.set(self._inflight)
                 return None
             finally:
                 self._queued -= 1
-                _OBS_QUEUED.set(self._queued)
 
     def _shed(self, tenant: TenantConfig | None) -> float:
         # Callers hold self._cond.
@@ -415,7 +403,6 @@ class AdmissionController:
         """Release the slot claimed by a granted :meth:`try_enter`."""
         with self._cond:
             self._inflight -= 1
-            _OBS_INFLIGHT.set(self._inflight)
             self._cond.notify()
 
     def park(self, tenant: TenantConfig | None) -> bool:
@@ -450,7 +437,7 @@ class AdmissionController:
     # -- reporting ---------------------------------------------------------
 
     def census(self) -> dict:
-        """Live admission state for ``GET /stats`` and the gauges."""
+        """Live admission state for ``GET /stats``."""
         with self._cond:
             inflight, queued = self._inflight, self._queued
             parked = sum(self._parked.values())
@@ -464,9 +451,3 @@ class AdmissionController:
             "parked": parked,
             "shed_total": self.shed_total,
         }
-
-    def refresh_gauges(self) -> None:
-        """Push the live slot counts into the registry gauges."""
-        with self._cond:
-            _OBS_INFLIGHT.set(self._inflight)
-            _OBS_QUEUED.set(self._queued)

@@ -713,7 +713,6 @@ class ExperimentService:
         sessions = self._sessions.census()
         for state in ("active", "restored", "evicted"):
             _OBS_SESSIONS.set(sessions[state], state=state)
-        self.admission.refresh_gauges()
 
     def _get_metrics(self, tenant: TenantConfig | None) -> tuple[int, str]:
         """Prometheus text for ``GET /metrics`` (gauges refreshed first)."""
@@ -866,17 +865,6 @@ class ExperimentService:
         """
         return session_id if tenant is None else f"{tenant.name}/{session_id}"
 
-    def _checkpoint_session(
-        self,
-        session_key: str,
-        spec: RunSpec,
-        session: ReplaySession,
-        tenant: str | None = None,
-    ) -> str:
-        """Bookmark the session under its tenant-namespaced key; returns
-        the state digest."""
-        return self.ckpt.write(self.ckpt.stream_key(session_key), spec, session, tenant)
-
     def _restore_into(
         self, session_key: str, entry: _SessionEntry, session_id: str
     ) -> tuple[int, dict] | None:
@@ -1010,7 +998,9 @@ class ExperimentService:
                 max_prefetches_per_miss=spec.max_prefetches_per_miss,
             )
             owner = tenant.name if tenant is not None else None
-            digest = self._checkpoint_session(key, spec, session, owner)
+            digest = self.ckpt.write(
+                self.ckpt.stream_key(key), spec, session, owner
+            )
             entry.session = session
             entry.spec = spec
             entry.tenant = owner
@@ -1029,8 +1019,8 @@ class ExperimentService:
             if error is not None:
                 return error
             advanced = entry.session.advance(count)
-            digest = self._checkpoint_session(
-                self._session_key(session_id, tenant),
+            digest = self.ckpt.write(
+                self.ckpt.stream_key(self._session_key(session_id, tenant)),
                 entry.spec,
                 entry.session,
                 entry.tenant,
@@ -1617,6 +1607,16 @@ class ExperimentServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """A client that hangs up before its answer is written is not an
+        error: one log line, no traceback. Anything else goes to the
+        stdlib handler."""
+        exc = sys.exc_info()[1]
+        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+            _LOG.info("client %s hung up: %s", client_address[0], exc)
+            return
+        super().handle_error(request, client_address)
 
     def server_close(self) -> None:
         """End blocked long-polls, tear down sockets, then the service's

@@ -115,11 +115,6 @@ _OBS_LOOKUPS = REGISTRY.counter(
     "Keyed store lookups by artifact kind (each resolves to a hit or miss).",
     labels=("kind",),
 )
-_OBS_OP_SECONDS = REGISTRY.histogram(
-    "repro_store_op_seconds",
-    "Store operation latency by operation.",
-    labels=("op",),
-)
 
 #: Temporary files younger than this survive the GC sweep: they may be
 #: an in-flight write from a live process in the tmp→rename window, and
@@ -361,7 +356,6 @@ class ExperimentStore:
         self,
         kind: str,
         artifacts: list[tuple[str, str, bytes, str | None, str | None]],
-        op: str | None = None,
     ) -> None:
         """The one write: ``(key, rel_path, data, workload, mechanism)`` rows.
 
@@ -369,10 +363,8 @@ class ExperimentStore:
         index write lock is never held across file I/O, and the whole
         batch costs three index statements (one LRU-clock advance, one
         ``executemany`` of entry rows, one byte-counter bump) rather
-        than three per artifact. ``op`` labels the write's latency in
-        ``repro_store_op_seconds``.
+        than three per artifact.
         """
-        began = time.perf_counter()
         with self._lock:
             for _, rel, data, _, _ in artifacts:
                 final = self.root / rel
@@ -405,8 +397,6 @@ class ExperimentStore:
                     self._bump(
                         "bytes_written", sum(len(item[2]) for item in artifacts)
                     )
-        if op is not None:
-            _OBS_OP_SECONDS.observe(time.perf_counter() - began, op=op)
         if self.max_bytes is not None:
             self.gc()
 
@@ -513,7 +503,7 @@ class ExperimentStore:
                  spec.mechanism.label)
             )
         with trace("store.put_results", count=len(artifacts)):
-            self._put(_RESULT, artifacts, op="put_results")
+            self._put(_RESULT, artifacts)
         return [key for key, *_ in artifacts]
 
     def count_results(self) -> int:
@@ -574,7 +564,7 @@ class ExperimentStore:
             digest, f"streams/{digest}.npz", miss_trace_bytes(stream), stream.name,
             None,
         )
-        self._put(_STREAM, [artifact], op="put_stream")
+        self._put(_STREAM, [artifact])
         return digest
 
     # -- checkpoint blobs --------------------------------------------------

@@ -7,8 +7,11 @@ in the handler thread (which surfaces as a dropped connection).
 """
 
 import json
+import logging
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -105,5 +108,57 @@ class TestContentLengthHardening:
 
     def test_missing_content_length_reads_empty_body(self, server):
         status, payload = _raw_post(server, ["Content-Type: application/json"])
+        assert status == 400
+        assert "specs" in payload["error"]
+
+
+class TestClientHangUp:
+    def test_hang_up_before_the_answer_is_one_log_line(
+        self, server, capfd, caplog
+    ):
+        """A client that resets its connection while its request is held
+        costs the server one log line: no traceback on stderr, and the
+        next request is served."""
+        caplog.set_level(logging.INFO, logger="repro.obs")
+        finished = threading.Event()
+        shutdown_request = server.shutdown_request
+
+        def shutdown_and_signal(request):
+            shutdown_request(request)
+            finished.set()
+
+        server.shutdown_request = shutdown_and_signal
+        host, port = server.server_address[:2]
+        body = json.dumps({"worker_id": "gone", "wait": 0.5}).encode()
+        request = "\r\n".join(
+            [
+                "POST /claim HTTP/1.1",
+                f"Host: {host}:{port}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}",
+                "",
+                "",
+            ]
+        ).encode() + body
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request)
+            # The empty queue holds the claim; hang up (RST, not FIN)
+            # while it is parked, so the server's write is what fails.
+            deadline = time.monotonic() + 10
+            while server.service.admission.census()["parked"] == 0:
+                assert time.monotonic() < deadline, "claim never parked"
+                time.sleep(0.005)
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        assert finished.wait(timeout=10)
+
+        assert "Traceback" not in capfd.readouterr().err
+        assert any("hung up" in r.getMessage() for r in caplog.records)
+        status, payload = _raw_post(
+            server,
+            ["Content-Length: 2", "Content-Type: application/json"],
+            body=b"{}",
+        )
         assert status == 400
         assert "specs" in payload["error"]

@@ -81,15 +81,16 @@ class TestNoCrossSessionBlocking:
         # holds its per-session entry lock.
         release = threading.Event()
         entered = threading.Event()
-        original = service._checkpoint_session
+        original = service.ckpt.write
+        slow_key = service.ckpt.stream_key("slow")
 
-        def gated(session_id, spec, session, tenant=None):
-            if session_id == "slow":
+        def gated(key, spec, session, tenant=None):
+            if key == slow_key:
                 entered.set()
                 assert release.wait(timeout=30), "test deadlock"
-            return original(session_id, spec, session, tenant)
+            return original(key, spec, session, tenant)
 
-        service._checkpoint_session = gated
+        service.ckpt.write = gated
         slow_result = {}
 
         def advance_slow():
