@@ -5,7 +5,7 @@ Times a representative batch (a handful of workloads x the full
 Figure 7 mechanism legend) through the unified :class:`repro.Runner`
 on both replay engines — the authoritative reference engine and the
 compiled engine (:mod:`repro.sim.batchpath`, which replays every
-stream group in one pass) — and then through every other execution
+stream group in one batch, one loop per equivalence class) — and then through every other execution
 path: a process pool, a persistent store, checkpointed ``/streams``
 sessions, the sweep scheduler with a worker fleet, and a tenant-gated
 server under overload. It emits one machine-readable JSON record
@@ -478,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
             reference_elapsed = min(reference_elapsed, time.perf_counter() - started)
 
             # The compiled engine replays every stream group in one
-            # fused pass.
+            # replay_batch call, one loop per equivalence class.
             started = time.perf_counter()
             results = runner.run(specs)
             elapsed = min(elapsed, time.perf_counter() - started)

@@ -148,7 +148,7 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
         help=(
             "replay engine: auto (the compiled engine when the "
             "mechanism has a compiled loop; stream-sharing groups "
-            "replay in one pass), reference (authoritative "
+            "replay as one batch), reference (authoritative "
             "object-driven replay), or fast/batch (aliases forcing "
             "the compiled engine); both engines are bit-identical"
         ),

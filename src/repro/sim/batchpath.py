@@ -7,8 +7,9 @@ compiled engine, and one code generator serves every way a replay is
 asked for:
 
 - :func:`replay_batch` — N freshly built configurations that share a
-  stream, advanced together in a single pass (a
-  :class:`~repro.run.Runner` stream group, a group of one included).
+  stream (a :class:`~repro.run.Runner` stream group, a group of one
+  included): one loop per equivalence class, its row fanned out to
+  every configuration in the class.
 - :func:`replay_compiled` — one mechanism, fresh or trained: its
   canonical snapshot seeds the loop and the final state is written
   back into the instance, exactly as the reference engine trains it.
@@ -19,16 +20,18 @@ asked for:
   under :class:`~repro.ckpt.ReplaySession`, so streaming sessions and
   checkpointed runs replay at compiled speed.
 
-The generated loop keeps flat parallel arrays for direct-mapped
-tables, per-set insertion-ordered dicts (first key = LRU) for other
-associativities, an insertion-ordered-dict prefetch buffer with a
-local population counter, and plain integer statistics counters.
-Every per-slot constant (rows, ways, slots, buffer capacity, clamp,
+Each generated loop replays one class: one mechanism configuration
+and its prefetch buffer. It keeps flat parallel arrays for
+direct-mapped tables, per-set insertion-ordered dicts (first key =
+LRU) for other associativities, an insertion-ordered-dict prefetch
+buffer with a local population counter, and plain integer statistics
+counters. Every constant (rows, ways, slots, buffer capacity, clamp,
 warm-up boundary, degrees) is inlined as a literal, and the source is
-``compile()``d once per shape and memoized. All state lives in one dict
-per slot plus a dict of shared history registers; the loop loads them
-into locals on entry and stores the scalars back on exit, which is what
-lets a loop stop anywhere and continue later.
+``compile()``d once per shape and memoized. All of a class's state,
+its history registers (previous page, distance, packed key) included,
+lives in one dict; the loop loads it into locals on entry and stores
+the scalars back on exit, which is what lets a loop stop anywhere and
+continue later.
 
 Batches add two exact optimizations on top:
 
@@ -47,12 +50,12 @@ Batches add two exact optimizations on top:
      of the key universe into sets, with equal ways, perform the same
      set operations in the same order and are bit-identical.
 
-   Slots proven equivalent share one simulation and one counter set;
-   each still reports its own mechanism label.
+   Configurations proven equivalent share one loop and one counter
+   set; each still reports its own mechanism label.
 
 2. **Collapsed geometry.** Never-overflow tables are emitted as single
    plain dicts with no set indexing, no LRU promotion and no eviction
-   branch, and provably hit-free tables as no code at all.
+   branch, and provably hit-free tables run no loop at all.
 
 Kernels never collapse: a snapshot must record the real per-set LRU
 order, so they always run the exact geometry.
@@ -173,7 +176,7 @@ def _plan(prefetcher: Prefetcher, cap: int, clamp: int) -> _SlotPlan:
 
 
 def _exact_sig(plan: _SlotPlan) -> tuple:
-    """Emission signature of a slot at its real geometry."""
+    """Emission signature of a configuration at its real geometry."""
     if plan.family in _TABLE_FAMILIES:
         rows, ways = plan.config[0], plan.config[1]
         return (plan.family, plan.config[2:], (rows, ways), plan.cap, plan.clamp)
@@ -281,18 +284,18 @@ class _StreamKeys:
         Every table lookup then tag-misses (a key is only ever in the
         table once a *prior* lookup or successor update allocated it),
         so the mechanism issues zero prefetches for *any* geometry,
-        slot count, buffer size, or clamp — all such slots collapse
-        into one all-zero class that costs nothing to simulate.
+        slot count, buffer size, or clamp — all such configurations
+        collapse into one all-zero class that runs no loop.
         """
         unique, length = self._keys(family)
         return len(unique) == length
 
 
 def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
-    """(dedup signature, emission signature) for one batch slot.
+    """(dedup signature, emission signature) for one batch request.
 
-    Slots with equal dedup signatures are bit-identical on this stream
-    and share one simulation. The emission signature is what the code
+    Requests with equal dedup signatures are bit-identical on this
+    stream and share one loop. The emission signature is what the code
     generator needs: for never-overflow tables the geometry collapses
     to ``None`` (emitted as one plain dict), otherwise the class
     representative's concrete ``(rows, ways)`` is kept.
@@ -311,7 +314,7 @@ def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
 
 
 def _layout(sig: tuple) -> str:
-    """How a table slot's state is laid out, for codegen and snapshots.
+    """How a table class's state is laid out, for codegen and snapshots.
 
     ``dict``: one unbounded dict (collapsed never-overflow geometry);
     ``sets``: per-set insertion-ordered dicts; ``stride_dm`` /
@@ -330,77 +333,70 @@ def _layout(sig: tuple) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Code generation: one fused loop, constants inlined, names mangled by
-# class index. Templates use @K@/@CONST@ markers substituted with plain
-# str.replace (no str.format — the code itself is full of braces and
-# modulo operators), and @PROBE@/@INSERT:var@/@PREFETCH@ marker lines
-# spliced with the shared buffer blocks at the marker's indentation.
+# Code generation: one loop per class, constants inlined. Templates use
+# @CONST@ markers substituted with plain str.replace (no str.format — the
+# code itself is full of braces and modulo operators), and @INSERT:var@
+# marker lines spliced with the buffer install block at the marker's
+# indentation.
 # ---------------------------------------------------------------------------
 
-#: State every slot carries: the buffer, its population, and counters.
+#: State every class carries: the buffer, its population, and counters.
 _BUFFER = ("buf", "bn", "pb", "iss", "ins", "rf", "ev")
 
 
-def _buffer_prologue(k: str) -> list[str]:
-    # bp{k} pre-binds the buffer's bound ``pop``: the dict object never
-    # changes, and probes/installs are the hottest calls in the loop.
-    return [f"bp{k} = buf{k}.pop"]
-
-
-def _probe_lines(pad: str, k: str, var: str, warmup: int) -> list[str]:
+def _probe_lines(pad: str, var: str, warmup: int) -> list[str]:
     """Buffer probe: remove on hit, count after warm-up.
 
     Buffer values are always ``None``, so one ``pop`` with a non-None
     default replaces the ``in`` + ``del`` double hash lookup.
     """
     lines = [
-        f"{pad}if bp{k}({var}, 0) is None:",
-        f"{pad}    bn{k} -= 1",
+        f"{pad}if bp({var}, 0) is None:",
+        f"{pad}    bn -= 1",
     ]
     if warmup:
         lines += [
             f"{pad}    if index >= {warmup}:",
-            f"{pad}        pb{k} += 1",
+            f"{pad}        pb += 1",
         ]
     else:
-        lines.append(f"{pad}    pb{k} += 1")
+        lines.append(f"{pad}    pb += 1")
     return lines
 
 
-def _insert_lines(pad: str, k: str, var: str, cap: int) -> list[str]:
+def _insert_lines(pad: str, var: str, cap: int) -> list[str]:
     """Buffer install: refresh-on-duplicate, evict-LRU accounting."""
     return [
-        f"{pad}if bp{k}({var}, 0) is None:",
-        f"{pad}    buf{k}[{var}] = None",
-        f"{pad}    rf{k} += 1",
+        f"{pad}if bp({var}, 0) is None:",
+        f"{pad}    buf[{var}] = None",
+        f"{pad}    rf += 1",
         f"{pad}else:",
-        f"{pad}    if bn{k} >= {cap}:",
-        f"{pad}        del buf{k}[next(iter(buf{k}))]",
-        f"{pad}        ev{k} += 1",
+        f"{pad}    if bn >= {cap}:",
+        f"{pad}        del buf[next(iter(buf))]",
+        f"{pad}        ev += 1",
         f"{pad}    else:",
-        f"{pad}        bn{k} += 1",
-        f"{pad}    buf{k}[{var}] = None",
-        f"{pad}    ins{k} += 1",
+        f"{pad}        bn += 1",
+        f"{pad}    buf[{var}] = None",
+        f"{pad}    ins += 1",
     ]
 
 
-def _prefetch_lines(pad: str, k: str, cap: int, clamp: int) -> list[str]:
-    """Clamp the materialized pf{k} list and install every target."""
-    lines = [f"{pad}if pf{k}:"]
+def _prefetch_lines(pad: str, cap: int, clamp: int) -> list[str]:
+    """Clamp the materialized ``pf`` list and install every target."""
+    lines = [f"{pad}if pf:"]
     if clamp:
         lines += [
-            f"{pad}    if len(pf{k}) > {clamp}:",
-            f"{pad}        pf{k} = pf{k}[:{clamp}]",
+            f"{pad}    if len(pf) > {clamp}:",
+            f"{pad}        pf = pf[:{clamp}]",
         ]
-    lines.append(f"{pad}    for tg{k} in pf{k}:")
-    lines.extend(_insert_lines(pad + "        ", k, f"tg{k}", cap))
+    lines.append(f"{pad}    for tg in pf:")
+    lines.extend(_insert_lines(pad + "        ", "tg", cap))
     return lines
 
 
-def _render(out: list[str], template: str, base: str, k: str, subs: dict,
-            warmup: int, cap: int, clamp: int, probe_var: str | None = None):
+def _render(out: list[str], template: str, base: str, subs: dict, cap: int):
     """Splice a body template into ``out`` at indentation ``base``."""
-    text = template.replace("@K@", k)
+    text = template
     for marker, value in subs.items():
         text = text.replace(marker, str(value))
     for raw in text.splitlines():
@@ -408,84 +404,74 @@ def _render(out: list[str], template: str, base: str, k: str, subs: dict,
         if not stripped:
             continue
         pad = base + raw[: len(raw) - len(raw.lstrip())]
-        if stripped == "@PROBE@":
-            out.extend(_probe_lines(pad, k, probe_var or "page", warmup))
-        elif stripped.startswith("@INSERT:"):
-            var = stripped[len("@INSERT:"):-1].replace("@K@", k)
-            out.extend(_insert_lines(pad, k, var, cap))
-        elif stripped == "@PREFETCH@":
-            out.extend(_prefetch_lines(pad, k, cap, clamp))
+        if stripped.startswith("@INSERT:"):
+            out.extend(_insert_lines(pad, stripped[len("@INSERT:"):-1], cap))
         else:
-            out.append(pad + stripped if not raw.startswith(" ") else pad + raw.lstrip())
+            out.append(pad + stripped)
 
-
-_SEQ_BODY = """\
-@PROBE@
-iss@K@ += @DEGREE@
-"""
 
 _ASEQ_BODY = """\
-hit@K@ = bp@K@(page, 0) is None
-if hit@K@:
-    bn@K@ -= 1
+hit = bp(page, 0) is None
+if hit:
+    bn -= 1
 @HIT_COUNT@
-wm@K@ += 1
-wh@K@ += hit@K@
-if wm@K@ >= @WINDOW@:
-    hr@K@ = wh@K@ / wm@K@
-    if hr@K@ > @RAISE@:
-        deg@K@ = min(deg@K@ * 2, @MAXD@)
-    elif hr@K@ < @LOWER@:
-        deg@K@ = max(deg@K@ // 2, 1)
-    wm@K@ = 0
-    wh@K@ = 0
-iss@K@ += deg@K@
-for of@K@ in range(1, @EFF@ + 1):
-    t@K@ = page + of@K@
-    @INSERT:t@K@@
+wm += 1
+wh += hit
+if wm >= @WINDOW@:
+    hr = wh / wm
+    if hr > @RAISE@:
+        deg = min(deg * 2, @MAXD@)
+    elif hr < @LOWER@:
+        deg = max(deg // 2, 1)
+    wm = 0
+    wh = 0
+iss += deg
+for of in range(1, @EFF@ + 1):
+    t = page + of
+    @INSERT:t@
 """
 
 _STRIDE_FSM = """\
-ns@K@ = page - @PREV@
-un@K@ = ns@K@ == @STRIDE@
-s@K@ = @STATE@
-if s@K@ == 0:
-    if un@K@:
-        @SET_STATE@ = 2
+ns = page - @PREV@
+un = ns == @STRIDE@
+s = @STATE@
+if s == 0:
+    if un:
+        @STATE@ = 2
     else:
-        @SET_STATE@ = 1
-        @SET_STRIDE@ = ns@K@
-elif s@K@ == 1:
-    if un@K@:
-        @SET_STATE@ = 2
+        @STATE@ = 1
+        @STRIDE@ = ns
+elif s == 1:
+    if un:
+        @STATE@ = 2
     else:
-        @SET_STATE@ = 3
-        @SET_STRIDE@ = ns@K@
-elif s@K@ == 2:
-    if not un@K@:
-        @SET_STATE@ = 0
+        @STATE@ = 3
+        @STRIDE@ = ns
+elif s == 2:
+    if not un:
+        @STATE@ = 0
 else:
-    if un@K@:
-        @SET_STATE@ = 1
+    if un:
+        @STATE@ = 1
     else:
-        @SET_STRIDE@ = ns@K@
-@SET_PREV@ = page
+        @STRIDE@ = ns
+@PREV@ = page
 if @STATE@ == 2:
-    sv@K@ = @STRIDE@
-    if sv@K@:
-        t@K@ = page + sv@K@
-        if t@K@ >= 0:
-            iss@K@ += 1
-            @INSERT:t@K@@
+    sv = @STRIDE@
+    if sv:
+        t = page + sv
+        if t >= 0:
+            iss += 1
+            @INSERT:t@
 """
 
 _SUCCESSOR_UPDATE = """\
-if not sc@K@ or sc@K@[0] != @VALUE@:
-    if @VALUE@ in sc@K@:
-        sc@K@.remove(@VALUE@)
-    sc@K@.insert(0, @VALUE@)
-    if len(sc@K@) > @SLOTS@:
-        sc@K@.pop()
+if not sc or sc[0] != @VALUE@:
+    if @VALUE@ in sc:
+        sc.remove(@VALUE@)
+    sc.insert(0, @VALUE@)
+    if len(sc) > @SLOTS@:
+        sc.pop()
 """
 
 # Specialized MRU updates for tiny slot counts (the paper's common
@@ -494,21 +480,21 @@ if not sc@K@ or sc@K@[0] != @VALUE@:
 # @VALUE@ was at index 1 or absent — so the scan/remove/insert/pop
 # sequence collapses to two subscript stores.
 _SUCCESSOR_UPDATE_1 = """\
-if not sc@K@:
-    sc@K@.append(@VALUE@)
-elif sc@K@[0] != @VALUE@:
-    sc@K@[0] = @VALUE@
+if not sc:
+    sc.append(@VALUE@)
+elif sc[0] != @VALUE@:
+    sc[0] = @VALUE@
 """
 
 _SUCCESSOR_UPDATE_2 = """\
-if not sc@K@:
-    sc@K@.append(@VALUE@)
-elif sc@K@[0] != @VALUE@:
-    if len(sc@K@) == 2:
-        sc@K@[1] = sc@K@[0]
-        sc@K@[0] = @VALUE@
+if not sc:
+    sc.append(@VALUE@)
+elif sc[0] != @VALUE@:
+    if len(sc) == 2:
+        sc[1] = sc[0]
+        sc[0] = @VALUE@
     else:
-        sc@K@.insert(0, @VALUE@)
+        sc.insert(0, @VALUE@)
 """
 
 
@@ -533,140 +519,123 @@ def _mod(expr: str, n: int) -> str:
     return f"{expr} % {n}"
 
 
-def _bind_set(k: str, num_sets: int, key: str, out: list[str], prologue: list[str]) -> str:
-    """Bind the per-set dict for ``key``; returns its local name.
+def _bind_set(num_sets: int, key: str, out: list[str], prologue: list[str]) -> None:
+    """Bind the per-set dict for ``key`` to ``ts``.
 
     A fully associative table (one set) binds its only dict once, in
     the prologue, so the loop pays no per-miss indexing.
     """
     if num_sets == 1:
-        prologue.append(f"ts{k} = sets{k}[0]")
+        prologue.append("ts = sets[0]")
     else:
-        out.append(f"ts{k} = sets{k}[{_mod(key, num_sets)}]")
-    return f"ts{k}"
+        out.append(f"ts = sets[{_mod(key, num_sets)}]")
 
 
-def _emit_seq(k, sig, warmup):
-    _, (degree,), cap, clamp = sig[0], sig[1], sig[2], sig[3]
+#: The per-miss page-history prelude of MP and the DP family: ``lp`` is
+#: the previous miss's page (``None`` on the first miss).
+_LAST_PAGE = ("lp = last_page", "last_page = page")
+
+
+def _emit_none(sig, warmup):
+    # Null never installs; it only probes whatever a seeded buffer
+    # holds (a fresh one stays empty).
+    return (), [], _probe_lines("", "page", warmup)
+
+
+def _emit_seq(sig, warmup):
+    (degree,), cap, clamp = sig[1], sig[2], sig[3]
     effective = degree if not clamp else min(degree, clamp)
-    out: list[str] = []
-    _render(out, _SEQ_BODY, "", k, {"@DEGREE@": degree}, warmup, cap, clamp)
+    out = _probe_lines("", "page", warmup)
+    out.append(f"iss += {degree}")
     if effective <= 8:
         # Small degrees (the common case) fully unrolled, no offset loop.
         for offset in range(1, effective + 1):
-            out.append(f"t{k} = page + {offset}")
-            out.extend(_insert_lines("", k, f"t{k}", cap))
+            out.append(f"t = page + {offset}")
+            out.extend(_insert_lines("", "t", cap))
     else:
-        out.append(f"for of{k} in range(1, {effective + 1}):")
-        out.append(f"    t{k} = page + of{k}")
-        out.extend(_insert_lines("    ", k, f"t{k}", cap))
-    return _BUFFER, _buffer_prologue(k), {"top": out}
+        out.append(f"for of in range(1, {effective + 1}):")
+        out.append("    t = page + of")
+        out.extend(_insert_lines("    ", "t", cap))
+    return (), [], out
 
 
-def _emit_aseq(k, sig, warmup):
+def _emit_aseq(sig, warmup):
     maxd, window, raise_above, lower_below = sig[1]
     cap, clamp = sig[2], sig[3]
     if warmup:
-        hit_count = f"if hit@K@ and index >= {warmup}:\n    pb@K@ += 1"
+        hit_count = f"if hit and index >= {warmup}:\n    pb += 1"
     else:
-        hit_count = "if hit@K@:\n    pb@K@ += 1"
-    eff = f"deg{k}" if not clamp else f"min(deg{k}, {clamp})"
+        hit_count = "if hit:\n    pb += 1"
     out: list[str] = []
     _render(
         out,
         _ASEQ_BODY.replace("@HIT_COUNT@", hit_count),
         "",
-        k,
         {
             "@WINDOW@": window,
             "@RAISE@": repr(raise_above),
             "@LOWER@": repr(lower_below),
             "@MAXD@": maxd,
-            "@EFF@": eff,
+            "@EFF@": "deg" if not clamp else f"min(deg, {clamp})",
         },
-        warmup,
         cap,
-        clamp,
     )
-    return _BUFFER + ("deg", "wm", "wh"), _buffer_prologue(k), {"top": out}
+    return ("deg", "wm", "wh"), [], out
 
 
-def _emit_stride(k, sig, warmup):
-    geom, cap, clamp = sig[2], sig[3], sig[4]
+def _emit_stride(sig, warmup):
+    geom, cap = sig[2], sig[3]
     layout = _layout(sig)
-    prologue = _buffer_prologue(k)
-    out: list[str] = []
-    out.extend(_probe_lines("", k, "page", warmup))
+    prologue: list[str] = []
+    out = _probe_lines("", "page", warmup)
     if layout == "dict":
         # Never-overflow: one plain dict pc -> [prev_page, stride, state].
-        out.append(f"en{k} = dt{k}.get(pc)")
-        out.append(f"if en{k} is None:")
-        out.append(f"    dt{k}[pc] = [page, 0, 0]")
+        out.append("en = dt.get(pc)")
+        out.append("if en is None:")
+        out.append("    dt[pc] = [page, 0, 0]")
         out.append("else:")
-        _render(
-            out, _STRIDE_FSM, "    ", k,
-            {
-                "@PREV@": f"en{k}[0]", "@STRIDE@": f"en{k}[1]",
-                "@STATE@": f"en{k}[2]", "@SET_STATE@": f"en{k}[2]",
-                "@SET_STRIDE@": f"en{k}[1]", "@SET_PREV@": f"en{k}[0]",
-            },
-            warmup, cap, clamp,
-        )
-        return _BUFFER + ("dt",), prologue, {"top": out}
+        fields = {"@PREV@": "en[0]", "@STRIDE@": "en[1]", "@STATE@": "en[2]"}
+        _render(out, _STRIDE_FSM, "    ", fields, cap)
+        return ("dt",), prologue, out
     rows, ways = geom
     if layout == "stride_dm":
-        out.append(f"r{k} = {_mod('pc', rows)}")
-        out.append(f"if tag{k}[r{k}] != pc:")
-        out.append(f"    tag{k}[r{k}] = pc")
-        out.append(f"    ppg{k}[r{k}] = page")
-        out.append(f"    str{k}[r{k}] = 0")
-        out.append(f"    sst{k}[r{k}] = 0")
+        out.append(f"r = {_mod('pc', rows)}")
+        out.append("if tag[r] != pc:")
+        out.append("    tag[r] = pc")
+        out.append("    ppg[r] = page")
+        out.append("    str[r] = 0")
+        out.append("    sst[r] = 0")
         out.append("else:")
-        _render(
-            out, _STRIDE_FSM, "    ", k,
-            {
-                "@PREV@": f"ppg{k}[r{k}]", "@STRIDE@": f"str{k}[r{k}]",
-                "@STATE@": f"sst{k}[r{k}]", "@SET_STATE@": f"sst{k}[r{k}]",
-                "@SET_STRIDE@": f"str{k}[r{k}]", "@SET_PREV@": f"ppg{k}[r{k}]",
-            },
-            warmup, cap, clamp,
-        )
-        return _BUFFER + ("tag", "ppg", "str", "sst"), prologue, {"top": out}
-    ts = _bind_set(k, rows // ways, "pc", out, prologue)
-    out.append(f"en{k} = {ts}.pop(pc, None)")
-    out.append(f"if en{k} is None:")
-    out.append(f"    if len({ts}) >= {ways}:")
-    out.append(f"        del {ts}[next(iter({ts}))]")
-    out.append(f"    {ts}[pc] = [page, 0, 0]")
+        fields = {"@PREV@": "ppg[r]", "@STRIDE@": "str[r]", "@STATE@": "sst[r]"}
+        _render(out, _STRIDE_FSM, "    ", fields, cap)
+        return ("tag", "ppg", "str", "sst"), prologue, out
+    _bind_set(rows // ways, "pc", out, prologue)
+    out.append("en = ts.pop(pc, None)")
+    out.append("if en is None:")
+    out.append(f"    if len(ts) >= {ways}:")
+    out.append("        del ts[next(iter(ts))]")
+    out.append("    ts[pc] = [page, 0, 0]")
     out.append("else:")
-    out.append(f"    {ts}[pc] = en{k}")
-    _render(
-        out, _STRIDE_FSM, "    ", k,
-        {
-            "@PREV@": f"en{k}[0]", "@STRIDE@": f"en{k}[1]",
-            "@STATE@": f"en{k}[2]", "@SET_STATE@": f"en{k}[2]",
-            "@SET_STRIDE@": f"en{k}[1]", "@SET_PREV@": f"en{k}[0]",
-        },
-        warmup, cap, clamp,
-    )
-    return _BUFFER + ("sets",), prologue, {"top": out}
+    out.append("    ts[pc] = en")
+    fields = {"@PREV@": "en[0]", "@STRIDE@": "en[1]", "@STATE@": "en[2]"}
+    _render(out, _STRIDE_FSM, "    ", fields, cap)
+    return ("sets",), prologue, out
 
 
-def _emit_markov(k, sig, warmup):
-    """MP bodies: lookup + install in "top", successor update in "mp".
+def _emit_markov(sig, warmup):
+    """MP: lookup and install, then the successor update.
 
     The install loop iterates the *live* slot list captured at lookup
-    time, before any successor update runs — exactly the reference
+    time, before the successor update runs — exactly the reference
     engine's materialize-at-predict semantics (buffer inserts never
-    touch the table, so running them first is unobservable). The
-    update lands in the shared ``if lp is not None and lp != page:``
-    block that :func:`_generate` emits once for every MP class.
+    touch the table, so running them first is unobservable). The update
+    runs under the self-successor rule: a page is never its own
+    successor.
     """
     (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
     layout = _layout(sig)
-    prologue = _buffer_prologue(k)
-    out: list[str] = []
-    out.extend(_probe_lines("", k, "page", warmup))
+    prologue: list[str] = []
+    out = [*_LAST_PAGE, *_probe_lines("", "page", warmup)]
     update = _successor_update(slots).replace("@VALUE@", "page")
     upd: list[str] = []
     # Two slots (the paper's standard MP geometry) unrolls the install:
@@ -676,150 +645,154 @@ def _emit_markov(k, sig, warmup):
     two = slots == 2
     second = clamp != 1
     if layout == "dict":
-        prologue.append(f"dg{k} = dt{k}.get")
-        out.append(f"pf{k} = dg{k}(page)")
+        prologue.append("dg = dt.get")
+        out.append("pf = dg(page)")
         if two:
-            out.append(f"if pf{k} is None:")
-            out.append(f"    dt{k}[page] = []")
-            out.append(f"elif pf{k}:")
-            out.append(f"    n{k} = len(pf{k})")
-            out.append(f"    iss{k} += n{k}")
-            out.append(f"    tg{k} = pf{k}[0]")
-            out.extend(_insert_lines("    ", k, f"tg{k}", cap))
+            out.append("if pf is None:")
+            out.append("    dt[page] = []")
+            out.append("elif pf:")
+            out.append("    n = len(pf)")
+            out.append("    iss += n")
+            out.append("    tg = pf[0]")
+            out.extend(_insert_lines("    ", "tg", cap))
             if second:
-                out.append(f"    if n{k} > 1:")
-                out.append(f"        tg{k} = pf{k}[1]")
-                out.extend(_insert_lines("        ", k, f"tg{k}", cap))
+                out.append("    if n > 1:")
+                out.append("        tg = pf[1]")
+                out.extend(_insert_lines("        ", "tg", cap))
         else:
-            out.append(f"if pf{k} is not None:")
-            out.append(f"    iss{k} += len(pf{k})")
+            out.append("if pf is not None:")
+            out.append("    iss += len(pf)")
             out.append("else:")
-            out.append(f"    dt{k}[page] = []")
-            out.append(f"    pf{k} = ()")
-            out.extend(_prefetch_lines("", k, cap, clamp))
-        upd.append(f"sc{k} = dg{k}(lp)")
-        upd.append(f"if sc{k} is None:")
-        upd.append(f"    sc{k} = []")
-        upd.append(f"    dt{k}[lp] = sc{k}")
-        _render(upd, update, "", k, {}, warmup, cap, clamp)
-        return _BUFFER + ("dt",), prologue, {"top": out, "mp": upd}
-    rows, ways = geom
-    if layout == "markov_dm2":
+            out.append("    dt[page] = []")
+            out.append("    pf = ()")
+            out.extend(_prefetch_lines("", cap, clamp))
+        upd.append("sc = dg(lp)")
+        upd.append("if sc is None:")
+        upd.append("    sc = []")
+        upd.append("    dt[lp] = sc")
+        names: tuple = ("dt",)
+    elif layout == "markov_dm2":
         # Direct-mapped two-slot rows packed into parallel flat arrays
         # (count, MRU successor, LRU successor) instead of one heap
         # list per row: no per-row allocations, and the MRU update is
         # three subscript stores. Same observable trajectory as the
         # list form — [v] is (1, v, _) and [a, b] is (2, a, b).
-        out.append(f"r{k} = {_mod('page', rows)}")
-        out.append(f"if tag{k}[r{k}] == page:")
-        out.append(f"    n{k} = cn{k}[r{k}]")
-        out.append(f"    if n{k}:")
-        out.append(f"        iss{k} += n{k}")
-        out.append(f"        tg{k} = ma{k}[r{k}]")
-        out.extend(_insert_lines("        ", k, f"tg{k}", cap))
+        rows = geom[0]
+        out.append(f"r = {_mod('page', rows)}")
+        out.append("if tag[r] == page:")
+        out.append("    n = cn[r]")
+        out.append("    if n:")
+        out.append("        iss += n")
+        out.append("        tg = ma[r]")
+        out.extend(_insert_lines("        ", "tg", cap))
         if second:
-            out.append(f"        if n{k} > 1:")
-            out.append(f"            tg{k} = mb{k}[r{k}]")
-            out.extend(_insert_lines("            ", k, f"tg{k}", cap))
+            out.append("        if n > 1:")
+            out.append("            tg = mb[r]")
+            out.extend(_insert_lines("            ", "tg", cap))
         out.append("else:")
-        out.append(f"    tag{k}[r{k}] = page")
-        out.append(f"    cn{k}[r{k}] = 0")
-        upd.append(f"pr{k} = {_mod('lp', rows)}")
-        upd.append(f"if tag{k}[pr{k}] != lp:")
-        upd.append(f"    tag{k}[pr{k}] = lp")
-        upd.append(f"    ma{k}[pr{k}] = page")
-        upd.append(f"    cn{k}[pr{k}] = 1")
-        upd.append(f"elif cn{k}[pr{k}] == 0:")
-        upd.append(f"    ma{k}[pr{k}] = page")
-        upd.append(f"    cn{k}[pr{k}] = 1")
-        upd.append(f"elif ma{k}[pr{k}] != page:")
-        upd.append(f"    mb{k}[pr{k}] = ma{k}[pr{k}]")
-        upd.append(f"    ma{k}[pr{k}] = page")
-        upd.append(f"    cn{k}[pr{k}] = 2")
-        names = _BUFFER + ("tag", "cn", "ma", "mb")
-        return names, prologue, {"top": out, "mp": upd}
-    if layout == "dm":
+        out.append("    tag[r] = page")
+        out.append("    cn[r] = 0")
+        upd.append(f"pr = {_mod('lp', rows)}")
+        upd.append("if tag[pr] != lp:")
+        upd.append("    tag[pr] = lp")
+        upd.append("    ma[pr] = page")
+        upd.append("    cn[pr] = 1")
+        upd.append("elif cn[pr] == 0:")
+        upd.append("    ma[pr] = page")
+        upd.append("    cn[pr] = 1")
+        upd.append("elif ma[pr] != page:")
+        upd.append("    mb[pr] = ma[pr]")
+        upd.append("    ma[pr] = page")
+        upd.append("    cn[pr] = 2")
+        names = ("tag", "cn", "ma", "mb")
+    elif layout == "dm":
         # Direct-mapped: tags start at an unmatchable None sentinel, so
         # no separate occupancy array is consulted in the hot path.
-        out.append(f"r{k} = {_mod('page', rows)}")
-        out.append(f"if tag{k}[r{k}] == page:")
-        out.append(f"    pf{k} = sl{k}[r{k}]")
-        out.append(f"    iss{k} += len(pf{k})")
+        rows = geom[0]
+        out.append(f"r = {_mod('page', rows)}")
+        out.append("if tag[r] == page:")
+        out.append("    pf = sl[r]")
+        out.append("    iss += len(pf)")
         out.append("else:")
-        out.append(f"    tag{k}[r{k}] = page")
-        out.append(f"    sl{k}[r{k}] = []")
-        out.append(f"    pf{k} = ()")
-        out.extend(_prefetch_lines("", k, cap, clamp))
-        upd.append(f"pr{k} = {_mod('lp', rows)}")
-        upd.append(f"if tag{k}[pr{k}] == lp:")
-        upd.append(f"    sc{k} = sl{k}[pr{k}]")
+        out.append("    tag[r] = page")
+        out.append("    sl[r] = []")
+        out.append("    pf = ()")
+        out.extend(_prefetch_lines("", cap, clamp))
+        upd.append(f"pr = {_mod('lp', rows)}")
+        upd.append("if tag[pr] == lp:")
+        upd.append("    sc = sl[pr]")
         upd.append("else:")
-        upd.append(f"    tag{k}[pr{k}] = lp")
-        upd.append(f"    sc{k} = []")
-        upd.append(f"    sl{k}[pr{k}] = sc{k}")
-        _render(upd, update, "", k, {}, warmup, cap, clamp)
-        return _BUFFER + ("tag", "sl"), prologue, {"top": out, "mp": upd}
-    num_sets = rows // ways
-    ts = _bind_set(k, num_sets, "page", out, prologue)
-    if num_sets == 1:
-        ps = ts
+        upd.append("    tag[pr] = lp")
+        upd.append("    sc = []")
+        upd.append("    sl[pr] = sc")
+        names = ("tag", "sl")
     else:
-        upd.append(f"ps{k} = sets{k}[{_mod('lp', num_sets)}]")
-        ps = f"ps{k}"
-    out.append(f"pf{k} = {ts}.pop(page, None)")
-    if two:
-        out.append(f"if pf{k} is not None:")
-        out.append(f"    {ts}[page] = pf{k}")
-        out.append(f"    if pf{k}:")
-        out.append(f"        n{k} = len(pf{k})")
-        out.append(f"        iss{k} += n{k}")
-        out.append(f"        tg{k} = pf{k}[0]")
-        out.extend(_insert_lines("        ", k, f"tg{k}", cap))
-        if second:
-            out.append(f"        if n{k} > 1:")
-            out.append(f"            tg{k} = pf{k}[1]")
-            out.extend(_insert_lines("            ", k, f"tg{k}", cap))
-        out.append("else:")
-        out.append(f"    if len({ts}) >= {ways}:")
-        out.append(f"        del {ts}[next(iter({ts}))]")
-        out.append(f"    {ts}[page] = []")
-    else:
-        out.append(f"if pf{k} is not None:")
-        out.append(f"    {ts}[page] = pf{k}")
-        out.append(f"    iss{k} += len(pf{k})")
-        out.append("else:")
-        out.append(f"    if len({ts}) >= {ways}:")
-        out.append(f"        del {ts}[next(iter({ts}))]")
-        out.append(f"    {ts}[page] = []")
-        out.append(f"    pf{k} = ()")
-        out.extend(_prefetch_lines("", k, cap, clamp))
-    upd.append(f"sc{k} = {ps}.pop(lp, None)")
-    upd.append(f"if sc{k} is not None:")
-    upd.append(f"    {ps}[lp] = sc{k}")
-    upd.append("else:")
-    upd.append(f"    if len({ps}) >= {ways}:")
-    upd.append(f"        del {ps}[next(iter({ps}))]")
-    upd.append(f"    sc{k} = []")
-    upd.append(f"    {ps}[lp] = sc{k}")
-    _render(upd, update, "", k, {}, warmup, cap, clamp)
-    return _BUFFER + ("sets",), prologue, {"top": out, "mp": upd}
+        rows, ways = geom
+        num_sets = rows // ways
+        _bind_set(num_sets, "page", out, prologue)
+        if num_sets == 1:
+            ps = "ts"
+        else:
+            upd.append(f"ps = sets[{_mod('lp', num_sets)}]")
+            ps = "ps"
+        out.append("pf = ts.pop(page, None)")
+        if two:
+            out.append("if pf is not None:")
+            out.append("    ts[page] = pf")
+            out.append("    if pf:")
+            out.append("        n = len(pf)")
+            out.append("        iss += n")
+            out.append("        tg = pf[0]")
+            out.extend(_insert_lines("        ", "tg", cap))
+            if second:
+                out.append("        if n > 1:")
+                out.append("            tg = pf[1]")
+                out.extend(_insert_lines("            ", "tg", cap))
+            out.append("else:")
+            out.append(f"    if len(ts) >= {ways}:")
+            out.append("        del ts[next(iter(ts))]")
+            out.append("    ts[page] = []")
+        else:
+            out.append("if pf is not None:")
+            out.append("    ts[page] = pf")
+            out.append("    iss += len(pf)")
+            out.append("else:")
+            out.append(f"    if len(ts) >= {ways}:")
+            out.append("        del ts[next(iter(ts))]")
+            out.append("    ts[page] = []")
+            out.append("    pf = ()")
+            out.extend(_prefetch_lines("", cap, clamp))
+        upd.append(f"sc = {ps}.pop(lp, None)")
+        upd.append("if sc is not None:")
+        upd.append(f"    {ps}[lp] = sc")
+        upd.append("else:")
+        upd.append(f"    if len({ps}) >= {ways}:")
+        upd.append(f"        del {ps}[next(iter({ps}))]")
+        upd.append("    sc = []")
+        upd.append(f"    {ps}[lp] = sc")
+        names = ("sets",)
+    if layout != "markov_dm2":
+        _render(upd, update, "", {}, cap)
+    out.append("if lp is not None and lp != page:")
+    out.extend("    " + line for line in upd)
+    return names, prologue, out
 
 
-def _materialize_targets(k):
+def _materialize_targets():
     """Targets are materialized before the successor update: when the
     updated key aliases the looked-up row, the update mutates the live
     slot list (the reference engine snapshots values first)."""
     return [
-        f"pf{k} = []",
-        f"for pd{k}_ in row{k}:",
-        f"    t{k} = page + pd{k}_",
-        f"    if t{k} >= 0:",
-        f"        pf{k}.append(t{k})",
-        f"        iss{k} += 1",
+        "pf = []",
+        "for pd_ in row:",
+        "    t = page + pd_",
+        "    if t >= 0:",
+        "        pf.append(t)",
+        "        iss += 1",
     ]
 
 
-def _hit_targets(k, cap, clamp, slots=0):
+def _hit_targets(cap, clamp, slots=0):
     """The hit path's target handling for keyed (distance-valued) rows.
 
     With no clamp, installs fuse into the materialize loop: the live
@@ -830,356 +803,205 @@ def _hit_targets(k, cap, clamp, slots=0):
     standard geometry) unroll the loop entirely.
     """
     if clamp:
-        return ["    " + line for line in _materialize_targets(k)]
+        return ["    " + line for line in _materialize_targets()]
     if slots == 2:
         lines = [
-            f"    if row{k}:",
-            f"        t{k} = page + row{k}[0]",
-            f"        if t{k} >= 0:",
-            f"            iss{k} += 1",
+            "    if row:",
+            "        t = page + row[0]",
+            "        if t >= 0:",
+            "            iss += 1",
         ]
-        lines.extend(_insert_lines("            ", k, f"t{k}", cap))
+        lines.extend(_insert_lines("            ", "t", cap))
         lines += [
-            f"        if len(row{k}) > 1:",
-            f"            t{k} = page + row{k}[1]",
-            f"            if t{k} >= 0:",
-            f"                iss{k} += 1",
+            "        if len(row) > 1:",
+            "            t = page + row[1]",
+            "            if t >= 0:",
+            "                iss += 1",
         ]
-        lines.extend(_insert_lines("                ", k, f"t{k}", cap))
+        lines.extend(_insert_lines("                ", "t", cap))
         return lines
     lines = [
-        f"    for pd{k}_ in row{k}:",
-        f"        t{k} = page + pd{k}_",
-        f"        if t{k} >= 0:",
-        f"            iss{k} += 1",
+        "    for pd_ in row:",
+        "        t = page + pd_",
+        "        if t >= 0:",
+        "            iss += 1",
     ]
-    lines.extend(_insert_lines("            ", k, f"t{k}", cap))
+    lines.extend(_insert_lines("            ", "t", cap))
     return lines
 
 
-def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
-    """Shared emitter for DP / DP-PC / DP-2 table bodies.
+#: Per-miss prelude of each DP-family table, run once a previous page
+#: exists: ``(lookup key, previous key, lines)``. The key is the
+#: distance (DP) or a packed key (DP-PC: PC and distance; DP-2: the
+#: last two distances, so DP-2's table body also waits for a previous
+#: distance). The successor *value* recorded is always the distance.
+_KEYED_PRELUDES: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "distance": ("distance", "pd", ("pd = last_dist", "last_dist = distance")),
+    "pcdist": (
+        "kpc",
+        "pkc",
+        ("kpc = pack_pc_distance(pc, distance)", "pkc = last_kpc", "last_kpc = kpc"),
+    ),
+    "distpair": (
+        "dpk",
+        "pk2",
+        (
+            "pd = last_dist",
+            "last_dist = distance",
+            "if pd is not None:",
+            "    dpk = pack_distance_pair(pd, distance)",
+            "    pk2 = last_dpk",
+            "    last_dpk = dpk",
+        ),
+    ),
+}
 
-    ``key_var`` is the shared per-miss lookup key expression,
-    ``prev_var`` the shared previous-key variable used for the
-    successor update (DP: previous distance; DP-PC/DP-2: previous
-    packed key). The successor *value* recorded is always the current
-    distance. Bodies land in ``section`` ("dp" runs when a distance
-    exists, "dp2" additionally when a distance pair exists). Every
-    keyed body also probes the buffer on every miss (top level).
+
+def _emit_keyed_table(sig, warmup):
+    """DP / DP-PC / DP-2: buffer probe, key prelude, table body.
+
+    Every keyed class probes the buffer on every miss; the table body
+    runs under its family's prelude (:data:`_KEYED_PRELUDES`).
     """
+    family = sig[0]
     (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
+    key_var, prev_var, prelude = _KEYED_PRELUDES[family]
     layout = _layout(sig)
-    prologue = _buffer_prologue(k)
+    prologue: list[str] = []
     update = _successor_update(slots).replace("@VALUE@", "distance")
-    hit = _hit_targets(k, cap, clamp, slots)
+    hit = _hit_targets(cap, clamp, slots)
     out: list[str] = []
-    sections = {"top": _probe_lines("", k, "page", warmup), section: out}
 
     def miss_and_install():
-        # With a clamp the hit path materializes pf{k}; the miss path
+        # With a clamp the hit path materializes pf; the miss path
         # must define it and the shared install block runs afterwards.
         if clamp:
-            out.append(f"    pf{k} = ()")
-
-    def trailing_install():
-        if clamp:
-            out.extend(_prefetch_lines("", k, cap, clamp))
+            out.append("    pf = ()")
 
     if layout == "dict":
-        out.append(f"row{k} = dt{k}.get({key_var})")
-        out.append(f"if row{k} is not None:")
+        out.append(f"row = dt.get({key_var})")
+        out.append("if row is not None:")
         out.extend(hit)
         out.append("else:")
-        out.append(f"    dt{k}[{key_var}] = []")
+        out.append(f"    dt[{key_var}] = []")
         miss_and_install()
         out.append(f"if {prev_var} is not None:")
-        out.append(f"    sc{k} = dt{k}.get({prev_var})")
-        out.append(f"    if sc{k} is None:")
-        out.append(f"        sc{k} = []")
-        out.append(f"        dt{k}[{prev_var}] = sc{k}")
-        _render(out, update, "    ", k, {}, warmup, cap, clamp)
-        trailing_install()
-        return _BUFFER + ("dt",), prologue, sections
-    rows, ways = geom
-    if layout == "dm":
+        out.append(f"    sc = dt.get({prev_var})")
+        out.append("    if sc is None:")
+        out.append("        sc = []")
+        out.append(f"        dt[{prev_var}] = sc")
+        names: tuple = ("dt",)
+    elif layout == "dm":
         # DP direct-mapped: flat arrays; tags start at an unmatchable
         # None sentinel (distances may be any integer, so no integer
         # sentinel is safe).
-        out.append(f"r{k} = {_mod('distance', rows)}")
-        out.append(f"if tag{k}[r{k}] == distance:")
-        out.append(f"    row{k} = sl{k}[r{k}]")
+        rows = geom[0]
+        out.append(f"r = {_mod('distance', rows)}")
+        out.append("if tag[r] == distance:")
+        out.append("    row = sl[r]")
         out.extend(hit)
         out.append("else:")
-        out.append(f"    tag{k}[r{k}] = distance")
-        out.append(f"    sl{k}[r{k}] = []")
+        out.append("    tag[r] = distance")
+        out.append("    sl[r] = []")
         miss_and_install()
         out.append(f"if {prev_var} is not None:")
-        out.append(f"    pr{k} = {_mod(prev_var, rows)}")
-        out.append(f"    if tag{k}[pr{k}] == {prev_var}:")
-        out.append(f"        sc{k} = sl{k}[pr{k}]")
+        out.append(f"    pr = {_mod(prev_var, rows)}")
+        out.append(f"    if tag[pr] == {prev_var}:")
+        out.append("        sc = sl[pr]")
         out.append("    else:")
-        out.append(f"        tag{k}[pr{k}] = {prev_var}")
-        out.append(f"        sc{k} = []")
-        out.append(f"        sl{k}[pr{k}] = sc{k}")
-        _render(out, update, "    ", k, {}, warmup, cap, clamp)
-        trailing_install()
-        return _BUFFER + ("tag", "sl"), prologue, sections
-    num_sets = rows // ways
-    ts = _bind_set(k, num_sets, key_var, out, prologue)
-    ps = ts if num_sets == 1 else f"ps{k}"
-    out.append(f"row{k} = {ts}.pop({key_var}, None)")
-    out.append(f"if row{k} is not None:")
-    out.append(f"    {ts}[{key_var}] = row{k}")
-    out.extend(hit)
-    out.append("else:")
-    out.append(f"    if len({ts}) >= {ways}:")
-    out.append(f"        del {ts}[next(iter({ts}))]")
-    out.append(f"    {ts}[{key_var}] = []")
-    miss_and_install()
-    out.append(f"if {prev_var} is not None:")
-    if num_sets != 1:
-        out.append(f"    ps{k} = sets{k}[{_mod(prev_var, num_sets)}]")
-    out.append(f"    sc{k} = {ps}.pop({prev_var}, None)")
-    out.append(f"    if sc{k} is not None:")
-    out.append(f"        {ps}[{prev_var}] = sc{k}")
-    out.append("    else:")
-    out.append(f"        if len({ps}) >= {ways}:")
-    out.append(f"            del {ps}[next(iter({ps}))]")
-    out.append(f"        sc{k} = []")
-    out.append(f"        {ps}[{prev_var}] = sc{k}")
-    _render(out, update, "    ", k, {}, warmup, cap, clamp)
-    trailing_install()
-    return _BUFFER + ("sets",), prologue, sections
+        out.append(f"        tag[pr] = {prev_var}")
+        out.append("        sc = []")
+        out.append("        sl[pr] = sc")
+        names = ("tag", "sl")
+    else:
+        rows, ways = geom
+        num_sets = rows // ways
+        _bind_set(num_sets, key_var, out, prologue)
+        ps = "ts" if num_sets == 1 else "ps"
+        out.append(f"row = ts.pop({key_var}, None)")
+        out.append("if row is not None:")
+        out.append(f"    ts[{key_var}] = row")
+        out.extend(hit)
+        out.append("else:")
+        out.append(f"    if len(ts) >= {ways}:")
+        out.append("        del ts[next(iter(ts))]")
+        out.append(f"    ts[{key_var}] = []")
+        miss_and_install()
+        out.append(f"if {prev_var} is not None:")
+        if num_sets != 1:
+            out.append(f"    ps = sets[{_mod(prev_var, num_sets)}]")
+        out.append(f"    sc = {ps}.pop({prev_var}, None)")
+        out.append("    if sc is not None:")
+        out.append(f"        {ps}[{prev_var}] = sc")
+        out.append("    else:")
+        out.append(f"        if len({ps}) >= {ways}:")
+        out.append(f"            del {ps}[next(iter({ps}))]")
+        out.append("        sc = []")
+        out.append(f"        {ps}[{prev_var}] = sc")
+        names = ("sets",)
+    _render(out, update, "    ", {}, cap)
+    if clamp:
+        out.extend(_prefetch_lines("", cap, clamp))
+    # DP-2's table body runs under its prelude's previous-distance guard.
+    pad = "        " if family == "distpair" else "    "
+    body = [*_LAST_PAGE, *_probe_lines("", "page", warmup)]
+    body += ["if lp is not None:", "    distance = page - lp"]
+    body += ["    " + line for line in prelude]
+    body += [pad + line for line in out]
+    return names, prologue, body
 
 
-def _emit_recency(k, sig, warmup):
-    """RP bodies: buffer work over the precomputed stack neighbours."""
+def _emit_recency(sig, warmup):
+    """RP: buffer work over the precomputed stack neighbours."""
     (variant_three,), cap, clamp = sig[1], sig[2], sig[3]
-    out: list[str] = []
-    out.extend(_probe_lines("", k, "rpage", warmup))
+    out = _probe_lines("", "rpage", warmup)
     if not clamp:
         # No clamp: install each stack neighbor directly, in the same
         # above-then-below(-then-third) order the list would have had.
         out.append("if rabove != -1:")
-        out.append(f"    iss{k} += 1")
-        out.extend(_insert_lines("    ", k, "rabove", cap))
+        out.append("    iss += 1")
+        out.extend(_insert_lines("    ", "rabove", cap))
         out.append("if rbelow != -1:")
-        out.append(f"    iss{k} += 1")
-        out.extend(_insert_lines("    ", k, "rbelow", cap))
+        out.append("    iss += 1")
+        out.extend(_insert_lines("    ", "rbelow", cap))
         if variant_three:
             out.append("if rthird != -1:")
-            out.append(f"    iss{k} += 1")
-            out.extend(_insert_lines("    ", k, "rthird", cap))
-        return _BUFFER, _buffer_prologue(k), {"rp": out}
-    out.append(f"pf{k} = []")
+            out.append("    iss += 1")
+            out.extend(_insert_lines("    ", "rthird", cap))
+        return (), [], out
+    out.append("pf = []")
     out.append("if rabove != -1:")
-    out.append(f"    pf{k}.append(rabove)")
+    out.append("    pf.append(rabove)")
     out.append("if rbelow != -1:")
-    out.append(f"    pf{k}.append(rbelow)")
+    out.append("    pf.append(rbelow)")
     if variant_three:
         out.append("if rthird != -1:")
-        out.append(f"    pf{k}.append(rthird)")
-    out.append(f"if pf{k}:")
-    out.append(f"    iss{k} += len(pf{k})")
-    out.append(f"    if len(pf{k}) > {clamp}:")
-    out.append(f"        pf{k} = pf{k}[:{clamp}]")
-    out.append(f"    for tg{k} in pf{k}:")
-    out.extend(_insert_lines("        ", k, f"tg{k}", cap))
-    return _BUFFER, _buffer_prologue(k), {"rp": out}
+        out.append("    pf.append(rthird)")
+    out.append("if pf:")
+    out.append("    iss += len(pf)")
+    out.append(f"    if len(pf) > {clamp}:")
+    out.append(f"        pf = pf[:{clamp}]")
+    out.append("    for tg in pf:")
+    out.extend(_insert_lines("        ", "tg", cap))
+    return (), [], out
 
 
-def _emit_class(k: str, sig: tuple, warmup: int):
-    """``(state names, prologue lines, body sections)`` of one class."""
-    family = sig[0]
-    if family == "zero":
-        # A provably hit-free table mechanism: no per-miss work at all.
-        return (), [], {}
-    if family == "none":
-        # Null never installs; it only probes whatever a seeded buffer
-        # holds (a fresh one stays empty).
-        return _BUFFER, _buffer_prologue(k), {"top": _probe_lines("", k, "page", warmup)}
-    if family == "seq":
-        return _emit_seq(k, sig, warmup)
-    if family == "aseq":
-        return _emit_aseq(k, sig, warmup)
-    if family == "stride":
-        return _emit_stride(k, sig, warmup)
-    if family == "markov":
-        return _emit_markov(k, sig, warmup)
-    if family == "distance":
-        return _emit_keyed_table(k, sig, warmup, "distance", "pd", "dp")
-    if family == "pcdist":
-        return _emit_keyed_table(k, sig, warmup, "kpc", "pkc", "dp")
-    if family == "distpair":
-        return _emit_keyed_table(k, sig, warmup, "dpk", "pk2", "dp2")
-    if family == "recency":
-        return _emit_recency(k, sig, warmup)
-    raise ConfigurationError(f"unknown compiled family {family!r}")  # pragma: no cover
+#: Family -> emitter returning ``(state names beyond the buffer's,
+#: prologue lines, per-miss body lines)`` for one class.
+_EMITTERS = {
+    "none": _emit_none,
+    "seq": _emit_seq,
+    "aseq": _emit_aseq,
+    "stride": _emit_stride,
+    "markov": _emit_markov,
+    "distance": _emit_keyed_table,
+    "pcdist": _emit_keyed_table,
+    "distpair": _emit_keyed_table,
+    "recency": _emit_recency,
+}
 
-
-def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
-    """Source of the fused loop for one batch shape.
-
-    The function replays one window: ``pcs``/``pages``/``rp_*`` are the
-    window's entries and ``start`` is the global index of its first
-    one. State comes in through ``slots`` (one dict per class) and
-    ``regs`` (the shared history registers) and goes back out the same
-    way, so consecutive calls continue one replay.
-    """
-    loads: list[str] = []
-    stores: list[str] = []
-    prologue: list[str] = []
-    tops: list[str] = []
-    mps: list[str] = []
-    dps: list[str] = []
-    dp2s: list[str] = []
-    rps: list[str] = []
-    need_pc = need_lp = need_dist = need_pd = False
-    need_kpc = need_dpk = need_rp = need_rp3 = False
-    for index, sig in enumerate(emit_sigs):
-        family = sig[0]
-        if family in ("stride", "pcdist"):
-            need_pc = True
-        if family in ("markov", "distance", "pcdist", "distpair"):
-            need_lp = need_dist = True
-        if family in ("distance", "distpair"):
-            need_pd = True
-        if family == "pcdist":
-            need_kpc = True
-        if family == "distpair":
-            need_dpk = True
-        if family == "recency":
-            need_rp = True
-            if sig[1][0]:
-                need_rp3 = True
-        k = str(index)
-        names, pro, sections = _emit_class(k, sig, warmup)
-        if names:
-            loads.append(f"state{k} = slots[{k}]")
-            loads.extend(f"{name}{k} = state{k}[{name!r}]" for name in names)
-            stores.extend(f"state{k}[{name!r}] = {name}{k}" for name in names)
-        prologue.extend(pro)
-        tops.extend(sections.get("top", ()))
-        mps.extend(sections.get("mp", ()))
-        dps.extend(sections.get("dp", ()))
-        dp2s.extend(sections.get("dp2", ()))
-        rps.extend(sections.get("rp", ()))
-    registers = [
-        name
-        for need, name in (
-            (need_lp, "last_page"),
-            (need_pd, "last_dist"),
-            (need_kpc, "last_kpc"),
-            (need_dpk, "last_dpk"),
-        )
-        if need
-    ]
-
-    lines = [
-        # Hot-loop names bound as defaults: LOAD_FAST instead of
-        # LOAD_GLOBAL for every builtin/table-helper call per miss.
-        "def _batch(regs, slots, start, pcs, pages, rp_pages, rp_above,",
-        "           rp_below, rp_third, len=len, next=next, iter=iter,",
-        "           min=min, max=max, zip=zip, range=range,",
-        "           pack_pc_distance=pack_pc_distance,",
-        "           pack_distance_pair=pack_distance_pair):",
-    ]
-    pad = "    "
-    lines.extend(pad + line for line in loads)
-    lines.extend(pad + f"{name} = regs[{name!r}]" for name in registers)
-    lines.extend(pad + line for line in prologue)
-    loop: list[str] = []
-    if need_lp:
-        loop.append("lp = last_page")
-        loop.append("last_page = page")
-    loop.extend(tops)
-    if mps:
-        # One shared guard for every MP class's successor update (the
-        # self-successor rule: a page is never its own successor).
-        loop.append("if lp is not None and lp != page:")
-        for line in mps:
-            loop.append(pad + line)
-    if need_dist and (dps or dp2s):
-        loop.append("if lp is not None:")
-        loop.append(pad + "distance = page - lp")
-        if need_pd:
-            loop.append(pad + "pd = last_dist")
-            loop.append(pad + "last_dist = distance")
-        if need_kpc:
-            loop.append(pad + "kpc = pack_pc_distance(pc, distance)")
-            loop.append(pad + "pkc = last_kpc")
-            loop.append(pad + "last_kpc = kpc")
-        for line in dps:
-            loop.append(pad + line)
-        if need_dpk and dp2s:
-            loop.append(pad + "if pd is not None:")
-            loop.append(pad + pad + "dpk = pack_distance_pair(pd, distance)")
-            loop.append(pad + pad + "pk2 = last_dpk")
-            loop.append(pad + pad + "last_dpk = dpk")
-            for line in dp2s:
-                loop.append(pad + pad + line)
-    if need_rp:
-        loop.extend(rps)
-    if loop:
-        # Zip exactly the arrays the bodies touch; the global index is
-        # only materialized when a warm-up boundary must be compared.
-        names, iters = ["page"], ["pages"]
-        if warmup:
-            names.insert(0, "index")
-            iters.insert(0, "range(start, start + len(pages))")
-        if need_pc:
-            names.append("pc")
-            iters.append("pcs")
-        if need_rp:
-            names += ["rpage", "rabove", "rbelow"]
-            iters += ["rp_pages", "rp_above", "rp_below"]
-            if need_rp3:
-                names.append("rthird")
-                iters.append("rp_third")
-        if len(iters) == 1:
-            lines.append(pad + "for page in pages:")
-        else:
-            lines.append(
-                pad + "for " + ", ".join(names)
-                + " in zip(" + ", ".join(iters) + "):"
-            )
-        body = pad + pad
-        for line in loop:
-            lines.append(body + line)
-    lines.extend(pad + f"regs[{name!r}] = {name}" for name in registers)
-    lines.extend(pad + line for line in stores)
-    lines.append(pad + "return None")
-    return "\n".join(lines) + "\n"
-
-
-#: Compiled fused loops memoized by (warmup, emission signatures) —
-#: a sweep's streams typically share one shape, so codegen runs once.
-_CODE_CACHE: dict[tuple, object] = {}
-
-def _compiled(warmup: int, emit_sigs: tuple[tuple, ...]):
-    key = (warmup, emit_sigs)
-    fn = _CODE_CACHE.get(key)
-    if fn is None:
-        source = _generate(warmup, emit_sigs)
-        namespace = {
-            "pack_pc_distance": pack_pc_distance,
-            "pack_distance_pair": pack_distance_pair,
-        }
-        exec(compile(source, "<repro.sim.batchpath>", "exec"), namespace)
-        fn = namespace["_batch"]
-        if len(_CODE_CACHE) >= 256:
-            _CODE_CACHE.clear()
-        _CODE_CACHE[key] = fn
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# Loop state: fresh or seeded from canonical snapshots, and exported back.
-# ---------------------------------------------------------------------------
-
-#: History registers the loop shares between classes (all ``None`` in a
-#: fresh batch): snapshot field -> loop register, per family.
+#: History registers a class keeps in its state dict (all ``None`` in a
+#: fresh replay): snapshot field -> register, per family.
 _REGISTERS: dict[str, tuple[tuple[str, str], ...]] = {
     "markov": (("prev_page", "last_page"),),
     "distance": (("prev_page", "last_page"), ("prev_distance", "last_dist")),
@@ -1192,8 +1014,84 @@ _REGISTERS: dict[str, tuple[tuple[str, str], ...]] = {
 }
 
 
-def _fresh_registers() -> dict:
-    return {"last_page": None, "last_dist": None, "last_kpc": None, "last_dpk": None}
+def _generate(warmup: int, sig: tuple) -> str:
+    """Source of the loop for one class.
+
+    The function replays one window: ``pcs``/``pages``/``rp_*`` are the
+    window's entries and ``start`` is the global index of its first
+    one. The class's buffer, counters, tables and history registers
+    come in through ``state`` and go back out the same way, so
+    consecutive calls continue one replay.
+    """
+    family = sig[0]
+    names, prologue, body = _EMITTERS[family](sig, warmup)
+    names = _BUFFER + names + tuple(reg for _, reg in _REGISTERS.get(family, ()))
+    pad = "    "
+    lines = [
+        # Hot-loop names bound as defaults: LOAD_FAST instead of
+        # LOAD_GLOBAL for every builtin/table-helper call per miss.
+        "def _loop(state, start, pcs, pages, rp_pages, rp_above, rp_below,",
+        "          rp_third, len=len, next=next, iter=iter, min=min,",
+        "          max=max, zip=zip, range=range,",
+        "          pack_pc_distance=pack_pc_distance,",
+        "          pack_distance_pair=pack_distance_pair):",
+    ]
+    lines.extend(f"{pad}{name} = state[{name!r}]" for name in names)
+    # bp pre-binds the buffer's bound ``pop``: the dict object never
+    # changes, and probes/installs are the hottest calls in the loop.
+    lines.append(pad + "bp = buf.pop")
+    lines.extend(pad + line for line in prologue)
+    # Zip exactly the arrays the body touches; the global index is only
+    # materialized when a warm-up boundary must be compared.
+    loop_names, iters = ["page"], ["pages"]
+    if warmup:
+        loop_names.insert(0, "index")
+        iters.insert(0, "range(start, start + len(pages))")
+    if family in ("stride", "pcdist"):
+        loop_names.append("pc")
+        iters.append("pcs")
+    if family == "recency":
+        loop_names += ["rpage", "rabove", "rbelow"]
+        iters += ["rp_pages", "rp_above", "rp_below"]
+        if sig[1][0]:
+            loop_names.append("rthird")
+            iters.append("rp_third")
+    if len(iters) == 1:
+        lines.append(pad + "for page in pages:")
+    else:
+        lines.append(
+            f"{pad}for {', '.join(loop_names)} in zip({', '.join(iters)}):"
+        )
+    lines.extend(pad + pad + line for line in body)
+    lines.extend(f"{pad}state[{name!r}] = {name}" for name in names)
+    lines.append(pad + "return None")
+    return "\n".join(lines) + "\n"
+
+
+#: Compiled loops memoized by (warmup, emission signature) — a sweep's
+#: streams share their classes' shapes, so codegen runs once per shape.
+_CODE_CACHE: dict[tuple, object] = {}
+
+def _compiled(warmup: int, sig: tuple):
+    key = (warmup, sig)
+    fn = _CODE_CACHE.get(key)
+    if fn is None:
+        source = _generate(warmup, sig)
+        namespace = {
+            "pack_pc_distance": pack_pc_distance,
+            "pack_distance_pair": pack_distance_pair,
+        }
+        exec(compile(source, "<repro.sim.batchpath>", "exec"), namespace)
+        fn = namespace["_loop"]
+        if len(_CODE_CACHE) >= 256:
+            _CODE_CACHE.clear()
+        _CODE_CACHE[key] = fn
+    return fn
+
+
+# ---------------------------------------------------------------------------
+# Loop state: fresh or seeded from canonical snapshots, and exported back.
+# ---------------------------------------------------------------------------
 
 
 def _slot_state(
@@ -1204,7 +1102,8 @@ def _slot_state(
 ) -> dict:
     """One class's loop state: fresh, or seeded from snapshots.
 
-    ``buffer_keys`` replaces ``buffer.pages`` when the loop keys its
+    History registers start as ``None`` or as the snapshot's fields
+    (:data:`_REGISTERS`). ``buffer_keys`` replaces ``buffer.pages`` when the loop keys its
     buffer by something other than page numbers (RP's dense ids).
     """
     state = {"buf": {}, "bn": 0, "pb": 0, "iss": 0, "ins": 0, "rf": 0, "ev": 0}
@@ -1229,6 +1128,8 @@ def _slot_state(
             )
     elif family in _TABLE_FAMILIES:
         state.update(_table_state(sig, None if mechanism is None else mechanism.table))
+    for field, register in _REGISTERS.get(family, ()):
+        state[register] = None if mechanism is None else getattr(mechanism, field)
     return state
 
 
@@ -1396,7 +1297,7 @@ def _window(values: list, start: int, stop: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Batches: N fresh configs, one pass.
+# Batches: N fresh configs, one loop per equivalence class.
 # ---------------------------------------------------------------------------
 
 
@@ -1452,7 +1353,7 @@ def replay_batch(
     miss_trace: MissTrace,
     requests: "list[tuple[Prefetcher, int, int]]",
 ) -> "list[PrefetchRunStats]":
-    """Replay N fresh mechanisms over one miss stream in a single pass.
+    """Replay N fresh mechanisms over one miss stream.
 
     ``requests`` is a list of ``(prefetcher, buffer_entries,
     max_prefetches_per_miss)`` triples; every prefetcher must be a
@@ -1462,6 +1363,9 @@ def replay_batch(
     order, bit-identical to what the reference engine produces. The
     instances are *not* trained — batch replays are for throwaway
     mechanisms built from specs.
+
+    Requests the planner proves equivalent on this stream share one
+    loop, whose counters every one of them reports.
     """
     plans = []
     for prefetcher, cap, clamp in requests:
@@ -1504,20 +1408,21 @@ def replay_batch(
             analysis.rp = (*stack.window(0, len(page_ids)), stack.overhead)
         *rp, rp_overhead = analysis.rp
 
-    slots = [_slot_state(sig) for sig in emit_sigs]
-    fn = _compiled(miss_trace.warmup_misses, tuple(emit_sigs))
-    fn(_fresh_registers(), slots, 0, pcs, pages, *rp)
-    rows = [
-        (
+    rows = []
+    for sig in emit_sigs:
+        if sig[0] == "zero":
+            rows.append((0, 0, 0, 0, 0, 0))
+            continue
+        state = _slot_state(sig)
+        _compiled(miss_trace.warmup_misses, sig)(state, 0, pcs, pages, *rp)
+        rows.append((
             state["pb"],
             state["iss"],
             rp_overhead if sig[0] == "recency" else 0,
             state["ins"],
             state["rf"],
             state["ev"],
-        )
-        for sig, state in zip(emit_sigs, slots)
-    ]
+        ))
     return [
         replay_stats(miss_trace, plan.label, rows[slot_class[i]])
         for i, plan in enumerate(plans)
@@ -1564,16 +1469,12 @@ class ReplayKernel:
         self._buffer_seed = buffer
         self._pcs, self._pages, _, _ = miss_trace.as_lists()
         self._begin = self._end = 0
-        self._regs = _fresh_registers()
-        for field, register in _REGISTERS.get(plan.family, ()):
-            self._regs[register] = getattr(mechanism, field)
         self._stack: _RecencyStack | None = None
         buffer_keys = None
         if plan.family == "recency":
             buffer_keys = self._seed_recency(mechanism, buffer)
         self._state = _slot_state(self._sig, mechanism, buffer, buffer_keys)
         self._state["pb"] = pb_hits
-        self._slots = [self._state]
         # The live state now holds the snapshot's tables and page-table
         # entries; keep only its configuration and counters.
         if plan.family in _TABLE_FAMILIES:
@@ -1622,13 +1523,12 @@ class ReplayKernel:
         warmup = self._trace.warmup_misses
         # A window entirely past the warm-up boundary counts every hit,
         # which is exactly the loop compiled without a boundary.
-        fn = _compiled(warmup if start < warmup else 0, (self._sig,))
+        fn = _compiled(warmup if start < warmup else 0, self._sig)
         rp: tuple = ((), (), (), ())
         if self._stack is not None:
             rp = self._stack.window(start, stop)
         fn(
-            self._regs,
-            self._slots,
+            self._state,
             start,
             _window(self._pcs, start, stop),
             _window(self._pages, start, stop),
@@ -1678,7 +1578,7 @@ class ReplayKernel:
                 seed.table, sets=_table_sets(self._sig, state)
             )
             for field, register in _REGISTERS.get(family, ()):
-                changes[field] = self._regs[register]
+                changes[field] = state[register]
         elif family == "recency":
             changes.update(self._recency_fields())
         return dataclasses.replace(seed, **changes)
@@ -1750,7 +1650,7 @@ def replay_compiled(
 ) -> "PrefetchRunStats":
     """Compiled equivalent of :func:`~repro.sim.two_phase.replay_prefetcher`.
 
-    One mechanism, fresh or trained, as a one-slot kernel: the
+    One mechanism, fresh or trained, as a one-class kernel: the
     instance's state seeds the loop and the final state is written back
     into it, so canonical snapshots of the instance agree between
     engines after any sequence of replays. Raises

@@ -9,8 +9,8 @@ Two engines replay mechanisms over a TLB miss stream:
 - the compiled engine, :mod:`repro.sim.batchpath` — generated loops,
   bit-identical by contract (and by the ``tests/differential/``
   harness). A :class:`~repro.run.runner.Runner` replays every stream
-  group through it in one pass; a single replay (this module's
-  :func:`replay`) runs it as a one-slot kernel that warm-starts from
+  group through it as one batch; a single replay (this module's
+  :func:`replay`) runs it as a one-class kernel that warm-starts from
   the instance's canonical snapshot and writes the final state back;
   suspendable sessions (:func:`open_replay`) keep the kernel live
   between windows.

@@ -111,15 +111,14 @@ def test_whole_batch_result_sets_identical(differential):
 
 
 def test_wide_batch_with_double_digit_slot_indices(differential):
-    """A fused loop with 12+ distinct classes stays bit-identical.
+    """A batch with 12+ distinct classes stays bit-identical.
 
-    Generated per-slot names are ``<prefix><k>`` with ``k`` a decimal
-    slot index; two prefixes where one is the other plus a digit can
-    collide once ``k`` reaches double digits (e.g. slot 1's ``x1``
-    array vs slot 11's ``x`` scalar, both rendering as ``x11``). The
-    full Figure-7 legend on mesa compiles 12+ classes in one loop with
-    Markov tables in the low slots and a stride class past index 10,
-    and mesa's miss stream drives every one of their paths.
+    The full Figure-7 legend on mesa plans 12+ classes (Markov tables,
+    direct-mapped and associative, RP, DP and a stride class past index
+    10), and mesa's miss stream drives every one of their paths. Fused
+    loops once named per-class locals ``<prefix><k>`` and could collide
+    at double-digit class indices; each class now runs its own loop with
+    unindexed names, so that collision can no longer occur.
     """
     from repro.analysis.figures import figure7_configs
 

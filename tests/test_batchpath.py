@@ -1,14 +1,18 @@
 """Compiled-engine internals the differential suite cannot see: the
-batch planner's shared key analysis and the kernel's window contract.
+batch planner's shared key analysis and equivalence-class
+deduplication, and the kernel's window contract.
 """
 
 import dataclasses
 import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro.analysis.figures import figure9_table_configs
 from repro.ckpt import snapshot_buffer
+from repro.mem.trace import MissTrace
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner
 from repro.sim import batchpath
@@ -72,6 +76,69 @@ class TestStreamKeysPublication:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert rows == [expected] * 8
+
+
+class TestClassDeduplication:
+    """A batch runs one generated loop per equivalence class, not per
+    request: proven-equivalent requests share one loop's counters."""
+
+    @pytest.fixture
+    def loops(self, monkeypatch):
+        calls = []
+        real = batchpath._compiled
+
+        def spying(warmup, sig):
+            calls.append(sig)
+            return real(warmup, sig)
+
+        monkeypatch.setattr(batchpath, "_compiled", spying)
+        return calls
+
+    def test_the_same_request_twice_runs_one_loop(self, stream, loops):
+        requests = [(create_prefetcher("DP", rows=64), 16, 0) for _ in range(2)]
+        first, second = replay_batch(stream, requests)
+        assert len(loops) == 1
+        assert first == second == replay_prefetcher(stream, create_prefetcher("DP", rows=64))
+
+    def test_figure9_table_panel_runs_fewer_loops_than_specs(self, stream, loops):
+        configs = figure9_table_configs()
+        rows = replay_batch(
+            stream,
+            [
+                (create_prefetcher(config.mechanism, **config.factory_params()), 16, 0)
+                for config in configs
+            ],
+        )
+        assert 1 <= len(loops) < len(configs)
+        assert rows == [
+            replay_prefetcher(
+                stream, create_prefetcher(config.mechanism, **config.factory_params())
+            )
+            for config in configs
+        ]
+
+    def test_a_stream_whose_distances_never_repeat_runs_no_dp_loop(self, loops):
+        count = 64
+        # Triangular page numbers: the distances 1, 2, 3, ... never repeat.
+        pages = np.cumsum(np.arange(count, dtype=np.int64))
+        trace = MissTrace(
+            pcs=np.zeros(count, dtype=np.int64),
+            pages=pages,
+            evicted=np.full(count, -1, dtype=np.int64),
+            ref_index=np.arange(count, dtype=np.int64),
+            total_references=count,
+        )
+        configs = [("DP", {"rows": 64}), ("DP", {"rows": 32, "ways": 4}),
+                   ("DP", {"rows": 16, "ways": 16}), ("SP", {})]
+        rows = replay_batch(
+            trace, [(create_prefetcher(name, **params), 16, 0) for name, params in configs]
+        )
+        assert [sig[0] for sig in loops] == ["seq"]
+        assert [row.prefetches_issued for row in rows[:3]] == [0, 0, 0]
+        assert rows == [
+            replay_prefetcher(trace, create_prefetcher(name, **params))
+            for name, params in configs
+        ]
 
 
 class TestKernelWindows:

@@ -546,8 +546,8 @@ class TestBatchEngineRouting:
     Contract (see Runner._run_serial): specs on any engine but
     "reference" whose mechanism has a compiled loop are grouped by
     stream key, and every group — a group of one included — takes one
-    fused pass; checkpointing runs disable grouping entirely. Routing
-    must never change results.
+    ``replay_batch`` call; checkpointing runs disable grouping
+    entirely. Routing must never change results.
     """
 
     def _spy(self, monkeypatch):
@@ -570,7 +570,7 @@ class TestBatchEngineRouting:
             [spec.derive(engine="reference") for spec in specs]
         )
         results = Runner(cache=MissStreamCache()).run(specs)
-        assert calls == [3]  # one shared stream, one fused pass
+        assert calls == [3]  # one shared stream, one replay_batch call
         assert results.to_json() == reference.to_json()
 
     def test_auto_singleton_routes_through_batch_engine(self, monkeypatch):
@@ -628,8 +628,8 @@ class TestBatchEngineRouting:
 
     def test_parallel_workers_batch_within_their_groups(self, monkeypatch):
         # Worker pools partition specs by stream group and each worker
-        # replays its group via _run_group -> _run_serial, so the fused
-        # pass fires inside the subprocess. The pool itself is opaque
+        # replays its group via _run_group -> _run_serial, so replay_batch
+        # fires inside the subprocess. The pool itself is opaque
         # to a monkeypatch, so spy on _run_group invoked in-process...
         from repro.run import runner as runner_module
 
