@@ -1,16 +1,16 @@
 """Versioned, deterministic checkpointing of all mechanism state.
 
 The paper's prefetchers are stateful learners — prediction tables,
-recency stacks, TLB and prefetch-buffer contents. This package frees
-that state from process memory:
+recency stacks and prefetch-buffer contents. This package frees that
+state from process memory (the TLB of phase 1 is never checkpointed:
+miss streams are content-addressed and rebuilt, not resumed):
 
 - :mod:`~repro.ckpt.codec` — the ``repro.ckpt/v1`` binary format:
   schema-tagged, digest-trailed, deterministic (identical state ⇒
   identical bytes ⇒ identical digest).
 - :mod:`~repro.ckpt.snapshots` — ``StateSnapshot`` dataclasses with
   ``to_bytes()/from_bytes()`` for the shared
-  :class:`~repro.core.prediction_table.PredictionTable`,
-  :class:`~repro.tlb.tlb.TLB` and
+  :class:`~repro.core.prediction_table.PredictionTable` and
   :class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` substrates, and
   one declared ``MechanismSnapshot`` per prefetcher family (mechanism
   class, configuration fields, live fields, table row codec) that the
@@ -51,15 +51,12 @@ from repro.ckpt.snapshots import (
     StateSnapshot,
     StrideSnapshot,
     TableSnapshot,
-    TLBSnapshot,
     restore_buffer,
     restore_prefetcher,
     restore_table,
-    restore_tlb,
     snapshot_buffer,
     snapshot_prefetcher,
     snapshot_table,
-    snapshot_tlb,
 )
 
 __all__ = [
@@ -80,7 +77,6 @@ __all__ = [
     "SNAPSHOT_KINDS",
     "StateSnapshot",
     "StrideSnapshot",
-    "TLBSnapshot",
     "TableSnapshot",
     "blob_digest",
     "decode_blob",
@@ -88,9 +84,7 @@ __all__ = [
     "restore_buffer",
     "restore_prefetcher",
     "restore_table",
-    "restore_tlb",
     "snapshot_buffer",
     "snapshot_prefetcher",
     "snapshot_table",
-    "snapshot_tlb",
 ]

@@ -1,7 +1,7 @@
 """``StateSnapshot`` dataclasses for every piece of mechanism state.
 
 A snapshot is a frozen-in-amber copy of one simulation structure —
-prediction table, TLB, prefetch buffer, or a whole prefetcher — as
+prediction table, prefetch buffer, or a whole prefetcher — as
 plain codec values (ints, floats, strings, lists), serialized through
 :mod:`repro.ckpt.codec` with stable field ordering so that *identical
 logical state always yields an identical digest*. That invariant is
@@ -17,7 +17,7 @@ Two canonicalization rules make cross-engine agreement possible:
    ``PredictionTable.lookups/tag_hits/row_evictions``,
    ``RecencyStack.pointer_writes`` — are *excluded* from snapshots, and
    restore zeroes them. (The :class:`~repro.prefetch.base.Prefetcher`
-   issue/overhead counters and the buffer/TLB counters *are* captured:
+   issue/overhead counters and the buffer counters *are* captured:
    they feed delta-based statistics.)
 2. **Canonical element order.** Recency-stack page-table entries are
    stored sorted by page number: dict insertion order never affects
@@ -47,7 +47,6 @@ from ..prefetch.sequential import SequentialPrefetcher
 from ..prefetch.stride import ArbitraryStridePrefetcher, StrideEntry, StrideState
 from ..tlb.page_table import PageTableEntry
 from ..tlb.prefetch_buffer import PrefetchBuffer
-from ..tlb.tlb import TLB
 from .codec import blob_digest, decode_blob, encode_blob
 
 from ..core.distance import DistancePrefetcher
@@ -146,7 +145,7 @@ class StateSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Core structures: prediction table, TLB, prefetch buffer.
+# Core structures: prediction table, prefetch buffer.
 
 
 @dataclass
@@ -244,61 +243,6 @@ def _decode_stride(values: list) -> StrideEntry:
     except (ValueError, IndexError) as error:
         raise CkptError(f"corrupt stride row {values!r}: {error}") from error
     return StrideEntry(prev_page=values[0], stride=values[1], state=state)
-
-
-@dataclass
-class TLBSnapshot(StateSnapshot):
-    """A :class:`TLB`'s resident pages (per set, LRU -> MRU) and counters."""
-
-    kind: ClassVar[str] = "tlb"
-
-    entries: int
-    ways: int
-    hits: int
-    misses: int
-    sets: list
-
-
-def snapshot_tlb(tlb: TLB) -> TLBSnapshot:
-    """Capture a TLB's contents, LRU order, and hit/miss counters."""
-    return TLBSnapshot(
-        entries=tlb.entries,
-        ways=tlb.ways,
-        hits=tlb.hits,
-        misses=tlb.misses,
-        sets=[list(tlb_set) for tlb_set in tlb._sets],
-    )
-
-
-def restore_tlb(snap: TLBSnapshot, tlb: TLB) -> None:
-    """Overwrite ``tlb`` with ``snap`` (contents and counters)."""
-    if snap.entries != tlb.entries or snap.ways != tlb.ways:
-        raise CkptError(
-            f"TLB shape mismatch: snapshot is {snap.entries}e/{snap.ways}w, "
-            f"live TLB is {tlb.entries}e/{tlb.ways}w"
-        )
-    if len(snap.sets) != tlb.num_sets:
-        raise CkptError(
-            f"corrupt TLB snapshot: {len(snap.sets)} sets for "
-            f"{tlb.num_sets}-set TLB"
-        )
-    for index, pages in enumerate(snap.sets):
-        if len(pages) > tlb.ways:
-            raise CkptError(
-                f"corrupt TLB snapshot: set {index} holds {len(pages)} "
-                f"pages, associativity is {tlb.ways}"
-            )
-        tlb_set = tlb._sets[index]
-        tlb_set.clear()
-        for page in pages:
-            if page % tlb.num_sets != index:
-                raise CkptError(
-                    f"corrupt TLB snapshot: page {page} filed under set "
-                    f"{index}, maps to set {page % tlb.num_sets}"
-                )
-            tlb_set[page] = None
-    tlb.hits = snap.hits
-    tlb.misses = snap.misses
 
 
 @dataclass

@@ -21,17 +21,23 @@ asked for:
   checkpointed runs replay at compiled speed.
 
 Each generated loop replays one class: one mechanism configuration
-and its prefetch buffer. It keeps flat parallel arrays for
-direct-mapped tables, per-set insertion-ordered dicts (first key =
-LRU) for other associativities, an insertion-ordered-dict prefetch
-buffer with a local population counter, and plain integer statistics
-counters. Every constant (rows, ways, slots, buffer capacity, clamp,
-warm-up boundary, degrees) is inlined as a literal, and the source is
-``compile()``d once per shape and memoized. All of a class's state,
-its history registers (previous page, distance, packed key) included,
-lives in one dict; the loop loads it into locals on entry and stores
-the scalars back on exit, which is what lets a loop stop anywhere and
-continue later.
+and its prefetch buffer. MP, DP, DP-PC and DP-2 share the paper's
+r-row, s-slot prediction table and differ only in what keys a row and
+what a slot holds, so one emitter (:func:`_emit_slot_table`) writes all
+four loops over one of four table layouts (:func:`_layout`): an
+unbounded ``dict``, per-set insertion-ordered dicts (``sets``, first
+key = LRU), direct-mapped slot lists (``dm``), or direct-mapped
+two-slot rows as flat parallel arrays (``dm2``). The prefetch buffer is
+an insertion-ordered dict with a local population counter, and the
+statistics are plain integer counters. Every constant (rows, ways,
+slots, buffer capacity, clamp, warm-up boundary, degrees) is inlined
+as a literal, and the source is ``compile()``d once per shape and
+memoized. All of a class's state lives in one dict, its history and
+adaptation registers under the live-field names its snapshot class
+declares (``prev_page``, ``prev_distance``, ``prev_key``, ``degree``,
+...); the loop loads it into locals on entry and stores the scalars
+back on exit, which is what lets a loop stop anywhere and continue
+later.
 
 Batches add two exact optimizations on top:
 
@@ -74,6 +80,7 @@ import weakref
 import numpy as np
 
 from repro.ckpt.snapshots import (
+    SNAPSHOT_KINDS,
     BufferSnapshot,
     MechanismSnapshot,
     TableSnapshot,
@@ -316,20 +323,27 @@ def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
 def _layout(sig: tuple) -> str:
     """How a table class's state is laid out, for codegen and snapshots.
 
-    ``dict``: one unbounded dict (collapsed never-overflow geometry);
-    ``sets``: per-set insertion-ordered dicts; ``stride_dm`` /
-    ``markov_dm2`` / ``dm``: direct-mapped flat parallel arrays.
+    Chosen from geometry and slot count alone. The slot-list tables
+    (MP, DP, DP-PC, DP-2) take one of four layouts:
+
+    - ``dict``: one unbounded dict (collapsed never-overflow geometry);
+    - ``sets``: per-set insertion-ordered dicts (first key = LRU);
+    - ``dm``: direct-mapped, parallel ``tag``/``sl`` arrays, one slot
+      list per row;
+    - ``dm2``: direct-mapped two-slot rows as parallel
+      ``tag``/``cn``/``ma``/``mb`` arrays (count, MRU slot, LRU slot).
+
+    ASP's stride rows hold no slot count; direct-mapped, they take
+    ``stride_dm`` (parallel ``tag``/``ppg``/``str``/``sst`` arrays).
     """
-    family, geom = sig[0], sig[2]
+    slots, geom = sig[1], sig[2]
     if geom is None:
         return "dict"
     if geom[1] != 1:
         return "sets"
-    if family == "stride":
+    if not slots:
         return "stride_dm"
-    if family == "markov":
-        return "markov_dm2" if sig[1][0] == 2 else "dm"
-    return "dm" if family == "distance" else "sets"
+    return "dm2" if slots == (2,) else "dm"
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +395,6 @@ def _insert_lines(pad: str, var: str, cap: int) -> list[str]:
     ]
 
 
-def _prefetch_lines(pad: str, cap: int, clamp: int) -> list[str]:
-    """Clamp the materialized ``pf`` list and install every target."""
-    lines = [f"{pad}if pf:"]
-    if clamp:
-        lines += [
-            f"{pad}    if len(pf) > {clamp}:",
-            f"{pad}        pf = pf[:{clamp}]",
-        ]
-    lines.append(f"{pad}    for tg in pf:")
-    lines.extend(_insert_lines(pad + "        ", "tg", cap))
-    return lines
-
-
 def _render(out: list[str], template: str, base: str, subs: dict, cap: int):
     """Splice a body template into ``out`` at indentation ``base``."""
     text = template
@@ -415,17 +416,17 @@ hit = bp(page, 0) is None
 if hit:
     bn -= 1
 @HIT_COUNT@
-wm += 1
-wh += hit
-if wm >= @WINDOW@:
-    hr = wh / wm
+window_misses += 1
+window_hits += hit
+if window_misses >= @WINDOW@:
+    hr = window_hits / window_misses
     if hr > @RAISE@:
-        deg = min(deg * 2, @MAXD@)
+        degree = min(degree * 2, @MAXD@)
     elif hr < @LOWER@:
-        deg = max(deg // 2, 1)
-    wm = 0
-    wh = 0
-iss += deg
+        degree = max(degree // 2, 1)
+    window_misses = 0
+    window_hits = 0
+iss += degree
 for of in range(1, @EFF@ + 1):
     t = page + of
     @INSERT:t@
@@ -531,11 +532,6 @@ def _bind_set(num_sets: int, key: str, out: list[str], prologue: list[str]) -> N
         out.append(f"ts = sets[{_mod(key, num_sets)}]")
 
 
-#: The per-miss page-history prelude of MP and the DP family: ``lp`` is
-#: the previous miss's page (``None`` on the first miss).
-_LAST_PAGE = ("lp = last_page", "last_page = page")
-
-
 def _emit_none(sig, warmup):
     # Null never installs; it only probes whatever a seeded buffer
     # holds (a fresh one stays empty).
@@ -576,11 +572,11 @@ def _emit_aseq(sig, warmup):
             "@RAISE@": repr(raise_above),
             "@LOWER@": repr(lower_below),
             "@MAXD@": maxd,
-            "@EFF@": "deg" if not clamp else f"min(deg, {clamp})",
+            "@EFF@": "degree" if not clamp else f"min(degree, {clamp})",
         },
         cap,
     )
-    return ("deg", "wm", "wh"), [], out
+    return (), [], out
 
 
 def _emit_stride(sig, warmup):
@@ -622,332 +618,183 @@ def _emit_stride(sig, warmup):
     return ("sets",), prologue, out
 
 
-def _emit_markov(sig, warmup):
-    """MP: lookup and install, then the successor update.
-
-    The install loop iterates the *live* slot list captured at lookup
-    time, before the successor update runs — exactly the reference
-    engine's materialize-at-predict semantics (buffer inserts never
-    touch the table, so running them first is unobservable). The update
-    runs under the self-successor rule: a page is never its own
-    successor.
-    """
-    (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
-    layout = _layout(sig)
-    prologue: list[str] = []
-    out = [*_LAST_PAGE, *_probe_lines("", "page", warmup)]
-    update = _successor_update(slots).replace("@VALUE@", "page")
-    upd: list[str] = []
-    # Two slots (the paper's standard MP geometry) unrolls the install:
-    # no iterator and no clamp copy. A clamp >= 2 is a no-op for two
-    # slots; clamp == 1 just omits the second install (``issued`` still
-    # counts the full slot list, matching the reference engine).
-    two = slots == 2
-    second = clamp != 1
-    if layout == "dict":
-        prologue.append("dg = dt.get")
-        out.append("pf = dg(page)")
-        if two:
-            out.append("if pf is None:")
-            out.append("    dt[page] = []")
-            out.append("elif pf:")
-            out.append("    n = len(pf)")
-            out.append("    iss += n")
-            out.append("    tg = pf[0]")
-            out.extend(_insert_lines("    ", "tg", cap))
-            if second:
-                out.append("    if n > 1:")
-                out.append("        tg = pf[1]")
-                out.extend(_insert_lines("        ", "tg", cap))
-        else:
-            out.append("if pf is not None:")
-            out.append("    iss += len(pf)")
-            out.append("else:")
-            out.append("    dt[page] = []")
-            out.append("    pf = ()")
-            out.extend(_prefetch_lines("", cap, clamp))
-        upd.append("sc = dg(lp)")
-        upd.append("if sc is None:")
-        upd.append("    sc = []")
-        upd.append("    dt[lp] = sc")
-        names: tuple = ("dt",)
-    elif layout == "markov_dm2":
-        # Direct-mapped two-slot rows packed into parallel flat arrays
-        # (count, MRU successor, LRU successor) instead of one heap
-        # list per row: no per-row allocations, and the MRU update is
-        # three subscript stores. Same observable trajectory as the
-        # list form — [v] is (1, v, _) and [a, b] is (2, a, b).
-        rows = geom[0]
-        out.append(f"r = {_mod('page', rows)}")
-        out.append("if tag[r] == page:")
-        out.append("    n = cn[r]")
-        out.append("    if n:")
-        out.append("        iss += n")
-        out.append("        tg = ma[r]")
-        out.extend(_insert_lines("        ", "tg", cap))
-        if second:
-            out.append("        if n > 1:")
-            out.append("            tg = mb[r]")
-            out.extend(_insert_lines("            ", "tg", cap))
-        out.append("else:")
-        out.append("    tag[r] = page")
-        out.append("    cn[r] = 0")
-        upd.append(f"pr = {_mod('lp', rows)}")
-        upd.append("if tag[pr] != lp:")
-        upd.append("    tag[pr] = lp")
-        upd.append("    ma[pr] = page")
-        upd.append("    cn[pr] = 1")
-        upd.append("elif cn[pr] == 0:")
-        upd.append("    ma[pr] = page")
-        upd.append("    cn[pr] = 1")
-        upd.append("elif ma[pr] != page:")
-        upd.append("    mb[pr] = ma[pr]")
-        upd.append("    ma[pr] = page")
-        upd.append("    cn[pr] = 2")
-        names = ("tag", "cn", "ma", "mb")
-    elif layout == "dm":
-        # Direct-mapped: tags start at an unmatchable None sentinel, so
-        # no separate occupancy array is consulted in the hot path.
-        rows = geom[0]
-        out.append(f"r = {_mod('page', rows)}")
-        out.append("if tag[r] == page:")
-        out.append("    pf = sl[r]")
-        out.append("    iss += len(pf)")
-        out.append("else:")
-        out.append("    tag[r] = page")
-        out.append("    sl[r] = []")
-        out.append("    pf = ()")
-        out.extend(_prefetch_lines("", cap, clamp))
-        upd.append(f"pr = {_mod('lp', rows)}")
-        upd.append("if tag[pr] == lp:")
-        upd.append("    sc = sl[pr]")
-        upd.append("else:")
-        upd.append("    tag[pr] = lp")
-        upd.append("    sc = []")
-        upd.append("    sl[pr] = sc")
-        names = ("tag", "sl")
-    else:
-        rows, ways = geom
-        num_sets = rows // ways
-        _bind_set(num_sets, "page", out, prologue)
-        if num_sets == 1:
-            ps = "ts"
-        else:
-            upd.append(f"ps = sets[{_mod('lp', num_sets)}]")
-            ps = "ps"
-        out.append("pf = ts.pop(page, None)")
-        if two:
-            out.append("if pf is not None:")
-            out.append("    ts[page] = pf")
-            out.append("    if pf:")
-            out.append("        n = len(pf)")
-            out.append("        iss += n")
-            out.append("        tg = pf[0]")
-            out.extend(_insert_lines("        ", "tg", cap))
-            if second:
-                out.append("        if n > 1:")
-                out.append("            tg = pf[1]")
-                out.extend(_insert_lines("            ", "tg", cap))
-            out.append("else:")
-            out.append(f"    if len(ts) >= {ways}:")
-            out.append("        del ts[next(iter(ts))]")
-            out.append("    ts[page] = []")
-        else:
-            out.append("if pf is not None:")
-            out.append("    ts[page] = pf")
-            out.append("    iss += len(pf)")
-            out.append("else:")
-            out.append(f"    if len(ts) >= {ways}:")
-            out.append("        del ts[next(iter(ts))]")
-            out.append("    ts[page] = []")
-            out.append("    pf = ()")
-            out.extend(_prefetch_lines("", cap, clamp))
-        upd.append(f"sc = {ps}.pop(lp, None)")
-        upd.append("if sc is not None:")
-        upd.append(f"    {ps}[lp] = sc")
-        upd.append("else:")
-        upd.append(f"    if len({ps}) >= {ways}:")
-        upd.append(f"        del {ps}[next(iter({ps}))]")
-        upd.append("    sc = []")
-        upd.append(f"    {ps}[lp] = sc")
-        names = ("sets",)
-    if layout != "markov_dm2":
-        _render(upd, update, "", {}, cap)
-    out.append("if lp is not None and lp != page:")
-    out.extend("    " + line for line in upd)
-    return names, prologue, out
-
-
-def _materialize_targets():
-    """Targets are materialized before the successor update: when the
-    updated key aliases the looked-up row, the update mutates the live
-    slot list (the reference engine snapshots values first)."""
-    return [
-        "pf = []",
-        "for pd_ in row:",
-        "    t = page + pd_",
-        "    if t >= 0:",
-        "        pf.append(t)",
-        "        iss += 1",
-    ]
-
-
-def _hit_targets(cap, clamp, slots=0):
-    """The hit path's target handling for keyed (distance-valued) rows.
-
-    With no clamp, installs fuse into the materialize loop: the live
-    row is iterated at lookup time (before the successor update can
-    mutate it) and each non-negative target goes straight into the
-    buffer — no intermediate list. A clamp needs the full list first
-    because ``issued`` counts pre-clamp targets. Two-slot rows (the
-    standard geometry) unroll the loop entirely.
-    """
-    if clamp:
-        return ["    " + line for line in _materialize_targets()]
-    if slots == 2:
-        lines = [
-            "    if row:",
-            "        t = page + row[0]",
-            "        if t >= 0:",
-            "            iss += 1",
-        ]
-        lines.extend(_insert_lines("            ", "t", cap))
-        lines += [
-            "        if len(row) > 1:",
-            "            t = page + row[1]",
-            "            if t >= 0:",
-            "                iss += 1",
-        ]
-        lines.extend(_insert_lines("                ", "t", cap))
-        return lines
-    lines = [
-        "    for pd_ in row:",
-        "        t = page + pd_",
-        "        if t >= 0:",
-        "            iss += 1",
-    ]
-    lines.extend(_insert_lines("            ", "t", cap))
-    return lines
-
-
-#: Per-miss prelude of each DP-family table, run once a previous page
-#: exists: ``(lookup key, previous key, lines)``. The key is the
-#: distance (DP) or a packed key (DP-PC: PC and distance; DP-2: the
-#: last two distances, so DP-2's table body also waits for a previous
-#: distance). The successor *value* recorded is always the distance.
-_KEYED_PRELUDES: dict[str, tuple[str, str, tuple[str, ...]]] = {
-    "distance": ("distance", "pd", ("pd = last_dist", "last_dist = distance")),
-    "pcdist": (
-        "kpc",
-        "pkc",
-        ("kpc = pack_pc_distance(pc, distance)", "pkc = last_kpc", "last_kpc = kpc"),
-    ),
-    "distpair": (
-        "dpk",
-        "pk2",
-        (
-            "pd = last_dist",
-            "last_dist = distance",
-            "if pd is not None:",
-            "    dpk = pack_distance_pair(pd, distance)",
-            "    pk2 = last_dpk",
-            "    last_dpk = dpk",
-        ),
-    ),
+#: Slot-list tables, the paper's r-row, s-slot prediction table (Table
+#: 1): ``(lookup key, previous key, successor value, update guard,
+#: target base, prelude)``. The prelude runs once per miss and binds the
+#: keys; the table body runs at its last line's indentation, under its
+#: guards. A slot value ``v`` issues ``v`` (MP) or ``base + v`` when that
+#: is non-negative (the DP family, whose slots hold distances). The
+#: update guard keeps a page from being its own successor in MP; the
+#: DP family only needs a previous key.
+_DISTANCE = ("if lp is not None:", "    distance = page - lp")
+_SLOT_TABLES: dict[str, tuple[str, str, str, str, str | None, tuple[str, ...]]] = {
+    "markov": ("page", "lp", "page", "lp is not None and lp != page", None, ()),
+    "distance": ("distance", "pd", "distance", "pd is not None", "page", (
+        *_DISTANCE,
+        "    pd = prev_distance",
+        "    prev_distance = distance",
+    )),
+    "pcdist": ("kpc", "pkc", "distance", "pkc is not None", "page", (
+        *_DISTANCE,
+        "    kpc = pack_pc_distance(pc, distance)",
+        "    pkc = prev_key",
+        "    prev_key = kpc",
+    )),
+    "distpair": ("dpk", "pk2", "distance", "pk2 is not None", "page", (
+        *_DISTANCE,
+        "    pd = prev_distance",
+        "    prev_distance = distance",
+        "    if pd is not None:",
+        "        dpk = pack_distance_pair(pd, distance)",
+        "        pk2 = prev_key",
+        "        prev_key = dpk",
+    )),
 }
 
 
-def _emit_keyed_table(sig, warmup):
-    """DP / DP-PC / DP-2: buffer probe, key prelude, table body.
+def _slot_targets(count, values, base, cap, clamp) -> list[str]:
+    """A hit's prefetches: the slots' targets, counted and installed.
 
-    Every keyed class probes the buffer on every miss; the table body
-    runs under its family's prelude (:data:`_KEYED_PRELUDES`).
+    ``values`` is either the two slot expressions of a two-slot row
+    (unrolled, ``count`` its occupancy) or the name of a slot list to
+    iterate. Installs run at lookup time, before the successor update
+    can mutate the row; buffer inserts never touch the table, so this
+    is the reference engine's materialize-at-predict order. A clamp
+    collects the targets first, because ``issued`` counts every one.
+    """
+    take = ["pf.append(tg)"] if clamp else _insert_lines("", "tg", cap)
+
+    def target(value):
+        if base is None:
+            return [f"tg = {value}", "iss += 1", *take]
+        return [
+            f"tg = {base} + {value}",
+            "if tg >= 0:",
+            "    iss += 1",
+            *("    " + line for line in take),
+        ]
+
+    if isinstance(values, tuple):
+        first, second = values
+        lines = [f"n = {count}", "if n:"]
+        lines += ["    " + line for line in target(first)]
+        lines.append("    if n > 1:")
+        lines += ["        " + line for line in target(second)]
+    else:
+        lines = [f"for sv in {values}:"]
+        lines += ["    " + line for line in target("sv")]
+    if clamp:
+        lines = ["pf = []", *lines, f"for tg in pf[:{clamp}]:"]
+        lines += _insert_lines("    ", "tg", cap)
+    return lines
+
+
+def _emit_slot_table(sig, warmup):
+    """MP / DP / DP-PC / DP-2: the one slot-list table emitter.
+
+    Buffer probe, the family's prelude (:data:`_SLOT_TABLES`), then the
+    table body in the class's layout (:func:`_layout`): look the key up,
+    install a hit's targets or allocate an empty row, and record the
+    successor value in the previous key's row (MRU first).
     """
     family = sig[0]
     (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
-    key_var, prev_var, prelude = _KEYED_PRELUDES[family]
+    key, prev, value, guard, base, prelude = _SLOT_TABLES[family]
     layout = _layout(sig)
-    prologue: list[str] = []
-    update = _successor_update(slots).replace("@VALUE@", "distance")
-    hit = _hit_targets(cap, clamp, slots)
-    out: list[str] = []
-
-    def miss_and_install():
-        # With a clamp the hit path materializes pf; the miss path
-        # must define it and the shared install block runs afterwards.
-        if clamp:
-            out.append("    pf = ()")
-
-    if layout == "dict":
-        out.append(f"row = dt.get({key_var})")
-        out.append("if row is not None:")
-        out.extend(hit)
-        out.append("else:")
-        out.append(f"    dt[{key_var}] = []")
-        miss_and_install()
-        out.append(f"if {prev_var} is not None:")
-        out.append(f"    sc = dt.get({prev_var})")
-        out.append("    if sc is None:")
-        out.append("        sc = []")
-        out.append(f"        dt[{prev_var}] = sc")
-        names: tuple = ("dt",)
-    elif layout == "dm":
-        # DP direct-mapped: flat arrays; tags start at an unmatchable
-        # None sentinel (distances may be any integer, so no integer
-        # sentinel is safe).
-        rows = geom[0]
-        out.append(f"r = {_mod('distance', rows)}")
-        out.append("if tag[r] == distance:")
-        out.append("    row = sl[r]")
-        out.extend(hit)
-        out.append("else:")
-        out.append("    tag[r] = distance")
-        out.append("    sl[r] = []")
-        miss_and_install()
-        out.append(f"if {prev_var} is not None:")
-        out.append(f"    pr = {_mod(prev_var, rows)}")
-        out.append(f"    if tag[pr] == {prev_var}:")
-        out.append("        sc = sl[pr]")
-        out.append("    else:")
-        out.append(f"        tag[pr] = {prev_var}")
-        out.append("        sc = []")
-        out.append("        sl[pr] = sc")
-        names = ("tag", "sl")
+    if clamp >= slots:
+        # A row yields at most ``slots`` targets: the clamp never binds.
+        clamp = 0
+    if layout == "dm2":
+        hit = _slot_targets("cn[r]", ("ma[r]", "mb[r]"), base, cap, clamp)
     else:
+        values = ("row[0]", "row[1]") if slots == 2 else "row"
+        hit = _slot_targets("len(row)", values, base, cap, clamp)
+    prologue: list[str] = []
+    out: list[str] = []
+    if layout == "dict":
+        prologue.append("dg = dt.get")
+        out.append(f"row = dg({key})")
+        out.append("if row is None:")
+        out.append(f"    dt[{key}] = []")
+        out.append("else:")
+        upd = [f"sc = dg({prev})", "if sc is None:", "    sc = []", f"    dt[{prev}] = sc"]
+        names: tuple = ("dt",)
+    elif layout == "sets":
         rows, ways = geom
         num_sets = rows // ways
-        _bind_set(num_sets, key_var, out, prologue)
-        ps = "ts" if num_sets == 1 else "ps"
-        out.append(f"row = ts.pop({key_var}, None)")
-        out.append("if row is not None:")
-        out.append(f"    ts[{key_var}] = row")
-        out.extend(hit)
-        out.append("else:")
+        _bind_set(num_sets, key, out, prologue)
+        out.append(f"row = ts.pop({key}, None)")
+        out.append("if row is None:")
         out.append(f"    if len(ts) >= {ways}:")
         out.append("        del ts[next(iter(ts))]")
-        out.append(f"    ts[{key_var}] = []")
-        miss_and_install()
-        out.append(f"if {prev_var} is not None:")
-        if num_sets != 1:
-            out.append(f"    ps = sets[{_mod(prev_var, num_sets)}]")
-        out.append(f"    sc = {ps}.pop({prev_var}, None)")
-        out.append("    if sc is not None:")
-        out.append(f"        {ps}[{prev_var}] = sc")
-        out.append("    else:")
-        out.append(f"        if len({ps}) >= {ways}:")
-        out.append(f"            del {ps}[next(iter({ps}))]")
-        out.append("        sc = []")
-        out.append(f"        {ps}[{prev_var}] = sc")
+        out.append(f"    ts[{key}] = []")
+        out.append("else:")
+        out.append(f"    ts[{key}] = row")
+        ps = "ts" if num_sets == 1 else "ps"
+        upd = [] if num_sets == 1 else [f"ps = sets[{_mod(prev, num_sets)}]"]
+        upd += [
+            f"sc = {ps}.pop({prev}, None)",
+            "if sc is not None:",
+            f"    {ps}[{prev}] = sc",
+            "else:",
+            f"    if len({ps}) >= {ways}:",
+            f"        del {ps}[next(iter({ps}))]",
+            "    sc = []",
+            f"    {ps}[{prev}] = sc",
+        ]
         names = ("sets",)
-    _render(out, update, "    ", {}, cap)
-    if clamp:
-        out.extend(_prefetch_lines("", cap, clamp))
-    # DP-2's table body runs under its prelude's previous-distance guard.
-    pad = "        " if family == "distpair" else "    "
-    body = [*_LAST_PAGE, *_probe_lines("", "page", warmup)]
-    body += ["if lp is not None:", "    distance = page - lp"]
-    body += ["    " + line for line in prelude]
-    body += [pad + line for line in out]
+    else:
+        # Direct-mapped: tags start at an unmatchable None sentinel
+        # (distances may be any integer), so no occupancy array is
+        # consulted in the hot path.
+        rows = geom[0]
+        out.append(f"r = {_mod(key, rows)}")
+        out.append(f"if tag[r] != {key}:")
+        out.append(f"    tag[r] = {key}")
+        if layout == "dm2":
+            # Two-slot rows as flat (count, MRU, LRU) arrays: no
+            # per-row list, and the MRU update is subscript stores.
+            # [v] is (1, v, _) and [a, b] is (2, a, b).
+            out.append("    cn[r] = 0")
+            out.append("else:")
+            upd = [
+                f"pr = {_mod(prev, rows)}",
+                f"if tag[pr] != {prev}:",
+                f"    tag[pr] = {prev}",
+                f"    ma[pr] = {value}",
+                "    cn[pr] = 1",
+                "elif cn[pr] == 0:",
+                f"    ma[pr] = {value}",
+                "    cn[pr] = 1",
+                f"elif ma[pr] != {value}:",
+                "    mb[pr] = ma[pr]",
+                f"    ma[pr] = {value}",
+                "    cn[pr] = 2",
+            ]
+            names = ("tag", "cn", "ma", "mb")
+        else:
+            out.append("    sl[r] = []")
+            out.append("else:")
+            out.append("    row = sl[r]")
+            upd = [
+                f"pr = {_mod(prev, rows)}",
+                f"if tag[pr] == {prev}:",
+                "    sc = sl[pr]",
+                "else:",
+                f"    tag[pr] = {prev}",
+                "    sc = []",
+                "    sl[pr] = sc",
+            ]
+            names = ("tag", "sl")
+    out.extend("    " + line for line in hit)
+    if layout != "dm2":
+        upd += _successor_update(slots).replace("@VALUE@", value).splitlines()
+    out.append(f"if {guard}:")
+    out.extend("    " + line for line in upd)
+    # The table body runs under the prelude's innermost guard.
+    depth = len(prelude[-1]) - len(prelude[-1].lstrip()) if prelude else 0
+    body = ["lp = prev_page", "prev_page = page", *_probe_lines("", "page", warmup)]
+    body += [*prelude, *(" " * depth + line for line in out)]
     return names, prologue, body
 
 
@@ -993,24 +840,21 @@ _EMITTERS = {
     "seq": _emit_seq,
     "aseq": _emit_aseq,
     "stride": _emit_stride,
-    "markov": _emit_markov,
-    "distance": _emit_keyed_table,
-    "pcdist": _emit_keyed_table,
-    "distpair": _emit_keyed_table,
+    "markov": _emit_slot_table,
+    "distance": _emit_slot_table,
+    "pcdist": _emit_slot_table,
+    "distpair": _emit_slot_table,
     "recency": _emit_recency,
 }
 
-#: History registers a class keeps in its state dict (all ``None`` in a
-#: fresh replay): snapshot field -> register, per family.
-_REGISTERS: dict[str, tuple[tuple[str, str], ...]] = {
-    "markov": (("prev_page", "last_page"),),
-    "distance": (("prev_page", "last_page"), ("prev_distance", "last_dist")),
-    "pcdist": (("prev_page", "last_page"), ("prev_key", "last_kpc")),
-    "distpair": (
-        ("prev_page", "last_page"),
-        ("prev_distance", "last_dist"),
-        ("prev_key", "last_dpk"),
-    ),
+#: Family -> the live fields its snapshot class declares
+#: (:attr:`~repro.ckpt.snapshots.MechanismSnapshot.live`: field ->
+#: instance attribute). The loop keeps each field in a state entry and a
+#: local register of the same name.
+_LIVE: dict[str, dict[str, str]] = {
+    _FAMILIES[cls.mechanism]: cls.live
+    for cls in SNAPSHOT_KINDS.values()
+    if issubclass(cls, MechanismSnapshot)
 }
 
 
@@ -1025,7 +869,7 @@ def _generate(warmup: int, sig: tuple) -> str:
     """
     family = sig[0]
     names, prologue, body = _EMITTERS[family](sig, warmup)
-    names = _BUFFER + names + tuple(reg for _, reg in _REGISTERS.get(family, ()))
+    names = _BUFFER + names + tuple(_LIVE[family])
     pad = "    "
     lines = [
         # Hot-loop names bound as defaults: LOAD_FAST instead of
@@ -1096,15 +940,18 @@ def _compiled(warmup: int, sig: tuple):
 
 def _slot_state(
     sig: tuple,
-    mechanism: MechanismSnapshot | None = None,
+    mechanism: MechanismSnapshot | Prefetcher,
     buffer: BufferSnapshot | None = None,
     buffer_keys: list[int] | None = None,
 ) -> dict:
-    """One class's loop state: fresh, or seeded from snapshots.
+    """One class's loop state, seeded from ``mechanism`` and ``buffer``.
 
-    History registers start as ``None`` or as the snapshot's fields
-    (:data:`_REGISTERS`). ``buffer_keys`` replaces ``buffer.pages`` when the loop keys its
-    buffer by something other than page numbers (RP's dense ids).
+    ``mechanism`` is a canonical snapshot, or a fresh instance (a
+    batch's class representative, whose tables are empty). Either way
+    the registers are the live fields its family's snapshot declares
+    (:data:`_LIVE`). ``buffer_keys`` replaces ``buffer.pages`` when the
+    loop keys its buffer by something other than page numbers (RP's
+    dense ids).
     """
     state = {"buf": {}, "bn": 0, "pb": 0, "iss": 0, "ins": 0, "rf": 0, "ev": 0}
     if buffer is not None:
@@ -1117,19 +964,11 @@ def _slot_state(
             ev=buffer.evicted_unused,
         )
     family = sig[0]
-    if family == "aseq":
-        if mechanism is None:
-            state.update(deg=1, wm=0, wh=0)
-        else:
-            state.update(
-                deg=mechanism.degree,
-                wm=mechanism.window_misses,
-                wh=mechanism.window_hits,
-            )
-    elif family in _TABLE_FAMILIES:
-        state.update(_table_state(sig, None if mechanism is None else mechanism.table))
-    for field, register in _REGISTERS.get(family, ()):
-        state[register] = None if mechanism is None else getattr(mechanism, field)
+    snapshot = isinstance(mechanism, MechanismSnapshot)
+    for field, attribute in _LIVE[family].items():
+        state[field] = getattr(mechanism, field if snapshot else attribute)
+    if family in _TABLE_FAMILIES:
+        state.update(_table_state(sig, mechanism.table if snapshot else None))
     return state
 
 
@@ -1155,7 +994,7 @@ def _table_state(sig: tuple, table: TableSnapshot | None) -> dict:
         for row, (_, (prev_page, stride, state)) in occupied:
             prev_pages[row], strides[row], states[row] = prev_page, stride, state
         return {"tag": tag, "ppg": prev_pages, "str": strides, "sst": states}
-    if layout == "markov_dm2":
+    if layout == "dm2":
         counts, first, second = bytearray(rows), [0] * rows, [0] * rows
         for row, (_, payload) in occupied:
             counts[row] = len(payload)
@@ -1185,7 +1024,7 @@ def _table_sets(sig: tuple, state: dict) -> list:
             [[key, [prev_pages[row], strides[row], states[row]]]] if key is not None else []
             for row, key in enumerate(tag)
         ]
-    if layout == "markov_dm2":
+    if layout == "dm2":
         counts, first, second = state["cn"], state["ma"], state["mb"]
         return [
             [[key, [first[row], second[row]][: counts[row]]]] if key is not None else []
@@ -1384,8 +1223,9 @@ def replay_batch(
 
     class_of: dict[tuple, int] = {}
     emit_sigs: list[tuple] = []
+    representatives: list[Prefetcher] = []
     slot_class: list[int] = []
-    for plan in plans:
+    for plan, (prefetcher, _, _) in zip(plans, requests):
         cache_key = (plan.family, plan.config, plan.cap, plan.clamp)
         cached = analysis.sigs.get(cache_key)
         if cached is None:
@@ -1397,6 +1237,7 @@ def replay_batch(
             index = len(emit_sigs)
             class_of[dedup_sig] = index
             emit_sigs.append(emit_sig)
+            representatives.append(prefetcher)
         slot_class.append(index)
 
     rp: tuple = ((), (), (), ())
@@ -1409,11 +1250,11 @@ def replay_batch(
         *rp, rp_overhead = analysis.rp
 
     rows = []
-    for sig in emit_sigs:
+    for sig, representative in zip(emit_sigs, representatives):
         if sig[0] == "zero":
             rows.append((0, 0, 0, 0, 0, 0))
             continue
-        state = _slot_state(sig)
+        state = _slot_state(sig, representative)
         _compiled(miss_trace.warmup_misses, sig)(state, 0, pcs, pages, *rp)
         rows.append((
             state["pb"],
@@ -1569,16 +1410,11 @@ class ReplayKernel:
             "overhead_ops_total": overhead,
             "last_overhead_ops": last_overhead,
         }
-        if family == "aseq":
-            changes.update(
-                degree=state["deg"], window_misses=state["wm"], window_hits=state["wh"]
-            )
-        elif family in _TABLE_FAMILIES:
+        changes.update((field, state[field]) for field in type(seed).live)
+        if family in _TABLE_FAMILIES:
             changes["table"] = dataclasses.replace(
                 seed.table, sets=_table_sets(self._sig, state)
             )
-            for field, register in _REGISTERS.get(family, ()):
-                changes[field] = state[register]
         elif family == "recency":
             changes.update(self._recency_fields())
         return dataclasses.replace(seed, **changes)

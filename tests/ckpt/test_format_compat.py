@@ -3,7 +3,7 @@
 Checkpoints are content-addressed and bookmarks name their state by
 digest, so the bytes a snapshot encodes to are part of the on-disk
 contract. These tests pin the ``sha256`` of ``to_bytes()`` for every
-mechanism kind, the prefetch buffer, the TLB and whole sessions after
+mechanism kind, the prefetch buffer and whole sessions after
 one fixed history, and resume bookmarks written in the two record
 layouts earlier releases stored (run continuations and ``/streams``
 sessions) straight into the store.
@@ -19,14 +19,12 @@ from repro.ckpt import (
     blob_digest,
     snapshot_buffer,
     snapshot_prefetcher,
-    snapshot_tlb,
 )
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
 from repro.service.server import ExperimentService
 from repro.store import ExperimentStore
 from repro.tlb.prefetch_buffer import PrefetchBuffer
-from repro.tlb.tlb import TLB
 
 SCALE = 0.02
 
@@ -109,7 +107,6 @@ SESSIONS = {
 }
 
 BUFFER_SHA = "17d686a3c78931556a1aa84ceb75f78d03e3f79ad4d56e178de681d58cf51c57"
-TLB_SHA = "8866233650de67f49bd9b4ae7e3c8d6a1dfa5bd44a937c45bf3befcc0ab1e5fc"
 
 
 @pytest.mark.parametrize("family", sorted(MECHANISMS))
@@ -129,13 +126,6 @@ def test_buffer_bytes_are_pinned():
         else:
             buffer.insert(page + pc)
     assert _sha(snapshot_buffer(buffer)) == BUFFER_SHA
-
-
-def test_tlb_bytes_are_pinned():
-    tlb = TLB(entries=16, ways=4)
-    for _, page, _, _ in _events():
-        tlb.access(page)
-    assert _sha(snapshot_tlb(tlb)) == TLB_SHA
 
 
 @pytest.fixture(scope="module")

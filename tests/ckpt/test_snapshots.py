@@ -22,17 +22,14 @@ from repro.ckpt import (
     StateSnapshot,
     restore_buffer,
     restore_prefetcher,
-    restore_tlb,
     snapshot_buffer,
     snapshot_prefetcher,
-    snapshot_tlb,
 )
 from repro.errors import CkptError
 from repro.prefetch.adaptive_sequential import AdaptiveSequentialPrefetcher
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
 from repro.tlb.prefetch_buffer import PrefetchBuffer
-from repro.tlb.tlb import TLB
 
 #: (name, params) for every snapshot-able family; tables kept tiny so
 #: short fuzzed histories still cause evictions and LRU churn.
@@ -114,26 +111,6 @@ def test_snapshot_bytes_round_trip_exactly(name, params, history):
     assert type(recovered) is type(snap)
     assert recovered == snap
     assert recovered.digest() == snap.digest()
-
-
-@given(
-    pages=st.lists(st.integers(0, 200), max_size=80),
-    continuation=st.lists(st.integers(0, 200), max_size=40),
-    entries=st.sampled_from([4, 8, 64]),
-    ways=st.sampled_from([0, 2, 4]),
-)
-@settings(max_examples=40, deadline=None)
-def test_tlb_snapshot_round_trip(pages, continuation, entries, ways):
-    tlb = TLB(entries=entries, ways=ways)
-    for page in pages:
-        tlb.access(page)
-    twin = TLB(entries=entries, ways=ways)
-    restore_tlb(snapshot_tlb(tlb), twin)
-    assert twin.resident_pages() == tlb.resident_pages()
-    assert (twin.hits, twin.misses) == (tlb.hits, tlb.misses)
-    for page in continuation:
-        assert twin.access(page) == tlb.access(page)
-    assert twin.resident_pages() == tlb.resident_pages()
 
 
 @given(
@@ -265,12 +242,6 @@ class TestStrictRestore:
         with pytest.raises(CkptError):
             restore_prefetcher(snap, create_prefetcher("MP", rows=8))
 
-    def test_tlb_shape_mismatch_rejected(self):
-        tlb = TLB(entries=8, ways=2)
-        tlb.access(5)
-        with pytest.raises(CkptError, match="mismatch"):
-            restore_tlb(snapshot_tlb(tlb), TLB(entries=16, ways=2))
-
     def test_buffer_capacity_mismatch_rejected(self):
         buffer = PrefetchBuffer(4)
         buffer.insert(9)
@@ -278,11 +249,11 @@ class TestStrictRestore:
             restore_buffer(snapshot_buffer(buffer), PrefetchBuffer(8))
 
     def test_wrong_kind_bytes_rejected_by_subclass(self):
-        from repro.ckpt import TLBSnapshot
+        from repro.ckpt import BufferSnapshot
 
         blob = snapshot_prefetcher(self._trained("DP", rows=8)).to_bytes()
         with pytest.raises(CkptError, match="kind"):
-            TLBSnapshot.from_bytes(blob)
+            BufferSnapshot.from_bytes(blob)
 
 
 @pytest.mark.parametrize("link", [1, 2], ids=["next", "prev"])
@@ -306,7 +277,7 @@ def test_rp_dangling_link_rejected_at_restore(link):
 def test_every_registered_kind_is_reachable():
     """The registry holds exactly the snapshot kinds the suite fuzzes."""
     assert set(SNAPSHOT_KINDS) == {
-        "table", "tlb", "buffer", "session",
+        "table", "buffer", "session",
         "mech.none", "mech.sp", "mech.asp_seq", "mech.asp", "mech.mp",
         "mech.dp", "mech.dp_pc", "mech.dp2", "mech.rp",
     }

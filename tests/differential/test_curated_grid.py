@@ -73,6 +73,23 @@ def _grid() -> list[RunSpec]:
         RunSpec.of("galgel", "DP", scale=SCALE, warmup_fraction=0.3),
         RunSpec.of("galgel", "DP", scale=SCALE, tlb=TLBConfig(entries=64, ways=4)),
     ]
+    # Direct-mapped slot-table layouts (two-slot rows as flat arrays,
+    # other slot counts as slot lists), on streams whose tables overflow
+    # so a batch keeps the layout too (galgel's DP tables collapse to
+    # one dict), and where the clamp binds: DP on mcf, MP on parser (at
+    # this scale MP issues no prefetch on galgel or mcf).
+    specs += [
+        RunSpec.of("mcf", "DP-PC", scale=SCALE, rows=256, ways=1),
+        RunSpec.of("mcf", "DP-2", scale=SCALE, rows=256, ways=1),
+        RunSpec.of("mcf", "DP", scale=SCALE, max_prefetches_per_miss=1),
+        RunSpec.of(
+            "mcf", "DP", scale=SCALE, max_prefetches_per_miss=1, warmup_fraction=0.3
+        ),
+        RunSpec.of("mcf", "DP", scale=SCALE, slots=1),
+        RunSpec.of("parser", "MP", scale=SCALE, slots=1),
+        RunSpec.of("parser", "MP", scale=SCALE, slots=3),
+        RunSpec.of("parser", "MP", scale=SCALE, max_prefetches_per_miss=1),
+    ]
     return specs
 
 
