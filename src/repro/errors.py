@@ -68,12 +68,11 @@ class CkptError(ReproError):
 
 
 class ObsError(ReproError):
-    """The observability layer's persistent state is unusable.
+    """The observability layer was misconfigured or fed a bad record.
 
-    Raised for a telemetry journal whose SQLite schema does not match
-    ``repro.obs/v1`` (use a fresh file or migrate), for malformed SLO
-    rule definitions, and for corrupt benchmark-history records. Never
-    raised from a metric update — the hot path stays exception-free.
+    Raised for malformed SLO rule definitions, a non-positive watchdog
+    interval, and corrupt benchmark-history records. Never raised from
+    a metric update — the hot path stays exception-free.
     """
 
 

@@ -38,12 +38,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_prometheus,
 )
-from repro.obs.journal import (
-    JOURNAL_FILENAME,
-    OBS_SCHEMA,
-    MetricsJournal,
-    flatten_snapshot,
-)
 from repro.obs.profiling import PhaseProfiler, peak_rss_bytes
 from repro.obs.tracing import (
     COLLECTOR,
@@ -90,11 +84,8 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "ENV_DISABLED",
     "HealthWatchdog",
-    "JOURNAL_FILENAME",
     "MetricFamily",
-    "MetricsJournal",
     "MetricsRegistry",
-    "OBS_SCHEMA",
     "PhaseProfiler",
     "REGISTRY",
     "Rule",
@@ -112,7 +103,6 @@ __all__ = [
     "default_rules",
     "drain_spans",
     "enable_console",
-    "flatten_snapshot",
     "format_compare",
     "get_logger",
     "is_enabled",

@@ -1,13 +1,11 @@
 """The health watchdog: the thread that watches the watchers.
 
-:class:`HealthWatchdog` closes the telemetry loop PR 8 left open. On a
-fixed cadence it (1) asks its owner to refresh scrape-time gauges via
-the ``collect`` hook (queue depth, session counts, SLO gauges), (2)
-persists one registry snapshot into the
-:class:`~repro.obs.journal.MetricsJournal`, (3) periodically prunes
-the journal to its retention budget, and (4) re-evaluates the
-:class:`~repro.obs.rules.RuleEngine` so alerts transition between
-firing and resolved without anyone polling ``GET /healthz``.
+On a fixed cadence :class:`HealthWatchdog` (1) asks its owner to
+refresh scrape-time gauges via the ``collect`` hook (queue depth,
+session counts, SLO gauges), then (2) has the
+:class:`~repro.obs.rules.RuleEngine` sample the series its rules name
+and re-evaluate them, so alerts transition between firing and
+resolved without anyone polling ``GET /healthz``.
 
 :func:`component_health` is the pure half of ``GET /healthz``: it
 folds direct probes (store writable, queue lag, worker leases, live
@@ -27,7 +25,6 @@ import threading
 from typing import Any, Callable
 
 from repro.errors import ObsError
-from repro.obs.journal import MetricsJournal
 from repro.obs.rules import (
     LEASE_OVERDUE_SLO_SECONDS,
     QUEUE_AGE_SLO_SECONDS,
@@ -36,33 +33,26 @@ from repro.obs.rules import (
 
 
 class HealthWatchdog:
-    """Background sampler + alert evaluator over one journal.
+    """Background sampler + alert evaluator over one rule engine.
 
     Args:
-        journal: where snapshots land.
-        engine: the SLO rule engine re-evaluated every tick.
-        interval_seconds: cadence; each tick is collect → record →
-            (occasionally) prune → evaluate.
+        engine: the SLO rule engine sampled and re-evaluated every tick.
+        interval_seconds: cadence; each tick is collect → evaluate.
         collect: optional zero-arg hook run before sampling so gauges
             reflect live state (the service passes its gauge-refresh).
-        prune_every: run :meth:`MetricsJournal.prune` every N ticks.
     """
 
     def __init__(
         self,
-        journal: MetricsJournal,
-        engine: RuleEngine | None = None,
+        engine: RuleEngine,
         interval_seconds: float = 5.0,
         collect: Callable[[], None] | None = None,
-        prune_every: int = 12,
     ) -> None:
         if interval_seconds <= 0:
             raise ObsError(f"interval_seconds must be > 0, got {interval_seconds}")
-        self.journal = journal
         self.engine = engine
         self.interval_seconds = float(interval_seconds)
         self.collect = collect
-        self.prune_every = int(prune_every)
         self.ticks = 0
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -76,12 +66,8 @@ class HealthWatchdog:
         """
         if self.collect is not None:
             self.collect()
-        self.journal.record(now=now)
+        self.engine.evaluate(now=now)
         self.ticks += 1
-        if self.prune_every > 0 and self.ticks % self.prune_every == 0:
-            self.journal.prune(now=now)
-        if self.engine is not None:
-            self.engine.evaluate(now=now)
 
     @property
     def running(self) -> bool:
@@ -98,7 +84,7 @@ class HealthWatchdog:
                 try:
                     self.tick()
                 except sqlite3.ProgrammingError:
-                    return  # journal closed under the watchdog
+                    return  # the collect hook's database closed under us
 
         self._thread = threading.Thread(
             target=loop, name="repro-obs-watchdog", daemon=True

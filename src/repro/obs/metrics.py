@@ -73,8 +73,8 @@ def bucket_quantile(
     the target rank; ``counts`` ends with the +Inf overflow bucket.
 
     Exact enough for p50/p99 dashboards, and stable because the buckets
-    are fixed. :meth:`MetricFamily.summary` and the journal's
-    ``_p50``/``_p99`` rows both use it.
+    are fixed. :meth:`MetricFamily.summary` and the SLO rule engine's
+    ``_p50``/``_p99`` series both use it.
     """
     total = sum(counts)
     if total == 0:

@@ -1,10 +1,11 @@
 """Declarative SLO rules with firing→resolved alert state tracking.
 
-A :class:`Rule` is a threshold over one journal-backed series (or a
-ratio of two): *"the max of ``repro_http_request_seconds_p99`` over
-the last 60 s must stay below 1.0"*. The :class:`RuleEngine` evaluates
-every rule against a :class:`~repro.obs.journal.MetricsJournal` and
-runs each one's alert through a tiny state machine:
+A :class:`Rule` is a threshold over one registry series (or a ratio of
+two): *"the max of ``repro_http_request_seconds_p99`` over the last
+60 s must stay below 1.0"*. The :class:`RuleEngine` samples the series
+its rules name on every :meth:`~RuleEngine.evaluate`, keeps those
+readings in memory for the longest rule window, and runs each rule's
+alert through a tiny state machine:
 
     ok ──breach──▶ firing ──recovery──▶ resolved ──breach──▶ firing …
 
@@ -15,20 +16,30 @@ engine's clock, and the ``repro_alerts_firing`` gauge mirrors the
 firing set so ``GET /metrics`` scrapes see active alerts without
 calling ``GET /alerts``.
 
+Counters and gauges are read under their own name; a histogram
+``<name>`` is read as ``<name>_count`` / ``<name>_sum`` plus the
+interpolated ``<name>_p50`` / ``<name>_p99`` quantiles, so a rule can
+threshold directly on a latency percentile. The window lives and dies
+with the process: a restarted service starts with an empty window, so
+a counter's growth is never measured against a dead process's total.
+
 A rule with *no data in its window* does not fire — an idle service
-with an empty journal is healthy, not alarming. Everything here is
+that has not sampled yet is healthy, not alarming. Everything here is
 observation only: no rule influences results, keys, or checkpoints.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ObsError
 from repro.obs import REGISTRY
-from repro.obs.journal import MetricsJournal
+from repro.obs.metrics import MetricsRegistry, bucket_quantile
 
 _OBS_ALERTS_FIRING = REGISTRY.gauge(
     "repro_alerts_firing",
@@ -43,19 +54,102 @@ _OPS: dict[str, Callable[[float, float], bool]] = {
     "<=": lambda value, threshold: value <= threshold,
 }
 
+#: ``increase`` is computed per label set; the rest fold every value.
+_AGGREGATES: dict[str, Callable[[list[float]], float] | None] = {
+    "last": lambda values: values[-1],
+    "max": max,
+    "min": min,
+    "avg": lambda values: sum(values) / len(values),
+    "increase": None,
+}
+
+#: Quantile series derived from each histogram child at sample time.
+_QUANTILES = ((0.50, "p50"), (0.99, "p99"))
+
+#: One sample: ``(ts, {series: [(labels, value), …]})``.
+_Sample = tuple[float, dict[str, list[tuple[dict[str, str], float]]]]
+
+
+def _flatten(family: dict[str, Any]) -> Iterator[tuple[str, dict[str, str], float]]:
+    """One family snapshot as ``(series, labels, value)`` readings."""
+    name = family["name"]
+    for child in family["series"]:
+        labels = child["labels"]
+        if family["type"] != "histogram":
+            yield name, labels, float(child["value"])
+            continue
+        yield f"{name}_count", labels, float(child["count"])
+        yield f"{name}_sum", labels, float(child["sum"])
+        for q, suffix in _QUANTILES:
+            yield (
+                f"{name}_{suffix}",
+                labels,
+                bucket_quantile(family["bucket_bounds"], child["buckets"], q),
+            )
+
+
+def _labels_match(labels: dict[str, str], want: dict[str, str] | None) -> bool:
+    """Subset match with ``fnmatch`` wildcards in the wanted values.
+
+    ``{"status": "5*"}`` matches any series whose ``status`` label
+    starts with 5 — how the error-ratio SLO selects server errors
+    without enumerating status codes.
+    """
+    if not want:
+        return True
+    for key, pattern in want.items():
+        value = labels.get(key)
+        if value is None or not fnmatch.fnmatchcase(str(value), str(pattern)):
+            return False
+    return True
+
+
+def _aggregate(
+    window: Iterable[_Sample],
+    metric: str,
+    agg: str,
+    labels: dict[str, str] | None,
+    since: float,
+    until: float,
+) -> float | None:
+    """One number over the samples in ``[since, until]``, or ``None``.
+
+    ``increase`` is each label set's newest-minus-oldest value, summed
+    across matching label sets — the windowed growth of a counter.
+    """
+    points = [
+        (child_labels, value)
+        for ts, reading in window
+        if since <= ts <= until
+        for child_labels, value in reading.get(metric, ())
+        if _labels_match(child_labels, labels)
+    ]
+    if not points:
+        return None
+    fold = _AGGREGATES[agg]
+    if fold is not None:
+        return fold([value for _, value in points])
+    first: dict[tuple, float] = {}
+    last: dict[tuple, float] = {}
+    for child_labels, value in points:
+        key = tuple(sorted(child_labels.items()))
+        first.setdefault(key, value)
+        last[key] = value
+    return sum(last[key] - first[key] for key in last)
+
 
 @dataclass(frozen=True)
 class Rule:
-    """One declarative SLO threshold over journal-backed series.
+    """One declarative SLO threshold over registry series.
 
     Args:
         name: stable alert identifier (``service_p99_latency``).
-        metric: flattened journal series name.
+        metric: series name (a histogram's ``<name>_p99`` and so on).
         op: comparison that *fires* the alert (``value op threshold``).
         threshold: the SLO bound.
         window_seconds: trailing window the aggregation covers.
         aggregate: ``last`` / ``max`` / ``min`` / ``avg`` /
-            ``increase`` (see :meth:`MetricsJournal.aggregate`).
+            ``increase`` (each label set's windowed growth, summed).
         labels: label subset filter; values may use ``fnmatch``
             wildcards.
         denominator_metric: when set, the evaluated value is
@@ -96,26 +190,26 @@ class Rule:
                 f"rule {self.name!r}: window_seconds must be > 0, "
                 f"got {self.window_seconds}"
             )
+        if self.aggregate not in _AGGREGATES:
+            raise ObsError(
+                f"rule {self.name!r}: unknown aggregate {self.aggregate!r}; "
+                f"expected one of {tuple(_AGGREGATES)}"
+            )
 
-    def evaluate(
-        self, journal: MetricsJournal, now: float | None = None
-    ) -> float | None:
-        """The rule's current value, or ``None`` when there is no data."""
-        value = journal.aggregate(
-            self.metric,
-            self.window_seconds,
-            agg=self.aggregate,
-            labels=self.labels,
-            now=now,
-        )
+    def evaluate(self, window: Iterable[_Sample], now: float) -> float | None:
+        """The rule's value over the samples of its trailing window at
+        ``now``, or ``None`` when there is no data."""
+        since = now - self.window_seconds
+        value = _aggregate(window, self.metric, self.aggregate, self.labels, since, now)
         if self.denominator_metric is None or value is None:
             return value
-        denominator = journal.aggregate(
+        denominator = _aggregate(
+            window,
             self.denominator_metric,
-            self.window_seconds,
-            agg=self.aggregate,
-            labels=self.denominator_labels,
-            now=now,
+            self.aggregate,
+            self.denominator_labels,
+            since,
+            now,
         )
         if denominator is None or denominator < self.min_denominator:
             return None
@@ -258,43 +352,70 @@ def default_rules(
 
 
 class RuleEngine:
-    """Evaluates a rule set against a journal and tracks alert state.
+    """Samples the series a rule set names and tracks alert state.
 
     Args:
-        journal: the series source.
         rules: the SLO rule set; duplicate names are rejected.
-        clock: time source for transition timestamps; defaults to the
-            journal's clock so injected-clock tests stay consistent.
+        registry: where :meth:`evaluate` reads the rules' series; a
+            disabled registry records nothing.
+        clock: time source for samples and transition timestamps.
 
-    Thread-safe via the GIL discipline of its callers: :meth:`evaluate`
-    is invoked from the watchdog thread *and* from ``GET /healthz``
-    handlers, so state mutation happens under an internal lock.
+    The engine keeps one in-memory reading per :meth:`evaluate`,
+    trimmed to the longest rule window. :meth:`evaluate` is invoked
+    from the watchdog thread *and* from ``GET /healthz`` handlers, so
+    sampling and state mutation happen under an internal lock.
     """
 
     def __init__(
         self,
-        journal: MetricsJournal,
         rules: list[Rule],
-        clock: Callable[[], float] | None = None,
+        registry: MetricsRegistry = REGISTRY,
+        clock: Callable[[], float] = time.time,
     ) -> None:
         names = [rule.name for rule in rules]
         if len(set(names)) != len(names):
             raise ObsError(f"duplicate rule names in {sorted(names)}")
-        self.journal = journal
-        self.clock = clock if clock is not None else journal.clock
+        self.registry = registry
+        self.clock = clock
         self._lock = threading.RLock()
         self._states = {rule.name: AlertState(rule) for rule in rules}
+        self._series = {rule.metric for rule in rules} | {
+            rule.denominator_metric for rule in rules if rule.denominator_metric
+        }
+        # A histogram's derived series are read from the family
+        # ``<name>``; the other candidates are simply never registered.
+        self._families = sorted(
+            self._series | {series.rpartition("_")[0] for series in self._series}
+        )
+        self._horizon = max((rule.window_seconds for rule in rules), default=0.0)
+        self._window: deque[_Sample] = deque()
 
     @property
     def rules(self) -> list[Rule]:
         return [state.rule for state in self._states.values()]
 
+    def _sample(self, ts: float) -> None:
+        """Append one reading of the rules' series; drop expired ones."""
+        if self.registry.enabled:
+            reading: dict[str, list[tuple[dict[str, str], float]]] = {}
+            for name in self._families:
+                family = self.registry.get(name)
+                if family is None:
+                    continue
+                for series, labels, value in _flatten(family.snapshot()):
+                    if series in self._series:
+                        reading.setdefault(series, []).append((labels, value))
+            self._window.append((ts, reading))
+        while self._window and self._window[0][0] < ts - self._horizon:
+            self._window.popleft()
+
     def evaluate(self, now: float | None = None) -> list[dict[str, Any]]:
-        """Evaluate every rule once; returns the alert records."""
+        """Sample once, evaluate every rule; returns the alert records."""
         ts = self.clock() if now is None else now
         with self._lock:
+            self._sample(ts)
             for state in self._states.values():
-                value = state.rule.evaluate(self.journal, now=ts)
+                value = state.rule.evaluate(self._window, now=ts)
                 state.value = value
                 breached = value is not None and state.rule.breached(value)
                 if breached and state.state != "firing":

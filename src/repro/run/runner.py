@@ -571,7 +571,14 @@ class Runner:
         groups: OrderedDict[tuple, list[int]] = OrderedDict()
         for index, spec in enumerate(spec_list):
             groups.setdefault(spec.stream_key(), []).append(index)
-        workers = min(self.workers, len(groups), os.cpu_count() or 1)
+        # Cap by the CPUs this process may run on: its affinity mask
+        # honors taskset and cpuset limits, which os.cpu_count() ignores.
+        usable = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        workers = min(self.workers, len(groups), usable)
         results: list[PrefetchRunStats | None] = [None] * len(spec_list)
         from repro.obs import COLLECTOR, current_context
 

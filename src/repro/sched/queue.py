@@ -72,8 +72,7 @@ _OBS_DEPTH = REGISTRY.gauge(
     labels=("state",),
 )
 #: SLO-facing gauges refreshed by :meth:`JobQueue.slo_snapshot` — the
-#: journal-backed series the health watchdog's queue/worker rules
-#: threshold on.
+#: series the health rule engine's queue/worker rules threshold on.
 _OBS_OLDEST_QUEUED = REGISTRY.gauge(
     "repro_sched_oldest_queued_age_seconds",
     "Age of the oldest claimable (queued) job at last SLO refresh.",

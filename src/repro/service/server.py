@@ -67,7 +67,6 @@ from repro.obs import (
     REGISTRY,
     TRACE_HEADER,
     HealthWatchdog,
-    MetricsJournal,
     RuleEngine,
     bind_context,
     component_health,
@@ -441,12 +440,11 @@ class ExperimentService:
             tenants for token auth + per-tenant budgets.
 
     When telemetry is enabled, the service owns a
-    :class:`~repro.obs.journal.MetricsJournal` at
-    ``<store root>/telemetry.sqlite`` (GC-exempt, survives restarts)
-    and a :class:`~repro.obs.rules.RuleEngine` over
-    :func:`~repro.obs.rules.default_rules`; ``REPRO_OBS_DISABLED``
-    leaves all three of ``journal``/``engine``/``watchdog`` as
-    ``None`` and ``GET /healthz`` falls back to direct probes only.
+    :class:`~repro.obs.rules.RuleEngine` over
+    :func:`~repro.obs.rules.default_rules`, whose in-memory window
+    starts empty with each process; ``REPRO_OBS_DISABLED`` leaves both
+    ``engine`` and ``watchdog`` as ``None`` and ``GET /healthz`` falls
+    back to direct probes only.
     The :class:`~repro.obs.health.HealthWatchdog` (telemetry sampling
     and SLO evaluation on its own default cadence) is *constructed*
     here but only *started* by :func:`make_server`, so pure-handler
@@ -490,27 +488,23 @@ class ExperimentService:
         self._sweep_traces: dict[str, str] = {}
         self._sweep_traces_max = 256
         self._sweep_traces_lock = threading.Lock()
-        self.journal: MetricsJournal | None = None
         self.engine: RuleEngine | None = None
         self.watchdog: HealthWatchdog | None = None
         if is_enabled():
-            self.journal = MetricsJournal(store.journal_path)
-            self.engine = RuleEngine(self.journal, default_rules())
+            self.engine = RuleEngine(default_rules())
             self.watchdog = HealthWatchdog(
-                self.journal, self.engine, collect=self._refresh_gauges
+                self.engine, collect=self._refresh_gauges
             )
 
     def close(self) -> None:
-        """Stop the watchdog and close the telemetry journal.
+        """Stop the watchdog.
 
         The store, queue, and runner are caller-owned; only the
-        observability resources this service constructed are torn
-        down. Safe to call more than once.
+        observability thread this service constructed is torn down.
+        Safe to call more than once.
         """
         if self.watchdog is not None:
             self.watchdog.stop()
-        if self.journal is not None:
-            self.journal.close()
 
     # -- dispatch ----------------------------------------------------------
 
@@ -699,7 +693,7 @@ class ExperimentService:
         """Refresh every scrape-time gauge from its owning layer.
 
         Shared by ``GET /metrics`` scrapes and the health watchdog's
-        collect hook, so journal samples and expositions both reflect
+        collect hook, so rule samples and expositions both reflect
         current state (queue depth *and* SLO lag, store entry counts,
         live sessions), not last-touch state.
         """
@@ -736,7 +730,7 @@ class ExperimentService:
 
         When the background watchdog is not running (pure-handler use,
         or a service that was never started), a synchronous watchdog
-        tick samples the journal and re-evaluates the rules first, so
+        tick samples the rules' series and re-evaluates them first, so
         the report is current either way. Works with telemetry
         disabled too — the componentwise probes don't need the
         registry, there are just no alerts to fold in.
@@ -1493,6 +1487,10 @@ _PATTERNS = [
 
 class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: on a kept-alive connection, Nagle would hold each
+    # response until the client's delayed ACK of the previous one
+    # (~40 ms per request).
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._serve("GET")
@@ -1620,7 +1618,7 @@ class ExperimentServer(ThreadingHTTPServer):
 
     def server_close(self) -> None:
         """End blocked long-polls, tear down sockets, then the service's
-        watchdog + journal.
+        watchdog.
 
         A long-poll still blocked answers at once with what it has,
         instead of outliving the server and touching a closed queue.
@@ -1643,7 +1641,7 @@ def make_server(
     """Build a ready-to-run server (``port=0`` picks a free port).
 
     The health watchdog starts here (when telemetry is enabled): a
-    served store journals its metrics and evaluates SLO rules until
+    served store samples its metrics and evaluates SLO rules until
     ``server_close()``.
 
     With no ``tenants`` the service runs open (anonymous, unmetered

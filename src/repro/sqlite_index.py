@@ -1,15 +1,13 @@
 """One way to open, stamp and transact a WAL SQLite index.
 
-The experiment store's ``index.sqlite``, the scheduler's ``jobs.sqlite``
-and the telemetry journal's ``telemetry.sqlite`` are the same kind of
-file: one connection per owner shared by its threads under the owner's
-lock, shared between processes through WAL mode, every mutation in one
-``BEGIN IMMEDIATE`` transaction, and a ``meta`` table stamped with the
-owner's schema version so a mismatch fails loudly instead of
-misreading rows. This module is that idiom, written once.
+The experiment store's ``index.sqlite`` and the scheduler's
+``jobs.sqlite`` are the same kind of file: one connection per owner
+shared by its threads under the owner's lock, shared between processes
+through WAL mode, every mutation in one ``BEGIN IMMEDIATE``
+transaction, and a ``meta`` table stamped with the owner's schema
+version so a mismatch fails loudly instead of misreading rows. This module is that idiom, written once.
 
-It imports nothing from :mod:`repro` except :mod:`repro.errors`, so the
-observability layer can use it without an import cycle.
+It imports nothing from :mod:`repro` except :mod:`repro.errors`.
 """
 
 from __future__ import annotations

@@ -255,17 +255,6 @@ class ExperimentStore:
     def __repr__(self) -> str:
         return f"ExperimentStore({str(self.root)!r}, max_bytes={self.max_bytes})"
 
-    @property
-    def journal_path(self) -> Path:
-        """Where the telemetry journal lives: beside ``index.sqlite``.
-
-        The journal is operational history, not an artifact — it sits
-        next to the indexes (like ``jobs.sqlite``) rather than inside
-        ``results/``/``streams/``/``ckpt/``, so :meth:`gc` never
-        considers it and a budget-pressured store keeps its telemetry.
-        """
-        return self.root / "telemetry.sqlite"
-
     # -- small internals ---------------------------------------------------
 
     def _txn(self):

@@ -1,25 +1,32 @@
 """SLO rules, alert state machine, component health, and /healthz.
 
 Covers the rule engine's ok → firing → resolved → firing transitions
-under an injected clock, the ``repro_alerts_firing`` gauge mirror, the
-no-data-is-healthy convention, ratio rules with a denominator floor,
-the pure :func:`component_health` fold, the watchdog tick cycle, and —
-end to end — a real :class:`ExperimentService` whose ``/healthz``
-flips to 503 when a worker's lease lapses without a heartbeat and
-recovers once the job completes.
+under an injected clock, the in-memory sample window (histogram
+series, label wildcards, per-label-set ``increase``, trimming, a
+restarted process seeing only its own samples), the
+``repro_alerts_firing`` gauge mirror, the no-data-is-healthy
+convention, ratio rules with a denominator floor, the pure
+:func:`component_health` fold, the watchdog tick cycle, and — end to
+end — a real :class:`ExperimentService` whose ``/healthz`` flips to
+503 when a worker's lease lapses without a heartbeat and recovers once
+the job completes.
 """
 
 import math
+import sqlite3
+import sys
+import threading
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import ObsError
 from repro.obs import (
     REGISTRY,
     HealthWatchdog,
-    MetricsJournal,
     Rule,
     RuleEngine,
     component_health,
@@ -50,12 +57,8 @@ def registry():
 
 
 @pytest.fixture
-def journal(tmp_path, registry, clock):
-    journal = MetricsJournal(
-        tmp_path / "telemetry.sqlite", registry=registry, clock=clock
-    )
-    yield journal
-    journal.close()
+def engine(registry, clock):
+    return RuleEngine([load_rule()], registry=registry, clock=clock)
 
 
 def load_rule(threshold: float = 5.0) -> Rule:
@@ -71,6 +74,21 @@ def load_rule(threshold: float = 5.0) -> Rule:
     )
 
 
+def reads(registry, metric, aggregate="last", **options):
+    """What one fresh engine evaluation reads for ``metric``."""
+    rule = Rule(
+        name="probe", metric=metric, op=">", threshold=0.0,
+        aggregate=aggregate, **options,
+    )
+    (alert,) = RuleEngine([rule], registry=registry).evaluate(now=100.0)
+    return alert["value"]
+
+
+def error_ratio_rule() -> Rule:
+    (rule,) = [r for r in default_rules() if r.name == "service_error_ratio"]
+    return rule
+
+
 class TestRule:
     def test_unknown_op_rejected(self):
         with pytest.raises(ObsError, match="unknown op"):
@@ -80,10 +98,14 @@ class TestRule:
         with pytest.raises(ObsError, match="window_seconds"):
             Rule(name="r", metric="m", op=">", threshold=1.0, window_seconds=0)
 
-    def test_evaluate_returns_none_without_data(self, journal):
-        assert load_rule().evaluate(journal, now=100.0) is None
+    def test_unknown_aggregate_rejected(self):
+        with pytest.raises(ObsError, match="unknown aggregate"):
+            Rule(name="r", metric="m", op=">", threshold=1.0, aggregate="median")
 
-    def test_ratio_below_min_denominator_is_no_data(self, journal, registry):
+    def test_evaluate_returns_none_without_data(self):
+        assert load_rule().evaluate([], now=100.0) is None
+
+    def test_ratio_below_min_denominator_is_no_data(self, registry, clock):
         counter = registry.counter("req_total", "t", labels=("status",))
         rule = Rule(
             name="error_ratio",
@@ -96,40 +118,43 @@ class TestRule:
             denominator_metric="req_total",
             min_denominator=10.0,
         )
+        engine = RuleEngine([rule], registry=registry, clock=clock)
         counter.inc(0, status="200")
         counter.inc(0, status="500")
-        journal.record(now=100.0)
+        engine.evaluate(now=100.0)
         counter.inc(3, status="200")
         counter.inc(3, status="500")
-        journal.record(now=110.0)
         # Ratio would be 0.5, but only 6 requests total: noise, not data.
-        assert rule.evaluate(journal, now=110.0) is None
+        (alert,) = engine.evaluate(now=110.0)
+        assert alert["value"] is None
         counter.inc(17, status="200")
         counter.inc(5, status="500")
-        journal.record(now=120.0)
         # Now 28 requests, 8 of them errors.
-        assert rule.evaluate(journal, now=120.0) == pytest.approx(8 / 28)
+        (alert,) = engine.evaluate(now=120.0)
+        assert alert["value"] == pytest.approx(8 / 28)
 
 
 class TestRuleEngine:
-    def test_duplicate_rule_names_rejected(self, journal):
+    def test_duplicate_rule_names_rejected(self):
         with pytest.raises(ObsError, match="duplicate"):
-            RuleEngine(journal, [load_rule(), load_rule()])
+            RuleEngine([load_rule(), load_rule()])
 
-    def test_firing_resolved_firing_lifecycle(self, journal, registry, clock):
+    def test_defaults_to_the_process_registry_and_wall_clock(self):
+        engine = RuleEngine([load_rule()])
+        assert engine.registry is REGISTRY
+        assert engine.clock is time.time
+
+    def test_firing_resolved_firing_lifecycle(self, engine, registry, clock):
         gauge = registry.gauge("load", "t")
-        engine = RuleEngine(journal, [load_rule()])
-        assert engine.clock is clock  # defaults to the journal's clock
+        assert engine.clock is clock
 
         gauge.set(1.0)
-        journal.record(now=100.0)
         (alert,) = engine.evaluate(now=100.0)
         assert alert["state"] == "ok"
         assert alert["transitions"] == 0
         assert engine.firing() == []
 
         gauge.set(9.0)
-        journal.record(now=110.0)
         (alert,) = engine.evaluate(now=110.0)
         assert alert["state"] == "firing"
         assert alert["fired_at"] == 110.0
@@ -145,7 +170,6 @@ class TestRuleEngine:
         assert alert["transitions"] == 1
 
         gauge.set(2.0)
-        journal.record(now=120.0)
         (alert,) = engine.evaluate(now=120.0)
         assert alert["state"] == "resolved"
         assert alert["resolved_at"] == 120.0
@@ -154,43 +178,36 @@ class TestRuleEngine:
         assert engine.firing() == []
 
         gauge.set(9.0)
-        journal.record(now=130.0)
         (alert,) = engine.evaluate(now=130.0)
         assert alert["state"] == "firing"
         assert alert["fired_at"] == 130.0
         assert alert["transitions"] == 3
 
-    def test_no_data_never_fires(self, journal, clock):
-        engine = RuleEngine(journal, [load_rule()])
+    def test_no_data_never_fires(self, engine):
         (alert,) = engine.evaluate(now=100.0)
         assert alert["state"] == "ok"
         assert alert["value"] is None
 
-    def test_firing_gauge_mirrors_alert_state(self, journal, registry):
+    def test_firing_gauge_mirrors_alert_state(self, engine, registry):
         gauge = registry.gauge("load", "t")
-        engine = RuleEngine(journal, [load_rule()])
         mirror = REGISTRY.get("repro_alerts_firing")
 
         gauge.set(9.0)
-        journal.record(now=100.0)
         engine.evaluate(now=100.0)
         assert mirror.value(alert="load_high") == 1.0
 
         gauge.set(1.0)
-        journal.record(now=110.0)
         engine.evaluate(now=110.0)
         assert mirror.value(alert="load_high") == 0.0
 
-    def test_alerts_reports_without_reevaluating(self, journal, registry):
+    def test_alerts_reports_without_reevaluating(self, engine, registry):
         gauge = registry.gauge("load", "t")
-        engine = RuleEngine(journal, [load_rule()])
         gauge.set(9.0)
-        journal.record(now=100.0)
         engine.evaluate(now=100.0)
         gauge.set(1.0)
-        journal.record(now=110.0)
         # alerts() is a read: the breach is still on record.
         assert engine.alerts()[0]["state"] == "firing"
+        assert engine.alerts()[0]["value"] == 9.0
 
     def test_default_rules_cover_the_six_slos(self):
         rules = default_rules()
@@ -205,6 +222,188 @@ class TestRuleEngine:
         assert {rule.component for rule in rules} == {
             "service", "queue", "workers", "sessions", "admission",
         }
+
+
+    def test_window_is_trimmed_to_the_longest_rule(self, registry):
+        gauge = registry.gauge("load", "t")
+        engine = RuleEngine(
+            [load_rule(), Rule(name="short", metric="load", op=">",
+                               threshold=5.0, window_seconds=10.0)],
+            registry=registry,
+        )
+        for second in range(200):
+            gauge.set(float(second))
+            engine.evaluate(now=float(second))
+        # Samples older than the 60 s window are gone, not just skipped.
+        assert [ts for ts, _ in engine._window] == [
+            float(second) for second in range(139, 200)
+        ]
+
+    def test_window_aggregates_only_its_trailing_samples(self, registry):
+        gauge = registry.gauge("load", "t")
+        rule = Rule(name="peak", metric="load", op=">", threshold=5.0,
+                    window_seconds=60.0, aggregate="max")
+        engine = RuleEngine([rule], registry=registry)
+        gauge.set(9.0)
+        engine.evaluate(now=0.0)
+        gauge.set(1.0)
+        (alert,) = engine.evaluate(now=30.0)
+        assert (alert["state"], alert["value"]) == ("firing", 9.0)
+        (alert,) = engine.evaluate(now=61.0)
+        assert (alert["state"], alert["value"]) == ("resolved", 1.0)
+
+    def test_concurrent_evaluations_all_land(self, registry):
+        """The watchdog and ``/healthz`` handlers evaluate one engine at
+        once: however they interleave, every sample lands and one breach
+        is one transition."""
+        registry.gauge("load", "t").set(9.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                engine = RuleEngine([load_rule()], registry=registry)
+                threads = [
+                    threading.Thread(
+                        target=lambda base: [
+                            engine.evaluate(now=base + i) for i in range(5)
+                        ],
+                        args=(100.0 + 5 * n,),
+                    )
+                    for n in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                (alert,) = engine.alerts()
+                assert alert["state"] == "firing"
+                assert alert["transitions"] == 1
+                assert len(engine._window) == 40
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_restarted_process_window_holds_only_its_own_samples(self):
+        """Two private registries stand for a process and its restart.
+
+        The dead process served 1000 clean requests; the new one
+        serves 50, half of them 5xx. Measured against the dead
+        process's totals, request growth would be negative and the
+        ratio would read no data; the new engine's window holds only
+        its own process's samples, so the ratio reads 0.5 and fires."""
+
+        def serve(registry, ok, errors):
+            requests = registry.counter(
+                "repro_http_requests_total", "t",
+                labels=("method", "route", "status"),
+            )
+            requests.inc(ok, method="GET", route="/runs", status="200")
+            requests.inc(errors, method="GET", route="/runs", status="500")
+
+        dead = MetricsRegistry(enabled=True)
+        first = RuleEngine([error_ratio_rule()], registry=dead)
+        serve(dead, 0, 0)
+        first.evaluate(now=100.0)
+        serve(dead, 1000, 0)
+        (alert,) = first.evaluate(now=110.0)
+        assert alert["state"] == "ok" and alert["value"] == 0.0
+
+        reborn = MetricsRegistry(enabled=True)
+        second = RuleEngine([error_ratio_rule()], registry=reborn)
+        serve(reborn, 0, 0)
+        second.evaluate(now=120.0)
+        serve(reborn, 25, 25)
+        (alert,) = second.evaluate(now=130.0)
+        assert [ts for ts, _ in second._window] == [120.0, 130.0]
+        assert alert["value"] == pytest.approx(0.5)
+        assert alert["state"] == "firing"
+
+
+class TestRuleWindow:
+    """How the engine reads registry families into rule series."""
+
+    @pytest.fixture
+    def registry(self):
+        registry = MetricsRegistry(enabled=True)
+        registry.counter("hits_total", "test counter", labels=("kind",)).inc(
+            3, kind="result"
+        )
+        registry.gauge("depth", "test gauge").set(7.0)
+        histogram = registry.histogram("latency_seconds", "test histogram")
+        for value in (0.01, 0.02, 0.04):
+            histogram.observe(value)
+        return registry
+
+    def test_counters_and_gauges_keep_their_names(self, registry):
+        assert reads(registry, "hits_total") == 3.0
+        assert reads(registry, "depth") == 7.0
+
+    def test_histograms_decompose_into_quantile_series(self, registry):
+        assert reads(registry, "latency_seconds_count") == 3.0
+        assert reads(registry, "latency_seconds_sum") == pytest.approx(0.07)
+        p50 = reads(registry, "latency_seconds_p50")
+        assert 0.0 < p50 <= reads(registry, "latency_seconds_p99")
+        # Only the four derived series exist: no buckets, no p90.
+        assert reads(registry, "latency_seconds_p90") is None
+        assert reads(registry, "latency_seconds_bucket") is None
+        assert reads(registry, "latency_seconds") is None
+
+    @given(
+        bounds=st.lists(
+            st.floats(0.001, 100.0), min_size=1, max_size=6, unique=True
+        ),
+        values=st.lists(st.floats(0.0, 250.0), min_size=1, max_size=40),
+    )
+    @example(bounds=[0.1, 1.0], values=[5.0, 7.0])  # overflow bucket only
+    @example(bounds=[0.1, 1.0], values=[0.05, 0.5, 0.5, 9.0])
+    # Two estimators rounding in different orders disagreed here.
+    @example(bounds=[43.0], values=[0.0, 0.0, 0.0])
+    def test_quantile_series_equal_summary(self, bounds, values):
+        registry = MetricsRegistry(enabled=True)
+        family = registry.histogram("h_seconds", "t", buckets=tuple(bounds))
+        for value in values:
+            family.observe(value)
+        summary = family.summary()
+        assert reads(registry, "h_seconds_count") == summary["count"] == len(values)
+        assert reads(registry, "h_seconds_sum") == summary["sum"]
+        assert reads(registry, "h_seconds_p50") == summary["p50"]
+        assert reads(registry, "h_seconds_p99") == summary["p99"]
+
+    def test_an_unobserved_histogram_reads_no_data(self):
+        registry = MetricsRegistry(enabled=True)
+        registry.histogram("h_seconds", "t")
+        assert reads(registry, "h_seconds_p99") is None
+
+    def test_unregistered_series_reads_no_data(self, registry):
+        assert reads(registry, "never_registered") is None
+
+    def test_label_filter_supports_wildcards(self, registry):
+        requests = registry.counter("http_total", "t", labels=("status",))
+        requests.inc(2, status="500")
+        requests.inc(5, status="200")
+        assert reads(registry, "http_total", labels={"status": "5*"}) == 2.0
+        assert reads(registry, "http_total", aggregate="max") == 5.0
+
+    def test_increase_sums_per_label_set_deltas(self, registry):
+        counter = registry.get("hits_total")
+        rule = Rule(name="growth", metric="hits_total", op=">",
+                    threshold=100.0, aggregate="increase")
+        engine = RuleEngine([rule], registry=registry)
+        engine.evaluate(now=1000.0)
+        counter.inc(4, kind="result")
+        counter.inc(6, kind="stream")  # a label set born mid-window
+        counter.inc(1, kind="stream")
+        (alert,) = engine.evaluate(now=1030.0)
+        assert alert["value"] == 4.0
+
+    def test_disabled_registry_records_nothing(self, registry):
+        engine = RuleEngine([load_rule()], registry=registry)
+        registry.gauge("load", "t").set(9.0)
+        registry.enabled = False
+        (alert,) = engine.evaluate(now=100.0)
+        assert alert["value"] is None
+        assert alert["state"] == "ok"
+        assert list(engine._window) == []
 
 
 class TestComponentHealth:
@@ -284,11 +483,9 @@ class TestComponentHealth:
             assert probe_degraded == rule.breached(value), (component, value)
             assert probe_degraded == (value > threshold)
 
-    def test_firing_alert_degrades_its_component(self, journal, registry):
+    def test_firing_alert_degrades_its_component(self, engine, registry):
         gauge = registry.gauge("load", "t")
-        engine = RuleEngine(journal, [load_rule()])
         gauge.set(9.0)
-        journal.record(now=100.0)
         engine.evaluate(now=100.0)
         report = component_health(True, self._slo(), {}, engine)
         assert report["status"] == "degraded"
@@ -298,101 +495,78 @@ class TestComponentHealth:
 
 
 class TestHealthWatchdog:
-    def test_tick_records_and_evaluates(self, journal, registry, clock):
+    def test_tick_records_and_evaluates(self, engine, registry):
         gauge = registry.gauge("load", "t")
         collected = []
-        engine = RuleEngine(journal, [load_rule()])
         watchdog = HealthWatchdog(
-            journal,
             engine,
             interval_seconds=5.0,
             collect=lambda: collected.append(True),
-            prune_every=2,
         )
         gauge.set(9.0)
         watchdog.tick(now=100.0)
         assert collected == [True]
-        assert journal.latest("load")["value"] == 9.0
+        assert engine.alerts()[0]["value"] == 9.0
         assert engine.firing() == ["load_high"]
-        # Second tick hits the prune cadence without disturbing state.
         watchdog.tick(now=105.0)
         assert watchdog.ticks == 2
 
-    def test_nonpositive_interval_rejected(self, journal):
+    def test_nonpositive_interval_rejected(self, engine):
         with pytest.raises(ObsError):
-            HealthWatchdog(journal, None, interval_seconds=0)
+            HealthWatchdog(engine, interval_seconds=0)
 
-    def test_prunes_every_n_ticks(self, journal, registry, clock):
+    def test_stop_halts_sampling(self, registry):
         registry.gauge("load", "t").set(1.0)
-        pruned = []
-        prune = journal.prune
-        journal.prune = lambda now=None: pruned.append(now) or prune(now=now)
-        watchdog = HealthWatchdog(journal, None, prune_every=3)
-        for tick in range(7):
-            watchdog.tick(now=100.0 + tick)
-        assert pruned == [102.0, 105.0]
-        assert len(journal.query("load")) == 7
-
-    def test_prune_expires_old_samples(self, tmp_path, registry):
-        registry.gauge("load", "t").set(1.0)
-        journal = MetricsJournal(
-            tmp_path / "wd.sqlite", registry=registry, retention_seconds=10.0
+        watchdog = HealthWatchdog(
+            RuleEngine([load_rule()], registry=registry), interval_seconds=0.01
         )
-        watchdog = HealthWatchdog(journal, None, prune_every=2)
-        try:
-            watchdog.tick(now=0.0)
-            watchdog.tick(now=50.0)  # second tick prunes: t=0 expires
-            assert [row["ts"] for row in journal.query("load")] == [50.0]
-        finally:
-            journal.close()
-
-    def test_stop_halts_sampling(self, tmp_path, registry):
-        registry.gauge("load", "t").set(1.0)
-        journal = MetricsJournal(tmp_path / "wd.sqlite", registry=registry)
-        watchdog = HealthWatchdog(journal, None, interval_seconds=0.01)
         try:
             watchdog.start()
             deadline = time.monotonic() + 5.0
-            while len(journal.query("load")) < 2:
+            while watchdog.ticks < 2:
                 assert time.monotonic() < deadline, "watchdog never ticked"
                 time.sleep(0.01)
             watchdog.stop()
-            count = len(journal.query("load"))
+            count = watchdog.ticks
             time.sleep(0.05)
-            assert len(journal.query("load")) == count
+            assert watchdog.ticks == count
         finally:
             watchdog.stop()
-            journal.close()
 
-    def test_closing_the_journal_ends_a_running_watchdog(self, tmp_path, registry):
-        registry.gauge("load", "t").set(1.0)
-        journal = MetricsJournal(tmp_path / "wd.sqlite", registry=registry)
-        watchdog = HealthWatchdog(journal, None, interval_seconds=0.01)
+    def test_a_closed_collect_database_ends_a_running_watchdog(self, registry):
+        """The collect hook reads the service's SQLite queue; once the
+        caller closes it, the thread exits instead of dying with a
+        traceback."""
+        db = sqlite3.connect(":memory:", check_same_thread=False)
+        watchdog = HealthWatchdog(
+            RuleEngine([load_rule()], registry=registry),
+            interval_seconds=0.01,
+            collect=lambda: db.execute("SELECT 1"),
+        )
         watchdog.start()
         time.sleep(0.03)
-        journal.close()  # the next tick hits a closed file and exits
+        db.close()  # the next tick hits a closed database and exits
         deadline = time.monotonic() + 5.0
         while watchdog.running:
-            assert time.monotonic() < deadline, "watchdog outlived its journal"
+            assert time.monotonic() < deadline, "watchdog outlived its database"
             time.sleep(0.01)
         watchdog.stop()
 
-    def test_start_and_stop(self, tmp_path, registry):
+    def test_start_and_stop(self, registry):
         registry.gauge("load", "t").set(1.0)
-        journal = MetricsJournal(tmp_path / "wd.sqlite", registry=registry)
-        watchdog = HealthWatchdog(journal, None, interval_seconds=0.01)
+        engine = RuleEngine([load_rule()], registry=registry)
+        watchdog = HealthWatchdog(engine, interval_seconds=0.01)
         try:
             watchdog.start()
             assert watchdog.running
             deadline = time.monotonic() + 5.0
-            while not journal.query("load"):
+            while engine.alerts()[0]["value"] is None:
                 assert time.monotonic() < deadline, "watchdog never ticked"
                 time.sleep(0.01)
             watchdog.stop()
             assert not watchdog.running
         finally:
             watchdog.stop()
-            journal.close()
 
 
 class TestServiceHealth:
@@ -406,8 +580,20 @@ class TestServiceHealth:
             assert payload["status"] == "ok"
             assert payload["components"]["store"]["writable"] is True
             assert payload["firing"] == []
-            # The synchronous tick journaled a snapshot.
-            assert service.journal.metrics()
+            # The synchronous tick sampled and evaluated the rules.
+            assert service.watchdog.ticks == 1
+        finally:
+            service.close()
+
+    def test_fresh_service_writes_no_telemetry_file(self, tmp_path):
+        root = tmp_path / "store"
+        service = ExperimentService(ExperimentStore(root))
+        try:
+            status, payload = service.handle("GET", "/alerts")
+            assert status == 200
+            assert len(payload["alerts"]) == 6
+            assert payload["firing"] == []
+            assert not (root / "telemetry.sqlite").exists()
         finally:
             service.close()
 
@@ -420,8 +606,7 @@ class TestServiceHealth:
         try:
             # Tighten the heartbeat SLO so the test doesn't wait 5 s.
             service.engine = RuleEngine(
-                service.journal,
-                default_rules(heartbeat_overdue_seconds=0.05),
+                default_rules(heartbeat_overdue_seconds=0.05)
             )
             service.watchdog.engine = service.engine
 
@@ -452,37 +637,12 @@ class TestServiceHealth:
         finally:
             service.close()
 
-    def test_journal_survives_service_restart(self, tmp_path):
-        """The satellite durability requirement: a reborn service over
-        the same store root reads its predecessor's telemetry."""
-        store_root = tmp_path / "store"
-        first = ExperimentService(ExperimentStore(store_root))
-        try:
-            status, _ = first.handle("GET", "/healthz")
-            assert status == 200
-            before = len(first.journal.query("repro_http_requests_total"))
-            assert before > 0
-        finally:
-            first.close()
-
-        reborn = ExperimentService(ExperimentStore(store_root))
-        try:
-            assert reborn.journal.path == first.journal.path
-            persisted = reborn.journal.query("repro_http_requests_total")
-            assert len(persisted) == before
-            status, _ = reborn.handle("GET", "/healthz")
-            assert len(
-                reborn.journal.query("repro_http_requests_total")
-            ) > before
-        finally:
-            reborn.close()
-
     def test_disabled_obs_still_answers_healthz(self, tmp_path):
         obs.set_enabled(False)
         try:
             service = ExperimentService(ExperimentStore(tmp_path / "store"))
             try:
-                assert service.journal is None
+                assert service.engine is None
                 assert service.watchdog is None
                 status, payload = service.handle("GET", "/healthz")
                 assert status == 200

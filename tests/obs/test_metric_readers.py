@@ -15,7 +15,8 @@ somewhere that reads it:
 
 A registration is found in Python tokens, so a family named only in a
 docstring or comment does not count as registered. A reader may name a
-histogram by one of the journal's derived series (``<name>_p99`` …).
+histogram by one of the series the SLO rule engine derives from it
+(``<name>_p99`` …).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ READERS = (
 SUMMARY_MODULE = "src/repro/service/server.py"
 SUMMARY_METHOD = "_metrics_summary"
 
-#: Series the metrics journal derives from a histogram family.
-DERIVED_SUFFIXES = ("count", "sum", "bucket", "p50", "p90", "p99")
+#: Series the SLO rule engine derives from a histogram family.
+DERIVED_SUFFIXES = ("count", "sum", "p50", "p99")
 
 KINDS = frozenset({"counter", "gauge", "histogram"})
 

@@ -6,9 +6,11 @@ answers with a structured error envelope — not an unhandled exception
 in the handler thread (which surfaces as a dropped connection).
 """
 
+import http.client
 import json
 import logging
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -162,3 +164,23 @@ class TestClientHangUp:
         )
         assert status == 400
         assert "specs" in payload["error"]
+
+
+class TestKeepAlive:
+    def test_reused_connection_does_not_wait_for_delayed_acks(self, server):
+        """Responses on a kept-alive connection go out at once: with
+        Nagle on, each one waited ~40 ms for the client's delayed ACK."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            elapsed = []
+            for _ in range(50):
+                began = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - began)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.020, elapsed

@@ -307,6 +307,28 @@ class TestRunnerEdgeCases:
         parallel = Runner(workers=4, cache=MissStreamCache()).run(batch)
         assert parallel.to_json() == serial.to_json()
 
+    def test_pool_is_capped_by_usable_cpus(self, monkeypatch):
+        """The pool never outgrows the CPUs this process may run on
+        (its affinity mask), whatever ``workers`` asks for."""
+        import repro.run.runner as runner_module
+
+        pools = []
+        real_pool = runner_module.ProcessPoolExecutor
+
+        def spy(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(
+            runner_module.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", spy)
+        specs = [spec_of(app, "DP") for app in ("galgel", "swim")]
+        parallel = Runner(workers=4, cache=MissStreamCache()).run(specs)
+        assert pools == [1]
+        serial = Runner(cache=MissStreamCache()).run(specs)
+        assert parallel.to_json() == serial.to_json()
+
     def test_empty_batch(self):
         results = Runner(cache=MissStreamCache()).run([])
         assert len(results) == 0

@@ -1,7 +1,7 @@
 """Every SQLite file the library keeps refuses a foreign schema stamp.
 
-The experiment store's ``index.sqlite``, the scheduler's ``jobs.sqlite``
-and the telemetry journal share one opening routine
+The experiment store's ``index.sqlite`` and the scheduler's
+``jobs.sqlite`` share one opening routine
 (:func:`repro.sqlite_index.open_index`). A file stamped by another
 schema version must raise the owner's error type and be left exactly
 as it was: the setup transaction rolls back whole, so not even a
@@ -14,8 +14,7 @@ import sqlite3
 
 import pytest
 
-from repro.errors import ObsError, SchedulerError, StoreError
-from repro.obs.journal import MetricsJournal
+from repro.errors import SchedulerError, StoreError
 from repro.sched import JobQueue
 from repro.store import ExperimentStore
 
@@ -23,7 +22,6 @@ from repro.store import ExperimentStore
 OWNERS = {
     "store": ("store", "store/index.sqlite", ExperimentStore, StoreError),
     "queue": ("jobs.sqlite", "jobs.sqlite", JobQueue, SchedulerError),
-    "journal": ("telemetry.sqlite", "telemetry.sqlite", MetricsJournal, ObsError),
 }
 
 
