@@ -7,14 +7,16 @@ miss streams are content-addressed and rebuilt, not resumed):
 
 - :mod:`~repro.ckpt.codec` — the ``repro.ckpt/v1`` binary format:
   schema-tagged, digest-trailed, deterministic (identical state ⇒
-  identical bytes ⇒ identical digest).
+  identical bytes ⇒ identical digest); the oracle encoder and decoder,
+  the template writers and the index-based reader.
 - :mod:`~repro.ckpt.snapshots` — ``StateSnapshot`` dataclasses with
   ``to_bytes()/from_bytes()`` for the shared
   :class:`~repro.core.prediction_table.PredictionTable` and
   :class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` substrates, and
   one declared ``MechanismSnapshot`` per prefetcher family (mechanism
   class, configuration fields, live fields, table row codec) that the
-  generic ``snapshot_prefetcher``/``restore_prefetcher`` walk.
+  generic ``snapshot_prefetcher``/``validate``/``restore_prefetcher``
+  walk. ``validate`` holds every check a restore or a resume makes.
 - :mod:`~repro.ckpt.session` — :class:`ReplaySession`, phase-2 replay
   that can pause after any miss and resume bit-identically.
 - :mod:`~repro.ckpt.manager` — :class:`CheckpointManager`, persisting
@@ -28,7 +30,7 @@ miss streams are content-addressed and rebuilt, not resumed):
 The same canonical snapshots seed the compiled replay engine
 (:mod:`repro.sim.batchpath`): a kernel starts from a mechanism's and a
 buffer's snapshot, keeps that state live across stream windows, and
-exports canonical snapshots straight from it — so warm-started
+writes canonical session blobs straight from it — so warm-started
 instances, streaming sessions and checkpointed runs all replay at
 compiled speed.
 """
@@ -53,10 +55,10 @@ from repro.ckpt.snapshots import (
     TableSnapshot,
     restore_buffer,
     restore_prefetcher,
-    restore_table,
     snapshot_buffer,
     snapshot_prefetcher,
     snapshot_table,
+    validate,
 )
 
 __all__ = [
@@ -83,8 +85,8 @@ __all__ = [
     "encode_blob",
     "restore_buffer",
     "restore_prefetcher",
-    "restore_table",
     "snapshot_buffer",
     "snapshot_prefetcher",
     "snapshot_table",
+    "validate",
 ]

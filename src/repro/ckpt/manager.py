@@ -197,6 +197,15 @@ class CheckpointManager:
         )
         return Resumed(digest, session, spec, record.get("tenant"))
 
+    def intact(self, key: str, digest: str | None) -> bool:
+        """True when the bookmark ``key`` and the snapshot blob ``digest``
+        are both still stored (index-only probes: no read, no counter)."""
+        return (
+            digest is not None
+            and self.store.has_ckpt(key)
+            and self.store.has_ckpt(digest)
+        )
+
     def exists(self, key: str) -> bool:
         """True when a (well-formed) bookmark is stored under ``key``."""
         return self._get_record(key) is not None

@@ -13,8 +13,10 @@ contract, enforced by ``tests/ckpt/test_session.py`` and the
 differential suite.
 
 :meth:`snapshot` captures the whole session as a
-:class:`SessionSnapshot` (nesting the mechanism and buffer snapshots),
-and :meth:`ReplaySession.resume` rebuilds a live session from one —
+:class:`SessionSnapshot` (nesting the mechanism and buffer snapshots;
+a compiled kernel writes its bytes straight from live state), and
+:meth:`ReplaySession.resume` validates one and seeds a live session
+from it —
 :class:`~repro.ckpt.manager.CheckpointManager` bookmarks runs and
 streaming sessions with this pair, so checkpointed runs and evicted or
 restarted-away ``/streams`` sessions pick up where they stopped.
@@ -37,7 +39,8 @@ from .snapshots import (
     MechanismSnapshot,
     StateSnapshot,
     restore_buffer,
-    restore_prefetcher,
+    snapshot_buffer,
+    validate,
 )
 
 
@@ -86,7 +89,7 @@ class ReplaySession:
         self._open(
             miss_trace,
             prefetcher,
-            PrefetchBuffer(buffer_entries),
+            snapshot_buffer(PrefetchBuffer(buffer_entries)),
             max_prefetches_per_miss,
             offset=0,
             pb_hits=0,
@@ -100,7 +103,7 @@ class ReplaySession:
         self,
         miss_trace: MissTrace,
         prefetcher: Prefetcher,
-        buffer: PrefetchBuffer,
+        buffer: BufferSnapshot,
         max_prefetches_per_miss: int,
         offset: int,
         pb_hits: int,
@@ -145,7 +148,7 @@ class ReplaySession:
     @property
     def buffer(self) -> PrefetchBuffer:
         """A copy of the prefetch buffer as of :attr:`offset`."""
-        snap = self._replay.buffer_snapshot()
+        snap = self.snapshot().buffer
         buffer = PrefetchBuffer(snap.capacity)
         restore_buffer(snap, buffer)
         return buffer
@@ -191,15 +194,15 @@ class ReplaySession:
         )
 
     def snapshot(self) -> SessionSnapshot:
-        """Capture the complete session state (stream position included)."""
-        return SessionSnapshot(
-            offset=self.offset,
-            pb_hits_measured=self.pb_hits_measured,
-            issued_before=self.issued_before,
-            overhead_before=self.overhead_before,
-            max_prefetches_per_miss=self.max_prefetches_per_miss,
-            mechanism=self._replay.mechanism_snapshot(),
-            buffer=self._replay.buffer_snapshot(),
+        """Capture the complete session state (stream position included).
+
+        A compiled kernel writes the session blob straight from its live
+        state; the snapshot carries those bytes for
+        :meth:`~repro.ckpt.snapshots.StateSnapshot.to_bytes` and decodes
+        its fields from them only when one is read.
+        """
+        return self._replay.snapshot(
+            self.offset, self.issued_before, self.overhead_before
         )
 
     @classmethod
@@ -212,10 +215,14 @@ class ReplaySession:
         """Rebuild a live session from a snapshot.
 
         ``prefetcher`` must be a fresh instance with the captured
-        configuration (its state is overwritten); ``miss_trace`` must be
-        the same stream the snapshot was taken over — the offset is
-        validated against its length, content identity is the caller's
-        (content-addressed store's) responsibility.
+        configuration; the snapshot is validated against it
+        (:func:`~repro.ckpt.snapshots.validate`) and then seeds the
+        compiled kernel directly — the instance itself is trained only
+        when the session finishes or :attr:`prefetcher` is read.
+        ``miss_trace`` must be the same stream the snapshot was taken
+        over — the offset is validated against its length, content
+        identity is the caller's (content-addressed store's)
+        responsibility.
         """
         if not isinstance(snap, SessionSnapshot):
             raise CkptError(
@@ -226,16 +233,13 @@ class ReplaySession:
                 f"corrupt session snapshot: offset {snap.offset} outside "
                 f"stream of {len(miss_trace)} entries"
             )
-        # Restoring validates the snapshot against the instance's
-        # configuration (and trains the instance to it).
-        restore_prefetcher(snap.mechanism, prefetcher)
-        buffer = PrefetchBuffer(snap.buffer.capacity)
-        restore_buffer(snap.buffer, buffer)
+        validate(snap.mechanism, prefetcher)
+        validate(snap.buffer, snap.buffer.capacity)
         session = cls.__new__(cls)
         session._open(
             miss_trace,
             prefetcher,
-            buffer,
+            snap.buffer,
             snap.max_prefetches_per_miss,
             offset=snap.offset,
             pb_hits=snap.pb_hits_measured,

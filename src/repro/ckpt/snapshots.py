@@ -47,7 +47,7 @@ from ..prefetch.sequential import SequentialPrefetcher
 from ..prefetch.stride import ArbitraryStridePrefetcher, StrideEntry, StrideState
 from ..tlb.page_table import PageTableEntry
 from ..tlb.prefetch_buffer import PrefetchBuffer
-from .codec import blob_digest, decode_blob, encode_blob
+from .codec import blob_digest, encode_blob, read_blob
 
 from ..core.distance import DistancePrefetcher
 from ..core.distance_pair import DistancePairPrefetcher
@@ -60,12 +60,11 @@ _NESTED_MARKER = "__kind__"
 
 
 def _encode_field(value):
+    # Snapshots nest only as whole fields, never inside lists.
     if isinstance(value, StateSnapshot):
         nested = {_NESTED_MARKER: value.kind}
         nested.update(value.to_payload())
         return nested
-    if isinstance(value, (list, tuple)):
-        return [_encode_field(item) for item in value]
     return value
 
 
@@ -77,8 +76,6 @@ def _decode_field(value):
             raise CkptError(f"corrupt snapshot: unknown nested kind {kind!r}")
         payload = {k: v for k, v in value.items() if k != _NESTED_MARKER}
         return cls.from_payload(payload)
-    if isinstance(value, list):
-        return [_decode_field(item) for item in value]
     return value
 
 
@@ -88,7 +85,8 @@ class StateSnapshot:
     Subclasses are dataclasses declaring a unique ``kind`` string; the
     payload is the ordered mapping of dataclass fields (nested
     snapshots encode recursively), which the codec serializes
-    deterministically.
+    deterministically. Fields take no defaults: a snapshot made by
+    :meth:`written` reads every field from its blob on first access.
     """
 
     kind: ClassVar[str] = ""
@@ -100,6 +98,31 @@ class StateSnapshot:
             if existing is not None and existing is not cls:
                 raise CkptError(f"duplicate snapshot kind {cls.kind!r}")
             SNAPSHOT_KINDS[cls.kind] = cls
+
+    @classmethod
+    def written(cls, blob: bytes) -> "StateSnapshot":
+        """The snapshot a writer encoded as ``blob``.
+
+        :meth:`to_bytes` hands ``blob`` back untouched. The fields are
+        decoded from it the first time one is read, and from then on
+        the snapshot is a plain one: its bytes are re-encoded from its
+        (possibly mutated) fields.
+        """
+        snap = cls.__new__(cls)
+        snap.__dict__["_blob"] = blob
+        return snap
+
+    def __getattr__(self, name: str):
+        # Reached only for names the instance lacks: the fields of a
+        # snapshot made by ``written``, until its blob is decoded.
+        fields = getattr(type(self), "__dataclass_fields__", {})
+        blob = self.__dict__.get("_blob") if name in fields else None
+        if blob is None:
+            raise AttributeError(name)
+        decoded = type(self).from_payload(read_blob(blob, self.kind)[1])
+        self.__dict__.update(decoded.__dict__)
+        self.__dict__.pop("_blob", None)
+        return self.__dict__[name]
 
     def to_payload(self) -> dict:
         """Ordered field-name -> codec-value mapping of this snapshot."""
@@ -123,7 +146,10 @@ class StateSnapshot:
 
     def to_bytes(self) -> bytes:
         """Serialize as a self-describing ``repro.ckpt/v1`` blob."""
-        return encode_blob(self.kind, self.to_payload())
+        blob = self.__dict__.get("_blob")
+        if blob is None:
+            blob = encode_blob(self.kind, self.to_payload())
+        return blob
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "StateSnapshot":
@@ -133,7 +159,7 @@ class StateSnapshot:
         blob's kind match that subclass.
         """
         expect = cls.kind or None
-        kind, payload = decode_blob(blob, expect_kind=expect)
+        kind, payload = read_blob(blob, expect_kind=expect)
         target = SNAPSHOT_KINDS.get(kind)
         if target is None:
             raise CkptError(f"unknown snapshot kind {kind!r}")
@@ -177,20 +203,19 @@ def snapshot_table(table: PredictionTable, encode) -> TableSnapshot:
     )
 
 
-def restore_table(snap: TableSnapshot, table: PredictionTable, decode) -> None:
-    """Overwrite ``table`` with ``snap``; ``decode(list[int]) -> payload``.
-
-    Zeroes the table's diagnostic counters (they are not snapshotted).
-    """
+def _check_table(snap: TableSnapshot, table: PredictionTable, check_row) -> None:
+    """A table snapshot's shape, sets and rows (``check_row(payload)``)
+    against the live table."""
     if snap.rows != table.rows or snap.ways != table.ways:
         raise CkptError(
             f"table shape mismatch: snapshot is {snap.rows}r/{snap.ways}w, "
             f"live table is {table.rows}r/{table.ways}w"
         )
-    if len(snap.sets) != table.num_sets:
+    num_sets = table.num_sets
+    if len(snap.sets) != num_sets:
         raise CkptError(
             f"corrupt table snapshot: {len(snap.sets)} sets for "
-            f"{table.num_sets}-set table"
+            f"{num_sets}-set table"
         )
     for index, pairs in enumerate(snap.sets):
         if len(pairs) > table.ways:
@@ -198,14 +223,21 @@ def restore_table(snap: TableSnapshot, table: PredictionTable, decode) -> None:
                 f"corrupt table snapshot: set {index} holds {len(pairs)} "
                 f"rows, associativity is {table.ways}"
             )
-        table_set = table._sets[index]
-        table_set.clear()
         for key, payload in pairs:
-            if key % table.num_sets != index:
+            if key % num_sets != index:
                 raise CkptError(
                     f"corrupt table snapshot: key {key} filed under set "
-                    f"{index}, maps to set {key % table.num_sets}"
+                    f"{index}, maps to set {key % num_sets}"
                 )
+            check_row(payload)
+
+
+def _restore_table(snap: TableSnapshot, table: PredictionTable, decode) -> None:
+    """Overwrite ``table`` with a validated ``snap``; ``decode(list[int])
+    -> payload``. Zeroes the diagnostic counters (not snapshotted)."""
+    for table_set, pairs in zip(table._sets, snap.sets):
+        table_set.clear()
+        for key, payload in pairs:
             table_set[key] = decode(payload)
     # The sets were filled behind the table's back; re-derive its O(1)
     # occupancy counter from what the snapshot installed.
@@ -219,30 +251,35 @@ def _encode_slots(entry: SlotList) -> list:
     return entry.values()
 
 
-def _slot_decoder(capacity: int):
-    def decode(values: list) -> SlotList:
-        if len(values) > capacity:
-            raise CkptError(
-                f"corrupt snapshot: {len(values)} slot values for "
-                f"capacity-{capacity} row"
-            )
-        row = SlotList(capacity)
-        row._slots = list(values)
-        return row
+def _check_slots(values: list, snap: "MechanismSnapshot") -> None:
+    if len(values) > snap.slots:
+        raise CkptError(
+            f"corrupt snapshot: {len(values)} slot values for "
+            f"capacity-{snap.slots} row"
+        )
 
-    return decode
+
+def _decode_slots(values: list, snap: "MechanismSnapshot") -> SlotList:
+    row = SlotList(snap.slots)
+    row._slots = list(values)
+    return row
 
 
 def _encode_stride(entry: StrideEntry) -> list:
     return [entry.prev_page, entry.stride, int(entry.state)]
 
 
-def _decode_stride(values: list) -> StrideEntry:
+def _check_stride(values: list, snap: "MechanismSnapshot") -> None:
     try:
-        state = StrideState(values[2])
+        StrideState(values[2])
     except (ValueError, IndexError) as error:
         raise CkptError(f"corrupt stride row {values!r}: {error}") from error
-    return StrideEntry(prev_page=values[0], stride=values[1], state=state)
+    if len(values) != 3:
+        raise CkptError(f"corrupt stride row {values!r}: not a triple")
+
+
+def _decode_stride(values: list, snap: "MechanismSnapshot") -> StrideEntry:
+    return StrideEntry(prev_page=values[0], stride=values[1], state=StrideState(values[2]))
 
 
 @dataclass
@@ -275,24 +312,13 @@ def snapshot_buffer(buffer: PrefetchBuffer) -> BufferSnapshot:
 
 def restore_buffer(snap: BufferSnapshot, buffer: PrefetchBuffer) -> None:
     """Overwrite ``buffer`` with ``snap`` (contents and counters)."""
-    if snap.capacity != buffer.capacity:
-        raise CkptError(
-            f"buffer capacity mismatch: snapshot is {snap.capacity}, "
-            f"live buffer is {buffer.capacity}"
-        )
-    if len(snap.pages) > buffer.capacity:
-        raise CkptError(
-            f"corrupt buffer snapshot: {len(snap.pages)} pages for "
-            f"capacity {snap.capacity}"
-        )
+    validate(snap, buffer.capacity)
     buffer._entries = OrderedDict((page, None) for page in snap.pages)
     buffer.hits = snap.hits
     buffer.lookups = snap.lookups
     buffer.inserted = snap.inserted
     buffer.refreshed = snap.refreshed
     buffer.evicted_unused = snap.evicted_unused
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +329,13 @@ def restore_buffer(snap: BufferSnapshot, buffer: PrefetchBuffer) -> None:
 #: The :class:`Prefetcher` accounting counters, captured for every family.
 _COUNTERS = ("last_overhead_ops", "prefetches_issued", "overhead_ops_total")
 
-#: Table row codecs by name: ``(encode, decoder for a prefetcher)``.
+#: Table row codecs by name: ``(encode, check, decode)``. ``check`` and
+#: ``decode`` take a row's values and the (validated) snapshot.
 _ROW_CODECS = {
-    "slots": (_encode_slots, lambda prefetcher: _slot_decoder(prefetcher.slots)),
-    "stride": (_encode_stride, lambda prefetcher: _decode_stride),
+    "slots": (_encode_slots, _check_slots, _decode_slots),
+    "stride": (_encode_stride, _check_stride, _decode_stride),
 }
+
 
 @dataclass
 class MechanismSnapshot(StateSnapshot):
@@ -324,9 +352,10 @@ class MechanismSnapshot(StateSnapshot):
       (slot lists) or ``"stride"`` (stride triples); ``None`` without
       a table.
 
-    :func:`snapshot_prefetcher` and :func:`restore_prefetcher` walk
-    that declaration; :meth:`_capture` and :meth:`_restore` hold the
-    little a family cannot declare.
+    :func:`snapshot_prefetcher`, :func:`validate` and
+    :func:`restore_prefetcher` walk that declaration; :meth:`_capture`,
+    :meth:`_check` and :meth:`_restore` hold the little a family cannot
+    declare.
     """
 
     mechanism: ClassVar[type]
@@ -343,12 +372,13 @@ class MechanismSnapshot(StateSnapshot):
         """Fields beyond the declaration (none by default)."""
         return {}
 
-    def _restore(self, prefetcher: Prefetcher) -> None:
-        """Checks and state beyond the declaration (none by default).
+    def _check(self) -> None:
+        """Checks beyond the declaration (none by default); part of
+        :func:`validate`, after the configuration check."""
 
-        Runs after the configuration check and before the table and
-        the live fields are written.
-        """
+    def _restore(self, prefetcher: Prefetcher) -> None:
+        """State beyond the declaration (none by default), written after
+        :func:`validate` and before the table and the live fields."""
 
 
 @dataclass
@@ -391,7 +421,7 @@ class AdaptiveSequentialSnapshot(MechanismSnapshot):
     window_misses: int
     window_hits: int
 
-    def _restore(self, prefetcher: Prefetcher) -> None:
+    def _check(self) -> None:
         if not 1 <= self.degree <= self.max_degree:
             raise CkptError(
                 f"corrupt ASP-seq snapshot: degree {self.degree} outside "
@@ -504,28 +534,40 @@ class RecencySnapshot(MechanismSnapshot):
             "entries": [[pte.page, pte.next, pte.prev, pte.on_stack] for pte in ptes],
         }
 
-    def _restore(self, prefetcher: RecencyPrefetcher) -> None:
-        table: dict[int, PageTableEntry] = {}
+    def _check(self) -> None:
         for record in self.entries:
             if len(record) != 4:
                 raise CkptError(f"corrupt RP snapshot: malformed PTE {record!r}")
-            page, below, above, on_stack = record
-            if page in table:
-                raise CkptError(f"corrupt RP snapshot: duplicate PTE for page {page}")
-            table[page] = PageTableEntry(
-                page, next=below, prev=above, on_stack=bool(on_stack)
-            )
+        pages = {record[0] for record in self.entries}
+        if len(pages) != len(self.entries):
+            seen = set()
+            for page, *_ in self.entries:
+                if page in seen:
+                    raise CkptError(f"corrupt RP snapshot: duplicate PTE for page {page}")
+                seen.add(page)
         # Every link must land on a PTE: the stack is walked through them.
-        if self.top is not None and self.top not in table:
+        if self.top is not None and self.top not in pages:
             raise CkptError(f"corrupt RP snapshot: stack top {self.top} has no PTE")
-        for pte in table.values():
-            for target in (pte.next, pte.prev):
-                if target is not None and target not in table:
-                    raise CkptError(
-                        f"corrupt RP snapshot: page {pte.page} links to "
-                        f"{target}, which has no PTE"
-                    )
-        prefetcher.page_table._entries = table
+        pages.add(None)
+        for page, below, above, _ in self.entries:
+            if below not in pages or above not in pages:
+                target = below if below not in pages else above
+                raise CkptError(
+                    f"corrupt RP snapshot: page {page} links to "
+                    f"{target}, which has no PTE"
+                )
+
+    def _restore(self, prefetcher: RecencyPrefetcher) -> None:
+        # Links resolve to the linked PTE's own page object: a decoded
+        # snapshot holds a fresh int per occurrence, and an instance
+        # kept alive should hold each page once, as a live one does.
+        pages = {record[0]: record[0] for record in self.entries}
+        prefetcher.page_table._entries = {
+            page: PageTableEntry(
+                page, next=pages.get(below), prev=pages.get(above), on_stack=bool(on_stack)
+            )
+            for page, below, above, on_stack in self.entries
+        }
         prefetcher.stack._top = self.top
         prefetcher.stack.pointer_writes = 0
 
@@ -554,37 +596,70 @@ def snapshot_prefetcher(prefetcher: Prefetcher) -> MechanismSnapshot:
     for name, attribute in family.live.items():
         fields[name] = getattr(prefetcher, attribute)
     if family.row_codec is not None:
-        encode, _ = _ROW_CODECS[family.row_codec]
+        encode, _, _ = _ROW_CODECS[family.row_codec]
         fields["table"] = snapshot_table(prefetcher.table, encode)
     return family(**fields, **family._capture(prefetcher))
 
 
-def restore_prefetcher(snap: MechanismSnapshot, prefetcher: Prefetcher) -> None:
-    """Overwrite ``prefetcher``'s state with ``snap``.
+def validate(snap: MechanismSnapshot | BufferSnapshot, against) -> None:
+    """Every check a snapshot passes before it becomes live state.
 
-    The snapshot kind must match the instance's exact type, and the
-    captured configuration must match the instance's; mismatches raise
-    :class:`~repro.errors.CkptError`. Diagnostic counters excluded from
-    snapshots (table lookup/hit/eviction tallies, RP pointer-write
-    tally) are zeroed.
+    A mechanism snapshot is checked ``against`` the instance whose
+    configuration it must carry: its kind must match the instance's
+    exact type and each declared configuration field its value; then
+    the family's own checks (ASP-seq's degree range, RP's page-table
+    links), and a table's shape, sets and rows (slot counts, stride
+    states). A buffer snapshot is checked ``against`` the live buffer's
+    capacity: equal, and not overfull. Raises
+    :class:`~repro.errors.CkptError` on the first failure.
+
+    :func:`restore_prefetcher`, :func:`restore_buffer` and
+    :meth:`~repro.ckpt.ReplaySession.resume` (which seeds a compiled
+    kernel straight from the snapshot) all validate here.
     """
-    family = _family(prefetcher)
+    if isinstance(snap, BufferSnapshot):
+        if snap.capacity != against:
+            raise CkptError(
+                f"buffer capacity mismatch: snapshot is {snap.capacity}, "
+                f"live buffer is {against}"
+            )
+        if len(snap.pages) > against:
+            raise CkptError(
+                f"corrupt buffer snapshot: {len(snap.pages)} pages for "
+                f"capacity {snap.capacity}"
+            )
+        return
+    family = _family(against)
     if type(snap) is not family:
         raise CkptError(
             f"snapshot kind mismatch: {type(snap).__name__} cannot restore "
-            f"a {type(prefetcher).__name__}"
+            f"a {type(against).__name__}"
         )
     for name in family.config:
-        stored, configured = getattr(snap, name), getattr(prefetcher, name)
+        stored, configured = getattr(snap, name), getattr(against, name)
         if stored != configured:
             raise CkptError(
                 f"{snap.kind} configuration mismatch: snapshot {name}={stored!r}, "
                 f"instance {name}={configured!r}"
             )
+    snap._check()
+    if family.row_codec is not None:
+        _, check, _ = _ROW_CODECS[family.row_codec]
+        _check_table(snap.table, against.table, lambda payload: check(payload, snap))
+
+
+def restore_prefetcher(snap: MechanismSnapshot, prefetcher: Prefetcher) -> None:
+    """Overwrite ``prefetcher``'s state with ``snap``, once :func:`validate` passes.
+
+    Diagnostic counters excluded from snapshots (table
+    lookup/hit/eviction tallies, RP pointer-write tally) are zeroed.
+    """
+    validate(snap, prefetcher)
+    family = type(snap)
     snap._restore(prefetcher)
     if family.row_codec is not None:
-        _, decoder = _ROW_CODECS[family.row_codec]
-        restore_table(snap.table, prefetcher.table, decoder(prefetcher))
+        _, _, decode = _ROW_CODECS[family.row_codec]
+        _restore_table(snap.table, prefetcher.table, lambda payload: decode(payload, snap))
     for name in _COUNTERS:
         setattr(prefetcher, name, getattr(snap, name))
     for name, attribute in family.live.items():

@@ -306,10 +306,12 @@ class _SessionEntry:
     advance, checkpoint, restore — while other sessions proceed in
     parallel. ``dead`` marks an entry that has been evicted or
     discarded after a holder fetched it but before it acquired the
-    lock: the holder must drop it and fetch a fresh entry.
+    lock: the holder must drop it and fetch a fresh entry. ``digest``
+    is the session's last state digest, set by open, advance and
+    restore.
     """
 
-    __slots__ = ("lock", "session", "spec", "tenant", "touched", "dead")
+    __slots__ = ("lock", "session", "spec", "tenant", "touched", "dead", "digest")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -318,6 +320,7 @@ class _SessionEntry:
         self.tenant: str | None = None
         self.touched = time.monotonic()
         self.dead = False
+        self.digest: str | None = None
 
 
 class _SessionTable:
@@ -886,6 +889,7 @@ class ExperimentService:
         entry.session = resumed.session
         entry.spec = resumed.spec
         entry.tenant = resumed.tenant
+        entry.digest = resumed.digest
         entry.touched = time.monotonic()
         self._sessions.note_restored()
         return None
@@ -998,6 +1002,7 @@ class ExperimentService:
             entry.session = session
             entry.spec = spec
             entry.tenant = owner
+            entry.digest = digest
             entry.touched = time.monotonic()
             return 200, self._session_payload(
                 session_id, session, spec, state_digest=digest
@@ -1007,24 +1012,28 @@ class ExperimentService:
         self, tenant: TenantConfig | None, session_id: str, count: int | None
     ) -> tuple[int, dict]:
         """Replay the next chunk of a session (all of it when ``count``
-        is null), then checkpoint it."""
+        is null), then checkpoint it.
+
+        An advance that replays nothing (``count`` 0, or a finished
+        session) leaves the state, hence its blob and bookmark, as they
+        are: both are rewritten only if the store lost one of them.
+        """
         self._sessions.evict_idle(self.max_idle_seconds)
         with self._locked_session(session_id, tenant) as (entry, error):
             if error is not None:
                 return error
             advanced = entry.session.advance(count)
-            digest = self.ckpt.write(
-                self.ckpt.stream_key(self._session_key(session_id, tenant)),
-                entry.spec,
-                entry.session,
-                entry.tenant,
-            )
+            key = self.ckpt.stream_key(self._session_key(session_id, tenant))
+            if advanced or not self.ckpt.intact(key, entry.digest):
+                entry.digest = self.ckpt.write(
+                    key, entry.spec, entry.session, entry.tenant
+                )
             return 200, self._session_payload(
                 session_id,
                 entry.session,
                 entry.spec,
                 advanced=advanced,
-                state_digest=digest,
+                state_digest=entry.digest,
             )
 
     def _get_stream_stats(

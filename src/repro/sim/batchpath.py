@@ -15,10 +15,11 @@ asked for:
   back into the instance, exactly as the reference engine trains it.
 - :class:`ReplayKernel` — one mechanism replayed window by window
   (``[start, stop)`` of the stream), with its tables, prefetch buffer,
-  recency stack and counters kept live between windows and exported as
-  canonical :mod:`repro.ckpt` snapshots on demand. It is the engine
-  under :class:`~repro.ckpt.ReplaySession`, so streaming sessions and
-  checkpointed runs replay at compiled speed.
+  recency stack and counters kept live between windows, and canonical
+  :mod:`repro.ckpt` session blobs written straight from them on
+  demand. It is the engine under :class:`~repro.ckpt.ReplaySession`,
+  so streaming sessions and checkpointed runs replay at compiled
+  speed.
 
 Each generated loop replays one class: one mechanism configuration
 and its prefetch buffer. MP, DP, DP-PC and DP-2 share the paper's
@@ -79,6 +80,8 @@ import weakref
 
 import numpy as np
 
+from repro.ckpt.codec import Hole, blob_writer, int_bytes, list_header, value_bytes
+from repro.ckpt.session import SessionSnapshot
 from repro.ckpt.snapshots import (
     SNAPSHOT_KINDS,
     BufferSnapshot,
@@ -1009,32 +1012,96 @@ def _table_state(sig: tuple, table: TableSnapshot | None) -> dict:
     return {"tag": tag, "sl": slot_rows}
 
 
-def _table_sets(sig: tuple, state: dict) -> list:
-    """Canonical ``TableSnapshot.sets`` (LRU -> MRU per set) of live state."""
+# ---------------------------------------------------------------------------
+# Session writers: canonical repro.ckpt/v1 session blobs straight from loop
+# state, byte-identical to the oracle encoding of the same snapshot.
+# ---------------------------------------------------------------------------
+
+#: Session-blob writers memoized like the loops, by the constants their
+#: template encodes. Those are keyed with their types: ``variant_three=1``
+#: and ``=True`` replay alike (one loop) but encode apart (``i`` vs ``T``).
+_WRITERS: dict[tuple, object] = {}
+
+
+def _session_writer(seed: MechanismSnapshot, capacity: int, clamp: int):
+    """The :func:`~repro.ckpt.codec.blob_writer` of one kernel shape.
+
+    Its template is a :class:`~repro.ckpt.session.SessionSnapshot` that
+    holds the shape's configuration — the family's declared ``config``
+    fields, the table's rows and ways, the buffer capacity and the
+    clamp — with every other field a :class:`~repro.ckpt.codec.Hole` of
+    the same name (``sets`` for a table's contents).
+    """
+    constants = [getattr(seed, name) for name in type(seed).config]
+    table = getattr(seed, "table", None)
+    if table is not None:
+        constants += [table.rows, table.ways]
+    constants += [capacity, clamp]
+    key = (type(seed), *((type(value), value) for value in constants))
+    writer = _WRITERS.get(key)
+    if writer is not None:
+        return writer
+
+    def holes(cls, *keep: str) -> dict:
+        return {f.name: Hole(f.name) for f in dataclasses.fields(cls) if f.name not in keep}
+
+    mechanism = holes(type(seed), *type(seed).config)
+    if "table" in mechanism:
+        mechanism["table"] = dataclasses.replace(seed.table, sets=Hole("sets"))
+    skeleton = SessionSnapshot(
+        **holes(SessionSnapshot, "max_prefetches_per_miss", "mechanism", "buffer"),
+        max_prefetches_per_miss=clamp,
+        mechanism=dataclasses.replace(seed, **mechanism),
+        buffer=BufferSnapshot(capacity=capacity, **holes(BufferSnapshot, "capacity")),
+    )
+    writer = blob_writer(skeleton.kind, skeleton.to_payload())
+    if len(_WRITERS) >= 256:
+        _WRITERS.clear()
+    _WRITERS[key] = writer
+    return writer
+
+
+def _table_bytes(sig: tuple, state: dict) -> bytes:
+    """``TableSnapshot.sets`` of live loop state (LRU -> MRU per set), encoded."""
     layout = _layout(sig)
+    ib = int_bytes
+    pair, empty = list_header(2), list_header(0)
     if layout == "sets":
-        return [
-            [[key, list(payload)] for key, payload in live.items()]
-            for live in state["sets"]
-        ]
+        parts = [list_header(len(state["sets"]))]
+        for live in state["sets"]:
+            parts.append(list_header(len(live)))
+            for key, payload in live.items():
+                parts += (pair, ib(key), list_header(len(payload)), *map(ib, payload))
+        return b"".join(parts)
+    # Direct-mapped: one set per row, holding its one pair or nothing.
     tag = state["tag"]
+    row = list_header(1) + pair
+    parts = [list_header(len(tag))]
     if layout == "stride_dm":
-        prev_pages, strides, states = state["ppg"], state["str"], state["sst"]
-        return [
-            [[key, [prev_pages[row], strides[row], states[row]]]] if key is not None else []
-            for row, key in enumerate(tag)
-        ]
-    if layout == "dm2":
-        counts, first, second = state["cn"], state["ma"], state["mb"]
-        return [
-            [[key, [first[row], second[row]][: counts[row]]]] if key is not None else []
-            for row, key in enumerate(tag)
-        ]
-    slot_rows = state["sl"]
-    return [
-        [[key, list(slot_rows[row])]] if key is not None else []
-        for row, key in enumerate(tag)
-    ]
+        triple = list_header(3)
+        for key, prev_page, stride, fsm in zip(tag, state["ppg"], state["str"], state["sst"]):
+            if key is None:
+                parts.append(empty)
+            else:
+                parts += (row, ib(key), triple, ib(prev_page), ib(stride), ib(fsm))
+    elif layout == "dm2":
+        one = list_header(1)
+        for key, count, first, second in zip(tag, state["cn"], state["ma"], state["mb"]):
+            if key is None:
+                parts.append(empty)
+            elif count == 2:
+                parts += (row, ib(key), pair, ib(first), ib(second))
+            elif count:
+                parts += (row, ib(key), one, ib(first))
+            else:
+                parts += (row, ib(key), empty)
+    else:
+        for key, slots in zip(tag, state["sl"]):
+            if key is None:
+                parts.append(empty)
+            else:
+                parts += (row, ib(key), list_header(len(slots)), *map(ib, slots))
+    return b"".join(parts)
 
 
 class _RecencyStack:
@@ -1285,8 +1352,8 @@ class ReplayKernel:
     index with the stream's warm-up boundary. Windows must follow one
     another; tables, buffer, recency stack and counters stay live in
     between, so any chunking adds up to the one-shot replay.
-    :meth:`mechanism_snapshot` and :meth:`buffer_snapshot` build the
-    canonical snapshots straight from that live state.
+    :meth:`snapshot` writes the canonical session blob straight from
+    that live state.
 
     ``pb_hits`` seeds the measured prefetch-buffer hit count (a resumed
     session's tally so far).
@@ -1302,9 +1369,14 @@ class ReplayKernel:
         mechanism: MechanismSnapshot | None = None,
     ) -> None:
         plan = _plan(prefetcher, buffer.capacity, max_prefetches_per_miss)
+        # Seeded from a snapshot, the instance lags the kernel until the
+        # first write-back.
+        self._instance_behind = mechanism is not None
         if mechanism is None:
             mechanism = snapshot_prefetcher(prefetcher)
         self._family = plan.family
+        self._clamp = max_prefetches_per_miss
+        self._writer = None
         self._sig = _exact_sig(plan)
         self._trace = miss_trace
         self._buffer_seed = buffer
@@ -1392,39 +1464,64 @@ class ReplayKernel:
             state["ev"],
         )
 
-    def mechanism_snapshot(self) -> MechanismSnapshot:
-        """The mechanism's canonical snapshot at the current position."""
-        seed, family, state = self._seed, self._family, self._state
-        if family == "none":
-            # Null never calls ``account()``: nothing about it changes.
-            return seed
-        _, issued, overhead, _, _, _ = self.counters()
-        if not self.processed:
+    def snapshot(
+        self, offset: int = 0, issued_before: int = 0, overhead_before: int = 0
+    ) -> SessionSnapshot:
+        """The canonical session snapshot at the current position.
+
+        Written straight from the live state by the shape's session
+        writer: the returned snapshot carries the blob and decodes its
+        fields only when one is read. ``offset`` and the counter
+        baselines are the session's; the kernel tracks everything else.
+        """
+        state, seed, buffer = self._state, self._seed, self._buffer_seed
+        pb_hits, issued, overhead, inserted, refreshed, evicted = self.counters()
+        if not self.processed or self._family == "none":
+            # Null never calls ``account()``: its counters stay put.
             last_overhead = seed.last_overhead_ops
         else:
             # Every miss ends in ``account()``, which leaves the miss's
             # own overhead behind: 0 on chip, RP's pointer writes.
             last_overhead = self._stack.last_overhead if self._stack else 0
-        changes: dict = {
+        scalars = {
+            "offset": offset,
+            "pb_hits_measured": pb_hits,
+            "issued_before": issued_before,
+            "overhead_before": overhead_before,
+            "last_overhead_ops": last_overhead,
             "prefetches_issued": issued,
             "overhead_ops_total": overhead,
-            "last_overhead_ops": last_overhead,
+            # Inserts add an entry, evictions and hits remove one, so the
+            # population change gives the hits without counting them.
+            "hits": buffer.hits
+            + len(buffer.pages)
+            + (inserted - buffer.inserted)
+            - (evicted - buffer.evicted_unused)
+            - state["bn"],
+            "lookups": buffer.lookups + self.processed,
+            "inserted": inserted,
+            "refreshed": refreshed,
+            "evicted_unused": evicted,
         }
-        changes.update((field, state[field]) for field in type(seed).live)
-        if family in _TABLE_FAMILIES:
-            changes["table"] = dataclasses.replace(
-                seed.table, sets=_table_sets(self._sig, state)
-            )
-        elif family == "recency":
-            changes.update(self._recency_fields())
-        return dataclasses.replace(seed, **changes)
+        scalars.update((field, state[field]) for field in type(seed).live)
+        values = {name: value_bytes(value) for name, value in scalars.items()}
+        if self._stack is not None:
+            values.update(self._recency_bytes())
+        else:
+            pages = state["buf"]
+            values["pages"] = list_header(len(pages)) + b"".join(map(int_bytes, pages))
+            if self._family in _TABLE_FAMILIES:
+                values["sets"] = _table_bytes(self._sig, state)
+        if self._writer is None:
+            self._writer = _session_writer(seed, buffer.capacity, self._clamp)
+        return SessionSnapshot.written(self._writer(values))
 
-    def _recency_fields(self) -> dict:
-        """RP's stack top and page-table entries, in canonical order.
+    def _recency_bytes(self) -> dict[str, bytes]:
+        """RP's stack ``top``, page-table ``entries`` and buffer ``pages``.
 
         The reference page table holds a PTE for every page a miss
         touched (missing or evicted) plus the seeded ones; ids are in
-        page order, so walking them yields the sorted entry list.
+        page order, so walking them yields the canonical sorted entries.
         """
         stack = self._stack
         touched = np.zeros(len(self._unique), dtype=bool)
@@ -1432,50 +1529,27 @@ class ReplayKernel:
         touched[stack.page_ids[self._begin:self._end]] = True
         evicted = stack.evicted_ids[self._begin:self._end]
         touched[evicted[evicted >= 0]] = True
-        pids = np.flatnonzero(touched)
-        unique = self._unique.tolist()
+        pids = np.flatnonzero(touched).tolist()
+        # Id -> its encoded page; id -1 (no link) -> None.
+        pages = [*map(int_bytes, self._unique.tolist()), value_bytes(None)]
+        flags = (value_bytes(False), value_bytes(True))
+        head = list_header(4)
         below, above, on = stack.next, stack.prev, stack.on
-        entries = [
-            [
-                page,
-                None if below[pid] == -1 else unique[below[pid]],
-                None if above[pid] == -1 else unique[above[pid]],
-                bool(on[pid]),
-            ]
-            for page, pid in zip(self._unique[pids].tolist(), pids.tolist())
-        ]
-        top = None if stack.top == -1 else unique[stack.top]
-        return {"top": top, "entries": entries}
-
-    def buffer_snapshot(self) -> BufferSnapshot:
-        """The prefetch buffer's canonical snapshot (pages LRU first)."""
-        state, seed = self._state, self._buffer_seed
-        pages = list(state["buf"])
-        if self._stack is not None:
-            pages = self._unique[pages].tolist()
-        # Inserts add an entry, evictions and hits remove one, so the
-        # population change gives the hits without counting them.
-        hits = (
-            seed.hits
-            + len(seed.pages)
-            + (state["ins"] - seed.inserted)
-            - (state["ev"] - seed.evicted_unused)
-            - state["bn"]
-        )
-        return BufferSnapshot(
-            capacity=seed.capacity,
-            hits=hits,
-            lookups=seed.lookups + self.processed,
-            inserted=state["ins"],
-            refreshed=state["rf"],
-            evicted_unused=state["ev"],
-            pages=pages,
-        )
+        parts = [list_header(len(pids))]
+        for pid in pids:
+            parts += (head, pages[pid], pages[below[pid]], pages[above[pid]], flags[on[pid]])
+        buffered = self._state["buf"]
+        return {
+            "top": pages[stack.top],
+            "entries": b"".join(parts),
+            "pages": list_header(len(buffered)) + b"".join([pages[pid] for pid in buffered]),
+        }
 
     def write_back(self, prefetcher: Prefetcher) -> None:
         """Train ``prefetcher`` to the kernel's current state."""
-        if self.processed:
-            restore_prefetcher(self.mechanism_snapshot(), prefetcher)
+        if self.processed or self._instance_behind:
+            restore_prefetcher(self.snapshot().mechanism, prefetcher)
+            self._instance_behind = False
 
 
 def replay_compiled(

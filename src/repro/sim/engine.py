@@ -24,7 +24,7 @@ for the compiled engine outright.
 
 from __future__ import annotations
 
-from repro.ckpt.snapshots import MechanismSnapshot, snapshot_buffer
+from repro.ckpt.snapshots import BufferSnapshot, MechanismSnapshot, restore_buffer
 from repro.errors import ConfigurationError
 from repro.mem.trace import MissTrace
 from repro.prefetch.base import Prefetcher
@@ -93,30 +93,32 @@ def replay(
 def open_replay(
     miss_trace: MissTrace,
     prefetcher: Prefetcher,
-    buffer: PrefetchBuffer,
+    buffer: BufferSnapshot,
     max_prefetches_per_miss: int = 0,
     pb_hits: int = 0,
     mechanism: MechanismSnapshot | None = None,
 ) -> "batchpath.ReplayKernel | ReplayWindow":
-    """A replay of ``prefetcher`` and ``buffer`` that runs window by window.
+    """A replay of ``prefetcher`` from ``buffer`` that runs window by window.
 
     A compiled :class:`~repro.sim.batchpath.ReplayKernel` seeded from
-    the two objects' state when the mechanism has a compiled loop,
-    otherwise a reference :class:`~repro.sim.two_phase.ReplayWindow`
-    over the live objects. Both expose ``run(start, stop)``,
-    ``counters()``, ``mechanism_snapshot()``, ``buffer_snapshot()`` and
-    ``write_back(prefetcher)``. ``mechanism`` is the instance's
-    snapshot, when the caller already holds one.
+    the two states when the mechanism has a compiled loop, otherwise a
+    reference :class:`~repro.sim.two_phase.ReplayWindow` over the
+    instance and a buffer restored from ``buffer``. Both expose
+    ``run(start, stop)``, ``counters()``, ``snapshot(offset,
+    issued_before, overhead_before)`` and ``write_back(prefetcher)``.
+    ``mechanism``, a validated snapshot, seeds the kernel in place of
+    the instance's own state (only mechanisms with a compiled loop have
+    snapshots).
     """
     if batchpath.supports(prefetcher):
         return batchpath.ReplayKernel(
             miss_trace,
             prefetcher,
-            snapshot_buffer(buffer),
+            buffer,
             max_prefetches_per_miss,
             pb_hits,
             mechanism,
         )
-    return ReplayWindow(
-        miss_trace, prefetcher, buffer, max_prefetches_per_miss, pb_hits
-    )
+    live = PrefetchBuffer(buffer.capacity)
+    restore_buffer(buffer, live)
+    return ReplayWindow(miss_trace, prefetcher, live, max_prefetches_per_miss, pb_hits)

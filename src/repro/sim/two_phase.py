@@ -248,15 +248,20 @@ class ReplayWindow:
             buffer.evicted_unused,
         )
 
-    def mechanism_snapshot(self):
-        from repro.ckpt.snapshots import snapshot_prefetcher
+    def snapshot(self, offset: int, issued_before: int, overhead_before: int):
+        """The session snapshot of the live objects, built field by field."""
+        from repro.ckpt.session import SessionSnapshot
+        from repro.ckpt.snapshots import snapshot_buffer, snapshot_prefetcher
 
-        return snapshot_prefetcher(self.prefetcher)
-
-    def buffer_snapshot(self):
-        from repro.ckpt.snapshots import snapshot_buffer
-
-        return snapshot_buffer(self.buffer)
+        return SessionSnapshot(
+            offset=offset,
+            pb_hits_measured=self.pb_hits,
+            issued_before=issued_before,
+            overhead_before=overhead_before,
+            max_prefetches_per_miss=self.max_prefetches_per_miss,
+            mechanism=snapshot_prefetcher(self.prefetcher),
+            buffer=snapshot_buffer(self.buffer),
+        )
 
     def write_back(self, prefetcher: Prefetcher) -> None:
         """Nothing to do: the window trains the live instance as it runs."""

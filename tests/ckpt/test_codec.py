@@ -5,14 +5,29 @@ arbitrary-precision integers — DP-2 packs keys past 64 bits), equal
 payloads must produce equal bytes (content addressing), and every way
 a blob can be damaged — bad magic, wrong schema, truncation at any
 byte, flipped bits, trailing garbage, a lying body length — must raise
-:class:`~repro.errors.CkptError`, never return wrong data.
+:class:`~repro.errors.CkptError`, never return wrong data. The
+index-based reader (``read_blob``) must agree with the oracle decoder
+on every blob and fail the same corruption battery, and a template
+writer must produce exactly the oracle's bytes.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckpt.codec import CKPT_SCHEMA, blob_digest, decode_blob, encode_blob
+from repro.ckpt import codec
+from repro.ckpt.codec import (
+    CKPT_SCHEMA,
+    Hole,
+    blob_digest,
+    blob_writer,
+    decode_blob,
+    encode_blob,
+    int_bytes,
+    list_header,
+    read_blob,
+    value_bytes,
+)
 from repro.errors import CkptError, ReproError
 
 #: Any value the snapshot layer may feed the codec.
@@ -64,12 +79,15 @@ class TestRoundTrip:
 
 
 class TestCorruption:
+    #: The decoder under test; subclasses rerun the battery on another.
+    decode = staticmethod(decode_blob)
+
     def _blob(self):
         return encode_blob("mech.dp", {"rows": 64, "sets": [[1, [2, 3]]]})
 
     def test_bad_magic(self):
         with pytest.raises(CkptError, match="bad magic"):
-            decode_blob(b"NOPE" + self._blob()[4:])
+            self.decode(b"NOPE" + self._blob()[4:])
 
     def test_wrong_schema(self):
         # A blob whose embedded schema string differs.
@@ -82,14 +100,14 @@ class TestCorruption:
         finally:
             codec.CKPT_SCHEMA = original
         with pytest.raises(CkptError, match="unsupported checkpoint schema"):
-            decode_blob(alien)
+            self.decode(alien)
         assert CKPT_SCHEMA == original
 
     @pytest.mark.parametrize("keep", [0, 3, 4, 10, -1])
     def test_truncation_at_any_prefix(self, keep):
         blob = self._blob()
         with pytest.raises(CkptError):
-            decode_blob(blob[: keep if keep >= 0 else len(blob) - 1])
+            self.decode(blob[: keep if keep >= 0 else len(blob) - 1])
 
     def test_every_single_byte_flip_is_detected(self):
         blob = self._blob()
@@ -97,19 +115,81 @@ class TestCorruption:
             mutated = bytearray(blob)
             mutated[index] ^= 0xFF
             with pytest.raises(CkptError):
-                decode_blob(bytes(mutated))
+                self.decode(bytes(mutated))
 
     def test_trailing_garbage(self):
         with pytest.raises(CkptError, match="trailing bytes"):
-            decode_blob(self._blob() + b"x")
+            self.decode(self._blob() + b"x")
 
     def test_kind_mismatch(self):
         with pytest.raises(CkptError, match="kind mismatch"):
-            decode_blob(self._blob(), expect_kind="mech.rp")
+            self.decode(self._blob(), expect_kind="mech.rp")
 
     def test_empty_blob(self):
         with pytest.raises(CkptError):
-            decode_blob(b"")
+            self.decode(b"")
+
+
+class TestReadBlobCorruption(TestCorruption):
+    """The same battery against the index-based reader."""
+
+    decode = staticmethod(read_blob)
+
+    def test_lying_body_length(self):
+        # Re-frame a body whose list claims more elements than it holds:
+        # the digest is valid, so only the payload walk can catch it.
+        body = bytearray(b"l\x05")
+        body += int_bytes(1)
+        blob = codec._frame("k", body)
+        with pytest.raises(CkptError):
+            self.decode(blob)
+
+
+class TestReader:
+    @given(payload=codec_values)
+    @settings(max_examples=200, deadline=None)
+    def test_reader_matches_the_oracle(self, payload):
+        blob = encode_blob("fuzz", payload)
+        kind, read = read_blob(blob)
+        assert (kind, _typed(read)) == ("fuzz", _typed(decode_blob(blob)[1]))
+
+
+class TestWriter:
+    @given(
+        payload=st.dictionaries(st.text(max_size=8), codec_values, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_filled_template_is_the_oracle_encoding(self, payload, data):
+        open_keys = data.draw(st.sets(st.sampled_from(sorted(payload) or [""])))
+        open_keys &= set(payload)
+        template = {
+            key: Hole(key) if key in open_keys else value
+            for key, value in payload.items()
+        }
+        write = blob_writer("fuzz", {"outer": [template, 7]})
+        filled = write({key: value_bytes(payload[key]) for key in open_keys})
+        assert filled == encode_blob("fuzz", {"outer": [payload, 7]})
+
+    def test_holes_outside_a_template_are_rejected(self):
+        with pytest.raises(CkptError, match="cannot encode"):
+            encode_blob("k", [Hole("x")])
+
+    def test_int_cache_is_bounded_and_exact(self):
+        for value in range(-3000, 3000, 1):
+            int_bytes(value * 7919)
+        assert len(codec._INT_BYTES) <= codec._INT_CACHE_MAX
+        values = [2**70, -(2**70), 5, -5, 123456789]
+        body = b"".join(int_bytes(value) for value in values)
+        blob = codec._frame("k", list_header(len(values)) + body)
+        assert decode_blob(blob)[1] == values
+
+    def test_bools_are_not_the_cached_ints(self):
+        int_bytes(1)
+        int_bytes(0)
+        assert value_bytes(True) == b"T"
+        assert value_bytes(False) == b"F"
+        assert value_bytes(1) == b"i\x02"
 
 
 class TestDigest:

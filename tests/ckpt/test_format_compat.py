@@ -4,7 +4,8 @@ Checkpoints are content-addressed and bookmarks name their state by
 digest, so the bytes a snapshot encodes to are part of the on-disk
 contract. These tests pin the ``sha256`` of ``to_bytes()`` for every
 mechanism kind, the prefetch buffer and whole sessions after
-one fixed history, and resume bookmarks written in the two record
+one fixed history (a session's digest both as the compiled kernel
+writes it and as the oracle encodes the reference engine's state), and resume bookmarks written in the two record
 layouts earlier releases stored (run continuations and ``/streams``
 sessions) straight into the store.
 """
@@ -23,6 +24,8 @@ from repro.ckpt import (
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
 from repro.service.server import ExperimentService
+from repro.sim.batchpath import ReplayKernel
+from repro.sim.two_phase import ReplayWindow
 from repro.store import ExperimentStore
 from repro.tlb.prefetch_buffer import PrefetchBuffer
 
@@ -137,9 +140,16 @@ def runner():
 def test_session_bytes_are_pinned(runner, family):
     name, params, entries, expected = SESSIONS[family]
     spec = RunSpec.of("galgel", name, scale=SCALE, **params)
-    session = ReplaySession(runner.miss_stream_for(spec), spec.build_prefetcher())
+    stream = runner.miss_stream_for(spec)
+    session = ReplaySession(stream, spec.build_prefetcher())
     session.advance(entries)
+    # The compiled kernel's session writer...
+    assert isinstance(session._replay, ReplayKernel)
     assert _sha(session.snapshot()) == expected
+    # ...and the oracle encoding of the reference engine's state.
+    window = ReplayWindow(stream, spec.build_prefetcher(), PrefetchBuffer(16))
+    window.run(0, entries)
+    assert _sha(window.snapshot(entries, 0, 0)) == expected
 
 
 def _put_layout(store, key, record, session):

@@ -3,16 +3,21 @@
 Snapshots are content-addressed (equal state stores once), loads
 verify bytes against their address, continuations survive process
 boundaries and vanish gracefully when GC claims their blob, and
-pinning holds a blob against an eviction sweep.
+pinning holds a blob against an eviction sweep. Every corruption the
+restores reject, bookmarked as an oracle-encoded blob, fails resume.
 """
+
+import json
 
 import pytest
 
-from repro.ckpt import CheckpointManager, ReplaySession
+from repro.ckpt import CheckpointManager, ReplaySession, blob_digest, encode_blob
 from repro.errors import CkptError
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
 from repro.store import ExperimentStore
+
+from tests.ckpt.test_snapshots import CORRUPTIONS, corrupt_session
 
 SCALE = 0.02
 
@@ -150,3 +155,24 @@ def test_full_suspend_resume_through_the_manager(manager, tmp_path):
     )
     restored.advance(None)
     assert restored.stats() == one_shot.stats()
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_every_corruption_fails_the_resume(manager, store, runner, case):
+    """Each of the restores' corruption cases, encoded by the oracle
+    encoder and bookmarked, fails ``CheckpointManager.resume``: resume
+    validates what it seeds the kernel with."""
+    spec, snap = corrupt_session(runner, case)
+    blob = encode_blob(snap.kind, snap.to_payload())
+    store.put_ckpt(blob_digest(blob), blob)
+    record = {
+        "spec": spec.to_dict(),
+        "spec_key": spec.key(),
+        "stream_offset": snap.offset,
+        "state_digest": blob_digest(blob),
+        "tenant": None,
+    }
+    key = manager.run_key(spec.key())
+    store.put_ckpt(key, (json.dumps(record, sort_keys=True) + "\n").encode())
+    with pytest.raises(CkptError, match=CORRUPTIONS[case][2]):
+        manager.resume(key, runner.miss_stream_for, spec)

@@ -10,7 +10,8 @@ from repro.ckpt import ReplaySession, SessionSnapshot
 from repro.errors import CkptError
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
-from repro.sim.two_phase import replay_prefetcher
+from repro.sim.two_phase import ReplayWindow, replay_prefetcher
+from repro.tlb.prefetch_buffer import PrefetchBuffer
 
 SCALE = 0.02
 
@@ -135,3 +136,56 @@ def test_subclass_sessions_run_the_reference_loop(stream):
     assert session.stats() == replay_prefetcher(
         stream, Tweaked(rows=64), buffer_entries=8
     )
+
+
+def test_snapshot_carries_written_bytes_until_a_field_is_read(stream):
+    session = ReplaySession(stream, create_prefetcher("DP", rows=64))
+    session.advance(100)
+    snap = session.snapshot()
+    blob = snap.to_bytes()
+    assert snap.to_bytes() is blob
+    assert snap.offset == 100  # decodes the fields
+    assert snap.to_bytes() == blob  # now the oracle's encoding of them
+    snap.offset = 99
+    assert SessionSnapshot.from_bytes(snap.to_bytes()).offset == 99
+
+
+def test_resume_seeds_the_kernel_without_training_an_instance(stream, monkeypatch):
+    """Resume validates the snapshot and seeds the compiled kernel from
+    it; the instance is trained only once the session writes it back."""
+    import repro.sim.batchpath as batchpath
+
+    session = ReplaySession(stream, create_prefetcher("RP"))
+    session.advance(300)
+    blob = session.snapshot().to_bytes()
+    restores = []
+    real = batchpath.restore_prefetcher
+    monkeypatch.setattr(
+        batchpath,
+        "restore_prefetcher",
+        lambda snap, prefetcher: restores.append(snap) or real(snap, prefetcher),
+    )
+    fresh = create_prefetcher("RP")
+    resumed = ReplaySession.resume(SessionSnapshot.from_bytes(blob), stream, fresh)
+    resumed.advance(50)
+    session.advance(50)
+    assert resumed.snapshot().to_bytes() == session.snapshot().to_bytes()
+    assert restores == [] and fresh.page_table._entries == {}
+    resumed.advance(None)
+    assert len(restores) == 1
+    session.advance(None)
+    assert resumed.stats() == session.stats()
+
+
+@pytest.mark.parametrize("variant_three", [True, 1, False, 0])
+def test_session_bytes_keep_configuration_types(stream, variant_three):
+    """``variant_three=1`` and ``=True`` replay alike but encode apart
+    (``i`` vs ``T``): each session's bytes are the oracle encoding of
+    its own configuration, whichever was written first."""
+    session = ReplaySession(stream, create_prefetcher("RP", variant_three=variant_three))
+    session.advance(50)
+    window = ReplayWindow(
+        stream, create_prefetcher("RP", variant_three=variant_three), PrefetchBuffer(16)
+    )
+    window.run(0, 50)
+    assert session.snapshot().to_bytes() == window.snapshot(50, 0, 0).to_bytes()

@@ -274,6 +274,199 @@ def test_rp_dangling_link_rejected_at_restore(link):
         ReplaySession.resume(snap, stream, spec.build_prefetcher())
 
 
+# ---------------------------------------------------------------------------
+# Corrupt snapshots: one case list, run here through the restores and in
+# test_manager.py through ``CheckpointManager.resume`` from oracle-encoded
+# blobs, so a check dropped from ``validate`` fails both.
+
+#: (mechanism, params) of the sessions the corruptions start from.
+CORRUPT_SPECS = {
+    "SP": ("SP", {}),
+    "ASP-seq": ("SP-adaptive", {}),
+    "ASP": ("ASP", {"rows": 8, "ways": 2}),
+    "MP": ("MP", {"rows": 8}),
+    "DP": ("DP", {"rows": 8, "ways": 2}),
+    "DP-PC": ("DP-PC", {"rows": 8}),
+    "DP-2": ("DP-2", {"rows": 8}),
+    "RP": ("RP", {}),
+}
+
+
+def _changed(field):
+    def corrupt(snap):
+        value = getattr(snap.mechanism, field)
+        new = (not value) if isinstance(value, bool) else value + 1
+        snap.mechanism = dataclasses.replace(snap.mechanism, **{field: new})
+
+    return corrupt
+
+
+def _table(snap):
+    return snap.mechanism.table
+
+
+def _reshape(snap):
+    table = _table(snap)
+    snap.mechanism.table = dataclasses.replace(table, rows=table.rows * 2)
+
+
+def _extra_set(snap):
+    _table(snap).sets.append([])
+
+
+def _overflow_set(snap):
+    table = _table(snap)
+    num_sets = table.rows // table.ways
+    pairs = next(pairs for pairs in table.sets if pairs)
+    key, payload = pairs[0]
+    while len(pairs) <= table.ways:
+        key += num_sets * 1000
+        pairs.append([key, list(payload)])
+
+
+def _misfile(snap):
+    sets = _table(snap).sets
+    home = next(index for index, pairs in enumerate(sets) if pairs)
+    sets[(home + 1) % len(sets)].append(sets[home].pop())
+
+
+def _overfill_row(snap):
+    pairs = next(pairs for pairs in _table(snap).sets if pairs)
+    pairs[0][1] = list(range(snap.mechanism.slots + 1))
+
+
+def _stride_state(snap):
+    pairs = next(pairs for pairs in _table(snap).sets if pairs)
+    pairs[0][1] = pairs[0][1][:2] + [7]
+
+
+def _degree(value):
+    def corrupt(snap):
+        snap.mechanism.degree = value(snap.mechanism)
+
+    return corrupt
+
+
+def _duplicate_pte(snap):
+    snap.mechanism.entries.append(list(snap.mechanism.entries[0]))
+
+
+def _malformed_pte(snap):
+    snap.mechanism.entries[0] = snap.mechanism.entries[0][:3]
+
+
+def _dangling(link):
+    def corrupt(snap):
+        entry = next(e for e in snap.mechanism.entries if e[link] is not None)
+        entry[link] = 10**12
+
+    return corrupt
+
+
+def _homeless_top(snap):
+    snap.mechanism.top = 10**12
+
+
+def _foreign_family(snap):
+    counters = {name: getattr(snap.mechanism, name) for name in (
+        "last_overhead_ops", "prefetches_issued", "overhead_ops_total")}
+    snap.mechanism = SNAPSHOT_KINDS["mech.none"](**counters)
+
+
+def _buffer_capacity(snap):
+    snap.buffer.capacity += 1
+
+
+def _overfull_buffer(snap):
+    buffer = snap.buffer
+    buffer.pages = buffer.pages + [10**9 + i for i in range(buffer.capacity + 1)]
+
+
+#: case id -> (CORRUPT_SPECS key, corrupt(session snapshot) in place,
+#: the error it must raise). Every configuration field declared by any
+#: family has a ``<kind>:<field>`` case.
+CORRUPTIONS = {
+    "mech.sp:degree": ("SP", _changed("degree"), "configuration mismatch"),
+    **{
+        f"mech.asp_seq:{field}": ("ASP-seq", _changed(field), "configuration mismatch")
+        for field in ("max_degree", "window", "raise_above", "lower_below")
+    },
+    **{
+        f"{kind}:slots": (name, _changed("slots"), "configuration mismatch")
+        for kind, name in (
+            ("mech.mp", "MP"), ("mech.dp", "DP"), ("mech.dp_pc", "DP-PC"), ("mech.dp2", "DP-2")
+        )
+    },
+    "mech.rp:variant_three": ("RP", _changed("variant_three"), "configuration mismatch"),
+    "family": ("DP", _foreign_family, "kind mismatch"),
+    "table:shape": ("ASP", _reshape, "table shape mismatch"),
+    "table:set count": ("DP", _extra_set, "sets for"),
+    "table:set overflow": ("ASP", _overflow_set, r"holds \d+ rows"),
+    "table:wrong set": ("DP", _misfile, "filed under set"),
+    "slots:overflow": ("DP", _overfill_row, "slot values for capacity"),
+    "stride:state": ("ASP", _stride_state, "stride row"),
+    "asp_seq:degree low": ("ASP-seq", _degree(lambda m: 0), r"degree .* outside"),
+    "asp_seq:degree high": (
+        "ASP-seq", _degree(lambda m: m.max_degree + 1), r"degree .* outside"
+    ),
+    "rp:duplicate": ("RP", _duplicate_pte, "duplicate PTE"),
+    "rp:malformed": ("RP", _malformed_pte, "malformed PTE"),
+    "rp:next": ("RP", _dangling(1), "has no PTE"),
+    "rp:prev": ("RP", _dangling(2), "has no PTE"),
+    "rp:top": ("RP", _homeless_top, "stack top"),
+    "buffer:capacity": ("MP", _buffer_capacity, "capacity"),
+    "buffer:overfull": ("MP", _overfull_buffer, "pages for capacity"),
+}
+
+
+def corrupt_session(runner, case):
+    """``(spec, snapshot)``: a 300-entry session of the case's spec with
+    the case's corruption applied to its (materialized) snapshot."""
+    name, params = CORRUPT_SPECS[CORRUPTIONS[case][0]]
+    spec = RunSpec.of("galgel", name, scale=0.05, **params)
+    session = ReplaySession(runner.miss_stream_for(spec), spec.build_prefetcher())
+    session.advance(300)
+    snap = StateSnapshot.from_bytes(session.snapshot().to_bytes())
+    CORRUPTIONS[case][1](snap)
+    return spec, snap
+
+
+@pytest.fixture(scope="module")
+def corrupt_runner():
+    return Runner(cache=MissStreamCache())
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_every_corruption_fails_the_restores(corrupt_runner, case):
+    spec, snap = corrupt_session(corrupt_runner, case)
+    with pytest.raises(CkptError, match=CORRUPTIONS[case][2]):
+        restore_prefetcher(snap.mechanism, spec.build_prefetcher())
+        restore_buffer(snap.buffer, PrefetchBuffer(spec.buffer_entries))
+
+
+def test_corruptions_cover_every_declared_field():
+    declared = {
+        f"{cls.kind}:{field}"
+        for cls in SNAPSHOT_KINDS.values()
+        for field in getattr(cls, "config", ())
+    }
+    assert declared <= set(CORRUPTIONS)
+
+
+def test_rp_restore_links_share_the_pages_objects():
+    """A restored page table holds each page once: links resolve to the
+    linked PTE's own page, not to the decoder's fresh ints."""
+    trained = create_prefetcher("RP")
+    # Pages past CPython's small-int cache, with evictions to stack.
+    _drive(trained, [(0, 1000 + i * 7 % 37, 1000 + i * 5 % 37, False) for i in range(200)])
+    snap = StateSnapshot.from_bytes(snapshot_prefetcher(trained).to_bytes())
+    restored = create_prefetcher("RP")
+    restore_prefetcher(snap, restored)
+    ptes = restored.page_table._entries
+    links = [link for pte in ptes.values() for link in (pte.next, pte.prev) if link is not None]
+    assert links and all(link is ptes[link].page for link in links)
+
+
 def test_every_registered_kind_is_reachable():
     """The registry holds exactly the snapshot kinds the suite fuzzes."""
     assert set(SNAPSHOT_KINDS) == {

@@ -105,6 +105,39 @@ class TestStreamRoutes:
         status, step = service.handle("POST", "/streams/s1/advance", body={})
         assert status == 200 and step["advanced"] == 0
 
+    def test_empty_advance_rewrites_nothing(self, service, store):
+        """An advance that replays nothing (count 0, or a finished
+        session) answers with the last digest and writes no blob and no
+        bookmark; one the store lost is written back."""
+        service.handle(
+            "POST", "/streams", body={"spec": _spec_dict(), "session_id": "s1"}
+        )
+        _, step = service.handle("POST", "/streams/s1/advance", body={"count": 60})
+        for body in ({"count": 0}, {"count": 0}):
+            written = store.stats()["bytes_written"]
+            status, idle = service.handle("POST", "/streams/s1/advance", body=body)
+            assert status == 200 and idle["advanced"] == 0
+            assert idle["state_digest"] == step["state_digest"]
+            assert store.stats()["bytes_written"] == written
+        _, done = service.handle("POST", "/streams/s1/advance", body={})
+        assert done["finished"]
+        written = store.stats()["bytes_written"]
+        _, again = service.handle("POST", "/streams/s1/advance", body={})
+        assert again["advanced"] == 0
+        assert again["state_digest"] == done["state_digest"]
+        assert store.stats()["bytes_written"] == written
+        # A restarted service restores the session and still writes nothing.
+        reborn = ExperimentService(ExperimentStore(store.root))
+        _, restored = reborn.handle("POST", "/streams/s1/advance", body={"count": 0})
+        assert restored["state_digest"] == done["state_digest"]
+        assert store.stats()["bytes_written"] == written
+        # Lost state is written again, under the same digest.
+        store.delete_ckpt(done["state_digest"])
+        _, rewritten = service.handle("POST", "/streams/s1/advance", body={"count": 0})
+        assert rewritten["state_digest"] == done["state_digest"]
+        assert store.has_ckpt(done["state_digest"])
+        assert store.stats()["bytes_written"] > written
+
     def test_stats_envelope_counts_streams(self, service):
         service.handle(
             "POST", "/streams", body={"spec": _spec_dict(), "session_id": "s1"}
