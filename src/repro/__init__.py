@@ -69,7 +69,6 @@ from repro.prefetch.stride import ArbitraryStridePrefetcher
 from repro.run import MechanismSpec, MissStreamCache, ResultSet, Runner, RunSpec
 from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.cycle import CycleSimConfig, CycleStats, normalized_cycles, simulate_cycles
-from repro.sim import replay_fast
 from repro.sim.engine import ENGINES, resolve_engine
 from repro.sim.functional import simulate
 from repro.sim.stats import PrefetchRunStats
@@ -148,7 +147,6 @@ __all__ = [
     "load_miss_trace",
     "load_reference_trace",
     "normalized_cycles",
-    "replay_fast",
     "replay_prefetcher",
     "resolve_engine",
     "save_miss_trace",

@@ -67,6 +67,7 @@ def accuracy_timeline(
         misses = session.advance(window)
         points.append(TimelinePoint(start, misses, session.pb_hits_measured - hits))
         hits = session.pb_hits_measured
+    session.prefetcher  # reading it trains the instance
     return points
 
 

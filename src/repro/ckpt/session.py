@@ -72,9 +72,11 @@ class ReplaySession:
         miss_trace: the filtered miss stream to replay.
         prefetcher: the mechanism instance to drive. It is trained
             exactly as the reference engine trains it: in place for a
-            mechanism without a compiled loop, and once the session
-            finishes (or :attr:`prefetcher` is read) for one with a
-            compiled kernel, which owns the live state in between.
+            mechanism without a compiled loop, and when
+            :attr:`prefetcher` is read for one with a compiled kernel,
+            which owns the live state until then (its family is the
+            mechanism's snapshot declaration). Callers that pass a
+            throwaway instance and never read it pay no write-back.
         buffer_entries: prefetch-buffer capacity.
         max_prefetches_per_miss: per-miss issue clamp (0 = unlimited).
     """
@@ -141,7 +143,12 @@ class ReplaySession:
 
     @property
     def prefetcher(self) -> Prefetcher:
-        """The mechanism instance, trained up to :attr:`offset`."""
+        """The mechanism instance, trained up to :attr:`offset`.
+
+        This read is where a compiled kernel's state is written back
+        into the instance (only when it has advanced since the last
+        read); finishing the session writes nothing back.
+        """
         self._replay.write_back(self._prefetcher)
         return self._prefetcher
 
@@ -172,8 +179,6 @@ class ReplaySession:
         if stop > start:
             self._replay.run(start, stop)
             self.offset = stop
-            if self.finished:
-                self._replay.write_back(self._prefetcher)
         return stop - start
 
     def stats(self) -> PrefetchRunStats:
@@ -218,7 +223,7 @@ class ReplaySession:
         configuration; the snapshot is validated against it
         (:func:`~repro.ckpt.snapshots.validate`) and then seeds the
         compiled kernel directly — the instance itself is trained only
-        when the session finishes or :attr:`prefetcher` is read.
+        when :attr:`prefetcher` is read.
         ``miss_trace`` must be the same stream the snapshot was taken
         over — the offset is validated against its length, content
         identity is the caller's (content-addressed store's)

@@ -355,7 +355,12 @@ class MechanismSnapshot(StateSnapshot):
     :func:`snapshot_prefetcher`, :func:`validate` and
     :func:`restore_prefetcher` walk that declaration; :meth:`_capture`,
     :meth:`_check` and :meth:`_restore` hold the little a family cannot
-    declare.
+    declare. The declaration is also the compiled engine's family table
+    (:mod:`repro.sim.batchpath`): :func:`family_of` picks the family, a
+    configuration is planned as the table's rows and ways followed by
+    the ``config`` fields, ``row_codec`` says whether there is a table,
+    and the generated loop keeps each ``live`` field in a register of
+    the same name.
     """
 
     mechanism: ClassVar[type]
@@ -580,10 +585,18 @@ _MECHANISMS: dict[type, type[MechanismSnapshot]] = {
 }
 
 
+def family_of(prefetcher: Prefetcher) -> type[MechanismSnapshot] | None:
+    """The snapshot family declaring ``prefetcher``'s class, if any.
+
+    Dispatch is on exact type: a subclass may carry state or behaviour
+    its parent's declaration does not describe, so it must declare its
+    own family (until then it has no snapshots and no compiled loop).
+    """
+    return _MECHANISMS.get(type(prefetcher))
+
+
 def _family(prefetcher: Prefetcher) -> type[MechanismSnapshot]:
-    # Exact type (mirroring the compiled engine's support check): a
-    # subclass with extra state must declare its own family.
-    family = _MECHANISMS.get(type(prefetcher))
+    family = family_of(prefetcher)
     if family is None:
         raise CkptError(f"no snapshot support for {type(prefetcher).__name__}")
     return family

@@ -158,6 +158,12 @@ class MissTrace:
             warm-up window and are excluded from accuracy accounting.
         name: workload identifier.
         tlb_label: short description of the filtering TLB configuration.
+
+    Values derived from the arrays are computed once per stream and kept
+    in a memo: each array as a plain list (:meth:`as_lists`), and the
+    compiled engine's batch analysis. A view made with
+    :func:`dataclasses.replace` that keeps the arrays (a relabel, a
+    different warm-up) shares the memo.
     """
 
     pcs: np.ndarray
@@ -168,7 +174,7 @@ class MissTrace:
     warmup_misses: int = 0
     name: str = ""
     tlb_label: str = ""
-    _lists: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lengths = {len(self.pcs), len(self.pages), len(self.evicted), len(self.ref_index)}
@@ -198,14 +204,24 @@ class MissTrace:
 
     def as_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Return ``(pcs, pages, evicted, ref_index)`` lists, memoized."""
-        if not self._lists:
-            self._lists["value"] = (
-                self.pcs.tolist(),
-                self.pages.tolist(),
-                self.evicted.tolist(),
-                self.ref_index.tolist(),
-            )
-        return self._lists["value"]
+        return (
+            self._list("pcs"),
+            self._list("pages"),
+            self._list("evicted"),
+            self._list("ref_index"),
+        )
+
+    def _list(self, name: str) -> list[int]:
+        """The array ``name`` as a plain list, converted once."""
+        return self._derived(name, getattr(self, name).tolist)
+
+    def _derived(self, key, build):
+        """The memo's value for ``key``, made by ``build()`` on first use."""
+        value = self._memo.get(key)
+        if value is None:
+            # Threads racing on a cold key all get the one value stored.
+            value = self._memo.setdefault(key, build())
+        return value
 
     def __len__(self) -> int:
         return self.num_misses

@@ -17,7 +17,6 @@ protocol (plus ``submit_sweep``) on top of it.
 from repro.service.admission import (
     ADMISSION_SCHEMA,
     AdmissionController,
-    CostTracker,
     TenantConfig,
     TokenBucket,
     load_tenant_config,
@@ -34,7 +33,6 @@ from repro.service.server import (
 __all__ = [
     "ADMISSION_SCHEMA",
     "AdmissionController",
-    "CostTracker",
     "ExperimentService",
     "MAX_BODY_BYTES",
     "SERVICE_SCHEMA",

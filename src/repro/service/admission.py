@@ -7,10 +7,10 @@ its handler runs:
 - :class:`TokenBucket` — the classic rate limiter: ``rate`` tokens per
   second refill, ``burst`` bucket depth, and a non-blocking
   ``try_acquire`` that answers "granted" or "come back in N seconds"
-  (the number the ``Retry-After`` header carries).
-- :class:`CostTracker` — the same bucket in *spec units* instead of
-  requests, charged before a sweep is dispatched, so one tenant's
-  10,000-spec sweep cannot starve everyone else's small batches.
+  (the number the ``Retry-After`` header carries). Each tenant has
+  one for requests and one for sweep cost in *spec units*, charged
+  before a sweep is dispatched, so one tenant's 10,000-spec sweep
+  cannot starve everyone else's small batches.
 - :class:`TenantConfig` — one API token mapped to one named tenant
   namespace, with its rate/cost budgets and a ``worker`` capability
   bit that the ``worker`` rows require.
@@ -123,41 +123,6 @@ class TokenBucket:
             )
             self._stamp = now
             return self._tokens
-
-
-class CostTracker:
-    """A budget over *work units* (specs), not requests.
-
-    Follows the rate-limiter/cost-tracker injection idiom: the service
-    charges ``len(specs)`` before dispatching a ``POST /runs`` or
-    ``POST /jobs`` body, so sweep cost is bounded per tenant even when
-    each sweep is a single HTTP request.
-
-    Attributes:
-        charged: total units successfully charged.
-        denied: number of charges refused.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        burst: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._bucket = TokenBucket(rate, burst, clock)
-        self._lock = threading.Lock()
-        self.charged = 0.0
-        self.denied = 0
-
-    def try_charge(self, units: float) -> float:
-        """Charge ``units``; ``0.0`` on success, else seconds to wait."""
-        wait = self._bucket.try_acquire(units)
-        with self._lock:
-            if wait == 0.0:
-                self.charged += units
-            else:
-                self.denied += 1
-        return wait
 
 
 @dataclass(frozen=True)
@@ -291,8 +256,10 @@ class AdmissionController:
             tenant.name: TokenBucket(tenant.rate, tenant.burst, clock)
             for tenant in tenants
         }
+        # Sweep cost in spec units: charged len(specs) per POST /runs or
+        # POST /jobs body, so one request cannot carry unbounded work.
         self._costs = {
-            tenant.name: CostTracker(tenant.cost_rate, tenant.cost_burst, clock)
+            tenant.name: TokenBucket(tenant.cost_rate, tenant.cost_burst, clock)
             for tenant in tenants
         }
         self._clock = clock
@@ -357,7 +324,7 @@ class AdmissionController:
         """Charge ``units`` of sweep cost: 0.0 ok, else retry-after."""
         if tenant is None or units <= 0:
             return 0.0
-        wait = self._costs[tenant.name].try_charge(units)
+        wait = self._costs[tenant.name].try_acquire(units)
         if wait > 0.0:
             self.note(tenant.name, "cost_limited")
         return wait

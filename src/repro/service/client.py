@@ -329,13 +329,9 @@ class ServiceClient:
         encoded = urllib.parse.urlencode(query)
         return self.request("/results" + (f"?{encoded}" if encoded else ""))
 
-    def submit(
-        self, specs: list[dict], workers: int = 0, timeout: float | None = None
-    ) -> dict:
+    def submit(self, specs: list[dict], timeout: float | None = None) -> dict:
         """``POST /runs``: execute (or fetch) a batch of spec dicts."""
-        return self.request(
-            "/runs", {"specs": specs, "workers": workers}, timeout=timeout
-        )
+        return self.request("/runs", {"specs": specs}, timeout=timeout)
 
     # -- streaming wrappers --------------------------------------------------
 

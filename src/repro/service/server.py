@@ -813,16 +813,11 @@ class ExperimentService:
         payload.update(limit=limit, offset=offset)
         return 200, self._envelope(payload)
 
-    def _post_runs(
-        self, tenant: TenantConfig | None, specs: list, workers: int
-    ) -> tuple[int, dict]:
+    def _post_runs(self, tenant: TenantConfig | None, specs: list) -> tuple[int, dict]:
         specs = _parse_specs(specs)
         refusal = self._charge_cost(tenant, specs)
         if refusal is not None:
             return refusal
-        runner = self.runner
-        if workers > 1:
-            runner = Runner(workers=workers, cache=self.runner.cache, store=self.store)
         # Per-request accounting via index probes, not global-counter
         # deltas: concurrent requests share the store's persistent
         # counters, so differencing them would attribute other
@@ -830,7 +825,7 @@ class ExperimentService:
         # "state at submission time".
         unique_keys = list(dict.fromkeys(spec.key() for spec in specs))
         hits = sum(1 for key in unique_keys if self.store.has_result(key))
-        results = runner.run(specs)
+        results = self.runner.run(specs)
         if tenant is not None:
             # Visibility grant, not a copy: the artifacts stay shared
             # and content-addressed across tenants.
@@ -1434,8 +1429,7 @@ ROUTES: tuple[Route, ...] = (
     ),
     Route("GET", "/runs/:key", _SVC._get_run, "tenant"),
     Route(
-        "POST", "/runs", _SVC._post_runs, "tenant",
-        (Field("specs", "list"), Field("workers", "int>=0", 0)),
+        "POST", "/runs", _SVC._post_runs, "tenant", (Field("specs", "list"),),
     ),
     Route(
         "POST", "/streams", _SVC._post_streams, "tenant",

@@ -32,9 +32,6 @@ from repro.sim.functional import simulate
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.two_phase import filter_tlb, replay_prefetcher
 
-#: The compiled single replay, under its historical name.
-replay_fast = replay_compiled
-
 __all__ = [
     "CycleSimConfig",
     "CycleStats",
@@ -45,7 +42,6 @@ __all__ = [
     "filter_tlb",
     "replay",
     "replay_compiled",
-    "replay_fast",
     "replay_prefetcher",
     "resolve_engine",
     "simulate",

@@ -40,6 +40,15 @@ declares (``prev_page``, ``prev_distance``, ``prev_key``, ``degree``,
 back on exit, which is what lets a loop stop anywhere and continue
 later.
 
+The engine keeps no family table of its own. A mechanism's family is
+its :class:`~repro.ckpt.snapshots.MechanismSnapshot` class
+(:func:`~repro.ckpt.snapshots.family_of`), and that declaration is
+read for everything else: a configuration is the table's rows and
+ways followed by the declared ``config`` fields, ``row_codec`` says
+whether there is a table, and ``live`` names the registers. Per-stream
+data — the ``pcs`` and ``pages`` lists and the batch planner's key
+analysis — lives in the :class:`~repro.mem.trace.MissTrace` memo.
+
 Batches add two exact optimizations on top:
 
 1. **Equivalence-class deduplication.** A prediction table's content
@@ -76,58 +85,47 @@ properties) and the golden files.
 from __future__ import annotations
 
 import dataclasses
-import weakref
 
 import numpy as np
 
 from repro.ckpt.codec import Hole, blob_writer, int_bytes, list_header, value_bytes
 from repro.ckpt.session import SessionSnapshot
 from repro.ckpt.snapshots import (
-    SNAPSHOT_KINDS,
+    AdaptiveSequentialSnapshot,
     BufferSnapshot,
+    DistancePairSnapshot,
+    DistanceSnapshot,
+    MarkovSnapshot,
     MechanismSnapshot,
+    NullSnapshot,
+    PCDistanceSnapshot,
+    RecencySnapshot,
+    SequentialSnapshot,
+    StrideSnapshot,
     TableSnapshot,
+    family_of,
     restore_prefetcher,
     snapshot_buffer,
     snapshot_prefetcher,
 )
-from repro.core.distance import DistancePrefetcher
-from repro.core.distance_pair import DistancePairPrefetcher, pack_distance_pair
-from repro.core.pc_distance import PCDistancePrefetcher, pack_pc_distance
+from repro.core.distance_pair import pack_distance_pair
+from repro.core.pc_distance import pack_pc_distance
 from repro.errors import ConfigurationError
 from repro.mem.trace import MissTrace
-from repro.prefetch.adaptive_sequential import AdaptiveSequentialPrefetcher
 from repro.prefetch.base import Prefetcher
-from repro.prefetch.markov import MarkovPrefetcher
-from repro.prefetch.null import NullPrefetcher
-from repro.prefetch.recency import RecencyPrefetcher
-from repro.prefetch.sequential import SequentialPrefetcher
-from repro.prefetch.stride import ArbitraryStridePrefetcher
 from repro.sim.two_phase import replay_stats
 from repro.tlb.prefetch_buffer import PrefetchBuffer
 
-#: Mechanism class -> compiled family. Dispatch is on *exact* type:
-#: user subclasses may override behavior the generated loops do not
-#: model, so they always take the reference engine.
-_FAMILIES: dict[type, str] = {
-    NullPrefetcher: "none",
-    SequentialPrefetcher: "seq",
-    AdaptiveSequentialPrefetcher: "aseq",
-    ArbitraryStridePrefetcher: "stride",
-    MarkovPrefetcher: "markov",
-    DistancePrefetcher: "distance",
-    PCDistancePrefetcher: "pcdist",
-    DistancePairPrefetcher: "distpair",
-    RecencyPrefetcher: "recency",
-}
-
-#: Families with a table whose key universe the planner can analyze.
-_TABLE_FAMILIES = ("stride", "markov", "distance", "pcdist", "distpair")
-
 
 def supports(prefetcher: Prefetcher) -> bool:
-    """True when the compiled engine has a loop for this mechanism."""
-    return type(prefetcher) in _FAMILIES
+    """True when the compiled engine has a loop for this mechanism.
+
+    The family is the snapshot family of the exact class
+    (:func:`~repro.ckpt.snapshots.family_of`): user subclasses may
+    override behavior the generated loops do not model, so they always
+    take the reference engine.
+    """
+    return family_of(prefetcher) in _EMITTERS
 
 
 def is_fresh(prefetcher: Prefetcher) -> bool:
@@ -159,40 +157,26 @@ class _SlotPlan:
 
 
 def _plan(prefetcher: Prefetcher, cap: int, clamp: int) -> _SlotPlan:
-    family = _FAMILIES.get(type(prefetcher))
-    if family is None:
+    """The family's declared configuration, after a table's geometry."""
+    family = family_of(prefetcher)
+    if family not in _EMITTERS:
         raise ConfigurationError(
             f"compiled engine has no replay loop for "
             f"{type(prefetcher).__name__}; use engine='reference'"
         )
-    if family == "none":
-        config = ()
-    elif family == "seq":
-        config = (prefetcher.degree,)
-    elif family == "aseq":
-        config = (
-            prefetcher.max_degree,
-            prefetcher.window,
-            prefetcher.raise_above,
-            prefetcher.lower_below,
-        )
-    elif family == "recency":
-        config = (prefetcher.variant_three,)
-    elif family == "stride":
-        config = (prefetcher.table.rows, prefetcher.table.ways)
-    else:
-        config = (prefetcher.table.rows, prefetcher.table.ways, prefetcher.slots)
+    config = tuple(getattr(prefetcher, name) for name in family.config)
+    if family.row_codec is not None:
+        config = (prefetcher.table.rows, prefetcher.table.ways, *config)
     return _SlotPlan(prefetcher.label, family, config, cap, clamp)
 
 
 def _exact_sig(plan: _SlotPlan) -> tuple:
     """Emission signature of a configuration at its real geometry."""
-    if plan.family in _TABLE_FAMILIES:
-        rows, ways = plan.config[0], plan.config[1]
-        return (plan.family, plan.config[2:], (rows, ways), plan.cap, plan.clamp)
-    if plan.family == "none":
+    if plan.family.row_codec is not None:
+        return (plan.family, plan.config[2:], plan.config[:2], plan.cap, plan.clamp)
+    if plan.family is NullSnapshot:
         # Null never buffers or issues: cap and clamp cannot matter.
-        return ("none",)
+        return (NullSnapshot,)
     return (plan.family, plan.config, plan.cap, plan.clamp)
 
 
@@ -248,7 +232,7 @@ class _StreamKeys:
         self._pcs = pcs
         self._pages = pages
         self._distances: list[int] | None = None
-        self._cache: dict[str, tuple[list[int], int]] = {}
+        self._cache: dict[type, tuple[list[int], int]] = {}
 
     def distances(self) -> list[int]:
         if self._distances is None:
@@ -258,23 +242,23 @@ class _StreamKeys:
             ]
         return self._distances
 
-    def _keys(self, family: str) -> tuple[list[int], int]:
+    def _keys(self, family: type[MechanismSnapshot]) -> tuple[list[int], int]:
         cached = self._cache.get(family)
         if cached is not None:
             return cached
-        if family == "stride":
+        if family is StrideSnapshot:
             keys = self._pcs
-        elif family == "markov":
+        elif family is MarkovSnapshot:
             keys = self._pages
-        elif family == "distance":
+        elif family is DistanceSnapshot:
             keys = self.distances()
-        elif family == "pcdist":
+        elif family is PCDistanceSnapshot:
             pcs, pages = self._pcs, self._pages
             keys = [
                 pack_pc_distance(pcs[i], pages[i] - pages[i - 1])
                 for i in range(1, len(pages))
             ]
-        else:  # distpair
+        else:  # DistancePairSnapshot
             dist = self.distances()
             keys = [
                 pack_distance_pair(dist[i - 1], dist[i])
@@ -284,11 +268,11 @@ class _StreamKeys:
         self._cache[family] = cached
         return cached
 
-    def universe(self, family: str) -> list[int]:
+    def universe(self, family: type[MechanismSnapshot]) -> list[int]:
         """``family``'s distinct keys in first-occurrence order."""
         return self._keys(family)[0]
 
-    def never_hits(self, family: str) -> bool:
+    def never_hits(self, family: type[MechanismSnapshot]) -> bool:
         """True when ``family``'s key stream never repeats a key.
 
         Every table lookup then tag-misses (a key is only ever in the
@@ -311,13 +295,12 @@ def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
     representative's concrete ``(rows, ways)`` is kept.
     """
     exact = _exact_sig(plan)
-    if plan.family in _TABLE_FAMILIES:
+    if plan.family.row_codec is not None:
         if keys.never_hits(plan.family):
             # No repeated key -> no tag hit -> no prefetch, ever. One
             # zero-cost class regardless of geometry/slots/cap/clamp.
             return ("zero",), ("zero",)
-        rows, ways = plan.config[0], plan.config[1]
-        tclass = _table_class(keys.universe(plan.family), rows, ways)
+        tclass = _table_class(keys.universe(plan.family), *exact[2])
         emit = exact if tclass != ("inf",) else exact[:2] + (None,) + exact[3:]
         return (plan.family, exact[1], tclass, plan.cap, plan.clamp), emit
     return exact, exact
@@ -630,20 +613,20 @@ def _emit_stride(sig, warmup):
 #: update guard keeps a page from being its own successor in MP; the
 #: DP family only needs a previous key.
 _DISTANCE = ("if lp is not None:", "    distance = page - lp")
-_SLOT_TABLES: dict[str, tuple[str, str, str, str, str | None, tuple[str, ...]]] = {
-    "markov": ("page", "lp", "page", "lp is not None and lp != page", None, ()),
-    "distance": ("distance", "pd", "distance", "pd is not None", "page", (
+_SLOT_TABLES: dict[type, tuple[str, str, str, str, str | None, tuple[str, ...]]] = {
+    MarkovSnapshot: ("page", "lp", "page", "lp is not None and lp != page", None, ()),
+    DistanceSnapshot: ("distance", "pd", "distance", "pd is not None", "page", (
         *_DISTANCE,
         "    pd = prev_distance",
         "    prev_distance = distance",
     )),
-    "pcdist": ("kpc", "pkc", "distance", "pkc is not None", "page", (
+    PCDistanceSnapshot: ("kpc", "pkc", "distance", "pkc is not None", "page", (
         *_DISTANCE,
         "    kpc = pack_pc_distance(pc, distance)",
         "    pkc = prev_key",
         "    prev_key = kpc",
     )),
-    "distpair": ("dpk", "pk2", "distance", "pk2 is not None", "page", (
+    DistancePairSnapshot: ("dpk", "pk2", "distance", "pk2 is not None", "page", (
         *_DISTANCE,
         "    pd = prev_distance",
         "    prev_distance = distance",
@@ -836,28 +819,19 @@ def _emit_recency(sig, warmup):
     return (), [], out
 
 
-#: Family -> emitter returning ``(state names beyond the buffer's,
-#: prologue lines, per-miss body lines)`` for one class.
+#: Family (its snapshot class) -> emitter returning ``(state names
+#: beyond the buffer's, prologue lines, per-miss body lines)`` for one
+#: class.
 _EMITTERS = {
-    "none": _emit_none,
-    "seq": _emit_seq,
-    "aseq": _emit_aseq,
-    "stride": _emit_stride,
-    "markov": _emit_slot_table,
-    "distance": _emit_slot_table,
-    "pcdist": _emit_slot_table,
-    "distpair": _emit_slot_table,
-    "recency": _emit_recency,
-}
-
-#: Family -> the live fields its snapshot class declares
-#: (:attr:`~repro.ckpt.snapshots.MechanismSnapshot.live`: field ->
-#: instance attribute). The loop keeps each field in a state entry and a
-#: local register of the same name.
-_LIVE: dict[str, dict[str, str]] = {
-    _FAMILIES[cls.mechanism]: cls.live
-    for cls in SNAPSHOT_KINDS.values()
-    if issubclass(cls, MechanismSnapshot)
+    NullSnapshot: _emit_none,
+    SequentialSnapshot: _emit_seq,
+    AdaptiveSequentialSnapshot: _emit_aseq,
+    StrideSnapshot: _emit_stride,
+    MarkovSnapshot: _emit_slot_table,
+    DistanceSnapshot: _emit_slot_table,
+    PCDistanceSnapshot: _emit_slot_table,
+    DistancePairSnapshot: _emit_slot_table,
+    RecencySnapshot: _emit_recency,
 }
 
 
@@ -868,11 +842,13 @@ def _generate(warmup: int, sig: tuple) -> str:
     window's entries and ``start`` is the global index of its first
     one. The class's buffer, counters, tables and history registers
     come in through ``state`` and go back out the same way, so
-    consecutive calls continue one replay.
+    consecutive calls continue one replay. Each live field its family
+    declares (:attr:`~repro.ckpt.snapshots.MechanismSnapshot.live`) is a
+    state entry and a local register of the same name.
     """
     family = sig[0]
     names, prologue, body = _EMITTERS[family](sig, warmup)
-    names = _BUFFER + names + tuple(_LIVE[family])
+    names = _BUFFER + names + tuple(family.live)
     pad = "    "
     lines = [
         # Hot-loop names bound as defaults: LOAD_FAST instead of
@@ -894,10 +870,10 @@ def _generate(warmup: int, sig: tuple) -> str:
     if warmup:
         loop_names.insert(0, "index")
         iters.insert(0, "range(start, start + len(pages))")
-    if family in ("stride", "pcdist"):
+    if family in (StrideSnapshot, PCDistanceSnapshot):
         loop_names.append("pc")
         iters.append("pcs")
-    if family == "recency":
+    if family is RecencySnapshot:
         loop_names += ["rpage", "rabove", "rbelow"]
         iters += ["rp_pages", "rp_above", "rp_below"]
         if sig[1][0]:
@@ -951,10 +927,9 @@ def _slot_state(
 
     ``mechanism`` is a canonical snapshot, or a fresh instance (a
     batch's class representative, whose tables are empty). Either way
-    the registers are the live fields its family's snapshot declares
-    (:data:`_LIVE`). ``buffer_keys`` replaces ``buffer.pages`` when the
-    loop keys its buffer by something other than page numbers (RP's
-    dense ids).
+    the registers are the live fields its family's snapshot declares.
+    ``buffer_keys`` replaces ``buffer.pages`` when the loop keys its
+    buffer by something other than page numbers (RP's dense ids).
     """
     state = {"buf": {}, "bn": 0, "pb": 0, "iss": 0, "ins": 0, "rf": 0, "ev": 0}
     if buffer is not None:
@@ -968,9 +943,9 @@ def _slot_state(
         )
     family = sig[0]
     snapshot = isinstance(mechanism, MechanismSnapshot)
-    for field, attribute in _LIVE[family].items():
+    for field, attribute in family.live.items():
         state[field] = getattr(mechanism, field if snapshot else attribute)
-    if family in _TABLE_FAMILIES:
+    if family.row_codec is not None:
         state.update(_table_state(sig, mechanism.table if snapshot else None))
     return state
 
@@ -1208,12 +1183,13 @@ def _window(values: list, start: int, stop: int) -> list:
 
 
 class _TraceAnalysis:
-    """Per-trace batch analysis, computed once and reused across calls."""
+    """Per-trace batch analysis, kept in the trace's memo and reused
+    across calls (and across views of the trace)."""
 
     __slots__ = ("keys", "rp", "sigs")
 
-    def __init__(self) -> None:
-        self.keys: _StreamKeys | None = None
+    def __init__(self, pcs: list[int], pages: list[int]) -> None:
+        self.keys = _StreamKeys(pcs, pages)
         # (rp_pages, above, below, third, overhead): the dense page
         # ids plus the recency-stack neighbor streams of a fresh stack.
         self.rp: (
@@ -1223,21 +1199,6 @@ class _TraceAnalysis:
         # equivalence analysis is a pure function of the trace and
         # those four plan fields, so repeat batches skip it entirely.
         self.sigs: dict[tuple, tuple[tuple, tuple]] = {}
-
-
-#: Keyed by ``id(miss_trace)``; a weakref finalizer evicts the entry
-#: when the trace dies, so a recycled id can never alias a stale entry.
-_ANALYSIS_CACHE: dict[int, _TraceAnalysis] = {}
-
-
-def _analysis_for(miss_trace: MissTrace) -> _TraceAnalysis:
-    key = id(miss_trace)
-    analysis = _ANALYSIS_CACHE.get(key)
-    if analysis is None:
-        analysis = _TraceAnalysis()
-        _ANALYSIS_CACHE[key] = analysis
-        weakref.finalize(miss_trace, _ANALYSIS_CACHE.pop, key, None)
-    return analysis
 
 
 def _dense_ids(miss_trace: MissTrace, *extra: np.ndarray):
@@ -1282,10 +1243,8 @@ def replay_batch(
                 "trained instances take engine.replay"
             )
         plans.append(plan)
-    pcs, pages, _evicted, _ = miss_trace.as_lists()
-    analysis = _analysis_for(miss_trace)
-    if analysis.keys is None:
-        analysis.keys = _StreamKeys(pcs, pages)
+    pcs, pages = miss_trace._list("pcs"), miss_trace._list("pages")
+    analysis = miss_trace._derived(_TraceAnalysis, lambda: _TraceAnalysis(pcs, pages))
     keys = analysis.keys
 
     class_of: dict[tuple, int] = {}
@@ -1309,7 +1268,7 @@ def replay_batch(
 
     rp: tuple = ((), (), (), ())
     rp_overhead = 0
-    if any(sig[0] == "recency" for sig in emit_sigs):
+    if any(sig[0] is RecencySnapshot for sig in emit_sigs):
         if analysis.rp is None:
             unique, page_ids, evicted_ids = _dense_ids(miss_trace)
             stack = _RecencyStack(page_ids, evicted_ids, len(unique))
@@ -1326,7 +1285,7 @@ def replay_batch(
         rows.append((
             state["pb"],
             state["iss"],
-            rp_overhead if sig[0] == "recency" else 0,
+            rp_overhead if sig[0] is RecencySnapshot else 0,
             state["ins"],
             state["rf"],
             state["ev"],
@@ -1369,8 +1328,8 @@ class ReplayKernel:
         mechanism: MechanismSnapshot | None = None,
     ) -> None:
         plan = _plan(prefetcher, buffer.capacity, max_prefetches_per_miss)
-        # Seeded from a snapshot, the instance lags the kernel until the
-        # first write-back.
+        # Seeded from a snapshot, or once a window has run, the instance
+        # lags the kernel until the next write-back.
         self._instance_behind = mechanism is not None
         if mechanism is None:
             mechanism = snapshot_prefetcher(prefetcher)
@@ -1380,21 +1339,21 @@ class ReplayKernel:
         self._sig = _exact_sig(plan)
         self._trace = miss_trace
         self._buffer_seed = buffer
-        self._pcs, self._pages, _, _ = miss_trace.as_lists()
+        self._pcs, self._pages = miss_trace._list("pcs"), miss_trace._list("pages")
         self._begin = self._end = 0
         self._stack: _RecencyStack | None = None
         buffer_keys = None
-        if plan.family == "recency":
+        if plan.family is RecencySnapshot:
             buffer_keys = self._seed_recency(mechanism, buffer)
         self._state = _slot_state(self._sig, mechanism, buffer, buffer_keys)
         self._state["pb"] = pb_hits
         # The live state now holds the snapshot's tables and page-table
         # entries; keep only its configuration and counters.
-        if plan.family in _TABLE_FAMILIES:
+        if plan.family.row_codec is not None:
             mechanism = dataclasses.replace(
                 mechanism, table=dataclasses.replace(mechanism.table, sets=[])
             )
-        elif plan.family == "recency":
+        elif plan.family is RecencySnapshot:
             mechanism = dataclasses.replace(mechanism, entries=[])
         self._seed = mechanism
 
@@ -1448,6 +1407,7 @@ class ReplayKernel:
             *rp,
         )
         self._end = stop
+        self._instance_behind = True
 
     def counters(self) -> tuple[int, int, int, int, int, int]:
         """``(pb_hits, prefetches_issued, overhead_ops_total, inserted,
@@ -1476,7 +1436,7 @@ class ReplayKernel:
         """
         state, seed, buffer = self._state, self._seed, self._buffer_seed
         pb_hits, issued, overhead, inserted, refreshed, evicted = self.counters()
-        if not self.processed or self._family == "none":
+        if not self.processed or self._family is NullSnapshot:
             # Null never calls ``account()``: its counters stay put.
             last_overhead = seed.last_overhead_ops
         else:
@@ -1510,7 +1470,7 @@ class ReplayKernel:
         else:
             pages = state["buf"]
             values["pages"] = list_header(len(pages)) + b"".join(map(int_bytes, pages))
-            if self._family in _TABLE_FAMILIES:
+            if self._family.row_codec is not None:
                 values["sets"] = _table_bytes(self._sig, state)
         if self._writer is None:
             self._writer = _session_writer(seed, buffer.capacity, self._clamp)
@@ -1547,7 +1507,7 @@ class ReplayKernel:
 
     def write_back(self, prefetcher: Prefetcher) -> None:
         """Train ``prefetcher`` to the kernel's current state."""
-        if self.processed or self._instance_behind:
+        if self._instance_behind:
             restore_prefetcher(self.snapshot().mechanism, prefetcher)
             self._instance_behind = False
 

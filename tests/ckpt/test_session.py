@@ -67,7 +67,7 @@ def test_warm_instance_reports_only_this_stream(stream):
     session.advance(None)
     assert session.stats() == warm_reference
     # The cumulative instance counter kept growing; the report did not.
-    assert session_p.prefetches_issued > session.stats().prefetches_issued
+    assert session.prefetcher.prefetches_issued > session.stats().prefetches_issued
 
 
 def test_spec_like_knobs_are_honored(stream):
@@ -150,21 +150,27 @@ def test_snapshot_carries_written_bytes_until_a_field_is_read(stream):
     assert SessionSnapshot.from_bytes(snap.to_bytes()).offset == 99
 
 
-def test_resume_seeds_the_kernel_without_training_an_instance(stream, monkeypatch):
-    """Resume validates the snapshot and seeds the compiled kernel from
-    it; the instance is trained only once the session writes it back."""
+@pytest.fixture
+def restores(monkeypatch):
+    """Every snapshot the compiled kernel writes back into an instance."""
     import repro.sim.batchpath as batchpath
 
-    session = ReplaySession(stream, create_prefetcher("RP"))
-    session.advance(300)
-    blob = session.snapshot().to_bytes()
-    restores = []
+    calls = []
     real = batchpath.restore_prefetcher
     monkeypatch.setattr(
         batchpath,
         "restore_prefetcher",
-        lambda snap, prefetcher: restores.append(snap) or real(snap, prefetcher),
+        lambda snap, prefetcher: calls.append(snap) or real(snap, prefetcher),
     )
+    return calls
+
+
+def test_resume_seeds_the_kernel_without_training_an_instance(stream, restores):
+    """Resume validates the snapshot and seeds the compiled kernel from
+    it; the instance is trained only once the session writes it back."""
+    session = ReplaySession(stream, create_prefetcher("RP"))
+    session.advance(300)
+    blob = session.snapshot().to_bytes()
     fresh = create_prefetcher("RP")
     resumed = ReplaySession.resume(SessionSnapshot.from_bytes(blob), stream, fresh)
     resumed.advance(50)
@@ -172,9 +178,27 @@ def test_resume_seeds_the_kernel_without_training_an_instance(stream, monkeypatc
     assert resumed.snapshot().to_bytes() == session.snapshot().to_bytes()
     assert restores == [] and fresh.page_table._entries == {}
     resumed.advance(None)
+    assert resumed.prefetcher is fresh
     assert len(restores) == 1
     session.advance(None)
     assert resumed.stats() == session.stats()
+
+
+def test_a_finished_session_trains_its_instance_only_when_read(stream, restores):
+    """Finishing writes nothing back: the service and checkpointed runs
+    pass throwaway instances. Reading ``prefetcher`` trains it, once."""
+    instance = create_prefetcher("DP", rows=64)
+    session = ReplaySession(stream, instance)
+    session.advance(None)
+    assert session.finished and restores == []
+    assert instance.prefetches_issued == 0
+    assert session.prefetcher is instance
+    assert len(restores) == 1
+    trained = create_prefetcher("DP", rows=64)
+    replay_prefetcher(stream, trained)
+    assert instance.prefetches_issued == trained.prefetches_issued
+    session.prefetcher
+    assert len(restores) == 1
 
 
 @pytest.mark.parametrize("variant_three", [True, 1, False, 0])

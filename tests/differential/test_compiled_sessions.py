@@ -166,18 +166,19 @@ def test_writer_cases_cover_every_layout():
         kernel = batchpath.ReplayKernel(
             stream, create_prefetcher(name, **params), snapshot_buffer(PrefetchBuffer(4))
         )
-        if kernel._family in batchpath._TABLE_FAMILIES:
-            reached.add((kernel._family, batchpath._layout(kernel._sig)))
-        elif kernel._family == "recency":
-            reached.add(("recency", params.get("variant_three", 0)))
+        kind = kernel._family.kind
+        if kernel._family.row_codec is not None:
+            reached.add((kind, batchpath._layout(kernel._sig)))
+        elif kind == "mech.rp":
+            reached.add((kind, params.get("variant_three", 0)))
         else:
-            reached.add((kernel._family, None))
+            reached.add((kind, None))
     assert reached == {
-        ("none", None), ("seq", None), ("aseq", None),
-        ("recency", 0), ("recency", 1),
-        ("stride", "stride_dm"), ("stride", "sets"),
-        ("markov", "dm2"), ("markov", "sets"),
-        ("distance", "dm"), ("distance", "dm2"), ("distance", "sets"),
-        ("pcdist", "dm"), ("pcdist", "sets"),
-        ("distpair", "dm2"), ("distpair", "sets"),
+        ("mech.none", None), ("mech.sp", None), ("mech.asp_seq", None),
+        ("mech.rp", 0), ("mech.rp", 1),
+        ("mech.asp", "stride_dm"), ("mech.asp", "sets"),
+        ("mech.mp", "dm2"), ("mech.mp", "sets"),
+        ("mech.dp", "dm"), ("mech.dp", "dm2"), ("mech.dp", "sets"),
+        ("mech.dp_pc", "dm"), ("mech.dp_pc", "sets"),
+        ("mech.dp2", "dm2"), ("mech.dp2", "sets"),
     }

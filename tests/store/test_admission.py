@@ -1,6 +1,6 @@
 """Admission-control tests: buckets, tenants, auth, scoping, shedding.
 
-The unit layer drives :class:`TokenBucket` / :class:`CostTracker` /
+The unit layer drives :class:`TokenBucket` and
 :class:`AdmissionController` with an injected clock; the service layer
 exercises the full gauntlet (401/403, tenant isolation, rate-limit
 429s, queue-full shedding) through :class:`ExperimentService.handle`
@@ -23,7 +23,7 @@ from repro.service import (
     load_tenant_config,
     make_server,
 )
-from repro.service.admission import CostTracker, TokenBucket
+from repro.service.admission import TokenBucket
 from repro.store import ExperimentStore
 
 SCALE = 0.05
@@ -86,17 +86,19 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=0.0)
 
 
-class TestCostTracker:
-    def test_charges_and_denials_are_counted(self):
+class TestChargeCost:
+    def test_fractional_units_and_the_returned_wait(self):
         clock = FakeClock()
-        tracker = CostTracker(rate=1.0, burst=10.0, clock=clock)
-        assert tracker.try_charge(8.0) == 0.0
-        assert tracker.try_charge(8.0) > 0.0
-        assert tracker.charged == pytest.approx(8.0)
-        assert tracker.denied == 1
-        clock.advance(6.0)
-        assert tracker.try_charge(8.0) == 0.0
-        assert tracker.charged == pytest.approx(16.0)
+        alpha = TenantConfig(name="alpha", token="t", cost_rate=1.0, cost_burst=10.0)
+        admission = AdmissionController([alpha], clock=clock)
+        assert admission.charge_cost(alpha, 7.5) == 0.0
+        assert admission.charge_cost(alpha, 8.0) == pytest.approx(8.0 - 2.5)
+        clock.advance(5.5)
+        assert admission.charge_cost(alpha, 8.0) == 0.0
+        assert admission.charge_cost(alpha, 0.5) == pytest.approx(0.5)
+        # Open mode and empty sweeps are never charged.
+        assert admission.charge_cost(None, 1e9) == 0.0
+        assert admission.charge_cost(alpha, 0) == 0.0
 
 
 class TestTenantConfig:

@@ -250,7 +250,8 @@ class TestBodyValidation:
         "path, body, field",
         [
             ("/claim", {"worker_id": "w1", "limit": True}, "limit"),
-            ("/runs", {"specs": [], "workers": True}, "workers"),
+            ("/heartbeat", {"worker_id": "w1", "job_ids": [], "lease_seconds": True},
+             "lease_seconds"),
             ("/jobs", {"specs": [SPEC], "max_attempts": True}, "max_attempts"),
             ("/streams/s1/advance", {"count": True}, "count"),
         ],

@@ -136,13 +136,15 @@ class TestServiceInProcess:
         assert status == 400
         assert "specs" in payload["error"]
 
-    def test_post_runs_validates_workers(self, tmp_path):
+    def test_post_runs_ignores_a_workers_field(self, tmp_path):
+        """Older clients sent ``workers``; the server's pool size is
+        ``serve --workers`` alone, and the stale field is ignored."""
         service = ExperimentService(ExperimentStore(tmp_path / "store"))
         status, payload = service.handle(
-            "POST", "/runs", {}, {"specs": [], "workers": -2}
+            "POST", "/runs", {}, {"specs": [], "workers": 2}
         )
-        assert status == 400
-        assert "workers" in payload["error"]
+        assert status == 200
+        assert payload["count"] == 0
 
     def test_malformed_run_key_is_400(self, tmp_path):
         service = ExperimentService(ExperimentStore(tmp_path / "store"))

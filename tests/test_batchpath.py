@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.figures import figure9_table_configs
 from repro.ckpt import snapshot_buffer
+from repro.ckpt.snapshots import MarkovSnapshot, SequentialSnapshot
 from repro.mem.trace import MissTrace
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner
@@ -47,13 +48,13 @@ class TestStreamKeysPublication:
     def test_a_published_universe_carries_its_key_count(self):
         keys = batchpath._StreamKeys([0] * 6, [1, 2, 3, 2, 3, 9])
         keys._cache = _ReadOnPublish(keys.never_hits)
-        assert keys.never_hits("markov") is False
+        assert keys.never_hits(MarkovSnapshot) is False
         assert keys._cache.seen == [False]
 
     def test_concurrent_batches_over_one_stream_agree(self, stream):
         """Eight threads plan over one fresh trace (so they race to
         build and read its key analysis) with a tiny switch interval."""
-        fresh = dataclasses.replace(stream)
+        fresh = dataclasses.replace(stream, _memo={})
         expected = replay_prefetcher(fresh, create_prefetcher("DP", rows=64))
         rows, errors = [], []
 
@@ -76,6 +77,51 @@ class TestStreamKeysPublication:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert rows == [expected] * 8
+
+
+ALL_FAMILIES = [
+    ("none", {}), ("SP", {}), ("SP-adaptive", {}), ("ASP", {}), ("MP", {}),
+    ("DP", {"rows": 64}), ("DP-PC", {}), ("DP-2", {}), ("RP", {}),
+]
+
+
+class TestStreamMemo:
+    """Per-stream data lives in the trace's memo, one entry per array
+    plus the batch analysis, shared by every view of the trace."""
+
+    def test_compiled_replays_convert_only_pcs_and_pages(self, stream):
+        trace = dataclasses.replace(stream, _memo={})
+        replay_batch(
+            trace, [(create_prefetcher(name, **params), 16, 0) for name, params in ALL_FAMILIES]
+        )
+        for name, params in ALL_FAMILIES:
+            kernel = ReplayKernel(
+                trace, create_prefetcher(name, **params), snapshot_buffer(PrefetchBuffer(16))
+            )
+            kernel.run(0, len(trace))
+            kernel.snapshot().to_bytes()
+        assert {"pcs", "pages"} <= set(trace._memo)
+        assert "evicted" not in trace._memo and "ref_index" not in trace._memo
+
+    def test_views_share_the_batch_analysis(self, stream, monkeypatch):
+        built = []
+
+        class CountingKeys(batchpath._StreamKeys):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(batchpath, "_StreamKeys", CountingKeys)
+        trace = dataclasses.replace(stream, _memo={})
+        views = [
+            trace,
+            dataclasses.replace(trace, name="relabelled"),
+            dataclasses.replace(trace, warmup_misses=0),
+        ]
+        for view in views:
+            row, = replay_batch(view, [(create_prefetcher("DP", rows=64), 16, 0)])
+            assert row == replay_prefetcher(view, create_prefetcher("DP", rows=64))
+        assert len(built) == 1
 
 
 class TestClassDeduplication:
@@ -133,7 +179,7 @@ class TestClassDeduplication:
         rows = replay_batch(
             trace, [(create_prefetcher(name, **params), 16, 0) for name, params in configs]
         )
-        assert [sig[0] for sig in loops] == ["seq"]
+        assert [sig[0] for sig in loops] == [SequentialSnapshot]
         assert [row.prefetches_issued for row in rows[:3]] == [0, 0, 0]
         assert rows == [
             replay_prefetcher(trace, create_prefetcher(name, **params))

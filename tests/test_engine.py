@@ -15,8 +15,7 @@ from repro.errors import ConfigurationError
 from repro.prefetch.base import HardwareDescription, Prefetcher
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
-from repro import replay_fast
-from repro.sim.batchpath import is_fresh, supports
+from repro.sim.batchpath import is_fresh, replay_compiled, supports
 from repro.sim.engine import ENGINES, replay, resolve_engine
 from repro.sim.functional import simulate
 from repro.sim.two_phase import evaluate, replay_prefetcher
@@ -116,7 +115,7 @@ class TestResolution:
         ref_p = create_prefetcher("DP", rows=64)
         replay_prefetcher(miss_trace, fast_p)
         replay_prefetcher(miss_trace, ref_p)
-        again_fast = replay_fast(miss_trace, fast_p)
+        again_fast = replay_compiled(miss_trace, fast_p)
         again_ref = replay_prefetcher(miss_trace, ref_p)
         assert again_fast == again_ref
         assert (
@@ -126,14 +125,14 @@ class TestResolution:
 
     def test_forced_fast_rejects_unsupported_mechanism(self, miss_trace):
         with pytest.raises(ConfigurationError, match="no replay loop"):
-            replay_fast(miss_trace, _CustomPrefetcher())
+            replay_compiled(miss_trace, _CustomPrefetcher())
 
     def test_fast_engine_trains_the_instance_like_reference(self, miss_trace):
         from repro.ckpt import snapshot_prefetcher
 
         fast_p = create_prefetcher("DP", rows=64)
         ref_p = create_prefetcher("DP", rows=64)
-        replay_fast(miss_trace, fast_p)
+        replay_compiled(miss_trace, fast_p)
         replay_prefetcher(miss_trace, ref_p)
         assert fast_p.prefetches_issued == ref_p.prefetches_issued
         assert len(fast_p.table) == len(ref_p.table)

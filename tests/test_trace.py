@@ -122,7 +122,10 @@ class TestMissTrace:
     def test_as_lists_memoized(self):
         mt = _miss_trace([1, 2])
         first = mt.as_lists()
-        assert mt.as_lists() is first
+        assert all(again is list_ for again, list_ in zip(mt.as_lists(), first))
+        assert first == tuple(
+            array.tolist() for array in (mt.pcs, mt.pages, mt.evicted, mt.ref_index)
+        )
 
     def test_zero_reference_rate(self):
         mt = _miss_trace([], total=0)
