@@ -19,13 +19,13 @@ miss streams are content-addressed and rebuilt, not resumed):
   walk. ``validate`` holds every check a restore or a resume makes.
 - :mod:`~repro.ckpt.session` — :class:`ReplaySession`, phase-2 replay
   that can pause after any miss and resume bit-identically.
-- :mod:`~repro.ckpt.manager` — :class:`CheckpointManager`, persisting
-  snapshots content-addressed in the
-  :class:`~repro.store.ExperimentStore` (``ckpt/<digest>.bin``) and
-  owning the one resume bookmark: ``write`` (blob, then record) and
-  ``resume`` (record, blob, consistency checks, live session), shared
-  by :class:`~repro.run.runner.Runner` continuations and the service's
-  streaming sessions.
+- :mod:`~repro.ckpt.manager` — :class:`CheckpointManager`, owning the
+  one resume bookmark: a single
+  :class:`~repro.store.ExperimentStore` ``ckpt`` artifact holding the
+  record line and the session blob. ``write`` is one store write,
+  ``resume`` one read (digest and consistency checks, live session);
+  both are shared by :class:`~repro.run.runner.Runner` continuations
+  and the service's streaming sessions.
 
 The same canonical snapshots seed the compiled replay engine
 (:mod:`repro.sim.batchpath`): a kernel starts from a mechanism's and a

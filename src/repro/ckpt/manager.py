@@ -1,31 +1,32 @@
-"""Checkpoint persistence: content-addressed snapshots and one bookmark.
+"""Checkpoint persistence: one store artifact per resume bookmark.
 
 :class:`CheckpointManager` wraps an
-:class:`~repro.store.ExperimentStore` with two facilities:
-
-- **Snapshot blobs**, stored content-addressed: the key *is* the blob
-  digest, so identical state is stored once (``ckpt/<digest>.bin``),
-  loads verify the address against the content, and the store's LRU GC
-  and pinning apply unchanged.
-- **Bookmarks** — one JSON record per suspendable replay, pointing at
-  its session snapshot by digest (so N bookmarks over the same state
-  cost one blob). :class:`~repro.run.runner.Runner` keeps one per
-  ``checkpoint_every`` run under :meth:`~CheckpointManager.run_key`
-  and clears it on completion; the service keeps one per streaming
-  session under :meth:`~CheckpointManager.stream_key`, so an evicted
-  or restarted-away session comes back on its next touch.
+:class:`~repro.store.ExperimentStore` and keeps one bookmark per
+suspendable replay. A bookmark is a single ``ckpt`` artifact under its
+own key: the record as one sorted-key JSON line (spec, stream offset,
+owning tenant, ``state_digest``), then the session's ``repro.ckpt/v1``
+blob. Each write replaces the artifact whole, so a replay holds one
+store entry however often it is checkpointed, and a crash can never
+leave a record that disagrees with its state.
+:class:`~repro.run.runner.Runner` keeps one per ``checkpoint_every``
+run under :meth:`~CheckpointManager.run_key` and clears it on
+completion; the service keeps one per streaming session under
+:meth:`~CheckpointManager.stream_key`, so an evicted or
+restarted-away session comes back on its next touch.
 
 Both owners go through the same two calls: :meth:`~CheckpointManager.write`
-(blob first, then the record) and :meth:`~CheckpointManager.resume`
-(record, blob, consistency checks, live session). This module is the
-only place the record's layout is built or read.
+(one store write) and :meth:`~CheckpointManager.resume` (one read,
+consistency checks, live session). Earlier releases stored the record
+alone and filed the blob separately under its digest; such a record is
+the same layout with nothing after its line, and ``resume`` reads its
+blob by ``state_digest``. This module is the only place the layout is
+built or read.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,9 +49,9 @@ class Resumed:
     """What :meth:`CheckpointManager.resume` found under a bookmark.
 
     ``session`` is the live replay at the bookmarked offset, or
-    ``None`` when GC has claimed the snapshot blob ``digest`` (the
-    bookmark outlived its state). ``spec`` is the spec the bookmark
-    replays and ``tenant`` the owner it was written for.
+    ``None`` when an earlier release's bookmark outlived its separately
+    filed snapshot blob ``digest`` (GC claimed it). ``spec`` is the spec
+    the bookmark replays and ``tenant`` the owner it was written for.
     """
 
     digest: str
@@ -60,43 +61,10 @@ class Resumed:
 
 
 class CheckpointManager:
-    """Store-backed persistence for snapshots and resume bookmarks."""
+    """Store-backed persistence for resume bookmarks."""
 
     def __init__(self, store: "ExperimentStore") -> None:
         self.store = store
-
-    # -- content-addressed snapshot blobs ----------------------------------
-
-    def save(self, snapshot: StateSnapshot) -> str:
-        """Persist a snapshot; returns its content digest (the key)."""
-        blob = snapshot.to_bytes()
-        digest = blob_digest(blob)
-        self.store.put_ckpt(digest, blob)
-        return digest
-
-    def load(self, digest: str) -> StateSnapshot | None:
-        """Snapshot stored under ``digest``, or ``None`` if absent/GC'd.
-
-        Verifies the content actually hashes to its address (on top of
-        the blob's own integrity trailer), so a corrupted or misfiled
-        artifact raises :class:`~repro.errors.CkptError` instead of
-        silently resuming from the wrong state.
-        """
-        blob = self.store.get_ckpt(digest)
-        if blob is None:
-            return None
-        if blob_digest(blob) != digest:
-            raise CkptError(
-                f"checkpoint {digest} failed content verification: stored "
-                f"bytes hash to {blob_digest(blob)}"
-            )
-        return StateSnapshot.from_bytes(blob)
-
-    def pinned(self, digest: str) -> AbstractContextManager[None]:
-        """Pin one snapshot blob against GC for the duration of a read."""
-        return self.store.pinned(digest, kind="ckpt")
-
-    # -- bookmarks ----------------------------------------------------------
 
     @staticmethod
     def run_key(spec_key: str) -> str:
@@ -117,23 +85,22 @@ class CheckpointManager:
     ) -> str:
         """Bookmark ``session`` (a replay of ``spec``); returns its digest.
 
-        The snapshot blob is stored first (content-addressed), then the
-        record pointing at it — so a crash between the two writes
-        leaves at worst an orphan blob, never a dangling bookmark. The
-        owning ``tenant`` rides in the record, so scoping survives
-        eviction and restarts.
+        One store write of the record line and the snapshot blob,
+        replacing whatever ``key`` held. The returned digest is the
+        blob's own. The owning ``tenant`` rides in the record, so
+        scoping survives eviction and restarts.
         """
-        digest = self.save(session.snapshot())
-        self._put_record(
-            key,
-            {
-                "spec": spec.to_dict(),
-                "spec_key": spec.key(),
-                "stream_offset": session.offset,
-                "state_digest": digest,
-                "tenant": tenant,
-            },
-        )
+        blob = session.snapshot().to_bytes()
+        digest = blob_digest(blob)
+        record = {
+            "spec": spec.to_dict(),
+            "spec_key": spec.key(),
+            "stream_offset": session.offset,
+            "state_digest": digest,
+            "tenant": tenant,
+        }
+        line = json.dumps(record, sort_keys=True).encode()
+        self.store.put_ckpt(key, line + b"\n" + blob)
         return digest
 
     def resume(
@@ -146,24 +113,40 @@ class CheckpointManager:
 
         ``spec`` is the spec being resumed; when omitted it is read
         from the record. ``miss_stream_for`` supplies the spec's miss
-        stream. A bookmark whose blob GC has claimed comes back with
-        ``session=None``. Raises :class:`~repro.errors.CkptError` when
-        the record is corrupt, points at anything but a session
-        snapshot, or disagrees with its snapshot or spec — resuming
-        would replay some other run.
+        stream. An earlier release's bookmark whose blob GC has claimed
+        comes back with ``session=None``. Raises
+        :class:`~repro.errors.CkptError` when the record is corrupt, or
+        the state does not hash to its ``state_digest``, is not a
+        session snapshot, or disagrees with the record or the spec —
+        resuming would replay some other run.
         """
-        record = self._get_record(key)
-        if record is None:
+        data = self.store.get_ckpt(key)
+        if data is None:
             return None
+        line, _, blob = data.partition(b"\n")
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+            raise CkptError(f"corrupt checkpoint record {key!r}: {error}") from error
+        if not isinstance(record, dict):
+            raise CkptError(f"corrupt checkpoint record {key!r}: not an object")
         digest = record.get("state_digest")
         if not isinstance(digest, str):
             raise CkptError(f"corrupt bookmark {key!r}: no state digest")
-        snap = self.load(digest)
-        if snap is None:
-            return Resumed(digest, None, spec, record.get("tenant"))
+        if not blob:
+            # An earlier release's layout: the blob is filed under its digest.
+            blob = self.store.get_ckpt(digest)
+            if blob is None:
+                return Resumed(digest, None, spec, record.get("tenant"))
+        if blob_digest(blob) != digest:
+            raise CkptError(
+                f"checkpoint {key!r} failed content verification: its state "
+                f"hashes to {blob_digest(blob)}, not {digest}"
+            )
+        snap = StateSnapshot.from_bytes(blob)
         if not isinstance(snap, SessionSnapshot):
             raise CkptError(
-                f"bookmark {key!r} points at a {type(snap).__name__}, "
+                f"bookmark {key!r} holds a {type(snap).__name__}, "
                 "not a session snapshot"
             )
         if spec is None:
@@ -197,45 +180,14 @@ class CheckpointManager:
         )
         return Resumed(digest, session, spec, record.get("tenant"))
 
-    def intact(self, key: str, digest: str | None) -> bool:
-        """True when the bookmark ``key`` and the snapshot blob ``digest``
-        are both still stored (index-only probes: no read, no counter)."""
-        return (
-            digest is not None
-            and self.store.has_ckpt(key)
-            and self.store.has_ckpt(digest)
-        )
-
     def exists(self, key: str) -> bool:
-        """True when a (well-formed) bookmark is stored under ``key``."""
-        return self._get_record(key) is not None
+        """True when a bookmark is stored under ``key`` (index-only
+        probe: no read, no counter)."""
+        return self.store.has_ckpt(key)
 
     def delete(self, key: str) -> bool:
         """Drop a bookmark; True if one existed.
 
-        The snapshot blob itself is left to LRU GC — another bookmark
-        may share it.
+        An earlier release's separately filed blob is left to LRU GC.
         """
         return self.store.delete_ckpt(key)
-
-    def session_ids(self) -> list[str]:
-        """All bookmarked streaming-session keys, sorted."""
-        prefix_len = len(_STREAM_PREFIX)
-        return [key[prefix_len:] for key in self.store.ckpt_keys(_STREAM_PREFIX)]
-
-    def _put_record(self, key: str, record: dict) -> None:
-        self.store.put_ckpt(
-            key, (json.dumps(record, sort_keys=True) + "\n").encode()
-        )
-
-    def _get_record(self, key: str) -> dict | None:
-        blob = self.store.get_ckpt(key)
-        if blob is None:
-            return None
-        try:
-            record = json.loads(blob)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise CkptError(f"corrupt checkpoint record {key!r}: {error}") from error
-        if not isinstance(record, dict):
-            raise CkptError(f"corrupt checkpoint record {key!r}: not an object")
-        return record

@@ -63,6 +63,7 @@ from repro.prefetch.factory import PREFETCHER_NAMES, create_prefetcher
 from repro.run import ResultSet, Runner, RunSpec
 from repro.sim.engine import ENGINES
 from repro.sim.two_phase import evaluate
+from repro.store.store import _KINDS as _STORE_KINDS
 from repro.workloads.registry import SUITES, all_app_names, get_app, get_trace
 
 
@@ -264,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_ls = cache_sub.add_parser("ls", help="list store entries (LRU order)")
     _add_store(cache_ls, required=True)
     cache_ls.add_argument(
-        "--kind", choices=("result", "stream"), help="only entries of this kind"
+        "--kind", choices=_STORE_KINDS, help="only entries of this kind"
     )
     cache_stats = cache_sub.add_parser(
         "stats", help="store counters + in-memory miss-stream cache counters"
@@ -278,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-bytes",
         type=int,
         required=True,
-        help="byte budget to shrink the store to (0 evicts everything unpinned)",
+        help="byte budget to shrink the store to (0 evicts everything)",
     )
 
     serve = sub.add_parser(

@@ -1010,8 +1010,8 @@ class ExperimentService:
         is null), then checkpoint it.
 
         An advance that replays nothing (``count`` 0, or a finished
-        session) leaves the state, hence its blob and bookmark, as they
-        are: both are rewritten only if the store lost one of them.
+        session) leaves the state, hence its bookmark, as it is: the
+        bookmark is rewritten only if the store lost it.
         """
         self._sessions.evict_idle(self.max_idle_seconds)
         with self._locked_session(session_id, tenant) as (entry, error):
@@ -1019,7 +1019,7 @@ class ExperimentService:
                 return error
             advanced = entry.session.advance(count)
             key = self.ckpt.stream_key(self._session_key(session_id, tenant))
-            if advanced or not self.ckpt.intact(key, entry.digest):
+            if advanced or not self.ckpt.exists(key):
                 entry.digest = self.ckpt.write(
                     key, entry.spec, entry.session, entry.tenant
                 )

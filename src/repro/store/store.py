@@ -6,7 +6,7 @@ On-disk layout (everything lives under one root directory)::
         index.sqlite          # entry index + persistent counters
         results/<key>.json    # one executed RunSpec, by RunSpec.key()
         streams/<digest>.npz  # one filtered miss stream (trace_io format)
-        ckpt/<key>.bin        # one checkpoint blob (repro.ckpt format)
+        ckpt/<key>.bin        # one checkpoint bookmark (repro.ckpt format)
 
 Design points:
 
@@ -41,7 +41,7 @@ Design points:
   raises :class:`~repro.errors.StoreError` rather than guessing.
 - **LRU garbage collection.** Entries carry sizes and access times;
   :meth:`ExperimentStore.gc` evicts least-recently-used entries until
-  the store fits ``max_bytes``, skipping entries pinned by a reader.
+  the store fits ``max_bytes``.
 - **Accounting.** Hits, misses, evictions and bytes moved are kept in
   the index (persistent across processes) and exposed by
   :meth:`ExperimentStore.stats` — the counters the resumable-sweep
@@ -59,10 +59,8 @@ import sqlite3
 import threading
 import time
 import zipfile
-from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import StoreError, TraceError
 from repro.mem.trace import MissTrace
@@ -226,7 +224,6 @@ class ExperimentStore:
             raise StoreError(f"store root {self.root} exists and is not a directory")
         self.max_bytes = max_bytes
         self._lock = threading.RLock()
-        self._pins: Counter[tuple[str, str]] = Counter()
         for subdir in ("results", "streams", "ckpt"):
             (self.root / subdir).mkdir(parents=True, exist_ok=True)
         self._db = open_index(
@@ -389,34 +386,6 @@ class ExperimentStore:
         if self.max_bytes is not None:
             self.gc()
 
-    @contextmanager
-    def pinned(self, key: str, kind: str = _RESULT) -> Iterator[None]:
-        """Protect one entry from :meth:`gc` for the duration of a read.
-
-        Reads performed through the store's own methods hold the index
-        lock and are already atomic with respect to in-process GC; this
-        context manager is for callers that hold on to an artifact path
-        across their own multi-step read.
-
-        Pins are **process-local**: they guard against GC run through
-        any handle in this process (threads included), not against a
-        ``cache gc`` launched from another process. Cross-process, the
-        store's own read methods stay safe anyway — an artifact deleted
-        between index lookup and file read is reported as an honest
-        miss, never a torn read — but a path held across a multi-step
-        external read can dangle if another process collects it.
-        """
-        handle = (kind, key)
-        with self._lock:
-            self._pins[handle] += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._pins[handle] -= 1
-                if self._pins[handle] <= 0:
-                    del self._pins[handle]
-
     # -- results -----------------------------------------------------------
 
     def has_result(self, key: str) -> bool:
@@ -562,9 +531,9 @@ class ExperimentStore:
     def _ckpt_rel(key: str) -> str:
         """Artifact path for a checkpoint key.
 
-        Filesystem-safe keys (content digests, mostly) map to
-        ``ckpt/<key>.bin`` directly; anything else — continuation and
-        session record keys contain ``:`` — is filed under a digest of
+        Filesystem-safe keys (content digests, as earlier releases filed
+        snapshot blobs) map to ``ckpt/<key>.bin`` directly; anything
+        else — bookmark keys contain ``:`` — is filed under a digest of
         the key so no key can escape the ``ckpt/`` directory.
         """
         if _SAFE_CKPT_KEY.match(key):
@@ -719,9 +688,11 @@ class ExperimentStore:
                 configured :attr:`max_bytes`. ``None`` for both means
                 only stale temporary files are swept.
 
-        Entries currently :meth:`pinned` by a reader in this process are
-        never evicted, whatever the budget. Returns a report dictionary
-        with ``evicted``, ``reclaimed_bytes`` and ``total_bytes``.
+        A reader never sees a torn artifact: every read resolves its
+        index row and file under the same lock as this pass, and a
+        file another process collects in between reads as a miss.
+        Returns a report dictionary with ``evicted``,
+        ``reclaimed_bytes`` and ``total_bytes``.
         """
         limit = self.max_bytes if max_bytes is None else max_bytes
         evicted = 0
@@ -748,8 +719,6 @@ class ExperimentStore:
                     for kind, key, rel, size in rows:
                         if total <= limit:
                             break
-                        if self._pins.get((kind, key)):
-                            continue
                         (self.root / rel).unlink(missing_ok=True)
                         self._drop_entry(kind, key)
                         total -= size

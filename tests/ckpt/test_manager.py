@@ -1,22 +1,21 @@
-"""CheckpointManager over a real store: addressing, GC, bookmarks.
+"""CheckpointManager over a real store: one artifact per bookmark.
 
-Snapshots are content-addressed (equal state stores once), loads
-verify bytes against their address, continuations survive process
-boundaries and vanish gracefully when GC claims their blob, and
-pinning holds a blob against an eviction sweep. Every corruption the
+A bookmark carries its session state: a write stores the record and
+the blob as one entry under the bookmark's key, and a resume verifies
+the blob against the record's ``state_digest``. Continuations survive
+process boundaries; an earlier release's bookmark whose separately
+filed blob GC claimed resumes to no session. Every corruption the
 restores reject, bookmarked as an oracle-encoded blob, fails resume.
 """
-
-import json
 
 import pytest
 
 from repro.ckpt import CheckpointManager, ReplaySession, blob_digest, encode_blob
 from repro.errors import CkptError
-from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
 from repro.store import ExperimentStore
 
+from tests.ckpt.bookmarks import read_bookmark, write_bookmark
 from tests.ckpt.test_snapshots import CORRUPTIONS, corrupt_session
 
 SCALE = 0.02
@@ -30,44 +29,6 @@ def store(tmp_path):
 @pytest.fixture
 def manager(store):
     return CheckpointManager(store)
-
-
-def _snapshot(pages=(3, 7, 12, 3, 9)):
-    from repro.ckpt import snapshot_prefetcher
-
-    prefetcher = create_prefetcher("DP", rows=8)
-    for page in pages:
-        prefetcher.on_miss(0, page, -1, False)
-    return snapshot_prefetcher(prefetcher)
-
-
-class TestBlobs:
-    def test_save_load_round_trip(self, manager):
-        snap = _snapshot()
-        digest = manager.save(snap)
-        assert digest == snap.digest()
-        assert manager.load(digest) == snap
-
-    def test_identical_state_stores_once(self, manager, store):
-        assert manager.save(_snapshot()) == manager.save(_snapshot())
-        assert len(store.ckpt_keys()) == 1
-
-    def test_missing_digest_is_none(self, manager):
-        assert manager.load("0" * 24) is None
-
-    def test_misfiled_blob_fails_verification(self, manager, store):
-        blob = _snapshot().to_bytes()
-        store.put_ckpt("f" * 24, blob)  # filed under the wrong address
-        with pytest.raises(CkptError, match="content verification"):
-            manager.load("f" * 24)
-
-    def test_pin_survives_full_gc(self, manager, store):
-        digest = manager.save(_snapshot())
-        with manager.pinned(digest):
-            store.gc(max_bytes=0)
-            assert manager.load(digest) is not None
-        store.gc(max_bytes=0)
-        assert manager.load(digest) is None
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +45,41 @@ def _paused(runner, entries, spec=SPEC):
     return session
 
 
+class TestBlobs:
+    """The snapshot blob a bookmark carries."""
+
+    def test_save_load_round_trip(self, manager, store, runner):
+        session = _paused(runner, 321)
+        key = manager.stream_key("s1")
+        digest = manager.write(key, SPEC, session)
+        record, blob = read_bookmark(store, key)
+        assert blob == session.snapshot().to_bytes()
+        assert digest == record["state_digest"] == blob_digest(blob)
+        resumed = manager.resume(key, runner.miss_stream_for)
+        assert resumed.session.snapshot() == session.snapshot()
+
+    def test_missing_digest_is_none(self, manager, runner):
+        key = manager.run_key(SPEC.key())
+        assert not manager.exists(key)
+        assert manager.resume(key, runner.miss_stream_for, SPEC) is None
+
+    def test_misfiled_blob_fails_verification(self, manager, store, runner):
+        """State that does not hash to the record's ``state_digest`` is
+        refused, whether it rides in the bookmark or, in the legacy
+        layout, is filed under that digest."""
+        key = manager.run_key(SPEC.key())
+        manager.write(key, SPEC, _paused(runner, 40))
+        record, _ = read_bookmark(store, key)
+        other = _paused(runner, 41).snapshot().to_bytes()
+        write_bookmark(store, key, record, other)
+        with pytest.raises(CkptError, match="content verification"):
+            manager.resume(key, runner.miss_stream_for, SPEC)
+        write_bookmark(store, key, record, b"")
+        store.put_ckpt(record["state_digest"], other)
+        with pytest.raises(CkptError, match="content verification"):
+            manager.resume(key, runner.miss_stream_for, SPEC)
+
+
 class TestContinuations:
     def test_round_trip_and_clear(self, manager, runner):
         session = _paused(runner, 1234)
@@ -98,9 +94,12 @@ class TestContinuations:
         assert manager.delete(key) is False
 
     def test_gc_lost_blob_means_no_continuation(self, manager, store, runner):
+        """Only an earlier release's bookmark can lose its blob: it was
+        filed apart, under its digest."""
         key = manager.run_key(SPEC.key())
         digest = manager.write(key, SPEC, _paused(runner, 10))
-        store.delete_ckpt(digest)
+        write_bookmark(store, key, *read_bookmark(store, key), legacy=True)
+        assert store.delete_ckpt(digest)
         resumed = manager.resume(key, runner.miss_stream_for, SPEC)
         assert resumed.digest == digest
         assert resumed.session is None
@@ -122,17 +121,10 @@ class TestSessions:
         assert (resumed.spec, resumed.session.offset, resumed.tenant) == (
             SPEC, 5, "alpha",
         )
-        assert manager.session_ids() == ["s1"]
+        assert manager.exists(key)
         assert manager.delete(key) is True
         assert manager.resume(key, runner.miss_stream_for) is None
-        assert manager.session_ids() == []
-
-    def test_session_ids_exclude_other_record_kinds(self, manager, runner):
-        session = _paused(runner, 0)
-        manager.write(manager.stream_key("s1"), SPEC, session)
-        manager.write(manager.stream_key("s2"), SPEC, session)
-        manager.write(manager.run_key(SPEC.key()), SPEC, session)
-        assert manager.session_ids() == ["s1", "s2"]
+        assert not manager.exists(key)
 
 
 def test_full_suspend_resume_through_the_manager(manager, tmp_path):
@@ -147,12 +139,11 @@ def test_full_suspend_resume_through_the_manager(manager, tmp_path):
 
     session = ReplaySession(stream, spec.build_prefetcher())
     session.advance(session.total // 3)
-    digest = manager.save(session.snapshot())
+    key = manager.run_key(spec.key())
+    manager.write(key, spec, session)
     del session  # the "process" dies here
 
-    restored = ReplaySession.resume(
-        manager.load(digest), stream, spec.build_prefetcher()
-    )
+    restored = manager.resume(key, runner.miss_stream_for, spec).session
     restored.advance(None)
     assert restored.stats() == one_shot.stats()
 
@@ -164,7 +155,6 @@ def test_every_corruption_fails_the_resume(manager, store, runner, case):
     validates what it seeds the kernel with."""
     spec, snap = corrupt_session(runner, case)
     blob = encode_blob(snap.kind, snap.to_payload())
-    store.put_ckpt(blob_digest(blob), blob)
     record = {
         "spec": spec.to_dict(),
         "spec_key": spec.key(),
@@ -173,6 +163,6 @@ def test_every_corruption_fails_the_resume(manager, store, runner, case):
         "tenant": None,
     }
     key = manager.run_key(spec.key())
-    store.put_ckpt(key, (json.dumps(record, sort_keys=True) + "\n").encode())
+    write_bookmark(store, key, record, blob)
     with pytest.raises(CkptError, match=CORRUPTIONS[case][2]):
         manager.resume(key, runner.miss_stream_for, spec)

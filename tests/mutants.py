@@ -96,6 +96,34 @@ MUTANTS: tuple[Mutant, ...] = (
         "tests/ckpt/test_session.py",
     ),
     Mutant(
+        "resume-skips-state-digest",
+        "src/repro/ckpt/manager.py",
+        "if blob_digest(blob) != digest:",
+        "if False:",
+        "tests/ckpt/test_manager.py",
+    ),
+    Mutant(
+        "bookmark-without-state",
+        "src/repro/ckpt/manager.py",
+        'self.store.put_ckpt(key, line + b"\\n" + blob)',
+        'self.store.put_ckpt(key, line + b"\\n")',
+        "tests/ckpt/test_manager.py",
+    ),
+    Mutant(
+        "bookmark-never-exists",
+        "src/repro/ckpt/manager.py",
+        "return self.store.has_ckpt(key)",
+        "return False",
+        "tests/store/test_streaming.py -k conflicts",
+    ),
+    Mutant(
+        "no-legacy-bookmark-read",
+        "src/repro/ckpt/manager.py",
+        "if not blob:",
+        "if False:",
+        "tests/ckpt/test_format_compat.py",
+    ),
+    Mutant(
         "cost-one-unit",
         "src/repro/service/server.py",
         "wait = self.admission.charge_cost(tenant, len(specs))",

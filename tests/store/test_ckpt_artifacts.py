@@ -1,8 +1,8 @@
-"""The store's ``ckpt`` artifact kind: filing, counters, GC, pins.
+"""The store's ``ckpt`` artifact kind: filing, counters, GC.
 
 The store treats checkpoint blobs as opaque bytes — framing and
-integrity live in :mod:`repro.ckpt` — but filing, LRU accounting,
-eviction, and pin protection must work exactly like the other kinds.
+integrity live in :mod:`repro.ckpt` — but filing, LRU accounting and
+eviction must work exactly like the other kinds.
 """
 
 import pytest
@@ -80,11 +80,3 @@ class TestGC:
         store.gc(max_bytes=150)
         assert store.has_ckpt("a" * 24)
         assert not store.has_ckpt("b" * 24)
-
-    def test_pin_protects_from_full_sweep(self, store):
-        store.put_ckpt("a" * 24, b"x" * 100)
-        with store.pinned("a" * 24, kind="ckpt"):
-            store.gc(max_bytes=0)
-            assert store.has_ckpt("a" * 24)
-        store.gc(max_bytes=0)
-        assert not store.has_ckpt("a" * 24)

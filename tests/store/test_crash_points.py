@@ -15,7 +15,10 @@ reopen the store as a fresh instance, as the next process would:
   renamed, some not, no index row committed.
 
 Every key reads as its old state or its new state, never a
-:class:`StoreError`. The budget is small by default;
+:class:`StoreError`. A checkpoint bookmark, whose record and session
+state share one artifact, resumes at the offset of whichever state
+it reads as; a session whose first bookmark never committed does not
+exist. The budget is small by default;
 ``--hypothesis-profile=ci`` runs the profile's larger one (see
 ``tests/conftest.py``).
 """
@@ -27,6 +30,7 @@ import os
 import sqlite3
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -36,8 +40,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import hypothesis_budget
+from repro.ckpt import CheckpointManager, ReplaySession
 from repro.mem.trace import MissTrace
-from repro.run import RunSpec
+from repro.run import MissStreamCache, Runner, RunSpec
+from repro.service.server import ExperimentService
 from repro.sim.stats import PrefetchRunStats
 from repro.store import ExperimentStore
 from repro.store.store import _TMP_SWEEP_AGE_SECONDS
@@ -115,8 +121,10 @@ def _tmp_files(root: Path) -> list[Path]:
     return sorted(root.glob("*/.*.tmp*"))
 
 
-def _crash(store, kind, slots, point, at) -> None:
-    """Run the version-2 write of ``slots`` and stop it at ``point``."""
+@contextmanager
+def _dying(store, point, at=0):
+    """Stop the store's writes at ``point``: before the ``at``-th
+    rename, or at the index COMMIT."""
     real_replace = os.replace
     renamed = []
 
@@ -133,12 +141,16 @@ def _crash(store, kind, slots, point, at) -> None:
 
     store._db.set_authorizer(authorize)
     try:
-        with mock.patch.object(os, "replace", replace), pytest.raises(
-            (_Crash, sqlite3.DatabaseError)
-        ):
-            _put(store, kind, slots, version=2)
+        with mock.patch.object(os, "replace", replace):
+            yield
     finally:
         store._db.set_authorizer(None)
+
+
+def _crash(store, kind, slots, point, at) -> None:
+    """Run the version-2 write of ``slots`` and stop it at ``point``."""
+    with _dying(store, point, at), pytest.raises((_Crash, sqlite3.DatabaseError)):
+        _put(store, kind, slots, version=2)
 
 
 @st.composite
@@ -202,3 +214,61 @@ def test_reopened_store_serves_old_or_new_state(scenario):
         for slot in slots:
             assert _read(reopened, kind, slot) == _expected(kind, slot, 2)
         reopened.close()
+
+
+_SESSION = RunSpec.of("galgel", "DP", scale=0.02, rows=64)
+
+
+def test_bookmark_dying_before_commit_resumes_at_the_new_offset(tmp_path):
+    """An overwrite that renamed its bookmark but never committed leaves
+    the old index row over the new bytes. Record and state share those
+    bytes, so the next process resumes at the new offset."""
+    runner = Runner(cache=MissStreamCache())
+    manager = CheckpointManager(ExperimentStore(tmp_path / "store"))
+    key = manager.stream_key("s1")
+    session = ReplaySession(
+        runner.miss_stream_for(_SESSION), _SESSION.build_prefetcher()
+    )
+    session.advance(100)
+    manager.write(key, _SESSION, session)
+    session.advance(100)
+    with _dying(manager.store, "commit"), pytest.raises(sqlite3.DatabaseError):
+        manager.write(key, _SESSION, session)
+    manager.store.close()  # the process is gone
+
+    reopened = CheckpointManager(ExperimentStore(tmp_path / "store"))
+    resumed = reopened.resume(key, runner.miss_stream_for)
+    assert resumed.session.offset == 200
+    assert resumed.session.snapshot() == session.snapshot()
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_first_bookmark_write_dying_leaves_no_session(tmp_path, point):
+    """``POST /streams`` dying in its bookmark write leaves nothing: the
+    session answers 404 (never 410 or 500), no ckpt entry is stored,
+    and the id can be opened again."""
+    root = tmp_path / "store"
+    store = ExperimentStore(root)
+    key = CheckpointManager.stream_key("s1")
+    real_put = store.put_ckpt
+
+    def put_ckpt(ckpt_key, blob):
+        if ckpt_key != key:
+            return real_put(ckpt_key, blob)
+        with _dying(store, point):
+            return real_put(ckpt_key, blob)
+
+    store.put_ckpt = put_ckpt
+    body = {"spec": _SESSION.to_dict(), "session_id": "s1"}
+    try:
+        status = ExperimentService(store).handle("POST", "/streams", body=body)[0]
+    except _Crash:
+        status = None  # died mid-request, before any reply
+    assert status in (None, 500)
+    store.close()  # the process is gone
+
+    reborn = ExperimentService(ExperimentStore(root))
+    assert reborn.handle("GET", "/streams/s1/stats")[0] == 404
+    assert reborn.handle("POST", "/streams/s1/advance", body={})[0] == 404
+    assert reborn.store.stats()["ckpt_entries"] == 0
+    assert reborn.handle("POST", "/streams", body=body)[0] == 200

@@ -16,6 +16,8 @@ from repro.service import ServiceClient, ServiceError, make_server
 from repro.service.server import ExperimentService
 from repro.store import ExperimentStore
 
+from tests.ckpt.bookmarks import read_bookmark, write_bookmark
+
 SCALE = 0.02
 
 
@@ -107,8 +109,8 @@ class TestStreamRoutes:
 
     def test_empty_advance_rewrites_nothing(self, service, store):
         """An advance that replays nothing (count 0, or a finished
-        session) answers with the last digest and writes no blob and no
-        bookmark; one the store lost is written back."""
+        session) answers with the last digest and writes no bookmark; a
+        bookmark the store lost is written back."""
         service.handle(
             "POST", "/streams", body={"spec": _spec_dict(), "session_id": "s1"}
         )
@@ -131,12 +133,30 @@ class TestStreamRoutes:
         _, restored = reborn.handle("POST", "/streams/s1/advance", body={"count": 0})
         assert restored["state_digest"] == done["state_digest"]
         assert store.stats()["bytes_written"] == written
-        # Lost state is written again, under the same digest.
-        store.delete_ckpt(done["state_digest"])
+        # A lost bookmark is written again, with the same digest.
+        key = service.ckpt.stream_key("s1")
+        assert store.delete_ckpt(key)
         _, rewritten = service.handle("POST", "/streams/s1/advance", body={"count": 0})
         assert rewritten["state_digest"] == done["state_digest"]
-        assert store.has_ckpt(done["state_digest"])
+        assert read_bookmark(store, key)[0]["state_digest"] == done["state_digest"]
         assert store.stats()["bytes_written"] > written
+
+    def test_advances_keep_one_ckpt_entry(self, service, store):
+        """However often a session advances, its bookmark is one store
+        entry, the size of the last write."""
+        _, opened = service.handle(
+            "POST", "/streams", body={"spec": _spec_dict(), "session_id": "s1"}
+        )
+        chunk = opened["total"] // 6 + 1
+        for _ in range(6):
+            written = store.stats()["bytes_written"]
+            _, step = service.handle(
+                "POST", "/streams/s1/advance", body={"count": chunk}
+            )
+            (entry,) = store.entries(kind="ckpt")
+            assert entry["key"] == service.ckpt.stream_key("s1")
+            assert entry["size_bytes"] == store.stats()["bytes_written"] - written
+        assert step["finished"]
 
     def test_stats_envelope_counts_streams(self, service):
         service.handle(
@@ -156,6 +176,19 @@ class TestStreamErrors:
         )
         assert status == 409
         assert "already exists" in payload["error"]
+
+    def test_duplicate_of_a_bookmarked_session_conflicts(self, service, store):
+        """A session no longer in memory still owns its id: its
+        bookmark answers the 409, on this service and a restarted one."""
+        body = {"spec": _spec_dict(), "session_id": "s1"}
+        service.handle("POST", "/streams", body=body)
+        service.handle("POST", "/streams/s1/advance", body={"count": 50})
+        service._sessions.clear()
+        reborn = ExperimentService(ExperimentStore(store.root))
+        for live in (service, reborn):
+            assert live.handle("POST", "/streams", body=body)[0] == 409
+        _, stats = reborn.handle("GET", "/streams/s1/stats")
+        assert stats["offset"] == 50
 
     def test_unknown_session(self, service):
         assert service.handle("POST", "/streams/nope/advance", body={})[0] == 404
@@ -194,12 +227,17 @@ class TestStreamErrors:
         assert service.handle("GET", "/streams/s1/rewind")[0] == 404
 
     def test_gc_lost_checkpoint_is_gone(self, service, store):
+        """A bookmark in an earlier release's layout whose separately
+        filed blob GC claimed cannot be restored: 410."""
         _, opened = service.handle(
             "POST", "/streams", body={"spec": _spec_dict(), "session_id": "s1"}
         )
-        # Forget the live session, then lose its blob.
+        # Forget the live session, refile it as a legacy bookmark, then
+        # lose its blob.
         service._sessions.clear()
-        store.delete_ckpt(opened["state_digest"])
+        key = service.ckpt.stream_key("s1")
+        write_bookmark(store, key, *read_bookmark(store, key), legacy=True)
+        assert store.delete_ckpt(opened["state_digest"])
         status, payload = service.handle("POST", "/streams/s1/advance", body={})
         assert status == 410
         assert "garbage-collected" in payload["error"]
@@ -260,10 +298,11 @@ class TestResumeRecordChecks:
         )
         service.handle("POST", "/streams/s1/advance", body={"count": 500})
         service._sessions.clear()
-        return service.ckpt._get_record(service.ckpt.stream_key("s1"))
+        return read_bookmark(service.store, service.ckpt.stream_key("s1"))[0]
 
     def _advance_with(self, service, record):
-        service.ckpt._put_record(service.ckpt.stream_key("s1"), record)
+        key = service.ckpt.stream_key("s1")
+        write_bookmark(service.store, key, record, read_bookmark(service.store, key)[1])
         return service.handle("POST", "/streams/s1/advance", body={})
 
     def test_stream_offset_must_match_the_snapshot(self, service):

@@ -167,6 +167,21 @@ class TestFigureRunner:
         assert "error: service unreachable" in capsys.readouterr().err
 
 
+class TestCacheCommand:
+    def test_ls_lists_ckpt_entries(self, capsys, tmp_path):
+        from repro.store import ExperimentStore
+
+        store = ExperimentStore(tmp_path / "store")
+        store.put_ckpt("sess:s1", b"bookmark")
+        store.put_ckpt("sess:s2", b"bookmark")
+        assert main(
+            ["cache", "ls", "--store", str(store.root), "--kind", "ckpt"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "sess:s1" in out and "sess:s2" in out
+        assert out.rstrip().endswith("2 entries")
+
+
 class TestRequestTimeoutFlag:
     def test_default_and_override_parse(self):
         from repro.cli import _build_parser

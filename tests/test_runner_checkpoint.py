@@ -9,10 +9,12 @@ complete.
 import pytest
 
 import repro.ckpt
-from repro.ckpt import CheckpointManager, ReplaySession
+from repro.ckpt import CheckpointManager, ReplaySession, blob_digest
 from repro.errors import CkptError, ConfigurationError
 from repro.run import MissStreamCache, Runner, RunSpec
 from repro.store import ExperimentStore
+
+from tests.ckpt.bookmarks import read_bookmark, write_bookmark
 
 SCALE = 0.02
 
@@ -41,13 +43,33 @@ def test_checkpointed_row_equals_plain_row(store):
 
 def _record(store, spec):
     """The run's stored bookmark record, or None."""
-    return CheckpointManager(store)._get_record(CheckpointManager.run_key(spec.key()))
+    bookmark = read_bookmark(store, CheckpointManager.run_key(spec.key()))
+    return None if bookmark is None else bookmark[0]
 
 
 def test_completion_clears_the_bookmark(store):
     spec = _spec()
     Runner(cache=MissStreamCache(), store=store, checkpoint_every=500).run_one(spec)
     assert _record(store, spec) is None
+
+
+def test_finished_run_leaves_no_ckpt_entry(store, monkeypatch):
+    """Every chunk overwrites the run's one bookmark, state included,
+    and completion deletes it: nothing is left for GC to collect."""
+    spec = _spec()
+    runner = Runner(cache=MissStreamCache(), store=store, checkpoint_every=300)
+    writes = []
+    real_write = CheckpointManager.write
+
+    def counting_write(self, *args, **kwargs):
+        digest = real_write(self, *args, **kwargs)
+        writes.append(store.stats()["ckpt_entries"])
+        return digest
+
+    monkeypatch.setattr(CheckpointManager, "write", counting_write)
+    runner.run_one(spec)
+    assert len(writes) > 2 and set(writes) == {1}
+    assert store.stats()["ckpt_entries"] == 0
 
 
 def test_killed_run_resumes_from_its_bookmark(store, monkeypatch):
@@ -101,12 +123,14 @@ def test_gc_lost_bookmark_restarts_cleanly(store):
     runner = Runner(cache=MissStreamCache(), store=store, checkpoint_every=600)
     manager = CheckpointManager(store)
 
-    # Leave a bookmark, then lose its blob.
+    # Leave a bookmark in the legacy layout, then lose its blob.
     stream = runner.miss_stream_for(spec)
     session = ReplaySession(stream, spec.build_prefetcher())
     session.advance(900)
     key = manager.run_key(spec.key())
-    store.delete_ckpt(manager.write(key, spec, session))
+    digest = manager.write(key, spec, session)
+    write_bookmark(store, key, *read_bookmark(store, key), legacy=True)
+    assert store.delete_ckpt(digest)
 
     assert runner.run_one(spec) == plain[0]
     assert manager.resume(key, runner.miss_stream_for, spec) is None
@@ -139,15 +163,14 @@ class TestBookmarkChecks:
             max_prefetches_per_miss=ran.max_prefetches_per_miss,
         )
         session.advance(300)
-        manager = CheckpointManager(store)
-        key = manager.run_key(spec.key())
-        manager.write(key, spec, session)
-        record = manager._get_record(key)
+        key = CheckpointManager.run_key(spec.key())
+        CheckpointManager(store).write(key, spec, session)
+        record, blob = read_bookmark(store, key)
         if offset is not None:
             record["stream_offset"] = offset
         if spec_key is not None:
             record["spec_key"] = spec_key
-        manager._put_record(key, record)
+        write_bookmark(store, key, record, blob)
         return session
 
     def _resume(self, store, spec):
@@ -183,10 +206,10 @@ class TestBookmarkChecks:
         the run raises instead of silently starting over."""
         spec = _spec()
         session = self._bookmark(store, spec)
-        manager = CheckpointManager(store)
-        key = manager.run_key(spec.key())
-        record = manager._get_record(key)
-        record["state_digest"] = manager.save(session.snapshot().mechanism)
-        manager._put_record(key, record)
+        key = CheckpointManager.run_key(spec.key())
+        record, _ = read_bookmark(store, key)
+        blob = session.snapshot().mechanism.to_bytes()
+        record["state_digest"] = blob_digest(blob)
+        write_bookmark(store, key, record, blob)
         with pytest.raises(CkptError, match="not a session snapshot"):
             self._resume(store, spec)
