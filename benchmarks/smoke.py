@@ -35,7 +35,6 @@ from repro.analysis.figures import figure7_configs
 from repro.obs import (
     REGISTRY,
     PhaseProfiler,
-    append_history,
     check_gates,
     set_enabled,
 )
@@ -435,18 +434,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_smoke.json", help="output JSON path")
     parser.add_argument("--scale", type=float, default=0.1, help="workload scale")
-    parser.add_argument(
-        "--history",
-        default=None,
-        help="append this run to a BENCH_history.jsonl file "
-        "(schema-versioned; diffed by 'repro-tlb bench compare')",
-    )
-    parser.add_argument(
-        "--git-sha",
-        default=None,
-        help="provenance stamp for the --history line (passed in, "
-        "never computed here)",
-    )
     args = parser.parse_args(argv)
 
     specs = [
@@ -626,13 +613,6 @@ def main(argv: list[str] | None = None) -> int:
     record["gates"] = check_gates(record)
     out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
-    if args.history:
-        append_history(
-            args.history,
-            {key: value for key, value in record.items() if key != "rows"},
-            git_sha=args.git_sha,
-        )
-        print(f"[smoke] appended history record -> {args.history}")
     print(
         f"[smoke] {len(specs)} specs: compiled {elapsed:.2f}s vs "
         f"reference {reference_elapsed:.2f}s -> {speedup:.2f}x speedup, "

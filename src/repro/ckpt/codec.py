@@ -2,9 +2,8 @@
 
 Every snapshot serializes to one fixed, documented byte layout, so that
 *identical logical state always produces identical bytes* — the
-property the content-addressed checkpoint store and the
-``(spec_key, stream_offset, state_digest)`` continuation keys both
-depend on.
+property a bookmark's ``state_digest`` integrity check and the
+cross-engine byte-identity tests both depend on.
 
 Blob layout::
 

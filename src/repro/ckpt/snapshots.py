@@ -5,10 +5,11 @@ prediction table, prefetch buffer, or a whole prefetcher — as
 plain codec values (ints, floats, strings, lists), serialized through
 :mod:`repro.ckpt.codec` with stable field ordering so that *identical
 logical state always yields an identical digest*. That invariant is
-load-bearing: checkpoints are content-addressed by digest, and resume
-continuations are keyed by ``(spec_key, stream_offset, state_digest)``,
-so the reference engine and the compiled engine must agree byte-for-byte
-on the snapshot of any state they both can reach.
+load-bearing: a bookmark (one ``ckpt`` entry under its ``cont:`` or
+``sess:`` key) checks its state against the ``state_digest`` it
+records, and ``/streams`` reports that digest, so the reference engine
+and the compiled engine must agree byte-for-byte on the snapshot of
+any state they both can reach.
 
 Two canonicalization rules make cross-engine agreement possible:
 

@@ -40,7 +40,6 @@ Observability (see README "Observability")::
     repro-tlb top --url http://127.0.0.1:8321             # live summary + trends
     repro-tlb health --url http://127.0.0.1:8321          # GET /healthz
     repro-tlb alerts --url http://127.0.0.1:8321          # SLO alert states
-    repro-tlb bench compare --history benchmarks/results/BENCH_history.jsonl
     repro-tlb trace --url http://127.0.0.1:8321           # list traces
     repro-tlb trace --url http://127.0.0.1:8321 --trace-id ID
     repro-tlb trace --file spans.json --json
@@ -427,28 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_url(alerts)
 
-    bench = sub.add_parser(
-        "bench", help="benchmark-history tools (BENCH_history.jsonl)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="diff the newest history record against a baseline window; "
-        "exit 1 on a perf regression",
-    )
-    bench_compare.add_argument(
-        "--history",
-        default="benchmarks/results/BENCH_history.jsonl",
-        help="history file that benchmarks/smoke.py --history appends to "
-        "(gitignored, so it holds only this machine's runs; the smoke "
-        "record's pass/fail gates are checked by smoke.py itself)",
-    )
-    bench_compare.add_argument(
-        "--baseline-window", type=int, default=5,
-        help="how many prior records the baseline mean averages "
-        "(default 5; use 1 to compare against just the previous run)",
-    )
-
     jobs = sub.add_parser("jobs", help="inspect or cancel scheduler sweeps")
     jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
     jobs_status = jobs_sub.add_parser(
@@ -829,18 +806,6 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
     return 1 if firing else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import compare_history, format_compare, load_history
-
-    if args.bench_command == "compare":
-        report = compare_history(
-            load_history(args.history), baseline_window=args.baseline_window
-        )
-        print(format_compare(report))
-        return 1 if report["regressed"] else 0
-    return 0
-
-
 def _cmd_jobs(args: argparse.Namespace) -> int:
     from repro.sched import SchedulerClient
 
@@ -912,8 +877,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_health(args)
     if args.command == "alerts":
         return _cmd_alerts(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "jobs":
         return _cmd_jobs(args)
     if args.command == "table1":

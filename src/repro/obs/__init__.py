@@ -21,16 +21,7 @@ from __future__ import annotations
 
 import os
 
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    DEFAULT_TOLERANCES,
-    SMOKE_GATES,
-    append_history,
-    check_gates,
-    compare_history,
-    format_compare,
-    load_history,
-)
+from repro.obs.bench import SMOKE_GATES, check_gates
 from repro.obs.logging import enable_console, get_logger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -78,10 +69,8 @@ from repro.obs.health import HealthWatchdog, component_health  # noqa: E402
 from repro.obs.rules import Rule, RuleEngine, default_rules  # noqa: E402
 
 __all__ = [
-    "BENCH_SCHEMA",
     "COLLECTOR",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_TOLERANCES",
     "ENV_DISABLED",
     "HealthWatchdog",
     "MetricFamily",
@@ -94,19 +83,15 @@ __all__ = [
     "Span",
     "SpanCollector",
     "TRACE_HEADER",
-    "append_history",
     "bind_context",
     "check_gates",
-    "compare_history",
     "component_health",
     "current_context",
     "default_rules",
     "drain_spans",
     "enable_console",
-    "format_compare",
     "get_logger",
     "is_enabled",
-    "load_history",
     "parse_prometheus",
     "peak_rss_bytes",
     "render_flame",

@@ -15,7 +15,7 @@
   (enforced by ``tests/differential/``).
 - :mod:`repro.sim.engine` — engine selection (``auto`` / ``reference``,
   with ``fast`` / ``batch`` as aliases of the compiled engine) shared
-  by ``RunSpec``, ``evaluate``, ``simulate`` and the CLI.
+  by ``RunSpec``, ``evaluate`` and the CLI.
 - :mod:`repro.sim.cycle` — execution-cycle timing model (the
   sim-outorder analogue behind the paper's Table 3).
 - :mod:`repro.sim.sweep` — parameter-sweep drivers for the sensitivity

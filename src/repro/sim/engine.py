@@ -34,7 +34,7 @@ from repro.sim.two_phase import ReplayWindow, replay_prefetcher
 from repro.tlb.prefetch_buffer import PrefetchBuffer
 
 #: Engine names accepted everywhere an ``engine`` knob appears
-#: (``RunSpec``, ``Runner``, ``evaluate``, ``simulate``, the CLI).
+#: (``RunSpec``, ``Runner``, ``evaluate``, the CLI).
 ENGINES: tuple[str, ...] = ("auto", "reference", "fast", "batch")
 
 

@@ -31,7 +31,6 @@ def simulate(
     trace: ReferenceTrace,
     prefetcher: Prefetcher,
     config: SimulationConfig | None = None,
-    engine: str = "reference",
 ) -> PrefetchRunStats:
     """Run ``prefetcher`` over ``trace`` through the full MMU pipeline.
 
@@ -39,18 +38,8 @@ def simulate(
     references have passed; everything (TLB, buffer, mechanism) still
     *trains* during warm-up, mirroring how the paper's measurement
     window follows a fast-forward period.
-
-    ``engine="reference"`` (the default) drives the online MMU loop
-    below. ``"fast"``/``"auto"`` route through the two-phase path with
-    the selected replay engine (:mod:`repro.sim.engine`) — bit-identical
-    statistics, dramatically less work.
     """
     config = config or SimulationConfig()
-    if engine != "reference":
-        # Imported lazily: two_phase/engine and this module are peers.
-        from repro.sim.two_phase import evaluate
-
-        return evaluate(trace, prefetcher, config, engine=engine)
     mmu = build_mmu(prefetcher, config)
     warmup_limit = int(trace.total_references * config.warmup_fraction)
 

@@ -570,14 +570,6 @@ class ExperimentStore:
             self._drop_entry(_CKPT, key)
             return True
 
-    def ckpt_keys(self, prefix: str = "") -> list[str]:
-        """Stored checkpoint keys (optionally prefix-filtered), sorted."""
-        with self._lock:
-            rows = self._db.execute(
-                "SELECT key FROM entries WHERE kind=? ORDER BY key ASC", (_CKPT,)
-            ).fetchall()
-        return [key for (key,) in rows if key.startswith(prefix)]
-
     # -- tenant visibility grants ------------------------------------------
 
     def grant(self, tenant: str, kind: str, keys: Iterable[str]) -> None:

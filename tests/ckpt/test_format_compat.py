@@ -1,8 +1,8 @@
 """``repro.ckpt/v1`` compatibility: pinned bytes and old bookmark layouts.
 
-Checkpoints are content-addressed and bookmarks name their state by
-digest, so the bytes a snapshot encodes to are part of the on-disk
-contract. These tests pin the ``sha256`` of ``to_bytes()`` for every
+A bookmark is one ``ckpt`` entry under its ``cont:`` or ``sess:`` key
+and checks its state against the ``state_digest`` it records, so the
+bytes a snapshot encodes to are part of the on-disk contract. These tests pin the ``sha256`` of ``to_bytes()`` for every
 mechanism kind, the prefetch buffer and whole sessions after
 one fixed history (a session's digest both as the compiled kernel
 writes it and as the oracle encodes the reference engine's state), and resume bookmarks written in the two record

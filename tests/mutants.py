@@ -130,6 +130,28 @@ MUTANTS: tuple[Mutant, ...] = (
         "wait = self.admission.charge_cost(tenant, 1)",
         "tests/store/test_admission.py -k cost",
     ),
+    Mutant(
+        "obs-budget-inclusive",
+        "src/repro/obs/bench.py",
+        'Gate("obs_overhead_fraction", "<", 0.05,',
+        'Gate("obs_overhead_fraction", "<=", 0.05,',
+        "tests/obs/test_bench_history.py::TestSmokeGates",
+    ),
+    Mutant(
+        "store-budget-loosened",
+        "src/repro/obs/bench.py",
+        'Gate("store_cold_overhead_fraction", "<=", 0.10,',
+        'Gate("store_cold_overhead_fraction", "<=", 0.11,',
+        "tests/obs/test_bench_history.py::TestSmokeGates",
+    ),
+    Mutant(
+        "gate-row-dropped",
+        "src/repro/obs/bench.py",
+        '    Gate("load_clients", ">=", 100,\n'
+        '         "load phase ran too few clients to overload admission"),\n',
+        "",
+        "tests/obs/test_bench_history.py::TestSmokeGates",
+    ),
 )
 
 

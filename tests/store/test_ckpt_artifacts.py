@@ -46,13 +46,6 @@ class TestFiling:
         assert len(inside) == 3
         assert not (store.root.parent / "escape.bin").exists()
 
-    def test_ckpt_keys_prefix_filter(self, store):
-        for key in ("cont:a", "cont:b", "sess:s1", "d" * 24):
-            store.put_ckpt(key, b"x")
-        assert store.ckpt_keys() == sorted(["cont:a", "cont:b", "sess:s1", "d" * 24])
-        assert store.ckpt_keys("cont:") == ["cont:a", "cont:b"]
-        assert store.ckpt_keys("sess:") == ["sess:s1"]
-
 
 class TestAccounting:
     def test_hit_miss_counters(self, store):

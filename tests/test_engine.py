@@ -189,8 +189,8 @@ class TestWrapperThreading:
     def test_simulate_engine_param(self):
         trace = get_trace("eon", SCALE)
         online = simulate(trace, create_prefetcher("DP"))
-        fast = simulate(trace, create_prefetcher("DP"), engine="fast")
-        assert online == fast
+        compiled = evaluate(trace, create_prefetcher("DP"), engine="auto")
+        assert online == compiled
 
     def test_experiment_context_engine_threading(self):
         from repro.analysis.experiments import ExperimentContext
