@@ -11,18 +11,12 @@ records, and ``/streams`` reports that digest, so the reference engine
 and the compiled engine must agree byte-for-byte on the snapshot of
 any state they both can reach.
 
-Two canonicalization rules make cross-engine agreement possible:
-
-1. **Behaviour-bearing state only.** Diagnostic counters that influence
-   no simulation decision and no reported statistic —
-   ``PredictionTable.lookups/tag_hits/row_evictions``,
-   ``RecencyStack.pointer_writes`` — are *excluded* from snapshots, and
-   restore zeroes them. (The :class:`~repro.prefetch.base.Prefetcher`
-   issue/overhead counters and the buffer counters *are* captured:
-   they feed delta-based statistics.)
-2. **Canonical element order.** Recency-stack page-table entries are
-   stored sorted by page number: dict insertion order never affects
-   RP's behaviour, but it would otherwise differ between engines.
+Every counter is captured (the :class:`~repro.prefetch.base.Prefetcher`
+issue/overhead counters and the buffer counters feed delta-based
+statistics), and one canonicalization rule makes cross-engine agreement
+possible: **canonical element order.** Recency-stack page-table entries
+are stored sorted by page number: dict insertion order never affects
+RP's behaviour, but it would otherwise differ between engines.
 
 Restores are strict: applying a snapshot to a mechanism whose
 configuration (rows, ways, slots, degree bounds, ...) differs from the
@@ -235,7 +229,7 @@ def _check_table(snap: TableSnapshot, table: PredictionTable, check_row) -> None
 
 def _restore_table(snap: TableSnapshot, table: PredictionTable, decode) -> None:
     """Overwrite ``table`` with a validated ``snap``; ``decode(list[int])
-    -> payload``. Zeroes the diagnostic counters (not snapshotted)."""
+    -> payload``."""
     for table_set, pairs in zip(table._sets, snap.sets):
         table_set.clear()
         for key, payload in pairs:
@@ -243,9 +237,6 @@ def _restore_table(snap: TableSnapshot, table: PredictionTable, decode) -> None:
     # The sets were filled behind the table's back; re-derive its O(1)
     # occupancy counter from what the snapshot installed.
     table._occupied = sum(len(s) for s in table._sets)
-    table.lookups = 0
-    table.tag_hits = 0
-    table.row_evictions = 0
 
 
 def _encode_slots(entry: SlotList) -> list:
@@ -575,7 +566,6 @@ class RecencySnapshot(MechanismSnapshot):
             for page, below, above, on_stack in self.entries
         }
         prefetcher.stack._top = self.top
-        prefetcher.stack.pointer_writes = 0
 
 
 #: Exact mechanism class -> the snapshot family declaring it.

@@ -24,78 +24,28 @@ coverage.
 
 from __future__ import annotations
 
-from repro.core.prediction_table import PredictionTable, SlotList
-from repro.prefetch.base import HardwareDescription, Prefetcher
+from repro.core.prediction_table import SlotTablePrefetcher
 
 
-class DistancePrefetcher(Prefetcher):
+class DistancePrefetcher(SlotTablePrefetcher):
     """Distance-indexed prediction over the TLB miss stream.
 
-    Args:
-        rows: prediction-table rows ``r`` (a direct-mapped 32–256-entry
-            table suffices per the paper's sensitivity study).
-        ways: associativity (1 = direct mapped — the paper's default —
-            2/4-way, or 0 = fully associative).
-        slots: predicted distances ``s`` per row (2 by default).
+    The table walk is :class:`SlotTablePrefetcher`'s; DP keys it by the
+    current distance and records that distance in the previous
+    distance's row. A direct-mapped 32–256-row table suffices per the
+    paper's sensitivity study.
     """
 
     name = "DP"
+    registers = ("_prev_page", "_prev_distance")
+    row_contents = "Distance Tag, {slots} Prediction Distances"
+    index_source = "Distance"
+    _prev_distance: int | None
 
-    def __init__(self, rows: int = 256, ways: int = 1, slots: int = 2) -> None:
-        super().__init__()
-        self.table: PredictionTable[SlotList] = PredictionTable(rows, ways)
-        self.slots = slots
-        self._prev_page: int | None = None
-        self._prev_distance: int | None = None
-
-    def _new_row(self) -> SlotList:
-        return SlotList(self.slots)
-
-    def on_miss(self, pc: int, page: int, evicted: int, pb_hit: bool) -> list[int]:
-        prev_page = self._prev_page
-        self._prev_page = page
-        if prev_page is None:
-            return self.account([])
-
-        distance = page - prev_page
-        entry, allocated = self.table.lookup_or_insert(distance, self._new_row)
-        prefetches: list[int] = []
-        if not allocated:
-            for predicted in entry.values():
-                target = page + predicted
-                if target >= 0:
-                    prefetches.append(target)
-
+    def _keys(self, pc: int, page: int) -> tuple[int, int | None, int] | None:
+        distance = self._distance(page)
+        if distance is None:
+            return None
         prev_distance = self._prev_distance
-        if prev_distance is not None:
-            prev_entry, _ = self.table.lookup_or_insert(prev_distance, self._new_row)
-            prev_entry.add(distance)
         self._prev_distance = distance
-        return self.account(prefetches)
-
-    def flush(self) -> None:
-        self.table.flush()
-        self._prev_page = None
-        self._prev_distance = None
-
-    def has_prediction_state(self) -> bool:
-        return (
-            len(self.table) > 0
-            or self._prev_page is not None
-            or self._prev_distance is not None
-        )
-
-    @property
-    def label(self) -> str:
-        return f"{self.name},{self.table.rows},{self.table.assoc_label}"
-
-    def describe_hardware(self) -> HardwareDescription:
-        return HardwareDescription(
-            name=self.name,
-            rows="r",
-            row_contents=f"Distance Tag, {self.slots} Prediction Distances",
-            location="On-Chip",
-            index_source="Distance",
-            memory_ops_per_miss=0,
-            max_prefetches=str(self.slots),
-        )
+        return distance, prev_distance, distance

@@ -12,16 +12,8 @@ for the same number of rows.
 
 from __future__ import annotations
 
-from repro.core.prediction_table import PredictionTable, SlotList
-from repro.prefetch.base import HardwareDescription, Prefetcher
-
-#: Width of each two's-complement distance field inside the packed key.
-_DISTANCE_BITS = 24
-_DISTANCE_MASK = (1 << _DISTANCE_BITS) - 1
-#: Odd multiplier folding the first distance into the low (set-index)
-#: bits; injective because the first distance also occupies the high
-#: bits, so the XOR can be undone.
-_FOLD = 0x9E37
+from repro.core.pc_distance import _DISTANCE_BITS, _DISTANCE_MASK, _FOLD
+from repro.core.prediction_table import SlotTablePrefetcher
 
 
 def pack_distance_pair(first: int, second: int) -> int:
@@ -31,81 +23,29 @@ def pack_distance_pair(first: int, second: int) -> int:
     )
 
 
-class DistancePairPrefetcher(Prefetcher):
+class DistancePairPrefetcher(SlotTablePrefetcher):
     """DP variant keyed by the two most recent distances.
 
-    Args:
-        rows: prediction-table rows.
-        ways: associativity (1 = direct mapped, 0 = fully associative).
-        slots: predicted distances per row.
+    A miss is keyed once two distances are known; before that it still
+    advances the previous-distance register.
     """
 
     name = "DP-2"
+    registers = ("_prev_page", "_prev_distance", "_prev_key")
+    row_contents = "Distance-pair Tag, {slots} Prediction Distances"
+    index_source = "2 consecutive Distances"
+    _prev_distance: int | None
+    _prev_key: int | None
 
-    def __init__(self, rows: int = 256, ways: int = 1, slots: int = 2) -> None:
-        super().__init__()
-        self.table: PredictionTable[SlotList] = PredictionTable(rows, ways)
-        self.slots = slots
-        self._prev_page: int | None = None
-        self._prev_distance: int | None = None
-        self._prev_key: int | None = None
-
-    def _new_row(self) -> SlotList:
-        return SlotList(self.slots)
-
-    def on_miss(self, pc: int, page: int, evicted: int, pb_hit: bool) -> list[int]:
-        prev_page = self._prev_page
-        self._prev_page = page
-        if prev_page is None:
-            return self.account([])
-
-        distance = page - prev_page
+    def _keys(self, pc: int, page: int) -> tuple[int, int | None, int] | None:
+        distance = self._distance(page)
+        if distance is None:
+            return None
         prev_distance = self._prev_distance
         self._prev_distance = distance
         if prev_distance is None:
-            return self.account([])
-
+            return None
         key = pack_distance_pair(prev_distance, distance)
-        entry, allocated = self.table.lookup_or_insert(key, self._new_row)
-        prefetches: list[int] = []
-        if not allocated:
-            for predicted in entry.values():
-                target = page + predicted
-                if target >= 0:
-                    prefetches.append(target)
-
         prev_key = self._prev_key
-        if prev_key is not None:
-            prev_entry, _ = self.table.lookup_or_insert(prev_key, self._new_row)
-            prev_entry.add(distance)
         self._prev_key = key
-        return self.account(prefetches)
-
-    def flush(self) -> None:
-        self.table.flush()
-        self._prev_page = None
-        self._prev_distance = None
-        self._prev_key = None
-
-    def has_prediction_state(self) -> bool:
-        return (
-            len(self.table) > 0
-            or self._prev_page is not None
-            or self._prev_distance is not None
-            or self._prev_key is not None
-        )
-
-    @property
-    def label(self) -> str:
-        return f"{self.name},{self.table.rows},{self.table.assoc_label}"
-
-    def describe_hardware(self) -> HardwareDescription:
-        return HardwareDescription(
-            name=self.name,
-            rows="r",
-            row_contents=f"Distance-pair Tag, {self.slots} Prediction Distances",
-            location="On-Chip",
-            index_source="2 consecutive Distances",
-            memory_ops_per_miss=0,
-            max_prefetches=str(self.slots),
-        )
+        return key, prev_key, distance

@@ -13,16 +13,16 @@ below the PC, which is what indexing/tagging hardware would do.
 
 from __future__ import annotations
 
-from repro.core.prediction_table import PredictionTable, SlotList
-from repro.prefetch.base import HardwareDescription, Prefetcher
+from repro.core.prediction_table import SlotTablePrefetcher
 
-#: Width of the two's-complement distance field inside the packed key.
+#: Width of the two's-complement distance field inside a packed key.
 _DISTANCE_BITS = 24
 _DISTANCE_MASK = (1 << _DISTANCE_BITS) - 1
-#: Odd multiplier folding the PC into the low (set-index) bits so
-#: direct-mapped tables don't alias every PC with the same distance
-#: onto one set. The fold is injective: the PC occupies the high bits,
-#: so the XOR can always be undone.
+#: Odd multiplier folding the high field (the PC here, the first
+#: distance in :mod:`repro.core.distance_pair`) into the low (set-index)
+#: bits so direct-mapped tables don't alias every key with the same
+#: distance onto one set. The fold is injective: the high field also
+#: occupies the high bits, so the XOR can always be undone.
 _FOLD = 0x9E37
 
 
@@ -31,73 +31,24 @@ def pack_pc_distance(pc: int, distance: int) -> int:
     return (pc << _DISTANCE_BITS) | ((distance ^ (pc * _FOLD)) & _DISTANCE_MASK)
 
 
-class PCDistancePrefetcher(Prefetcher):
+class PCDistancePrefetcher(SlotTablePrefetcher):
     """DP variant keyed by (PC, distance) instead of distance alone.
 
-    Args:
-        rows: prediction-table rows.
-        ways: associativity (1 = direct mapped, 0 = fully associative).
-        slots: predicted distances per row.
+    Each row still records the distance that followed, so only the key
+    differs from :class:`~repro.core.distance.DistancePrefetcher`.
     """
 
     name = "DP-PC"
+    registers = ("_prev_page", "_prev_key")
+    row_contents = "PC+Distance Tag, {slots} Prediction Distances"
+    index_source = "PC, Distance"
+    _prev_key: int | None
 
-    def __init__(self, rows: int = 256, ways: int = 1, slots: int = 2) -> None:
-        super().__init__()
-        self.table: PredictionTable[SlotList] = PredictionTable(rows, ways)
-        self.slots = slots
-        self._prev_page: int | None = None
-        self._prev_key: int | None = None
-
-    def _new_row(self) -> SlotList:
-        return SlotList(self.slots)
-
-    def on_miss(self, pc: int, page: int, evicted: int, pb_hit: bool) -> list[int]:
-        prev_page = self._prev_page
-        self._prev_page = page
-        if prev_page is None:
-            return self.account([])
-
-        distance = page - prev_page
+    def _keys(self, pc: int, page: int) -> tuple[int, int | None, int] | None:
+        distance = self._distance(page)
+        if distance is None:
+            return None
         key = pack_pc_distance(pc, distance)
-        entry, allocated = self.table.lookup_or_insert(key, self._new_row)
-        prefetches: list[int] = []
-        if not allocated:
-            for predicted in entry.values():
-                target = page + predicted
-                if target >= 0:
-                    prefetches.append(target)
-
         prev_key = self._prev_key
-        if prev_key is not None:
-            prev_entry, _ = self.table.lookup_or_insert(prev_key, self._new_row)
-            prev_entry.add(distance)
         self._prev_key = key
-        return self.account(prefetches)
-
-    def flush(self) -> None:
-        self.table.flush()
-        self._prev_page = None
-        self._prev_key = None
-
-    def has_prediction_state(self) -> bool:
-        return (
-            len(self.table) > 0
-            or self._prev_page is not None
-            or self._prev_key is not None
-        )
-
-    @property
-    def label(self) -> str:
-        return f"{self.name},{self.table.rows},{self.table.assoc_label}"
-
-    def describe_hardware(self) -> HardwareDescription:
-        return HardwareDescription(
-            name=self.name,
-            rows="r",
-            row_contents=f"PC+Distance Tag, {self.slots} Prediction Distances",
-            location="On-Chip",
-            index_source="PC, Distance",
-            memory_ops_per_miss=0,
-            max_prefetches=str(self.slots),
-        )
+        return key, prev_key, distance

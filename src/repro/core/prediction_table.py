@@ -12,6 +12,10 @@ The table is generic over the row payload:
 - ASP rows hold a ``(previous page, stride, state)`` tuple (one slot, by
   definition of the mechanism).
 
+MP, DP and DP's two Section 4 extensions walk their slot-list table the
+same way on every miss; :class:`SlotTablePrefetcher` is that one walk,
+and each mechanism states only the key its table is indexed by.
+
 Keys may be negative (DP indexes by distance, which is signed); the
 row-index hash uses Python's non-negative ``%`` so any integer key maps
 to a valid set.
@@ -19,11 +23,13 @@ to a valid set.
 
 from __future__ import annotations
 
+import abc
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from typing import Generic, TypeVar
 
 from repro.errors import ConfigurationError
+from repro.prefetch.base import HardwareDescription, Prefetcher
 
 #: Associativity value selecting one row per set.
 DIRECT_MAPPED = 1
@@ -110,9 +116,6 @@ class PredictionTable(Generic[PayloadT]):
         # every freshness probe — is O(1) instead of a sum over what
         # can be a thousand sets.
         self._occupied = 0
-        self.lookups = 0
-        self.tag_hits = 0
-        self.row_evictions = 0
 
     @property
     def assoc_label(self) -> str:
@@ -134,16 +137,14 @@ class PredictionTable(Generic[PayloadT]):
 
     def lookup(self, key: int) -> PayloadT | None:
         """Return the payload tagged ``key``, promoting it to MRU."""
-        self.lookups += 1
         table_set = self._sets[key % self.num_sets]
         payload = table_set.get(key)
         if payload is not None:
             table_set.move_to_end(key)
-            self.tag_hits += 1
         return payload
 
     def peek(self, key: int) -> PayloadT | None:
-        """Like :meth:`lookup` but without LRU promotion or stats."""
+        """Like :meth:`lookup` but without LRU promotion."""
         return self._sets[key % self.num_sets].get(key)
 
     def insert(self, key: int, payload: PayloadT) -> int | None:
@@ -157,7 +158,6 @@ class PredictionTable(Generic[PayloadT]):
             table_set.move_to_end(key)
         elif len(table_set) >= self.ways:
             evicted, _ = table_set.popitem(last=False)
-            self.row_evictions += 1
         else:
             self._occupied += 1
         table_set[key] = payload
@@ -199,3 +199,99 @@ class PredictionTable(Generic[PayloadT]):
 
     def __repr__(self) -> str:
         return f"PredictionTable({self.label}, occupied={len(self)}/{self.rows})"
+
+
+class SlotTablePrefetcher(Prefetcher):
+    """The table walk MP and the DP family share (the paper's Table 1).
+
+    An ``r``-row table of ``s``-slot rows. On a miss the walk looks the
+    miss's key up; a hit issues the row's targets, a miss allocates an
+    empty row. Then it records the miss's value in the previous key's
+    row (MRU first). The targets are read before that update, so when
+    the key repeats one miss reads and updates the same row.
+
+    A subclass states only its key rule (:meth:`_keys`), the history
+    registers that rule keeps (``registers``, each ``None`` until
+    trained; the snapshot declarations name them), its two Table 1
+    strings and, if a slot value is not a distance, its targets.
+
+    Args:
+        rows: table rows ``r`` (the paper sweeps 32..1024).
+        ways: associativity (1 = direct mapped — the paper's default —
+            2/4-way, or 0 = fully associative).
+        slots: predictions ``s`` per row (2 in the paper's Table 1).
+    """
+
+    #: History registers, all ``None`` after construction and flush.
+    registers: tuple[str, ...] = ("_prev_page",)
+    _prev_page: int | None
+    #: Table 1: a row's contents (``{slots}`` is ``s``) and its index.
+    row_contents: str = "?"
+    index_source: str = "?"
+
+    def __init__(self, rows: int = 256, ways: int = 1, slots: int = 2) -> None:
+        super().__init__()
+        self.table: PredictionTable[SlotList] = PredictionTable(rows, ways)
+        self.slots = slots
+        for register in self.registers:
+            setattr(self, register, None)
+
+    def _new_row(self) -> SlotList:
+        return SlotList(self.slots)
+
+    @abc.abstractmethod
+    def _keys(self, pc: int, page: int) -> tuple[int, int | None, int] | None:
+        """Advance the registers past this miss and key it.
+
+        Returns ``(key, previous key, value)``: the row to look up, the
+        row that learns ``value`` (``None`` for no update), and the
+        value. ``None`` when the history cannot key this miss yet.
+        """
+
+    def _distance(self, page: int) -> int | None:
+        """Shift ``page`` into ``_prev_page``; the distance it moved."""
+        prev_page = self._prev_page
+        self._prev_page = page
+        return None if prev_page is None else page - prev_page
+
+    def _targets(self, page: int, values: list[int]) -> list[int]:
+        """Pages a hit row predicts: ``page + v`` for each slot distance
+        ``v``, when that page exists."""
+        return [target for value in values if (target := page + value) >= 0]
+
+    def on_miss(self, pc: int, page: int, evicted: int, pb_hit: bool) -> list[int]:
+        keys = self._keys(pc, page)
+        if keys is None:
+            return self.account([])
+        key, prev_key, value = keys
+        entry, allocated = self.table.lookup_or_insert(key, self._new_row)
+        prefetches = [] if allocated else self._targets(page, entry.values())
+        if prev_key is not None:
+            prev_entry, _ = self.table.lookup_or_insert(prev_key, self._new_row)
+            prev_entry.add(value)
+        return self.account(prefetches)
+
+    def flush(self) -> None:
+        self.table.flush()
+        for register in self.registers:
+            setattr(self, register, None)
+
+    def has_prediction_state(self) -> bool:
+        return len(self.table) > 0 or any(
+            getattr(self, register) is not None for register in self.registers
+        )
+
+    @property
+    def label(self) -> str:
+        return f"{self.name},{self.table.rows},{self.table.assoc_label}"
+
+    def describe_hardware(self) -> HardwareDescription:
+        return HardwareDescription(
+            name=self.name,
+            rows="r",
+            row_contents=self.row_contents.format(slots=self.slots),
+            location="On-Chip",
+            index_source=self.index_source,
+            memory_ops_per_miss=0,
+            max_prefetches=str(self.slots),
+        )

@@ -5,7 +5,9 @@ Baselines adapted from the cache-prefetching literature:
 - :mod:`repro.prefetch.sequential` — tagged Sequential Prefetching (SP).
 - :mod:`repro.prefetch.stride` — Arbitrary Stride Prefetching (ASP,
   Chen & Baer's PC-indexed reference prediction table).
-- :mod:`repro.prefetch.markov` — Markov Prefetching (MP).
+- :mod:`repro.prefetch.markov` — Markov Prefetching (MP), one key rule
+  over the slot-table walk it shares with DP
+  (:class:`~repro.core.prediction_table.SlotTablePrefetcher`).
 - :mod:`repro.prefetch.adaptive_sequential` — Dahlgren–Stenström
   adaptive sequential prefetching (an SP variation the paper cites).
 
@@ -14,7 +16,8 @@ The TLB-specific prior work:
 - :mod:`repro.prefetch.recency` — Recency Prefetching (RP).
 
 The paper's contribution, Distance Prefetching (DP), lives in
-:mod:`repro.core.distance`; the factory here knows how to build it.
+:mod:`repro.core.distance` with its two extensions; the factory here
+knows how to build all three.
 """
 
 from repro.prefetch.adaptive_sequential import AdaptiveSequentialPrefetcher

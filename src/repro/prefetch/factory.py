@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from repro.core.distance import DistancePrefetcher
+from repro.core.distance_pair import DistancePairPrefetcher
+from repro.core.pc_distance import PCDistancePrefetcher
+from repro.core.prediction_table import SlotTablePrefetcher
 from repro.errors import UnknownPrefetcherError
 from repro.prefetch.adaptive_sequential import AdaptiveSequentialPrefetcher
 from repro.prefetch.base import Prefetcher
@@ -41,35 +45,15 @@ def _build_asp(rows: int = 256, ways: int = 1, **_: object) -> Prefetcher:
     return ArbitraryStridePrefetcher(rows=rows, ways=ways)
 
 
-def _build_mp(rows: int = 256, ways: int = 1, slots: int = 2, **_: object) -> Prefetcher:
-    return MarkovPrefetcher(rows=rows, ways=ways, slots=slots)
-
-
 def _build_rp(variant_three: bool = False, **_: object) -> Prefetcher:
     return RecencyPrefetcher(variant_three=variant_three)
 
 
-# The DP family lives in repro.core, which itself imports
-# repro.prefetch.base; importing it lazily here keeps the package
-# import graph acyclic regardless of which module is imported first.
+def _build_slot_table(cls: type[SlotTablePrefetcher]) -> _BuilderT:
+    def build(rows: int = 256, ways: int = 1, slots: int = 2, **_: object) -> Prefetcher:
+        return cls(rows=rows, ways=ways, slots=slots)
 
-
-def _build_dp(rows: int = 256, ways: int = 1, slots: int = 2, **_: object) -> Prefetcher:
-    from repro.core.distance import DistancePrefetcher
-
-    return DistancePrefetcher(rows=rows, ways=ways, slots=slots)
-
-
-def _build_dp_pc(rows: int = 256, ways: int = 1, slots: int = 2, **_: object) -> Prefetcher:
-    from repro.core.pc_distance import PCDistancePrefetcher
-
-    return PCDistancePrefetcher(rows=rows, ways=ways, slots=slots)
-
-
-def _build_dp_pair(rows: int = 256, ways: int = 1, slots: int = 2, **_: object) -> Prefetcher:
-    from repro.core.distance_pair import DistancePairPrefetcher
-
-    return DistancePairPrefetcher(rows=rows, ways=ways, slots=slots)
+    return build
 
 
 _REGISTRY: dict[str, _BuilderT] = {
@@ -77,11 +61,11 @@ _REGISTRY: dict[str, _BuilderT] = {
     "SP": _build_sp,
     "SP-adaptive": _build_adaptive_sp,
     "ASP": _build_asp,
-    "MP": _build_mp,
+    "MP": _build_slot_table(MarkovPrefetcher),
     "RP": _build_rp,
-    "DP": _build_dp,
-    "DP-PC": _build_dp_pc,
-    "DP-2": _build_dp_pair,
+    "DP": _build_slot_table(DistancePrefetcher),
+    "DP-PC": _build_slot_table(PCDistancePrefetcher),
+    "DP-2": _build_slot_table(DistancePairPrefetcher),
 }
 
 #: Names accepted by :func:`create_prefetcher`.
@@ -109,8 +93,6 @@ def default_prefetcher_suite(
     Returns RP, MP, DP and ASP at the paper's representative
     configuration (``s = 2`` and ``r = 256``, direct mapped).
     """
-    from repro.core.distance import DistancePrefetcher
-
     return [
         RecencyPrefetcher(),
         MarkovPrefetcher(rows=rows, ways=1, slots=slots),

@@ -21,59 +21,26 @@ by keeping its history in memory.
 
 from __future__ import annotations
 
-from repro.core.prediction_table import PredictionTable, SlotList
-from repro.prefetch.base import HardwareDescription, Prefetcher
+from repro.core.prediction_table import SlotTablePrefetcher
 
 
-class MarkovPrefetcher(Prefetcher):
+class MarkovPrefetcher(SlotTablePrefetcher):
     """Page-indexed Markov prediction over the TLB miss stream.
 
-    Args:
-        rows: table rows ``r``.
-        ways: associativity (1 = direct, 2/4, 0 = fully associative).
-        slots: successor slots ``s`` per row (2 in the paper's Table 1).
+    The table walk is :class:`SlotTablePrefetcher`'s; MP keys it by the
+    missed page, looks up on every miss (the first included), and its
+    slots hold pages, issued as they are.
     """
 
     name = "MP"
+    row_contents = "Page # Tag, {slots} Prediction Page #s"
+    index_source = "Page #"
 
-    def __init__(self, rows: int = 256, ways: int = 1, slots: int = 2) -> None:
-        super().__init__()
-        self.table: PredictionTable[SlotList] = PredictionTable(rows, ways)
-        self.slots = slots
-        self._prev_page: int | None = None
-
-    def _new_row(self) -> SlotList:
-        return SlotList(self.slots)
-
-    def on_miss(self, pc: int, page: int, evicted: int, pb_hit: bool) -> list[int]:
-        entry, allocated = self.table.lookup_or_insert(page, self._new_row)
-        prefetches = [] if allocated else entry.values()
-
+    def _keys(self, pc: int, page: int) -> tuple[int, int | None, int]:
         prev_page = self._prev_page
-        if prev_page is not None and prev_page != page:
-            prev_entry, _ = self.table.lookup_or_insert(prev_page, self._new_row)
-            prev_entry.add(page)
         self._prev_page = page
-        return self.account(prefetches)
+        # A page is never its own successor.
+        return page, (prev_page if prev_page != page else None), page
 
-    def flush(self) -> None:
-        self.table.flush()
-        self._prev_page = None
-
-    def has_prediction_state(self) -> bool:
-        return len(self.table) > 0 or self._prev_page is not None
-
-    @property
-    def label(self) -> str:
-        return f"{self.name},{self.table.rows},{self.table.assoc_label}"
-
-    def describe_hardware(self) -> HardwareDescription:
-        return HardwareDescription(
-            name=self.name,
-            rows="r",
-            row_contents=f"Page # Tag, {self.slots} Prediction Page #s",
-            location="On-Chip",
-            index_source="Page #",
-            memory_ops_per_miss=0,
-            max_prefetches=str(self.slots),
-        )
+    def _targets(self, page: int, values: list[int]) -> list[int]:
+        return values

@@ -605,10 +605,12 @@ def _emit_stride(sig, warmup):
 
 
 #: Slot-list tables, the paper's r-row, s-slot prediction table (Table
-#: 1): ``(lookup key, previous key, successor value, update guard,
-#: target base, prelude)``. The prelude runs once per miss and binds the
-#: keys; the table body runs at its last line's indentation, under its
-#: guards. A slot value ``v`` issues ``v`` (MP) or ``base + v`` when that
+#: 1), compiled from the reference engine's one walk
+#: (:class:`~repro.core.prediction_table.SlotTablePrefetcher`, whose
+#: subclasses' ``_keys`` the preludes mirror): ``(lookup key, previous
+#: key, successor value, update guard, target base, prelude)``. The
+#: prelude runs once per miss and binds the keys; the table body runs at
+#: its last line's indentation, under its guards. A slot value ``v`` issues ``v`` (MP) or ``base + v`` when that
 #: is non-negative (the DP family, whose slots hold distances). The
 #: update guard keeps a page from being its own successor in MP; the
 #: DP family only needs a previous key.

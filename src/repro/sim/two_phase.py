@@ -295,13 +295,13 @@ def evaluate(
     trace: ReferenceTrace,
     prefetcher: Prefetcher,
     config: SimulationConfig | None = None,
-    engine: str = "reference",
+    engine: str = "auto",
 ) -> PrefetchRunStats:
     """Convenience wrapper: filter then replay under one config.
 
     ``engine`` selects the replay implementation (see
-    :mod:`repro.sim.engine`): ``"reference"`` (default), or ``"auto"``
-    (the compiled engine; ``"fast"`` and ``"batch"`` are aliases). Both
+    :mod:`repro.sim.engine`): ``"auto"`` (default; the compiled engine
+    whenever it supports the mechanism) or ``"reference"``. Both
     engines return bit-identical statistics and train the given
     instance identically.
     """

@@ -70,8 +70,8 @@ class PageTable:
 class RecencyStack:
     """RP's doubly-linked LRU stack threaded through the page table.
 
-    Operations mirror the paper's description and count the memory
-    writes they would perform:
+    Operations mirror the paper's description; RP charges the memory
+    writes each would perform to its ``overhead_ops``:
 
     - :meth:`remove` — unlink an entry from the middle of the stack
       (2 pointer writes).
@@ -85,7 +85,6 @@ class RecencyStack:
     def __init__(self, page_table: PageTable) -> None:
         self._table = page_table
         self._top: int | None = None
-        self.pointer_writes = 0
 
     @property
     def top(self) -> int | None:
@@ -118,7 +117,6 @@ class RecencyStack:
             self._top = pte.next
         if pte.next is not None:
             self._table.entry(pte.next).prev = pte.prev
-        self.pointer_writes += 2
         pte.prev = None
         pte.next = None
         pte.on_stack = False
@@ -141,7 +139,6 @@ class RecencyStack:
         if self._top is not None:
             self._table.entry(self._top).prev = page
         self._top = page
-        self.pointer_writes += 2
 
     def __contains__(self, page: int) -> bool:
         return page in self._table and self._table.entry(page).on_stack

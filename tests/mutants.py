@@ -46,6 +46,9 @@ class Mutant(NamedTuple):
     equivalent: str | None = None
 
 
+#: The reference engine's slot-table walk (MP and the DP family).
+_SLOT_TABLE_TESTS = "tests/test_distance.py tests/test_markov.py tests/test_dp_variants.py"
+
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "plan-order",
@@ -143,6 +146,46 @@ MUTANTS: tuple[Mutant, ...] = (
         'Gate("store_cold_overhead_fraction", "<=", 0.10,',
         'Gate("store_cold_overhead_fraction", "<=", 0.11,',
         "tests/obs/test_bench_history.py::TestSmokeGates",
+    ),
+    Mutant(
+        "dp-negative-targets",
+        "src/repro/core/prediction_table.py",
+        "return [target for value in values if (target := page + value) >= 0]",
+        "return [page + value for value in values]",
+        _SLOT_TABLE_TESTS,
+    ),
+    Mutant(
+        "walk-updates-before-read",
+        "src/repro/core/prediction_table.py",
+        "        entry, allocated = self.table.lookup_or_insert(key, self._new_row)\n"
+        "        prefetches = [] if allocated else self._targets(page, entry.values())\n"
+        "        if prev_key is not None:\n"
+        "            prev_entry, _ = self.table.lookup_or_insert(prev_key, self._new_row)\n"
+        "            prev_entry.add(value)\n",
+        "        if prev_key is not None:\n"
+        "            prev_entry, _ = self.table.lookup_or_insert(prev_key, self._new_row)\n"
+        "            prev_entry.add(value)\n"
+        "        entry, allocated = self.table.lookup_or_insert(key, self._new_row)\n"
+        "        prefetches = [] if allocated else self._targets(page, entry.values())\n",
+        _SLOT_TABLE_TESTS,
+    ),
+    Mutant(
+        "mp-self-successor",
+        "src/repro/prefetch/markov.py",
+        "return page, (prev_page if prev_page != page else None), page",
+        "return page, prev_page, page",
+        _SLOT_TABLE_TESTS,
+    ),
+    Mutant(
+        "dp2-unkeyed-miss-keeps-distance",
+        "src/repro/core/distance_pair.py",
+        "        self._prev_distance = distance\n"
+        "        if prev_distance is None:\n"
+        "            return None\n",
+        "        if prev_distance is None:\n"
+        "            return None\n"
+        "        self._prev_distance = distance\n",
+        _SLOT_TABLE_TESTS,
     ),
     Mutant(
         "gate-row-dropped",

@@ -1,8 +1,12 @@
-"""Unit tests for the DP indexing extensions (paper Section 4 ongoing work)."""
+"""Unit tests for the DP indexing extensions (paper Section 4 ongoing work)
+and the slot-table walk they share with DP and MP."""
+
+import pytest
 
 from repro.core.distance import DistancePrefetcher
 from repro.core.distance_pair import DistancePairPrefetcher, pack_distance_pair
 from repro.core.pc_distance import PCDistancePrefetcher, pack_pc_distance
+from repro.prefetch.markov import MarkovPrefetcher
 
 from conftest import drive_misses
 
@@ -95,3 +99,38 @@ class TestDistancePair:
 
     def test_label(self):
         assert DistancePairPrefetcher(rows=128).label == "DP-2,128,D"
+
+
+class TestSlotTableWalk:
+    @pytest.mark.parametrize(
+        "cls, row_contents, index_source",
+        [
+            (MarkovPrefetcher, "Page # Tag, 3 Prediction Page #s", "Page #"),
+            (DistancePrefetcher, "Distance Tag, 3 Prediction Distances", "Distance"),
+            (PCDistancePrefetcher, "PC+Distance Tag, 3 Prediction Distances", "PC, Distance"),
+            (
+                DistancePairPrefetcher,
+                "Distance-pair Tag, 3 Prediction Distances",
+                "2 consecutive Distances",
+            ),
+        ],
+    )
+    def test_table1_row(self, cls, row_contents, index_source):
+        desc = cls(slots=3).describe_hardware()
+        assert (desc.rows, desc.row_contents, desc.location) == ("r", row_contents, "On-Chip")
+        assert (desc.index_source, desc.memory_ops_per_miss) == (index_source, 0)
+        assert desc.max_prefetches == "3"
+
+    @pytest.mark.parametrize(
+        "cls",
+        [MarkovPrefetcher, DistancePrefetcher, PCDistancePrefetcher, DistancePairPrefetcher],
+    )
+    def test_one_miss_is_state_and_flush_clears_every_register(self, cls):
+        prefetcher = cls(rows=16)
+        assert not prefetcher.has_prediction_state()
+        drive_misses(prefetcher, [5])
+        assert prefetcher.has_prediction_state()
+        drive_misses(prefetcher, [6, 8, 9])
+        prefetcher.flush()
+        assert not prefetcher.has_prediction_state()
+        assert all(getattr(prefetcher, name) is None for name in prefetcher.registers)

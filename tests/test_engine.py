@@ -181,7 +181,7 @@ class TestRunSpecEngineField:
 class TestWrapperThreading:
     def test_evaluate_engine_param(self):
         trace = get_trace("galgel", SCALE)
-        reference = evaluate(trace, create_prefetcher("DP"))
+        reference = evaluate(trace, create_prefetcher("DP"), engine="reference")
         fast = evaluate(trace, create_prefetcher("DP"), engine="fast")
         auto = evaluate(trace, create_prefetcher("DP"), engine="auto")
         assert reference == fast == auto

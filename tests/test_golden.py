@@ -45,9 +45,18 @@ SUPERPAGE_SPECS = [
     for page_size in (8192, 16384)
 ]
 
+#: The Section 4 extensions, which no other golden file pins: DP keyed
+#: by (PC, distance) and by the last two distances.
+DP_VARIANT_SPECS = [
+    RunSpec.of(app, mechanism, scale=SCALE)
+    for app in ("galgel", "swim", "eon")
+    for mechanism in ("DP-PC", "DP-2")
+]
+
 GOLDEN_FILES: dict[str, list[RunSpec]] = {
     "canonical_grid.json": CANONICAL_SPECS,
     "superpages.json": SUPERPAGE_SPECS,
+    "dp_variants.json": DP_VARIANT_SPECS,
 }
 
 

@@ -32,14 +32,18 @@ def swim_trace():
 class TestCrossMechanismInvariants:
     def test_all_mechanisms_produce_valid_stats(self, swim_trace):
         for name in PREFETCHER_NAMES:
-            stats = evaluate(swim_trace, create_prefetcher(name, rows=64))
+            stats = evaluate(
+                swim_trace, create_prefetcher(name, rows=64), engine="reference"
+            )
             assert 0.0 <= stats.prediction_accuracy <= 1.0, name
             assert stats.pb_hits <= stats.measured_misses, name
             assert stats.buffer_inserted <= stats.prefetches_issued, name
 
     def test_miss_count_identical_across_mechanisms(self, swim_trace):
         counts = {
-            name: evaluate(swim_trace, create_prefetcher(name, rows=64)).tlb_misses
+            name: evaluate(
+                swim_trace, create_prefetcher(name, rows=64), engine="reference"
+            ).tlb_misses
             for name in PREFETCHER_NAMES
         }
         assert len(set(counts.values())) == 1, counts
@@ -96,11 +100,14 @@ class TestCycleIntegration:
 class TestWarmupIntegration:
     def test_warmup_excludes_cold_start(self):
         trace = get_trace("facerec", 0.1)
-        cold = evaluate(trace, create_prefetcher("RP"), SimulationConfig())
+        cold = evaluate(
+            trace, create_prefetcher("RP"), SimulationConfig(), engine="reference"
+        )
         warm = evaluate(
             trace,
             create_prefetcher("RP"),
             SimulationConfig(warmup_fraction=0.3),
+            engine="reference",
         )
         # RP needs a sweep of history; discounting the cold start can
         # only raise (or preserve) its measured accuracy.

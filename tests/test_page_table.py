@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.prefetch.recency import RecencyPrefetcher
 from repro.tlb.page_table import PageTable, RecencyStack
 
 
@@ -28,9 +29,10 @@ class TestRecencyStack:
         assert len(stack) == 3
 
     def test_push_costs_two_writes(self):
-        stack = RecencyStack(PageTable())
-        stack.push_top(1)
-        assert stack.pointer_writes == 2
+        rp = RecencyPrefetcher()
+        rp.on_miss(0, 10, 1, False)  # nothing to unlink; push evicted 1
+        assert rp.stack.walk() == [1]
+        assert rp.overhead_ops_total == 2
 
     def test_remove_middle_relinks(self):
         stack = RecencyStack(PageTable())
@@ -38,8 +40,6 @@ class TestRecencyStack:
             stack.push_top(page)
         assert stack.remove(2)
         assert stack.walk() == [3, 1]
-        # push 3 entries (6 writes) + remove (2 writes)
-        assert stack.pointer_writes == 8
 
     def test_remove_top_updates_top(self):
         stack = RecencyStack(PageTable())
@@ -52,9 +52,9 @@ class TestRecencyStack:
     def test_remove_absent_is_noop(self):
         stack = RecencyStack(PageTable())
         stack.push_top(1)
-        before = stack.pointer_writes
         assert not stack.remove(99)
-        assert stack.pointer_writes == before
+        assert 99 not in stack
+        assert stack.walk() == [1]
 
     def test_neighbors(self):
         stack = RecencyStack(PageTable())

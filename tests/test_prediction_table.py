@@ -75,7 +75,9 @@ class TestPredictionTable:
         evicted = table.insert(9, "nine")
         assert evicted == 1
         assert table.lookup(1) is None
-        assert table.row_evictions == 1
+        assert 1 not in table
+        assert table.peek(9) == "nine"
+        assert len(table) == 1
 
     def test_two_way_holds_conflicting_pair(self):
         table = PredictionTable(8, 2)  # 4 sets
@@ -111,13 +113,12 @@ class TestPredictionTable:
         assert table.flush() == 1
         assert len(table) == 0
 
-    def test_stats(self):
+    def test_lookup_misses_then_hits(self):
         table = PredictionTable(8)
-        table.lookup(1)
+        assert table.lookup(1) is None
+        assert 1 not in table
         table.insert(1, "x")
-        table.lookup(1)
-        assert table.lookups == 2
-        assert table.tag_hits == 1
+        assert table.lookup(1) == "x"
 
     def test_items(self):
         table = PredictionTable(8)

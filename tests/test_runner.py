@@ -159,7 +159,9 @@ class TestRunnerCache:
     def test_results_match_single_run_wrapper(self):
         stats = Runner(cache=MissStreamCache()).run([spec_of(rows=256)])[0]
         reference = evaluate(
-            get_trace("galgel", SCALE), spec_of(rows=256).build_prefetcher()
+            get_trace("galgel", SCALE),
+            spec_of(rows=256).build_prefetcher(),
+            engine="reference",
         )
         assert stats.pb_hits == reference.pb_hits
         assert stats.prefetches_issued == reference.prefetches_issued
@@ -540,7 +542,13 @@ class TestResultSetMerge:
 
     def test_rows_without_spec_key_always_append(self):
         loose = ResultSet(
-            [evaluate(get_trace("galgel", SCALE), spec_of().build_prefetcher())]
+            [
+                evaluate(
+                    get_trace("galgel", SCALE),
+                    spec_of().build_prefetcher(),
+                    engine="reference",
+                )
+            ]
         )
         merged = loose.merge(loose)
         assert len(merged) == 2  # no key, no dedup — appended verbatim

@@ -88,7 +88,9 @@ def test_two_phase_equals_online(trace, mechanism):
     online pipeline, for every mechanism."""
     config = SimulationConfig(tlb=TLBConfig(entries=8), buffer_entries=4)
     online = simulate(trace, create_prefetcher(mechanism, rows=16), config)
-    two_phase = evaluate(trace, create_prefetcher(mechanism, rows=16), config)
+    two_phase = evaluate(
+        trace, create_prefetcher(mechanism, rows=16), config, engine="reference"
+    )
     assert two_phase.tlb_misses == online.tlb_misses
     assert two_phase.pb_hits == online.pb_hits
     assert two_phase.prefetches_issued == online.prefetches_issued
@@ -106,7 +108,9 @@ def test_two_phase_equals_online_with_warmup(trace):
         tlb=TLBConfig(entries=8), buffer_entries=4, warmup_fraction=0.3
     )
     online = simulate(trace, create_prefetcher("DP", rows=16), config)
-    two_phase = evaluate(trace, create_prefetcher("DP", rows=16), config)
+    two_phase = evaluate(
+        trace, create_prefetcher("DP", rows=16), config, engine="reference"
+    )
     assert two_phase.measured_misses == online.measured_misses
     assert two_phase.pb_hits == online.pb_hits
 
