@@ -11,14 +11,20 @@ import numpy as np
 import pytest
 
 from repro.analysis.figures import figure9_table_configs
-from repro.ckpt import snapshot_buffer
-from repro.ckpt.snapshots import MarkovSnapshot, SequentialSnapshot
+from repro.ckpt import (
+    ReplaySession,
+    SessionSnapshot,
+    encode_blob,
+    restore_prefetcher,
+    snapshot_buffer,
+)
+from repro.ckpt.snapshots import MarkovSnapshot, RecencySnapshot, SequentialSnapshot
 from repro.mem.trace import MissTrace
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner
 from repro.sim import batchpath
 from repro.sim.batchpath import ReplayKernel, replay_batch
-from repro.sim.two_phase import replay_prefetcher
+from repro.sim.two_phase import ReplayWindow, replay_prefetcher, replay_stats
 from repro.tlb.prefetch_buffer import PrefetchBuffer
 
 SCALE = 0.02
@@ -212,3 +218,109 @@ class TestKernelWindows:
         replay_prefetcher(stream, trained)
         with pytest.raises(Exception, match="freshly built"):
             replay_batch(stream, [(trained, 16, 0)])
+
+
+def _misses(pages, evicted, warmup=0):
+    """A hand-built miss stream (``-1`` in ``evicted``: no eviction)."""
+    count = len(pages)
+    return MissTrace(
+        pcs=np.zeros(count, dtype=np.int64),
+        pages=np.asarray(pages, dtype=np.int64),
+        evicted=np.asarray(evicted, dtype=np.int64),
+        ref_index=np.arange(count, dtype=np.int64),
+        total_references=count,
+        warmup_misses=warmup,
+    )
+
+
+#: Pushes 4, 3, 2, 1 (1 on top); the miss on 2 then sees above 1, below
+#: 3 and third 4. Later evictions re-push pages still on the stack: 5
+#: (the top), 4 (the bottom) and 1 (the middle).
+RP_STACK = _misses(
+    [10, 11, 12, 13, 2, 3, 1, 2, 7, 8, 9, 3, 4],
+    [4, 3, 2, 1, 5, -1, 5, 4, 1, 1, 6, 2, -1],
+    warmup=3,
+)
+
+
+class TestRecencyEdgeCases:
+    """RP cases random streams rarely reach, engine against engine.
+
+    The compiled session must equal the reference engine's stats and,
+    at every chunk boundary, write the bytes the oracle encoder makes of
+    the reference instance and buffer.
+    """
+
+    def _agree(self, trace, params, cap, clamp, chunk, seed=None, buffered=()):
+        reference = create_prefetcher("RP", **params)
+        buffer = PrefetchBuffer(cap)
+        for page in buffered:
+            buffer.insert(page)
+        if seed is None:
+            session = ReplaySession(trace, create_prefetcher("RP", **params), cap, clamp)
+            expected = replay_prefetcher(trace, create_prefetcher("RP", **params), cap, clamp)
+            assert replay_batch(trace, [(create_prefetcher("RP", **params), cap, clamp)]) == [
+                expected
+            ]
+        else:
+            restore_prefetcher(seed, reference)
+            session = ReplaySession.resume(
+                SessionSnapshot(0, 0, 0, 0, clamp, seed, snapshot_buffer(buffer)),
+                trace,
+                create_prefetcher("RP", **params),
+            )
+        window = ReplayWindow(trace, reference, buffer, clamp)
+        while True:
+            oracle = window.snapshot(session.offset, 0, 0)
+            assert session.snapshot().to_bytes() == encode_blob("session", oracle.to_payload())
+            if session.finished:
+                break
+            start = session.offset
+            session.advance(chunk)
+            window.run(start, session.offset)
+        assert session.stats() == replay_stats(trace, reference.label, window.counters())
+        if seed is None:
+            assert session.stats() == expected
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize(
+        "variant_three, cap, clamp", [(False, 4, 0), (True, 4, 0), (True, 4, 1), (True, 2, 2)]
+    )
+    @pytest.mark.parametrize("trace", [RP_STACK], ids=["repush"])
+    def test_fresh_streams(self, trace, variant_three, cap, clamp, chunk):
+        self._agree(trace, {"variant_three": variant_three}, cap, clamp, chunk)
+
+    #: name -> (top, entries, buffered pages), each a state ``validate``
+    #: accepts although no replay reaches it.
+    CRAFTED = {
+        # 9 is off the stack yet keeps its links; 3 links to it.
+        "off-stack-links": (1, [
+            [1, 2, None, True], [2, 3, 1, True], [3, 9, 2, True], [9, 2, 3, False],
+        ], (9, 4)),
+        # 1 and 2 point at each other: with 1 missing, third is 1 itself.
+        "third-is-the-missing-page": (1, [
+            [1, 2, None, True], [2, 1, 1, True],
+        ], (2,)),
+        # Page -1 threaded on the stack, on top.
+        "page-minus-one-threaded": (-1, [
+            [-1, 3, None, True], [3, -4, -1, True], [-4, None, 3, True],
+        ], (-4,)),
+    }
+    CRAFTED_STREAM = _misses([9, 1, 3, -1, 9, 2, -4, 1, 3], [5, 9, 1, 2, 3, 4, -1, 5, 9])
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("variant_three", [False, True])
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_resume_from_crafted_state(self, case, variant_three, chunk):
+        top, entries, buffered = self.CRAFTED[case]
+        seed = RecencySnapshot(
+            prefetches_issued=3,
+            overhead_ops_total=8,
+            last_overhead_ops=4,
+            variant_three=variant_three,
+            top=top,
+            entries=entries,
+        )
+        self._agree(
+            self.CRAFTED_STREAM, {"variant_three": variant_three}, 3, 0, chunk, seed, buffered
+        )
