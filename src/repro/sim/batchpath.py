@@ -40,6 +40,14 @@ declares (``prev_page``, ``prev_distance``, ``prev_key``, ``degree``,
 back on exit, which is what lets a loop stop anywhere and continue
 later.
 
+RP runs in two passes. Its recency stack depends on the miss stream
+alone, so :class:`_RecencyStack` — PTEs keyed by page number, as in
+the reference page table, and the one holder of RP's compiled state —
+walks it first and yields each miss's stack neighbours; the generated
+loop then does only buffer work over them. A batch shares one fresh
+stack pass among its RP classes; a kernel seeds its own stack from a
+snapshot, advances it window by window and exports it.
+
 The engine keeps no family table of its own. A mechanism's family is
 its :class:`~repro.ckpt.snapshots.MechanismSnapshot` class
 (:func:`~repro.ckpt.snapshots.family_of`), and that declaration is
@@ -85,8 +93,6 @@ properties) and the golden files.
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
 
 from repro.ckpt.codec import Hole, blob_writer, int_bytes, list_header, value_bytes
 from repro.ckpt.session import SessionSnapshot
@@ -789,28 +795,28 @@ def _emit_slot_table(sig, warmup):
 def _emit_recency(sig, warmup):
     """RP: buffer work over the precomputed stack neighbours."""
     (variant_three,), cap, clamp = sig[1], sig[2], sig[3]
-    out = _probe_lines("", "rpage", warmup)
+    out = _probe_lines("", "page", warmup)
     if not clamp:
         # No clamp: install each stack neighbor directly, in the same
         # above-then-below(-then-third) order the list would have had.
-        out.append("if rabove != -1:")
+        out.append("if rabove is not None:")
         out.append("    iss += 1")
         out.extend(_insert_lines("    ", "rabove", cap))
-        out.append("if rbelow != -1:")
+        out.append("if rbelow is not None:")
         out.append("    iss += 1")
         out.extend(_insert_lines("    ", "rbelow", cap))
         if variant_three:
-            out.append("if rthird != -1:")
+            out.append("if rthird is not None:")
             out.append("    iss += 1")
             out.extend(_insert_lines("    ", "rthird", cap))
         return (), [], out
     out.append("pf = []")
-    out.append("if rabove != -1:")
+    out.append("if rabove is not None:")
     out.append("    pf.append(rabove)")
-    out.append("if rbelow != -1:")
+    out.append("if rbelow is not None:")
     out.append("    pf.append(rbelow)")
     if variant_three:
-        out.append("if rthird != -1:")
+        out.append("if rthird is not None:")
         out.append("    pf.append(rthird)")
     out.append("if pf:")
     out.append("    iss += len(pf)")
@@ -840,9 +846,10 @@ _EMITTERS = {
 def _generate(warmup: int, sig: tuple) -> str:
     """Source of the loop for one class.
 
-    The function replays one window: ``pcs``/``pages``/``rp_*`` are the
-    window's entries and ``start`` is the global index of its first
-    one. The class's buffer, counters, tables and history registers
+    The function replays one window: ``pcs``/``pages`` are the
+    window's entries, ``rp_*`` RP's stack neighbours for them
+    (:meth:`_RecencyStack.window`), and ``start`` is the global index
+    of the first one. The class's buffer, counters, tables and history registers
     come in through ``state`` and go back out the same way, so
     consecutive calls continue one replay. Each live field its family
     declares (:attr:`~repro.ckpt.snapshots.MechanismSnapshot.live`) is a
@@ -855,9 +862,9 @@ def _generate(warmup: int, sig: tuple) -> str:
     lines = [
         # Hot-loop names bound as defaults: LOAD_FAST instead of
         # LOAD_GLOBAL for every builtin/table-helper call per miss.
-        "def _loop(state, start, pcs, pages, rp_pages, rp_above, rp_below,",
-        "          rp_third, len=len, next=next, iter=iter, min=min,",
-        "          max=max, zip=zip, range=range,",
+        "def _loop(state, start, pcs, pages, rp_above, rp_below, rp_third,",
+        "          len=len, next=next, iter=iter, min=min, max=max, zip=zip,",
+        "          range=range,",
         "          pack_pc_distance=pack_pc_distance,",
         "          pack_distance_pair=pack_distance_pair):",
     ]
@@ -876,8 +883,8 @@ def _generate(warmup: int, sig: tuple) -> str:
         loop_names.append("pc")
         iters.append("pcs")
     if family is RecencySnapshot:
-        loop_names += ["rpage", "rabove", "rbelow"]
-        iters += ["rp_pages", "rp_above", "rp_below"]
+        loop_names += ["rabove", "rbelow"]
+        iters += ["rp_above", "rp_below"]
         if sig[1][0]:
             loop_names.append("rthird")
             iters.append("rp_third")
@@ -923,22 +930,18 @@ def _slot_state(
     sig: tuple,
     mechanism: MechanismSnapshot | Prefetcher,
     buffer: BufferSnapshot | None = None,
-    buffer_keys: list[int] | None = None,
 ) -> dict:
     """One class's loop state, seeded from ``mechanism`` and ``buffer``.
 
     ``mechanism`` is a canonical snapshot, or a fresh instance (a
     batch's class representative, whose tables are empty). Either way
     the registers are the live fields its family's snapshot declares.
-    ``buffer_keys`` replaces ``buffer.pages`` when the loop keys its
-    buffer by something other than page numbers (RP's dense ids).
     """
     state = {"buf": {}, "bn": 0, "pb": 0, "iss": 0, "ins": 0, "rf": 0, "ev": 0}
     if buffer is not None:
-        keys = buffer.pages if buffer_keys is None else buffer_keys
         state.update(
-            buf=dict.fromkeys(keys),
-            bn=len(keys),
+            buf=dict.fromkeys(buffer.pages),
+            bn=len(buffer.pages),
             ins=buffer.inserted,
             rf=buffer.refreshed,
             ev=buffer.evicted_unused,
@@ -1082,94 +1085,136 @@ def _table_bytes(sig: tuple, state: dict) -> bytes:
 
 
 class _RecencyStack:
-    """RP's recency stack over dense page ids, advanced window by window.
+    """RP's recency stack, threaded through PTEs keyed by page number.
+
+    The one owner of RP's compiled state: built empty for a batch, or
+    seeded from a :class:`~repro.ckpt.snapshots.RecencySnapshot` for a
+    kernel; advanced window by window; exported as the snapshot's
+    ``top`` and ``entries``. ``ptes`` maps a page to its PTE's RP
+    fields ``[next, prev, on_stack]``, the reference page table's
+    layout and the snapshot's; ``None`` is the no-link value, as there,
+    so any page number, ``-1`` included, can be linked.
 
     The stack's evolution depends only on the miss stream — never on
     any mechanism config — so :meth:`window` yields the (above, below,
     third) neighbours every miss in the window sees, and each RP class
     then reduces to buffer work over those arrays. ``third`` is
     pre-filtered exactly as the reference engine filters it (absent,
-    off-stack, or equal to the missing page -> -1).
+    off-stack, or equal to the missing page -> ``None``).
     """
 
-    def __init__(self, page_ids: np.ndarray, evicted_ids: np.ndarray, footprint: int):
-        # Kept as arrays: a window converts only its own slice to ints.
-        self.page_ids = page_ids
-        self.evicted_ids = evicted_ids
-        self.next = [-1] * footprint
-        self.prev = [-1] * footprint
-        self.on = bytearray(footprint)
-        self.top = -1
+    def __init__(self, miss_trace: MissTrace, seed: RecencySnapshot | None = None):
+        self.pages = miss_trace._list("pages")
+        # Kept as an array: a window converts only its own slice.
+        self.evicted = miss_trace.evicted
+        self.ptes: dict[int, list] = {}
+        self.top = None
         #: Pointer writes so far, and those of the most recent miss
         #: (RP's ``last_overhead_ops``).
         self.overhead = 0
         self.last_overhead = 0
+        if seed is not None:
+            self.ptes = {
+                page: [below, above, bool(on_stack)]
+                for page, below, above, on_stack in seed.entries
+            }
+            self.top = seed.top
 
-    def window(self, start: int, stop: int) -> tuple[list[int], ...]:
+    def window(self, start: int, stop: int) -> tuple[list, list, list]:
         """Advance over ``[start, stop)``; returns the window's
-        ``(page ids, above, below, third)``."""
-        pages = self.page_ids[start:stop].tolist()
-        rp_next, rp_prev, rp_on = self.next, self.prev, self.on
+        ``(above, below, third)`` neighbours.
+
+        A link always names a page with a PTE (a pushed page, or a
+        seeded one: ``validate`` rejects dangling links), so links are
+        followed by subscript.
+        """
+        ptes = self.ptes
         rp_top = self.top
         overhead = self.overhead
-        above: list[int] = []
-        below: list[int] = []
-        third: list[int] = []
-        unlinked = 0
-        revt = -1
-        for rpage, revt in zip(pages, self.evicted_ids[start:stop].tolist()):
-            if rp_on[rpage]:
-                rbelow = rp_next[rpage]
-                rabove = rp_prev[rpage]
-                if rabove != -1:
-                    rp_next[rabove] = rbelow
+        above: list[int | None] = []
+        below: list[int | None] = []
+        third: list[int | None] = []
+        for rpage, revt in zip(
+            _window(self.pages, start, stop), self.evicted[start:stop].tolist()
+        ):
+            pte = ptes.get(rpage)
+            if pte is not None and pte[2]:
+                rbelow = pte[0]
+                rabove = pte[1]
+                if rabove is not None:
+                    ptes[rabove][0] = rbelow
                 else:
                     rp_top = rbelow
-                if rbelow != -1:
-                    rp_prev[rbelow] = rabove
-                rp_prev[rpage] = -1
-                rp_next[rpage] = -1
-                rp_on[rpage] = 0
+                if rbelow is not None:
+                    ptes[rbelow][1] = rabove
+                pte[0] = None
+                pte[1] = None
+                pte[2] = False
                 unlinked = 2
             else:
-                rbelow = -1
-                rabove = -1
+                if pte is None:
+                    # The miss creates the page's PTE, as the
+                    # reference page table does.
+                    ptes[rpage] = [None, None, False]
+                rbelow = None
+                rabove = None
                 unlinked = 0
             overhead += unlinked
-            if revt != -1:
-                if rp_on[revt]:
-                    # Re-push of a threaded page: silently unlink first
-                    # (the reference stack does this inside push_top
-                    # without charging extra overhead).
-                    ea = rp_prev[revt]
-                    eb = rp_next[revt]
-                    if ea != -1:
-                        rp_next[ea] = eb
-                    else:
-                        rp_top = eb
-                    if eb != -1:
-                        rp_prev[eb] = ea
-                rp_next[revt] = rp_top
-                rp_prev[revt] = -1
-                rp_on[revt] = 1
-                if rp_top != -1:
-                    rp_prev[rp_top] = revt
+            if revt != -1:  # NO_EVICTION
+                pushed = ptes.get(revt)
+                if pushed is None:
+                    ptes[revt] = [rp_top, None, True]
+                else:
+                    if pushed[2]:
+                        # Re-push of a threaded page: silently unlink
+                        # first (the reference stack does this inside
+                        # push_top without charging extra overhead).
+                        eb = pushed[0]
+                        ea = pushed[1]
+                        if ea is not None:
+                            ptes[ea][0] = eb
+                        else:
+                            rp_top = eb
+                        if eb is not None:
+                            ptes[eb][1] = ea
+                    pushed[0] = rp_top
+                    pushed[1] = None
+                    pushed[2] = True
+                if rp_top is not None:
+                    ptes[rp_top][1] = revt
                 rp_top = revt
                 overhead += 2
             above.append(rabove)
             below.append(rbelow)
-            if rbelow != -1 and rp_on[rbelow]:
-                th = rp_next[rbelow]
-                if th == rpage:
-                    th = -1
-            else:
-                th = -1
+            th = None
+            if rbelow is not None:
+                pte = ptes[rbelow]
+                if pte[2]:
+                    th = pte[0]
+                    if th == rpage:
+                        th = None
             third.append(th)
         if stop > start:
             self.last_overhead = unlinked + (2 if revt != -1 else 0)
         self.top = rp_top
         self.overhead = overhead
-        return pages, above, below, third
+        return above, below, third
+
+    def export(self) -> dict[str, bytes]:
+        """The snapshot's ``top`` and ``entries`` (sorted by page),
+        encoded."""
+        ptes = self.ptes
+        pages = sorted(ptes)
+        # Each page encoded once: links name PTE pages, or None.
+        encoded = dict(zip(pages, map(int_bytes, pages)))
+        encoded[None] = value_bytes(None)
+        flags = (value_bytes(False), value_bytes(True))
+        head = list_header(4)
+        parts = [list_header(len(pages))]
+        for page in pages:
+            below, above, on_stack = ptes[page]
+            parts += (head, encoded[page], encoded[below], encoded[above], flags[on_stack])
+        return {"top": encoded[self.top], "entries": b"".join(parts)}
 
 
 def _window(values: list, start: int, stop: int) -> list:
@@ -1192,30 +1237,13 @@ class _TraceAnalysis:
 
     def __init__(self, pcs: list[int], pages: list[int]) -> None:
         self.keys = _StreamKeys(pcs, pages)
-        # (rp_pages, above, below, third, overhead): the dense page
-        # ids plus the recency-stack neighbor streams of a fresh stack.
-        self.rp: (
-            tuple[list[int], list[int], list[int], list[int], int] | None
-        ) = None
+        # (above, below, third, overhead): a fresh recency stack's
+        # neighbour streams and pointer writes over the whole stream.
+        self.rp: tuple[list, list, list, int] | None = None
         # (family, config, cap, clamp) -> (dedup_sig, emit_sig); the
         # equivalence analysis is a pure function of the trace and
         # those four plan fields, so repeat batches skip it entirely.
         self.sigs: dict[tuple, tuple[tuple, tuple]] = {}
-
-
-def _dense_ids(miss_trace: MissTrace, *extra: np.ndarray):
-    """Dense ids for every page the stream (plus ``extra``) mentions.
-
-    Returns ``(unique, page_ids, evicted_ids)``; ``unique`` is sorted,
-    so ids preserve page order. RP's stack and buffer run on these ids:
-    the mapping is a bijection, so linkage and hit accounting are
-    isomorphic to the reference engine's page-number arithmetic.
-    """
-    pages, evicted = miss_trace.pages, miss_trace.evicted
-    unique = np.unique(np.concatenate([pages, evicted[evicted >= 0], *extra]))
-    page_ids = np.searchsorted(unique, pages)
-    evicted_ids = np.where(evicted >= 0, np.searchsorted(unique, evicted), -1)
-    return unique, page_ids, evicted_ids
 
 
 def replay_batch(
@@ -1268,13 +1296,12 @@ def replay_batch(
             representatives.append(prefetcher)
         slot_class.append(index)
 
-    rp: tuple = ((), (), (), ())
+    rp: tuple = ((), (), ())
     rp_overhead = 0
     if any(sig[0] is RecencySnapshot for sig in emit_sigs):
         if analysis.rp is None:
-            unique, page_ids, evicted_ids = _dense_ids(miss_trace)
-            stack = _RecencyStack(page_ids, evicted_ids, len(unique))
-            analysis.rp = (*stack.window(0, len(page_ids)), stack.overhead)
+            stack = _RecencyStack(miss_trace)
+            analysis.rp = (*stack.window(0, len(pages)), stack.overhead)
         *rp, rp_overhead = analysis.rp
 
     rows = []
@@ -1344,10 +1371,9 @@ class ReplayKernel:
         self._pcs, self._pages = miss_trace._list("pcs"), miss_trace._list("pages")
         self._begin = self._end = 0
         self._stack: _RecencyStack | None = None
-        buffer_keys = None
         if plan.family is RecencySnapshot:
-            buffer_keys = self._seed_recency(mechanism, buffer)
-        self._state = _slot_state(self._sig, mechanism, buffer, buffer_keys)
+            self._stack = _RecencyStack(miss_trace, mechanism)
+        self._state = _slot_state(self._sig, mechanism, buffer)
         self._state["pb"] = pb_hits
         # The live state now holds the snapshot's tables and page-table
         # entries; keep only its configuration and counters.
@@ -1358,25 +1384,6 @@ class ReplayKernel:
         elif plan.family is RecencySnapshot:
             mechanism = dataclasses.replace(mechanism, entries=[])
         self._seed = mechanism
-
-    def _seed_recency(self, mechanism, buffer: BufferSnapshot) -> list[int]:
-        """Dense ids over the stream, the seeded PTEs and buffered pages;
-        returns the buffer's pages as ids."""
-        seeded = np.asarray([entry[0] for entry in mechanism.entries], dtype=np.int64)
-        buffered = np.asarray(buffer.pages, dtype=np.int64)
-        unique, page_ids, evicted_ids = _dense_ids(self._trace, seeded, buffered)
-        self._unique = unique
-        self._seeded_ids = np.searchsorted(unique, seeded)
-        stack = _RecencyStack(page_ids, evicted_ids, len(unique))
-        ids = dict(zip(seeded.tolist(), self._seeded_ids.tolist()))
-        for page, below, above, on_stack in mechanism.entries:
-            pid = ids[page]
-            stack.next[pid] = -1 if below is None else ids[below]
-            stack.prev[pid] = -1 if above is None else ids[above]
-            stack.on[pid] = 1 if on_stack else 0
-        stack.top = -1 if mechanism.top is None else ids[mechanism.top]
-        self._stack = stack
-        return np.searchsorted(unique, buffered).tolist()
 
     @property
     def processed(self) -> int:
@@ -1398,7 +1405,7 @@ class ReplayKernel:
         # A window entirely past the warm-up boundary counts every hit,
         # which is exactly the loop compiled without a boundary.
         fn = _compiled(warmup if start < warmup else 0, self._sig)
-        rp: tuple = ((), (), (), ())
+        rp: tuple = ((), (), ())
         if self._stack is not None:
             rp = self._stack.window(start, stop)
         fn(
@@ -1467,45 +1474,15 @@ class ReplayKernel:
         }
         scalars.update((field, state[field]) for field in type(seed).live)
         values = {name: value_bytes(value) for name, value in scalars.items()}
-        if self._stack is not None:
-            values.update(self._recency_bytes())
-        else:
-            pages = state["buf"]
-            values["pages"] = list_header(len(pages)) + b"".join(map(int_bytes, pages))
-            if self._family.row_codec is not None:
-                values["sets"] = _table_bytes(self._sig, state)
+        pages = state["buf"]
+        values["pages"] = list_header(len(pages)) + b"".join(map(int_bytes, pages))
+        if self._family.row_codec is not None:
+            values["sets"] = _table_bytes(self._sig, state)
+        elif self._stack is not None:
+            values.update(self._stack.export())
         if self._writer is None:
             self._writer = _session_writer(seed, buffer.capacity, self._clamp)
         return SessionSnapshot.written(self._writer(values))
-
-    def _recency_bytes(self) -> dict[str, bytes]:
-        """RP's stack ``top``, page-table ``entries`` and buffer ``pages``.
-
-        The reference page table holds a PTE for every page a miss
-        touched (missing or evicted) plus the seeded ones; ids are in
-        page order, so walking them yields the canonical sorted entries.
-        """
-        stack = self._stack
-        touched = np.zeros(len(self._unique), dtype=bool)
-        touched[self._seeded_ids] = True
-        touched[stack.page_ids[self._begin:self._end]] = True
-        evicted = stack.evicted_ids[self._begin:self._end]
-        touched[evicted[evicted >= 0]] = True
-        pids = np.flatnonzero(touched).tolist()
-        # Id -> its encoded page; id -1 (no link) -> None.
-        pages = [*map(int_bytes, self._unique.tolist()), value_bytes(None)]
-        flags = (value_bytes(False), value_bytes(True))
-        head = list_header(4)
-        below, above, on = stack.next, stack.prev, stack.on
-        parts = [list_header(len(pids))]
-        for pid in pids:
-            parts += (head, pages[pid], pages[below[pid]], pages[above[pid]], flags[on[pid]])
-        buffered = self._state["buf"]
-        return {
-            "top": pages[stack.top],
-            "entries": b"".join(parts),
-            "pages": list_header(len(buffered)) + b"".join([pages[pid] for pid in buffered]),
-        }
 
     def write_back(self, prefetcher: Prefetcher) -> None:
         """Train ``prefetcher`` to the kernel's current state."""

@@ -49,6 +49,9 @@ class Mutant(NamedTuple):
 #: The reference engine's slot-table walk (MP and the DP family).
 _SLOT_TABLE_TESTS = "tests/test_distance.py tests/test_markov.py tests/test_dp_variants.py"
 
+#: The compiled recency stack: its property test and RP's edge cases.
+_RP_STACK_TESTS = "tests/test_batchpath.py -k Recency"
+
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "plan-order",
@@ -186,6 +189,45 @@ MUTANTS: tuple[Mutant, ...] = (
         "            return None\n"
         "        self._prev_distance = distance\n",
         _SLOT_TABLE_TESTS,
+    ),
+    Mutant(
+        "rp-third-may-be-the-missing-page",
+        "src/repro/sim/batchpath.py",
+        "                    if th == rpage:\n"
+        "                        th = None\n",
+        "",
+        _RP_STACK_TESTS,
+    ),
+    Mutant(
+        "rp-repush-charges-its-unlink",
+        "src/repro/sim/batchpath.py",
+        "                        if eb is not None:\n"
+        "                            ptes[eb][1] = ea\n",
+        "                        if eb is not None:\n"
+        "                            ptes[eb][1] = ea\n"
+        "                        overhead += 2\n",
+        _RP_STACK_TESTS,
+    ),
+    Mutant(
+        "rp-repush-skips-unlink",
+        "src/repro/sim/batchpath.py",
+        "                    if pushed[2]:",
+        "                    if False:",
+        _RP_STACK_TESTS,
+    ),
+    Mutant(
+        "rp-missed-page-without-pte",
+        "src/repro/sim/batchpath.py",
+        "                    ptes[rpage] = [None, None, False]\n",
+        "                    pass\n",
+        _RP_STACK_TESTS,
+    ),
+    Mutant(
+        "rp-last-overhead-of-whole-window",
+        "src/repro/sim/batchpath.py",
+        "self.last_overhead = unlinked + (2 if revt != -1 else 0)",
+        "self.last_overhead = overhead - self.overhead",
+        _RP_STACK_TESTS,
     ),
     Mutant(
         "gate-row-dropped",

@@ -1,6 +1,7 @@
 """Compiled-engine internals the differential suite cannot see: the
 batch planner's shared key analysis and equivalence-class
-deduplication, and the kernel's window contract.
+deduplication, the kernel's window contract, and RP's recency stack
+pass with the edge cases random streams rarely reach.
 """
 
 import dataclasses
@@ -9,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.figures import figure9_table_configs
 from repro.ckpt import (
@@ -17,10 +20,13 @@ from repro.ckpt import (
     encode_blob,
     restore_prefetcher,
     snapshot_buffer,
+    snapshot_prefetcher,
 )
+from repro.ckpt.codec import value_bytes
 from repro.ckpt.snapshots import MarkovSnapshot, RecencySnapshot, SequentialSnapshot
 from repro.mem.trace import MissTrace
 from repro.prefetch.factory import create_prefetcher
+from repro.prefetch.recency import RecencyPrefetcher
 from repro.run import MissStreamCache, Runner
 from repro.sim import batchpath
 from repro.sim.batchpath import ReplayKernel, replay_batch
@@ -242,6 +248,13 @@ RP_STACK = _misses(
     warmup=3,
 )
 
+#: Negative pages, -1 among the missed ones (it gets a PTE but, being
+#: ``NO_EVICTION``, is never pushed).
+RP_NEGATIVE = _misses(
+    [-5, -3, -1, -2, -9, -5, -3, -1, -7, -2],
+    [-9, -5, -3, -2, -7, -9, -2, -5, -3, -9],
+)
+
 
 class TestRecencyEdgeCases:
     """RP cases random streams rarely reach, engine against engine.
@@ -286,7 +299,7 @@ class TestRecencyEdgeCases:
     @pytest.mark.parametrize(
         "variant_three, cap, clamp", [(False, 4, 0), (True, 4, 0), (True, 4, 1), (True, 2, 2)]
     )
-    @pytest.mark.parametrize("trace", [RP_STACK], ids=["repush"])
+    @pytest.mark.parametrize("trace", [RP_STACK, RP_NEGATIVE], ids=["repush", "negative"])
     def test_fresh_streams(self, trace, variant_three, cap, clamp, chunk):
         self._agree(trace, {"variant_three": variant_three}, cap, clamp, chunk)
 
@@ -324,3 +337,45 @@ class TestRecencyEdgeCases:
         self._agree(
             self.CRAFTED_STREAM, {"variant_three": variant_three}, 3, 0, chunk, seed, buffered
         )
+
+
+#: A miss: (page, evicted page), ``-1`` for no eviction.
+_RP_MISSES = st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 6)), max_size=30)
+
+
+class TestRecencyStackPass:
+    """The compiled stack pass against the reference engine's stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), misses=_RP_MISSES, pretrain=st.none() | _RP_MISSES)
+    def test_window_is_the_reference_stack(self, data, misses, pretrain):
+        # Variant three: on_miss issues above, below, then the third.
+        reference = RecencyPrefetcher(variant_three=True)
+        seed = None
+        if pretrain is not None:
+            for page, evicted in pretrain:
+                reference.on_miss(0, page, evicted, False)
+            seed = snapshot_prefetcher(reference)
+        overhead_before = reference.overhead_ops_total
+        trace = _misses([page for page, _ in misses], [evicted for _, evicted in misses])
+        stack = batchpath._RecencyStack(trace, seed)
+        start = 0
+        while start < len(misses):
+            stop = data.draw(st.integers(start + 1, len(misses)), label="stop")
+            expected = ([], [], [])
+            for page, evicted in misses[start:stop]:
+                above, below = reference.stack.neighbors(page)
+                issued = reference.on_miss(0, page, evicted, False)
+                third = issued[(above is not None) + (below is not None):]
+                expected[0].append(above)
+                expected[1].append(below)
+                expected[2].append(third[0] if third else None)
+            assert stack.window(start, stop) == expected
+            assert stack.overhead == reference.overhead_ops_total - overhead_before
+            assert stack.last_overhead == reference.last_overhead_ops
+            snapshot = snapshot_prefetcher(reference)
+            assert stack.export() == {
+                "top": value_bytes(snapshot.top),
+                "entries": value_bytes(snapshot.entries),
+            }
+            start = stop
