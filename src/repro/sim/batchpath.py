@@ -849,9 +849,9 @@ def _generate(warmup: int, sig: tuple) -> str:
     The function replays one window: ``pcs``/``pages`` are the
     window's entries, ``rp_*`` RP's stack neighbours for them
     (:meth:`_RecencyStack.window`), and ``start`` is the global index
-    of the first one. The class's buffer, counters, tables and history registers
-    come in through ``state`` and go back out the same way, so
-    consecutive calls continue one replay. Each live field its family
+    of the first one. The class's buffer, counters, tables and history
+    registers come in through ``state`` and go back out the same way,
+    so consecutive calls continue one replay. Each live field its family
     declares (:attr:`~repro.ckpt.snapshots.MechanismSnapshot.live`) is a
     state entry and a local register of the same name.
     """
