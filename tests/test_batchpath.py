@@ -360,7 +360,14 @@ class TestRecencyStackPass:
         trace = _misses([page for page, _ in misses], [evicted for _, evicted in misses])
         stack = batchpath._RecencyStack(trace, seed)
         start = 0
-        while start < len(misses):
+        while True:
+            snapshot = snapshot_prefetcher(reference)
+            assert stack.export() == {
+                "top": value_bytes(snapshot.top),
+                "entries": value_bytes(snapshot.entries),
+            }
+            if start == len(misses):
+                break
             stop = data.draw(st.integers(start + 1, len(misses)), label="stop")
             expected = ([], [], [])
             for page, evicted in misses[start:stop]:
@@ -373,9 +380,4 @@ class TestRecencyStackPass:
             assert stack.window(start, stop) == expected
             assert stack.overhead == reference.overhead_ops_total - overhead_before
             assert stack.last_overhead == reference.last_overhead_ops
-            snapshot = snapshot_prefetcher(reference)
-            assert stack.export() == {
-                "top": value_bytes(snapshot.top),
-                "entries": value_bytes(snapshot.entries),
-            }
             start = stop
