@@ -73,13 +73,6 @@ _DIGEST_BYTES = 8
 
 _Value = None | bool | int | float | str | bytes | list | dict
 
-#: ``i``-tagged encodings of the ints encoded so far, filled on demand.
-#: Snapshot ints are mostly small and recur (pages, distances, counts),
-#: so the cache stops growing at ``_INT_CACHE_MAX`` entries (about
-#: 200 KiB); later ints are encoded afresh.
-_INT_BYTES: dict[int, bytes] = {}
-_INT_CACHE_MAX = 2048
-
 
 class Hole:
     """A named stand-in for a live value in a writer's template payload."""
@@ -97,17 +90,32 @@ def _encode_varint(value: int, out: bytearray) -> None:
     out.append(value)
 
 
+#: Each 7-bit varint group as one byte, continued or final.
+_CONTINUED = [bytes((group | 0x80,)) for group in range(0x80)]
+_FINAL = [bytes((group,)) for group in range(0x80)]
+
+
+def _encode_int(value: int) -> bytes:
+    # Arbitrary-precision zigzag: packed DP-PC keys exceed 64 bits.
+    zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
+    encoded = b"i"
+    while zigzag >= 0x80:
+        encoded += _CONTINUED[zigzag & 0x7F]
+        zigzag >>= 7
+    return encoded + _FINAL[zigzag]
+
+
+#: The encodings of -1024..1023 (counts, registers, short distances,
+#: small page numbers), built once at import. Every other int is encoded
+#: afresh, at a cost that does not depend on what was encoded before.
+_SMALL_INTS = tuple(map(_encode_int, range(-1024, 1024)))
+
+
 def int_bytes(value: int) -> bytes:
     """``value`` (an ``int``, never a ``bool``) encoded as an ``i`` value."""
-    encoded = _INT_BYTES.get(value)
-    if encoded is None:
-        out = bytearray(b"i")
-        # Arbitrary-precision zigzag: packed DP-PC keys exceed 64 bits.
-        _encode_varint((value << 1) if value >= 0 else ((-value << 1) - 1), out)
-        encoded = bytes(out)
-        if len(_INT_BYTES) < _INT_CACHE_MAX:
-            _INT_BYTES[value] = encoded
-    return encoded
+    if -1024 <= value < 1024:
+        return _SMALL_INTS[value + 1024]
+    return _encode_int(value)
 
 
 def list_header(count: int) -> bytes:

@@ -23,30 +23,30 @@ asked for:
 
 Each generated loop replays one class: one mechanism configuration
 and its prefetch buffer. MP, DP, DP-PC and DP-2 share the paper's
-r-row, s-slot prediction table and differ only in what keys a row and
-what a slot holds, so one emitter (:func:`_emit_slot_table`) writes all
-four loops over one of four table layouts (:func:`_layout`): an
-unbounded ``dict``, per-set insertion-ordered dicts (``sets``, first
-key = LRU), direct-mapped slot lists (``dm``), or direct-mapped
-two-slot rows as flat parallel arrays (``dm2``). The prefetch buffer is
-an insertion-ordered dict with a local population counter, and the
-statistics are plain integer counters. Every constant (rows, ways,
-slots, buffer capacity, clamp, warm-up boundary, degrees) is inlined
-as a literal, and the source is ``compile()``d once per shape and
-memoized. All of a class's state lives in one dict, its history and
-adaptation registers under the live-field names its snapshot class
-declares (``prev_page``, ``prev_distance``, ``prev_key``, ``degree``,
-...); the loop loads it into locals on entry and stores the scalars
-back on exit, which is what lets a loop stop anywhere and continue
-later.
+r-row, s-slot prediction table, so one emitter
+(:func:`_emit_slot_table`) writes all four loops over one of four
+table layouts (:func:`_layout`): an unbounded ``dict``, per-set
+insertion-ordered dicts (``sets``, first key = LRU), direct-mapped
+slot lists (``dm``), or direct-mapped two-slot rows as flat parallel
+arrays (``dm2``). The prefetch buffer is an insertion-ordered dict
+with a local population counter; the statistics are integer counters.
+Every constant (rows, ways, slots, buffer capacity, clamp, warm-up
+boundary, degrees) is inlined, and the source is ``compile()``d once
+per shape and memoized. A class's state lives in one dict, its
+registers under the live-field names its snapshot class declares
+(``prev_page``, ``degree``, ...); the loop loads it into locals and
+stores it back on exit, so a loop can stop anywhere and continue.
 
-RP runs in two passes. Its recency stack depends on the miss stream
-alone, so :class:`_RecencyStack` — PTEs keyed by page number, as in
-the reference page table, and the one holder of RP's compiled state —
-walks it first and yields each miss's stack neighbours; the generated
-loop then does only buffer work over them. A batch shares one fresh
-stack pass among its RP classes; a kernel seeds its own stack from a
-snapshot, advances it window by window and exports it.
+A loop reads precomputed per-miss lists beside the pages and does only
+table and buffer work. The slot tables' keys and values come from
+:meth:`_StreamKeys.rule`, the engine's one copy of their four key
+rules. RP's stack neighbours come from :class:`_RecencyStack` (PTEs
+keyed by page number, as in the reference page table), since its
+recency stack depends on the miss stream alone. A batch shares one
+fresh pass of each, kept in the trace's memo. A kernel applies the
+rules to each window from its own registers, which a trained or
+resumed kernel may hold for a history other than the stream's, and
+seeds, advances and exports its own stack.
 
 The engine keeps no family table of its own. A mechanism's family is
 its :class:`~repro.ckpt.snapshots.MechanismSnapshot` class
@@ -54,7 +54,7 @@ its :class:`~repro.ckpt.snapshots.MechanismSnapshot` class
 read for everything else: a configuration is the table's rows and
 ways followed by the declared ``config`` fields, ``row_codec`` says
 whether there is a table, and ``live`` names the registers. Per-stream
-data — the ``pcs`` and ``pages`` lists and the batch planner's key
+data — the ``pcs`` and ``pages`` lists and the :class:`_StreamKeys`
 analysis — lives in the :class:`~repro.mem.trace.MissTrace` memo.
 
 Batches add two exact optimizations on top:
@@ -93,6 +93,8 @@ properties) and the golden files.
 from __future__ import annotations
 
 import dataclasses
+import operator
+from itertools import islice
 
 from repro.ckpt.codec import Hole, blob_writer, int_bytes, list_header, value_bytes
 from repro.ckpt.session import SessionSnapshot
@@ -226,57 +228,78 @@ def _table_class(unique_keys: list[int], rows: int, ways: int) -> tuple:
 
 
 class _StreamKeys:
-    """Lazily computed, memoized key universes of one miss stream.
+    """The compiled engine's one copy of the key rules (:meth:`rule`),
+    and one miss stream's analysis, kept in the trace's memo: each
+    family's per-miss lists and key universe, the batch signatures and
+    a fresh recency stack's pass.
 
-    Shared by every thread that batches over the same trace (the
-    service's handler threads do), so each family's universe and key
-    count are published together as one ``(unique, length)`` value: a
-    reader can never see one without the other.
+    Shared by every thread that replays the same trace (the service's
+    handler threads do), so each family's universe and key count are
+    published together as one ``(unique, length)`` value: a reader can
+    never see one without the other.
     """
 
     def __init__(self, pcs: list[int], pages: list[int]) -> None:
         self._pcs = pcs
         self._pages = pages
-        self._distances: list[int] | None = None
+        self._streams: dict[type, tuple[list, ...]] = {}
         self._cache: dict[type, tuple[list[int], int]] = {}
+        # (above, below, third, overhead): a fresh recency stack's
+        # neighbour streams and pointer writes over the whole stream.
+        self.rp: tuple[list, list, list, int] | None = None
+        # (family, config, cap, clamp) -> (dedup_sig, emit_sig); the
+        # equivalence analysis is a pure function of the trace and
+        # those four plan fields, so repeat batches skip it entirely.
+        self.sigs: dict[tuple, tuple[tuple, tuple]] = {}
 
-    def distances(self) -> list[int]:
-        if self._distances is None:
-            pages = self._pages
-            self._distances = [
-                pages[i] - pages[i - 1] for i in range(1, len(pages))
-            ]
-        return self._distances
+    @staticmethod
+    def rule(family, pcs, pages, prev_page=None, prev_distance=None) -> tuple[list, ...]:
+        """The per-miss lists ``family``'s loop reads beside ``pages``,
+        after the registers ``prev_page`` and ``prev_distance``: ASP's
+        ``pcs``, or a slot table's ``(keys, values)``, the reference
+        engine's ``_keys`` as one list each. MP keys a miss by its page,
+        DP by its distance, DP-PC by (PC, distance), DP-2 by the last two
+        distances; the value is the page (MP) or the distance. A key is
+        ``None`` where the history cannot key the miss yet.
+        """
+        if family is StrideSnapshot:
+            return (pcs,)
+        if family not in _SLOT_TABLES:
+            return ()
+        if family is MarkovSnapshot or not pages:
+            return pages, pages
+        head = None if prev_page is None else pages[0] - prev_page
+        distances = [head, *map(operator.sub, islice(pages, 1, None), pages)]
+        if family is DistanceSnapshot:
+            return distances, distances
+        if family is PCDistanceSnapshot:
+            pack, pairs = pack_pc_distance, zip(pcs, distances)
+        else:
+            # DP-2: a miss without a distance leaves the register as it was.
+            before = [prev_distance, prev_distance if head is None else head]
+            pack, pairs = pack_distance_pair, zip([*before, *distances[1:-1]], distances)
+        keys = [None if a is None or b is None else pack(a, b) for a, b in pairs]
+        return keys, distances
 
-    def _keys(self, family: type[MechanismSnapshot]) -> tuple[list[int], int]:
+    def stream(self, family: type[MechanismSnapshot]) -> tuple[list, ...]:
+        """:meth:`rule` over the whole stream, from fresh registers."""
+        streams = self._streams.get(family)
+        if streams is None:
+            streams = self._streams.setdefault(family, self.rule(family, self._pcs, self._pages))
+        return streams
+
+    def universe(self, family: type[MechanismSnapshot]) -> tuple[list[int], int]:
+        """``family``'s distinct keys in first-occurrence order, and the
+        number of misses it keys."""
         cached = self._cache.get(family)
         if cached is not None:
             return cached
-        if family is StrideSnapshot:
-            keys = self._pcs
-        elif family is MarkovSnapshot:
-            keys = self._pages
-        elif family is DistanceSnapshot:
-            keys = self.distances()
-        elif family is PCDistanceSnapshot:
-            pcs, pages = self._pcs, self._pages
-            keys = [
-                pack_pc_distance(pcs[i], pages[i] - pages[i - 1])
-                for i in range(1, len(pages))
-            ]
-        else:  # DistancePairSnapshot
-            dist = self.distances()
-            keys = [
-                pack_distance_pair(dist[i - 1], dist[i])
-                for i in range(1, len(dist))
-            ]
-        cached = (list(dict.fromkeys(keys)), len(keys))
+        keys = self.stream(family)[0]
+        unique = dict.fromkeys(keys)
+        unique.pop(None, None)
+        cached = (list(unique), len(keys) - keys.count(None))
         self._cache[family] = cached
         return cached
-
-    def universe(self, family: type[MechanismSnapshot]) -> list[int]:
-        """``family``'s distinct keys in first-occurrence order."""
-        return self._keys(family)[0]
 
     def never_hits(self, family: type[MechanismSnapshot]) -> bool:
         """True when ``family``'s key stream never repeats a key.
@@ -287,7 +310,7 @@ class _StreamKeys:
         slot count, buffer size, or clamp — all such configurations
         collapse into one all-zero class that runs no loop.
         """
-        unique, length = self._keys(family)
+        unique, length = self.universe(family)
         return len(unique) == length
 
 
@@ -306,7 +329,7 @@ def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
             # No repeated key -> no tag hit -> no prefetch, ever. One
             # zero-cost class regardless of geometry/slots/cap/clamp.
             return ("zero",), ("zero",)
-        tclass = _table_class(keys.universe(plan.family), *exact[2])
+        tclass = _table_class(keys.universe(plan.family)[0], *exact[2])
         emit = exact if tclass != ("inf",) else exact[:2] + (None,) + exact[3:]
         return (plan.family, exact[1], tclass, plan.cap, plan.clamp), emit
     return exact, exact
@@ -459,35 +482,34 @@ if @STATE@ == 2:
 """
 
 _SUCCESSOR_UPDATE = """\
-if not sc or sc[0] != @VALUE@:
-    if @VALUE@ in sc:
-        sc.remove(@VALUE@)
-    sc.insert(0, @VALUE@)
+if not sc or sc[0] != v:
+    if v in sc:
+        sc.remove(v)
+    sc.insert(0, v)
     if len(sc) > @SLOTS@:
         sc.pop()
 """
 
 # Specialized MRU updates for tiny slot counts (the paper's common
-# cases). For 2 slots, "move/insert @VALUE@ to the front and truncate"
-# always ends as [@VALUE@, old_front] when 2 entries exist — whether
-# @VALUE@ was at index 1 or absent — so the scan/remove/insert/pop
-# sequence collapses to two subscript stores.
+# cases). For 2 slots, "move/insert v to the front and truncate" always
+# ends as [v, old_front] when 2 entries exist, whether v was at index 1
+# or absent, so the scan/remove/insert/pop sequence is two stores.
 _SUCCESSOR_UPDATE_1 = """\
 if not sc:
-    sc.append(@VALUE@)
-elif sc[0] != @VALUE@:
-    sc[0] = @VALUE@
+    sc.append(v)
+elif sc[0] != v:
+    sc[0] = v
 """
 
 _SUCCESSOR_UPDATE_2 = """\
 if not sc:
-    sc.append(@VALUE@)
-elif sc[0] != @VALUE@:
+    sc.append(v)
+elif sc[0] != v:
     if len(sc) == 2:
         sc[1] = sc[0]
-        sc[0] = @VALUE@
+        sc[0] = v
     else:
-        sc.insert(0, @VALUE@)
+        sc.insert(0, v)
 """
 
 
@@ -527,7 +549,7 @@ def _bind_set(num_sets: int, key: str, out: list[str], prologue: list[str]) -> N
 def _emit_none(sig, warmup):
     # Null never installs; it only probes whatever a seeded buffer
     # holds (a fresh one stays empty).
-    return (), [], _probe_lines("", "page", warmup)
+    return (), (), [], _probe_lines("", "page", warmup), []
 
 
 def _emit_seq(sig, warmup):
@@ -544,7 +566,7 @@ def _emit_seq(sig, warmup):
         out.append(f"for of in range(1, {effective + 1}):")
         out.append("    t = page + of")
         out.extend(_insert_lines("    ", "t", cap))
-    return (), [], out
+    return (), (), [], out, []
 
 
 def _emit_aseq(sig, warmup):
@@ -568,7 +590,7 @@ def _emit_aseq(sig, warmup):
         },
         cap,
     )
-    return (), [], out
+    return (), tuple(sig[0].live), [], out, []
 
 
 def _emit_stride(sig, warmup):
@@ -584,7 +606,7 @@ def _emit_stride(sig, warmup):
         out.append("else:")
         fields = {"@PREV@": "en[0]", "@STRIDE@": "en[1]", "@STATE@": "en[2]"}
         _render(out, _STRIDE_FSM, "    ", fields, cap)
-        return ("dt",), prologue, out
+        return (("pcs", "pc"),), ("dt",), prologue, out, []
     rows, ways = geom
     if layout == "stride_dm":
         out.append(f"r = {_mod('pc', rows)}")
@@ -596,7 +618,7 @@ def _emit_stride(sig, warmup):
         out.append("else:")
         fields = {"@PREV@": "ppg[r]", "@STRIDE@": "str[r]", "@STATE@": "sst[r]"}
         _render(out, _STRIDE_FSM, "    ", fields, cap)
-        return ("tag", "ppg", "str", "sst"), prologue, out
+        return (("pcs", "pc"),), ("tag", "ppg", "str", "sst"), prologue, out, []
     _bind_set(rows // ways, "pc", out, prologue)
     out.append("en = ts.pop(pc, None)")
     out.append("if en is None:")
@@ -607,42 +629,24 @@ def _emit_stride(sig, warmup):
     out.append("    ts[pc] = en")
     fields = {"@PREV@": "en[0]", "@STRIDE@": "en[1]", "@STATE@": "en[2]"}
     _render(out, _STRIDE_FSM, "    ", fields, cap)
-    return ("sets",), prologue, out
+    return (("pcs", "pc"),), ("sets",), prologue, out, []
 
 
 #: Slot-list tables, the paper's r-row, s-slot prediction table (Table
 #: 1), compiled from the reference engine's one walk
-#: (:class:`~repro.core.prediction_table.SlotTablePrefetcher`, whose
-#: subclasses' ``_keys`` the preludes mirror): ``(lookup key, previous
-#: key, successor value, update guard, target base, prelude)``. The
-#: prelude runs once per miss and binds the keys; the table body runs at
-#: its last line's indentation, under its guards. A slot value ``v`` issues ``v`` (MP) or ``base + v`` when that
-#: is non-negative (the DP family, whose slots hold distances). The
-#: update guard keeps a page from being its own successor in MP; the
-#: DP family only needs a previous key.
-_DISTANCE = ("if lp is not None:", "    distance = page - lp")
-_SLOT_TABLES: dict[type, tuple[str, str, str, str, str | None, tuple[str, ...]]] = {
-    MarkovSnapshot: ("page", "lp", "page", "lp is not None and lp != page", None, ()),
-    DistanceSnapshot: ("distance", "pd", "distance", "pd is not None", "page", (
-        *_DISTANCE,
-        "    pd = prev_distance",
-        "    prev_distance = distance",
-    )),
-    PCDistanceSnapshot: ("kpc", "pkc", "distance", "pkc is not None", "page", (
-        *_DISTANCE,
-        "    kpc = pack_pc_distance(pc, distance)",
-        "    pkc = prev_key",
-        "    prev_key = kpc",
-    )),
-    DistancePairSnapshot: ("dpk", "pk2", "distance", "pk2 is not None", "page", (
-        *_DISTANCE,
-        "    pd = prev_distance",
-        "    prev_distance = distance",
-        "    if pd is not None:",
-        "        dpk = pack_distance_pair(pd, distance)",
-        "        pk2 = prev_key",
-        "        prev_key = dpk",
-    )),
+#: (:class:`~repro.core.prediction_table.SlotTablePrefetcher`): ``(key
+#: register, update guard, target base)``. The loop zips in each miss's
+#: key ``k`` and value ``v`` (:meth:`_StreamKeys.rule`) and carries the
+#: previous key in ``pk``, loaded from and stored to the key register.
+#: A slot value ``v`` issues ``v`` (MP) or ``base + v`` when that is
+#: non-negative (the DP family, whose slots hold distances). The update
+#: guard keeps a page from being its own successor in MP; the DP family
+#: only needs a previous key.
+_SLOT_TABLES: dict[type, tuple[str, str, str | None]] = {
+    MarkovSnapshot: ("prev_page", "pk is not None and pk != k", None),
+    DistanceSnapshot: ("prev_distance", "pk is not None", "page"),
+    PCDistanceSnapshot: ("prev_key", "pk is not None", "page"),
+    DistancePairSnapshot: ("prev_key", "pk is not None", "page"),
 }
 
 
@@ -686,14 +690,15 @@ def _slot_targets(count, values, base, cap, clamp) -> list[str]:
 def _emit_slot_table(sig, warmup):
     """MP / DP / DP-PC / DP-2: the one slot-list table emitter.
 
-    Buffer probe, the family's prelude (:data:`_SLOT_TABLES`), then the
-    table body in the class's layout (:func:`_layout`): look the key up,
-    install a hit's targets or allocate an empty row, and record the
-    successor value in the previous key's row (MRU first).
+    Buffer probe, then, for a keyed miss, the table body in the class's
+    layout (:func:`_layout`): look the key up, install a hit's targets
+    or allocate an empty row, and record the miss's value in the
+    previous key's row (MRU first). :data:`_SLOT_TABLES` holds what
+    differs by family.
     """
     family = sig[0]
     (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
-    key, prev, value, guard, base, prelude = _SLOT_TABLES[family]
+    register, guard, base = _SLOT_TABLES[family]
     layout = _layout(sig)
     if clamp >= slots:
         # A row yields at most ``slots`` targets: the clamp never binds.
@@ -707,34 +712,34 @@ def _emit_slot_table(sig, warmup):
     out: list[str] = []
     if layout == "dict":
         prologue.append("dg = dt.get")
-        out.append(f"row = dg({key})")
+        out.append("row = dg(k)")
         out.append("if row is None:")
-        out.append(f"    dt[{key}] = []")
+        out.append("    dt[k] = []")
         out.append("else:")
-        upd = [f"sc = dg({prev})", "if sc is None:", "    sc = []", f"    dt[{prev}] = sc"]
+        upd = ["sc = dg(pk)", "if sc is None:", "    sc = []", "    dt[pk] = sc"]
         names: tuple = ("dt",)
     elif layout == "sets":
         rows, ways = geom
         num_sets = rows // ways
-        _bind_set(num_sets, key, out, prologue)
-        out.append(f"row = ts.pop({key}, None)")
+        _bind_set(num_sets, "k", out, prologue)
+        out.append("row = ts.pop(k, None)")
         out.append("if row is None:")
         out.append(f"    if len(ts) >= {ways}:")
         out.append("        del ts[next(iter(ts))]")
-        out.append(f"    ts[{key}] = []")
+        out.append("    ts[k] = []")
         out.append("else:")
-        out.append(f"    ts[{key}] = row")
+        out.append("    ts[k] = row")
         ps = "ts" if num_sets == 1 else "ps"
-        upd = [] if num_sets == 1 else [f"ps = sets[{_mod(prev, num_sets)}]"]
+        upd = [] if num_sets == 1 else [f"ps = sets[{_mod('pk', num_sets)}]"]
         upd += [
-            f"sc = {ps}.pop({prev}, None)",
+            f"sc = {ps}.pop(pk, None)",
             "if sc is not None:",
-            f"    {ps}[{prev}] = sc",
+            f"    {ps}[pk] = sc",
             "else:",
             f"    if len({ps}) >= {ways}:",
             f"        del {ps}[next(iter({ps}))]",
             "    sc = []",
-            f"    {ps}[{prev}] = sc",
+            f"    {ps}[pk] = sc",
         ]
         names = ("sets",)
     else:
@@ -742,9 +747,9 @@ def _emit_slot_table(sig, warmup):
         # (distances may be any integer), so no occupancy array is
         # consulted in the hot path.
         rows = geom[0]
-        out.append(f"r = {_mod(key, rows)}")
-        out.append(f"if tag[r] != {key}:")
-        out.append(f"    tag[r] = {key}")
+        out.append(f"r = {_mod('k', rows)}")
+        out.append("if tag[r] != k:")
+        out.append("    tag[r] = k")
         if layout == "dm2":
             # Two-slot rows as flat (count, MRU, LRU) arrays: no
             # per-row list, and the MRU update is subscript stores.
@@ -752,17 +757,17 @@ def _emit_slot_table(sig, warmup):
             out.append("    cn[r] = 0")
             out.append("else:")
             upd = [
-                f"pr = {_mod(prev, rows)}",
-                f"if tag[pr] != {prev}:",
-                f"    tag[pr] = {prev}",
-                f"    ma[pr] = {value}",
+                f"pr = {_mod('pk', rows)}",
+                "if tag[pr] != pk:",
+                "    tag[pr] = pk",
+                "    ma[pr] = v",
                 "    cn[pr] = 1",
                 "elif cn[pr] == 0:",
-                f"    ma[pr] = {value}",
+                "    ma[pr] = v",
                 "    cn[pr] = 1",
-                f"elif ma[pr] != {value}:",
+                "elif ma[pr] != v:",
                 "    mb[pr] = ma[pr]",
-                f"    ma[pr] = {value}",
+                "    ma[pr] = v",
                 "    cn[pr] = 2",
             ]
             names = ("tag", "cn", "ma", "mb")
@@ -771,30 +776,36 @@ def _emit_slot_table(sig, warmup):
             out.append("else:")
             out.append("    row = sl[r]")
             upd = [
-                f"pr = {_mod(prev, rows)}",
-                f"if tag[pr] == {prev}:",
+                f"pr = {_mod('pk', rows)}",
+                "if tag[pr] == pk:",
                 "    sc = sl[pr]",
                 "else:",
-                f"    tag[pr] = {prev}",
+                "    tag[pr] = pk",
                 "    sc = []",
                 "    sl[pr] = sc",
             ]
             names = ("tag", "sl")
     out.extend("    " + line for line in hit)
     if layout != "dm2":
-        upd += _successor_update(slots).replace("@VALUE@", value).splitlines()
+        upd += _successor_update(slots).splitlines()
     out.append(f"if {guard}:")
     out.extend("    " + line for line in upd)
-    # The table body runs under the prelude's innermost guard.
-    depth = len(prelude[-1]) - len(prelude[-1].lstrip()) if prelude else 0
-    body = ["lp = prev_page", "prev_page = page", *_probe_lines("", "page", warmup)]
-    body += [*prelude, *(" " * depth + line for line in out)]
-    return names, prologue, body
+    out.append("pk = k")
+    body = [*_probe_lines("", "page", warmup), "if k is not None:"]
+    body += ["    " + line for line in out]
+    prologue.insert(0, f"pk = state[{register!r}]")
+    # The other registers follow from the window's last page and value.
+    epilogue = [f"state[{register!r}] = pk", "if pages:", "    state['prev_page'] = pages[-1]"]
+    if "prev_distance" in family.live:
+        epilogue += ["    if values[-1] is not None:", "        state['prev_distance'] = values[-1]"]
+    return (("keys", "k"), ("values", "v")), names, prologue, body, epilogue
 
 
 def _emit_recency(sig, warmup):
     """RP: buffer work over the precomputed stack neighbours."""
     (variant_three,), cap, clamp = sig[1], sig[2], sig[3]
+    third = "rthird" if variant_three else None
+    streams = (("above", "rabove"), ("below", "rbelow"), ("third", third))
     out = _probe_lines("", "page", warmup)
     if not clamp:
         # No clamp: install each stack neighbor directly, in the same
@@ -809,7 +820,7 @@ def _emit_recency(sig, warmup):
             out.append("if rthird is not None:")
             out.append("    iss += 1")
             out.extend(_insert_lines("    ", "rthird", cap))
-        return (), [], out
+        return streams, (), [], out, []
     out.append("pf = []")
     out.append("if rabove is not None:")
     out.append("    pf.append(rabove)")
@@ -824,12 +835,14 @@ def _emit_recency(sig, warmup):
     out.append(f"        pf = pf[:{clamp}]")
     out.append("    for tg in pf:")
     out.extend(_insert_lines("        ", "tg", cap))
-    return (), [], out
+    return streams, (), [], out, []
 
 
-#: Family (its snapshot class) -> emitter returning ``(state names
-#: beyond the buffer's, prologue lines, per-miss body lines)`` for one
-#: class.
+#: Family (its snapshot class) -> emitter returning, for one class,
+#: ``(streams, names, prologue, body, epilogue)``: the per-miss lists the
+#: loop takes after ``pages`` as ``(parameter, loop name)`` pairs (no loop
+#: name: taken, not read), the state entries held in locals beyond the
+#: buffer's, and the lines run before the loop, per miss and after it.
 _EMITTERS = {
     NullSnapshot: _emit_none,
     SequentialSnapshot: _emit_seq,
@@ -846,48 +859,40 @@ _EMITTERS = {
 def _generate(warmup: int, sig: tuple) -> str:
     """Source of the loop for one class.
 
-    The function replays one window: ``pcs``/``pages`` are the
-    window's entries, ``rp_*`` RP's stack neighbours for them
-    (:meth:`_RecencyStack.window`), and ``start`` is the global index
-    of the first one. The class's buffer, counters, tables and history
+    The function replays one window: ``pages`` are its entries,
+    ``start`` the global index of the first, and the family's per-miss
+    lists follow: ASP's ``pcs``, a slot table's ``keys`` and ``values``
+    (:meth:`_StreamKeys.rule`), RP's stack neighbours
+    (:meth:`_RecencyStack.window`). Buffer, counters, tables and
     registers come in through ``state`` and go back out the same way,
-    so consecutive calls continue one replay. Each live field its family
-    declares (:attr:`~repro.ckpt.snapshots.MechanismSnapshot.live`) is a
-    state entry and a local register of the same name.
+    so consecutive calls continue one replay.
     """
-    family = sig[0]
-    names, prologue, body = _EMITTERS[family](sig, warmup)
-    names = _BUFFER + names + tuple(family.live)
+    streams, names, prologue, body, epilogue = _EMITTERS[sig[0]](sig, warmup)
+    names = _BUFFER + names
     pad = "    "
+    params = "".join(f" {param}," for param, _ in streams)
     lines = [
-        # Hot-loop names bound as defaults: LOAD_FAST instead of
-        # LOAD_GLOBAL for every builtin/table-helper call per miss.
-        "def _loop(state, start, pcs, pages, rp_above, rp_below, rp_third,",
+        # Hot-loop builtins bound as defaults: LOAD_FAST instead of
+        # LOAD_GLOBAL for every call per miss.
+        f"def _loop(state, start, pages,{params}",
         "          len=len, next=next, iter=iter, min=min, max=max, zip=zip,",
-        "          range=range,",
-        "          pack_pc_distance=pack_pc_distance,",
-        "          pack_distance_pair=pack_distance_pair):",
+        "          range=range):",
     ]
     lines.extend(f"{pad}{name} = state[{name!r}]" for name in names)
     # bp pre-binds the buffer's bound ``pop``: the dict object never
     # changes, and probes/installs are the hottest calls in the loop.
     lines.append(pad + "bp = buf.pop")
     lines.extend(pad + line for line in prologue)
-    # Zip exactly the arrays the body touches; the global index is only
+    # Zip exactly the lists the body reads; the global index is only
     # materialized when a warm-up boundary must be compared.
     loop_names, iters = ["page"], ["pages"]
     if warmup:
         loop_names.insert(0, "index")
         iters.insert(0, "range(start, start + len(pages))")
-    if family in (StrideSnapshot, PCDistanceSnapshot):
-        loop_names.append("pc")
-        iters.append("pcs")
-    if family is RecencySnapshot:
-        loop_names += ["rabove", "rbelow"]
-        iters += ["rp_above", "rp_below"]
-        if sig[1][0]:
-            loop_names.append("rthird")
-            iters.append("rp_third")
+    for param, name in streams:
+        if name:
+            loop_names.append(name)
+            iters.append(param)
     if len(iters) == 1:
         lines.append(pad + "for page in pages:")
     else:
@@ -896,6 +901,7 @@ def _generate(warmup: int, sig: tuple) -> str:
         )
     lines.extend(pad + pad + line for line in body)
     lines.extend(f"{pad}state[{name!r}] = {name}" for name in names)
+    lines.extend(pad + line for line in epilogue)
     lines.append(pad + "return None")
     return "\n".join(lines) + "\n"
 
@@ -908,12 +914,8 @@ def _compiled(warmup: int, sig: tuple):
     key = (warmup, sig)
     fn = _CODE_CACHE.get(key)
     if fn is None:
-        source = _generate(warmup, sig)
-        namespace = {
-            "pack_pc_distance": pack_pc_distance,
-            "pack_distance_pair": pack_distance_pair,
-        }
-        exec(compile(source, "<repro.sim.batchpath>", "exec"), namespace)
+        namespace: dict = {}
+        exec(compile(_generate(warmup, sig), "<repro.sim.batchpath>", "exec"), namespace)
         fn = namespace["_loop"]
         if len(_CODE_CACHE) >= 256:
             _CODE_CACHE.clear()
@@ -1229,23 +1231,6 @@ def _window(values: list, start: int, stop: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-class _TraceAnalysis:
-    """Per-trace batch analysis, kept in the trace's memo and reused
-    across calls (and across views of the trace)."""
-
-    __slots__ = ("keys", "rp", "sigs")
-
-    def __init__(self, pcs: list[int], pages: list[int]) -> None:
-        self.keys = _StreamKeys(pcs, pages)
-        # (above, below, third, overhead): a fresh recency stack's
-        # neighbour streams and pointer writes over the whole stream.
-        self.rp: tuple[list, list, list, int] | None = None
-        # (family, config, cap, clamp) -> (dedup_sig, emit_sig); the
-        # equivalence analysis is a pure function of the trace and
-        # those four plan fields, so repeat batches skip it entirely.
-        self.sigs: dict[tuple, tuple[tuple, tuple]] = {}
-
-
 def replay_batch(
     miss_trace: MissTrace,
     requests: "list[tuple[Prefetcher, int, int]]",
@@ -1274,8 +1259,7 @@ def replay_batch(
             )
         plans.append(plan)
     pcs, pages = miss_trace._list("pcs"), miss_trace._list("pages")
-    analysis = miss_trace._derived(_TraceAnalysis, lambda: _TraceAnalysis(pcs, pages))
-    keys = analysis.keys
+    keys = miss_trace._derived(_StreamKeys, lambda: _StreamKeys(pcs, pages))
 
     class_of: dict[tuple, int] = {}
     emit_sigs: list[tuple] = []
@@ -1283,10 +1267,10 @@ def replay_batch(
     slot_class: list[int] = []
     for plan, (prefetcher, _, _) in zip(plans, requests):
         cache_key = (plan.family, plan.config, plan.cap, plan.clamp)
-        cached = analysis.sigs.get(cache_key)
+        cached = keys.sigs.get(cache_key)
         if cached is None:
             cached = _sigs(plan, keys)
-            analysis.sigs[cache_key] = cached
+            keys.sigs[cache_key] = cached
         dedup_sig, emit_sig = cached
         index = class_of.get(dedup_sig)
         if index is None:
@@ -1296,25 +1280,26 @@ def replay_batch(
             representatives.append(prefetcher)
         slot_class.append(index)
 
-    rp: tuple = ((), (), ())
-    rp_overhead = 0
-    if any(sig[0] is RecencySnapshot for sig in emit_sigs):
-        if analysis.rp is None:
-            stack = _RecencyStack(miss_trace)
-            analysis.rp = (*stack.window(0, len(pages)), stack.overhead)
-        *rp, rp_overhead = analysis.rp
-
     rows = []
     for sig, representative in zip(emit_sigs, representatives):
-        if sig[0] == "zero":
+        family = sig[0]
+        if family == "zero":
             rows.append((0, 0, 0, 0, 0, 0))
             continue
+        overhead = 0
+        if family is RecencySnapshot:
+            if keys.rp is None:
+                stack = _RecencyStack(miss_trace)
+                keys.rp = (*stack.window(0, len(pages)), stack.overhead)
+            *streams, overhead = keys.rp
+        else:
+            streams = keys.stream(family)
         state = _slot_state(sig, representative)
-        _compiled(miss_trace.warmup_misses, sig)(state, 0, pcs, pages, *rp)
+        _compiled(miss_trace.warmup_misses, sig)(state, 0, pages, *streams)
         rows.append((
             state["pb"],
             state["iss"],
-            rp_overhead if sig[0] is RecencySnapshot else 0,
+            overhead,
             state["ins"],
             state["rf"],
             state["ev"],
@@ -1370,9 +1355,8 @@ class ReplayKernel:
         self._buffer_seed = buffer
         self._pcs, self._pages = miss_trace._list("pcs"), miss_trace._list("pages")
         self._begin = self._end = 0
-        self._stack: _RecencyStack | None = None
-        if plan.family is RecencySnapshot:
-            self._stack = _RecencyStack(miss_trace, mechanism)
+        recency = plan.family is RecencySnapshot
+        self._stack = _RecencyStack(miss_trace, mechanism) if recency else None
         self._state = _slot_state(self._sig, mechanism, buffer)
         self._state["pb"] = pb_hits
         # The live state now holds the snapshot's tables and page-table
@@ -1405,16 +1389,17 @@ class ReplayKernel:
         # A window entirely past the warm-up boundary counts every hit,
         # which is exactly the loop compiled without a boundary.
         fn = _compiled(warmup if start < warmup else 0, self._sig)
-        rp: tuple = ((), (), ())
+        pages = _window(self._pages, start, stop)
         if self._stack is not None:
-            rp = self._stack.window(start, stop)
-        fn(
-            self._state,
-            start,
-            _window(self._pcs, start, stop),
-            _window(self._pages, start, stop),
-            *rp,
-        )
+            streams = self._stack.window(start, stop)
+        else:
+            # Keyed from the live registers, which a trained or resumed
+            # kernel may hold for a history other than the stream's.
+            state = self._state
+            registers = state.get("prev_page"), state.get("prev_distance")
+            pcs = _window(self._pcs, start, stop)
+            streams = _StreamKeys.rule(self._family, pcs, pages, *registers)
+        fn(self._state, start, pages, *streams)
         self._end = stop
         self._instance_behind = True
 

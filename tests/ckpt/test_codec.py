@@ -175,10 +175,17 @@ class TestWriter:
         with pytest.raises(CkptError, match="cannot encode"):
             encode_blob("k", [Hole("x")])
 
-    def test_int_cache_is_bounded_and_exact(self):
-        for value in range(-3000, 3000, 1):
-            int_bytes(value * 7919)
-        assert len(codec._INT_BYTES) <= codec._INT_CACHE_MAX
+    def test_ints_encode_exactly_on_both_sides_of_the_table(self):
+        # The table's edges, each varint length's, and every int of the
+        # table.
+        edges = [1023, 1024, 8191, 8192, 2**20 - 1, 2**20, 2**27, 2**63]
+        for value in (*edges, *(-value for value in edges), -1025, *range(-1024, 1024)):
+            zigzag, groups = (value << 1) if value >= 0 else ((-value << 1) - 1), []
+            while zigzag >= 0x80:
+                groups.append(zigzag & 0x7F | 0x80)
+                zigzag >>= 7
+            assert int_bytes(value) == b"i" + bytes([*groups, zigzag])
+            assert decode_blob(codec._frame("k", int_bytes(value)))[1] == value
         values = [2**70, -(2**70), 5, -5, 123456789]
         body = b"".join(int_bytes(value) for value in values)
         blob = codec._frame("k", list_header(len(values)) + body)

@@ -52,6 +52,9 @@ _SLOT_TABLE_TESTS = "tests/test_distance.py tests/test_markov.py tests/test_dp_v
 #: The compiled recency stack: its property test and RP's edge cases.
 _RP_STACK_TESTS = "tests/test_batchpath.py -k Recency"
 
+#: The compiled slot-table loops' keys, against crafted registers.
+_SLOT_HEAD_TESTS = "tests/test_batchpath.py -k SlotTableHead"
+
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "plan-order",
@@ -63,8 +66,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "generate-drops-live",
         "src/repro/sim/batchpath.py",
-        "names = _BUFFER + names + tuple(family.live)",
-        "names = _BUFFER + names",
+        "lines.extend(pad + line for line in epilogue)",
+        "",
         "tests/test_batchpath.py",
     ),
     Mutant(
@@ -189,6 +192,39 @@ MUTANTS: tuple[Mutant, ...] = (
         "            return None\n"
         "        self._prev_distance = distance\n",
         _SLOT_TABLE_TESTS,
+    ),
+    Mutant(
+        "compiled-mp-self-successor",
+        "src/repro/sim/batchpath.py",
+        '"pk is not None and pk != k"',
+        '"pk is not None"',
+        _SLOT_HEAD_TESTS,
+    ),
+    Mutant(
+        "compiled-dp2-keeps-seeded-distance",
+        "src/repro/sim/batchpath.py",
+        "before = [prev_distance, prev_distance if head is None else head]",
+        "before = [prev_distance, prev_distance]",
+        _SLOT_HEAD_TESTS,
+    ),
+    Mutant(
+        "compiled-dp-negative-targets",
+        "src/repro/sim/batchpath.py",
+        '            "if tg >= 0:",',
+        '            "if True:",',
+        _SLOT_HEAD_TESTS,
+    ),
+    Mutant(
+        "compiled-head-from-stream",
+        "src/repro/sim/batchpath.py",
+        "streams = _StreamKeys.rule(self._family, pcs, pages, *registers)",
+        "streams = [\n"
+        "                keys[start:stop]\n"
+        "                for keys in self._trace._derived(\n"
+        "                    _StreamKeys, lambda: _StreamKeys(self._pcs, self._pages)\n"
+        "                ).stream(self._family)\n"
+        "            ]",
+        _SLOT_HEAD_TESTS,
     ),
     Mutant(
         "rp-third-may-be-the-missing-page",

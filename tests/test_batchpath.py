@@ -136,6 +136,39 @@ class TestStreamMemo:
         assert len(built) == 1
 
 
+class TestKeyStreams:
+    """``_StreamKeys.rule`` is the compiled engine's one copy of the slot
+    tables' key rules: the generated loops read keys, never make them."""
+
+    SLOT_TABLES = [
+        ("MP", {}), ("MP", {"rows": 8}), ("DP", {"rows": 64}), ("DP", {"rows": 32, "ways": 4}),
+        ("DP", {"rows": 16, "slots": 3}), ("DP-PC", {}), ("DP-2", {}),
+    ]
+
+    def test_slot_table_loops_compute_no_keys(self, stream, monkeypatch):
+        loops = []
+        real = batchpath._compiled
+
+        def spying(warmup, sig):
+            fn = real(warmup, sig)
+            loops.append((warmup, sig, fn))
+            return fn
+
+        monkeypatch.setattr(batchpath, "_compiled", spying)
+        requests = self.SLOT_TABLES
+        replay_batch(stream, [(create_prefetcher(n, **params), 16, 0) for n, params in requests])
+        for name, params in requests:
+            kernel = ReplayKernel(
+                stream, create_prefetcher(name, **params), snapshot_buffer(PrefetchBuffer(16))
+            )
+            kernel.run(0, 100)
+        assert {batchpath._layout(sig) for _, sig, _ in loops} == {"dict", "sets", "dm", "dm2"}
+        for warmup, sig, fn in loops:
+            source = batchpath._generate(warmup, sig)
+            assert "pack_" not in source and "page - lp" not in source
+            assert set(fn.__globals__) == {"__builtins__", "_loop"}
+
+
 class TestClassDeduplication:
     """A batch runs one generated loop per equivalence class, not per
     request: proven-equivalent requests share one loop's counters."""
@@ -226,11 +259,11 @@ class TestKernelWindows:
             replay_batch(stream, [(trained, 16, 0)])
 
 
-def _misses(pages, evicted, warmup=0):
+def _misses(pages, evicted, warmup=0, pcs=None):
     """A hand-built miss stream (``-1`` in ``evicted``: no eviction)."""
     count = len(pages)
     return MissTrace(
-        pcs=np.zeros(count, dtype=np.int64),
+        pcs=np.zeros(count, dtype=np.int64) if pcs is None else np.asarray(pcs, dtype=np.int64),
         pages=np.asarray(pages, dtype=np.int64),
         evicted=np.asarray(evicted, dtype=np.int64),
         ref_index=np.arange(count, dtype=np.int64),
@@ -256,44 +289,44 @@ RP_NEGATIVE = _misses(
 )
 
 
-class TestRecencyEdgeCases:
-    """RP cases random streams rarely reach, engine against engine.
-
-    The compiled session must equal the reference engine's stats and,
+def _agree(mechanism, trace, params, cap, clamp, chunk, seed=None, buffered=(), offset=0):
+    """Engine against engine: a compiled session, fresh or resumed from
+    ``seed`` at ``offset``, must equal the reference engine's stats and,
     at every chunk boundary, write the bytes the oracle encoder makes of
-    the reference instance and buffer.
-    """
+    the reference instance and buffer."""
+    reference = create_prefetcher(mechanism, **params)
+    buffer = PrefetchBuffer(cap)
+    for page in buffered:
+        buffer.insert(page)
+    if seed is None:
+        session = ReplaySession(trace, create_prefetcher(mechanism, **params), cap, clamp)
+        expected = replay_prefetcher(trace, create_prefetcher(mechanism, **params), cap, clamp)
+        assert replay_batch(trace, [(create_prefetcher(mechanism, **params), cap, clamp)]) == [
+            expected
+        ]
+    else:
+        restore_prefetcher(seed, reference)
+        session = ReplaySession.resume(
+            SessionSnapshot(offset, 0, 0, 0, clamp, seed, snapshot_buffer(buffer)),
+            trace,
+            create_prefetcher(mechanism, **params),
+        )
+    window = ReplayWindow(trace, reference, buffer, clamp)
+    while True:
+        oracle = window.snapshot(session.offset, 0, 0)
+        assert session.snapshot().to_bytes() == encode_blob("session", oracle.to_payload())
+        if session.finished:
+            break
+        start = session.offset
+        session.advance(chunk)
+        window.run(start, session.offset)
+    assert session.stats() == replay_stats(trace, reference.label, window.counters())
+    if seed is None:
+        assert session.stats() == expected
 
-    def _agree(self, trace, params, cap, clamp, chunk, seed=None, buffered=()):
-        reference = create_prefetcher("RP", **params)
-        buffer = PrefetchBuffer(cap)
-        for page in buffered:
-            buffer.insert(page)
-        if seed is None:
-            session = ReplaySession(trace, create_prefetcher("RP", **params), cap, clamp)
-            expected = replay_prefetcher(trace, create_prefetcher("RP", **params), cap, clamp)
-            assert replay_batch(trace, [(create_prefetcher("RP", **params), cap, clamp)]) == [
-                expected
-            ]
-        else:
-            restore_prefetcher(seed, reference)
-            session = ReplaySession.resume(
-                SessionSnapshot(0, 0, 0, 0, clamp, seed, snapshot_buffer(buffer)),
-                trace,
-                create_prefetcher("RP", **params),
-            )
-        window = ReplayWindow(trace, reference, buffer, clamp)
-        while True:
-            oracle = window.snapshot(session.offset, 0, 0)
-            assert session.snapshot().to_bytes() == encode_blob("session", oracle.to_payload())
-            if session.finished:
-                break
-            start = session.offset
-            session.advance(chunk)
-            window.run(start, session.offset)
-        assert session.stats() == replay_stats(trace, reference.label, window.counters())
-        if seed is None:
-            assert session.stats() == expected
+
+class TestRecencyEdgeCases:
+    """RP cases random streams rarely reach, engine against engine."""
 
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize(
@@ -301,7 +334,7 @@ class TestRecencyEdgeCases:
     )
     @pytest.mark.parametrize("trace", [RP_STACK, RP_NEGATIVE], ids=["repush", "negative"])
     def test_fresh_streams(self, trace, variant_three, cap, clamp, chunk):
-        self._agree(trace, {"variant_three": variant_three}, cap, clamp, chunk)
+        _agree("RP", trace, {"variant_three": variant_three}, cap, clamp, chunk)
 
     #: name -> (top, entries, buffered pages), each a state ``validate``
     #: accepts although no replay reaches it.
@@ -334,9 +367,53 @@ class TestRecencyEdgeCases:
             top=top,
             entries=entries,
         )
-        self._agree(
-            self.CRAFTED_STREAM, {"variant_three": variant_three}, 3, 0, chunk, seed, buffered
+        _agree(
+            "RP", self.CRAFTED_STREAM, {"variant_three": variant_three}, 3, 0, chunk, seed, buffered
         )
+
+
+class TestSlotTableHead:
+    """A window's first keys come from the kernel's registers, not from
+    the stream's previous pages: MP and the DP family resumed from
+    registers ``validate`` accepts although no honest replay of this
+    stream reaches them, in chunks of one and two misses: DP-2 keys a
+    window's first two misses from its registers."""
+
+    #: Period 5 in pages and PCs, so every key repeats. Distance +3 first
+    #: learns -8, then hits at page 3: its target -5 is dropped.
+    STREAM = _misses([7, 10, 2, 0, 3] * 3 + [7], [-1] * 16, pcs=[1, 2, 3, 4, 5] * 3 + [1])
+
+    #: name -> (mechanism, warm-up misses as (pc, page), registers, offset).
+    CRAFTED = {
+        # No page yet, but a distance: the miss on 10 is keyed (5, +3),
+        # a row the warm-up taught -8.
+        "dp2-distance-without-page": (
+            "DP-2", [(0, 0), (0, 5), (0, 8), (0, 0)], {"prev_page": None, "prev_distance": 5}, 0,
+        ),
+        # Resumed at page 3 after page 100, not 0: distance -97, which
+        # the warm-up taught +2.
+        "dp-off-stream-previous-page": (
+            "DP", [(9, 100), (5, 3), (9, 5)], {"prev_page": 100}, 4,
+        ),
+        "dp-pc-off-stream-previous-page": (
+            "DP-PC", [(9, 100), (5, 3), (9, 5)], {"prev_page": 100}, 4,
+        ),
+        # The first miss repeats the previous page: no self-successor.
+        "mp-first-page-is-previous": ("MP", [(0, 10), (0, 2), (0, 7)], {"prev_page": 7}, 0),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize(
+        "geometry", [{"rows": 8}, {"rows": 8, "ways": 2, "slots": 3}], ids=["dm2", "sets"]
+    )
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_resume_from_crafted_registers(self, case, geometry, chunk):
+        mechanism, warm, registers, offset = self.CRAFTED[case]
+        trained = create_prefetcher(mechanism, **geometry)
+        for pc, page in warm:
+            trained.on_miss(pc, page, -1, False)
+        seed = dataclasses.replace(snapshot_prefetcher(trained), **registers)
+        _agree(mechanism, self.STREAM, geometry, 4, 0, chunk, seed, offset=offset)
 
 
 #: A miss: (page, evicted page), ``-1`` for no eviction.
