@@ -281,6 +281,12 @@ def load_phase(spec: RunSpec, duration: float = 2.0) -> dict:
     ``load_identical`` re-runs the same spec through a tokened
     ``POST /runs`` before and after the flood: admission control and
     shedding must not perturb result bytes.
+
+    Unlike :class:`~repro.service.ServiceClient`, which keeps one
+    connection alive per thread, each flood request here opens its own
+    urllib connection and closes it (``Connection: close``). The phase
+    measures accept and admission under LOAD_CLIENTS clients, each
+    request a fresh connection, and so does not move to keep-alive.
     """
     import urllib.error
     import urllib.request

@@ -11,22 +11,38 @@ also convenient from a notebook::
                             "scale": 0.1, "params": {"rows": 256}}])
     print(client.results(workload="galgel")["count"])
 
+Each client keeps one persistent HTTP/1.1 connection per thread (a
+worker's heartbeat thread gets its own), so a run of requests pays for
+one TCP handshake instead of one each. A kept-alive connection is
+dropped when a request on it fails, when the server's response says it
+will close, and in the child of a fork, which must not share its
+parent's socket. Before a connection is reused, a zero-timeout
+readability check looks for the server's EOF: a server that closed the
+idle socket (its handler's idle timeout, a restart) gets a fresh
+connection before anything is sent.
+
 Transient transport failures (connection refused/reset mid-poll — the
 service restarting, a worker fleet hammering one socket) are retried
 with exponential backoff and jitter, but only for *idempotent*
 requests: every GET, plus POSTs the caller explicitly marks idempotent
 (the scheduler's ``/claim`` — a lost claim is recovered by lease
-expiry). The total retry count is surfaced as :attr:`ServiceClient.retries`.
+expiry). The same requests, when a send or read fails on a reused
+connection (the server closed it as the request went out), are sent
+once more at once on a fresh one. A non-idempotent POST is never sent
+twice: its transport failure is a ``ServiceError`` with status 0. The
+total retry count is surfaced as :attr:`ServiceClient.retries`.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import random
+import select
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Any
 
 from repro.errors import ReproError
@@ -49,26 +65,39 @@ _OBS_BACKOFF = REGISTRY.counter(
     "Cumulative seconds slept in retry backoff.",
 )
 
+#: What a failed exchange raises: socket errors (refused, reset,
+#: timeout) and http.client's protocol errors (a truncated response).
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
 
 def _retry_cause(exc: BaseException) -> str:
     """Classify a transient transport failure for the retry counter."""
-    probe: BaseException | None = exc
-    if isinstance(exc, urllib.error.URLError) and exc.reason is not None:
-        reason = exc.reason
-        probe = reason if isinstance(reason, BaseException) else None
-        if probe is None:
-            return "unreachable"
-    if isinstance(probe, TimeoutError):
+    if isinstance(exc, TimeoutError):
         return "timeout"
-    if isinstance(probe, ConnectionRefusedError):
+    if isinstance(exc, ConnectionRefusedError):
         return "connection_refused"
-    if isinstance(probe, ConnectionResetError):
+    if isinstance(exc, ConnectionResetError):
         return "connection_reset"
-    if isinstance(probe, ConnectionError):
+    if isinstance(exc, ConnectionError):
         return "connection_error"
-    if isinstance(probe, OSError):
+    if isinstance(exc, OSError):
         return "os_error"
     return "unreachable"
+
+
+def _closed_by_peer(sock: Any) -> bool:
+    """Whether the server closed this idle kept-alive socket.
+
+    A server sends nothing unasked, so a socket readable at zero
+    timeout holds its EOF (or a reset). ``None`` is a connection that
+    has not connected yet.
+    """
+    if sock is None:
+        return False
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):
+        return True
 
 
 class ServiceError(ReproError):
@@ -95,15 +124,12 @@ class ServiceError(ReproError):
         super().__init__(message)
 
 
-def _retry_after_hint(
-    payload: dict | None, exc: urllib.error.HTTPError
-) -> float | None:
+def _retry_after_hint(payload: dict | None, header: str | None) -> float | None:
     """The server's retry hint: JSON float preferred, header fallback."""
     if payload is not None:
         value = payload.get("retry_after")
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return max(0.0, float(value))
-    header = exc.headers.get("Retry-After") if exc.headers is not None else None
     if header is not None:
         try:
             return max(0.0, float(header))
@@ -138,6 +164,9 @@ class ServiceClient:
         token: str | None = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._address = (parts.hostname, parts.port)
+        self._prefix = parts.path
         self.timeout = timeout
         self.token = token
         self.max_retries = max(0, int(max_retries))
@@ -150,6 +179,37 @@ class ServiceClient:
         # would perturb the seeded stream of any host process (the
         # differential harness and hypothesis suites seed it).
         self._rng = random.Random()
+        # This thread's kept-alive connection and the pid that made it.
+        self._local = threading.local()
+
+    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+        """A new, not yet connected, connection to the service."""
+        host, port = self._address
+        return http.client.HTTPConnection(host, port, timeout=timeout)
+
+    def _checkout(self, timeout: float) -> tuple[http.client.HTTPConnection, bool]:
+        """This thread's connection, taken out while a request uses it,
+        and whether it has carried a request before.
+
+        A new one replaces a connection made before a fork (the parent
+        owns that socket) or one the server has closed while it idled.
+        Only a request that completes puts its connection back
+        (:meth:`request`), so one interrupted mid-exchange is never
+        reused.
+        """
+        local = self._local
+        connection = getattr(local, "connection", None)
+        local.connection = None
+        if connection is not None:
+            if local.pid == os.getpid() and not _closed_by_peer(connection.sock):
+                connection.timeout = timeout
+                if connection.sock is not None:
+                    connection.sock.settimeout(timeout)
+                return connection, True
+            # In a fork's child this closes only the child's descriptor.
+            connection.close()
+        local.pid = os.getpid()
+        return self._connect(timeout), False
 
     def request(
         self,
@@ -184,6 +244,8 @@ class ServiceClient:
         if timeout is None:
             timeout = self.timeout
         attempt = 0
+        # A failure on a reused connection is resent at once, once.
+        resent = False
         # One deadline for all hinted (Retry-After) sleeps this call
         # makes — a budget, not a per-attempt cap.
         hint_deadline = time.monotonic() + timeout
@@ -195,54 +257,23 @@ class ServiceClient:
         trace_ctx = current_context()
         if trace_ctx is not None:
             headers[TRACE_HEADER] = trace_ctx
+        url = self._prefix + path
         while True:
-            request = urllib.request.Request(
-                self.base_url + path,
-                data=data,
-                method=method,
-                headers=headers,
-            )
+            connection, reused = self._checkout(timeout)
             try:
-                with urllib.request.urlopen(request, timeout=timeout) as response:
-                    decoded = json.loads(response.read())
-                _OBS_REQUESTS.inc(method=method, outcome="ok")
-                return decoded
-            except urllib.error.HTTPError as exc:
-                body = exc.read()
-                try:
-                    decoded = json.loads(body)
-                except (json.JSONDecodeError, ValueError):
-                    decoded = None
-                message = (decoded or {}).get("error", body.decode(errors="replace"))
-                retry_after = _retry_after_hint(decoded, exc)
-                hint_budget = hint_deadline - time.monotonic()
-                if (
-                    exc.code in (429, 503)
-                    and retry_after is not None
-                    and attempt < self.max_retries
-                    and hint_budget > 0
-                ):
-                    # Honor the server's hint instead of the blind
-                    # exponential schedule, but never sleep past what
-                    # remains of this request's timeout budget — large
-                    # hints across several attempts must not stack into
-                    # a multi-timeout stall.
-                    delay = min(retry_after, hint_budget)
-                    attempt += 1
+                connection.request(method, url, body=data, headers=headers)
+                response = connection.getresponse()
+                body = response.read()
+            except _TRANSPORT_ERRORS as exc:
+                connection.close()
+                if idempotent and reused and not resent and not isinstance(exc, TimeoutError):
+                    # The server closed the kept-alive socket as this
+                    # request went out: no backoff, a fresh connection.
+                    # (A timeout is a slow server, not a stale socket.)
+                    resent = True
                     self.retries += 1
-                    self.backoff_seconds += delay
-                    _OBS_RETRIES.inc(cause=f"http_{exc.code}")
-                    _OBS_BACKOFF.inc(delay)
-                    time.sleep(delay)
+                    _OBS_RETRIES.inc(cause=_retry_cause(exc))
                     continue
-                _OBS_REQUESTS.inc(method=method, outcome="http_error")
-                raise ServiceError(
-                    exc.code,
-                    decoded,
-                    f"{method} {path} -> {exc.code}: {message}",
-                    retry_after=retry_after,
-                ) from exc
-            except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
                 if not idempotent or attempt >= self.max_retries:
                     _OBS_REQUESTS.inc(method=method, outcome="unreachable")
                     raise ServiceError(
@@ -256,6 +287,49 @@ class ServiceClient:
                 _OBS_RETRIES.inc(cause=_retry_cause(exc))
                 _OBS_BACKOFF.inc(delay)
                 time.sleep(delay)
+                continue
+            if response.will_close:
+                connection.close()
+            else:
+                self._local.connection = connection
+            status = response.status
+            if 200 <= status < 300:
+                decoded = json.loads(body)
+                _OBS_REQUESTS.inc(method=method, outcome="ok")
+                return decoded
+            try:
+                decoded = json.loads(body)
+            except (json.JSONDecodeError, ValueError):
+                decoded = None
+            message = (decoded or {}).get("error", body.decode(errors="replace"))
+            retry_after = _retry_after_hint(decoded, response.getheader("Retry-After"))
+            hint_budget = hint_deadline - time.monotonic()
+            if (
+                status in (429, 503)
+                and retry_after is not None
+                and attempt < self.max_retries
+                and hint_budget > 0
+            ):
+                # Honor the server's hint instead of the blind
+                # exponential schedule, but never sleep past what
+                # remains of this request's timeout budget — large
+                # hints across several attempts must not stack into a
+                # multi-timeout stall.
+                delay = min(retry_after, hint_budget)
+                attempt += 1
+                self.retries += 1
+                self.backoff_seconds += delay
+                _OBS_RETRIES.inc(cause=f"http_{status}")
+                _OBS_BACKOFF.inc(delay)
+                time.sleep(delay)
+                continue
+            _OBS_REQUESTS.inc(method=method, outcome="http_error")
+            raise ServiceError(
+                status,
+                decoded,
+                f"{method} {path} -> {status}: {message}",
+                retry_after=retry_after,
+            )
 
     def wait_ready(self, timeout: float = 10.0, interval: float = 0.1) -> dict:
         """Poll ``GET /stats`` until the service answers (or time out)."""

@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import socket
 import sys
 import threading
 import time
@@ -95,6 +96,9 @@ SERVICE_SCHEMA = "repro.service/v1"
 #: Longest a long-poll (``wait`` on ``POST /claim`` and
 #: ``GET /progress``) may block, whatever the request asks for.
 MAX_WAIT_SECONDS = 10.0
+
+#: Longest ``server_close`` waits for requests already being answered.
+CLOSE_GRACE_SECONDS = 10.0
 
 #: Upper bound on a POST body. Anything larger is refused with 413
 #: before a byte is read — a bogus ``Content-Length: 1e18`` must not
@@ -1494,6 +1498,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # response until the client's delayed ACK of the previous one
     # (~40 ms per request).
     disable_nagle_algorithm = True
+    # Seconds a kept-alive connection may sit silent before the server
+    # closes it: an idle connection holds a handler thread, and a client
+    # that walks away must give it back. A client that comes back finds
+    # the EOF before it sends and reconnects.
+    timeout = 30.0
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._serve("GET")
@@ -1510,8 +1519,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         else:
             data = json.dumps(payload, sort_keys=True).encode() + b"\n"
             content_type = "application/json"
+        if self.server.closing:
+            self.close_connection = True
         self.send_response(status)
         self.send_header("Content-Type", content_type)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         retry_after = None if isinstance(payload, str) else payload.get("retry_after")
         if retry_after is not None:
             # The header is integer seconds per RFC 9110; the payload
@@ -1584,7 +1597,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
 
 class ExperimentServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`ExperimentService`."""
+    """Threading HTTP server bound to one :class:`ExperimentService`.
+
+    Clients keep their connections alive, so the server tracks every
+    open one: :meth:`server_close` must end them before the service
+    goes, or an idle handler thread would answer its client's next
+    request from a closed server.
+    """
 
     daemon_threads = True
     # The stdlib default listen backlog (5) resets connections under
@@ -1600,6 +1619,11 @@ class ExperimentServer(ThreadingHTTPServer):
     ) -> None:
         self.service = service
         self.verbose = verbose
+        #: Set once :meth:`server_close` begins: every answer from then
+        #: on closes its connection.
+        self.closing = False
+        self._open: set[socket.socket] = set()
+        self._open_changed = threading.Condition()
         if verbose:
             enable_console("info")
         super().__init__(address, _RequestHandler)
@@ -1610,24 +1634,51 @@ class ExperimentServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def handle_error(self, request: Any, client_address: Any) -> None:
-        """A client that hangs up before its answer is written is not an
-        error: one log line, no traceback. Anything else goes to the
-        stdlib handler."""
+        """A client that hangs up before its answer is written, or goes
+        silent past the handler's timeout mid-request, is not an error:
+        one log line, no traceback. Anything else goes to the stdlib
+        handler."""
         exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+        if isinstance(exc, (BrokenPipeError, ConnectionResetError, TimeoutError)):
             _LOG.info("client %s hung up: %s", client_address[0], exc)
             return
         super().handle_error(request, client_address)
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        super().shutdown_request(request)
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+
     def server_close(self) -> None:
-        """End blocked long-polls, tear down sockets, then the service's
-        watchdog.
+        """End blocked long-polls and open connections, tear down
+        sockets, then the service's watchdog.
 
         A long-poll still blocked answers at once with what it has,
         instead of outliving the server and touching a closed queue.
+        Every open connection stops reading: an idle one closes at
+        once, and one whose request is being answered closes after
+        its answer (``Connection: close``), which this waits for, up
+        to :data:`CLOSE_GRACE_SECONDS`.
         """
         self.service.queue.stop_waiting()
+        with self._open_changed:
+            self.closing = True
+            for connection in self._open:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
         super().server_close()
+        with self._open_changed:
+            self._open_changed.wait_for(
+                lambda: not self._open, timeout=CLOSE_GRACE_SECONDS
+            )
         self.service.close()
 
 

@@ -635,18 +635,21 @@ def _emit_stride(sig, warmup):
 #: Slot-list tables, the paper's r-row, s-slot prediction table (Table
 #: 1), compiled from the reference engine's one walk
 #: (:class:`~repro.core.prediction_table.SlotTablePrefetcher`): ``(key
-#: register, update guard, target base)``. The loop zips in each miss's
-#: key ``k`` and value ``v`` (:meth:`_StreamKeys.rule`) and carries the
-#: previous key in ``pk``, loaded from and stored to the key register.
-#: A slot value ``v`` issues ``v`` (MP) or ``base + v`` when that is
-#: non-negative (the DP family, whose slots hold distances). The update
-#: guard keeps a page from being its own successor in MP; the DP family
-#: only needs a previous key.
-_SLOT_TABLES: dict[type, tuple[str, str, str | None]] = {
-    MarkovSnapshot: ("prev_page", "pk is not None and pk != k", None),
-    DistanceSnapshot: ("prev_distance", "pk is not None", "page"),
-    PCDistanceSnapshot: ("prev_key", "pk is not None", "page"),
-    DistancePairSnapshot: ("prev_key", "pk is not None", "page"),
+#: register, update guard, target base, aliases)``. The loop reads each
+#: miss's key ``k`` and value ``v`` (:meth:`_StreamKeys.rule`) and
+#: carries the previous key in ``pk``, loaded from and stored to the key
+#: register. A slot value ``v`` issues ``v`` (MP) or ``base + v`` when
+#: that is non-negative (the DP family, whose slots hold distances). The
+#: update guard keeps a page from being its own successor in MP; the DP
+#: family only needs a previous key. ``rule`` returns some of these
+#: lists as one object (MP's keys and values are its pages, DP's values
+#: are its keys), and the loop zips each list once: ``aliases`` is the
+#: assignment chain, last name first bound, that names the rest.
+_SLOT_TABLES: dict[type, tuple[str, str, str | None, tuple[str, ...]]] = {
+    MarkovSnapshot: ("prev_page", "pk is not None and pk != k", None, ("k", "v", "page")),
+    DistanceSnapshot: ("prev_distance", "pk is not None", "page", ("v", "k")),
+    PCDistanceSnapshot: ("prev_key", "pk is not None", "page", ()),
+    DistancePairSnapshot: ("prev_key", "pk is not None", "page", ()),
 }
 
 
@@ -698,7 +701,7 @@ def _emit_slot_table(sig, warmup):
     """
     family = sig[0]
     (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
-    register, guard, base = _SLOT_TABLES[family]
+    register, guard, base, aliases = _SLOT_TABLES[family]
     layout = _layout(sig)
     if clamp >= slots:
         # A row yields at most ``slots`` targets: the clamp never binds.
@@ -791,14 +794,21 @@ def _emit_slot_table(sig, warmup):
     out.append(f"if {guard}:")
     out.extend("    " + line for line in upd)
     out.append("pk = k")
-    body = [*_probe_lines("", "page", warmup), "if k is not None:"]
+    body = _probe_lines("", "page", warmup)
+    if aliases:
+        body.append(" = ".join(aliases))
+    body.append("if k is not None:")
     body += ["    " + line for line in out]
     prologue.insert(0, f"pk = state[{register!r}]")
     # The other registers follow from the window's last page and value.
     epilogue = [f"state[{register!r}] = pk", "if pages:", "    state['prev_page'] = pages[-1]"]
     if "prev_distance" in family.live:
         epilogue += ["    if values[-1] is not None:", "        state['prev_distance'] = values[-1]"]
-    return (("keys", "k"), ("values", "v")), names, prologue, body, epilogue
+    streams = tuple(
+        (param, None if name in aliases[:-1] else name)
+        for param, name in (("keys", "k"), ("values", "v"))
+    )
+    return streams, names, prologue, body, epilogue
 
 
 def _emit_recency(sig, warmup):

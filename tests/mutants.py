@@ -55,6 +55,13 @@ _RP_STACK_TESTS = "tests/test_batchpath.py -k Recency"
 #: The compiled slot-table loops' keys, against crafted registers.
 _SLOT_HEAD_TESTS = "tests/test_batchpath.py -k SlotTableHead"
 
+#: The client's kept-alive connections and the server's close, at the
+#: connection seam and over real sockets.
+_KEEPALIVE_TESTS = (
+    "tests/sched/test_scheduler_service.py tests/store/test_http_hardening.py "
+    "-k 'KeptAlive or KeepAlive or ClosedServer'"
+)
+
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "plan-order",
@@ -272,6 +279,34 @@ MUTANTS: tuple[Mutant, ...] = (
         '         "load phase ran too few clients to overload admission"),\n',
         "",
         "tests/obs/test_bench_history.py::TestSmokeGates",
+    ),
+    Mutant(
+        "keepalive-no-stale-check",
+        "src/repro/service/client.py",
+        "if local.pid == os.getpid() and not _closed_by_peer(connection.sock):",
+        "if local.pid == os.getpid():",
+        _KEEPALIVE_TESTS,
+    ),
+    Mutant(
+        "keepalive-resends-posts",
+        "src/repro/service/client.py",
+        "if idempotent and reused and not resent",
+        "if reused and not resent",
+        _KEEPALIVE_TESTS,
+    ),
+    Mutant(
+        "server-close-keeps-connections",
+        "src/repro/service/server.py",
+        "connection.shutdown(socket.SHUT_RD)",
+        "pass",
+        _KEEPALIVE_TESTS,
+    ),
+    Mutant(
+        "keepalive-no-pid-check",
+        "src/repro/service/client.py",
+        "if local.pid == os.getpid() and not _closed_by_peer",
+        "if not _closed_by_peer",
+        _KEEPALIVE_TESTS,
     ),
 )
 

@@ -7,7 +7,7 @@ transport failures, and ``GET /results`` pagination — are covered here
 too.
 """
 
-import urllib.error
+import os
 
 import pytest
 
@@ -285,40 +285,64 @@ class TestResultsPagination:
         assert len(store.load_results(limit=0)) == 0
 
 
+class FakeResponse:
+    """The parts of ``http.client.HTTPResponse`` the client reads."""
+
+    will_close = False
+
+    def __init__(self, status, data, headers=None):
+        self.status = status
+        self.data = data
+        self.headers = headers or {}
+
+    def read(self):
+        return self.data
+
+    def getheader(self, name, default=None):
+        return self.headers.get(name, default)
+
+
+def _scripted_client(monkeypatch, outcomes):
+    """A client whose connections pop scripted outcomes per request:
+    an exception to raise, a response, or the bytes of a 200."""
+    calls = []
+    connects = []
+
+    class FakeConnection:
+        sock = None
+
+        def request(self, method, url, body=None, headers=None):
+            calls.append((method, url))
+            self.outcome = outcomes.pop(0)
+            if isinstance(self.outcome, Exception):
+                raise self.outcome
+
+        def getresponse(self):
+            if isinstance(self.outcome, FakeResponse):
+                return self.outcome
+            return FakeResponse(200, self.outcome)
+
+        def close(self):
+            pass
+
+    def fake_connect(client, timeout):
+        connects.append(timeout)
+        return FakeConnection()
+
+    monkeypatch.setattr(ServiceClient, "_connect", fake_connect)
+    client = ServiceClient("http://x", max_retries=3, retry_backoff=0.001)
+    client.connects = connects
+    return client, calls
+
+
 class TestClientRetries:
-    def _client(self, monkeypatch, outcomes):
-        """A client whose urlopen pops scripted outcomes (exc or bytes)."""
-        calls = []
-
-        class FakeResponse:
-            def __init__(self, data):
-                self.data = data
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
-                return self.data
-
-        def fake_urlopen(request, timeout=None):
-            calls.append(request)
-            outcome = outcomes.pop(0)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return FakeResponse(outcome)
-
-        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-        client = ServiceClient("http://x", max_retries=3, retry_backoff=0.001)
-        return client, calls
+    _client = staticmethod(_scripted_client)
 
     def test_transient_failures_on_gets_are_retried(self, monkeypatch):
         client, calls = self._client(
             monkeypatch,
             [
-                urllib.error.URLError("refused"),
+                ConnectionRefusedError("refused"),
                 ConnectionResetError("reset"),
                 b'{"ok": true}',
             ],
@@ -329,7 +353,7 @@ class TestClientRetries:
 
     def test_retries_are_bounded(self, monkeypatch):
         client, calls = self._client(
-            monkeypatch, [urllib.error.URLError("refused")] * 4
+            monkeypatch, [ConnectionRefusedError("refused")] * 4
         )
         with pytest.raises(ServiceError) as exc_info:
             client.request("/stats")
@@ -338,7 +362,7 @@ class TestClientRetries:
         assert client.retries == 3
 
     def test_non_idempotent_posts_are_not_retried(self, monkeypatch):
-        client, calls = self._client(monkeypatch, [urllib.error.URLError("refused")])
+        client, calls = self._client(monkeypatch, [ConnectionRefusedError("refused")])
         with pytest.raises(ServiceError):
             client.request("/runs", {"specs": []})
         assert len(calls) == 1
@@ -364,7 +388,7 @@ class TestClientRetries:
         random.seed(20020525)
         expected_state = random.getstate()
         client, calls = self._client(
-            monkeypatch, [urllib.error.URLError("refused")] * 4
+            monkeypatch, [ConnectionRefusedError("refused")] * 4
         )
         with pytest.raises(ServiceError):
             client.request("/stats")
@@ -372,13 +396,95 @@ class TestClientRetries:
         assert random.getstate() == expected_state
 
     def test_http_errors_are_never_retried(self, monkeypatch):
-        error = urllib.error.HTTPError(
-            "http://x/stats", 500, "boom", {}, None
-        )
-        error.read = lambda: b'{"error": "boom"}'
+        error = FakeResponse(500, b'{"error": "boom"}')
         client, calls = self._client(monkeypatch, [error])
         with pytest.raises(ServiceError) as exc_info:
             client.request("/stats")
         assert exc_info.value.status == 500
         assert len(calls) == 1
         assert client.retries == 0
+
+
+class TestKeptAliveConnections:
+    """One connection per thread carries request after request; a
+    failure on a reused one is resent at once only when resending is
+    safe."""
+
+    _client = staticmethod(_scripted_client)
+
+    def test_one_connection_carries_every_request(self, monkeypatch):
+        client, calls = self._client(monkeypatch, [b"{}"] * 3)
+        client.request("/stats")
+        client.request("/runs", {"specs": []})
+        client.request("/stats", timeout=5.0)
+        assert len(calls) == 3
+        assert client.connects == [client.timeout]
+
+    def test_a_reused_get_is_resent_at_once_on_a_fresh_connection(self, monkeypatch):
+        client, calls = self._client(
+            monkeypatch, [b"{}", ConnectionResetError("closed"), b'{"ok": true}']
+        )
+        client.request("/stats")
+        assert client.request("/stats") == {"ok": True}
+        assert len(client.connects) == 2
+        assert client.retries == 1
+        assert client.backoff_seconds == 0.0
+
+    def test_a_reused_post_is_not_resent(self, monkeypatch):
+        client, calls = self._client(
+            monkeypatch, [b"{}", ConnectionResetError("closed"), b"{}"]
+        )
+        client.request("/stats")
+        with pytest.raises(ServiceError) as exc_info:
+            client.request("/streams/s/advance", {"count": 1})
+        assert exc_info.value.status == 0
+        assert len(calls) == 2
+        assert client.retries == 0
+
+    def test_the_resend_happens_once(self, monkeypatch):
+        client, calls = self._client(
+            monkeypatch, [b"{}", ConnectionResetError("closed")]
+            + [ConnectionRefusedError("refused")] * 4,
+        )
+        client.request("/stats")
+        with pytest.raises(ServiceError):
+            client.request("/stats")
+        # The resend, then the backoff schedule's 1 try + 3 retries.
+        assert len(calls) == 6
+        assert client.retries == 4
+
+    def test_a_timeout_on_a_reused_connection_backs_off(self, monkeypatch):
+        client, calls = self._client(
+            monkeypatch, [b"{}", TimeoutError("slow"), b'{"ok": true}']
+        )
+        client.request("/stats")
+        assert client.request("/stats") == {"ok": True}
+        assert client.retries == 1
+        assert client.backoff_seconds > 0.0
+
+    def test_a_forked_child_opens_its_own_connection(self, monkeypatch):
+        client, calls = self._client(monkeypatch, [b"{}"] * 2)
+        client.request("/stats")
+        parent = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: parent + 1)
+        client.request("/stats")
+        assert len(client.connects) == 2
+
+    def test_a_closing_response_drops_its_connection(self, monkeypatch):
+        closing = FakeResponse(200, b"{}")
+        closing.will_close = True
+        client, calls = self._client(monkeypatch, [closing, b"{}"])
+        client.request("/stats")
+        client.request("/stats")
+        assert len(client.connects) == 2
+
+    def test_each_thread_has_its_own_connection(self, monkeypatch):
+        import threading
+
+        client, calls = self._client(monkeypatch, [b"{}"] * 3)
+        client.request("/stats")
+        thread = threading.Thread(target=client.request, args=("/stats",))
+        thread.start()
+        thread.join()
+        client.request("/stats")
+        assert len(client.connects) == 2

@@ -804,23 +804,29 @@ class TestSheddingOverHTTP:
 
 class TestClientRetryBudget:
     def test_hinted_sleeps_draw_on_one_timeout_budget(self, monkeypatch):
-        import io
-        import urllib.error
-        import urllib.request
-        from email.message import Message
+        class Shed:
+            status = 429
+            will_close = False
 
-        def always_shed(request, timeout=None):
-            headers = Message()
-            headers["Retry-After"] = "30"
-            raise urllib.error.HTTPError(
-                request.full_url,
-                429,
-                "Too Many Requests",
-                headers,
-                io.BytesIO(b'{"error": "shed", "retry_after": 30.0}'),
-            )
+            def read(self):
+                return b'{"error": "shed", "retry_after": 30.0}'
 
-        monkeypatch.setattr(urllib.request, "urlopen", always_shed)
+            def getheader(self, name, default=None):
+                return "30" if name == "Retry-After" else default
+
+        class AlwaysShed:
+            sock = None
+
+            def request(self, method, url, body=None, headers=None):
+                pass
+
+            def getresponse(self):
+                return Shed()
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(ServiceClient, "_connect", lambda self, timeout: AlwaysShed())
         client = ServiceClient("http://127.0.0.1:1", max_retries=10)
         began = time.monotonic()
         with pytest.raises(ServiceError) as excinfo:

@@ -380,16 +380,24 @@ class TestOverHTTP:
         assert excinfo.value.status == 409
 
     def test_per_request_timeout_override(self, client, monkeypatch):
-        import urllib.request
-
         seen = []
-        real_urlopen = urllib.request.urlopen
+        real_connect = ServiceClient._connect
 
-        def spying_urlopen(request, timeout=None):
-            seen.append(timeout)
-            return real_urlopen(request, timeout=timeout)
+        def spying_connect(self, timeout):
+            connection = real_connect(self, timeout)
+            real_request = connection.request
 
-        monkeypatch.setattr(urllib.request, "urlopen", spying_urlopen)
+            def request(*args, **kwargs):
+                # The reused socket's timeout, or the one it connects with.
+                sock = connection.sock
+                seen.append(connection.timeout if sock is None else sock.gettimeout())
+                return real_request(*args, **kwargs)
+
+            connection.request = request
+            return connection
+
+        monkeypatch.setattr(ServiceClient, "_connect", spying_connect)
+        client = ServiceClient(client.base_url)
         client.request("/stats", timeout=123.0)
         client.request("/stats")
         assert seen == [123.0, client.timeout]

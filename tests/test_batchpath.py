@@ -23,7 +23,14 @@ from repro.ckpt import (
     snapshot_prefetcher,
 )
 from repro.ckpt.codec import value_bytes
-from repro.ckpt.snapshots import MarkovSnapshot, RecencySnapshot, SequentialSnapshot
+from repro.ckpt.snapshots import (
+    DistancePairSnapshot,
+    DistanceSnapshot,
+    MarkovSnapshot,
+    PCDistanceSnapshot,
+    RecencySnapshot,
+    SequentialSnapshot,
+)
 from repro.mem.trace import MissTrace
 from repro.prefetch.factory import create_prefetcher
 from repro.prefetch.recency import RecencyPrefetcher
@@ -167,6 +174,27 @@ class TestKeyStreams:
             source = batchpath._generate(warmup, sig)
             assert "pack_" not in source and "page - lp" not in source
             assert set(fn.__globals__) == {"__builtins__", "_loop"}
+            loop_line = next(line for line in source.splitlines() if line.startswith("    for "))
+            zipped = {name for name in ("pages", "keys", "values") if name in loop_line}
+            assert zipped == {
+                MarkovSnapshot: {"pages"},
+                DistanceSnapshot: {"pages", "keys"},
+                PCDistanceSnapshot: {"pages", "keys", "values"},
+                DistancePairSnapshot: {"pages", "keys", "values"},
+            }[sig[0]]
+
+    @pytest.mark.parametrize("prev_page", [None, 7])
+    def test_loops_bind_the_lists_rule_returns_as_one(self, prev_page):
+        """A loop zips each list once and names its aliases by
+        assignment, so the aliasing it assumes must be ``rule``'s."""
+        pcs, pages = [1, 2, 3, 4], [3, 5, 4, 9]
+        for family, (*_, aliases) in batchpath._SLOT_TABLES.items():
+            keys, values = batchpath._StreamKeys.rule(family, pcs, pages, prev_page)
+            named = {"page": pages, "k": keys, "v": values}
+            for name in aliases[:-1]:
+                assert named[name] is named[aliases[-1]]
+            zipped = [pages] + [named[name] for name in "kv" if name not in aliases[:-1]]
+            assert len(set(map(id, zipped))) == len(zipped)
 
 
 class TestClassDeduplication:
