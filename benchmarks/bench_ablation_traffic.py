@@ -17,10 +17,10 @@ from conftest import write_result
 def _run(context):
     results = {}
     for app in TABLE3_APPS:
-        miss_trace = context.miss_trace(app)
+        comparison = traffic_comparison(context.miss_trace(app))
         results[app] = {
-            "comparison": traffic_comparison(miss_trace),
-            "ratio": rp_to_dp_traffic_ratio(miss_trace),
+            "comparison": comparison,
+            "ratio": rp_to_dp_traffic_ratio(comparison),
         }
     return results
 

@@ -3,7 +3,8 @@
 Bars: RP; MP at r=1024/512/256 across associativities; DP direct-mapped
 at r=1024..32; ASP at r=1024..32 — the paper's exact legend. The
 assertions check the per-group orderings the paper narrates in Section
-3.2 (see DESIGN.md §4 for the expected-shape list).
+3.2 (``repro.workloads.validation.CLAIM_GROUPS`` lists each group's
+apps).
 """
 
 from conftest import write_result

@@ -7,7 +7,7 @@ arbitrary-stride, Markov, and recency prefetching), the TLB/prefetch-
 buffer/page-table substrate they run on, the 56 synthetic application
 models standing in for the paper's trace suites, and the simulation and
 analysis harnesses that regenerate every table and figure of the
-evaluation. See DESIGN.md for the system inventory and EXPERIMENTS.md
+evaluation. See README.md for the system inventory and EXPERIMENTS.md
 for paper-vs-measured results.
 
 Quickstart — simulations are declared as :class:`RunSpec` records and

@@ -7,9 +7,9 @@ figure of the paper and executes it through the runner, which owns the
 expensive intermediates — filtered TLB miss streams keyed by (app,
 scale, TLB shape, page size) in a process-wide cache — so a benchmark
 session touching many mechanism configurations filters each workload's
-TLB exactly once (the two-phase split described in DESIGN.md). Pass
-``runner=Runner(workers=N)`` to fan a whole figure's batch out to a
-process pool.
+TLB exactly once (the two-phase split that README's "Phase-1 TLB
+filter" section describes). Pass ``runner=Runner(workers=N)`` to fan a
+whole figure's batch out to a process pool.
 
 Each ``run_*`` method regenerates one experiment of the paper:
 
@@ -122,7 +122,9 @@ class ExperimentContext:
 
         For already-constructed (possibly pre-trained) instances, on
         this context's engine; declarative batches should go through
-        :meth:`run_specs`.
+        :meth:`run_specs`. No code in the package calls it: README's
+        "One replay path" section documents it as the library door for
+        live instances.
         """
         return replay(
             self.miss_trace(app, tlb),
@@ -296,11 +298,6 @@ class ExperimentContext:
                 "DP": normalized_cycles(dp, baseline),
             }
         return results
-
-    def render_table3(self, results: dict[str, dict[str, float]]) -> str:
-        headers = ["App", "RP", "DP"]
-        rows = [[app, values["RP"], values["DP"]] for app, values in results.items()]
-        return format_table(headers, rows)
 
     # ------------------------------------------------------------------
     # Figure 9

@@ -78,11 +78,3 @@ def accuracy_by_mechanism(
     for run in runs:
         table.setdefault(run.workload, {})[run.mechanism] = run.prediction_accuracy
     return table
-
-
-def miss_rates(runs: Sequence[PrefetchRunStats]) -> dict[str, float]:
-    """Per-app TLB miss rate (identical across mechanisms by design)."""
-    rates: dict[str, float] = {}
-    for run in runs:
-        rates[run.workload] = run.miss_rate
-    return rates

@@ -9,8 +9,6 @@ for regenerating the numbers cited in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.analysis.experiments import ExperimentContext
 from repro.analysis.tables import (
     check_table2_shape,
@@ -78,10 +76,3 @@ def generate_report(
             sections.append(_code_block(context.render_figure(runner(), "")))
 
     return "\n\n".join(sections) + "\n"
-
-
-def write_report(path: str | Path, scale: float = 0.25) -> Path:
-    """Generate the report and write it to ``path``."""
-    path = Path(path)
-    path.write_text(generate_report(scale=scale))
-    return path

@@ -5,7 +5,7 @@ EXPERIMENTS.md can print paper-vs-measured side by side. Absolute
 values are not expected to match (our substrate is a synthetic trace
 model, not the authors' SimpleScalar + SPEC binaries); the *claims*
 verified by :func:`check_table2_shape` / :func:`check_table3_shape` are
-the orderings DESIGN.md section 4 lists.
+the orderings those two functions encode.
 """
 
 from __future__ import annotations

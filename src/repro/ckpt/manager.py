@@ -18,9 +18,10 @@ Both owners go through the same two calls: :meth:`~CheckpointManager.write`
 (one store write) and :meth:`~CheckpointManager.resume` (one read,
 consistency checks, live session). Earlier releases stored the record
 alone and filed the blob separately under its digest; such a record is
-the same layout with nothing after its line, and ``resume`` reads its
-blob by ``state_digest``. This module is the only place the layout is
-built or read.
+the same layout with nothing after its line. ``resume`` reads its blob
+by ``state_digest``, rewrites the bookmark in the current layout, and
+then drops the digest entry unless another such record still names it.
+This module is the only place the layout is built or read.
 """
 
 from __future__ import annotations
@@ -42,6 +43,19 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (store -> run -> sim)
 
 _RUN_PREFIX = "cont:"
 _STREAM_PREFIX = "sess:"
+
+
+def _legacy_digest(data: bytes | None) -> str | None:
+    """The ``state_digest`` an earlier release's bookmark names, if
+    ``data`` is one (a record line with no blob after it)."""
+    line, _, blob = (data or b"").partition(b"\n")
+    if blob or not line:
+        return None
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    return record.get("state_digest") if isinstance(record, dict) else None
 
 
 @dataclass
@@ -99,9 +113,13 @@ class CheckpointManager:
             "state_digest": digest,
             "tenant": tenant,
         }
-        line = json.dumps(record, sort_keys=True).encode()
-        self.store.put_ckpt(key, line + b"\n" + blob)
+        self._put(key, json.dumps(record, sort_keys=True).encode(), blob)
         return digest
+
+    def _put(self, key: str, line: bytes, blob: bytes) -> None:
+        """File a bookmark in the current layout: the record line, then
+        the blob, as one store entry."""
+        self.store.put_ckpt(key, line + b"\n" + blob)
 
     def resume(
         self,
@@ -133,7 +151,8 @@ class CheckpointManager:
         digest = record.get("state_digest")
         if not isinstance(digest, str):
             raise CkptError(f"corrupt bookmark {key!r}: no state digest")
-        if not blob:
+        legacy = not blob
+        if legacy:
             # An earlier release's layout: the blob is filed under its digest.
             blob = self.store.get_ckpt(digest)
             if blob is None:
@@ -175,10 +194,34 @@ class CheckpointManager:
                     f"corrupt resume record: {name} is {stored!r}, "
                     f"expected {expected!r}"
                 )
+        if legacy:
+            self._migrate(key, line, blob, digest)
         session = ReplaySession.resume(
             snap, miss_stream_for(spec), spec.build_prefetcher()
         )
         return Resumed(digest, session, spec, record.get("tenant"))
+
+    def _migrate(self, key: str, line: bytes, blob: bytes, digest: str) -> None:
+        """Rewrite an earlier release's bookmark in the current layout.
+
+        The bookmark is rewritten first, so a crash before the digest
+        entry goes leaves a self-contained bookmark. The separately
+        filed blob is dropped only when no other earlier-release record
+        still names it: two sessions of one spec at one offset share a
+        digest, and dropping it under the other would lose its state.
+        Nothing else collects that blob, since ``serve`` runs its store
+        without a size bound.
+        """
+        self._put(key, line, blob)
+        for entry in self.store.entries("ckpt"):
+            other = entry["key"]
+            if (
+                other != key
+                and other.startswith((_RUN_PREFIX, _STREAM_PREFIX))
+                and _legacy_digest(self.store.get_ckpt(other)) == digest
+            ):
+                return
+        self.store.delete_ckpt(digest)
 
     def exists(self, key: str) -> bool:
         """True when a bookmark is stored under ``key`` (index-only
@@ -188,6 +231,8 @@ class CheckpointManager:
     def delete(self, key: str) -> bool:
         """Drop a bookmark; True if one existed.
 
-        An earlier release's separately filed blob is left to LRU GC.
+        Callers resume a bookmark before they drop it, and that resume
+        has already moved an earlier release's bookmark to the current
+        layout and dropped its separately filed blob (:meth:`resume`).
         """
         return self.store.delete_ckpt(key)

@@ -132,7 +132,11 @@ class PredictionTable(Generic[PayloadT]):
         return f"{self.rows},{self.assoc_label}"
 
     def set_index(self, key: int) -> int:
-        """Set a key maps to (non-negative even for negative keys)."""
+        """Set a key maps to (non-negative even for negative keys).
+
+        Kept as a test oracle: ``test_properties`` and
+        ``test_prediction_table`` check residency per set with it.
+        """
         return key % self.num_sets
 
     def lookup(self, key: int) -> PayloadT | None:
@@ -144,7 +148,12 @@ class PredictionTable(Generic[PayloadT]):
         return payload
 
     def peek(self, key: int) -> PayloadT | None:
-        """Like :meth:`lookup` but without LRU promotion."""
+        """Like :meth:`lookup` but without LRU promotion.
+
+        Kept as a test oracle: ``test_prediction_table``,
+        ``test_distance`` and ``test_stride`` inspect rows with it
+        without disturbing the LRU order they check.
+        """
         return self._sets[key % self.num_sets].get(key)
 
     def insert(self, key: int, payload: PayloadT) -> int | None:

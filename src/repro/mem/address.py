@@ -84,10 +84,6 @@ class AddressSpace:
             raise IndexError(f"page index {index} outside region of {self.num_pages}")
         return self.base_page + index
 
-    def contains(self, page: int) -> bool:
-        """True if ``page`` lies inside this region."""
-        return self.base_page <= page < self.end_page
-
     def split(self, *fractions: float) -> list["AddressSpace"]:
         """Split the region into consecutive sub-regions by fractions.
 

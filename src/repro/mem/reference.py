@@ -11,8 +11,9 @@ of its set, so the remaining ``count - 1`` accesses hit and do not
 change the replacement state. The TLB filter therefore performs one
 lookup per run while accounting ``count`` references, which is what
 makes simulating multi-million-reference workloads tractable in Python
-(the paper simulates one billion instructions per SPEC app; see
-DESIGN.md section 2).
+(the paper simulates one billion instructions per SPEC app; the
+``scale`` argument of :func:`repro.workloads.registry.get_trace` sizes
+ours).
 """
 
 from __future__ import annotations

@@ -66,18 +66,6 @@ class ReferenceTrace:
         self._total = int(self.counts.sum()) if len(self.counts) else 0
         self._content_key: str | None = None
 
-    @classmethod
-    def from_runs(cls, runs: Iterable[ReferenceRun], name: str = "") -> "ReferenceTrace":
-        """Build a trace from :class:`ReferenceRun` objects."""
-        pcs: list[int] = []
-        pages: list[int] = []
-        counts: list[int] = []
-        for run in runs:
-            pcs.append(run.pc)
-            pages.append(run.page)
-            counts.append(run.count)
-        return cls(pcs, pages, counts, name=name)
-
     @property
     def num_runs(self) -> int:
         """Number of RLE runs in the trace."""
@@ -120,15 +108,6 @@ class ReferenceTrace:
                 digest.update(np.ascontiguousarray(array).tobytes())
             self._content_key = digest.hexdigest()[:24]
         return self._content_key
-
-    def concatenated_with(self, other: "ReferenceTrace", name: str = "") -> "ReferenceTrace":
-        """Return a new trace that plays this trace, then ``other``."""
-        return ReferenceTrace(
-            np.concatenate([self.pcs, other.pcs]),
-            np.concatenate([self.pages, other.pages]),
-            np.concatenate([self.counts, other.counts]),
-            name=name or f"{self.name}+{other.name}",
-        )
 
     def __repr__(self) -> str:
         return (

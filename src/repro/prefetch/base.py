@@ -112,7 +112,11 @@ class Prefetcher(abc.ABC):
         return False
 
     def reset_stats(self) -> None:
-        """Zero cumulative counters without touching prediction state."""
+        """Zero cumulative counters without touching prediction state.
+
+        Kept as a test oracle: ``test_engine``'s freshness check zeroes
+        the counters with it so only prediction state decides.
+        """
         self.last_overhead_ops = 0
         self.prefetches_issued = 0
         self.overhead_ops_total = 0

@@ -8,7 +8,7 @@ This package is the one way to execute simulations:
 - :class:`~repro.run.runner.Runner` executes batches of specs over a
   process-wide miss-stream cache, serially or in a process pool;
 - :class:`~repro.run.results.ResultSet` makes the outcome queryable
-  (filter / group_by / pivot / to_rows) and persistable (JSON).
+  (filter / pivot / merge) and persistable (JSON).
 
 The pre-existing entry points (``evaluate``, ``filter_tlb``,
 ``replay_prefetcher``, ``sweep``, ``ExperimentContext``) remain as thin

@@ -3,15 +3,15 @@
 A :class:`ResultSet` wraps the :class:`~repro.sim.stats.PrefetchRunStats`
 rows a :class:`~repro.run.runner.Runner` produced and gives callers the
 operations every table/figure script was hand-rolling: field-based
-filtering, grouping, pivoting into ``workload -> mechanism -> value``
-dictionaries, flat row export, and JSON save/load so sweeps run on
-different machines (or at different times) can be joined and compared.
+filtering, pivoting into ``workload -> mechanism -> value``
+dictionaries, and JSON save/load so sweeps run on different machines
+(or at different times) can be joined and compared.
 
-Field names accepted by :meth:`ResultSet.filter`, :meth:`group_by`,
-:meth:`pivot` and :meth:`to_rows` resolve against, in order: dataclass
-fields (``workload``, ``mechanism``, ...), derived properties
-(``prediction_accuracy``, ``miss_rate``, ...), then the per-run
-``extra`` annotations (``spec_key``, ``scale``, sweep coordinates...).
+Field names accepted by :meth:`ResultSet.filter` and :meth:`pivot`
+resolve against, in order: dataclass fields (``workload``,
+``mechanism``, ...), derived properties (``prediction_accuracy``,
+``miss_rate``, ...), then the per-run ``extra`` annotations
+(``spec_key``, ``scale``, sweep coordinates...).
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ class ResultSet(Sequence[PrefetchRunStats]):
             selected = [run for run in selected if value_of(run, name) == wanted]
         return ResultSet(selected)
 
-    def group_by(
-        self, key: str | Callable[[PrefetchRunStats], Any]
-    ) -> dict[Any, "ResultSet"]:
-        """Partition rows by a field name or key function."""
-        key_of = key if callable(key) else (lambda run: value_of(run, key))
-        groups: dict[Any, list[PrefetchRunStats]] = {}
-        for run in self._runs:
-            groups.setdefault(key_of(run), []).append(run)
-        return {group: ResultSet(runs) for group, runs in groups.items()}
-
     def pivot(
         self,
         index: str = "workload",
@@ -141,21 +131,6 @@ class ResultSet(Sequence[PrefetchRunStats]):
             )
         return table
 
-    def to_rows(self, field_names: Sequence[str] | None = None) -> list[dict[str, Any]]:
-        """Flat dictionaries per run: stored + derived fields + extras."""
-        if field_names is not None:
-            return [
-                {name: value_of(run, name) for name in field_names}
-                for run in self._runs
-            ]
-        rows = []
-        for run in self._runs:
-            row = {name: getattr(run, name) for name in STAT_FIELDS}
-            row.update({name: getattr(run, name) for name in DERIVED_FIELDS})
-            row.update(run.extra)
-            rows.append(row)
-        return rows
-
     def merge(self, *others: "ResultSet") -> "ResultSet":
         """Union with duplicate-spec detection.
 
@@ -168,6 +143,8 @@ class ResultSet(Sequence[PrefetchRunStats]):
         contradictory measurements, and silently keeping one would
         corrupt the sweep. Rows without a ``spec_key`` (e.g. from the
         low-level ``evaluate`` wrapper) are always appended verbatim.
+        No code in the package calls it: README's service section
+        documents it for joining store-loaded and fresh rows.
         """
         merged: list[PrefetchRunStats] = []
         seen: dict[str, PrefetchRunStats] = {}

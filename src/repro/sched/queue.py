@@ -539,7 +539,11 @@ class JobQueue:
         return cursor.rowcount
 
     def expire_leases(self) -> dict[str, int]:
-        """Sweep lapsed leases now (claim and progress do this lazily)."""
+        """Sweep lapsed leases now (claim and progress do this lazily).
+
+        Kept for ``tests/sched/test_queue_model.py``, whose state
+        machine draws it as an operation.
+        """
         with self._txn():
             expired = self._expire_leases_locked(self._clock())
         if any(expired.values()):

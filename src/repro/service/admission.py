@@ -113,17 +113,6 @@ class TokenBucket:
                 return 0.0
             return (tokens - self._tokens) / self.rate
 
-    @property
-    def available(self) -> float:
-        """Current balance (refreshing the refill first)."""
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._stamp) * self.rate
-            )
-            self._stamp = now
-            return self._tokens
-
 
 @dataclass(frozen=True)
 class TenantConfig:

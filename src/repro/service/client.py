@@ -438,6 +438,10 @@ class ServiceClient:
         )
 
     def stream_stats(self, session_id: str, timeout: float | None = None) -> dict:
-        """``GET /streams/<id>/stats``: progress + statistics so far."""
+        """``GET /streams/<id>/stats``: progress + statistics so far.
+
+        The client side of the route README's route table lists; no
+        code in the package reads a stream's stats without advancing.
+        """
         quoted = urllib.parse.quote(session_id, safe="")
         return self.request(f"/streams/{quoted}/stats", timeout=timeout)

@@ -7,7 +7,7 @@ Defaults follow the paper's representative setup (Section 3.1): a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.tlb.tlb import FULLY_ASSOCIATIVE, TLB, check_shape
@@ -76,14 +76,6 @@ class SimulationConfig:
                 "max_prefetches_per_miss must be >= 0, got "
                 f"{self.max_prefetches_per_miss}"
             )
-
-    def with_tlb(self, entries: int, ways: int = FULLY_ASSOCIATIVE) -> "SimulationConfig":
-        """Copy of this config with a different TLB shape."""
-        return replace(self, tlb=TLBConfig(entries=entries, ways=ways))
-
-    def with_buffer(self, buffer_entries: int) -> "SimulationConfig":
-        """Copy of this config with a different prefetch-buffer size."""
-        return replace(self, buffer_entries=buffer_entries)
 
 
 #: The paper's representative configuration (Section 3.1).

@@ -146,10 +146,7 @@ def simulate_multiprogrammed(
     for process, start, end in segments:
         if previous_process is not None and process != previous_process:
             switches += 1
-            mmu.tlb.flush()
-            mmu.buffer.flush()
-            if policy == "flush":
-                mmu.prefetcher.flush()
+            mmu.flush_for_context_switch(flush_prediction_state=policy == "flush")
         mmu.prefetcher = prefetchers[process]
         previous_process = process
 

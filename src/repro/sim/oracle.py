@@ -65,16 +65,3 @@ def replay_oracle(
         overhead_memory_ops=0,
         prefetch_fetch_ops=buffer.inserted,
     )
-
-
-def coverage_headroom(
-    miss_trace: MissTrace,
-    mechanism_accuracy: float,
-    lookahead: int = 2,
-    buffer_entries: int = 16,
-) -> float:
-    """How much accuracy is left on the table vs the oracle ceiling."""
-    oracle = replay_oracle(
-        miss_trace, lookahead=lookahead, buffer_entries=buffer_entries
-    )
-    return max(0.0, oracle.prediction_accuracy - mechanism_accuracy)

@@ -426,10 +426,6 @@ class ExperimentStore:
                 f"({type(exc).__name__}: {exc}); delete it or run gc"
             ) from exc
 
-    def put_result(self, spec: "RunSpec", stats: PrefetchRunStats) -> str:
-        """Store one executed spec; returns its key."""
-        return self.put_results([(spec, stats)])[0]
-
     def put_results(
         self, pairs: Iterable[tuple["RunSpec", PrefetchRunStats]]
     ) -> list[str]:

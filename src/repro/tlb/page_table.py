@@ -41,8 +41,8 @@ class PageTable:
 
     Real systems index a multi-level radix tree; a dict is sufficient
     here because only the RP linkage fields influence any studied
-    mechanism. The population count stands in for RP's storage overhead
-    (two pointers per PTE), reported by :meth:`rp_storage_entries`.
+    mechanism. The population count (``len``) stands in for RP's storage
+    overhead (two pointers per PTE).
     """
 
     def __init__(self) -> None:
@@ -60,10 +60,6 @@ class PageTable:
         return page in self._entries
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def rp_storage_entries(self) -> int:
-        """PTEs carrying RP pointer fields (RP's memory-side footprint)."""
         return len(self._entries)
 
 

@@ -91,7 +91,11 @@ class TLB:
         return f"{self.entries}e-{assoc}"
 
     def set_index(self, page: int) -> int:
-        """Return the set a page maps to."""
+        """Return the set a page maps to.
+
+        Kept as a test oracle: ``test_properties`` checks residency per
+        set with it.
+        """
         return page % self.num_sets
 
     def probe(self, page: int) -> bool:
@@ -151,11 +155,6 @@ class TLB:
         """Misses per access so far."""
         total = self.hits + self.misses
         return self.misses / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters without touching contents."""
-        self.hits = 0
-        self.misses = 0
 
     def __repr__(self) -> str:
         return f"TLB({self.label}, resident={len(self)}, miss_rate={self.miss_rate:.4f})"

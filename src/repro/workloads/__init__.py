@@ -5,8 +5,10 @@ CPU2000 (26 apps), MediaBench (20), the Etch desktop traces (5) and the
 Pointer-Intensive suite (5). Those binaries and traces are not
 reproducible here, so each application is modelled as a composition of
 reference-pattern primitives chosen to land it in the behaviour class
-the paper reports for it — see DESIGN.md section 2 for the substitution
-argument and :mod:`repro.workloads.registry` for the lookup API.
+the paper reports for it. Each model's ``paper_note`` names the
+observation it stands in for, :mod:`repro.workloads.validation` checks
+that it lands there, and :mod:`repro.workloads.registry` is the lookup
+API.
 
 - :mod:`repro.workloads.patterns` — the pattern primitives (strided
   sweeps, interleaved streams, permutation walks, Markov alternation,

@@ -193,7 +193,8 @@ def test_continuation_layout_resumes_to_the_identical_row(
     ).run_one(spec)
     assert offsets == [900]
     assert resumed == plain
-    assert not store.has_ckpt("cont:" + spec.key())
+    # Neither the bookmark nor its separately filed blob outlives the run.
+    assert store.entries("ckpt") == []
 
 
 def test_session_layout_resumes_to_the_identical_row(tmp_path, runner):

@@ -113,6 +113,76 @@ class TestContinuations:
         assert resumed.session.snapshot() == _paused(runner, 7).snapshot()
 
 
+class TestLegacyLayout:
+    """A resume moves an earlier release's bookmark to the current
+    layout, then drops the blob filed under its digest once no other
+    such record names it."""
+
+    def _legacy(self, manager, store, key, session):
+        digest = manager.write(key, SPEC, session)
+        write_bookmark(store, key, *read_bookmark(store, key), legacy=True)
+        return digest
+
+    def test_resume_rewrites_the_bookmark_and_drops_the_digest(
+        self, manager, store, runner
+    ):
+        session = _paused(runner, 300)
+        key = manager.stream_key("s1")
+        digest = self._legacy(manager, store, key, session)
+        resumed = manager.resume(key, runner.miss_stream_for)
+        assert resumed.digest == digest
+        assert resumed.session.snapshot() == session.snapshot()
+        record, blob = read_bookmark(store, key)
+        assert record["state_digest"] == digest == blob_digest(blob)
+        assert not store.has_ckpt(digest)
+        assert [entry["key"] for entry in store.entries("ckpt")] == [key]
+
+    def test_crash_between_rewrite_and_drop(
+        self, manager, store, runner, monkeypatch
+    ):
+        """The rewrite lands before the drop, so a crash in between
+        leaves a bookmark that resumes alone to the same digest."""
+        session = _paused(runner, 300)
+        key = manager.run_key(SPEC.key())
+        digest = self._legacy(manager, store, key, session)
+
+        class Killed(Exception):
+            pass
+
+        def crash(entry_key):
+            raise Killed(entry_key)
+
+        monkeypatch.setattr(store, "delete_ckpt", crash)
+        with pytest.raises(Killed):
+            manager.resume(key, runner.miss_stream_for, SPEC)
+        monkeypatch.undo()
+        assert store.has_ckpt(digest)
+        assert store.delete_ckpt(digest)  # the blob is not needed any more
+        reopened = CheckpointManager(ExperimentStore(store.root))
+        resumed = reopened.resume(key, runner.miss_stream_for, SPEC)
+        assert resumed.digest == digest
+        assert resumed.session.snapshot() == session.snapshot()
+
+    def test_shared_digest_survives_until_its_last_record_moves(
+        self, manager, store, runner
+    ):
+        """Two sessions of one spec at one offset name one digest:
+        resuming the first must not take the blob from the second."""
+        session = _paused(runner, 300)
+        first, second = manager.stream_key("a"), manager.stream_key("b")
+        digest = self._legacy(manager, store, first, session)
+        assert self._legacy(manager, store, second, session) == digest
+        resumed = manager.resume(first, runner.miss_stream_for)
+        assert resumed.session.snapshot() == session.snapshot()
+        assert store.has_ckpt(digest)
+        resumed = manager.resume(second, runner.miss_stream_for)
+        assert resumed.session.snapshot() == session.snapshot()
+        assert not store.has_ckpt(digest)
+        assert sorted(entry["key"] for entry in store.entries("ckpt")) == [
+            first, second,
+        ]
+
+
 class TestSessions:
     def test_record_round_trip(self, manager, runner):
         key = manager.stream_key("s1")

@@ -135,9 +135,23 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "no-legacy-bookmark-read",
         "src/repro/ckpt/manager.py",
-        "if not blob:",
-        "if False:",
+        "legacy = not blob",
+        "legacy = False",
         "tests/ckpt/test_format_compat.py",
+    ),
+    Mutant(
+        "legacy-digest-never-dropped",
+        "src/repro/ckpt/manager.py",
+        "self.store.delete_ckpt(digest)",
+        "pass",
+        "tests/ckpt/test_manager.py -k Legacy",
+    ),
+    Mutant(
+        "legacy-digest-dropped-while-named",
+        "src/repro/ckpt/manager.py",
+        "and _legacy_digest(self.store.get_ckpt(other)) == digest",
+        "and False",
+        "tests/ckpt/test_manager.py -k Legacy",
     ),
     Mutant(
         "cost-one-unit",

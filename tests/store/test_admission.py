@@ -69,7 +69,9 @@ class TestTokenBucket:
         clock = FakeClock()
         bucket = TokenBucket(rate=100.0, burst=3.0, clock=clock)
         clock.advance(1000.0)
-        assert bucket.available == pytest.approx(3.0)
+        assert bucket.try_acquire(3.0) == 0.0
+        # Empty again: a 1000 s refill left no more than the burst.
+        assert bucket.try_acquire(1.0) == pytest.approx(1.0 / 100.0)
 
     def test_wait_names_the_deficit(self):
         clock = FakeClock()

@@ -40,7 +40,7 @@ def _write_same_key(store_dir: str, barrier, failures) -> None:
         store = ExperimentStore(store_dir)
         barrier.wait(timeout=60)  # maximize write overlap
         for _ in range(5):
-            store.put_result(spec, stats)
+            store.put_results([(spec, stats)])
     except BaseException as exc:  # pragma: no cover - failure reporting
         failures.put(repr(exc))
 
@@ -79,7 +79,7 @@ class TestCorruptArtifacts:
         store = ExperimentStore(tmp_path / "store")
         spec = spec_of()
         stats = Runner(cache=MissStreamCache()).run_one(spec)
-        store.put_result(spec, stats)
+        store.put_results([(spec, stats)])
         return store, spec
 
     def test_truncated_result_raises_store_error(self, tmp_path):

@@ -38,7 +38,7 @@ class TestResultRoundTrip:
         store = ExperimentStore(tmp_path / "store")
         spec = spec_of()
         stats = run_one(spec)
-        key = store.put_result(spec, stats)
+        (key,) = store.put_results([(spec, stats)])
         assert key == spec.key()
         assert store.get_result(key) == stats
 
@@ -50,7 +50,7 @@ class TestResultRoundTrip:
         store = ExperimentStore(tmp_path / "store")
         spec = spec_of()
         assert not store.has_result(spec.key())
-        store.put_result(spec, run_one(spec))
+        store.put_results([(spec, run_one(spec))])
         assert store.has_result(spec.key())
         stats = store.stats()
         assert stats["result_hits"] == 0
@@ -59,7 +59,7 @@ class TestResultRoundTrip:
     def test_persists_across_instances(self, tmp_path):
         spec = spec_of()
         stats = run_one(spec)
-        ExperimentStore(tmp_path / "store").put_result(spec, stats)
+        ExperimentStore(tmp_path / "store").put_results([(spec, stats)])
         reopened = ExperimentStore(tmp_path / "store")
         assert reopened.get_result(spec.key()) == stats
 
@@ -67,15 +67,15 @@ class TestResultRoundTrip:
         store = ExperimentStore(tmp_path / "store")
         spec = spec_of()
         stats = run_one(spec)
-        store.put_result(spec, stats)
-        store.put_result(spec, stats)
+        store.put_results([(spec, stats)])
+        store.put_results([(spec, stats)])
         assert store.stats()["result_entries"] == 1
         assert len(list((tmp_path / "store" / "results").glob("*.json"))) == 1
 
     def test_artifact_is_valid_versioned_json(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
         spec = spec_of()
-        store.put_result(spec, run_one(spec))
+        store.put_results([(spec, run_one(spec))])
         artifact = tmp_path / "store" / "results" / f"{spec.key()}.json"
         payload = json.loads(artifact.read_text())
         assert payload["schema"] == STORE_SCHEMA
@@ -127,7 +127,7 @@ class TestAccounting:
         store = ExperimentStore(tmp_path / "store")
         spec = spec_of()
         assert store.get_result(spec.key()) is None
-        store.put_result(spec, run_one(spec))
+        store.put_results([(spec, run_one(spec))])
         store.get_result(spec.key())
         stats = store.stats()
         assert stats["result_misses"] == 1
@@ -138,7 +138,7 @@ class TestAccounting:
     def test_counters_persist_across_instances(self, tmp_path):
         spec = spec_of()
         store = ExperimentStore(tmp_path / "store")
-        store.put_result(spec, run_one(spec))
+        store.put_results([(spec, run_one(spec))])
         store.get_result(spec.key())
         reopened = ExperimentStore(tmp_path / "store")
         assert reopened.stats()["result_hits"] == 1
@@ -146,7 +146,7 @@ class TestAccounting:
     def test_entries_listing(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
         spec = spec_of()
-        store.put_result(spec, run_one(spec))
+        store.put_results([(spec, run_one(spec))])
         (entry,) = store.entries()
         assert entry["kind"] == "result"
         assert entry["key"] == spec.key()
@@ -171,7 +171,7 @@ class TestSchemaVersioning:
     def test_rejects_artifact_with_other_schema(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
         spec = spec_of()
-        store.put_result(spec, run_one(spec))
+        store.put_results([(spec, run_one(spec))])
         artifact = tmp_path / "store" / "results" / f"{spec.key()}.json"
         payload = json.loads(artifact.read_text())
         payload["schema"] = "repro.store/v99"
@@ -191,7 +191,7 @@ class TestGarbageCollection:
         store = ExperimentStore(tmp_path / "store")
         specs = [spec_of(mechanism=m) for m in ("DP", "RP", "ASP", "MP")[:count]]
         for spec in specs:
-            store.put_result(spec, run_one(spec))
+            store.put_results([(spec, run_one(spec))])
         return store, specs
 
     def test_gc_to_zero_empties_store(self, tmp_path):
@@ -253,7 +253,7 @@ class TestGarbageCollection:
         store = ExperimentStore(tmp_path / "store", max_bytes=1)
         for mechanism in ("DP", "RP", "ASP"):
             spec = spec_of(mechanism=mechanism)
-            store.put_result(spec, run_one(spec))
+            store.put_results([(spec, run_one(spec))])
         assert store.stats()["result_entries"] == 0
         assert store.stats()["evictions"] == 3
 

@@ -59,9 +59,6 @@ class TestAddressSpace:
         assert region.end_page == 150
         assert region.page(0) == 100
         assert region.page(-1) == 149
-        assert region.contains(100)
-        assert region.contains(149)
-        assert not region.contains(150)
 
     def test_page_out_of_range(self):
         region = AddressSpace(0, 10)

@@ -73,18 +73,6 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(**kwargs)
 
-    def test_with_tlb_copies(self):
-        base = SimulationConfig(buffer_entries=32)
-        derived = base.with_tlb(64, 2)
-        assert derived.tlb.entries == 64
-        assert derived.buffer_entries == 32
-        assert base.tlb.entries == 128  # original untouched
-
-    def test_with_buffer_copies(self):
-        derived = SimulationConfig().with_buffer(64)
-        assert derived.buffer_entries == 64
-        assert derived.tlb.entries == 128
-
 
 def _stats(**overrides) -> PrefetchRunStats:
     values = dict(

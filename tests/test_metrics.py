@@ -6,7 +6,6 @@ from repro.analysis.metrics import (
     accuracy_by_mechanism,
     average_accuracy,
     best_or_within_counts,
-    miss_rates,
     weighted_average_accuracy,
 )
 from repro.analysis.tables import (
@@ -75,10 +74,6 @@ class TestPivots:
         runs = [_stats("a", "DP", 1, 2, 10), _stats("a", "RP", 2, 2, 10)]
         pivot = accuracy_by_mechanism(runs)
         assert pivot == {"a": {"DP": 0.5, "RP": 1.0}}
-
-    def test_miss_rates(self):
-        runs = [_stats("a", "DP", 0, 5, 100)]
-        assert miss_rates(runs) == {"a": 0.05}
 
 
 class TestShapeCheckers:

@@ -2,7 +2,7 @@
 
 from repro.prefetch.null import NullPrefetcher
 from repro.prefetch.sequential import SequentialPrefetcher
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.functional import build_mmu
 from repro.tlb.mmu import MMU, TranslationOutcome
 from repro.tlb.prefetch_buffer import PrefetchBuffer
@@ -88,7 +88,9 @@ class TestPipeline:
 
 class TestBuildMMU:
     def test_build_from_config(self):
-        config = SimulationConfig(buffer_entries=32).with_tlb(64, 2)
+        config = SimulationConfig(
+            tlb=TLBConfig(entries=64, ways=2), buffer_entries=32
+        )
         mmu = build_mmu(NullPrefetcher(), config)
         assert mmu.tlb.entries == 64
         assert mmu.tlb.ways == 2

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.prefetch.factory import PREFETCHER_NAMES, create_prefetcher
 from repro.sim.config import TLBConfig
-from repro.sim.oracle import coverage_headroom, replay_oracle
+from repro.sim.oracle import replay_oracle
 from repro.sim.two_phase import filter_tlb, replay_prefetcher
 from repro.workloads.registry import get_trace
 
@@ -53,14 +53,3 @@ class TestOracleIsUpperBound:
                 max_prefetches_per_miss=2,
             ).prediction_accuracy
             assert accuracy <= ceiling + 0.02, (app, name, accuracy, ceiling)
-
-
-class TestHeadroom:
-    def test_headroom_nonnegative_and_complementary(self):
-        miss_trace = filter_tlb(get_trace("swim", 0.05))
-        dp_accuracy = replay_prefetcher(
-            miss_trace, create_prefetcher("DP", rows=256)
-        ).prediction_accuracy
-        headroom = coverage_headroom(miss_trace, dp_accuracy)
-        assert headroom >= 0.0
-        assert headroom <= 1.0 - dp_accuracy + 0.02

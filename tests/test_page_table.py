@@ -16,7 +16,6 @@ class TestPageTable:
         assert 5 in table
         assert table.entry(5) is pte
         assert len(table) == 1
-        assert table.rp_storage_entries() == 1
 
 
 class TestRecencyStack:

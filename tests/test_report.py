@@ -1,7 +1,8 @@
 """Tests for the one-shot Markdown experiment report."""
 
 from repro.analysis.experiments import ExperimentContext
-from repro.analysis.report import generate_report, write_report
+from repro.analysis.report import generate_report
+from repro.cli import main
 
 
 class TestGenerateReport:
@@ -20,7 +21,8 @@ class TestGenerateReport:
         assert "1.09" in text  # paper mcf RP cycles
 
     def test_write_report(self, tmp_path):
-        path = write_report(tmp_path / "report.md", scale=0.05)
+        path = tmp_path / "report.md"
+        assert main(["report", "--out", str(path), "--scale", "0.05"]) == 0
         content = path.read_text()
         assert content.startswith("# TLB prefetching reproduction")
         # Figures included by default.

@@ -248,24 +248,11 @@ class TestResultSet:
         with pytest.raises(KeyError):
             results.filter(flavour="salty")
 
-    def test_group_by(self, results):
-        by_workload = results.group_by("workload")
-        assert set(by_workload) == {"galgel", "swim"}
-        assert all(len(group) == 2 for group in by_workload.values())
-
     def test_pivot(self, results):
         table = results.pivot(columns="mechanism_name")
         assert set(table) == {"galgel", "swim"}
         assert set(table["galgel"]) == {"DP", "RP"}
         assert 0.0 <= table["galgel"]["DP"] <= 1.0
-
-    def test_to_rows_includes_derived_and_extra(self, results):
-        row = results.to_rows()[0]
-        assert row["workload"] == "galgel"
-        assert "prediction_accuracy" in row
-        assert "spec_key" in row
-        named = results.to_rows(["workload", "miss_rate"])[0]
-        assert set(named) == {"workload", "miss_rate"}
 
     def test_json_round_trip(self, results, tmp_path):
         path = results.save(tmp_path / "results.json")
@@ -334,7 +321,7 @@ class TestRunnerEdgeCases:
     def test_empty_batch(self):
         results = Runner(cache=MissStreamCache()).run([])
         assert len(results) == 0
-        assert results.to_rows() == []
+        assert results.pivot() == {}
 
     def test_load_rejects_older_schema_explicitly(self, tmp_path):
         """A v0-era file fails with a ValueError naming the schema."""

@@ -75,13 +75,6 @@ class TestLRUSemantics:
         assert len(tlb) == 0
         assert not tlb.probe(0)
 
-    def test_reset_stats_keeps_contents(self):
-        tlb = TLB(entries=4)
-        tlb.access(1)
-        tlb.reset_stats()
-        assert tlb.hits == 0 and tlb.misses == 0
-        assert 1 in tlb
-
     def test_miss_rate(self):
         tlb = TLB(entries=4)
         tlb.access(1)

@@ -42,12 +42,6 @@ class TestReferenceTrace:
         assert runs[0] == ReferenceRun(0x1000, 5, 2)
         assert runs[1] == ReferenceRun(0x1000, 6, 1)
 
-    def test_from_runs_round_trips(self):
-        runs = [ReferenceRun(1, 10, 2), ReferenceRun(2, 20, 1)]
-        trace = ReferenceTrace.from_runs(runs, name="rt")
-        assert list(trace) == runs
-        assert trace.name == "rt"
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(TraceError):
             ReferenceTrace([1], [1, 2], [1, 1])
@@ -55,14 +49,6 @@ class TestReferenceTrace:
     def test_zero_count_rejected(self):
         with pytest.raises(TraceError):
             ReferenceTrace([1], [1], [0])
-
-    def test_concatenated(self):
-        a = make_trace([1], name="a")
-        b = make_trace([2], name="b")
-        joined = a.concatenated_with(b)
-        assert joined.num_runs == 2
-        assert joined.name == "a+b"
-        assert joined.pages.tolist() == [1, 2]
 
     def test_empty_trace(self):
         trace = ReferenceTrace([], [], [])

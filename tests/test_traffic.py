@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.traffic import (
+    TrafficSummary,
     measure_traffic,
-    render_traffic,
     rp_to_dp_traffic_ratio,
     traffic_comparison,
 )
@@ -48,23 +48,26 @@ class TestRatio:
         still pays its ~4 pointer writes. The direction and magnitude
         class of the claim hold a fortiori.
         """
-        ratio = rp_to_dp_traffic_ratio(galgel_misses)
+        comparison = traffic_comparison(galgel_misses, mechanisms=("RP", "DP"))
+        ratio = rp_to_dp_traffic_ratio(comparison)
         assert 2.0 < ratio < 8.0
+        assert ratio == comparison["RP"].total_ops / comparison["DP"].total_ops
 
     def test_ratio_degenerate_cases(self):
         # A single-miss stream: neither mechanism issues anything.
         trace = make_trace([1])
         miss_trace = filter_tlb(trace, TLBConfig(entries=8))
-        assert rp_to_dp_traffic_ratio(miss_trace) == 0.0
+        comparison = traffic_comparison(miss_trace, mechanisms=("RP", "DP"))
+        assert rp_to_dp_traffic_ratio(comparison) == 0.0
+        # DP silent while RP still writes its stack: an unbounded ratio.
+        rp_only = {
+            "RP": TrafficSummary("RP", 4, 0, 1, 0.0),
+            "DP": TrafficSummary("DP", 0, 0, 1, 0.0),
+        }
+        assert rp_to_dp_traffic_ratio(rp_only) == float("inf")
 
 
 class TestComparison:
     def test_comparison_covers_requested_mechanisms(self, galgel_misses):
         comparison = traffic_comparison(galgel_misses, mechanisms=("RP", "DP"))
         assert set(comparison) == {"RP", "DP"}
-
-    def test_render(self, galgel_misses):
-        comparison = traffic_comparison(galgel_misses, mechanisms=("RP", "DP"))
-        text = render_traffic(comparison)
-        assert "Overhead ops" in text
-        assert "RP" in text

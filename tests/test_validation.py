@@ -10,7 +10,6 @@ from repro.workloads.validation import (
     group_of,
     render_report,
     validate_all,
-    validate_app,
 )
 
 
@@ -46,20 +45,34 @@ class TestGroupAssignments:
         assert group_of("bzip2") == "mixed"
 
 
+class TestClaims:
+    def test_strided_repeated_wants_dp_near_the_top(self):
+        claim, _ = CLAIM_GROUPS["strided-repeated"]
+        assert claim({"RP": 0.9, "MP": 0.5, "DP": 0.86, "ASP": 0.9}) is None
+        message = claim({"RP": 0.9, "MP": 0.5, "DP": 0.84, "ASP": 0.9})
+        assert "DP at or near the top" in message
+
+
 class TestValidation:
     @pytest.fixture(scope="class")
     def context(self):
         return ExperimentContext(scale=0.15)
 
     def test_validate_single_app(self, context):
-        result = validate_app("galgel", context)
+        (result,) = validate_all(context, apps=["galgel"])
         assert isinstance(result, ValidationResult)
         assert result.passed, result.failures
         assert set(result.accuracies) == {"RP", "MP", "DP", "ASP"}
 
     def test_validate_subset(self, context):
-        results = validate_all(context, apps=["eon", "swim", "parser"])
-        assert [r.app for r in results] == ["eon", "swim", "parser"]
+        # At least one app from each claim group but "history" and
+        # "mixed": nobody (eon, fma3d), distance (swim), alternation
+        # (parser), one-touch (gzip), strided-repeated (galgel,
+        # adpcm-enc) and dp-only (gsm-enc).
+        apps = ["eon", "swim", "parser", "gzip", "galgel", "fma3d",
+                "adpcm-enc", "gsm-enc"]
+        results = validate_all(context, apps=apps)
+        assert [r.app for r in results] == apps
         assert all(r.passed for r in results), [
             (r.app, r.failures) for r in results if not r.passed
         ]

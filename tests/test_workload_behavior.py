@@ -2,7 +2,8 @@
 behaviour classes.
 
 These run the real two-phase pipeline at reduced scale and check the
-*orderings* the paper reports per application group (DESIGN.md §4).
+*orderings* the paper reports per application group (the groups of
+``repro.workloads.validation.CLAIM_GROUPS``).
 Absolute accuracies differ from the paper; orderings must not.
 """
 
